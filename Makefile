@@ -35,21 +35,7 @@ dune exec bench/main.exe -- --baseline $(1) --compare $(2) \
   --delta-md $(3) $(TOLERANCE_FLAGS)
 endef
 
-# The propagation grid carries both sequential and jobs=4 cells from
-# schema v5 on, so every regeneration and comparison must select the
-# same jobs spread — otherwise the parallel baseline cells read as
-# missing and the gate fails spuriously.
-PROP_JOBS = --jobs 1,4
-PROP_SUBSET = --benchmarks cyclic --analyses insens,1call,1obj,S-2obj+H \
-	$(PROP_JOBS)
-
-# Parallel-scaling gate for bench-prop-compare: set MIN_SCALING=2.0 to
-# require each jobs=4 cell to run at least that many times faster than
-# its jobs=1 sibling.  The check is self-skipping on hosts with fewer
-# than 4 cores (and on OCaml 4.x builds, where jobs degrade to 1), so
-# it is safe to leave on everywhere and let CI's 4-vCPU runners enforce
-# it.
-SCALING_FLAGS = $(if $(MIN_SCALING),--min-scaling $(MIN_SCALING))
+PROP_SUBSET = --benchmarks cyclic --analyses insens,1call,1obj,S-2obj+H
 
 # Full benchmark grid.  Writes table1.csv, table1_stats.json, and a
 # fresh BENCH_table1.json snapshot into the repository root.
@@ -68,17 +54,15 @@ bench-accept: bench
 	@echo "BENCH_table1.json regenerated; review the diff and commit it."
 
 # Propagation micro-benchmark: the cycle-heavy `cyclic` profile across a
-# small analysis spread, isolating the solver's propagation core.  Runs
-# the grid at jobs 1 and 4 (the parallel drain's scaling cells) and
-# writes a fresh BENCH_prop.json snapshot into the repository root.
+# small analysis spread, isolating the solver's propagation core.  Writes
+# a fresh BENCH_prop.json snapshot into the repository root.
 bench-prop:
-	dune exec bench/main.exe -- propbench $(PROP_JOBS)
+	dune exec bench/main.exe -- propbench
 
 # Gate the propagation core against its committed baseline — the same
-# recipe as bench-compare, restricted to the propagation cells (both
-# jobs spreads).  Add MIN_SCALING=2.0 to also gate parallel speedup.
+# recipe as bench-compare, restricted to the propagation cells.
 bench-prop-compare:
-	$(call bench_gate,BENCH_prop.json,$(PROP_SUBSET) $(SCALING_FLAGS),BENCH_prop_delta.md)
+	$(call bench_gate,BENCH_prop.json,$(PROP_SUBSET),BENCH_prop_delta.md)
 
 # Re-bless the propagation baseline after an intentional change.
 bench-prop-accept: bench-prop

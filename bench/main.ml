@@ -73,40 +73,28 @@ let analyses = List.concat analysis_groups
    Defaults to the Table-1 twelve. *)
 let selected_analyses = ref analyses
 
-(* Worklist domain counts measured per cell; `--jobs 1,4` adds parallel
-   legs.  Every value beyond 1 re-measures the grid with the parallel
-   drain and lands in the snapshot as a (benchmark, analysis, jobs)
-   cell of its own, paired with its jobs=1 sibling by the scaling
-   check. *)
-let selected_jobs = ref [ 1 ]
-
 type outcome =
   | Done of Metrics.t * float * Run_stats.t * Trace.stat list
       (* metrics, best (min-of-3) elapsed seconds, counters and trace profile of
          the first run *)
   | Timed_out of Pta_obs.Budget.abort
 
-let runs : (string * string * int, outcome) Hashtbl.t = Hashtbl.create 256
+let runs : (string * string, outcome) Hashtbl.t = Hashtbl.create 256
 
 (* Per-cell solve-time distributions: every timed run of a finished cell
    observed into one exponential-bucket registry histogram (the shared
    [Registry.time_buckets] ladder), serialised into the snapshot and from
    there into bench-history ledger records.  Kept out of [outcome] so the
    many pattern matches over it stay untouched. *)
-let cell_hists : (string * string * int, Snapshot.hist) Hashtbl.t =
+let cell_hists : (string * string, Snapshot.hist) Hashtbl.t =
   Hashtbl.create 256
 
 (* Per-cell reachable-heap census of the instrumented run's solved
    state, taken after the timed re-runs so its [Gc.full_major] cannot
    perturb them.  Snapshot cells carry it as the schema-v4
    [heap_components] block. *)
-let cell_census : (string * string * int, Census.component list) Hashtbl.t =
+let cell_census : (string * string, Census.component list) Hashtbl.t =
   Hashtbl.create 256
-
-(* Domains the drain actually used per cell ([Solver.domains_used]) —
-   on a 1-core host or an OCaml 4.x runtime a jobs=4 request degrades,
-   and the snapshot must record what really ran. *)
-let cell_domains : (string * string * int, int) Hashtbl.t = Hashtbl.create 256
 
 let record_cell_hist key times =
   let reg = Registry.create () in
@@ -120,8 +108,8 @@ let record_cell_hist key times =
     (Snapshot.hist_of_buckets ~sum:(Registry.histogram_sum h)
        (Registry.histogram_buckets h))
 
-let run_one ?(jobs = 1) profile analysis_name =
-  let key = (profile.Profile.name, analysis_name, jobs) in
+let run_one profile analysis_name =
+  let key = (profile.Profile.name, analysis_name) in
   match Hashtbl.find_opt runs key with
   | Some o -> o
   | None ->
@@ -138,14 +126,17 @@ let run_one ?(jobs = 1) profile analysis_name =
        stay untraced. *)
     let run_once ~collect ?trace () =
       Driver.run
-        ~config:(Solver.Config.make ~timeout_s ~jobs ?trace ())
+        ~config:(Solver.Config.make ~timeout_s ?trace ())
         ~collect_stats:collect program ~analysis:analysis_name
     in
     (* Compact before the instrumented run: the peak-heap figure must
        reflect this cell's live set, not heap grown (and never returned)
        by whichever cells happened to run earlier in the process —
        without this, per-cell memory numbers depend on grid order and
-       drift 30%+ between a `table1` process and a `--compare` one. *)
+       drift 30%+ between a `table1` process and a `--compare` one.
+       OCaml 5.0 and 5.1 compact without returning memory, so there a
+       cell's peak still depends on the cells before it: a baseline only
+       matches a gate run over the same cells in the same order. *)
     Gc.compact ();
     let trace = Trace.create ~limit:4096 () in
     let outcome =
@@ -161,7 +152,6 @@ let run_one ?(jobs = 1) profile analysis_name =
         let t3 = time (run_once ~collect:false ()) in
         Hashtbl.replace cell_census key
           (Solver.census r1.Driver.solver).Census.components;
-        Hashtbl.replace cell_domains key (Solver.domains_used r1.Driver.solver);
         let best =
           min r1.Driver.wall_time_s (min t2 t3) *. handicap
         in
@@ -176,20 +166,16 @@ let run_one ?(jobs = 1) profile analysis_name =
             Trace.profile trace )
     in
     Hashtbl.replace runs key outcome;
-    let shown =
-      if jobs = 1 then analysis_name
-      else Printf.sprintf "%s@j%d" analysis_name jobs
-    in
     (match outcome with
     | Done (_, s, _, _) ->
       Printf.eprintf "  [bench] %-10s %-10s %6.2fs\n%!" profile.Profile.name
-        shown s
+        analysis_name s
     | Timed_out abort ->
       Printf.eprintf
         "  [bench] %-10s %-10s TIMEOUT (>%.0fs; %.1fs elapsed, %d iterations, \
          %d nodes)\n\
          %!"
-        profile.Profile.name shown timeout_s
+        profile.Profile.name analysis_name timeout_s
         abort.Pta_obs.Budget.elapsed_s abort.Pta_obs.Budget.iterations
         abort.Pta_obs.Budget.nodes);
     outcome
@@ -241,54 +227,41 @@ let current_snapshot () =
   let cells =
     List.concat_map
       (fun profile ->
-        List.concat_map
+        List.map
           (fun a ->
-            List.map
-              (fun jobs ->
-                let key = (profile.Profile.name, a, jobs) in
-                let outcome = run_one ~jobs profile a in
-                let domains =
-                  Option.value ~default:1 (Hashtbl.find_opt cell_domains key)
-                in
-                match outcome with
-                | Done (_, s, stats, _) ->
-                  {
-                    Snapshot.benchmark = profile.Profile.name;
-                    analysis = a;
-                    timed_out = false;
-                    time_s = s;
-                    iterations = stats.Run_stats.iterations;
-                    nodes = Some stats.Run_stats.n_nodes;
-                    memory = stats.Run_stats.memory;
-                    time_hist = Hashtbl.find_opt cell_hists key;
-                    heap_components =
-                      Option.value ~default:[]
-                        (Hashtbl.find_opt cell_census key);
-                    jobs;
-                    domains;
-                  }
-                | Timed_out abort ->
-                  {
-                    Snapshot.benchmark = profile.Profile.name;
-                    analysis = a;
-                    timed_out = true;
-                    time_s = abort.Pta_obs.Budget.elapsed_s;
-                    iterations = abort.Pta_obs.Budget.iterations;
-                    nodes = Some abort.Pta_obs.Budget.nodes;
-                    memory = None;
-                    time_hist = None;
-                    heap_components = [];
-                    jobs;
-                    domains;
-                  })
-              !selected_jobs)
+            let key = (profile.Profile.name, a) in
+            match run_one profile a with
+            | Done (_, s, stats, _) ->
+              {
+                Snapshot.benchmark = profile.Profile.name;
+                analysis = a;
+                timed_out = false;
+                time_s = s;
+                iterations = stats.Run_stats.iterations;
+                nodes = Some stats.Run_stats.n_nodes;
+                memory = stats.Run_stats.memory;
+                time_hist = Hashtbl.find_opt cell_hists key;
+                heap_components =
+                  Option.value ~default:[] (Hashtbl.find_opt cell_census key);
+              }
+            | Timed_out abort ->
+              {
+                Snapshot.benchmark = profile.Profile.name;
+                analysis = a;
+                timed_out = true;
+                time_s = abort.Pta_obs.Budget.elapsed_s;
+                iterations = abort.Pta_obs.Budget.iterations;
+                nodes = Some abort.Pta_obs.Budget.nodes;
+                memory = None;
+                time_hist = None;
+                heap_components = [];
+              })
           !selected_analyses)
       (profiles ())
   in
   {
     Snapshot.schema_version = Snapshot.current_schema_version;
     timeout_s;
-    host_cores = Some (Pta_solver.Par.recommended_domains ());
     pointsto = Some (Pta_version.Version.to_json ());
     cells;
   }
@@ -482,68 +455,46 @@ let cmd_table1 () =
    DaCapo-profile grid exercises only weakly. *)
 let prop_analyses = [ "insens"; "1call"; "1obj"; "S-2obj+H" ]
 
-let select_prop_grid () =
-  selected_profiles := [ Option.get (Profile.by_name "cyclic") ];
-  selected_analyses := prop_analyses
+(* The propagation grid's defaults apply only where `--benchmarks` /
+   `--analyses` left the selection alone. *)
+let benchmarks_given = ref false
+let analyses_given = ref false
 
-let print_scaling_section snapshot =
-  match Snapshot.scaling_points snapshot with
-  | [] -> ()
-  | points ->
-    let t =
-      Table.create
-        ~headers:
-          [ "benchmark"; "analysis"; "jobs"; "domains"; "seq (s)"; "par (s)";
-            "speedup" ]
-    in
-    List.iter
-      (fun (p : Snapshot.scaling_point) ->
-        Table.add_row t
-          [
-            p.Snapshot.s_benchmark;
-            p.Snapshot.s_analysis;
-            string_of_int p.Snapshot.s_jobs;
-            string_of_int p.Snapshot.s_domains;
-            Printf.sprintf "%.2f" p.Snapshot.s_seq_time_s;
-            Printf.sprintf "%.2f" p.Snapshot.s_time_s;
-            Printf.sprintf "%.2fx" p.Snapshot.s_speedup;
-          ])
-      points;
-    print_endline "--- parallel scaling (vs the jobs=1 sibling cells) ---";
-    print_string (Table.render t);
-    print_newline ()
+let select_prop_grid () =
+  if not !benchmarks_given then
+    selected_profiles := [ Option.get (Profile.by_name "cyclic") ];
+  if not !analyses_given then selected_analyses := prop_analyses
 
 let cmd_propbench () =
   select_prop_grid ();
-  print_endline "=== Propagation micro-benchmark (cyclic profile) ===\n";
+  Printf.printf "=== Propagation micro-benchmark (%s) ===\n\n"
+    (String.concat ", "
+       (List.map (fun p -> p.Profile.name) (profiles ())));
   let t =
-    Table.create ~headers:[ "analysis"; "jobs"; "time (s)"; "iterations"; "nodes" ]
+    Table.create
+      ~headers:[ "benchmark"; "analysis"; "time (s)"; "iterations"; "nodes" ]
   in
   List.iter
     (fun profile ->
+      let name = profile.Profile.name in
       List.iter
         (fun a ->
-          List.iter
-            (fun jobs ->
-              match run_one ~jobs profile a with
-              | Done (_, s, stats, _) ->
-                Table.add_row t
-                  [
-                    a;
-                    string_of_int jobs;
-                    Printf.sprintf "%.2f" s;
-                    fmt_int stats.Run_stats.iterations;
-                    fmt_int stats.Run_stats.n_nodes;
-                  ]
-              | Timed_out _ ->
-                Table.add_row t [ a; string_of_int jobs; "-"; "-"; "-" ])
-            !selected_jobs)
+          match run_one profile a with
+          | Done (_, s, stats, _) ->
+            Table.add_row t
+              [
+                name;
+                a;
+                Printf.sprintf "%.2f" s;
+                fmt_int stats.Run_stats.iterations;
+                fmt_int stats.Run_stats.n_nodes;
+              ]
+          | Timed_out _ -> Table.add_row t [ name; a; "-"; "-"; "-" ])
         !selected_analyses)
     (profiles ());
   print_string (Table.render t);
   print_newline ();
   let snapshot = current_snapshot () in
-  print_scaling_section snapshot;
   write_snapshot_file "BENCH_prop.json" snapshot;
   print_endline "[BENCH_prop.json written]\n"
 
@@ -937,7 +888,7 @@ let cmd_micro () =
 (* ------------------------------------------------------------------ *)
 
 let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
-    ~min_scaling ~delta_md ~snapshot_out () =
+    ~delta_md ~snapshot_out () =
   (* Fail early on an unreadable/unparseable baseline, but do NOT
      retain the parsed document across the measured grid: the cells'
      GC profile is a deterministic function of the process's allocation
@@ -980,33 +931,7 @@ let cmd_compare ~baseline_file ~time_tol ~heap_tol ~heap_component_tol
   let outcome =
     Comparator.gate ~thresholds ~subset ?delta_md ~baseline ~current ()
   in
-  (* The scaling gate is self-contained within the current snapshot: it
-     pairs each jobs>1 cell with its jobs=1 sibling from the same run,
-     so it never compares timings across hosts or commits. *)
-  let scaling_failed =
-    match min_scaling with
-    | None -> false
-    | Some min_speedup -> (
-      print_scaling_section current;
-      match Snapshot.check_scaling ~min_speedup current with
-      | Snapshot.Scaling_ok points ->
-        List.iter
-          (fun pt ->
-            Format.printf "scaling OK: %a@." Snapshot.pp_scaling_point pt)
-          points;
-        false
-      | Snapshot.Scaling_skipped reason ->
-        Printf.printf "scaling gate skipped: %s\n%!" reason;
-        false
-      | Snapshot.Scaling_regression points ->
-        List.iter
-          (fun pt ->
-            Format.printf "SCALING REGRESSION (need >= %.2fx): %a@."
-              min_speedup Snapshot.pp_scaling_point pt)
-          points;
-        true)
-  in
-  if outcome.Comparator.failed || scaling_failed then exit 1
+  if outcome.Comparator.failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 
@@ -1016,7 +941,7 @@ let usage () =
      [table1|propbench|figure3|summary|ablation|scaling|futurework|micro|all]*\n\
     \       bench --baseline FILE --compare [--time-tol PCT] [--heap-tol PCT]\n\
     \             [--heap-component-tol PCT] [--benchmarks a,b,c]\n\
-    \             [--analyses x,y,z] [--jobs 1,4] [--min-scaling X]\n\
+    \             [--analyses x,y,z]\n\
     \             [--delta-md FILE] [--snapshot-out FILE]\n";
   exit 2
 
@@ -1028,7 +953,6 @@ let () =
   let heap_component_tol =
     ref Snapshot.default_thresholds.Snapshot.heap_component_tol_pct
   in
-  let min_scaling = ref None in
   let delta_md = ref None in
   let snapshot_out = ref None in
   let cmds = ref [] in
@@ -1052,20 +976,6 @@ let () =
     | "--heap-component-tol" :: v :: rest ->
       heap_component_tol := float_arg v;
       parse rest
-    | "--min-scaling" :: v :: rest ->
-      min_scaling := Some (float_arg v);
-      parse rest
-    | "--jobs" :: v :: rest ->
-      selected_jobs :=
-        List.map
-          (fun n ->
-            match int_of_string_opt n with
-            | Some j when j >= 1 -> j
-            | _ ->
-              Printf.eprintf "bad --jobs value %S (want positive ints)\n" n;
-              exit 2)
-          (String.split_on_char ',' v);
-      parse rest
     | "--delta-md" :: v :: rest ->
       delta_md := Some v;
       parse rest
@@ -1073,6 +983,7 @@ let () =
       snapshot_out := Some v;
       parse rest
     | "--benchmarks" :: v :: rest ->
+      benchmarks_given := true;
       selected_profiles :=
         List.map
           (fun name ->
@@ -1084,6 +995,7 @@ let () =
           (String.split_on_char ',' v);
       parse rest
     | "--analyses" :: v :: rest ->
+      analyses_given := true;
       selected_analyses :=
         List.map
           (fun name ->
@@ -1110,8 +1022,8 @@ let () =
     | Some baseline_file ->
       if !cmds <> [] then usage ();
       cmd_compare ~baseline_file ~time_tol:!time_tol ~heap_tol:!heap_tol
-        ~heap_component_tol:!heap_component_tol ~min_scaling:!min_scaling
-        ~delta_md:!delta_md ~snapshot_out:!snapshot_out ()
+        ~heap_component_tol:!heap_component_tol ~delta_md:!delta_md
+        ~snapshot_out:!snapshot_out ()
   end
   else begin
     let cmds = if !cmds = [] then [ "all" ] else List.rev !cmds in

@@ -73,18 +73,6 @@ let timeout_arg =
   let doc = "Abort the analysis after $(docv) seconds (exit code 3)." in
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Drain the solver worklist with $(docv) domains (default 1, the \
-     sequential fixpoint).  The parallel drain partitions the supergraph by \
-     SCC-condensation region, steals batches between per-domain priority \
-     worklists, and exchanges cross-partition deltas through mailboxes; \
-     results are fact-identical to the sequential solver at every domain \
-     count.  On runtimes without multicore support (OCaml 4.x) any value \
-     degrades gracefully to sequential."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let stats_json_arg =
   let doc =
     "Write run statistics (wall time, iterations, nodes, edges, contexts, \
@@ -147,9 +135,9 @@ let progress_observer () =
         (String.make 24 ' '))
     ()
 
-let config_of ?timeout_s ?jobs ?trace ?metrics ~progress () =
+let config_of ?timeout_s ?trace ?metrics ~progress () =
   let observer = if progress then progress_observer () else Observer.null in
-  Solver.Config.make ?timeout_s ?jobs ~observer ?trace ?metrics ()
+  Solver.Config.make ?timeout_s ~observer ?trace ?metrics ()
 
 (* Stats collection implies a live metric registry, so [--stats-json]
    documents carry the [memory] and [metrics] blocks. *)
@@ -253,12 +241,12 @@ let resolve_meth_var program meth_name var_name =
   (meth, var)
 
 let analyze_cmd =
-  let run files analysis no_stdlib timeout_s jobs stats_json trace_file
-      progress profile =
+  let run files analysis no_stdlib timeout_s stats_json trace_file progress
+      profile =
     let trace = trace_sink trace_file in
     let collect_stats = stats_json <> None || profile in
     let metrics = metrics_for ~collect_stats ~analysis in
-    let config = config_of ?timeout_s ~jobs ~trace ~metrics ~progress () in
+    let config = config_of ?timeout_s ~trace ~metrics ~progress () in
     let ppf =
       report_ppf
         ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
@@ -281,7 +269,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc ~exits:common_exits)
     Term.(
       const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
+      $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
 
 let compare_cmd =
   let analyses_arg =
@@ -291,8 +279,8 @@ let compare_cmd =
       & opt (list string) [ "1call"; "1obj"; "SB-1obj"; "2obj+H"; "S-2obj+H"; "2type+H" ]
       & info [ "analyses" ] ~docv:"NAMES" ~doc)
   in
-  let run files analyses no_stdlib timeout_s jobs stats_json trace_file
-      progress profile =
+  let run files analyses no_stdlib timeout_s stats_json trace_file progress
+      profile =
     let program = handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files)) in
     (* One shared sink: the trace holds every analysis back to back. *)
     let trace = trace_sink trace_file in
@@ -315,7 +303,7 @@ let compare_cmd =
           handle (Driver.strategy_of_name program name)
         in
         let metrics = metrics_for ~collect_stats ~analysis:name in
-        let config = config_of ?timeout_s ~jobs ~trace ~metrics ~progress () in
+        let config = config_of ?timeout_s ~trace ~metrics ~progress () in
         match Driver.run ~config ~collect_stats program ~analysis:name with
         | Ok r ->
           let m = Metrics.compute r.Driver.solver in
@@ -360,16 +348,15 @@ let compare_cmd =
     (Cmd.info "compare" ~doc ~exits:common_exits)
     Term.(
       const run $ files_arg $ analyses_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
+      $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
 
 (* Load + run for the query-style subcommands: no stats machinery, but
    the same exit-code contract, optional timeout and optional trace.
    The trace file is written before returning, so a "-" destination has
    stdout to itself; the returned formatter is where the report goes. *)
-let load_and_solve ?timeout_s ?jobs ?(trace_file = None) ~no_stdlib ~analysis
-    files =
+let load_and_solve ?timeout_s ?(trace_file = None) ~no_stdlib ~analysis files =
   let trace = trace_sink trace_file in
-  let config = Solver.Config.make ?timeout_s ?jobs ~trace () in
+  let config = Solver.Config.make ?timeout_s ~trace () in
   let program, r =
     handle
       (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
@@ -518,8 +505,8 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "include-stdlib" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s jobs checkers taint_spec format
-      output include_stdlib =
+  let run files analysis no_stdlib timeout_s checkers taint_spec format output
+      include_stdlib =
     (match checkers with
     | Some [ "list" ] ->
       print_checker_listing ();
@@ -530,7 +517,7 @@ let check_cmd =
       exit 124
     end;
     let program, solver, _ppf =
-      load_and_solve ?timeout_s ~jobs ~no_stdlib ~analysis files
+      load_and_solve ?timeout_s ~no_stdlib ~analysis files
     in
     let taint =
       match load_taint_spec taint_spec with
@@ -601,7 +588,7 @@ let check_cmd =
     (Cmd.info "check" ~doc ~man ~exits:check_exits)
     Term.(
       const run $ files_opt_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ jobs_arg $ checkers_arg $ taint_spec_arg $ format_arg $ output_arg
+      $ checkers_arg $ taint_spec_arg $ format_arg $ output_arg
       $ include_stdlib_arg)
 
 let taint_cmd =
@@ -1319,11 +1306,7 @@ let history_append_cmd =
     let record =
       match
         Hrecord.of_snapshot ~seq:0 ?timestamp ?note
-          ~host:
-            (Hrecord.current_host
-               ~cores:(Pta_solver.Par.recommended_domains ())
-               ())
-          snap
+          ~host:(Hrecord.current_host ()) snap
       with
       | Ok r -> r
       | Error e -> fail_usage "%s: %s" snapshot e
@@ -1460,11 +1443,7 @@ let trend_cmd =
 
 let bisect_cmd =
   let cell_arg =
-    let doc =
-      "The cell to bisect, as $(i,BENCHMARK)/$(i,ANALYSIS), or \
-       $(i,BENCHMARK)/$(i,ANALYSIS)$(b,@j)$(i,N) for a parallel cell \
-       measured at $(i,N) worklist domains."
-    in
+    let doc = "The cell to bisect, as $(i,BENCHMARK)/$(i,ANALYSIS)." in
     Arg.(
       required & opt (some string) None & info [ "cell" ] ~docv:"B/A" ~doc)
   in
@@ -1512,27 +1491,14 @@ let bisect_cmd =
           String.sub cell (i + 1) (String.length cell - i - 1) )
       | None -> fail_usage "--cell expects BENCHMARK/ANALYSIS, got %S" cell
     in
-    (* "S-2obj+H@j4" names the cell measured at 4 worklist domains —
-       the same rendering the trend page and flags use. *)
-    let analysis, jobs =
-      match String.rindex_opt analysis '@' with
-      | Some i
-        when i + 1 < String.length analysis && analysis.[i + 1] = 'j' -> (
-        let n = String.sub analysis (i + 2) (String.length analysis - i - 2) in
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> (String.sub analysis 0 i, j)
-        | _ -> fail_usage "--cell: bad jobs suffix in %S (want @jN)" cell)
-      | _ -> (analysis, 1)
-    in
     let records = load_ledger ledger in
-    match Hbisect.run ~params ~jobs ~metric ~benchmark ~analysis records with
+    match Hbisect.run ~params ~metric ~benchmark ~analysis records with
     | Error e -> fail_usage "%s" e
     | Ok None ->
       Printf.printf
         "%s/%s: latest record is within the anchor threshold; nothing to \
          bisect\n"
-        benchmark
-        (Htrend.cell_label ~analysis ~jobs);
+        benchmark analysis;
       exit 1
     | Ok (Some o) ->
       Format.printf "%a@." Hbisect.pp_outcome o;
@@ -1543,7 +1509,7 @@ let bisect_cmd =
           | None -> fail_usage "no good record to baseline the git run on"
         in
         let snap =
-          match Hbisect.baseline_snapshot ~jobs good ~benchmark ~analysis with
+          match Hbisect.baseline_snapshot good ~benchmark ~analysis with
           | Ok s -> s
           | Error e -> fail_usage "%s" e
         in

@@ -4,7 +4,6 @@ module Memstats = Pta_obs.Memstats
 type outcome = {
   benchmark : string;
   analysis : string;
-  jobs : int;
   metric : Trend.metric;
   anchor : Trend.stats;
   first_bad : Record.t;
@@ -13,39 +12,28 @@ type outcome = {
 }
 
 (* The anchor window: the first [window] finished observations of the
-   cell, scanning from the start of the ledger.  Records measured on a
-   host whose core count differs from [cores] (the latest record's) are
-   skipped: timings do not transfer across core counts, so an anchor
-   mixing them would bisect hardware changes, not code. *)
-let anchor_values (p : Trend.params) metric ~benchmark ~analysis ~jobs ~cores
-    records =
+   cell, scanning from the start of the ledger. *)
+let anchor_values (p : Trend.params) metric ~benchmark ~analysis records =
   let rec go acc count = function
     | [] -> List.rev acc
     | _ when count >= p.Trend.window -> List.rev acc
-    | (r : Record.t) :: rest ->
-      if r.Record.host.Record.cores <> cores then go acc count rest
-      else (
-        match
-          Option.bind
-            (Record.cell_find ~jobs r ~benchmark ~analysis)
-            (Trend.cell_value metric)
-        with
-        | Some v -> go (v :: acc) (count + 1) rest
-        | None -> go acc count rest)
+    | (r : Record.t) :: rest -> (
+      match
+        Option.bind
+          (Record.cell_find r ~benchmark ~analysis)
+          (Trend.cell_value metric)
+      with
+      | Some v -> go (v :: acc) (count + 1) rest
+      | None -> go acc count rest)
   in
   go [] 0 records
 
-let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
-    ~analysis records =
+let run ?(params = Trend.default_params) ~metric ~benchmark ~analysis records =
   match records with
   | [] -> Error "empty ledger: nothing to bisect"
   | _ -> (
-    let label = Trend.cell_label ~analysis ~jobs in
-    let cores =
-      (List.hd (List.rev records)).Record.host.Record.cores
-    in
     let anchor_vals =
-      anchor_values params metric ~benchmark ~analysis ~jobs ~cores records
+      anchor_values params metric ~benchmark ~analysis records
     in
     match Trend.window_stats params metric anchor_vals with
     | None ->
@@ -53,35 +41,30 @@ let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
         Error
           (Printf.sprintf
              "%s/%s: only %d finished %s observation(s) to anchor on (need %d)"
-             benchmark label (List.length anchor_vals)
+             benchmark analysis (List.length anchor_vals)
              (Trend.metric_name metric) params.Trend.min_points)
       else
         Error
           (Printf.sprintf
              "%s/%s: anchor median sits below the %s noise floor; nothing \
               meaningful to bisect"
-             benchmark label (Trend.metric_name metric))
+             benchmark analysis (Trend.metric_name metric))
     | Some anchor ->
       let arr = Array.of_list records in
       let probes = ref [] in
       (* Bad = crossed the anchor threshold, or timed out where the
          anchor finished.  An absent cell is treated as good: the cell
-         did not exist yet, so the regression cannot predate it.  A
-         record from a host with a different core count is likewise
-         good — its timings are incommensurable with the anchor, so it
-         cannot witness the regression. *)
+         did not exist yet, so the regression cannot predate it. *)
       let bad i =
         let r = arr.(i) in
         let verdict =
-          if r.Record.host.Record.cores <> cores then false
-          else
-            match Record.cell_find ~jobs r ~benchmark ~analysis with
+          match Record.cell_find r ~benchmark ~analysis with
+          | None -> false
+          | Some c when c.Record.timed_out -> true
+          | Some c -> (
+            match Trend.cell_value metric c with
             | None -> false
-            | Some c when c.Record.timed_out -> true
-            | Some c -> (
-              match Trend.cell_value metric c with
-              | None -> false
-              | Some v -> v > anchor.Trend.threshold)
+            | Some v -> v > anchor.Trend.threshold)
         in
         probes := (r.Record.seq, verdict) :: !probes;
         verdict
@@ -101,7 +84,6 @@ let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
              {
                benchmark;
                analysis;
-               jobs;
                metric;
                anchor;
                first_bad = arr.(!hi);
@@ -112,8 +94,7 @@ let run ?(params = Trend.default_params) ?(jobs = 1) ~metric ~benchmark
 
 let pp_outcome ppf o =
   let commit (r : Record.t) = Record.commit_label r.Record.build in
-  Format.fprintf ppf "@[<v>%s/%s, metric %s:@," o.benchmark
-    (Trend.cell_label ~analysis:o.analysis ~jobs:o.jobs)
+  Format.fprintf ppf "@[<v>%s/%s, metric %s:@," o.benchmark o.analysis
     (Trend.metric_name o.metric);
   Format.fprintf ppf "  anchor: median %.4g, threshold %.4g@,"
     o.anchor.Trend.median o.anchor.Trend.threshold;
@@ -135,8 +116,8 @@ let pp_outcome ppf o =
 (* git bisect handoff                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let baseline_snapshot ?(jobs = 1) (r : Record.t) ~benchmark ~analysis =
-  match Record.cell_find ~jobs r ~benchmark ~analysis with
+let baseline_snapshot (r : Record.t) ~benchmark ~analysis =
+  match Record.cell_find r ~benchmark ~analysis with
   | None ->
     Error
       (Printf.sprintf "record #%d has no cell %s/%s" r.Record.seq benchmark
@@ -167,7 +148,6 @@ let baseline_snapshot ?(jobs = 1) (r : Record.t) ~benchmark ~analysis =
       {
         Snapshot.schema_version = Snapshot.current_schema_version;
         timeout_s = r.Record.timeout_s;
-        host_cores = r.Record.host.Record.cores;
         pointsto = None;
         cells =
           [
@@ -181,8 +161,6 @@ let baseline_snapshot ?(jobs = 1) (r : Record.t) ~benchmark ~analysis =
               memory;
               time_hist = c.Record.time_hist;
               heap_components = c.Record.heap_components;
-              jobs = c.Record.jobs;
-              domains = c.Record.domains;
             };
           ];
       }
@@ -241,8 +219,7 @@ let git_script o ~ledger ~baseline_file =
              Printf.sprintf
                "# Generated by `pointsto bench bisect` from %s." ledger;
              Printf.sprintf "# Cell %s/%s, metric %s." o.benchmark
-               (Trend.cell_label ~analysis:o.analysis ~jobs:o.jobs)
-               (Trend.metric_name o.metric);
+               o.analysis (Trend.metric_name o.metric);
              Printf.sprintf "# Ledger span: last good #%d (%s), first bad #%d \
                              (%s)."
                good.Record.seq gb.Record.commit o.first_bad.Record.seq
@@ -257,13 +234,10 @@ let git_script o ~ledger ~baseline_file =
                gb.Record.commit;
              Printf.sprintf
                "git bisect run sh -c 'dune build bench/main.exe || exit 125; \
-                dune exec bench/main.exe -- --benchmarks %s --analyses %s%s \
+                dune exec bench/main.exe -- --benchmarks %s --analyses %s \
                 --compare --baseline %s --time-tol %s --heap-tol %s \
                 --heap-component-tol %s'"
-               o.benchmark o.analysis
-               (if o.jobs = 1 then ""
-                else Printf.sprintf " --jobs %d" o.jobs)
-               baseline_file time_tol heap_tol comp_tol;
+               o.benchmark o.analysis baseline_file time_tol heap_tol comp_tol;
              "git bisect reset";
              "";
            ])

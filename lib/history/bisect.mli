@@ -20,7 +20,6 @@ module Snapshot := Pta_report.Bench_snapshot
 type outcome = {
   benchmark : string;
   analysis : string;
-  jobs : int;  (** the bisected cell's worklist domain count *)
   metric : Trend.metric;
   anchor : Trend.stats;  (** baseline over the first finished window *)
   first_bad : Record.t;
@@ -31,7 +30,6 @@ type outcome = {
 
 val run :
   ?params:Trend.params ->
-  ?jobs:int ->
   metric:Trend.metric ->
   benchmark:string ->
   analysis:string ->
@@ -39,16 +37,11 @@ val run :
   (outcome option, string) result
 (** [Ok None] when the latest record is within threshold (nothing to
     bisect).  [Error] when the cell is absent, never finished often
-    enough to anchor, or the noise floor suppresses the metric.
-    [jobs] (default 1) selects the (benchmark, analysis, jobs) cell;
-    records measured on a host whose core count differs from the
-    latest record's are excluded from both the anchor and the bad
-    predicate — timings never compare across core counts. *)
+    enough to anchor, or the noise floor suppresses the metric. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val baseline_snapshot :
-  ?jobs:int ->
   Record.t ->
   benchmark:string ->
   analysis:string ->

@@ -3,10 +3,11 @@ module Snapshot = Pta_report.Bench_snapshot
 module Census = Pta_obs.Census
 
 (* v2 adds the optional per-cell [heap_components] census block; v1
-   records load with it empty.  v3 adds per-cell [jobs]/[domains] (the
-   parallel drain's requested and effective domain counts) and the
-   host's [cores]; older records load with jobs = domains = 1 and
-   cores = None. *)
+   records load with it empty.  v3 once added per-cell [jobs]/[domains]
+   and the host's [cores] for a parallel drain that has since been
+   removed: sequential v3 records are unchanged, a [cores] stamp is
+   ignored, and a cell with [jobs] or [domains] other than 1 is
+   refused. *)
 let current_schema_version = 3
 
 type build = {
@@ -23,23 +24,15 @@ type host = {
   os_type : string;
   word_size : int;
   hostname : string;
-  cores : int option;  (* v3; None in older records *)
 }
 
-let current_host ?cores () =
+let current_host () =
   let hostname =
     match Sys.getenv_opt "PTA_BENCH_HOST" with
     | Some h when h <> "" -> h
     | _ -> ( try Unix.gethostname () with Unix.Unix_error _ -> "unknown")
   in
-  (* Like PTA_BENCH_HOST: lets CI and the golden tests pin a stable
-     core count regardless of the machine the test happens to run on. *)
-  let cores =
-    match Option.bind (Sys.getenv_opt "PTA_BENCH_CORES") int_of_string_opt with
-    | Some n when n >= 1 -> Some n
-    | _ -> cores
-  in
-  { os_type = Sys.os_type; word_size = Sys.word_size; hostname; cores }
+  { os_type = Sys.os_type; word_size = Sys.word_size; hostname }
 
 type cell = {
   benchmark : string;
@@ -51,8 +44,6 @@ type cell = {
   peak_heap_words : int option;
   time_hist : Snapshot.hist option;
   heap_components : Census.component list;  (* v2; [] when absent *)
-  jobs : int;  (* v3; 1 in older records *)
-  domains : int;  (* v3; 1 in older records *)
 }
 
 type t = {
@@ -82,12 +73,11 @@ let build_to_json b =
 
 let host_to_json h =
   Json.Obj
-    ([
-       ("os_type", Json.String h.os_type);
-       ("word_size", Json.Int h.word_size);
-       ("hostname", Json.String h.hostname);
-     ]
-    @ match h.cores with None -> [] | Some n -> [ ("cores", Json.Int n) ])
+    [
+      ("os_type", Json.String h.os_type);
+      ("word_size", Json.Int h.word_size);
+      ("hostname", Json.String h.hostname);
+    ]
 
 let cell_to_json c =
   Json.Obj
@@ -107,10 +97,7 @@ let cell_to_json c =
       | Some h -> [ ("time_hist", Snapshot.hist_to_json h) ])
     @ (match c.heap_components with
       | [] -> []
-      | cs -> [ ("heap_components", Census.components_to_json cs) ])
-    @
-    if c.jobs = 1 && c.domains = 1 then []
-    else [ ("jobs", Json.Int c.jobs); ("domains", Json.Int c.domains) ])
+      | cs -> [ ("heap_components", Census.components_to_json cs) ]))
 
 let to_json t =
   Json.Obj
@@ -150,8 +137,7 @@ let host_of_json json =
   let* os_type = field json "os_type" Json.to_str in
   let* word_size = field json "word_size" Json.to_int in
   let* hostname = field json "hostname" Json.to_str in
-  let cores = Option.bind (Json.member "cores" json) Json.to_int in
-  Ok { os_type; word_size; hostname; cores }
+  Ok { os_type; word_size; hostname }
 
 let cell_of_json json =
   let* benchmark = field json "benchmark" Json.to_str in
@@ -173,29 +159,19 @@ let cell_of_json json =
     | None -> Ok []
     | Some j -> Census.components_of_json_list j
   in
-  let jobs =
-    Option.value ~default:1 (Option.bind (Json.member "jobs" json) Json.to_int)
-  in
-  let domains =
-    Option.value ~default:1
-      (Option.bind (Json.member "domains" json) Json.to_int)
-  in
-  if jobs < 1 || domains < 1 then Error "jobs and domains must be >= 1"
-  else
-    Ok
-      {
-        benchmark;
-        analysis;
-        timed_out;
-        time_s;
-        iterations;
-        nodes;
-        peak_heap_words;
-        time_hist;
-        heap_components;
-        jobs;
-        domains;
-      }
+  let* () = Snapshot.refuse_parallel_cell json ~benchmark ~analysis in
+  Ok
+    {
+      benchmark;
+      analysis;
+      timed_out;
+      time_s;
+      iterations;
+      nodes;
+      peak_heap_words;
+      time_hist;
+      heap_components;
+    }
 
 let of_json json =
   let* schema_version = field json "schema_version" Json.to_int in
@@ -281,13 +257,6 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
          be traceable to the build that measured it"
     | Some stamp -> build_of_stamp stamp
   in
-  (* The snapshot's own core stamp wins: it names the host that
-     measured, which is what parallel timings must be keyed on. *)
-  let host =
-    match snap.Snapshot.host_cores with
-    | Some _ as cores -> { host with cores }
-    | None -> host
-  in
   let cells =
     List.map
       (fun (c : Snapshot.cell) ->
@@ -304,8 +273,6 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
               c.Snapshot.memory;
           time_hist = c.Snapshot.time_hist;
           heap_components = c.Snapshot.heap_components;
-          jobs = c.Snapshot.jobs;
-          domains = c.Snapshot.domains;
         })
       snap.Snapshot.cells
   in
@@ -321,10 +288,8 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
       cells;
     }
 
-let cell_find ?(jobs = 1) t ~benchmark ~analysis =
+let cell_find t ~benchmark ~analysis =
   List.find_opt
     (fun c ->
-      String.equal c.benchmark benchmark
-      && String.equal c.analysis analysis
-      && c.jobs = jobs)
+      String.equal c.benchmark benchmark && String.equal c.analysis analysis)
     t.cells

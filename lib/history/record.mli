@@ -15,10 +15,11 @@ module Json := Pta_obs.Json
 module Snapshot := Pta_report.Bench_snapshot
 
 val current_schema_version : int
-(** 3.  v2 adds the optional per-cell [heap_components] census block;
-    v3 adds per-cell [jobs]/[domains] and the host's [cores].  Older
-    records load with the newer fields at their sequential defaults
-    (jobs = domains = 1, cores = None). *)
+(** 3.  v2 adds the optional per-cell [heap_components] census block.
+    v3 once added per-cell [jobs]/[domains] and the host's [cores] for
+    a parallel drain that has since been removed; sequential v3 records
+    are unchanged.  {!of_json} ignores a [cores] stamp and refuses a
+    cell whose [jobs] or [domains] is not 1. *)
 
 type build = {
   semver : string;
@@ -35,19 +36,14 @@ type host = {
   os_type : string;  (** [Sys.os_type] *)
   word_size : int;  (** [Sys.word_size] *)
   hostname : string;
-  cores : int option;  (** v3: core count; [None] in older records *)
 }
-(** A coarse host fingerprint: timings from different machines must
-    never be silently compared, and this is how the trend tooling tells
-    them apart.  [hostname] honours [$PTA_BENCH_HOST] so CI and tests
-    can pin a stable name.  [cores] extends the rule to parallel cells:
-    the trend and bisect tooling skip records whose core count differs
-    from the one under test. *)
+(** A coarse host fingerprint, recorded so a reader can see where a
+    record was measured.  Trend and bisect do not filter by host: a
+    ledger that mixes machines mixes their timings in windows and
+    anchors, so keep one ledger per machine.  [hostname] honours
+    [$PTA_BENCH_HOST] so CI and tests can pin a stable name. *)
 
-val current_host : ?cores:int -> unit -> host
-(** [cores] is the caller's estimate of the machine's core count
-    (e.g. {!Pta_solver.Par.recommended_domains}); [$PTA_BENCH_CORES]
-    overrides it, like [$PTA_BENCH_HOST] does the hostname. *)
+val current_host : unit -> host
 
 type cell = {
   benchmark : string;
@@ -63,8 +59,6 @@ type cell = {
   heap_components : Pta_obs.Census.component list;
       (** v2: reachable-heap census of the solved state; [[]] when the
           run (or a v1 record) carried none *)
-  jobs : int;  (** v3: requested worklist domains; 1 in older records *)
-  domains : int;  (** v3: effective domain count; 1 in older records *)
 }
 
 type t = {
@@ -80,8 +74,9 @@ type t = {
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-(** Strict: rejects unsupported schema versions and missing or mistyped
-    fields (including malformed [time_hist] blocks). *)
+(** Strict: rejects unsupported schema versions, missing or mistyped
+    fields (including malformed [time_hist] blocks), and parallel
+    cells. *)
 
 val of_snapshot :
   seq:int ->
@@ -98,8 +93,4 @@ val of_snapshot :
     ["-dirty"]-suffixed commit or an explicit [dirty] flag in the stamp
     both mark the record dirty. *)
 
-val cell_find :
-  ?jobs:int -> t -> benchmark:string -> analysis:string -> cell option
-(** The cell measured at [jobs] worklist domains (default 1, the
-    sequential drain) — (benchmark, analysis, jobs) is the cell key
-    from v3 on. *)
+val cell_find : t -> benchmark:string -> analysis:string -> cell option

@@ -87,21 +87,14 @@ let cell_value metric (c : Record.cell) =
            c.Record.heap_components)
 
 (* The up-to-[window] most recent finished observations among the
-   records strictly before index [i].  Records measured on a host with
-   a different core count than record [i]'s are skipped outright:
-   parallel (and even sequential) timings do not transfer across core
-   counts, and a window mixing them would flag (or mask) on hardware,
-   not code.  Unknown (pre-v3) core counts only match unknown. *)
-let window_before p metric records ~benchmark ~analysis ~jobs i =
-  let cores = records.(i).Record.host.Record.cores in
+   records strictly before index [i]. *)
+let window_before p metric records ~benchmark ~analysis i =
   let rec go j acc count =
     if j < 0 || count >= p.window then acc
-    else if records.(j).Record.host.Record.cores <> cores then
-      go (j - 1) acc count
     else
       match
         Option.bind
-          (Record.cell_find ~jobs records.(j) ~benchmark ~analysis)
+          (Record.cell_find records.(j) ~benchmark ~analysis)
           (cell_value metric)
       with
       | Some v -> go (j - 1) (v :: acc) (count + 1)
@@ -113,7 +106,6 @@ type flag =
   | Breach of {
       benchmark : string;
       analysis : string;
-      jobs : int;
       metric : metric;
       seq : int;
       value : float;
@@ -122,34 +114,30 @@ type flag =
   | Became_timeout of {
       benchmark : string;
       analysis : string;
-      jobs : int;
       seq : int;
     }
-
-let cell_label ~analysis ~jobs =
-  if jobs = 1 then analysis else Printf.sprintf "%s@j%d" analysis jobs
 
 let pp_flag ppf = function
   | Breach f ->
     Format.fprintf ppf "%s/%s: %s %.4g exceeds threshold %.4g (median %.4g, MAD %.4g) at seq %d"
-      f.benchmark (cell_label ~analysis:f.analysis ~jobs:f.jobs)
+      f.benchmark f.analysis
       (metric_name f.metric) f.value f.stats.threshold
       f.stats.median f.stats.mad f.seq
   | Became_timeout f ->
     Format.fprintf ppf "%s/%s: timed out at seq %d after finishing throughout its window"
-      f.benchmark (cell_label ~analysis:f.analysis ~jobs:f.jobs) f.seq
+      f.benchmark f.analysis f.seq
 
-let check_cell p records i ~benchmark ~analysis ~jobs =
+let check_cell p records i ~benchmark ~analysis =
   let r = records.(i) in
-  match Record.cell_find ~jobs r ~benchmark ~analysis with
+  match Record.cell_find r ~benchmark ~analysis with
   | None -> []
   | Some c ->
     if c.Record.timed_out then
       (* A fresh timeout is a regression whenever the cell has enough
          finished history for the trend to have an opinion at all. *)
-      let w = window_before p Time records ~benchmark ~analysis ~jobs i in
+      let w = window_before p Time records ~benchmark ~analysis i in
       if List.length w >= p.min_points then
-        [ Became_timeout { benchmark; analysis; jobs; seq = r.Record.seq } ]
+        [ Became_timeout { benchmark; analysis; seq = r.Record.seq } ]
       else []
     else
       List.filter_map
@@ -157,7 +145,7 @@ let check_cell p records i ~benchmark ~analysis ~jobs =
           match cell_value metric c with
           | None -> None
           | Some value -> (
-            let w = window_before p metric records ~benchmark ~analysis ~jobs i in
+            let w = window_before p metric records ~benchmark ~analysis i in
             match window_stats p metric w with
             | Some stats when value > stats.threshold ->
               Some
@@ -165,7 +153,6 @@ let check_cell p records i ~benchmark ~analysis ~jobs =
                    {
                      benchmark;
                      analysis;
-                     jobs;
                      metric;
                      seq = r.Record.seq;
                      value;
@@ -188,10 +175,10 @@ let check_latest ?(params = default_params) records =
       (List.concat_map
          (fun (c : Record.cell) ->
            check_cell params arr last ~benchmark:c.Record.benchmark
-             ~analysis:c.Record.analysis ~jobs:c.Record.jobs)
+             ~analysis:c.Record.analysis)
          arr.(last).Record.cells)
 
-let flag_mask p metric ~benchmark ~analysis ~jobs records =
+let flag_mask p metric ~benchmark ~analysis records =
   let arr = Array.of_list records in
   Array.mapi
     (fun i _ ->
@@ -199,7 +186,7 @@ let flag_mask p metric ~benchmark ~analysis ~jobs records =
         (function
           | Breach f -> f.metric = metric
           | Became_timeout _ -> metric = Time)
-        (check_cell p arr i ~benchmark ~analysis ~jobs))
+        (check_cell p arr i ~benchmark ~analysis))
     arr
 
 (* ------------------------------------------------------------------ *)
@@ -213,7 +200,7 @@ let cell_universe records =
     (fun (r : Record.t) ->
       List.iter
         (fun (c : Record.cell) ->
-          let key = (c.Record.benchmark, c.Record.analysis, c.Record.jobs) in
+          let key = (c.Record.benchmark, c.Record.analysis) in
           if not (Hashtbl.mem seen key) then (
             Hashtbl.add seen key ();
             order := key :: !order))
@@ -226,12 +213,12 @@ let point_label (r : Record.t) value_txt =
     (Record.commit_label r.Record.build)
     value_txt
 
-let series_of p metric ~fmt ~benchmark ~analysis ~jobs records =
-  let flags = flag_mask p metric ~benchmark ~analysis ~jobs records in
+let series_of p metric ~fmt ~benchmark ~analysis records =
+  let flags = flag_mask p metric ~benchmark ~analysis records in
   List.mapi
     (fun i (r : Record.t) ->
       let value, timed_out, txt =
-        match Record.cell_find ~jobs r ~benchmark ~analysis with
+        match Record.cell_find r ~benchmark ~analysis with
         | None -> (None, false, "absent")
         | Some c when c.Record.timed_out ->
           (None, true, Printf.sprintf "timeout after %.0fs" c.Record.time_s)
@@ -251,11 +238,11 @@ let series_of p metric ~fmt ~benchmark ~analysis ~jobs records =
     records
 
 (* Unflagged informational column from an arbitrary extractor. *)
-let plain_series ~fmt ~value_of ~benchmark ~analysis ~jobs records =
+let plain_series ~fmt ~value_of ~benchmark ~analysis records =
   List.map
     (fun (r : Record.t) ->
       let value, timed_out, txt =
-        match Record.cell_find ~jobs r ~benchmark ~analysis with
+        match Record.cell_find r ~benchmark ~analysis with
         | None -> (None, false, "absent")
         | Some c when c.Record.timed_out -> (None, true, "timeout")
         | Some c -> (
@@ -283,12 +270,12 @@ let fmt_heap_words v =
 
 (* Census component names present anywhere in one cell's history, in
    first-appearance order — the page grows one column per component. *)
-let component_universe ~benchmark ~analysis ~jobs records =
+let component_universe ~benchmark ~analysis records =
   let seen = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
     (fun (r : Record.t) ->
-      match Record.cell_find ~jobs r ~benchmark ~analysis with
+      match Record.cell_find r ~benchmark ~analysis with
       | None -> ()
       | Some c ->
         List.iter
@@ -314,10 +301,10 @@ let subtitle ~ledger records =
 let page ?(params = default_params) ~ledger records =
   let cells =
     List.map
-      (fun (benchmark, analysis, jobs) ->
+      (fun (benchmark, analysis) ->
         {
           Trend_page.c_benchmark = benchmark;
-          c_analysis = cell_label ~analysis ~jobs;
+          c_analysis = analysis;
           c_metrics =
             [
               {
@@ -325,7 +312,7 @@ let page ?(params = default_params) ~ledger records =
                 m_fmt = fmt_time;
                 m_series =
                   series_of params Time ~fmt:fmt_time ~benchmark ~analysis
-                    ~jobs records;
+                    records;
               };
               {
                 Trend_page.m_name = "nodes";
@@ -334,14 +321,14 @@ let page ?(params = default_params) ~ledger records =
                   plain_series ~fmt:fmt_nodes
                     ~value_of:(fun c ->
                       Option.map float_of_int c.Record.nodes)
-                    ~benchmark ~analysis ~jobs records;
+                    ~benchmark ~analysis records;
               };
               {
                 Trend_page.m_name = "peak heap (words)";
                 m_fmt = fmt_heap_mw;
                 m_series =
                   series_of params Heap ~fmt:fmt_heap_mw ~benchmark ~analysis
-                    ~jobs records;
+                    records;
               };
             ]
             @ List.map
@@ -352,10 +339,10 @@ let page ?(params = default_params) ~ledger records =
                     m_fmt = fmt_heap_words;
                     m_series =
                       series_of params (Heap_component name)
-                        ~fmt:fmt_heap_words ~benchmark ~analysis ~jobs
+                        ~fmt:fmt_heap_words ~benchmark ~analysis
                         records;
                   })
-                (component_universe ~benchmark ~analysis ~jobs records);
+                (component_universe ~benchmark ~analysis records);
         })
       (cell_universe records)
   in

@@ -59,7 +59,6 @@ type flag =
   | Breach of {
       benchmark : string;
       analysis : string;
-      jobs : int;  (** the cell's worklist domain count *)
       metric : metric;
       seq : int;  (** the flagged record *)
       value : float;
@@ -68,16 +67,10 @@ type flag =
   | Became_timeout of {
       benchmark : string;
       analysis : string;
-      jobs : int;
       seq : int;
     }
       (** finished throughout the window, timed out in the flagged
           record *)
-
-val cell_label : analysis:string -> jobs:int -> string
-(** [analysis] for the sequential cell, ["analysis@jN"] for a parallel
-    one — the rendering convention shared by flags, trend-page rows and
-    the bisect CLI. *)
 
 val pp_flag : Format.formatter -> flag -> unit
 
@@ -86,14 +79,11 @@ val check_latest : ?params:params -> Record.t list -> (flag list, string) result
     tested against its own history.  Cells with no (or too little)
     history pass — a newly added analysis needs [min_points] runs
     before the trend can say anything about it.  Cells are keyed by
-    (benchmark, analysis, jobs), and the sliding window {e only}
-    admits records measured on a host with the same core count as the
-    record under test — timings never compare across core counts.
-    [Error] on an empty ledger. *)
+    (benchmark, analysis).  [Error] on an empty ledger. *)
 
 val flag_mask :
-  params -> metric -> benchmark:string -> analysis:string -> jobs:int ->
-  Record.t list -> bool array
+  params -> metric -> benchmark:string -> analysis:string -> Record.t list ->
+  bool array
 (** Per-record breach marks for one cell's whole history (each record
     tested against the window preceding it) — drives the red markers on
     the trend page. *)
@@ -102,9 +92,8 @@ val cell_value : metric -> Record.cell -> float option
 (** [None] for timeouts and for heap on histogram-less records. *)
 
 val page : ?params:params -> ledger:string -> Record.t list -> Pta_report.Trend_page.page
-(** The full trend-page model: one row per (benchmark, analysis, jobs)
-    in first-appearance order (parallel cells labelled
-    ["analysis@jN"]), columns time / supergraph nodes / peak
-    heap plus one column per census component seen in the cell's
+(** The full trend-page model: one row per (benchmark, analysis) in
+    first-appearance order, columns time / supergraph nodes / peak heap
+    plus one column per census component seen in the cell's
     history, breach marks from {!flag_mask}, dirty builds marked from
     the records' build stamps. *)

@@ -37,11 +37,6 @@ let rec supertypes h ty =
 
 let subtype h ~sub ~sup = Type_id.Set.mem sup (supertypes h sub)
 
-let warm h =
-  for i = 0 to Array.length h.supers - 1 do
-    ignore (supertypes h (Type_id.of_int i))
-  done
-
 let lookup h ty signature =
   let key = (Type_id.to_int ty, Sig_id.to_int signature) in
   match Hashtbl.find_opt h.dispatch key with

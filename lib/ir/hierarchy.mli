@@ -11,13 +11,6 @@ val subtype : t -> sub:Ir.Type_id.t -> sup:Ir.Type_id.t -> bool
 (** Reflexive-transitive subtyping over the superclass chain and
     (transitively inherited) interfaces. *)
 
-val warm : t -> unit
-(** Force the supertype memo for every type in the program.  The
-    parallel solver calls this once before its first multi-domain phase:
-    with the memo fully populated, {!subtype} (reached concurrently via
-    cast/catch edge filters) is a pure array-and-set read with no
-    cross-domain writes. *)
-
 val lookup : t -> Ir.Type_id.t -> Ir.Sig_id.t -> Ir.Meth_id.t option
 (** [lookup h ty sig] resolves a virtual call with receiver class [ty]:
     the matching declaration on [ty] or the nearest superclass. *)

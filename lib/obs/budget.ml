@@ -63,11 +63,5 @@ let check b =
   if b.deadline < infinity && Clock.elapsed_s b.clock > b.deadline then
     exhaust b
 
-let add_ticks b n = if n > 0 then b.ticks <- b.ticks + n
-
-let expired b =
-  b.cancelled
-  || (b.deadline < infinity && Clock.elapsed_s b.clock > b.deadline)
-
 let cancel b = b.cancelled <- true
 let is_limited b = b.timeout_s <> None

@@ -53,26 +53,6 @@ val cancel : t -> unit
 (** Abort the run from outside (e.g. a signal handler or an observer):
     the next {!tick} raises {!Exhausted}. *)
 
-val expired : t -> bool
-(** Whether the budget is out — cancelled, or past its deadline (the
-    clock is polled unconditionally).  Never raises and mutates nothing,
-    so parallel workers can poll it from any domain and report back
-    through their own abort flag; only the coordinating thread should
-    let {!tick}/{!check}/{!exhaust} raise.  A cancellation from another
-    domain may be observed a few polls late (the flag is a plain field);
-    it is never observed spuriously. *)
-
-val exhaust : t -> 'a
-(** Raise {!Exhausted} with the current abort payload — for an engine
-    coordinator that detected exhaustion out-of-band (via {!expired} in
-    a worker) and needs to surface it after the workers have parked. *)
-
-val add_ticks : t -> int -> unit
-(** Fold [n] externally-counted iterations into the budget's tick count
-    (so {!iterations} and abort payloads include work done by parallel
-    workers, which tick local counters instead of this token).  Performs
-    no deadline check.  Negative [n] is ignored. *)
-
 val iterations : t -> int
 (** Ticks since the last {!start}. *)
 

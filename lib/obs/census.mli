@@ -25,7 +25,7 @@
     tables that also reach them); a later component is charged only for
     blocks no earlier component reached.  Do not put closures in root
     sets — a closure's environment can reach arbitrary engine state and
-    would steal ownership from every later component. *)
+    would take ownership away from every later component. *)
 
 type component = {
   comp_name : string;

@@ -81,8 +81,6 @@ let sample t =
   let h = (Gc.quick_stat ()).Gc.heap_words in
   if h > !(t.t_peak) then t.t_peak := h
 
-let record_peak t h = if h > !(t.t_peak) then t.t_peak := h
-
 let finish t =
   Gc.delete_alarm t.alarm;
   sample t;

@@ -56,12 +56,6 @@ val sample : tracker -> unit
 (** Fold the current heap size into the peak (for long alarm-free
     stretches). *)
 
-val record_peak : tracker -> int -> unit
-(** Fold an externally-sampled heap size (in words) into the peak.  The
-    parallel solver has each domain sample [Gc.quick_stat] into a local
-    maximum and folds the max across domains in here at the phase
-    barrier — the tracker itself is not safe to [sample] concurrently. *)
-
 val finish : tracker -> delta
 (** Remove the alarm and return the interval's delta, peak included. *)
 

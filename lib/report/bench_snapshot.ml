@@ -21,15 +21,11 @@ type cell = {
   time_hist : hist option;
   heap_components : Census.component list;
       (* v4: per-component retained/unshared words; [] when absent *)
-  jobs : int;  (* v5: requested worklist domains; 1 in older snapshots *)
-  domains : int;  (* v5: domains the drain actually used *)
 }
 
 type t = {
   schema_version : int;
   timeout_s : float;
-  host_cores : int option;
-      (* v5: cores of the measuring host; None in older snapshots *)
   pointsto : Json.t option;
   cells : cell list;
 }
@@ -101,12 +97,7 @@ let cell_to_json c =
       | Some h -> [ ("time_hist", hist_to_json h) ])
     @ (match c.heap_components with
       | [] -> []
-      | cs -> [ ("heap_components", Census.components_to_json cs) ])
-    @
-    (* Sequential cells stay byte-identical to a v4 writer modulo the
-       version bump: jobs/domains are only written when parallel. *)
-    if c.jobs = 1 && c.domains = 1 then []
-    else [ ("jobs", Json.Int c.jobs); ("domains", Json.Int c.domains) ])
+      | cs -> [ ("heap_components", Census.components_to_json cs) ]))
 
 let to_json t =
   Json.Obj
@@ -114,9 +105,6 @@ let to_json t =
        ("schema_version", Json.Int current_schema_version);
        ("timeout_s", Json.Float t.timeout_s);
      ]
-    @ (match t.host_cores with
-      | None -> []
-      | Some n -> [ ("host_cores", Json.Int n) ])
     @ (match t.pointsto with None -> [] | Some v -> [ ("pointsto", v) ])
     @ [ ("cells", Json.List (List.map cell_to_json t.cells)) ])
 
@@ -126,6 +114,25 @@ let field json name conv =
   match Option.bind (Json.member name json) conv with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "bench snapshot: missing or mistyped %S" name)
+
+(* Older v5 snapshots and v3 ledger records stamped parallel-drain cells
+   with jobs/domains; such a cell would load as a duplicate (benchmark,
+   analysis) key. *)
+let refuse_parallel_cell json ~benchmark ~analysis =
+  match
+    List.find_map
+      (fun key ->
+        match Json.member key json with
+        | None | Some (Json.Int 1) -> None
+        | Some v -> Some (key, v))
+      [ "jobs"; "domains" ]
+  with
+  | None -> Ok ()
+  | Some (key, v) ->
+    Error
+      (Printf.sprintf
+         "cell %s/%s has %s=%s; parallel cells are no longer supported"
+         benchmark analysis key (Json.to_string ~indent:false v))
 
 let cell_of_json json =
   let* benchmark = field json "benchmark" Json.to_str in
@@ -157,20 +164,14 @@ let cell_of_json json =
         (fun e -> "bench snapshot: " ^ e)
         (Census.components_of_json_list j)
   in
-  (* v5 fields; absent (= sequential) in v1-v4 snapshots. *)
-  let jobs =
-    Option.value ~default:1 (Option.bind (Json.member "jobs" json) Json.to_int)
+  let* () =
+    Result.map_error
+      (fun e -> "bench snapshot: " ^ e)
+      (refuse_parallel_cell json ~benchmark ~analysis)
   in
-  let domains =
-    Option.value ~default:1
-      (Option.bind (Json.member "domains" json) Json.to_int)
-  in
-  if jobs < 1 || domains < 1 then
-    Error "bench snapshot: jobs and domains must be >= 1"
-  else
-    Ok
-      { benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-        time_hist; heap_components; jobs; domains }
+  Ok
+    { benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
+      time_hist; heap_components }
 
 let of_json json =
   let* schema_version = field json "schema_version" Json.to_int in
@@ -180,7 +181,6 @@ let of_json json =
          schema_version current_schema_version)
   else
     let* timeout_s = field json "timeout_s" Json.to_float in
-    let host_cores = Option.bind (Json.member "host_cores" json) Json.to_int in
     let pointsto = Json.member "pointsto" json in
     let* cell_list = field json "cells" Json.to_list in
     let* cells =
@@ -191,7 +191,7 @@ let of_json json =
           Ok (c :: acc))
         (Ok []) cell_list
     in
-    Ok { schema_version; timeout_s; host_cores; pointsto; cells = List.rev cells }
+    Ok { schema_version; timeout_s; pointsto; cells = List.rev cells }
 
 let of_string s =
   match Json.of_string s with
@@ -235,7 +235,6 @@ let verdict_is_regression = function
 type delta = {
   d_benchmark : string;
   d_analysis : string;
-  d_jobs : int;
   d_base : cell option;
   d_cur : cell option;
   verdicts : verdict list;
@@ -257,7 +256,7 @@ let pct_change base cur =
 
 let peak_heap c = Option.map (fun m -> m.Memstats.peak_heap_words) c.memory
 
-let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
+let compare_cells th (base : cell) (cur : cell) =
   match (base.timed_out, cur.timed_out) with
   | false, true -> [ New_timeout ]
   | true, false -> [ Fixed_timeout ]
@@ -265,12 +264,8 @@ let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
   | false, false ->
     let time_v =
       (* Cells faster than [min_time_s] in the baseline are pure noise:
-         skip the relative-time check on them.  Parallel cells measured
-         on hosts with different core counts are not comparable at all
-         (jobs=4 on one core IS slower than on four): the caller clears
-         [times_comparable] and the time check stays silent. *)
+         skip the relative-time check on them. *)
       if base.time_s < th.min_time_s then []
-      else if cur.jobs > 1 && not times_comparable then []
       else
         let pct = pct_change base.time_s cur.time_s in
         if pct > th.time_tol_pct then
@@ -297,14 +292,7 @@ let compare_cells ?(times_comparable = true) th (base : cell) (cur : cell) =
     time_v @ heap_v @ comp_v
 
 let compare ?(thresholds = default_thresholds) ~baseline ~current () =
-  let key c = (c.benchmark, c.analysis, c.jobs) in
-  (* jobs>1 timings only transfer between hosts with the same core
-     count; unknown (pre-v5) counts never match a known one. *)
-  let times_comparable =
-    match (baseline.host_cores, current.host_cores) with
-    | Some b, Some c -> b = c
-    | _ -> false
-  in
+  let key c = (c.benchmark, c.analysis) in
   let cur_tbl = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace cur_tbl (key c) c) current.cells;
   let seen = Hashtbl.create 64 in
@@ -316,12 +304,11 @@ let compare ?(thresholds = default_thresholds) ~baseline ~current () =
         let verdicts =
           match cur with
           | None -> [ Missing_cell ]
-          | Some c -> compare_cells ~times_comparable thresholds b c
+          | Some c -> compare_cells thresholds b c
         in
         {
           d_benchmark = b.benchmark;
           d_analysis = b.analysis;
-          d_jobs = b.jobs;
           d_base = Some b;
           d_cur = cur;
           verdicts;
@@ -337,7 +324,6 @@ let compare ?(thresholds = default_thresholds) ~baseline ~current () =
             {
               d_benchmark = c.benchmark;
               d_analysis = c.analysis;
-              d_jobs = c.jobs;
               d_base = None;
               d_cur = Some c;
               verdicts = [ New_cell ];
@@ -377,12 +363,6 @@ let delta_status d =
   if d.verdicts = [] then "ok"
   else String.concat ", " (List.map verdict_label d.verdicts)
 
-(* Parallel cells render as "analysis@j4" so one table can hold the
-   whole jobs grid without a new column. *)
-let delta_analysis_label d =
-  if d.d_jobs = 1 then d.d_analysis
-  else Printf.sprintf "%s@j%d" d.d_analysis d.d_jobs
-
 let to_markdown r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "# Benchmark regression report\n\n";
@@ -405,7 +385,7 @@ let to_markdown r =
     (fun d ->
       Buffer.add_string buf
         (Printf.sprintf "| %s | %s | %s | %s | %s | %s | %s | %s | %s |\n"
-           d.d_benchmark (delta_analysis_label d) (cell_time d.d_base)
+           d.d_benchmark d.d_analysis (cell_time d.d_base)
            (cell_time d.d_cur) (cell_iters d.d_base) (cell_iters d.d_cur)
            (cell_heap d.d_base) (cell_heap d.d_cur) (delta_status d)))
     r.deltas;
@@ -416,7 +396,7 @@ let pp_report ppf r =
   List.iter
     (fun d ->
       Format.fprintf ppf "  %-10s %-10s %s -> %s  %s@." d.d_benchmark
-        (delta_analysis_label d) (cell_time d.d_base) (cell_time d.d_cur)
+        d.d_analysis (cell_time d.d_base) (cell_time d.d_cur)
         (delta_status d))
     r.deltas;
   if reg = [] then Format.fprintf ppf "no regressions@."
@@ -424,74 +404,5 @@ let pp_report ppf r =
     Format.fprintf ppf "%d regression(s): %s@." (List.length reg)
       (String.concat ", "
          (List.map
-            (fun d -> d.d_benchmark ^ "/" ^ delta_analysis_label d)
+            (fun d -> d.d_benchmark ^ "/" ^ d.d_analysis)
             reg))
-
-(* ------------------------------------------------------------------ *)
-(* Scaling: jobs>1 cells against their sequential siblings             *)
-(* ------------------------------------------------------------------ *)
-
-type scaling_point = {
-  s_benchmark : string;
-  s_analysis : string;
-  s_jobs : int;
-  s_domains : int;
-  s_seq_time_s : float;  (* the jobs=1 sibling's time *)
-  s_time_s : float;
-  s_speedup : float;  (* seq_time / time; > 1 = faster in parallel *)
-}
-
-let scaling_points t =
-  let seq = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      if c.jobs = 1 && not c.timed_out then
-        Hashtbl.replace seq (c.benchmark, c.analysis) c.time_s)
-    t.cells;
-  List.filter_map
-    (fun c ->
-      if c.jobs <= 1 || c.timed_out then None
-      else
-        Option.map
-          (fun seq_t ->
-            {
-              s_benchmark = c.benchmark;
-              s_analysis = c.analysis;
-              s_jobs = c.jobs;
-              s_domains = c.domains;
-              s_seq_time_s = seq_t;
-              s_time_s = c.time_s;
-              s_speedup = (if c.time_s > 0. then seq_t /. c.time_s else 0.);
-            })
-          (Hashtbl.find_opt seq (c.benchmark, c.analysis)))
-    t.cells
-
-type scaling_verdict =
-  | Scaling_ok of scaling_point list
-  | Scaling_regression of scaling_point list  (* the points that missed *)
-  | Scaling_skipped of string
-
-let check_scaling ?(min_jobs_cores = 4) ~min_speedup t =
-  match scaling_points t with
-  | [] -> Scaling_skipped "no parallel cells with a finished jobs=1 sibling"
-  | points -> (
-    match t.host_cores with
-    | None -> Scaling_skipped "snapshot carries no host core count"
-    | Some cores when cores < min_jobs_cores ->
-      Scaling_skipped
-        (Printf.sprintf
-           "host has %d core(s); the speedup target needs at least %d" cores
-           min_jobs_cores)
-    | Some _ -> (
-      (* The target applies to points that actually had enough cores to
-         meet it: jobs beyond the host's core count cannot speed up
-         linearly and are reported, not gated. *)
-      let gated = List.filter (fun p -> p.s_domains >= min_jobs_cores) points in
-      match List.filter (fun p -> p.s_speedup < min_speedup) gated with
-      | [] -> Scaling_ok points
-      | missed -> Scaling_regression missed))
-
-let pp_scaling_point ppf p =
-  Format.fprintf ppf "%s/%s jobs=%d (domains=%d): %.2fs -> %.2fs, %.2fx"
-    p.s_benchmark p.s_analysis p.s_jobs p.s_domains p.s_seq_time_s p.s_time_s
-    p.s_speedup

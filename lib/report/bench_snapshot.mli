@@ -11,15 +11,15 @@
     into bench-history ledger records.  Schema v4 adds an optional
     per-cell [heap_components] block — the retained/unshared word
     attribution of a {!Pta_obs.Census} walk over the solved state — and
-    a per-component regression gate.  Schema v5 adds per-cell [jobs]
-    and [domains] (the parallel drain's requested and effective domain
-    counts — written only when parallel, defaulting to 1 on load) and a
-    top-level [host_cores] stamp; cells are matched on
-    (benchmark, analysis, jobs), and jobs>1 time checks are skipped
-    whenever the baseline and current host core counts differ or are
-    unknown.  {!of_json} reads all five versions; older cells simply
-    come back with the newer fields absent, so a regression gate
-    against an old baseline still checks time and iterations. *)
+    a per-component regression gate.  Schema v5 once added per-cell
+    [jobs]/[domains] and a top-level core-count stamp for a parallel
+    drain that has since been removed; sequential v5 cells are
+    byte-identical to v4 ones.  {!of_json} reads all five versions and
+    refuses a cell whose [jobs] or [domains] is not 1, naming the cell
+    (it would otherwise load as a duplicate (benchmark, analysis) key);
+    the core-count stamp is ignored.  Older cells simply come back with
+    the newer fields absent, so a regression gate against an old
+    baseline still checks time and iterations. *)
 
 module Json := Pta_obs.Json
 
@@ -44,19 +44,11 @@ type cell = {
   time_hist : hist option;  (** v3: per-run solve-time distribution *)
   heap_components : Pta_obs.Census.component list;
       (** v4: reachable-heap census components; [[]] when absent *)
-  jobs : int;  (** v5: requested worklist domains; 1 in older snapshots *)
-  domains : int;
-      (** v5: domains the drain actually used ([Config.effective_jobs]);
-          1 in older snapshots *)
 }
 
 type t = {
   schema_version : int;  (** of the document as read; {!to_json} rewrites *)
   timeout_s : float;
-  host_cores : int option;
-      (** v5: core count of the measuring host; [None] in older
-          snapshots.  Parallel timings only compare across equal,
-          known core counts. *)
   pointsto : Json.t option;  (** v2: build stamp, held opaquely *)
   cells : cell list;
 }
@@ -64,6 +56,12 @@ type t = {
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
+
+val refuse_parallel_cell :
+  Json.t -> benchmark:string -> analysis:string -> (unit, string) result
+(** [Error] naming the cell when its JSON object carries a [jobs] or
+    [domains] other than 1 — a cell of the removed parallel drain.
+    Shared with the ledger record reader. *)
 
 (** {1 Histogram helpers} *)
 
@@ -114,7 +112,6 @@ val verdict_is_regression : verdict -> bool
 type delta = {
   d_benchmark : string;
   d_analysis : string;
-  d_jobs : int;  (** the matched cells' jobs count (1 for older schemas) *)
   d_base : cell option;
   d_cur : cell option;
   verdicts : verdict list;  (** empty = within thresholds *)
@@ -135,36 +132,3 @@ val to_markdown : report -> string
 val pp_report : Format.formatter -> report -> unit
 (** Terminal-friendly summary: one line per cell, regressions recapped
     last. *)
-
-(** {1 Parallel scaling} *)
-
-type scaling_point = {
-  s_benchmark : string;
-  s_analysis : string;
-  s_jobs : int;
-  s_domains : int;
-  s_seq_time_s : float;  (** the cell's jobs=1 sibling's time *)
-  s_time_s : float;
-  s_speedup : float;  (** [s_seq_time_s /. s_time_s]; > 1 = parallel wins *)
-}
-
-val scaling_points : t -> scaling_point list
-(** Every finished jobs>1 cell paired with its finished jobs=1 sibling
-    from the {e same} snapshot — scaling is only meaningful within one
-    measurement, never across hosts. *)
-
-type scaling_verdict =
-  | Scaling_ok of scaling_point list  (** all gated points met the target *)
-  | Scaling_regression of scaling_point list  (** the points that missed *)
-  | Scaling_skipped of string
-      (** no parallel cells, no core stamp, or too few cores to hold
-          the solver to the target — the reason is the payload *)
-
-val check_scaling : ?min_jobs_cores:int -> min_speedup:float -> t -> scaling_verdict
-(** Gate the snapshot's own scaling section: every point with
-    [s_domains >= min_jobs_cores] (default 4) must reach [min_speedup].
-    Skips (rather than fails) on hosts with fewer than [min_jobs_cores]
-    cores — a 1-core CI runner cannot exhibit parallel speedup, and
-    pretending otherwise would gate on noise. *)
-
-val pp_scaling_point : Format.formatter -> scaling_point -> unit

@@ -3,22 +3,15 @@
    pulls it back; [pop] advances it over empty buckets.  Since the
    solver's priorities only shift at (rare) reprioritization points —
    which rebuild the queue from scratch — the cursor scans each bucket
-   index O(1) times between rebuilds.
-
-   [hi] is the mirror-image upper bound (no nonempty bucket strictly
-   above it), maintained for [steal]: thieves take from the top of the
-   priority range, the entries the owner would reach last, so a steal
-   disturbs the owner's source→sink draining order as little as
-   possible. *)
+   index O(1) times between rebuilds. *)
 
 type t = {
   mutable buckets : int list array;
   mutable cursor : int;  (* no nonempty bucket strictly below this *)
-  mutable hi : int;  (* no nonempty bucket strictly above this *)
   mutable len : int;
 }
 
-let create () = { buckets = Array.make 16 []; cursor = 0; hi = 0; len = 0 }
+let create () = { buckets = Array.make 16 []; cursor = 0; len = 0 }
 
 let grow t want =
   let cap = Array.length t.buckets in
@@ -35,18 +28,10 @@ let push t ~prio nid =
   if prio >= Array.length t.buckets then grow t prio;
   t.buckets.(prio) <- nid :: t.buckets.(prio);
   if prio < t.cursor then t.cursor <- prio;
-  if prio > t.hi then t.hi <- prio;
   t.len <- t.len + 1
 
 let is_empty t = t.len = 0
 let length t = t.len
-
-let front_prio t =
-  if t.len = 0 then invalid_arg "Pqueue.front_prio: empty";
-  while t.buckets.(t.cursor) == [] do
-    t.cursor <- t.cursor + 1
-  done;
-  t.cursor
 
 let pop t =
   if t.len = 0 then invalid_arg "Pqueue.pop: empty";
@@ -60,27 +45,7 @@ let pop t =
     nid
   | [] -> assert false
 
-let steal t ~max:k =
-  if t.len = 0 || k <= 0 then []
-  else begin
-    while t.buckets.(t.hi) == [] do
-      t.hi <- t.hi - 1
-    done;
-    let prio = t.hi in
-    let rec take n l acc =
-      match l with
-      | nid :: rest when n > 0 -> take (n - 1) rest ((prio, nid) :: acc)
-      | _ ->
-        t.buckets.(prio) <- l;
-        acc
-    in
-    let got = take k t.buckets.(prio) [] in
-    t.len <- t.len - List.length got;
-    got
-  end
-
 let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) [];
   t.cursor <- 0;
-  t.hi <- 0;
   t.len <- 0

@@ -23,21 +23,6 @@ val pop : t -> int
 (** Remove and return an entry of the lowest present priority.
     @raise Invalid_argument if the queue is empty. *)
 
-val front_prio : t -> int
-(** The priority [pop] would return next — i.e. the lowest priority
-    present.  The parallel drain uses a change in [front_prio] as its
-    bucket boundary, the point where a domain services its delta
-    mailboxes.  @raise Invalid_argument if the queue is empty. *)
-
-val steal : t -> max:int -> (int * int) list
-(** [steal t ~max] removes up to [max] entries from the {e highest}
-    nonempty bucket and returns them as [(prio, entry)] pairs (order
-    within the batch unspecified).  Taking from the top of the priority
-    range — the entries the owner would drain last — keeps a thief out
-    of the owner's way.  [[]] when the queue is empty or [max <= 0].
-    Callers own any cross-thread locking; the structure itself is
-    single-threaded. *)
-
 val is_empty : t -> bool
 
 val length : t -> int

@@ -60,13 +60,6 @@ type meters = {
   sccs_collapsed : Registry.counter;
   nodes_unified : Registry.counter;
   redundant_visits : Registry.counter;
-  steals : Registry.counter;
-  mailbox_deltas : Registry.counter;
-  domain_iters0 : Registry.counter;
-      (* domain="0" series of the per-domain iteration family; always
-         registered so the family is present (at zero) on jobs=1 runs,
-         keeping the --stats-json schema independent of the job count.
-         Domains >= 1 register their series when the engine starts. *)
 }
 
 let make_live_meters reg =
@@ -101,23 +94,6 @@ let make_live_meters reg =
           "Stale worklist entries skipped because their node was already \
            drained (or unified away) by an earlier visit"
         "pta_solver_redundant_visits_avoided_total";
-    steals =
-      Registry.counter reg
-        ~help:
-          "Work-stealing batch grabs between per-domain worklists \
-           (parallel drain only; 0 at jobs=1)"
-        "pta_solver_steals_total";
-    mailbox_deltas =
-      Registry.counter reg
-        ~help:
-          "Cross-partition delta notifications posted to another \
-           domain's mailbox (parallel drain only; 0 at jobs=1)"
-        "pta_solver_mailbox_deltas_total";
-    domain_iters0 =
-      Registry.counter reg
-        ~help:"Worklist drains performed by each solver domain"
-        ~labels:[ ("domain", "0") ]
-        "pta_solver_domain_iterations_total";
   }
 
 (* Shared by every unmetered solve: building it once at module init means
@@ -146,52 +122,6 @@ type node = {
   mutable vcalls : vcall_site list;
   mutable loads : load_trigger list;
   mutable stores : store_trigger list;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Parallel drain: per-domain state                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Each worker accumulates into its own cache-private record during a
-   phase; the coordinator folds them into the budget / registry / memory
-   tracker at the phase barrier, in domain order, so the merged totals
-   are independent of interleaving. *)
-type par_counters = {
-  mutable pc_ticks : int;  (* budget ticks (pops attempted) this phase *)
-  mutable pc_processed : int;  (* nodes drained this phase *)
-  mutable pc_prop : int;  (* objects pushed through copy/filter edges *)
-  mutable pc_steals : int;  (* successful steal batches *)
-  mutable pc_sent : int;  (* mailbox notifications posted *)
-  mutable pc_peak : int;  (* max sampled major-heap words this phase *)
-  mutable pc_mem_countdown : int;
-  mutable pc_exn : exn option;  (* worker failure, re-raised at barrier *)
-}
-
-type par_engine = {
-  pe_ndom : int;
-  mutable pe_canon : int array;
-      (* node id -> canonical id, frozen at each phase start: workers
-         must never call [Unify.find] (path compression is a write) *)
-  mutable pe_claims : int Atomic.t array;
-      (* per-node spinlocks, indexed by canonical id: every mutation of
-         a node record during a phase happens under its claim *)
-  pe_queues : Pqueue.t array;  (* per-domain worklists... *)
-  pe_qlocks : int Atomic.t array;  (* ...guarded by these spinlocks *)
-  pe_mail : int list Atomic.t array array;
-      (* pe_mail.(consumer).(producer): single-producer mailboxes; a
-         slot is a Treiber-style push list the consumer drains with one
-         [Atomic.exchange] at bucket boundaries.  Entries are node ids —
-         the delta itself travels through the node record under its
-         claim; the mailbox is the wake-up. *)
-  pe_outstanding : int Atomic.t;
-      (* queued-but-undrained nodes across all domains; 0 = quiescent *)
-  pe_abort : bool Atomic.t;
-  pe_counters : par_counters array;
-  mutable pe_trig : (int * Intset.t) list array;
-      (* per-domain buffers of (canonical node, delta) whose trigger
-         lists (vcalls/loads/stores) must fire: structure creation is
-         coordinator-only, so workers defer triggers to the barrier *)
-  pe_iter_meters : Registry.counter array;
 }
 
 type t = {
@@ -242,9 +172,6 @@ type t = {
   mutable ci_vpt : Intset.t array option;
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
-  (* parallel drain *)
-  mutable par : par_engine option;  (* built on first multi-domain phase *)
-  mutable used_domains : int;  (* domains actually used (1 = sequential) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -955,7 +882,6 @@ module Config = struct
     metrics : Registry.t;
     mem_tracker : Memstats.tracker option;
     mem_sample_every : int;
-    jobs : int;
   }
 
   let default_mem_sample_every = 1024
@@ -969,12 +895,11 @@ module Config = struct
       metrics = Registry.null;
       mem_tracker = None;
       mem_sample_every = default_mem_sample_every;
-      jobs = 1;
     }
 
   let make ?timeout_s ?(field_based = false) ?(observer = Observer.null)
       ?(trace = Trace.null) ?(metrics = Registry.null) ?mem_tracker
-      ?(mem_sample_every = default_mem_sample_every) ?(jobs = 1) () =
+      ?(mem_sample_every = default_mem_sample_every) () =
     {
       budget = Budget.of_seconds_opt timeout_s;
       field_based;
@@ -983,461 +908,14 @@ module Config = struct
       metrics;
       mem_tracker;
       mem_sample_every = max 1 mem_sample_every;
-      jobs = max 1 jobs;
     }
-
-  (* The domain count a solve will actually use: [jobs] clamped to 1
-     when the build has no domain support (OCaml 4.x — the graceful
-     sequential fallback) and to a sanity cap otherwise.  Oversubscribing
-     physical cores is allowed: correctness never depends on core count,
-     and the differential suite runs jobs=4 on 1-core hosts. *)
-  let effective_jobs t =
-    if t.jobs <= 1 || not Par.available then 1 else min t.jobs 256
 end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel drain                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The multi-domain drain is bulk-synchronous: the coordinator performs
-   every structure-creating step sequentially (method processing,
-   dispatch, context/object interning, node creation, edge wiring, SCC
-   collapse), and the domains drain only the copy/filter-edge closure
-   over the frozen supergraph.  One phase:
-
-     seed   — the coordinator distributes the staging worklist [st.pq]
-              across per-domain bucketed queues by partition owner;
-     drain  — each domain pops its queue lowest-bucket-first, takes the
-              node's claim, swaps out its pending delta, merges it into
-              [all], and pushes the (filtered) delta to successors:
-              locally if it owns them, else into the owner's mailbox.
-              Deltas that would fire triggers are buffered per domain.
-              Mailboxes are drained at bucket boundaries; empty domains
-              steal batches from the top of a victim's priority range;
-     flush  — at quiescence the coordinator merges counters (domain
-              order), aggregates the buffered trigger deltas per node,
-              and fires them in ascending node order — a deterministic
-              serialization, so interning is run-to-run reproducible at
-              every domain count.
-
-   Facts are identical to the sequential solver's at fixpoint (monotone
-   set union is confluent: the closure is schedule-independent), but
-   interning {e ids} may differ from the jobs=1 order — clients compare
-   rendered facts, never raw ids, across engines.
-
-   During a phase nothing structural moves: no unions (claims index a
-   frozen canonicalization), no new nodes or edges, hierarchy memos
-   pre-warmed.  The only shared mutable state a worker touches is node
-   records under their claims, its own and victims' queues under their
-   locks, and the atomics. *)
-
-let spin_lock l =
-  while not (Atomic.compare_and_set l 0 1) do
-    Par.cpu_relax ()
-  done
-
-let spin_unlock l = Atomic.set l 0
-
-let steal_batch_max = 32
-
-let make_par_engine meters ndom =
-  {
-    pe_ndom = ndom;
-    pe_canon = [||];
-    pe_claims = [||];
-    pe_queues = Array.init ndom (fun _ -> Pqueue.create ());
-    pe_qlocks = Array.init ndom (fun _ -> Atomic.make 0);
-    pe_mail = Array.init ndom (fun _ -> Array.init ndom (fun _ -> Atomic.make []));
-    pe_outstanding = Atomic.make 0;
-    pe_abort = Atomic.make false;
-    pe_counters =
-      Array.init ndom (fun _ ->
-          {
-            pc_ticks = 0;
-            pc_processed = 0;
-            pc_prop = 0;
-            pc_steals = 0;
-            pc_sent = 0;
-            pc_peak = 0;
-            pc_mem_countdown = 0;
-            pc_exn = None;
-          });
-    pe_trig = Array.make ndom [];
-    pe_iter_meters =
-      Array.init ndom (fun d ->
-          if d = 0 then meters.domain_iters0
-          else
-            Registry.counter meters.m_reg
-              ~help:"Worklist drains performed by each solver domain"
-              ~labels:[ ("domain", string_of_int d) ]
-              "pta_solver_domain_iterations_total");
-  }
-
-(* Partition owner of a canonical node: its SCC-condensation position
-   when one has been assigned (node priorities are exactly the condensed
-   copy-DAG order from [collapse_and_reprioritize]), falling back to the
-   node id for nodes born after the last collapse. *)
-let par_owner eng prio cn = (if prio > 0 then prio else cn) mod eng.pe_ndom
-
-(* Worker-side push: the delta lands in the target's record under its
-   claim; if the node goes queued we notify its owner (directly into our
-   own queue when we are the owner, else through the mailbox pair). *)
-let par_push st eng d set nid =
-  let cn = eng.pe_canon.(nid) in
-  let n = Vec.get st.nodes cn in
-  let claim = eng.pe_claims.(cn) in
-  spin_lock claim;
-  let newly =
-    let fresh = Intset.diff2 set n.all n.pending in
-    if Intset.is_empty fresh then false
-    else begin
-      n.pending <- Intset.union n.pending fresh;
-      if n.queued then false
-      else begin
-        n.queued <- true;
-        true
-      end
-    end
-  in
-  spin_unlock claim;
-  if newly then begin
-    Atomic.incr eng.pe_outstanding;
-    let prio = n.prio in
-    let owner = par_owner eng prio cn in
-    if owner = d then begin
-      spin_lock eng.pe_qlocks.(d);
-      Pqueue.push eng.pe_queues.(d) ~prio cn;
-      spin_unlock eng.pe_qlocks.(d)
-    end
-    else begin
-      let slot = eng.pe_mail.(owner).(d) in
-      let rec post () =
-        let old = Atomic.get slot in
-        if not (Atomic.compare_and_set slot old (cn :: old)) then post ()
-      in
-      post ();
-      let c = eng.pe_counters.(d) in
-      c.pc_sent <- c.pc_sent + 1
-    end
-  end
-
-(* Drain every producer's mailbox slot into our queue.  Caller holds our
-   queue lock; each slot is emptied with one [exchange] (we are its only
-   consumer, so nothing is lost). *)
-let drain_inbox_locked st eng d =
-  let got = ref false in
-  let slots = eng.pe_mail.(d) in
-  let q = eng.pe_queues.(d) in
-  for p = 0 to eng.pe_ndom - 1 do
-    if p <> d && Atomic.get slots.(p) != [] then begin
-      let l = Atomic.exchange slots.(p) [] in
-      List.iter
-        (fun cn ->
-          got := true;
-          Pqueue.push q ~prio:(Vec.get st.nodes cn).prio cn)
-        l
-    end
-  done;
-  !got
-
-(* Batch-pop from the first victim with visible work, scanning round-
-   robin from our right neighbour.  The unlocked [length] read is a
-   hint — the lock is taken before actually stealing. *)
-let try_steal eng d =
-  let ndom = eng.pe_ndom in
-  let got = ref [] in
-  let v = ref ((d + 1) mod ndom) in
-  while !got == [] && !v <> d do
-    if Pqueue.length eng.pe_queues.(!v) > 0 then begin
-      spin_lock eng.pe_qlocks.(!v);
-      got := Pqueue.steal eng.pe_queues.(!v) ~max:steal_batch_max;
-      spin_unlock eng.pe_qlocks.(!v)
-    end;
-    if !got == [] then v := (!v + 1) mod ndom
-  done;
-  match !got with
-  | [] -> false
-  | batch ->
-    let c = eng.pe_counters.(d) in
-    c.pc_steals <- c.pc_steals + 1;
-    spin_lock eng.pe_qlocks.(d);
-    List.iter (fun (prio, cn) -> Pqueue.push eng.pe_queues.(d) ~prio cn) batch;
-    spin_unlock eng.pe_qlocks.(d);
-    true
-
-let par_process st eng d cn =
-  let n = Vec.get st.nodes cn in
-  let claim = eng.pe_claims.(cn) in
-  spin_lock claim;
-  let delta = n.pending in
-  n.pending <- Intset.empty;
-  n.queued <- false;
-  n.all <- Intset.union n.all delta;
-  spin_unlock claim;
-  if not (Intset.is_empty delta) then begin
-    if st.meters.m_live && n.succs <> [] then begin
-      let c = eng.pe_counters.(d) in
-      c.pc_prop <- c.pc_prop + Intset.cardinal delta
-    end;
-    List.iter
-      (fun e -> par_push st eng d (filter_set st delta e.filter) e.dst)
-      n.succs;
-    if n.vcalls != [] || n.loads != [] || n.stores != [] then
-      eng.pe_trig.(d) <- (cn, delta) :: eng.pe_trig.(d)
-  end;
-  Atomic.decr eng.pe_outstanding
-
-let par_worker st eng config d =
-  let c = eng.pe_counters.(d) in
-  let q = eng.pe_queues.(d) in
-  let qlock = eng.pe_qlocks.(d) in
-  let budget = config.Config.budget in
-  let mem_every = config.Config.mem_sample_every in
-  c.pc_mem_countdown <- mem_every;
-  let last_prio = ref (-1) in
-  let idle = ref 0 in
-  let running = ref true in
-  while !running do
-    if Atomic.get eng.pe_abort then running := false
-    else begin
-      spin_lock qlock;
-      let task =
-        if Pqueue.is_empty q then None
-        else begin
-          (* Bucket boundary: before moving up to a higher bucket, fold
-             in mailbox deltas — they may refill a lower one, keeping
-             the source→sink draining order. *)
-          if Pqueue.front_prio q > !last_prio then
-            ignore (drain_inbox_locked st eng d : bool);
-          if Pqueue.is_empty q then None
-          else begin
-            last_prio := Pqueue.front_prio q;
-            Some (Pqueue.pop q)
-          end
-        end
-      in
-      spin_unlock qlock;
-      match task with
-      | Some cn ->
-        idle := 0;
-        c.pc_ticks <- c.pc_ticks + 1;
-        if c.pc_ticks land 0x3FF = 0 && Budget.expired budget then
-          Atomic.set eng.pe_abort true
-        else begin
-          (match config.Config.mem_tracker with
-          | None -> ()
-          | Some _ ->
-            c.pc_mem_countdown <- c.pc_mem_countdown - 1;
-            if c.pc_mem_countdown <= 0 then begin
-              let h = (Gc.quick_stat ()).Gc.heap_words in
-              if h > c.pc_peak then c.pc_peak <- h;
-              c.pc_mem_countdown <- mem_every
-            end);
-          par_process st eng d cn;
-          c.pc_processed <- c.pc_processed + 1
-        end
-      | None ->
-        let got =
-          spin_lock qlock;
-          let g = drain_inbox_locked st eng d in
-          spin_unlock qlock;
-          g
-        in
-        if got || try_steal eng d then begin
-          last_prio := -1;
-          idle := 0
-        end
-        else if Atomic.get eng.pe_outstanding = 0 then running := false
-        else begin
-          incr idle;
-          (* In-flight work belongs to someone else: spin briefly, then
-             yield the core (essential on machines with fewer cores than
-             domains, where a spinning waiter starves the worker it is
-             waiting for). *)
-          if !idle > 64 then Unix.sleepf 5e-5 else Par.cpu_relax ()
-        end
-    end
-  done
-
-let par_worker_safe st eng config d =
-  try par_worker st eng config d
-  with e ->
-    eng.pe_counters.(d).pc_exn <- Some e;
-    Atomic.set eng.pe_abort true
-
-(* One bulk-synchronous phase over the staging queue, ending with the
-   deterministic trigger flush.  Raises [Budget.Exhausted] (or a worker
-   failure) after merging the per-domain accounting. *)
-let run_par_phase st eng config =
-  let budget = config.Config.budget in
-  let n = Vec.length st.nodes in
-  (* Freeze the canonicalization: one full [find] sweep (compressing
-     every path) here, so workers read a plain immutable-for-the-phase
-     array instead of racing on the forest. *)
-  if Array.length eng.pe_canon < n then eng.pe_canon <- Array.make n 0;
-  for i = 0 to n - 1 do
-    eng.pe_canon.(i) <- Unify.find st.unify i
-  done;
-  if Array.length eng.pe_claims < n then begin
-    let old = eng.pe_claims in
-    let n_old = Array.length old in
-    eng.pe_claims <-
-      Array.init
-        (max n (2 * n_old))
-        (fun i -> if i < n_old then old.(i) else Atomic.make 0)
-  end;
-  Array.iter
-    (fun c ->
-      c.pc_ticks <- 0;
-      c.pc_processed <- 0;
-      c.pc_prop <- 0;
-      c.pc_steals <- 0;
-      c.pc_sent <- 0;
-      c.pc_peak <- 0;
-      c.pc_exn <- None)
-    eng.pe_counters;
-  for d = 0 to eng.pe_ndom - 1 do
-    eng.pe_trig.(d) <- []
-  done;
-  Atomic.set eng.pe_abort false;
-  (* Seed the per-domain queues from the staging queue. *)
-  let seeded = ref 0 in
-  while not (Pqueue.is_empty st.pq) do
-    let nid = Pqueue.pop st.pq in
-    let cn = eng.pe_canon.(nid) in
-    let node = Vec.get st.nodes cn in
-    if node.queued then begin
-      incr seeded;
-      Pqueue.push eng.pe_queues.(par_owner eng node.prio cn) ~prio:node.prio cn
-    end
-    else Registry.incr st.meters.redundant_visits
-  done;
-  Atomic.set eng.pe_outstanding !seeded;
-  let tr = st.trace in
-  let t0 = if Trace.is_null tr then 0. else Trace.now_us tr in
-  let a0 = Trace.alloc_mark tr in
-  if !seeded > 0 then begin
-    let handles =
-      Array.init (eng.pe_ndom - 1) (fun i ->
-          Par.spawn (fun () -> par_worker_safe st eng config (i + 1)))
-    in
-    par_worker_safe st eng config 0;
-    Array.iter Par.join handles
-  end;
-  (* Barrier: merge per-domain accounting in domain order. *)
-  let total_processed = ref 0 in
-  Array.iteri
-    (fun d c ->
-      total_processed := !total_processed + c.pc_processed;
-      Budget.add_ticks budget c.pc_ticks;
-      Registry.add eng.pe_iter_meters.(d) c.pc_processed;
-      Registry.add st.meters.steals c.pc_steals;
-      Registry.add st.meters.mailbox_deltas c.pc_sent;
-      Registry.add st.meters.prop_move c.pc_prop;
-      match config.Config.mem_tracker with
-      | Some t when c.pc_peak > 0 -> Memstats.record_peak t c.pc_peak
-      | _ -> ())
-    eng.pe_counters;
-  if st.obs != Observer.null then
-    for _ = 1 to !total_processed do
-      Observer.iteration st.obs
-    done;
-  if not (Trace.is_null tr) then
-    Trace.complete tr ~alloc:a0 ~delta:!total_processed ~cat:"solver"
-      ~name:"parphase" ~t0_us:t0
-      ~dur_us:(Trace.now_us tr -. t0);
-  Array.iter
-    (fun c -> match c.pc_exn with Some e -> raise e | None -> ())
-    eng.pe_counters;
-  if Atomic.get eng.pe_abort then Budget.exhaust budget;
-  (* Deterministic trigger flush: aggregate each node's buffered deltas
-     (their union is the node's total growth this phase — schedule-
-     independent at quiescence) and fire in ascending node order, so
-     interning order is a pure function of the phase's start state. *)
-  let tbl = Hashtbl.create 64 in
-  let keys = ref [] in
-  Array.iter
-    (List.iter (fun (cn, delta) ->
-         match Hashtbl.find_opt tbl cn with
-         | Some cur -> Hashtbl.replace tbl cn (Intset.union cur delta)
-         | None ->
-           Hashtbl.add tbl cn delta;
-           keys := cn :: !keys))
-    eng.pe_trig;
-  List.iter
-    (fun cn ->
-      Budget.tick budget;
-      let delta = Hashtbl.find tbl cn in
-      let n = Vec.get st.nodes cn in
-      if st.obs != Observer.null then
-        Observer.delta st.obs (Intset.cardinal delta);
-      if st.meters.m_live then begin
-        let card = Intset.cardinal delta in
-        if n.vcalls <> [] then Registry.add st.meters.prop_vcall card;
-        if n.loads <> [] then Registry.add st.meters.prop_load card;
-        if n.stores <> [] then Registry.add st.meters.prop_store card
-      end;
-      List.iter
-        (fun vc -> Intset.iter (fun hobj -> dispatch st vc hobj) delta)
-        n.vcalls;
-      List.iter
-        (fun ld -> Intset.iter (fun hobj -> fire_load st ld hobj) delta)
-        n.loads;
-      List.iter
-        (fun stg -> Intset.iter (fun hobj -> fire_store st stg hobj) delta)
-        n.stores)
-    (List.sort compare !keys)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 exception Timeout = Budget.Exhausted
-
-
-(* Multi-domain fixpoint: alternate coordinator-sequential structure
-   building (method processing, SCC collapse, trigger flush) with
-   parallel copy-closure phases until everything drains.  [st.pq] acts
-   as the staging queue between phases. *)
-let par_fixpoint st (config : Config.t) ndom =
-  let budget = config.Config.budget in
-  let obs = st.obs in
-  (* Pre-fill the lazily-memoized subtype table: edge filters evaluate
-     [Hierarchy.subtype] concurrently, which must not write memos. *)
-  Hierarchy.warm st.hierarchy;
-  let eng = make_par_engine st.meters ndom in
-  st.par <- Some eng;
-  st.used_domains <- ndom;
-  let mem_every = config.Config.mem_sample_every in
-  let mem_countdown = ref mem_every in
-  let mem_tick () =
-    match config.Config.mem_tracker with
-    | None -> ()
-    | Some t ->
-      decr mem_countdown;
-      if !mem_countdown <= 0 then begin
-        Memstats.sample t;
-        mem_countdown := mem_every
-      end
-  in
-  let rec loop () =
-    if not (Queue.is_empty st.meth_queue) then begin
-      Budget.tick budget;
-      Observer.iteration obs;
-      mem_tick ();
-      let meth, ctx = Queue.pop st.meth_queue in
-      process_method st meth ctx;
-      loop ()
-    end
-    else if not (Pqueue.is_empty st.pq) then begin
-      Budget.tick budget;
-      if st.copy_edges_since_scc >= st.scc_threshold then
-        collapse_and_reprioritize st;
-      if not (Pqueue.is_empty st.pq) then run_par_phase st eng config;
-      loop ()
-    end
-  in
-  loop ()
 
 type outcome =
   | Complete of t
@@ -1471,8 +949,6 @@ let record_final_metrics st =
     g "pta_solver_hobjs" "Abstract heap objects interned"
       (Vec.length st.hobj_heaps);
     g "pta_solver_nodes" "Supergraph nodes" (Vec.length st.nodes);
-    g "pta_solver_domains" "Domains used by the worklist drain"
-      st.used_domains;
     g "pta_solver_sensitive_vpt_size"
       "Paper metric: total context-sensitive var points-to size" !vpt
   end
@@ -1546,16 +1022,6 @@ let census st =
       ("unification-forest", [ Obj.repr st.unify ]);
       ("call-graph-facts", [ Obj.repr st.reachable; Obj.repr st.call_edges ]);
       ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
-      ( "par-worklists",
-        (match st.par with
-        | None -> []
-        | Some eng ->
-          Array.to_list (Array.map Obj.repr eng.pe_queues)
-          @ [ Obj.repr eng.pe_canon; Obj.repr eng.pe_claims ]) );
-      ( "mailboxes",
-        (match st.par with
-        | None -> []
-        | Some eng -> [ Obj.repr eng.pe_mail ]) );
       ( "memos",
         [
           Obj.repr st.ci_vpt; Obj.repr st.ci_targets; Obj.repr st.node_kinds;
@@ -1601,8 +1067,6 @@ let solve_outcome ?(config = Config.default) program strategy =
         ci_vpt = None;
         ci_targets = None;
         node_kinds = None;
-        par = None;
-        used_domains = 1;
       }
     in
     let initial_ctx = Ctx.intern st.ctx_store strategy.Strategy.initial_ctx in
@@ -1616,9 +1080,6 @@ let solve_outcome ?(config = Config.default) program strategy =
   let fixpoint () =
     Observer.phase obs "fixpoint" @@ fun () ->
     Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
-    let jobs = Config.effective_jobs config in
-    if jobs > 1 then par_fixpoint st config jobs
-    else begin
     let metered = st.meters.m_live in
     (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
        at major-cycle ends, so a long alarm-free stretch (e.g. one huge
@@ -1663,7 +1124,6 @@ let solve_outcome ?(config = Config.default) program strategy =
       end
     in
     loop ()
-    end
   in
   match fixpoint () with
   | () ->
@@ -1680,7 +1140,6 @@ let solve ?config program strategy =
   | Aborted (_, abort) -> raise (Timeout abort)
 
 let is_complete st = st.solved
-let domains_used st = st.used_domains
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)

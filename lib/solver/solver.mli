@@ -77,32 +77,7 @@ module Config : sig
             costs one match per iteration. *)
     mem_sample_every : int;
         (** sampling period in fixpoint iterations; clamped to [>= 1]
-            by {!make} (default {!default_mem_sample_every}).  At
-            [jobs > 1] each domain ticks its own countdown and the max
-            across domains folds into the tracker at phase barriers, so
-            transient parallel peaks are not under-reported. *)
-    jobs : int;
-        (** worklist domains to drain with (default [1], the classic
-            sequential fixpoint — that path is untouched by the parallel
-            engine).  [jobs > 1] runs the bulk-synchronous multi-domain
-            drain: SCC-condensation-partitioned per-domain worklists
-            with batch-pop work stealing and single-producer delta
-            mailboxes, while every structure-creating step (interning,
-            node/edge creation, dispatch, SCC collapse) stays on the
-            coordinating domain.  Results are {e fact-identical} to the
-            sequential solver at every domain count (points-to sets,
-            call-graph edges, reachability, throws — anything compared
-            by rendered values), and deterministic run-to-run for a
-            fixed [jobs]; raw interning {e ids} may differ between
-            [jobs = 1] and [jobs > 1] (the jobs=1 serialization order is
-            preserved bit-for-bit, the parallel one is its own
-            deterministic order).  Schedule-dependent {e telemetry}
-            (steal counts, per-domain iteration splits, worklist-depth
-            samples) naturally varies across runs at [jobs > 1].
-
-            On builds without domain support (OCaml 4.x), any [jobs]
-            value degrades gracefully to the sequential drain —
-            {!effective_jobs} reports what a solve will actually use. *)
+            by {!make} (default {!default_mem_sample_every}). *)
   }
 
   val default_mem_sample_every : int
@@ -111,7 +86,7 @@ module Config : sig
 
   val default : t
   (** Unlimited budget, field-sensitive, no observer, no trace, no
-      metrics, no memory tracker, [jobs = 1]. *)
+      metrics, no memory tracker. *)
 
   val make :
     ?timeout_s:float ->
@@ -121,15 +96,8 @@ module Config : sig
     ?metrics:Pta_metrics.Registry.t ->
     ?mem_tracker:Pta_obs.Memstats.tracker ->
     ?mem_sample_every:int ->
-    ?jobs:int ->
     unit ->
     t
-
-  val effective_jobs : t -> int
-  (** The domain count a solve with this config will actually use:
-      [jobs] clamped to [1] on builds without domain support (and to a
-      sanity cap of 256 otherwise).  Record {e this}, not the request,
-      when stamping benchmark snapshots. *)
 end
 
 type outcome =
@@ -160,11 +128,6 @@ val is_complete : t -> bool
 (** [true] iff the worklists drained — i.e. the state came from a
     {!Complete} outcome (or a {!solve} that returned).  [false] on the
     partial state of an {!Aborted} outcome. *)
-
-val domains_used : t -> int
-(** Domains the drain actually ran with ({!Config.effective_jobs} of
-    the solve's config): [1] for the sequential fixpoint.  Also exposed
-    as the [pta_solver_domains] gauge on metered runs. *)
 
 val program : t -> Pta_ir.Ir.Program.t
 val strategy : t -> Pta_context.Strategy.t
@@ -282,11 +245,7 @@ val census : t -> Pta_obs.Census.t
     [Intset]s of every canonical node, [all] and [pending]),
     ["edge-lists"] (successor/trigger lists), ["node-tables"],
     ["context-tables"], ["hobj-tables"], ["unification-forest"],
-    ["call-graph-facts"], ["worklists"], ["par-worklists"] (the
-    parallel engine's per-domain queues, claim array and frozen
-    canonicalization — empty at jobs=1), ["mailboxes"] (the
-    single-producer delta mailboxes — empty at jobs=1), ["memos"].
-    The census's set
+    ["call-graph-facts"], ["worklists"], ["memos"].  The census's set
     histogram is the points-to population distribution over canonical
     nodes (power-of-two buckets).
 

@@ -81,10 +81,6 @@ let () =
            collapse *)
         "pta_solver_sccs_collapsed_total"; "pta_solver_nodes_unified_total";
         "pta_solver_redundant_visits_avoided_total";
-        (* parallel-drain telemetry: likewise eager, zero-valued on a
-           sequential (jobs=1) run *)
-        "pta_solver_steals_total"; "pta_solver_mailbox_deltas_total";
-        "pta_solver_domain_iterations_total"; "pta_solver_domains";
       ]);
   (match Json.to_obj (get "pointsto") with
   | None -> fail "%s: key \"pointsto\" is not an object" path

@@ -543,54 +543,6 @@ let check_legacy_identity ~name src =
         true (S.equal n_throws l_throws))
     Legacy.all
 
-(* Jobs-identity: the multi-domain drain must compute exactly the same
-   rendered facts — and the same checker verdicts — as the sequential
-   fixpoint, at every domain count.  Interning ids may differ between
-   jobs=1 and jobs>1, so everything here compares [ctx_str]-rendered
-   values, never raw ids.  On OCaml 4.x [effective_jobs] clamps every
-   leg to 1 and the comparison degenerates to sequential-vs-sequential,
-   which keeps the test green (if vacuous) there. *)
-let check_jobs_identity ~name src strategies =
-  let program = Pta_frontend.Frontend.program_of_string ~file:name src in
-  List.iter
-    (fun strat_name ->
-      let factory = Option.get (Pta_context.Strategies.by_name strat_name) in
-      let solve_at jobs =
-        let config = Solver.Config.make ~jobs () in
-        let solver = Solver.solve ~config program (factory program) in
-        let facts = solver_facts solver in
-        let diags =
-          List.map diag_key
-            (Pta_checkers.Checkers.run (Pta_checkers.Results.of_solver solver))
-        in
-        (facts, diags, Solver.domains_used solver)
-      in
-      let (b_vpt, b_cg, b_reach, b_throws), b_diags, _ = solve_at 1 in
-      List.iter
-        (fun jobs ->
-          let (vpt, cg, reach, throws), diags, used = solve_at jobs in
-          let label what =
-            Printf.sprintf "%s/%s jobs=%d (used %d) %s" name strat_name jobs
-              used what
-          in
-          Alcotest.(check bool)
-            (diff_msg (label "vpt") vpt b_vpt)
-            true (S.equal vpt b_vpt);
-          Alcotest.(check bool)
-            (diff_msg (label "cg") cg b_cg)
-            true (S.equal cg b_cg);
-          Alcotest.(check bool)
-            (diff_msg (label "reach") reach b_reach)
-            true (S.equal reach b_reach);
-          Alcotest.(check bool)
-            (diff_msg (label "throws") throws b_throws)
-            true (S.equal throws b_throws);
-          Alcotest.(check (list string))
-            (label "checker diagnostics")
-            b_diags diags)
-        [ 2; 4 ])
-    strategies
-
 let program_workload () =
   let profile = Option.get (Pta_workloads.Profile.by_name "tiny") in
   Pta_workloads.Workloads.source profile
@@ -635,18 +587,4 @@ let tests =
           [ "insens"; "1call"; "1obj"; "SB-1obj"; "2obj+H"; "S-2obj+H"; "2type+H" ]);
     Alcotest.test_case "cyclic workload, all strategies" `Slow (fun () ->
         check_program ~name:"cyclic-workload" (program_cyclic ()) all_strategies);
-    Alcotest.test_case "jobs=1/2/4 identity (battery)" `Quick (fun () ->
-        let key = [ "insens"; "1call"; "1obj"; "2obj+H"; "S-2obj+H" ] in
-        check_jobs_identity ~name:"inheritance" program_inheritance key;
-        check_jobs_identity ~name:"statics" program_statics key;
-        check_jobs_identity ~name:"exceptions" program_exceptions key);
-    Alcotest.test_case "jobs=1/2/4 identity, all strategies (battery)" `Slow
-      (fun () ->
-        check_jobs_identity ~name:"containers" program_containers all_strategies;
-        check_jobs_identity ~name:"recursion" program_recursion all_strategies;
-        check_jobs_identity ~name:"static-fields" program_static_fields
-          all_strategies);
-    Alcotest.test_case "jobs=1/2/4 identity (cyclic workload)" `Slow (fun () ->
-        check_jobs_identity ~name:"cyclic-workload" (program_cyclic ())
-          [ "insens"; "1call"; "1obj"; "2obj+H"; "S-2obj+H"; "2type+H" ]);
   ]

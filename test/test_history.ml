@@ -25,10 +25,10 @@ let build ?(dirty = false) commit =
   { Record.semver = "1.0.0"; commit; dirty; ocaml = "5.1.0"; profile = "dev" }
 
 let host =
-  { Record.os_type = "Unix"; word_size = 64; hostname = "testhost"; cores = None }
+  { Record.os_type = "Unix"; word_size = 64; hostname = "testhost" }
 
 let cell ?(timed_out = false) ?nodes ?peak_heap_words ?time_hist
-    ?(heap_components = []) ?(jobs = 1) ?domains ~time_s benchmark analysis =
+    ?(heap_components = []) ~time_s benchmark analysis =
   {
     Record.benchmark;
     analysis;
@@ -39,8 +39,6 @@ let cell ?(timed_out = false) ?nodes ?peak_heap_words ?time_hist
     peak_heap_words;
     time_hist;
     heap_components;
-    jobs;
-    domains = Option.value ~default:jobs domains;
   }
 
 let record ?timestamp ?note ~seq ?(dirty = false) ~commit cells =
@@ -151,7 +149,6 @@ let of_snapshot_test () =
     {
       Snapshot.schema_version = 3;
       timeout_s = 90.;
-      host_cores = None;
       pointsto;
       cells;
     }
@@ -167,8 +164,6 @@ let of_snapshot_test () =
       memory = None;
       time_hist = None;
       heap_components = [];
-      jobs = 1;
-      domains = 1;
     }
   in
   (* Stamp-less snapshots are refused: the record would be untraceable. *)
@@ -590,132 +585,49 @@ let render_structure_test () =
   Alcotest.(check bool) "ledger named" true (has regressed_fixture index)
 
 (* ------------------------------------------------------------------ *)
-(* v3: jobs-keyed cells, host cores, the cross-core-count guard        *)
+(* v3 records written by the removed parallel drain                    *)
 (* ------------------------------------------------------------------ *)
 
-let record_with_cores ~seq ~commit ~cores cells =
-  { (record ~seq ~commit cells) with Record.host = { host with Record.cores } }
-
-let jobs_cells_test () =
-  let r =
-    record ~seq:0 ~commit:"abc"
-      [
-        cell ~time_s:4.0 "cyclic" "insens";
-        cell ~time_s:1.1 ~jobs:4 "cyclic" "insens";
-      ]
+let parallel_cells_refused_test () =
+  let with_cell_fields extra host_extra =
+    let r = record ~seq:0 ~commit:"abc" [ cell ~time_s:1.0 "cyclic" "insens" ] in
+    match Record.to_json r with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match (k, v) with
+             | "cells", Json.List [ Json.Obj cf ] ->
+               (k, Json.List [ Json.Obj (cf @ extra) ])
+             | "host", Json.Obj hf -> (k, Json.Obj (hf @ host_extra))
+             | _ -> (k, v))
+           fields)
+    | _ -> Alcotest.fail "record is not an object"
   in
-  (* The codec keeps both cells of the (benchmark, analysis) pair. *)
-  (match Record.of_json (Record.to_json r) with
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok r' -> Alcotest.(check bool) "identical" true (r = r'));
-  (* cell_find is jobs-keyed, defaulting to the sequential cell. *)
-  (match Record.cell_find r ~benchmark:"cyclic" ~analysis:"insens" with
-  | Some c -> Alcotest.(check int) "default finds jobs=1" 1 c.Record.jobs
-  | None -> Alcotest.fail "sequential cell not found");
-  (match Record.cell_find ~jobs:4 r ~benchmark:"cyclic" ~analysis:"insens" with
-  | Some c ->
-    Alcotest.(check int) "jobs=4 cell found" 4 c.Record.jobs;
-    Alcotest.(check bool) "right cell" true (c.Record.time_s = 1.1)
-  | None -> Alcotest.fail "parallel cell not found");
-  Alcotest.(check bool) "absent jobs count" true
-    (Record.cell_find ~jobs:2 r ~benchmark:"cyclic" ~analysis:"insens" = None)
-
-let of_snapshot_cores_test () =
-  (* The snapshot's own host_cores stamp overrides the appending
-     host's estimate: the record must describe the measuring host. *)
-  let stamp =
-    Json.Obj
-      [
-        ("version", Json.String "1.0.0");
-        ("commit", Json.String "abc1234");
-        ("ocaml", Json.String "5.1.0");
-        ("profile", Json.String "dev");
-      ]
-  in
-  let snap =
-    {
-      Snapshot.schema_version = Snapshot.current_schema_version;
-      timeout_s = 90.;
-      host_cores = Some 4;
-      pointsto = Some stamp;
-      cells =
-        [
-          {
-            Snapshot.benchmark = "cyclic";
-            analysis = "insens";
-            timed_out = false;
-            time_s = 1.0;
-            iterations = 10;
-            nodes = None;
-            memory = None;
-            time_hist = None;
-            heap_components = [];
-            jobs = 4;
-            domains = 2;
-          };
-        ];
-    }
-  in
-  match Record.of_snapshot ~seq:0 ~host snap with
-  | Error e -> Alcotest.failf "of_snapshot failed: %s" e
+  List.iter
+    (fun (label, extra) ->
+      match Record.of_json (with_cell_fields extra []) with
+      | Ok _ -> Alcotest.failf "%s: parallel cell accepted" label
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: error names the cell (%s)" label e)
+          true
+          (Helpers.contains_substring e "cyclic/insens"))
+    [
+      ("jobs=4", [ ("jobs", Json.Int 4); ("domains", Json.Int 4) ]);
+      ("domains=2", [ ("domains", Json.Int 2) ]);
+    ];
+  (* A cell stamped jobs = domains = 1 is sequential and still loads; a
+     host core-count stamp is ignored. *)
+  match
+    Record.of_json
+      (with_cell_fields
+         [ ("jobs", Json.Int 1); ("domains", Json.Int 1) ]
+         [ ("cores", Json.Int 4) ])
+  with
   | Ok r ->
-    Alcotest.(check (option int)) "snapshot cores win" (Some 4)
-      r.Record.host.Record.cores;
-    let c = List.hd r.Record.cells in
-    Alcotest.(check int) "jobs copied" 4 c.Record.jobs;
-    Alcotest.(check int) "domains copied" 2 c.Record.domains
-
-let trend_cores_guard_test () =
-  let series final_cores =
-    List.init 7 (fun i ->
-        let time_s, cores =
-          if i < 6 then (1.0 +. (0.01 *. float_of_int (i mod 3)), Some 4)
-          else (3.0, final_cores)
-        in
-        record_with_cores ~seq:i
-          ~commit:(Printf.sprintf "c%04d" i)
-          ~cores
-          [ cell ~time_s "bench" "ana" ])
-  in
-  (* Same core count throughout: the 3x jump on the last record flags. *)
-  (match Trend.check_latest (series (Some 4)) with
-  | Ok [ Trend.Breach f ] ->
-    Alcotest.(check int) "flag carries jobs" 1 f.jobs
-  | Ok fs -> Alcotest.failf "expected 1 flag, got %d" (List.length fs)
-  | Error e -> Alcotest.fail e);
-  (* The jump coincides with a core-count change: the window refuses to
-     mix core counts, leaving too little history to flag on. *)
-  (match Trend.check_latest (series (Some 8)) with
-  | Ok [] -> ()
-  | Ok fs ->
-    Alcotest.failf "cross-core comparison flagged %d time(s)" (List.length fs)
-  | Error e -> Alcotest.fail e);
-  (* Unknown cores (pre-v3 records) only match unknown. *)
-  match Trend.check_latest (series None) with
-  | Ok [] -> ()
-  | Ok fs -> Alcotest.failf "unknown-cores flagged %d time(s)" (List.length fs)
-  | Error e -> Alcotest.fail e
-
-let bisect_cores_guard_test () =
-  (* Bisect over a ledger whose regression is an artifact of moving to
-     a smaller machine: with the guard, the differing-cores records are
-     incommensurable (treated good), so the "regression" vanishes. *)
-  let records =
-    List.init 8 (fun i ->
-        let time_s, cores =
-          if i < 5 then (1.0, Some 4) else (3.0, Some 1)
-        in
-        record_with_cores ~seq:i
-          ~commit:(Printf.sprintf "c%04d" i)
-          ~cores
-          [ cell ~time_s "bench" "ana" ])
-  in
-  (* The latest record's cores (Some 1) anchor the comparison; the
-     Some 4 records are skipped, leaving too few points to anchor on. *)
-  match Bisect.run ~metric:Trend.Time ~benchmark:"bench" ~analysis:"ana" records with
-  | Error _ -> ()
-  | Ok None -> ()
-  | Ok (Some _) -> Alcotest.fail "bisect crossed core counts"
+    Alcotest.(check int) "sequential cell loads" 1 (List.length r.Record.cells)
+  | Error e -> Alcotest.failf "sequential v3 cell refused: %s" e
 
 let tests =
   [
@@ -741,13 +653,8 @@ let tests =
     Alcotest.test_case "git handoff script" `Quick git_script_test;
     Alcotest.test_case "render is byte-deterministic" `Quick
       render_deterministic_test;
-    Alcotest.test_case "jobs-keyed record cells" `Quick jobs_cells_test;
-    Alcotest.test_case "of_snapshot carries the core stamp" `Quick
-      of_snapshot_cores_test;
-    Alcotest.test_case "trend refuses cross-core windows" `Quick
-      trend_cores_guard_test;
-    Alcotest.test_case "bisect refuses cross-core spans" `Quick
-      bisect_cores_guard_test;
+    Alcotest.test_case "record reader refuses parallel cells" `Quick
+      parallel_cells_refused_test;
     Alcotest.test_case "render structure and markers" `Quick
       render_structure_test;
   ]

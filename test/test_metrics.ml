@@ -339,19 +339,16 @@ let mem : Memstats.delta =
   }
 
 let cell ?(timed_out = false) ?(time_s = 1.0) ?(iterations = 100) ?nodes
-    ?memory ?time_hist ?(heap_components = []) ?(jobs = 1) ?domains benchmark
-    analysis =
+    ?memory ?time_hist ?(heap_components = []) benchmark analysis =
   {
     Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-    time_hist; heap_components; jobs;
-    domains = Option.value ~default:jobs domains;
+    time_hist; heap_components;
   }
 
-let snap ?pointsto ?host_cores cells =
+let snap ?pointsto cells =
   {
     Snapshot.schema_version = Snapshot.current_schema_version;
     timeout_s = 60.;
-    host_cores;
     pointsto;
     cells;
   }
@@ -576,122 +573,37 @@ let markdown_report_test () =
     (Helpers.contains_substring md "1 regression(s)")
 
 (* ------------------------------------------------------------------ *)
-(* Schema v5: jobs cells, host cores, the scaling gate                 *)
+(* Schema v5 cells written by the removed parallel drain               *)
 (* ------------------------------------------------------------------ *)
 
-let v5_jobs_roundtrip_test () =
-  let t =
-    snap ~host_cores:4
-      [
-        cell ~time_s:4.0 "cyclic" "insens";
-        cell ~time_s:1.1 ~jobs:4 ~domains:4 "cyclic" "insens";
-      ]
+let v5_parallel_cells_refused_test () =
+  let doc cell_extra =
+    Printf.sprintf
+      {|{"schema_version": 5, "timeout_s": 60.0, "cells": [
+          {"benchmark": "cyclic", "analysis": "insens", "timed_out": false,
+           "time_s": 1.0, "iterations": 10%s}]}|}
+      cell_extra
   in
-  (match Snapshot.of_string (Json.to_string (Snapshot.to_json t)) with
+  List.iter
+    (fun extra ->
+      match Snapshot.of_string (doc extra) with
+      | Ok _ -> Alcotest.failf "parallel cell accepted: %s" extra
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error names the cell (%s)" e)
+          true
+          (Helpers.contains_substring e "cyclic/insens"))
+    [ {|, "jobs": 4, "domains": 4|}; {|, "domains": 2|} ];
+  (* Sequential cells, stamped or not, still load, and are written back
+     without the stamp. *)
+  match Snapshot.of_string (doc {|, "jobs": 1, "domains": 1|}) with
   | Error e -> Alcotest.fail e
-  | Ok t' ->
-    Alcotest.(check (option int)) "host_cores survives" (Some 4)
-      t'.Snapshot.host_cores;
-    (match t'.Snapshot.cells with
-    | [ c1; c4 ] ->
-      Alcotest.(check int) "sequential cell jobs" 1 c1.Snapshot.jobs;
-      Alcotest.(check int) "parallel cell jobs" 4 c4.Snapshot.jobs;
-      Alcotest.(check int) "parallel cell domains" 4 c4.Snapshot.domains
-    | _ -> Alcotest.fail "wrong cell count"));
-  (* A sequential-only snapshot writes no jobs/domains/host_cores keys:
-     the v5 codec is byte-compatible with v4 output for old grids. *)
-  let seq_json =
-    Json.to_string (Snapshot.to_json (snap [ cell "a" "x" ]))
-  in
-  Alcotest.(check bool) "no jobs key on sequential cells" false
-    (Helpers.contains_substring seq_json "jobs");
-  Alcotest.(check bool) "no host_cores without a stamp" false
-    (Helpers.contains_substring seq_json "host_cores")
-
-let compare_jobs_keyed_test () =
-  (* A jobs=4 cell never matches a jobs=1 baseline cell: each parallel
-     leg gates against its own history. *)
-  let baseline = snap ~host_cores:4 [ cell ~time_s:1.0 "a" "x" ] in
-  let current =
-    snap ~host_cores:4 [ cell ~time_s:5.0 ~jobs:4 ~domains:4 "a" "x" ]
-  in
-  let r = Snapshot.compare ~baseline ~current () in
-  Alcotest.(check bool) "distinct keys: missing + new, no time verdict" true
-    (List.for_all
-       (fun d ->
-         List.for_all
-           (function
-             | Snapshot.Missing_cell | Snapshot.New_cell -> true | _ -> false)
-           d.Snapshot.verdicts)
-       r.Snapshot.deltas);
-  (* Same core count on both sides: a parallel cell's slowdown gates. *)
-  let baseline =
-    snap ~host_cores:4 [ cell ~time_s:1.0 ~jobs:4 ~domains:4 "a" "x" ]
-  in
-  let current =
-    snap ~host_cores:4 [ cell ~time_s:2.0 ~jobs:4 ~domains:4 "a" "x" ]
-  in
-  let r = Snapshot.compare ~baseline ~current () in
-  Alcotest.(check bool) "comparable cores: flagged" true
-    (Snapshot.has_regression r);
-  (* Different (or unknown) core counts: the parallel time check is
-     meaningless and must be skipped, not flagged. *)
-  let baseline' = { baseline with Snapshot.host_cores = Some 8 } in
-  let r = Snapshot.compare ~baseline:baseline' ~current () in
-  Alcotest.(check bool) "cores differ: skipped" false
-    (Snapshot.has_regression r);
-  let baseline'' = { baseline with Snapshot.host_cores = None } in
-  let r = Snapshot.compare ~baseline:baseline'' ~current () in
-  Alcotest.(check bool) "cores unknown: skipped" false
-    (Snapshot.has_regression r)
-
-let scaling_gate_test () =
-  let grid ~host_cores ~par_time =
-    snap ?host_cores
-      [
-        cell ~time_s:4.0 "cyclic" "insens";
-        cell ~time_s:par_time ~jobs:4 ~domains:4 "cyclic" "insens";
-      ]
-  in
-  (* 4.0s -> 1.25s at 4 domains = 3.2x. *)
-  (match Snapshot.scaling_points (grid ~host_cores:(Some 4) ~par_time:1.25) with
-  | [ p ] ->
-    Alcotest.(check int) "jobs" 4 p.Snapshot.s_jobs;
-    Alcotest.(check bool) "speedup computed" true
-      (Float.abs (p.Snapshot.s_speedup -. 3.2) < 1e-9)
-  | ps -> Alcotest.failf "expected 1 scaling point, got %d" (List.length ps));
-  (match
-     Snapshot.check_scaling ~min_speedup:2.0
-       (grid ~host_cores:(Some 4) ~par_time:1.25)
-   with
-  | Snapshot.Scaling_ok [ _ ] -> ()
-  | _ -> Alcotest.fail "expected Scaling_ok");
-  (match
-     Snapshot.check_scaling ~min_speedup:2.0
-       (grid ~host_cores:(Some 4) ~par_time:3.5)
-   with
-  | Snapshot.Scaling_regression [ _ ] -> ()
-  | _ -> Alcotest.fail "expected Scaling_regression");
-  (* A 1-core host cannot exhibit speedup: skip, never fail. *)
-  (match
-     Snapshot.check_scaling ~min_speedup:2.0
-       (grid ~host_cores:(Some 1) ~par_time:4.5)
-   with
-  | Snapshot.Scaling_skipped _ -> ()
-  | _ -> Alcotest.fail "expected skip on a small host");
-  (* No core stamp: also a skip (old snapshot, unknown hardware). *)
-  (match
-     Snapshot.check_scaling ~min_speedup:2.0 (grid ~host_cores:None ~par_time:1.0)
-   with
-  | Snapshot.Scaling_skipped _ -> ()
-  | _ -> Alcotest.fail "expected skip without a core stamp");
-  (* No parallel cells at all: nothing to gate. *)
-  match
-    Snapshot.check_scaling ~min_speedup:2.0
-      (snap ~host_cores:4 [ cell ~time_s:4.0 "cyclic" "insens" ])
-  with
-  | Snapshot.Scaling_skipped _ -> ()
-  | _ -> Alcotest.fail "expected skip without parallel cells"
+  | Ok t ->
+    Alcotest.(check int) "sequential cell loads" 1
+      (List.length t.Snapshot.cells);
+    let json = Json.to_string (Snapshot.to_json t) in
+    Alcotest.(check bool) "no jobs key written" false
+      (Helpers.contains_substring json "jobs")
 
 let tests =
   [
@@ -725,9 +637,6 @@ let tests =
     Alcotest.test_case "missing / new cells" `Quick cell_presence_test;
     Alcotest.test_case "custom thresholds" `Quick custom_thresholds_test;
     Alcotest.test_case "markdown report" `Quick markdown_report_test;
-    Alcotest.test_case "snapshot v5 jobs round-trip" `Quick
-      v5_jobs_roundtrip_test;
-    Alcotest.test_case "compare is jobs-keyed and cores-guarded" `Quick
-      compare_jobs_keyed_test;
-    Alcotest.test_case "scaling gate" `Quick scaling_gate_test;
+    Alcotest.test_case "snapshot reader refuses parallel cells" `Quick
+      v5_parallel_cells_refused_test;
   ]

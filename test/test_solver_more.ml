@@ -186,62 +186,10 @@ let field_sensitivity_test () =
   Alcotest.(check (list string)) "x is A" [ "A" ] (heap_types "x");
   Alcotest.(check (list string)) "y is B" [ "B" ] (heap_types "y")
 
-(* The parallel drain under a tight budget: the cancellation token
-   must reach every domain promptly — a worker that keeps draining
-   after the coordinator trips the budget would blow way past the
-   deadline (or deadlock the join).  The cyclic workload at jobs=4 is
-   the heaviest cross-partition traffic the suite has. *)
-let par_budget_cancellation_test () =
-  let program =
-    Pta_workloads.Workloads.program
-      (Option.get (Pta_workloads.Profile.by_name "cyclic"))
-  in
-  let factory = Option.get (Pta_context.Strategies.by_name "S-2obj+H") in
-  let t0 = Unix.gettimeofday () in
-  (match
-     Solver.solve
-       ~config:(Solver.Config.make ~timeout_s:0.02 ~jobs:4 ())
-       program (factory program)
-   with
-  | _ -> Alcotest.fail "expected Solver.Timeout at a 0.02s budget"
-  | exception Solver.Timeout abort ->
-    Alcotest.(check bool)
-      "abort payload populated" true
-      (abort.Pta_obs.Budget.elapsed_s >= 0.02
-      && abort.Pta_obs.Budget.iterations > 0));
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Generous bound: the point is "seconds, not the full solve", and
-     the full cyclic S-2obj+H solve takes far longer than this. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "cancelled promptly (%.2fs)" wall)
-    true (wall < 20.)
-
-(* jobs beyond what the host/runtime can back must degrade, never
-   crash, and report what actually ran. *)
-let par_domains_used_test () =
-  let program =
-    Pta_workloads.Workloads.program
-      (Option.get (Pta_workloads.Profile.by_name "tiny"))
-  in
-  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
-  let solver =
-    Solver.solve ~config:(Solver.Config.make ~jobs:4 ()) program
-      (factory program)
-  in
-  let used = Solver.domains_used solver in
-  Alcotest.(check bool)
-    (Printf.sprintf "domains_used in range (%d)" used)
-    true
-    (used >= 1 && used <= 4)
-
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
     Alcotest.test_case "timeout raised" `Quick timeout_test;
-    Alcotest.test_case "parallel budget cancellation (jobs=4)" `Quick
-      par_budget_cancellation_test;
-    Alcotest.test_case "parallel domains_used degrades in range" `Quick
-      par_domains_used_test;
     Alcotest.test_case "no spurious timeout" `Quick no_timeout_when_fast_test;
     Alcotest.test_case "unresolved dispatch is silent" `Quick unresolved_dispatch_test;
     Alcotest.test_case "virtual call skips static target" `Quick

@@ -211,17 +211,14 @@ let pqueue_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Work stealing                                                       *)
+(* Model check                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Model: the queue as a multiset of (prio, entry) pairs.  [pop] must
-   return an entry of the minimum priority present, [steal] must take
-   only from the maximum-priority bucket, and [front_prio] must always
-   name the minimum — the lower-bound invariant the parallel drain's
-   bucket boundaries rest on. *)
-let steal_tests =
+   return an entry of the minimum priority present, and [clear] must
+   leave the queue empty and reusable. *)
+let model_tests =
   let min_prio model = List.fold_left (fun m (p, _) -> min m p) max_int model in
-  let max_prio model = List.fold_left (fun m (p, _) -> max m p) (-1) model in
   let remove_one model pair =
     let rec go acc = function
       | [] -> None
@@ -231,65 +228,19 @@ let steal_tests =
     go [] model
   in
   [
-    Alcotest.test_case "pq: steal takes the highest bucket only" `Quick
-      (fun () ->
-        let q = Pqueue.create () in
-        Alcotest.(check (list (pair int int))) "steal on empty" []
-          (Pqueue.steal q ~max:4);
-        List.iter
-          (fun (p, v) -> Pqueue.push q ~prio:p v)
-          [ (0, 1); (0, 2); (3, 30); (3, 31); (3, 32); (1, 10) ];
-        Alcotest.(check (list (pair int int))) "max <= 0 steals nothing" []
-          (Pqueue.steal q ~max:0);
-        let batch = Pqueue.steal q ~max:2 in
-        Alcotest.(check int) "batch size" 2 (List.length batch);
-        List.iter
-          (fun (p, v) ->
-            Alcotest.(check int) "stolen from prio 3" 3 p;
-            Alcotest.(check bool) "stolen entry real" true
-              (List.mem v [ 30; 31; 32 ]))
-          batch;
-        Alcotest.(check int) "owner keeps the rest" 4 (Pqueue.length q);
-        Alcotest.(check int) "front_prio untouched" 0 (Pqueue.front_prio q);
-        (* Draining the highest bucket entirely moves the steal target
-           down to the next nonempty bucket. *)
-        let rest = Pqueue.steal q ~max:8 in
-        Alcotest.(check int) "over-asking empties the bucket" 1
-          (List.length rest);
-        let next = Pqueue.steal q ~max:8 in
-        List.iter
-          (fun (p, _) ->
-            Alcotest.(check int) "next-highest bucket" 1 p)
-          next);
-    Alcotest.test_case "pq: steal backs the hi watermark down past a \
-                        cleared cursor" `Quick (fun () ->
-        let q = Pqueue.create () in
-        Pqueue.push q ~prio:7 70;
-        Pqueue.push q ~prio:2 20;
-        (* Steal the only prio-7 entry, then push to 7 again: the
-           watermark must recover rather than scan a stale range. *)
-        (match Pqueue.steal q ~max:4 with
-        | [ (7, 70) ] -> ()
-        | other ->
-          Alcotest.failf "unexpected batch size %d" (List.length other));
-        Pqueue.push q ~prio:7 71;
-        Alcotest.(check (list (pair int int))) "re-grown bucket stolen"
-          [ (7, 71) ]
-          (Pqueue.steal q ~max:1);
-        Alcotest.(check int) "pop drains the low bucket" 20 (Pqueue.pop q);
-        Alcotest.(check bool) "empty at the end" true (Pqueue.is_empty q));
     QCheck_alcotest.to_alcotest
-      (prop "pq: push/pop/steal interleavings keep the priority bounds"
+      (prop "pq: push/pop/clear interleavings keep the priority bounds"
          QCheck.(
            list_of_size
              Gen.(int_bound 160)
-             (oneof
+             (frequency
                 [
-                  map
-                    (fun (p, v) -> `Push (p, v))
-                    (pair (int_bound 12) (int_bound 1000));
-                  always `Pop;
-                  map (fun n -> `Steal (n + 1)) (int_bound 6);
+                  ( 8,
+                    map
+                      (fun (p, v) -> `Push (p, v))
+                      (pair (int_bound 12) (int_bound 1000)) );
+                  (8, always `Pop);
+                  (1, always `Clear);
                 ]))
          (fun ops ->
            let q = Pqueue.create () in
@@ -297,12 +248,8 @@ let steal_tests =
            let uid = ref 0 in
            List.for_all
              (fun op ->
-               let consistent =
-                 Pqueue.length q = List.length !model
-                 && (!model = []
-                    || Pqueue.front_prio q = min_prio !model)
-               in
-               consistent
+               Pqueue.length q = List.length !model
+               && Pqueue.is_empty q = (!model = [])
                &&
                match op with
                | `Push (p, _) ->
@@ -320,23 +267,10 @@ let steal_tests =
                      model := m;
                      true
                    | None -> false)
-               | `Steal n -> (
-                 let batch = Pqueue.steal q ~max:n in
-                 if !model = [] then batch = []
-                 else
-                   let hi = max_prio !model in
-                   List.length batch <= n
-                   && batch <> []
-                   && List.for_all
-                        (fun (p, v) ->
-                          p = hi
-                          &&
-                          match remove_one !model (p, v) with
-                          | Some m ->
-                            model := m;
-                            true
-                          | None -> false)
-                        batch))
+               | `Clear ->
+                 Pqueue.clear q;
+                 model := [];
+                 true)
              ops
            && Pqueue.length q = List.length !model));
   ]
@@ -344,4 +278,4 @@ let steal_tests =
 let tests =
   unit_tests
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
-  @ pqueue_tests @ steal_tests
+  @ pqueue_tests @ model_tests
