@@ -118,8 +118,8 @@ let run_one profile analysis_name =
        scheduler/VM interference can only ADD time — the minimum is the
        least-noisy estimate of the true cost, and it is what the
        regression gate compares against a committed baseline.  (Metrics
-       and counters are collected once, on the first run — the
-       recorder's non-time fields are identical across runs.) *)
+       and counters are collected once, on the first run — their
+       non-time fields are identical across runs.) *)
     (* The first (instrumented) run also carries a small trace sink —
        aggregates are exact regardless of the tiny ring, and they feed
        the per-cell hot-spot summary in table1_stats.json.  Timed runs
@@ -829,23 +829,12 @@ let cmd_micro () =
         Test.make ~name:"parse-mjdk"
           (Staged.stage (fun () ->
                ignore (Pta_frontend.Frontend.parse ~file:"<mjdk>" mjdk_src)));
-        (* The default config's observer is null — this measures the
-           solver with instrumentation compiled in but switched off. *)
+        (* The default config's trace and registry are null — this
+           measures the solver with instrumentation compiled in but
+           switched off. *)
         Test.make ~name:"solver-1obj-tiny"
           (Staged.stage (fun () ->
                ignore (Solver.solve tiny_program (Strategies.get "1obj" tiny_program))));
-        (* Same run with a live recorder, to expose the observer tax. *)
-        Test.make ~name:"solver-1obj-tiny-recorded"
-          (Staged.stage (fun () ->
-               let recorder = Pta_obs.Recorder.create () in
-               let config =
-                 Solver.Config.make
-                   ~observer:(Pta_obs.Recorder.observer recorder)
-                   ()
-               in
-               ignore
-                 (Solver.solve ~config tiny_program
-                    (Strategies.get "1obj" tiny_program))));
         (* Same run with a live trace sink, to expose the tracer tax
            (compare against solver-1obj-tiny: the untraced run must not
            be measurably slower than before the tracer existed). *)

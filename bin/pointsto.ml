@@ -31,7 +31,7 @@ module Intset = Pta_solver.Intset
 module Metrics = Pta_clients.Metrics
 module Strategies = Pta_context.Strategies
 module Driver = Pta_driver.Driver
-module Observer = Pta_obs.Observer
+module Budget = Pta_obs.Budget
 module Json = Pta_obs.Json
 module Run_stats = Pta_obs.Run_stats
 module Trace = Pta_obs.Trace
@@ -118,26 +118,25 @@ let check_exits =
 
 let handle = function Ok v -> v | Error e -> Driver.report_and_exit e
 
-let progress_observer () =
-  let iterations = ref 0 and nodes = ref 0 and edges = ref 0 in
-  let report () =
-    Printf.eprintf "\r[progress] %9d iterations %9d nodes %9d edges%!"
-      !iterations !nodes !edges
-  in
-  Observer.make
-    ~on_iteration:(fun () ->
-      incr iterations;
-      if !iterations land 0xFFFF = 0 then report ())
-    ~on_node:(fun () -> incr nodes)
-    ~on_edge:(fun () -> incr edges)
-    ~on_phase:(fun name s ->
-      Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name s
-        (String.make 24 ' '))
-    ()
-
+(* [--progress]: a running iteration count on stderr, overwritten in
+   place while the fixpoint runs, then one line per solver phase. *)
 let config_of ?timeout_s ?trace ?metrics ~progress () =
-  let observer = if progress then progress_observer () else Observer.null in
-  Solver.Config.make ?timeout_s ~observer ?trace ?metrics ()
+  let config = Solver.Config.make ?timeout_s ?trace ?metrics () in
+  let budget = config.Solver.Config.budget in
+  if progress then
+    Budget.on_tick budget (fun n ->
+        if n land 0xFFFF = 0 then
+          Printf.eprintf "\r[progress] %9d iterations %8.1fs%!" n
+            (Budget.elapsed_s budget));
+  config
+
+let report_phases ~progress solver =
+  if progress then
+    List.iter
+      (fun (name, s) ->
+        Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name s
+          (String.make 24 ' '))
+      (Solver.phases solver)
 
 (* Stats collection implies a live metric registry, so [--stats-json]
    documents carry the [memory] and [metrics] blocks. *)
@@ -256,6 +255,7 @@ let analyze_cmd =
         (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~collect_stats
            ~analysis (sources_of files))
     in
+    report_phases ~progress r.Driver.solver;
     let metrics = Metrics.compute r.Driver.solver in
     Format.fprintf ppf "analysis: %s (%s)@." analysis
       r.Driver.strategy.Pta_context.Strategy.description;
@@ -306,6 +306,7 @@ let compare_cmd =
         let config = config_of ?timeout_s ~trace ~metrics ~progress () in
         match Driver.run ~config ~collect_stats program ~analysis:name with
         | Ok r ->
+          report_phases ~progress r.Driver.solver;
           let m = Metrics.compute r.Driver.solver in
           (match r.Driver.stats with
           | Some stats ->
@@ -516,9 +517,14 @@ let check_cmd =
       Printf.eprintf "pointsto: check: no MJ source files given\n";
       exit 124
     end;
-    let program, solver, _ppf =
-      load_and_solve ?timeout_s ~no_stdlib ~analysis files
+    (* One budget bounds the solve and the checkers after it. *)
+    let config = Solver.Config.make ?timeout_s () in
+    let program, r =
+      handle
+        (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
+           (sources_of files))
     in
+    let solver = r.Driver.solver in
     let taint =
       match load_taint_spec taint_spec with
       | None -> None
@@ -528,11 +534,16 @@ let check_cmd =
     in
     let results = Pta_checkers.Results.of_solver ?taint solver in
     let diags =
-      match Pta_checkers.Checkers.run ?only:checkers results with
+      match
+        Pta_checkers.Checkers.run ?only:checkers
+          ~budget:config.Solver.Config.budget results
+      with
       | diags -> diags
       | exception Pta_checkers.Checkers.Unknown_checker
           { code; suggestions; available } ->
         unknown_checker_exit code suggestions available
+      | exception Budget.Exhausted abort ->
+        Driver.report_and_exit (Driver.Timed_out { analysis; abort })
     in
     let in_stdlib (d : Pta_checkers.Diagnostic.t) =
       match d.span with

@@ -2,6 +2,7 @@ module Ir = Pta_ir.Ir
 module Hierarchy = Pta_ir.Hierarchy
 module Intset = Pta_solver.Intset
 module Provenance = Pta_clients.Provenance
+module Budget = Pta_obs.Budget
 open Ir
 
 type info = {
@@ -119,7 +120,7 @@ let provenance_detail (r : Results.t) ~var ~heap =
           (if s.is_origin then "origin: " else "via: ") ^ s.description)
         steps)
 
-let may_fail_cast (r : Results.t) =
+let may_fail_cast ?(budget = Budget.unlimited ()) (r : Results.t) =
   let p = r.program in
   Meth_id.Set.fold
     (fun meth acc ->
@@ -143,6 +144,7 @@ let may_fail_cast (r : Results.t) =
               let witnesses =
                 List.map
                   (fun heap ->
+                    Budget.check budget;
                     {
                       Diagnostic.w_message =
                         Printf.sprintf "may point to %s of type %s, allocated here"
@@ -416,9 +418,9 @@ let sanitizer_bypassed (r : Results.t) =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let checker_fn code =
+let checker_fn budget code =
   match code with
-  | "may-fail-cast" -> may_fail_cast
+  | "may-fail-cast" -> may_fail_cast ~budget
   | "null-dereference" -> null_dereference
   | "dead-method" -> dead_method
   | "monomorphic-call-site" -> monomorphic_call_site
@@ -460,7 +462,7 @@ let suggest code =
   let sorted = List.sort compare scored in
   List.filteri (fun i _ -> i < 3) (List.map snd sorted)
 
-let run ?only results =
+let run ?only ?(budget = Budget.unlimited ()) results =
   let selected =
     match only with
     | None -> all
@@ -480,4 +482,8 @@ let run ?only results =
         codes
   in
   List.sort Diagnostic.compare
-    (List.concat_map (fun i -> checker_fn i.code results) selected)
+    (List.concat_map
+       (fun i ->
+         Budget.check budget;
+         checker_fn budget i.code results)
+       selected)

@@ -32,12 +32,14 @@ exception
     available : string list;  (** every registered code, canonical order *)
   }
 
-val may_fail_cast : Results.t -> Diagnostic.t list
+val may_fail_cast : ?budget:Pta_obs.Budget.t -> Results.t -> Diagnostic.t list
 (** A cast whose operand may point to an object of an incompatible type
     — the points-to-powered upgrade of {!Pta_clients.Casts}: same
     verdicts, but located at the cast's source span with each offending
     allocation site as a witness (plus its provenance chain when the
-    native solver produced the result). *)
+    native solver produced the result).  [budget] (unlimited by default)
+    is checked once per witness.
+    @raise Pta_obs.Budget.Exhausted when it runs out. *)
 
 val null_dereference : Results.t -> Diagnostic.t list
 (** A field load, field store, or virtual call whose base variable has
@@ -64,8 +66,12 @@ val sanitizer_bypassed : Results.t -> Diagnostic.t list
     dropped, so sanitization has no effect.  Empty when
     {!Results.t.taint} is [None]. *)
 
-val run : ?only:string list -> Results.t -> Diagnostic.t list
+val run :
+  ?only:string list -> ?budget:Pta_obs.Budget.t -> Results.t -> Diagnostic.t list
 (** Run the selected checkers (default: all) and return the merged
-    diagnostics in {!Diagnostic.compare} order.
+    diagnostics in {!Diagnostic.compare} order.  [budget] (unlimited by
+    default) is checked before each checker and by {!may_fail_cast}, so
+    a solve's deadline can bound its clients too.
+    @raise Pta_obs.Budget.Exhausted when the budget runs out.
     @raise Unknown_checker on an unrecognized code in [only], carrying
     close-match suggestions and the full list of available codes. *)

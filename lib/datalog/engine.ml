@@ -296,9 +296,8 @@ let relations_of rules =
     rules;
   !out
 
-let run ?(observer = Pta_obs.Observer.null) ?(budget = Pta_obs.Budget.unlimited ())
-    ?(trace = Pta_obs.Trace.null) ?(metrics = Pta_metrics.Registry.null) rules =
-  let module Observer = Pta_obs.Observer in
+let run ?(budget = Pta_obs.Budget.unlimited ()) ?(trace = Pta_obs.Trace.null)
+    ?(metrics = Pta_metrics.Registry.null) rules =
   let module Budget = Pta_obs.Budget in
   let module Trace = Pta_obs.Trace in
   let module Registry = Pta_metrics.Registry in
@@ -323,7 +322,6 @@ let run ?(observer = Pta_obs.Observer.null) ?(budget = Pta_obs.Budget.unlimited 
                "pta_datalog_facts_total"))
       rules;
   Budget.start budget ~probe:total_facts;
-  Observer.phase observer "fixpoint" @@ fun () ->
   Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
   (* delta = facts with index in [low, high) *)
   let low = Hashtbl.create 16 and high = Hashtbl.create 16 in
@@ -335,16 +333,13 @@ let run ?(observer = Pta_obs.Observer.null) ?(budget = Pta_obs.Budget.unlimited 
   let changed = ref true in
   while !changed do
     changed := false;
-    (* One semi-naive round is one budget/observer iteration.  Rounds
-       are few and heavy, so poll the clock on every one. *)
+    (* One semi-naive round is one budget iteration.  Rounds are few
+       and heavy, so poll the clock on every one. *)
     Budget.check budget;
-    Observer.iteration observer;
     if metered then Registry.incr rounds_counter;
     Trace.begin_span trace ~cat:"phase" "round";
-    let measured =
-      not (Observer.is_null observer && Trace.is_null trace)
-    in
-    let facts_before = if measured then total_facts () else 0 in
+    let traced = not (Trace.is_null trace) in
+    let facts_before = if traced then total_facts () else 0 in
     (* Evaluate every rule once per body position, with that position
        restricted to the previous round's delta. *)
     List.iter
@@ -397,15 +392,7 @@ let run ?(observer = Pta_obs.Observer.null) ?(budget = Pta_obs.Budget.unlimited 
         Hashtbl.replace low name (Hashtbl.find high name);
         Hashtbl.replace high name (Relation.cardinal r))
       rels;
-    let fresh = if measured then total_facts () - facts_before else 0 in
-    if not (Observer.is_null observer) then begin
-      (* New facts this round double as both the node count and the
-         round's delta size. *)
-      Observer.delta observer fresh;
-      for _ = 1 to fresh do
-        Observer.node observer
-      done
-    end;
+    let fresh = if traced then total_facts () - facts_before else 0 in
     Trace.end_span ~delta:fresh trace
     (* A final catch-up round: facts derived this round become the next
        delta; loop continues while any rule fired. *)

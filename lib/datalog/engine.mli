@@ -82,7 +82,6 @@ val lint : rule list -> lint_error list
     program is well-formed. *)
 
 val run :
-  ?observer:Pta_obs.Observer.t ->
   ?budget:Pta_obs.Budget.t ->
   ?trace:Pta_obs.Trace.t ->
   ?metrics:Pta_metrics.Registry.t ->
@@ -93,11 +92,8 @@ val run :
 
     The same instruments the native solver takes: [budget] is ticked
     once per semi-naive round (its work probe reads the total fact
-    count, so an abort payload's [nodes] field is facts derived);
-    [observer] receives an iteration tick and the round's new-fact count
-    (as [on_delta] plus one [on_node] per fact) each round, and a
-    ["fixpoint"] phase timing.  All default to the free null/unlimited
-    instruments.
+    count, so an abort payload's [nodes] field is facts derived).  All
+    default to the free null/unlimited instruments.
 
     With a live [trace], the engine emits a ["phase"] span for the
     fixpoint and one per round, and — per rule, per round — a

@@ -1,7 +1,5 @@
 module Solver = Pta_solver.Solver
 module Strategies = Pta_context.Strategies
-module Observer = Pta_obs.Observer
-module Recorder = Pta_obs.Recorder
 module Run_stats = Pta_obs.Run_stats
 module Memstats = Pta_obs.Memstats
 module Clock = Pta_obs.Clock
@@ -205,17 +203,6 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
   match strategy_of_name program analysis with
   | Error e -> Error e
   | Ok strategy -> (
-    let recorder = if collect_stats then Some (Recorder.create ()) else None in
-    let config =
-      match recorder with
-      | None -> config
-      | Some r ->
-        {
-          config with
-          Solver.Config.observer =
-            Observer.tee config.Solver.Config.observer (Recorder.observer r);
-        }
-    in
     let metrics = config.Solver.Config.metrics in
     (* GC tracking is on whenever someone will read the result: a stats
        bundle or a live registry. *)
@@ -242,17 +229,28 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
         record_census metrics (Solver.census solver);
       emit_gauges config.Solver.Config.trace program solver;
       let stats =
-        Option.map
-          (fun r ->
-            Run_stats.make ~analysis ~wall_time_s
-              ~sensitive_vpt_size:(Solver.sensitive_vpt_size solver)
-              ~n_ctxs:(Solver.n_ctxs solver) ~n_hctxs:(Solver.n_hctxs solver)
-              ~n_hobjs:(Solver.n_hobjs solver) ?memory
-              ?metrics:
+        if not collect_stats then None
+        else
+          Some
+            {
+              Run_stats.analysis;
+              wall_time_s;
+              iterations = Pta_obs.Budget.iterations config.Solver.Config.budget;
+              n_nodes = Solver.n_nodes solver;
+              n_edges = Solver.n_edges solver;
+              n_ctxs = Solver.n_ctxs solver;
+              n_hctxs = Solver.n_hctxs solver;
+              n_hobjs = Solver.n_hobjs solver;
+              sensitive_vpt_size = Solver.sensitive_vpt_size solver;
+              triggers = Solver.n_triggers solver;
+              delta_total = Solver.delta_total solver;
+              max_delta = Solver.max_delta solver;
+              phases = Solver.phases solver;
+              memory;
+              metrics =
                 (if Registry.is_null metrics then None
-                 else Some (Registry.to_json metrics))
-              r)
-          recorder
+                 else Some (Registry.to_json metrics));
+            }
       in
       Ok { solver; strategy; wall_time_s; stats }
     | exception Solver.Timeout abort ->

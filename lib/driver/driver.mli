@@ -83,9 +83,9 @@ val run :
   analysis:string ->
   (run, error) result
 (** Resolve [analysis] and solve under [config].  With
-    [~collect_stats:true] a {!Pta_obs.Recorder.t} is tee'd onto the
-    configured observer and the full {!Pta_obs.Run_stats.t} bundle
-    (counters, final sizes, wall time, phase timings) is assembled.
+    [~collect_stats:true] the full {!Pta_obs.Run_stats.t} bundle
+    (counters, final sizes, wall time, phase timings) is read off the
+    solver and the budget.
 
     If [config] carries a live {!Pta_obs.Trace.t}, the four Table-1
     precision gauges are sampled into it at fixpoint as

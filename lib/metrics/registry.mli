@@ -5,7 +5,7 @@
     labels supplied at [create] time (benchmark, analysis, ...) are
     merged into every series.
 
-    Follows the same zero-cost discipline as {!Pta_obs.Observer}: the
+    Follows the same zero-cost discipline as {!Pta_obs.Trace}: the
     distinguished {!null} registry hands out shared dummy handles, so
     instrumented code pays one physical-equality check and a dead store
     when metrics are off.  Hot-path updates ([incr], [add], [set],

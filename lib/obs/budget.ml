@@ -13,11 +13,14 @@ type t = {
   mutable ticks : int;
   mutable cancelled : bool;
   mutable probe : unit -> int;
+  mutable on_tick : int -> unit;
 }
 
 (* Poll the clock every [mask + 1] ticks; cancellation is checked on
    every tick regardless. *)
 let mask = 0xFFF
+
+let no_tick (_ : int) = ()
 
 let make timeout_s =
   {
@@ -27,6 +30,7 @@ let make timeout_s =
     ticks = 0;
     cancelled = false;
     probe = (fun () -> 0);
+    on_tick = no_tick;
   }
 
 let unlimited () = make None
@@ -52,6 +56,7 @@ let tick b =
   if b.cancelled then exhaust b;
   let n = b.ticks + 1 in
   b.ticks <- n;
+  if b.on_tick != no_tick then b.on_tick n;
   if
     b.deadline < infinity && n land mask = 0
     && Clock.elapsed_s b.clock > b.deadline
@@ -60,8 +65,10 @@ let tick b =
 let check b =
   if b.cancelled then exhaust b;
   b.ticks <- b.ticks + 1;
+  if b.on_tick != no_tick then b.on_tick b.ticks;
   if b.deadline < infinity && Clock.elapsed_s b.clock > b.deadline then
     exhaust b
 
 let cancel b = b.cancelled <- true
+let on_tick b f = b.on_tick <- f
 let is_limited b = b.timeout_s <> None

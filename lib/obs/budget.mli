@@ -41,7 +41,8 @@ val start : t -> probe:(unit -> int) -> unit
     pending cancellation. *)
 
 val tick : t -> unit
-(** One engine iteration.  @raise Exhausted when out of budget. *)
+(** One engine iteration: counts it, runs the {!on_tick} callback, then
+    polls.  @raise Exhausted when out of budget. *)
 
 val check : t -> unit
 (** Like {!tick}, but polls the clock unconditionally.  For engines
@@ -50,8 +51,14 @@ val check : t -> unit
     clock poll.  @raise Exhausted when out of budget. *)
 
 val cancel : t -> unit
-(** Abort the run from outside (e.g. a signal handler or an observer):
-    the next {!tick} raises {!Exhausted}. *)
+(** Abort the run from outside (e.g. a signal handler or an {!on_tick}
+    callback): the next {!tick} raises {!Exhausted}. *)
+
+val on_tick : t -> (int -> unit) -> unit
+(** [on_tick b f] makes every {!tick} and {!check} call [f n], [n] being
+    the iteration count including this one — for progress reports and
+    for tests that cancel at a given iteration.  Survives {!start}.
+    Without a callback a tick pays one pointer comparison for it. *)
 
 val iterations : t -> int
 (** Ticks since the last {!start}. *)

@@ -4,9 +4,10 @@
     A clock owns an epoch (its creation instant) and clamps readings to
     be monotone non-decreasing, so durations never come out negative
     even if the wall clock steps backwards mid-run.  {!Trace},
-    {!Observer.phase}, {!Budget} and the driver all read through this
-    module instead of carrying their own [Unix.gettimeofday] + clamp
-    logic; the metrics layer's timing helpers do too. *)
+    {!Budget}, the solver's phase timings and the driver all read
+    through this module instead of carrying their own
+    [Unix.gettimeofday] + clamp logic; the metrics layer's timing
+    helpers do too. *)
 
 type t
 

@@ -16,26 +16,6 @@ type t = {
   metrics : Json.t option;
 }
 
-let make ~analysis ~wall_time_s ~sensitive_vpt_size ~n_ctxs ~n_hctxs ~n_hobjs
-    ?memory ?metrics rec_ =
-  {
-    analysis;
-    wall_time_s;
-    iterations = Recorder.iterations rec_;
-    n_nodes = Recorder.nodes rec_;
-    n_edges = Recorder.edges rec_;
-    n_ctxs;
-    n_hctxs;
-    n_hobjs;
-    sensitive_vpt_size;
-    triggers = Recorder.triggers rec_;
-    delta_total = Recorder.delta_total rec_;
-    max_delta = Recorder.max_delta rec_;
-    phases = Recorder.phases rec_;
-    memory;
-    metrics;
-  }
-
 let to_json t =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.Obj
@@ -56,62 +36,6 @@ let to_json t =
     ]
     @ opt "memory" Memstats.to_json t.memory
     @ opt "metrics" Fun.id t.metrics)
-
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "stats JSON: missing or mistyped %S" name)
-  in
-  let* analysis = field "analysis" Json.to_str in
-  let* wall_time_s = field "wall_time_s" Json.to_float in
-  let* iterations = field "iterations" Json.to_int in
-  let* n_nodes = field "n_nodes" Json.to_int in
-  let* n_edges = field "n_edges" Json.to_int in
-  let* n_ctxs = field "n_ctxs" Json.to_int in
-  let* n_hctxs = field "n_hctxs" Json.to_int in
-  let* n_hobjs = field "n_hobjs" Json.to_int in
-  let* sensitive_vpt_size = field "sensitive_vpt_size" Json.to_int in
-  let* triggers = field "triggers" Json.to_int in
-  let* delta_total = field "delta_total" Json.to_int in
-  let* max_delta = field "max_delta" Json.to_int in
-  let* members = field "phases" Json.to_obj in
-  let* phases =
-    List.fold_left
-      (fun acc (name, v) ->
-        let* acc = acc in
-        match Json.to_float v with
-        | Some s -> Ok ((name, s) :: acc)
-        | None -> Error (Printf.sprintf "stats JSON: phase %S not a number" name))
-      (Ok []) members
-  in
-  (* [memory] and [metrics] are optional: stats documents written before
-     they existed must keep parsing. *)
-  let* memory =
-    match Json.member "memory" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Memstats.of_json j)
-  in
-  let metrics = Json.member "metrics" json in
-  Ok
-    {
-      analysis;
-      wall_time_s;
-      iterations;
-      n_nodes;
-      n_edges;
-      n_ctxs;
-      n_hctxs;
-      n_hobjs;
-      sensitive_vpt_size;
-      triggers;
-      delta_total;
-      max_delta;
-      phases = List.rev phases;
-      memory;
-      metrics;
-    }
 
 let pp ppf t =
   let line fmt = Format.fprintf ppf fmt in

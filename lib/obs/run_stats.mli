@@ -1,13 +1,14 @@
 (** The per-run statistics bundle the observability layer reports.
 
-    Combines the engine's final sizes (nodes, contexts, abstract
-    objects, the paper's platform-independent [sensitive_vpt_size]
-    metric) with the {!Recorder}'s dynamic counters and phase timings.
-    Every field except [wall_time_s] and [phases] is deterministic.
+    Every field is read off the finished run: the engine's final sizes
+    (nodes, contexts, abstract objects, the paper's
+    platform-independent [sensitive_vpt_size] metric), its dynamic
+    counters (edges, trigger firings, delta volume), the budget's
+    iteration count and the engine's per-phase timings.  Every field
+    except [wall_time_s] and [phases] is deterministic.
 
     Renders to a human-readable table ({!pp}) and to stable JSON
-    ({!to_json}); {!of_json} parses the JSON back, so harnesses can
-    round-trip stats files. *)
+    ({!to_json}). *)
 
 type t = {
   analysis : string;
@@ -30,21 +31,7 @@ type t = {
           held opaquely to keep [pta_obs] at the bottom of the stack *)
 }
 
-val make :
-  analysis:string ->
-  wall_time_s:float ->
-  sensitive_vpt_size:int ->
-  n_ctxs:int ->
-  n_hctxs:int ->
-  n_hobjs:int ->
-  ?memory:Memstats.delta ->
-  ?metrics:Json.t ->
-  Recorder.t ->
-  t
-(** Assemble from a recorder plus the engine's final readings.
-    [memory] and [metrics] are omitted from the JSON when absent, so
-    pre-existing stats documents keep their shape. *)
-
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+(** [memory] and [metrics] are omitted when absent. *)
+
 val pp : Format.formatter -> t -> unit

@@ -5,10 +5,9 @@
     exports them as Chrome trace-event JSON — the format Perfetto
     ([ui.perfetto.dev]) and [chrome://tracing] load directly.
 
-    The sink follows the same zero-cost discipline as
-    {!Observer}: every emitter is guarded by a physical-equality check
-    against {!null}, so an untraced run reads no clocks and allocates
-    nothing.  Timestamps come from a per-sink epoch and are clamped to
+    The sink is zero-cost when off: every emitter is guarded by a
+    physical-equality check against {!null}, so an untraced run reads
+    no clocks and allocates nothing.  Timestamps come from a per-sink epoch and are clamped to
     be monotone non-decreasing, so spans never appear to end before
     they begin even if the wall clock steps backwards.
 

@@ -4,11 +4,11 @@ module Hierarchy = Pta_ir.Hierarchy
 module Ctx = Pta_context.Ctx
 module Strategy = Pta_context.Strategy
 module Shortcut = Pta_context.Shortcut
-module Observer = Pta_obs.Observer
 module Budget = Pta_obs.Budget
 module Trace = Pta_obs.Trace
 module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
+module Clock = Pta_obs.Clock
 module Registry = Pta_metrics.Registry
 open Ir
 
@@ -129,11 +129,9 @@ type t = {
   strategy : Strategy.t;
   hierarchy : Hierarchy.t;
   field_based : bool;
-  obs : Observer.t;
-      (* every emission is guarded by a physical-equality check against
-         [Observer.null]; an unobserved run pays nothing *)
   trace : Trace.t;
-      (* span sink under the same null-guard discipline as [obs] *)
+      (* every emission is guarded by a physical-equality check against
+         [Trace.null]; an untraced run pays nothing *)
   meters : meters;
   mutable solved : bool;
       (* set once the worklists drain; false on a budget abort, so
@@ -172,39 +170,25 @@ type t = {
   mutable ci_vpt : Intset.t array option;
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
+  (* run counters for the stats bundle; node, context and object counts
+     are read off the tables above *)
+  mutable n_edges : int;  (* flow edges attached *)
+  mutable n_triggers : int;  (* vcall / load / store firings *)
+  mutable delta_total : int;  (* objects in all processed deltas *)
+  mutable max_delta : int;
+  mutable setup_s : float;
+  mutable fixpoint_s : float;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Interning wrappers that report creation events.  [Ctx.intern] gives no
-   created/found signal, so the observed path compares store sizes; the
-   unobserved path is the bare intern. *)
-let intern_ctx st v =
-  if st.obs == Observer.null then Ctx.intern st.ctx_store v
-  else begin
-    let before = Ctx.size st.ctx_store in
-    let id = Ctx.intern st.ctx_store v in
-    if Ctx.size st.ctx_store > before then Observer.ctx st.obs;
-    id
-  end
-
-let intern_hctx st v =
-  if st.obs == Observer.null then Ctx.intern st.hctx_store v
-  else begin
-    let before = Ctx.size st.hctx_store in
-    let id = Ctx.intern st.hctx_store v in
-    if Ctx.size st.hctx_store > before then Observer.hctx st.obs;
-    id
-  end
-
 let intern_hobj st heap hctx =
   let key = (Heap_id.to_int heap, hctx) in
   match Hashtbl.find_opt st.hobj_table key with
   | Some h -> h
   | None ->
-    Observer.hobj st.obs;
     let h = Vec.push st.hobj_heaps (Heap_id.to_int heap) in
     let (_ : int) = Vec.push st.hobj_hctxs hctx in
     let (_ : int) =
@@ -214,7 +198,6 @@ let intern_hobj st heap hctx =
     h
 
 let fresh_node st =
-  Observer.node st.obs;
   let nid =
     Vec.push st.nodes
       {
@@ -309,7 +292,7 @@ let filter_set st set = function
       Intset.filter (fun hobj -> not (List.exists (compat hobj) tys)) set)
 
 let attach_edge st ~src ~dst ~filter =
-  Observer.edge st.obs;
+  st.n_edges <- st.n_edges + 1;
   let n = Vec.get st.nodes src in
   n.succs <- { dst; filter } :: n.succs;
   if filter == None then begin
@@ -563,7 +546,7 @@ let wire_call st ~invo ~caller_ctx ~callee ~callee_ctx ~args ~ret_target
    base variable.  Resolve the target, build the callee context with
    [Merge], bind [this], and wire the edge. *)
 let dispatch st (vc : vcall_site) hobj =
-  Observer.trigger st.obs;
+  st.n_triggers <- st.n_triggers + 1;
   let heap = Heap_id.of_int (Vec.get st.hobj_heaps hobj) in
   let receiver_type = Vec.get st.hobj_types hobj in
   match Hierarchy.lookup st.hierarchy receiver_type vc.vc_sig with
@@ -574,7 +557,7 @@ let dispatch st (vc : vcall_site) hobj =
       let hctx = Ctx.value st.hctx_store (Vec.get st.hobj_hctxs hobj) in
       let ctx = Ctx.value st.ctx_store vc.vc_ctx in
       let callee_ctx =
-        intern_ctx st
+        Ctx.intern st.ctx_store
           (st.strategy.Strategy.merge ~heap ~hctx ~invo:vc.vc_invo ~callee ~ctx)
       in
       (match mi.this_var with
@@ -590,13 +573,13 @@ let dispatch st (vc : vcall_site) hobj =
 (* ------------------------------------------------------------------ *)
 
 let fire_load st trigger hobj =
-  Observer.trigger st.obs;
+  st.n_triggers <- st.n_triggers + 1;
   add_edge st
     ~src:(fld_node st hobj trigger.ld_field)
     ~dst:trigger.ld_target ~filter:None
 
 let fire_store st trigger hobj =
-  Observer.trigger st.obs;
+  st.n_triggers <- st.n_triggers + 1;
   add_edge st ~src:trigger.st_source
     ~dst:(fld_node st hobj trigger.st_field)
     ~filter:None
@@ -722,7 +705,7 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
   | Alloc { target; heap } ->
     (* The Record rule: allocation in a reachable method. *)
     let hctx =
-      intern_hctx st (st.strategy.Strategy.record ~heap ~ctx:ctx_value)
+      Ctx.intern st.hctx_store (st.strategy.Strategy.record ~heap ~ctx:ctx_value)
     in
     push st (var_node st target ctx) (Intset.singleton (intern_hobj st heap hctx))
   | Move { target; source } ->
@@ -766,7 +749,7 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
     in
     if Trace.is_null st.trace then begin
       let callee_ctx =
-        intern_ctx st
+        Ctx.intern st.ctx_store
           (st.strategy.Strategy.merge_static ~invo ~callee ~ctx:ctx_value)
       in
       wire_call st ~invo ~caller_ctx:ctx ~callee ~callee_ctx ~args ~ret_target
@@ -776,7 +759,7 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
       let t0 = Trace.now_us st.trace in
       let a0 = Trace.alloc_mark st.trace in
       let callee_ctx =
-        intern_ctx st
+        Ctx.intern st.ctx_store
           (st.strategy.Strategy.merge_static ~invo ~callee ~ctx:ctx_value)
       in
       wire_call st ~invo ~caller_ctx:ctx ~callee ~callee_ctx ~args ~ret_target
@@ -805,10 +788,10 @@ let process_node st nid =
   let delta = n.pending in
   n.pending <- Intset.empty;
   if not (Intset.is_empty delta) then begin
-    if st.obs != Observer.null then
-      Observer.delta st.obs (Intset.cardinal delta);
+    let card = Intset.cardinal delta in
+    st.delta_total <- st.delta_total + card;
+    if card > st.max_delta then st.max_delta <- card;
     if not (Registry.is_null st.meters.m_reg) then begin
-      let card = Intset.cardinal delta in
       if n.succs <> [] then Registry.add st.meters.prop_move card;
       if n.vcalls <> [] then Registry.add st.meters.prop_vcall card;
       if n.loads <> [] then Registry.add st.meters.prop_load card;
@@ -832,7 +815,6 @@ let process_node st nid =
     else begin
       (* Traced: one complete span per edge kind with work to do, its
          delta being the objects propagated through that kind. *)
-      let card = Intset.cardinal delta in
       let tr = st.trace in
       if n.succs <> [] then begin
         let t0 = Trace.now_us tr in
@@ -877,7 +859,6 @@ module Config = struct
   type t = {
     budget : Budget.t;
     field_based : bool;
-    observer : Observer.t;
     trace : Trace.t;
     metrics : Registry.t;
     mem_tracker : Memstats.tracker option;
@@ -890,20 +871,17 @@ module Config = struct
     {
       budget = Budget.unlimited ();
       field_based = false;
-      observer = Observer.null;
       trace = Trace.null;
       metrics = Registry.null;
       mem_tracker = None;
       mem_sample_every = default_mem_sample_every;
     }
 
-  let make ?timeout_s ?(field_based = false) ?(observer = Observer.null)
-      ?(trace = Trace.null) ?(metrics = Registry.null) ?mem_tracker
+  let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) ?(metrics = Registry.null) ?mem_tracker
       ?(mem_sample_every = default_mem_sample_every) () =
     {
       budget = Budget.of_seconds_opt timeout_s;
       field_based;
-      observer;
       trace;
       metrics;
       mem_tracker;
@@ -1029,10 +1007,9 @@ let census st =
     ]
 
 let solve_outcome ?(config = Config.default) program strategy =
-  let obs = config.Config.observer in
   let trace = config.Config.trace in
+  let setup_clock = Clock.create () in
   let st =
-    Observer.phase obs "setup" @@ fun () ->
     Trace.span trace ~cat:"phase" "setup" @@ fun () ->
     let st =
       {
@@ -1040,7 +1017,6 @@ let solve_outcome ?(config = Config.default) program strategy =
         strategy;
         hierarchy = Hierarchy.create program;
         field_based = config.Config.field_based;
-        obs;
         trace;
         meters = make_meters config.Config.metrics;
         solved = false;
@@ -1067,6 +1043,12 @@ let solve_outcome ?(config = Config.default) program strategy =
         ci_vpt = None;
         ci_targets = None;
         node_kinds = None;
+        n_edges = 0;
+        n_triggers = 0;
+        delta_total = 0;
+        max_delta = 0;
+        setup_s = 0.;
+        fixpoint_s = 0.;
       }
     in
     let initial_ctx = Ctx.intern st.ctx_store strategy.Strategy.initial_ctx in
@@ -1075,10 +1057,10 @@ let solve_outcome ?(config = Config.default) program strategy =
       (Program.entries program);
     st
   in
+  st.setup_s <- Clock.elapsed_s setup_clock;
   let budget = config.Config.budget in
   Budget.start budget ~probe:(fun () -> Vec.length st.nodes);
   let fixpoint () =
-    Observer.phase obs "fixpoint" @@ fun () ->
     Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
     let metered = st.meters.m_live in
     (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
@@ -1101,7 +1083,6 @@ let solve_outcome ?(config = Config.default) program strategy =
     let rec loop () =
       if not (Queue.is_empty st.meth_queue) then begin
         Budget.tick budget;
-        Observer.iteration obs;
         mem_tick ();
         let meth, ctx = Queue.pop st.meth_queue in
         process_method st meth ctx;
@@ -1109,7 +1090,6 @@ let solve_outcome ?(config = Config.default) program strategy =
       end
       else if not (Pqueue.is_empty st.pq) then begin
         Budget.tick budget;
-        Observer.iteration obs;
         mem_tick ();
         if st.copy_edges_since_scc >= st.scc_threshold then
           collapse_and_reprioritize st;
@@ -1125,12 +1105,15 @@ let solve_outcome ?(config = Config.default) program strategy =
     in
     loop ()
   in
+  let fixpoint_clock = Clock.create () in
   match fixpoint () with
   | () ->
+    st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     st.solved <- true;
     record_final_metrics st;
     Complete st
   | exception Budget.Exhausted abort ->
+    st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     record_final_metrics st;
     Aborted (st, abort)
 
@@ -1195,6 +1178,11 @@ let sensitive_vpt_size st =
 let n_var_nodes st = Hashtbl.length st.var_nodes
 let n_reachable_cs st = Hashtbl.length st.reachable
 let n_call_edges_cs st = Hashtbl.length st.call_edges
+let n_edges st = st.n_edges
+let n_triggers st = st.n_triggers
+let delta_total st = st.delta_total
+let max_delta st = st.max_delta
+let phases st = [ ("setup", st.setup_s); ("fixpoint", st.fixpoint_s) ]
 
 (* ------------------------------------------------------------------ *)
 (* Supergraph introspection                                             *)

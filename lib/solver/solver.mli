@@ -34,8 +34,8 @@ exception Timeout of Pta_obs.Budget.abort
     exception rebinding), so either name matches. *)
 
 (** How to run the solver: the budget (deadline / cancellation token),
-    the heap-field abstraction, the observer receiving instrumentation
-    events, and the trace sink receiving timed spans.  Replaces the
+    the heap-field abstraction, the trace sink receiving timed spans and
+    the metric registry.  Replaces the
     former pile of optional arguments on [run]. *)
 module Config : sig
   type t = {
@@ -46,8 +46,6 @@ module Config : sig
             (abstract object, field) — the Doop/paper treatment.
             [true]: the classic field-based approximation, one global
             cell per field name — kept as an ablation baseline. *)
-    observer : Pta_obs.Observer.t;
-        (** event hooks; {!Pta_obs.Observer.null} costs nothing *)
     trace : Pta_obs.Trace.t;
         (** span sink; {!Pta_obs.Trace.null} costs nothing.  A live sink
             receives ["phase"] spans for setup/fixpoint and, per
@@ -85,13 +83,12 @@ module Config : sig
       ([Gc.quick_stat] reads no heap) to leave timings unchanged. *)
 
   val default : t
-  (** Unlimited budget, field-sensitive, no observer, no trace, no
+  (** Unlimited budget, field-sensitive, no trace, no
       metrics, no memory tracker. *)
 
   val make :
     ?timeout_s:float ->
     ?field_based:bool ->
-    ?observer:Pta_obs.Observer.t ->
     ?trace:Pta_obs.Trace.t ->
     ?metrics:Pta_metrics.Registry.t ->
     ?mem_tracker:Pta_obs.Memstats.tracker ->
@@ -116,11 +113,12 @@ val solve_outcome :
 val solve :
   ?config:Config.t -> Pta_ir.Ir.Program.t -> Pta_context.Strategy.t -> t
 (** Run the analysis to fixpoint.  Deterministic: same program and
-    strategy yield identical interning and results, with or without an
-    observer or trace installed.
+    strategy yield identical interning and results, with or without a
+    trace or metric registry installed.
 
-    Reports two phases to the observer and trace: ["setup"] (hierarchy
-    and entry seeding) and ["fixpoint"] (the worklist).
+    Times two phases, reported by {!phases} and as trace spans:
+    ["setup"] (hierarchy and entry seeding) and ["fixpoint"] (the
+    worklist).
 
     @raise Timeout if the configured budget is exhausted. *)
 
@@ -191,6 +189,27 @@ val sensitive_vpt_size : t -> int
 val n_var_nodes : t -> int
 val n_reachable_cs : t -> int
 val n_call_edges_cs : t -> int
+
+(** {1 Run counters}
+
+    Work measures kept by the fixpoint loop (deterministic) and the
+    phase timings (wall clock), read into a {!Pta_obs.Run_stats.t}
+    after the run.  The iteration count lives in the
+    {!Pta_obs.Budget.t}. *)
+
+val n_edges : t -> int
+(** Flow edges attached to the supergraph. *)
+
+val n_triggers : t -> int
+(** Virtual-call, load and store trigger firings, one per object. *)
+
+val delta_total : t -> int
+(** Sum of the sizes of all processed propagation deltas. *)
+
+val max_delta : t -> int
+
+val phases : t -> (string * float) list
+(** Seconds spent in ["setup"] and ["fixpoint"]. *)
 
 (** {1 Context-insensitive projections} *)
 

@@ -173,6 +173,18 @@ let checker_tests =
             code = "dead-methods"
             && List.mem "dead-method" suggestions
             && List.length available = List.length Checkers.all));
+    Alcotest.test_case "a cancelled solve budget stops the checkers" `Quick
+      (fun () ->
+        let module Budget = Pta_obs.Budget in
+        let p = Helpers.program demo_src in
+        let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+        let config = Solver.Config.make () in
+        let solver = Solver.solve ~config p (factory p) in
+        let budget = config.Solver.Config.budget in
+        Budget.cancel budget;
+        match Checkers.run ~budget (Results.of_solver solver) with
+        | _ -> Alcotest.fail "expected Budget.Exhausted"
+        | exception Budget.Exhausted _ -> ());
     Alcotest.test_case "diagnostics are sorted and stable" `Quick (fun () ->
         let diags = Checkers.run (results demo_src) in
         Alcotest.(check bool)

@@ -100,22 +100,14 @@ let direct_alloc_test () =
    and return a bogus chain or crash. *)
 let aborted_run_test () =
   let module Budget = Pta_obs.Budget in
-  let module Observer = Pta_obs.Observer in
   let program =
     Pta_workloads.Workloads.program
       (Option.get (Pta_workloads.Profile.by_name "tiny"))
   in
   let factory = Option.get (Pta_context.Strategies.by_name "S-2obj+H") in
   let budget = Budget.unlimited () in
-  let iterations = ref 0 in
-  let observer =
-    Observer.make
-      ~on_iteration:(fun () ->
-        incr iterations;
-        if !iterations = 5 then Budget.cancel budget)
-      ()
-  in
-  let config = { Solver.Config.default with budget; observer } in
+  Budget.on_tick budget (fun n -> if n = 5 then Budget.cancel budget);
+  let config = { Solver.Config.default with budget } in
   match Solver.solve_outcome ~config program (factory program) with
   | Solver.Complete _ -> Alcotest.fail "expected an aborted run"
   | Solver.Aborted (partial, _abort) ->

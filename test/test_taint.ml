@@ -406,22 +406,14 @@ let misc_tests =
         | fs -> Alcotest.failf "expected one flow, got %d" (List.length fs));
     Alcotest.test_case "aborted solver state is refused" `Quick (fun () ->
         let module Budget = Pta_obs.Budget in
-        let module Observer = Pta_obs.Observer in
         let program =
           Pta_frontend.Frontend.program_of_string ~file:"heap" program_heap
         in
         let spec = compile_spec program default_spec_text in
         let factory = Option.get (Strategies.by_name "insens") in
         let budget = Budget.unlimited () in
-        let iterations = ref 0 in
-        let observer =
-          Observer.make
-            ~on_iteration:(fun () ->
-              incr iterations;
-              if !iterations = 2 then Budget.cancel budget)
-            ()
-        in
-        let config = { Solver.Config.default with budget; observer } in
+        Budget.on_tick budget (fun n -> if n = 2 then Budget.cancel budget);
+        let config = { Solver.Config.default with budget } in
         match Solver.solve_outcome ~config program (factory program) with
         | Solver.Complete _ -> Alcotest.fail "expected an aborted solve"
         | Solver.Aborted (partial, _abort) -> (
