@@ -118,6 +118,10 @@ let check_exits =
 
 let handle = function Ok v -> v | Error e -> Driver.report_and_exit e
 
+(* A client run after the solve exhausted the solve's budget. *)
+let timed_out ~analysis abort =
+  Driver.report_and_exit (Driver.Timed_out { analysis; abort })
+
 (* [--progress]: a running iteration count on stderr, overwritten in
    place while the fixpoint runs, then one line per solver phase. *)
 let config_of ?timeout_s ?trace ?metrics ~progress () =
@@ -354,10 +358,13 @@ let compare_cmd =
 (* Load + run for the query-style subcommands: no stats machinery, but
    the same exit-code contract, optional timeout and optional trace.
    The trace file is written before returning, so a "-" destination has
-   stdout to itself; the returned formatter is where the report goes. *)
-let load_and_solve ?timeout_s ?(trace_file = None) ~no_stdlib ~analysis files =
+   stdout to itself; the returned formatter is where the report goes.
+   A caller that runs a client after the solve passes its own [budget]
+   instead of [timeout_s], so the one deadline bounds both. *)
+let load_and_solve ?timeout_s ?(budget = Budget.of_seconds_opt timeout_s)
+    ?(trace_file = None) ~no_stdlib ~analysis files =
   let trace = trace_sink trace_file in
-  let config = Solver.Config.make ?timeout_s ~trace () in
+  let config = { (Solver.Config.make ~trace ()) with Solver.Config.budget } in
   let program, r =
     handle
       (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
@@ -517,8 +524,9 @@ let check_cmd =
       Printf.eprintf "pointsto: check: no MJ source files given\n";
       exit 124
     end;
-    (* One budget bounds the solve and the checkers after it. *)
+    (* One budget bounds the solve, the taint pass and the checkers. *)
     let config = Solver.Config.make ?timeout_s () in
+    let budget = config.Solver.Config.budget in
     let program, r =
       handle
         (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
@@ -528,22 +536,20 @@ let check_cmd =
     let taint =
       match load_taint_spec taint_spec with
       | None -> None
-      | Some entries ->
+      | Some entries -> (
         let spec = Pta_taint.Spec.compile program entries in
-        Some (Pta_taint.Taint.summary (Pta_taint.Taint.analyze solver spec))
+        match Pta_taint.Taint.analyze ~budget solver spec with
+        | taint -> Some (Pta_taint.Taint.summary taint)
+        | exception Budget.Exhausted abort -> timed_out ~analysis abort)
     in
     let results = Pta_checkers.Results.of_solver ?taint solver in
     let diags =
-      match
-        Pta_checkers.Checkers.run ?only:checkers
-          ~budget:config.Solver.Config.budget results
-      with
+      match Pta_checkers.Checkers.run ?only:checkers ~budget results with
       | diags -> diags
       | exception Pta_checkers.Checkers.Unknown_checker
           { code; suggestions; available } ->
         unknown_checker_exit code suggestions available
-      | exception Budget.Exhausted abort ->
-        Driver.report_and_exit (Driver.Timed_out { analysis; abort })
+      | exception Budget.Exhausted abort -> timed_out ~analysis abort
     in
     let in_stdlib (d : Pta_checkers.Diagnostic.t) =
       match d.span with
@@ -618,12 +624,18 @@ let taint_cmd =
     in
     match analysis_opt with
     | Some analysis ->
-      (* One strategy: every flow, with its provenance chain. *)
+      (* One strategy: every flow, with its provenance chain.  One
+         budget bounds the solve and the taint pass. *)
+      let budget = Budget.of_seconds_opt timeout_s in
       let program, solver, ppf =
-        load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
+        load_and_solve ~budget ~trace_file ~no_stdlib ~analysis files
       in
       let spec = Pta_taint.Spec.compile program entries in
-      let taint = Pta_taint.Taint.analyze solver spec in
+      let taint =
+        match Pta_taint.Taint.analyze ~budget solver spec with
+        | taint -> taint
+        | exception Budget.Exhausted abort -> timed_out ~analysis abort
+      in
       let flows = Pta_taint.Taint.flows taint in
       Format.fprintf ppf "%d source(s), %d sink method(s): %d flow(s) under %s@."
         (Pta_taint.Spec.n_sources spec)
@@ -656,17 +668,19 @@ let taint_cmd =
       List.iter
         (fun (name, factory) ->
           let strategy = factory program in
-          match
-            Solver.solve_outcome
-              ~config:(Solver.Config.make ?timeout_s ())
-              program strategy
-          with
-          | Solver.Aborted _ -> Format.fprintf ppf "%-12s -@." name
-          | Solver.Complete solver ->
-            let n =
-              Pta_taint.Taint.n_flows (Pta_taint.Taint.analyze solver spec)
-            in
-            Format.fprintf ppf "%-12s %d flow(s)@." name n)
+          let config = Solver.Config.make ?timeout_s () in
+          let no_result () = Format.fprintf ppf "%-12s -@." name in
+          match Solver.solve_outcome ~config program strategy with
+          | Solver.Aborted _ -> no_result ()
+          | Solver.Complete solver -> (
+            match
+              Pta_taint.Taint.analyze ~budget:config.Solver.Config.budget
+                solver spec
+            with
+            | taint ->
+              Format.fprintf ppf "%-12s %d flow(s)@." name
+                (Pta_taint.Taint.n_flows taint)
+            | exception Budget.Exhausted _ -> no_result ()))
         Strategies.all
   in
   let analysis_opt_arg =
@@ -762,8 +776,9 @@ let why_cmd =
       & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
   in
   let run files analysis no_stdlib timeout_s trace_file meth_name var_name =
+    let budget = Budget.of_seconds_opt timeout_s in
     let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
+      load_and_solve ~budget ~trace_file ~no_stdlib ~analysis files
     in
     let meth, var = resolve_meth_var program meth_name var_name in
     ignore meth;
@@ -773,17 +788,30 @@ let why_cmd =
         (Ir.Program.var_qualified_name program var)
         analysis
     else
-      Intset.iter
-        (fun h ->
-          let heap = Ir.Heap_id.of_int h in
+      (* Every chain from one session, all before any is printed, so a
+         timeout leaves no partial report. *)
+      let session = Pta_clients.Provenance.create ~budget solver in
+      let chains =
+        match
+          List.map
+            (fun h ->
+              let heap = Ir.Heap_id.of_int h in
+              (heap, Pta_clients.Provenance.explain session ~var ~heap))
+            (Intset.elements heaps)
+        with
+        | chains -> chains
+        | exception Budget.Exhausted abort -> timed_out ~analysis abort
+      in
+      List.iter
+        (fun (heap, chain) ->
           Format.fprintf ppf "@[<v>%s may point to %s because:@,"
             (Ir.Program.var_qualified_name program var)
             (Ir.Program.heap_name program heap);
-          (match Pta_clients.Provenance.explain solver ~var ~heap with
+          (match chain with
           | Some chain -> Pta_clients.Provenance.pp_chain ppf chain
           | None -> Format.fprintf ppf "  (no witness chain found)@,");
           Format.fprintf ppf "@]@.")
-        heaps
+        chains
   in
   let doc = "Explain why a variable may point to each of its allocation sites." in
   Cmd.v

@@ -108,11 +108,11 @@ let mk code ?span message witnesses =
 (* may-fail-cast                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let provenance_detail (r : Results.t) ~var ~heap =
-  match r.solver with
+let provenance_detail session ~var ~heap =
+  match session with
   | None -> []
-  | Some solver ->
-    (match Provenance.explain solver ~var ~heap with
+  | Some session ->
+    (match Provenance.explain session ~var ~heap with
     | None -> []
     | Some steps ->
       List.map
@@ -122,6 +122,8 @@ let provenance_detail (r : Results.t) ~var ~heap =
 
 let may_fail_cast ?(budget = Budget.unlimited ()) (r : Results.t) =
   let p = r.program in
+  (* One session answers every witness of the run. *)
+  let session = Option.map (Provenance.create ~budget) r.solver in
   Meth_id.Set.fold
     (fun meth acc ->
       let acc_ref = ref acc in
@@ -152,7 +154,7 @@ let may_fail_cast ?(budget = Budget.unlimited ()) (r : Results.t) =
                           (Program.type_name p
                              (Program.heap_info p heap).heap_type);
                       w_span = Program.heap_span p heap;
-                      w_detail = provenance_detail r ~var:source ~heap;
+                      w_detail = provenance_detail session ~var:source ~heap;
                     })
                   heaps
               in

@@ -12,18 +12,40 @@ type step = {
   is_origin : bool;  (** true on the first step *)
 }
 
+type t
+(** A provenance session over one solved state.  Its indexes are built
+    lazily, once, and shared by every later query:
+    - on the first query whose pair is a points-to fact, one pass over
+      the canonical nodes' points-to sets maps each allocation site to
+      the nodes holding one of its abstract objects;
+    - on the first such query for an allocation site, the predecessor
+      map among that site's holders, one pass over their out-edges,
+      kept for the session's later queries on the same site.
+
+    A query then costs a breadth-first walk over the nodes holding the
+    site.  Its state is one node-indexed array per session, reset entry
+    by entry, so no query pays in proportion to the whole supergraph.
+    A session holds the indexes it built until it is dropped; open one
+    per batch of queries (a checker run, a [pointsto why]). *)
+
+val create : ?budget:Pta_obs.Budget.t -> Pta_solver.Solver.t -> t
+(** [create ?budget solver] opens a session; it builds nothing yet.
+    The index builds poll [budget] (default: unlimited) every few
+    thousand nodes, so a deadline or cancellation raises
+    {!Pta_obs.Budget.Exhausted} from inside a query. *)
+
 val explain :
-  Pta_solver.Solver.t ->
-  var:Pta_ir.Ir.Var_id.t ->
-  heap:Pta_ir.Ir.Heap_id.t ->
-  step list option
-(** [explain solver ~var ~heap] returns a forward witness chain ending at
+  t -> var:Pta_ir.Ir.Var_id.t -> heap:Pta_ir.Ir.Heap_id.t -> step list option
+(** [explain t ~var ~heap] returns a forward witness chain ending at
     one of [var]'s contexts, or [None] if the analysis does not compute
-    [var] pointing to [heap].
+    [var] pointing to [heap].  The chain depends only on the solved
+    state, not on the session's earlier queries.
 
     @raise Invalid_argument if the solver state is the partial result of
     an aborted (budget-exhausted) run — see
     {!Pta_solver.Solver.is_complete}; a partially-populated supergraph
-    cannot support trustworthy witness chains. *)
+    cannot support trustworthy witness chains.
+    @raise Pta_obs.Budget.Exhausted if the session's budget runs out
+    while an index is being built. *)
 
 val pp_chain : Format.formatter -> step list -> unit

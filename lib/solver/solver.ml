@@ -168,6 +168,7 @@ type t = {
       (* (invo, caller ctx, meth, callee ctx) *)
   (* memoized context-insensitive projections *)
   mutable ci_vpt : Intset.t array option;
+  mutable var_node_index : int list array option;  (* var -> its nodes *)
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
   (* run counters for the stats bundle; node, context and object counts
@@ -1002,7 +1003,8 @@ let census st =
       ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
       ( "memos",
         [
-          Obj.repr st.ci_vpt; Obj.repr st.ci_targets; Obj.repr st.node_kinds;
+          Obj.repr st.ci_vpt; Obj.repr st.var_node_index;
+          Obj.repr st.ci_targets; Obj.repr st.node_kinds;
         ] );
     ]
 
@@ -1041,6 +1043,7 @@ let solve_outcome ?(config = Config.default) program strategy =
         reachable = Hashtbl.create 1024;
         call_edges = Hashtbl.create 4096;
         ci_vpt = None;
+        var_node_index = None;
         ci_targets = None;
         node_kinds = None;
         n_edges = 0;
@@ -1228,10 +1231,20 @@ let node_succs_passing st nid hobj =
       else None)
     (Vec.get st.nodes nid).succs
 
+(* Prepending in [Hashtbl.iter] order lists each variable's nodes in
+   the reverse of table order — the order a [Hashtbl.fold] consing the
+   matches would give, which provenance relies on to pick its target. *)
 let var_node_ids st var =
-  Hashtbl.fold
-    (fun (v, _) nid acc -> if v = Var_id.to_int var then nid :: acc else acc)
-    st.var_nodes []
+  let index =
+    match st.var_node_index with
+    | Some t -> t
+    | None ->
+      let t = Array.make (Program.n_vars st.program) [] in
+      Hashtbl.iter (fun (v, _) nid -> t.(v) <- nid :: t.(v)) st.var_nodes;
+      st.var_node_index <- Some t;
+      t
+  in
+  index.(Var_id.to_int var)
 
 let ci_var_points_to st var =
   let table =

@@ -254,7 +254,10 @@ val node_succs_passing : t -> node_id -> hobj -> node_id list
     {!canonical_node} before using them as indices. *)
 
 val var_node_ids : t -> Pta_ir.Ir.Var_id.t -> node_id list
-(** All (var, context) nodes of a variable. *)
+(** All (var, context) nodes of a variable, in a fixed order for a
+    given solved state.  Memoized on first use (one pass over the
+    variable nodes, counted under the census's ["memos"]); later calls
+    cost O(result). *)
 
 (** {1 Memory census} *)
 

@@ -4,6 +4,7 @@ module Strategy = Pta_context.Strategy
 module Solver = Pta_solver.Solver
 module Intset = Pta_solver.Intset
 module Pqueue = Pta_solver.Pqueue
+module Budget = Pta_obs.Budget
 open Ir
 
 (* ------------------------------------------------------------------ *)
@@ -103,7 +104,7 @@ let index_add tbl k v =
 
 let index_find tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
 
-let analyze solver spec =
+let analyze ?(budget = Budget.unlimited ()) solver spec =
   if not (Solver.is_complete solver) then
     invalid_arg "Taint.analyze: aborted solver state (incomplete points-to)";
   let program = Solver.program solver in
@@ -275,6 +276,7 @@ let analyze solver spec =
       (index_find sload_by_field f)
   in
   while not (Pqueue.is_empty wl) do
+    Budget.tick budget;
     let id = Pqueue.pop wl in
     ns.queued.(id) <- false;
     let d = ns.pending.(id) in

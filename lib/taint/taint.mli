@@ -27,11 +27,15 @@ module Intset = Pta_solver.Intset
 
 type t
 
-val analyze : Pta_solver.Solver.t -> Spec.compiled -> t
+val analyze :
+  ?budget:Pta_obs.Budget.t -> Pta_solver.Solver.t -> Spec.compiled -> t
 (** Run the taint fixpoint on a completed solve.  The cut-shortcut plan
     is taken from the solver's strategy, so flows match what the
-    points-to engines actually wired.
-    @raise Invalid_argument on an aborted (incomplete) solver state. *)
+    points-to engines actually wired.  [budget] (default: unlimited) is
+    ticked once per worklist iteration; pass the solve's own token to
+    keep counting against the same deadline.
+    @raise Invalid_argument on an aborted (incomplete) solver state.
+    @raise Pta_obs.Budget.Exhausted when [budget] runs out. *)
 
 val iter_tainted : t -> (Ir.Var_id.t -> Ctx.id -> Intset.t -> unit) -> unit
 (** Every tainted (variable, context) node with its label set.  Context

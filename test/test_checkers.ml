@@ -185,6 +185,36 @@ let checker_tests =
         match Checkers.run ~budget (Results.of_solver solver) with
         | _ -> Alcotest.fail "expected Budget.Exhausted"
         | exception Budget.Exhausted _ -> ());
+    Alcotest.test_case "a budget cancelled after the solve stops the witnesses"
+      `Quick (fun () ->
+        let module Budget = Pta_obs.Budget in
+        let p = Helpers.program demo_src in
+        let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+        let config = Solver.Config.make () in
+        let solver = Solver.solve ~config p (factory p) in
+        let r = Results.of_solver solver in
+        let only = [ "may-fail-cast" ] in
+        (* The run's first poll is [Checkers.run]'s own, the second the
+           one witness's; cancel on that second one. *)
+        let cancel_at_witness budget =
+          let base = Budget.iterations budget in
+          Budget.on_tick budget (fun n ->
+              if n = base + 2 then Budget.cancel budget)
+        in
+        (* Control: without a solver there is no provenance index to
+           build, and nothing polls after the witness's own check. *)
+        let control = Budget.unlimited () in
+        cancel_at_witness control;
+        (match Checkers.run ~only ~budget:control { r with solver = None } with
+        | [ { witnesses = [ _ ]; _ } ] -> ()
+        | _ -> Alcotest.fail "expected one diagnostic with one witness");
+        (* With the solver, the witness's provenance index build polls
+           the solve's own budget and stops there. *)
+        let budget = config.Solver.Config.budget in
+        cancel_at_witness budget;
+        match Checkers.run ~only ~budget r with
+        | _ -> Alcotest.fail "expected Budget.Exhausted"
+        | exception Budget.Exhausted _ -> ());
     Alcotest.test_case "diagnostics are sorted and stable" `Quick (fun () ->
         let diags = Checkers.run (results demo_src) in
         Alcotest.(check bool)

@@ -420,6 +420,21 @@ let misc_tests =
           match Taint.analyze partial spec with
           | _ -> Alcotest.fail "expected Invalid_argument"
           | exception Invalid_argument _ -> ()));
+    Alcotest.test_case "a cancelled budget stops the taint pass" `Quick
+      (fun () ->
+        let module Budget = Pta_obs.Budget in
+        let program =
+          Pta_frontend.Frontend.program_of_string ~file:"heap" program_heap
+        in
+        let spec = compile_spec program default_spec_text in
+        let factory = Option.get (Strategies.by_name "insens") in
+        let config = Solver.Config.make () in
+        let solver = Solver.solve ~config program (factory program) in
+        let budget = config.Solver.Config.budget in
+        Budget.cancel budget;
+        match Taint.analyze ~budget solver spec with
+        | _ -> Alcotest.fail "expected Budget.Exhausted"
+        | exception Budget.Exhausted _ -> ());
   ]
 
 (* ------------------------------------------------------------------ *)
