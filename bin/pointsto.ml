@@ -957,7 +957,7 @@ let exceptions_cmd =
           (fun h -> Format.fprintf ppf "    %s@." (Ir.Program.heap_name program h))
           e.exceptions)
       escapes;
-    let uncaught = Pta_clients.Exceptions.uncaught_at_entries solver in
+    let uncaught = Pta_clients.Exceptions.uncaught_at_entries solver escapes in
     Format.fprintf ppf
       "%d method(s) may leak exceptions; %d site(s) may escape main@."
       (List.length escapes) (List.length uncaught)

@@ -31,7 +31,7 @@ let () =
         | Error e -> Driver.report_and_exit e
       in
       let escapes = Exceptions.escapes solver in
-      let uncaught = Exceptions.uncaught_at_entries solver in
+      let uncaught = Exceptions.uncaught_at_entries solver escapes in
       Pta_report.Table.add_row table
         [ name; string_of_int (List.length escapes);
           string_of_int (List.length uncaught) ];

@@ -35,16 +35,13 @@ let escapes solver =
     tbl []
   |> List.sort (fun a b -> Meth_id.compare a.meth b.meth)
 
-let uncaught_at_entries solver =
-  let program = Solver.program solver in
-  let entries = Program.entries program in
-  let tbl = per_meth_heapsets solver in
-  let escaped =
-    List.fold_left
-      (fun acc entry ->
-        match Meth_id.Tbl.find_opt tbl entry with
-        | Some heaps -> Intset.union acc heaps
-        | None -> acc)
-      Intset.empty entries
-  in
-  List.map Heap_id.of_int (Intset.elements escaped)
+let uncaught_at_entries solver escapes =
+  let entries = Program.entries (Solver.program solver) in
+  List.fold_left
+    (fun acc e ->
+      if List.exists (Meth_id.equal e.meth) entries then
+        List.fold_left (fun acc h -> Intset.add (Heap_id.to_int h) acc) acc
+          e.exceptions
+      else acc)
+    Intset.empty escapes
+  |> Intset.elements |> List.map Heap_id.of_int

@@ -13,6 +13,8 @@ type escape = {
 val escapes : Pta_solver.Solver.t -> escape list
 (** Per-method escaping exceptions, methods with none omitted. *)
 
-val uncaught_at_entries : Pta_solver.Solver.t -> Pta_ir.Ir.Heap_id.t list
-(** Exception allocation sites that may propagate out of an entry point
-    (crash the program). *)
+val uncaught_at_entries :
+  Pta_solver.Solver.t -> escape list -> Pta_ir.Ir.Heap_id.t list
+(** [uncaught_at_entries solver escapes], where [escapes] is
+    [escapes solver]: exception allocation sites that may propagate out
+    of an entry point (crash the program), in id order. *)

@@ -53,7 +53,8 @@ let compute solver =
     may_fail_casts = Casts.may_fail_count cast_sites;
     total_casts = List.length cast_sites;
     throwing_methods = List.length escapes;
-    uncaught_exceptions = List.length (Exceptions.uncaught_at_entries solver);
+    uncaught_exceptions =
+      List.length (Exceptions.uncaught_at_entries solver escapes);
     taint_flows;
     sensitive_vpt = Solver.sensitive_vpt_size solver;
     n_ctxs = Solver.n_ctxs solver;

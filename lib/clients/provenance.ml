@@ -143,55 +143,51 @@ let explain t ~var ~heap =
      mislead. *)
   if not (Solver.is_complete solver) then
     invalid_arg "Provenance.explain: analysis aborted before fixpoint";
-  if not (Intset.mem (Heap_id.to_int heap) (Solver.ci_var_points_to solver var))
-  then None
-  else begin
-    let site = Heap_id.to_int heap in
-    let hobjs = hobjs_of_site t site in
-    (* The target keeps its original id so the reported step names the
-       variable the caller asked about, not an arbitrary cycle member. *)
-    match List.filter (holds solver hobjs) (Solver.var_node_ids solver var) with
-    | [] -> None
-    | target0 :: _ ->
-      let preds = preds_of_site t site in
-      let preds_of nid = Option.value ~default:[] (Hashtbl.find_opt preds nid) in
-      let target = Solver.canonical_node solver target0 in
-      if Array.length t.parent = 0 then
-        t.parent <- Array.make (Solver.n_nodes solver) unvisited;
-      let parent = t.parent in
-      (* BFS backwards to the furthest reachable origin (a node with no
-         unvisited predecessor); [parent] doubles as the visited set. *)
-      let visited = ref [ target ] in
-      let queue = Queue.create () in
-      Queue.add target queue;
-      parent.(target) <- -1;
-      let origin = ref target in
-      while not (Queue.is_empty queue) do
-        let nid = Queue.pop queue in
-        let ps = preds_of nid in
-        let fresh = List.filter (fun p -> parent.(p) = unvisited) ps in
-        if fresh = [] && ps = [] then origin := nid;
-        List.iter
-          (fun p ->
-            parent.(p) <- nid;
-            visited := p :: !visited;
-            Queue.add p queue)
-          fresh
-      done;
-      (* Forward chain from origin following parent pointers. *)
-      let rec chain nid acc =
-        if nid = target then List.rev (target :: acc)
-        else chain parent.(nid) (nid :: acc)
-      in
-      let nodes = chain !origin [] in
-      List.iter (fun nid -> parent.(nid) <- unvisited) !visited;
-      Some
-        (List.mapi
-           (fun i nid ->
-             let nid = if nid = target then target0 else nid in
-             { description = describe_node solver nid; is_origin = i = 0 })
-           nodes)
-  end
+  let site = Heap_id.to_int heap in
+  let hobjs = hobjs_of_site t site in
+  (* The target keeps its original id so the reported step names the
+     variable the caller asked about, not an arbitrary cycle member. *)
+  match List.filter (holds solver hobjs) (Solver.var_node_ids solver var) with
+  | [] -> None
+  | target0 :: _ ->
+    let preds = preds_of_site t site in
+    let preds_of nid = Option.value ~default:[] (Hashtbl.find_opt preds nid) in
+    let target = Solver.canonical_node solver target0 in
+    if Array.length t.parent = 0 then
+      t.parent <- Array.make (Solver.n_nodes solver) unvisited;
+    let parent = t.parent in
+    (* BFS backwards to the furthest reachable origin (a node with no
+       unvisited predecessor); [parent] doubles as the visited set. *)
+    let visited = ref [ target ] in
+    let queue = Queue.create () in
+    Queue.add target queue;
+    parent.(target) <- -1;
+    let origin = ref target in
+    while not (Queue.is_empty queue) do
+      let nid = Queue.pop queue in
+      let ps = preds_of nid in
+      let fresh = List.filter (fun p -> parent.(p) = unvisited) ps in
+      if fresh = [] && ps = [] then origin := nid;
+      List.iter
+        (fun p ->
+          parent.(p) <- nid;
+          visited := p :: !visited;
+          Queue.add p queue)
+        fresh
+    done;
+    (* Forward chain from origin following parent pointers. *)
+    let rec chain nid acc =
+      if nid = target then List.rev (target :: acc)
+      else chain parent.(nid) (nid :: acc)
+    in
+    let nodes = chain !origin [] in
+    List.iter (fun nid -> parent.(nid) <- unvisited) !visited;
+    Some
+      (List.mapi
+         (fun i nid ->
+           let nid = if nid = target then target0 else nid in
+           { description = describe_node solver nid; is_origin = i = 0 })
+         nodes)
 
 let pp_chain ppf steps =
   List.iteri

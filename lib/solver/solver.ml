@@ -167,10 +167,11 @@ type t = {
   call_edges : (int * int * int * int, unit) Hashtbl.t;
       (* (invo, caller ctx, meth, callee ctx) *)
   (* memoized context-insensitive projections *)
-  mutable ci_vpt : Intset.t array option;
   mutable var_node_index : int list array option;  (* var -> its nodes *)
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
+  mutable heap_stamps : int array;  (* heap -> epoch that last added it *)
+  mutable heap_epoch : int;  (* one per [ci_var_points_to] call *)
   (* run counters for the stats bundle; node, context and object counts
      are read off the tables above *)
   mutable n_edges : int;  (* flow edges attached *)
@@ -1003,8 +1004,8 @@ let census st =
       ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
       ( "memos",
         [
-          Obj.repr st.ci_vpt; Obj.repr st.var_node_index;
-          Obj.repr st.ci_targets; Obj.repr st.node_kinds;
+          Obj.repr st.var_node_index; Obj.repr st.ci_targets;
+          Obj.repr st.node_kinds; Obj.repr st.heap_stamps;
         ] );
     ]
 
@@ -1042,10 +1043,11 @@ let solve_outcome ?(config = Config.default) program strategy =
         meth_queue = Queue.create ();
         reachable = Hashtbl.create 1024;
         call_edges = Hashtbl.create 4096;
-        ci_vpt = None;
         var_node_index = None;
         ci_targets = None;
         node_kinds = None;
+        heap_stamps = [||];
+        heap_epoch = 0;
         n_edges = 0;
         n_triggers = 0;
         delta_total = 0;
@@ -1247,24 +1249,21 @@ let var_node_ids st var =
   index.(Var_id.to_int var)
 
 let ci_var_points_to st var =
-  let table =
-    match st.ci_vpt with
-    | Some t -> t
-    | None ->
-      let t = Array.make (Program.n_vars st.program) Intset.empty in
-      Hashtbl.iter
-        (fun (v, _) nid ->
-          let heaps =
-            Intset.fold
-              (fun hobj acc -> Intset.add (Vec.get st.hobj_heaps hobj) acc)
-              (Vec.get st.nodes nid).all Intset.empty
-          in
-          t.(v) <- Intset.union t.(v) heaps)
-        st.var_nodes;
-      st.ci_vpt <- Some t;
-      t
+  if Array.length st.heap_stamps = 0 then
+    st.heap_stamps <- Array.make (Program.n_heaps st.program) 0;
+  st.heap_epoch <- st.heap_epoch + 1;
+  let stamps = st.heap_stamps and epoch = st.heap_epoch in
+  let add_heap hobj acc =
+    let heap = Vec.get st.hobj_heaps hobj in
+    if stamps.(heap) = epoch then acc
+    else begin
+      stamps.(heap) <- epoch;
+      Intset.add heap acc
+    end
   in
-  table.(Var_id.to_int var)
+  List.fold_left
+    (fun acc nid -> Intset.fold add_heap (Vec.get st.nodes nid).all acc)
+    Intset.empty (var_node_ids st var)
 
 let reachable_meths st =
   Hashtbl.fold

@@ -215,7 +215,11 @@ val phases : t -> (string * float) list
 
 val ci_var_points_to : t -> Pta_ir.Ir.Var_id.t -> Intset.t
 (** Allocation sites (as raw [Heap_id] ints) the variable may point to in
-    any context.  Memoized on first use. *)
+    any context.  Computed on each call, in time linear in the
+    variable's context-sensitive facts; a call allocates only its
+    result, deduplicating heaps against a per-state stamp array of one
+    int per allocation site (allocated on the first call, counted under
+    the census's ["memos"]). *)
 
 val reachable_meths : t -> Pta_ir.Ir.Meth_id.Set.t
 val invo_targets : t -> Pta_ir.Ir.Invo_id.t -> Pta_ir.Ir.Meth_id.Set.t

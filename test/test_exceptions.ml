@@ -18,6 +18,10 @@ let heap_types solver heaps =
          Ir.Program.type_name program (Ir.Program.heap_info program h).Ir.heap_type)
   |> List.sort compare
 
+let uncaught_types solver =
+  heap_types solver
+    (Exceptions.uncaught_at_entries solver (Exceptions.escapes solver))
+
 (* Exceptions caught by the variable's handler, via its points-to set. *)
 let catch_var_types solver meth_spec var_name =
   let program = Solver.program solver in
@@ -134,8 +138,7 @@ let rethrow_test () =
   Alcotest.(check (list string))
     "wrapped exception unwraps" [ "Low" ]
     (catch_var_types solver ("Main", "main") "unwrapped");
-  let uncaught = Exceptions.uncaught_at_entries solver in
-  Alcotest.(check (list string)) "nothing escapes main" [] (heap_types solver uncaught)
+  Alcotest.(check (list string)) "nothing escapes main" [] (uncaught_types solver)
 
 let uncaught_test () =
   let solver =
@@ -157,7 +160,7 @@ let uncaught_test () =
   in
   Alcotest.(check (list string))
     "only Boom escapes" [ "Boom" ]
-    (heap_types solver (Exceptions.uncaught_at_entries solver))
+    (uncaught_types solver)
 
 let catch_type_filter_test () =
   (* A handler must not capture incompatible exceptions even when they
@@ -184,7 +187,7 @@ let catch_type_filter_test () =
     (catch_var_types solver ("Main", "main") "onlyA");
   Alcotest.(check (list string))
     "ErrB escapes" [ "ErrB" ]
-    (heap_types solver (Exceptions.uncaught_at_entries solver))
+    (uncaught_types solver)
 
 let context_sensitivity_test () =
   (* Exceptions respect context: under 1obj, the exception thrown by a

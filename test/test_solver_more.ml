@@ -186,6 +186,60 @@ let field_sensitivity_test () =
   Alcotest.(check (list string)) "x is A" [ "A" ] (heap_types "x");
   Alcotest.(check (list string)) "y is B" [ "B" ] (heap_types "y")
 
+(* The projection as one whole-table fold: every (var, ctx) node's
+   hobjs mapped to their heaps, unioned per variable.  The oracle for
+   [Solver.ci_var_points_to]. *)
+let reference_ci_table solver =
+  let table =
+    Array.make (Ir.Program.n_vars (Solver.program solver)) Intset.empty
+  in
+  Solver.iter_var_points_to solver (fun var _ hobjs ->
+      let v = Ir.Var_id.to_int var in
+      let heaps =
+        Intset.fold
+          (fun hobj acc ->
+            Intset.add (Ir.Heap_id.to_int (Solver.hobj_heap solver hobj)) acc)
+          hobjs Intset.empty
+      in
+      table.(v) <- Intset.union table.(v) heaps);
+  table
+
+(* Each group's analyses stay live together.  Per variable, the
+   states are queried round-robin, then in reverse order twice each.
+   Their epochs advance in step, so a stamp leaking from one state
+   into another would hide heaps; the repeated query reuses a state's
+   stamps on the same variable. *)
+let ci_projection_test wname () =
+  let program =
+    Pta_workloads.Workloads.program
+      (Option.get (Pta_workloads.Profile.by_name wname))
+  in
+  let solve name =
+    let factory = Option.get (Pta_context.Strategies.by_name name) in
+    let solver = Solver.solve program (factory program) in
+    (name, solver, reference_ci_table solver)
+  in
+  let check var query (name, solver, table) =
+    let expected = table.(Ir.Var_id.to_int var) in
+    let got = Solver.ci_var_points_to solver var in
+    if not (Intset.equal got expected) then
+      Alcotest.failf "%s/%s: %s query of %s has %d heaps, not %d" wname name
+        query
+        (Ir.Program.var_qualified_name program var)
+        (Intset.cardinal got) (Intset.cardinal expected)
+  in
+  List.iter
+    (fun group ->
+      let live = List.map solve group in
+      Ir.Program.iter_vars program (fun var _ ->
+          List.iter (check var "round-robin") live;
+          List.iter
+            (fun state ->
+              check var "reverse" state;
+              check var "repeated" state)
+            (List.rev live)))
+    [ [ "insens"; "1obj" ]; [ "1call"; "2type+H"; "S-2obj+H" ] ]
+
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
@@ -200,3 +254,9 @@ let tests =
     Alcotest.test_case "context arities match definitions" `Quick ctx_shapes_test;
     Alcotest.test_case "field sensitivity" `Quick field_sensitivity_test;
   ]
+  @ List.map
+      (fun w ->
+        Alcotest.test_case
+          (Printf.sprintf "CI projection = fold: %s" w)
+          `Quick (ci_projection_test w))
+      [ "tiny"; "cyclic"; "luindex" ]
