@@ -44,6 +44,10 @@ let start b ~probe =
   b.cancelled <- false;
   b.probe <- probe
 
+let stop b =
+  let n = b.probe () in
+  b.probe <- (fun () -> n)
+
 let elapsed_s b = Clock.elapsed_s b.clock
 let iterations b = b.ticks
 

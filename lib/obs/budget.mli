@@ -40,6 +40,13 @@ val start : t -> probe:(unit -> int) -> unit
     reused by sequential runs; each [start] rearms it and clears any
     pending cancellation. *)
 
+val stop : t -> unit
+(** Called by the engine when its run ends, completed or aborted:
+    replaces the probe with a constant holding its final reading, so a
+    long-lived token (e.g. a default configuration's) no longer keeps
+    the engine's state reachable.  Iterations and elapsed time are
+    kept. *)
+
 val tick : t -> unit
 (** One engine iteration: counts it, runs the {!on_tick} callback, then
     polls.  @raise Exhausted when out of budget. *)

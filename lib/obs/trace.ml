@@ -159,7 +159,13 @@ let bump t cat name ~us ~delta alloc =
   | None -> ()
   | Some (minor, promoted, major) ->
     a.a_minor_w <- a.a_minor_w +. minor;
-    a.a_promoted_w <- a.a_promoted_w +. promoted;
+    (* Promotion is charged against the span's own major words, never
+       more: on OCaml 5 a minor collection inside the span can report
+       promoted words before they show up in [major_words], and the
+       surplus would take fresh words off the span — below its exact
+       minor count, even below 0.  So a span's direct-major term,
+       [major - promoted], is clamped at 0 per span. *)
+    a.a_promoted_w <- a.a_promoted_w +. Float.min promoted major;
     a.a_major_w <- a.a_major_w +. major
 
 let begin_span t ~cat name =

@@ -104,13 +104,17 @@ type stat = {
   delta : int;  (** cumulative [delta] across them *)
   seconds : float;  (** cumulative time across them *)
   minor_words : float;  (** cumulative minor-heap allocation, if captured *)
-  promoted_words : float;  (** cumulative minor-to-major promotion *)
+  promoted_words : float;
+      (** cumulative minor-to-major promotion, each span's capped at its
+          own [major_words] *)
   major_words : float;  (** cumulative major-heap allocation *)
 }
 
 val stat_alloc_words : stat -> float
 (** Fresh words allocated: [minor + major - promoted] (promotions would
-    otherwise be counted on both sides). *)
+    otherwise be counted on both sides).  Because each span's promotion
+    is capped at its major words, a span is never charged less than its
+    exact minor words. *)
 
 val profile : t -> stat list
 (** Per-(category, name) aggregates over {e all} spans ever completed

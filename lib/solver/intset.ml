@@ -1,25 +1,66 @@
 (* Big-endian Patricia trees for non-negative integers, after Okasaki &
-   Gill, "Fast Mergeable Integer Maps".  The representation is canonical:
-   equal sets have equal structure, so [equal] could even be [(=)]; we
-   still implement it recursively to benefit from physical-equality
-   cut-offs, which matter because [union] preserves sharing. *)
+   Gill, "Fast Mergeable Integer Maps".  The representation is canonical
+   (equal sets have equal structure) and hash-consed: every [Leaf] and
+   [Branch] is built through one process-global weak table, so equal
+   subtrees are one physical node and [equal] is [(==)].  Hybrid
+   context-sensitivity repeats the same points-to sets across many
+   contexts; consing stores each distinct subtree once.  Every
+   constructor goes through [leaf] or [node]; never build a [Leaf] or
+   [Branch] directly. *)
 
 type t =
   | Empty
   | Leaf of int
-  | Branch of int * int * t * t
-      (* Branch (prefix, branching_bit, left, right): [left] holds
+  | Branch of int * int * t * t * int
+      (* Branch (prefix, branching_bit, left, right, hash): [left] holds
          elements whose branching bit is 0, [right] those where it is 1.
-         All elements agree with [prefix] above the branching bit. *)
+         All elements agree with [prefix] above the branching bit.
+         [hash] is computed from the children's, so it depends only on
+         the elements. *)
+
+let hash = function
+  | Empty -> 0
+  | Leaf i -> i
+  | Branch (_, _, _, _, h) -> h
+
+let mix a b =
+  let h = (a + (b * 0x9E3779B97F4A7C1)) * 0xBF58476D1CE4E5B in
+  h lxor (h lsr 31)
+
+(* The cons table.  Children are already consed, so one level of
+   comparison decides equality; [prefix] and [bit] follow from the
+   children but are cheap to check.  The hashes are structural, not
+   counters, so the table's layout (and so what a run allocates) does
+   not depend on which dead nodes the GC has cleared. *)
+module Cons = Weak.Make (struct
+  type nonrec t = t
+
+  let equal a b =
+    match (a, b) with
+    | Leaf i, Leaf j -> i = j
+    | Branch (p, m, l, r, _), Branch (q, n, l', r', _) ->
+      l == l' && r == r' && p = q && m = n
+    | (Empty | Leaf _ | Branch _), _ -> false
+
+  let hash = hash
+end)
+
+let table = Cons.create 64
+let leaf i = Cons.merge table (Leaf i)
+
+(* The one way to build a [Branch]: the live node equal to the
+   candidate if there is one, else the candidate. *)
+let node p m l r = Cons.merge table (Branch (p, m, l, r, mix (hash l) (hash r)))
 
 let empty = Empty
-let is_empty t = t = Empty
+let is_empty t = t == Empty
+let equal (s : t) t = s == t
 
 let check_elt i = if i < 0 then invalid_arg "Intset: negative element"
 
 let singleton i =
   check_elt i;
-  Leaf i
+  leaf i
 
 (* Keep only the bits of [k] strictly above bit [m]. *)
 let mask k m = k land lnot ((m lsl 1) - 1)
@@ -41,13 +82,13 @@ let branching_bit a b = highest_bit (a lxor b)
 
 let join p0 t0 p1 t1 =
   let m = branching_bit p0 p1 in
-  if zero_bit p0 m then Branch (mask p0 m, m, t0, t1)
-  else Branch (mask p0 m, m, t1, t0)
+  if zero_bit p0 m then node (mask p0 m) m t0 t1
+  else node (mask p0 m) m t1 t0
 
 let rec mem i = function
   | Empty -> false
   | Leaf j -> i = j
-  | Branch (p, m, l, r) ->
+  | Branch (p, m, l, r, _) ->
     if not (match_prefix i p m) then false
     else if zero_bit i m then mem i l
     else mem i r
@@ -56,36 +97,36 @@ let rec add i t =
   match t with
   | Empty ->
     check_elt i;
-    Leaf i
+    leaf i
   | Leaf j ->
     if i = j then t
     else begin
       check_elt i;
-      join i (Leaf i) j t
+      join i (leaf i) j t
     end
-  | Branch (p, m, l, r) ->
+  | Branch (p, m, l, r, _) ->
     if match_prefix i p m then
       if zero_bit i m then
         let l' = add i l in
-        if l' == l then t else Branch (p, m, l', r)
+        if l' == l then t else node p m l' r
       else
         let r' = add i r in
-        if r' == r then t else Branch (p, m, l, r')
+        if r' == r then t else node p m l r'
     else begin
       check_elt i;
-      join i (Leaf i) p t
+      join i (leaf i) p t
     end
 
 let branch p m l r =
   match (l, r) with
   | Empty, t | t, Empty -> t
-  | _ -> Branch (p, m, l, r)
+  | _ -> node p m l r
 
 let rec remove i t =
   match t with
   | Empty -> Empty
   | Leaf j -> if i = j then Empty else t
-  | Branch (p, m, l, r) ->
+  | Branch (p, m, l, r, _) ->
     if not (match_prefix i p m) then t
     else if zero_bit i m then
       let l' = remove i l in
@@ -101,60 +142,28 @@ let rec union s t =
     | Empty, u | u, Empty -> u
     | Leaf i, u -> add i u
     | u, Leaf i -> add i u
-    | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
+    | Branch (p, m, sl, sr, _), Branch (q, n, tl, tr, _) ->
       if m = n && p = q then begin
         let l = union sl tl and r = union sr tr in
-        if l == sl && r == sr then s else Branch (p, m, l, r)
+        if l == sl && r == sr then s else node p m l r
       end
       else if m > n && match_prefix q p m then
         if zero_bit q m then
           let l = union sl t in
-          if l == sl then s else Branch (p, m, l, sr)
+          if l == sl then s else node p m l sr
         else
           let r = union sr t in
-          if r == sr then s else Branch (p, m, sl, r)
+          if r == sr then s else node p m sl r
       else if m < n && match_prefix p q n then
-        if zero_bit p n then Branch (q, n, union s tl, tr)
-        else Branch (q, n, tl, union s tr)
+        if zero_bit p n then node q n (union s tl) tr
+        else node q n tl (union s tr)
       else join p s q t
 
-(* [union_stats s t] is [union s t] paired with whether the result is a
-   strict superset of [s] — i.e. whether [t] contributed any element.
-   The no-growth path always returns [s] itself (physically), so callers
-   that would otherwise follow a [union] with [cardinal]/[equal] get the
-   answer for free and keep maximal structural sharing. *)
-let rec union_stats s t =
-  if s == t then (s, false)
-  else
-    match (s, t) with
-    | u, Empty -> (u, false)
-    | Empty, u -> (u, true)  (* canonical: a non-Empty [u] is non-empty *)
-    | u, Leaf i -> if mem i u then (u, false) else (add i u, true)
-    | Leaf i, u -> (
-      match u with
-      | Leaf j when i = j -> (s, false)
-      | _ -> (add i u, true))
-    | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
-      if m = n && p = q then begin
-        let l, gl = union_stats sl tl in
-        let r, gr = union_stats sr tr in
-        if l == sl && r == sr then (s, gl || gr)
-        else (Branch (p, m, l, r), gl || gr)
-      end
-      else if m > n && match_prefix q p m then
-        if zero_bit q m then
-          let l, g = union_stats sl t in
-          ((if l == sl then s else Branch (p, m, l, sr)), g)
-        else
-          let r, g = union_stats sr t in
-          ((if r == sr then s else Branch (p, m, sl, r)), g)
-      else if m < n && match_prefix p q n then
-        (* [t] spans strictly more prefix bits than [s], so [t] holds
-           elements outside [s]'s span: the union always grows. *)
-        ( (if zero_bit p n then Branch (q, n, union s tl, tr)
-           else Branch (q, n, tl, union s tr)),
-          true )
-      else (join p s q t, true)
+(* Consing makes "nothing grew" a pointer test: the union equals [s]
+   exactly when it is [s]. *)
+let union_stats s t =
+  let u = union s t in
+  (u, u != s)
 
 let rec inter s t =
   if s == t then s
@@ -163,7 +172,7 @@ let rec inter s t =
     | Empty, _ | _, Empty -> Empty
     | Leaf i, u -> if mem i u then s else Empty
     | u, Leaf i -> if mem i u then t else Empty
-    | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
+    | Branch (p, m, sl, sr, _), Branch (q, n, tl, tr, _) ->
       if m = n && p = q then branch p m (inter sl tl) (inter sr tr)
       else if m > n && match_prefix q p m then
         inter (if zero_bit q m then sl else sr) t
@@ -179,7 +188,7 @@ let rec diff s t =
     | u, Empty -> u
     | Leaf i, u -> if mem i u then Empty else s
     | u, Leaf i -> remove i u
-    | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
+    | Branch (p, m, sl, sr, _), Branch (q, n, tl, tr, _) ->
       if m = n && p = q then begin
         let l = diff sl tl and r = diff sr tr in
         if l == sl && r == sr then s else branch p m l r
@@ -205,7 +214,7 @@ let rec split_under p m t =
     if not (match_prefix i p m) then (Empty, Empty)
     else if zero_bit i m then (t, Empty)
     else (Empty, t)
-  | Branch (q, n, tl, tr) ->
+  | Branch (q, n, tl, tr, _) ->
     if n > m then
       (* [t] spans wider: the whole (p, m) range lies inside one child of
          [t]; descend that child. *)
@@ -228,7 +237,7 @@ let rec diff2 s a b =
     match s with
     | Empty -> Empty
     | Leaf i -> if mem i a || mem i b then Empty else s
-    | Branch (p, m, sl, sr) -> (
+    | Branch (p, m, sl, sr, _) -> (
       match (a, b) with
       | Empty, Empty -> s
       | Empty, t | t, Empty -> diff s t
@@ -242,7 +251,7 @@ let rec diff2 s a b =
 let rec cardinal = function
   | Empty -> 0
   | Leaf _ -> 1
-  | Branch (_, _, l, r) -> cardinal l + cardinal r
+  | Branch (_, _, l, r, _) -> cardinal l + cardinal r
 
 let rec subset s t =
   s == t
@@ -252,26 +261,16 @@ let rec subset s t =
   | _, Empty -> false
   | Leaf i, u -> mem i u
   | Branch _, Leaf _ -> false
-  | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
+  | Branch (p, m, sl, sr, _), Branch (q, n, tl, tr, _) ->
     if m = n && p = q then subset sl tl && subset sr tr
     else if m < n && match_prefix p q n then
       subset s (if zero_bit p n then tl else tr)
     else false
 
-let rec equal s t =
-  s == t
-  ||
-  match (s, t) with
-  | Empty, Empty -> true
-  | Leaf i, Leaf j -> i = j
-  | Branch (p, m, sl, sr), Branch (q, n, tl, tr) ->
-    p = q && m = n && equal sl tl && equal sr tr
-  | (Empty | Leaf _ | Branch _), _ -> false
-
 let rec iter f = function
   | Empty -> ()
   | Leaf i -> f i
-  | Branch (_, _, l, r) ->
+  | Branch (_, _, l, r, _) ->
     iter f l;
     iter f r
 
@@ -279,23 +278,59 @@ let rec fold f t acc =
   match t with
   | Empty -> acc
   | Leaf i -> f i acc
-  | Branch (_, _, l, r) -> fold f r (fold f l acc)
+  | Branch (_, _, l, r, _) -> fold f r (fold f l acc)
 
 let rec exists p = function
   | Empty -> false
   | Leaf i -> p i
-  | Branch (_, _, l, r) -> exists p l || exists p r
+  | Branch (_, _, l, r, _) -> exists p l || exists p r
 
 let rec for_all p = function
   | Empty -> true
   | Leaf i -> p i
-  | Branch (_, _, l, r) -> for_all p l && for_all p r
+  | Branch (_, _, l, r, _) -> for_all p l && for_all p r
 
-let filter p t = fold (fun i acc -> if p i then add i acc else acc) t Empty
+(* Visits elements in increasing order, like [fold]. *)
+let rec filter f t =
+  match t with
+  | Empty -> Empty
+  | Leaf i -> if f i then t else Empty
+  | Branch (p, m, l, r, _) ->
+    let l' = filter f l in
+    let r' = filter f r in
+    if l' == l && r' == r then t else branch p m l' r'
+
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
-let of_list l = List.fold_left (fun acc i -> add i acc) Empty l
+
+(* [a.(lo .. hi-1)], non-empty, strictly increasing: the highest bit
+   where its ends differ splits it into the two children. *)
+let rec of_range a lo hi =
+  if hi - lo = 1 then leaf a.(lo)
+  else begin
+    let first = a.(lo) in
+    let m = branching_bit first a.(hi - 1) in
+    let k = ref (lo + 1) in
+    while zero_bit a.(!k) m do
+      incr k
+    done;
+    node (mask first m) m (of_range a lo !k) (of_range a !k hi)
+  end
+
+let of_sorted_array a =
+  let n = Array.length a in
+  if n = 0 then Empty
+  else begin
+    check_elt a.(0);
+    for i = 1 to n - 1 do
+      if a.(i - 1) >= a.(i) then
+        invalid_arg "Intset.of_sorted_array: not strictly increasing"
+    done;
+    of_range a 0 n
+  end
+
+let of_list l = of_sorted_array (Array.of_list (List.sort_uniq Int.compare l))
 
 let rec choose_opt = function
   | Empty -> None
   | Leaf i -> Some i
-  | Branch (_, _, l, _) -> choose_opt l
+  | Branch (_, _, l, _, _) -> choose_opt l

@@ -1,7 +1,17 @@
 (** Immutable sets of non-negative integers as big-endian Patricia trees
     (Okasaki & Gill).  The solver's points-to sets: persistent, with
-    cheap unions of mostly-shared sets and canonical structure (two equal
-    sets are structurally equal).
+    cheap unions of mostly-shared sets and canonical structure.
+
+    The sets are hash-consed: every tree node is built through one
+    process-global weak table, so two equal sets are always the same
+    physical value and {!equal} is [(==)].  A set costs memory once
+    however many contexts hold it, and a node lives as long as some
+    set reaches it.  Each node carries a hash computed from its
+    elements, never a counter, so nothing about a set depends on
+    allocation order or GC timing.  Key tables by {!hash} and {!equal}
+    ([Hashtbl.Make (Intset)]); polymorphic [compare], [(=)] and
+    [Hashtbl.hash] still work but walk the tree.  The cons table is not
+    domain-safe: build sets from one domain at a time.
 
     All elements must be non-negative; operations raise
     [Invalid_argument] otherwise. *)
@@ -20,8 +30,7 @@ val union_stats : t -> t -> t * bool
 (** [union_stats s t] is [(union s t, grew)] where [grew] reports
     whether the union is a strict superset of [s] (i.e. [t] is not a
     subset of [s]).  When [grew] is [false], the returned set is [s]
-    itself (physical equality), so callers need no follow-up
-    [cardinal]/[equal] comparison to detect growth. *)
+    itself (physical equality). *)
 
 val inter : t -> t -> t
 val diff : t -> t -> t
@@ -37,16 +46,30 @@ val cardinal : t -> int
     just the root: shared subtrees are never descended. *)
 val subset : t -> t -> bool
 
-(** Same short-circuit discipline as {!subset}; canonical structure
-    makes this a pure structural comparison with sharing cut-offs. *)
 val equal : t -> t -> bool
+(** Physical equality, which consing makes extensional. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}, read off the root in O(1): the
+    element for a singleton, a mix of the children's hashes otherwise.
+    A function of the elements alone, so the same in every run. *)
+
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val exists : (int -> bool) -> t -> bool
 val for_all : (int -> bool) -> t -> bool
 val filter : (int -> bool) -> t -> t
+(** Visits elements in increasing order; returns its argument itself
+    when the predicate keeps every element. *)
+
 val elements : t -> int list
 (** In increasing order. *)
 
 val of_list : int list -> t
+
+val of_sorted_array : int array -> t
+(** The set of a strictly increasing array, built with one node per
+    split and no intermediate sets.
+    @raise Invalid_argument if the array is not strictly increasing. *)
+
 val choose_opt : t -> int option

@@ -111,6 +111,9 @@ type node_kind =
   | Throw_node of Meth_id.t * Ctx.id
   | Scope_node
 
+(* Keyed by set identity: consing makes it extensional. *)
+module Set_tbl = Hashtbl.Make (Intset)
+
 type node = {
   mutable all : Intset.t;
   mutable pending : Intset.t;  (* invariant: disjoint from [all] *)
@@ -170,8 +173,10 @@ type t = {
   mutable var_node_index : int list array option;  (* var -> its nodes *)
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
+  heap_sets : Intset.t Set_tbl.t;
+      (* hobj set -> its heap set, one entry per distinct set queried *)
   mutable heap_stamps : int array;  (* heap -> epoch that last added it *)
-  mutable heap_epoch : int;  (* one per [ci_var_points_to] call *)
+  mutable heap_epoch : int;  (* one per projected set *)
   (* run counters for the stats bundle; node, context and object counts
      are read off the tables above *)
   mutable n_edges : int;  (* flow edges attached *)
@@ -1005,7 +1010,8 @@ let census st =
       ( "memos",
         [
           Obj.repr st.var_node_index; Obj.repr st.ci_targets;
-          Obj.repr st.node_kinds; Obj.repr st.heap_stamps;
+          Obj.repr st.node_kinds; Obj.repr st.heap_sets;
+          Obj.repr st.heap_stamps;
         ] );
     ]
 
@@ -1046,6 +1052,7 @@ let solve_outcome ?(config = Config.default) program strategy =
         var_node_index = None;
         ci_targets = None;
         node_kinds = None;
+        heap_sets = Set_tbl.create 64;
         heap_stamps = [||];
         heap_epoch = 0;
         n_edges = 0;
@@ -1114,11 +1121,13 @@ let solve_outcome ?(config = Config.default) program strategy =
   match fixpoint () with
   | () ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
+    Budget.stop budget;
     st.solved <- true;
     record_final_metrics st;
     Complete st
   | exception Budget.Exhausted abort ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
+    Budget.stop budget;
     record_final_metrics st;
     Aborted (st, abort)
 
@@ -1248,21 +1257,37 @@ let var_node_ids st var =
   in
   index.(Var_id.to_int var)
 
+(* The heap set of one hobj set, built once per distinct set: the
+   epoch stamps drop repeated heaps, then a sort feeds
+   [Intset.of_sorted_array]. *)
+let heap_set st hobjs =
+  match Set_tbl.find_opt st.heap_sets hobjs with
+  | Some heaps -> heaps
+  | None ->
+    if Array.length st.heap_stamps = 0 then
+      st.heap_stamps <- Array.make (Program.n_heaps st.program) 0;
+    st.heap_epoch <- st.heap_epoch + 1;
+    let stamps = st.heap_stamps and epoch = st.heap_epoch in
+    let distinct =
+      Intset.fold
+        (fun hobj acc ->
+          let heap = Vec.get st.hobj_heaps hobj in
+          if stamps.(heap) = epoch then acc
+          else begin
+            stamps.(heap) <- epoch;
+            heap :: acc
+          end)
+        hobjs []
+    in
+    let sorted = Array.of_list distinct in
+    Array.sort Int.compare sorted;
+    let heaps = Intset.of_sorted_array sorted in
+    Set_tbl.add st.heap_sets hobjs heaps;
+    heaps
+
 let ci_var_points_to st var =
-  if Array.length st.heap_stamps = 0 then
-    st.heap_stamps <- Array.make (Program.n_heaps st.program) 0;
-  st.heap_epoch <- st.heap_epoch + 1;
-  let stamps = st.heap_stamps and epoch = st.heap_epoch in
-  let add_heap hobj acc =
-    let heap = Vec.get st.hobj_heaps hobj in
-    if stamps.(heap) = epoch then acc
-    else begin
-      stamps.(heap) <- epoch;
-      Intset.add heap acc
-    end
-  in
   List.fold_left
-    (fun acc nid -> Intset.fold add_heap (Vec.get st.nodes nid).all acc)
+    (fun acc nid -> Intset.union acc (heap_set st (Vec.get st.nodes nid).all))
     Intset.empty (var_node_ids st var)
 
 let reachable_meths st =

@@ -215,11 +215,15 @@ val phases : t -> (string * float) list
 
 val ci_var_points_to : t -> Pta_ir.Ir.Var_id.t -> Intset.t
 (** Allocation sites (as raw [Heap_id] ints) the variable may point to in
-    any context.  Computed on each call, in time linear in the
-    variable's context-sensitive facts; a call allocates only its
-    result, deduplicating heaps against a per-state stamp array of one
-    int per allocation site (allocated on the first call, counted under
-    the census's ["memos"]). *)
+    any context.  Each distinct hobj set is projected to its heap set
+    once per solver state: the first projection of a set costs time
+    linear in its size plus a sort of its heaps, and is memoized in a
+    table keyed by set identity.  A call then costs one lookup per
+    context node of the variable plus the unions of their projections
+    (free when the contexts hold the same set).  Equal answers are the
+    same physical set, so two calls for one variable return [==] sets.
+    The memo and a stamp array of one int per allocation site are
+    counted under the census's ["memos"]. *)
 
 val reachable_meths : t -> Pta_ir.Ir.Meth_id.Set.t
 val invo_targets : t -> Pta_ir.Ir.Invo_id.t -> Pta_ir.Ir.Meth_id.Set.t

@@ -12,6 +12,8 @@ let ints_arb = QCheck.(list_of_size Gen.(int_bound 200) (int_bound 10_000))
 let model_of_list l = M.of_list l
 let set_of_list l = Intset.of_list l
 
+let sorted m = Array.of_list (M.elements m)
+
 let prop name gen f = QCheck.Test.make ~count:500 ~name gen f
 
 let qcheck_tests =
@@ -74,6 +76,34 @@ let qcheck_tests =
         M.equal
           (to_model (Intset.filter (fun x -> x mod 2 = 0) (set_of_list l)))
           (M.filter (fun x -> x mod 2 = 0) (model_of_list l)));
+    prop "of_sorted_array agrees with model" ints_arb (fun l ->
+        let m = model_of_list l in
+        M.equal (to_model (Intset.of_sorted_array (sorted m))) m);
+    prop "filter keeping everything returns its input" ints_arb (fun l ->
+        let s = set_of_list l and m = model_of_list l in
+        Intset.filter (fun x -> M.mem x m) s == s
+        && Intset.filter (fun x -> x mod 3 <> 0 || M.mem x m) s == s);
+    prop "hash-consed: equal sets are physically equal however built"
+      QCheck.(pair ints_arb ints_arb)
+      (fun (a, b) ->
+        let sa = set_of_list a and sb = set_of_list b in
+        let ma = model_of_list a and mb = model_of_list b in
+        (* The reference build: one node per split, no intermediates. *)
+        let canon m = Intset.of_sorted_array (sorted m) in
+        let even x = x mod 2 = 0 in
+        set_of_list (List.rev a) == sa
+        && List.fold_left (fun acc i -> Intset.add i acc) Intset.empty
+             (List.rev a) == sa
+        && canon ma == sa
+        && Intset.union sa sb == canon (M.union ma mb)
+        && Intset.union sb sa == canon (M.union ma mb)
+        && Intset.inter sa sb == canon (M.inter ma mb)
+        && Intset.diff sa sb == canon (M.diff ma mb)
+        && Intset.diff2 (Intset.union sa sb) sb Intset.empty
+           == canon (M.diff ma mb)
+        && M.fold Intset.remove mb sa == canon (M.diff ma mb)
+        && Intset.filter even sa == canon (M.filter even ma)
+        && Intset.hash (Intset.union sa sb) = Intset.hash (Intset.union sb sa));
     prop "for_all/exists" ints_arb (fun l ->
         let s = set_of_list l and m = model_of_list l in
         Intset.for_all (fun x -> x >= 0) s = M.for_all (fun x -> x >= 0) m
@@ -130,6 +160,36 @@ let unit_tests =
         Alcotest.(check bool) "equal" true (Intset.equal a b);
         Alcotest.(check bool) "subset" true (Intset.subset big a);
         Alcotest.(check bool) "self subset" true (Intset.subset a a));
+    Alcotest.test_case "of_sorted_array rejects bad input" `Quick (fun () ->
+        let bad = Invalid_argument "Intset.of_sorted_array: not strictly increasing" in
+        Alcotest.check_raises "unsorted" bad (fun () ->
+            ignore (Intset.of_sorted_array [| 3; 1 |]));
+        Alcotest.check_raises "duplicate" bad (fun () ->
+            ignore (Intset.of_sorted_array [| 1; 1 |]));
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Intset: negative element") (fun () ->
+            ignore (Intset.of_sorted_array [| -1; 4 |]));
+        Alcotest.(check bool) "empty" true
+          (Intset.is_empty (Intset.of_sorted_array [||])));
+    Alcotest.test_case "equal is physical equality" `Quick (fun () ->
+        let a = Intset.of_list [ 5; 70; 900; 12_000 ] in
+        let b =
+          Intset.remove 1 (Intset.union (Intset.of_list [ 900; 12_000 ])
+                             (Intset.of_list [ 1; 70; 5 ]))
+        in
+        Alcotest.(check bool) "same node" true (a == b);
+        Alcotest.(check bool) "equal" true (Intset.equal a b));
+    Alcotest.test_case "unreachable sets are collected" `Quick (fun () ->
+        (* Elements no other test uses, so nothing else can reach the
+           set through the cons table's sharing. *)
+        let weak = Weak.create 1 in
+        let[@inline never] build_and_drop () =
+          Weak.set weak 0
+            (Some (Intset.of_list (List.init 64 (fun i -> 7_000_003 + (i * 3)))))
+        in
+        build_and_drop ();
+        Gc.full_major ();
+        Alcotest.(check bool) "collected" false (Weak.check weak 0));
     Alcotest.test_case "large and boundary values" `Quick (fun () ->
         let big = max_int / 2 in
         let s = Intset.of_list [ 0; 1; big; big - 1 ] in

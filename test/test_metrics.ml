@@ -106,7 +106,11 @@ let solver_transparent_test () =
    much as any other null-metered solve — and strictly less than a
    live-metered one, which registers families and boxes histogram
    samples.  (Regression test for the null path allocating per-solve
-   meter records / sampling the depth histogram unconditionally.) *)
+   meter records / sampling the depth histogram unconditionally.)
+   Points-to sets are hash-consed in one global weak table, so a solve's
+   allocation also depends on the dead entries earlier solves left
+   there; a full major collection before each measured solve clears
+   them, so every measured solve starts from the same table. *)
 let null_metrics_allocation_test () =
   let program = tiny_program () in
   let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
@@ -115,6 +119,7 @@ let null_metrics_allocation_test () =
     (* Warm-up run: populates program-side memo tables so the measured
        run's allocation is purely the solver's. *)
     ignore (Solver.solve ~config program strategy);
+    Gc.full_major ();
     let before = Gc.allocated_bytes () in
     ignore (Solver.solve ~config program strategy);
     Gc.allocated_bytes () -. before

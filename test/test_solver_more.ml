@@ -240,6 +240,54 @@ let ci_projection_test wname () =
             (List.rev live)))
     [ [ "insens"; "1obj" ]; [ "1call"; "2type+H"; "S-2obj+H" ] ]
 
+let luindex_1obj () =
+  let program =
+    Pta_workloads.Workloads.program
+      (Option.get (Pta_workloads.Profile.by_name "luindex"))
+  in
+  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+  Solver.solve program (factory program)
+
+(* Hash-consing stores each distinct points-to set once, however many
+   contexts hold it: the sets' retained words are a small fraction of
+   what private copies would cost. *)
+let consed_sets_census_test () =
+  let c = Solver.census (luindex_1obj ()) in
+  match Pta_obs.Census.find c "points-to-sets" with
+  | None -> Alcotest.fail "no points-to-sets component"
+  | Some comp ->
+    let open Pta_obs.Census in
+    if comp.retained_words * 10 > comp.unshared_words then
+      Alcotest.failf "points-to-sets retain %d words of %d unshared"
+        comp.retained_words comp.unshared_words
+
+let ci_query_identity_test () =
+  let solver = luindex_1obj () in
+  Ir.Program.iter_vars (Solver.program solver) (fun var _ ->
+      let a = Solver.ci_var_points_to solver var in
+      let b = Solver.ci_var_points_to solver var in
+      if a != b then
+        Alcotest.failf "two queries of %s are not the same set"
+          (Ir.Program.var_qualified_name (Solver.program solver) var))
+
+(* A solve under [Config.default] shares that configuration's budget
+   with every other such solve; once the solve ends, the budget must
+   not keep the solver state reachable. *)
+let default_budget_releases_state_test () =
+  let program =
+    Pta_workloads.Workloads.program
+      (Option.get (Pta_workloads.Profile.by_name "tiny"))
+  in
+  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+  let weak = Weak.create 1 in
+  let[@inline never] solve_and_drop () =
+    Weak.set weak 0
+      (Some (Solver.solve ~config:Solver.Config.default program (factory program)))
+  in
+  solve_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped state collected" false (Weak.check weak 0)
+
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
@@ -253,6 +301,12 @@ let tests =
       recursion_terminates_test;
     Alcotest.test_case "context arities match definitions" `Quick ctx_shapes_test;
     Alcotest.test_case "field sensitivity" `Quick field_sensitivity_test;
+    Alcotest.test_case "consed sets: retained <= unshared/10" `Quick
+      consed_sets_census_test;
+    Alcotest.test_case "CI queries return the same set" `Quick
+      ci_query_identity_test;
+    Alcotest.test_case "default budget releases the state" `Quick
+      default_budget_releases_state_test;
   ]
   @ List.map
       (fun w ->
