@@ -15,38 +15,36 @@ test:
 # ---------------------------------------------------------------------
 # Snapshot gates
 #
-# Both gates are the same comparator invocation (lib/report/comparator,
-# one tolerance config: +15% time, +10% peak heap, 0.5s noise floor),
-# parameterized by baseline snapshot, cell subset and delta file.
-# Override tolerances per call with TIME_TOL= / HEAP_TOL= /
-# HEAP_COMPONENT_TOL= (percent), e.g. `make bench-compare TIME_TOL=75
-# HEAP_TOL=25` on a noisy host.  HEAP_COMPONENT_TOL gates the per-
-# component census bytes (points-to sets, edge lists, ...) recorded in
-# schema-v4 snapshots; it only bites when both snapshots carry a census.
+# Both gates are the same `pointsto bench compare` invocation (one
+# tolerance config: +15% time, +10% peak heap, +25% per census
+# component, 0.5s noise floor), parameterized by baseline snapshot and
+# delta file; each re-measures exactly the baseline's cells.  Override
+# tolerances per call with TIME_TOL= / HEAP_TOL= / HEAP_COMPONENT_TOL=
+# (percent), e.g. `make bench-compare TIME_TOL=75` on a noisy host.
+# HEAP_COMPONENT_TOL gates the per-component census words (points-to
+# sets, edge lists, ...) that every snapshot cell carries.
 # ---------------------------------------------------------------------
 
 TOLERANCE_FLAGS = $(if $(TIME_TOL),--time-tol $(TIME_TOL)) \
 	$(if $(HEAP_TOL),--heap-tol $(HEAP_TOL)) \
 	$(if $(HEAP_COMPONENT_TOL),--heap-component-tol $(HEAP_COMPONENT_TOL))
 
-# $(call bench_gate,baseline.json,subset flags,delta.md)
+# $(call bench_gate,baseline.json,delta.md)
 define bench_gate
-dune exec bench/main.exe -- --baseline $(1) --compare $(2) \
-  --delta-md $(3) $(TOLERANCE_FLAGS)
+dune exec bin/pointsto.exe -- bench compare --baseline $(1) \
+  --delta-md $(2) $(TOLERANCE_FLAGS)
 endef
-
-PROP_SUBSET = --benchmarks cyclic --analyses insens,1call,1obj,S-2obj+H
 
 # Full benchmark grid.  Writes table1.csv, table1_stats.json, and a
 # fresh BENCH_table1.json snapshot into the repository root.
 bench:
-	dune exec bench/main.exe -- table1
+	dune exec bin/pointsto.exe -- bench table1
 
 # Gate the current tree against the committed baseline snapshot.
-# Exits non-zero on a regression; the per-cell delta table lands in
+# Exits 4 on a regression; the per-cell delta table lands in
 # BENCH_delta.md.
 bench-compare:
-	$(call bench_gate,BENCH_table1.json,,BENCH_delta.md)
+	$(call bench_gate,BENCH_table1.json,BENCH_delta.md)
 
 # Re-bless the committed baseline after an intentional performance
 # change: rerun the grid, then review and commit BENCH_table1.json.
@@ -57,12 +55,12 @@ bench-accept: bench
 # small analysis spread, isolating the solver's propagation core.  Writes
 # a fresh BENCH_prop.json snapshot into the repository root.
 bench-prop:
-	dune exec bench/main.exe -- propbench
+	dune exec bin/pointsto.exe -- bench propbench
 
 # Gate the propagation core against its committed baseline — the same
 # recipe as bench-compare, restricted to the propagation cells.
 bench-prop-compare:
-	$(call bench_gate,BENCH_prop.json,$(PROP_SUBSET),BENCH_prop_delta.md)
+	$(call bench_gate,BENCH_prop.json,BENCH_prop_delta.md)
 
 # Re-bless the propagation baseline after an intentional change.
 bench-prop-accept: bench-prop

@@ -15,9 +15,12 @@
      heapmap    — run one analysis, print the reachable-heap census
                   (per-component retained/unshared words, set-sharing
                   factor), or gate it against a blessed census JSON
-     bench      — perf-trajectory tooling over the bench-history ledger:
-                  history append/list/show, trend (report + --check gate),
-                  bisect (first bad ledger record, optional git handoff)
+     bench      — the paper's evaluation grids (table1, figure3, summary,
+                  ablation, futurework, scaling, propbench, micro, all),
+                  the snapshot regression gate (compare), and the
+                  bench-history ledger: history append/list/show, trend
+                  (report + --check gate), bisect (first bad ledger
+                  record, optional git handoff)
      version    — print the build stamp (commit, OCaml version, profile)
 
    All subcommands share the exit-code contract enforced by
@@ -44,6 +47,8 @@ module Hrecord = Pta_bench_history.Record
 module Hledger = Pta_bench_history.Ledger
 module Htrend = Pta_bench_history.Trend
 module Hbisect = Pta_bench_history.Bisect
+module Grid = Pta_bench.Grid
+module Profile = Pta_workloads.Profile
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -69,9 +74,13 @@ let no_stdlib_arg =
   let doc = "Do not link the bundled mini-JDK." in
   Arg.(value & flag & info [ "no-stdlib" ] ~doc)
 
+let timeout_info doc = Arg.info [ "timeout" ] ~docv:"SECONDS" ~doc
+
 let timeout_arg =
-  let doc = "Abort the analysis after $(docv) seconds (exit code 3)." in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value
+    & opt (some float) None
+    & timeout_info "Abort the analysis after $(docv) seconds (exit code 3).")
 
 let stats_json_arg =
   let doc =
@@ -1204,18 +1213,19 @@ let heapmap_cmd =
 (* bench: the perf-trajectory commands                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The bench commands never parse MJ or run an analysis, so they have
-   their own exit vocabulary. *)
+(* The bench commands report timeouts as table entries and regressions
+   as verdicts, so they have their own exit vocabulary. *)
 let bench_exits =
   [
     Cmd.Exit.info 1
       ~doc:"($(b,bisect)) when the latest ledger record is within threshold \
             — there is nothing to bisect.";
     Cmd.Exit.info 2
-      ~doc:"on a missing, corrupt or unsupported ledger or snapshot, or a \
-            malformed argument.";
+      ~doc:"on a missing, corrupt or unsupported ledger or snapshot, an \
+            unknown benchmark or analysis, or a malformed argument.";
     Cmd.Exit.info 4
-      ~doc:"($(b,trend --check)) when any cell of the latest record is \
+      ~doc:"($(b,compare)) when any cell regressed against the baseline; \
+            ($(b,trend --check)) when any cell of the latest record is \
             flagged as a regression.";
   ]
   @ Cmd.Exit.defaults
@@ -1255,8 +1265,7 @@ let ledger_arg =
     value & opt string "bench/history.jsonl"
     & info [ "ledger" ] ~docv:"FILE" ~doc)
 
-(* Detection parameters, shared by trend and bisect.  The tolerance
-   defaults are the same ones the one-shot bench --compare gate uses. *)
+(* Detection parameters, shared by compare, trend and bisect. *)
 let window_arg =
   let doc = "Sliding-window length: finished observations per cell." in
   Arg.(value & opt int Htrend.default_params.Htrend.window
@@ -1273,19 +1282,25 @@ let mad_k_arg =
        & info [ "mad-k" ] ~docv:"K" ~doc)
 
 let time_tol_arg =
-  let doc = "Relative floor for the time threshold, percent over the median." in
+  let doc =
+    "Time tolerance, percent over the baseline cell ($(b,compare)) or the \
+     window median ($(b,trend), $(b,bisect))."
+  in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.time_tol_pct
        & info [ "time-tol" ] ~docv:"PCT" ~doc)
 
 let heap_tol_arg =
-  let doc = "Relative floor for the peak-heap threshold, percent over the median." in
+  let doc =
+    "Peak-heap tolerance, percent over the baseline cell or the window \
+     median."
+  in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.heap_tol_pct
        & info [ "heap-tol" ] ~docv:"PCT" ~doc)
 
 let heap_component_tol_arg =
   let doc =
-    "Relative floor for the per-census-component retained-heap thresholds, \
-     percent over the median."
+    "Per-census-component retained-heap tolerance, percent over the \
+     baseline cell or the window median."
   in
   Arg.(
     value
@@ -1293,35 +1308,33 @@ let heap_component_tol_arg =
     & info [ "heap-component-tol" ] ~docv:"PCT" ~doc)
 
 let min_time_arg =
-  let doc = "Noise floor: skip the time check when the median is below $(docv) seconds." in
+  let doc =
+    "Noise floor: skip the time check when the baseline cell or the window \
+     median is below $(docv) seconds."
+  in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.min_time_s
        & info [ "min-time" ] ~docv:"SECONDS" ~doc)
 
-let params_term =
-  let make window min_points mad_k time_tol heap_tol heap_component_tol
-      min_time =
-    {
-      Htrend.window;
-      min_points;
-      mad_k;
-      tolerances =
-        {
-          Snapshot.time_tol_pct = time_tol;
-          heap_tol_pct = heap_tol;
-          heap_component_tol_pct = heap_component_tol;
-          min_time_s = min_time;
-        };
-    }
+let thresholds_term =
+  let make time_tol_pct heap_tol_pct heap_component_tol_pct min_time_s =
+    { Snapshot.time_tol_pct; heap_tol_pct; heap_component_tol_pct; min_time_s }
   in
   Term.(
-    const make $ window_arg $ min_points_arg $ mad_k_arg $ time_tol_arg
-    $ heap_tol_arg $ heap_component_tol_arg $ min_time_arg)
+    const make $ time_tol_arg $ heap_tol_arg $ heap_component_tol_arg
+    $ min_time_arg)
+
+let params_term =
+  let make window min_points mad_k tolerances =
+    { Htrend.window; min_points; mad_k; tolerances }
+  in
+  Term.(
+    const make $ window_arg $ min_points_arg $ mad_k_arg $ thresholds_term)
 
 let history_append_cmd =
   let snapshot_arg =
     let doc =
       "The benchmark snapshot to append (e.g. $(b,BENCH_table1.json), or the \
-       file written by $(b,bench/main.exe --snapshot-out))."
+       file written by $(b,bench compare --snapshot-out))."
     in
     Arg.(
       required & opt (some string) None
@@ -1471,9 +1484,10 @@ let trend_cmd =
          produces cmp-identical HTML and SVG, so CI can cache and diff the \
          artifact.  The changepoint check is robust (median + MAD over a \
          sliding window of finished observations) with the same tolerance \
-         floors as the one-shot bench $(b,--compare) gate; cells with fewer \
+         floors as $(b,bench compare); cells with fewer \
          than $(b,--min-points) observations pass, so newly added analyses \
-         are not flagged while their history accumulates.";
+         are not flagged while their history accumulates.  A record is \
+         judged only against earlier records measured on the same host.";
     ]
   in
   Cmd.v
@@ -1590,27 +1604,217 @@ let bisect_cmd =
       const run $ ledger_arg $ cell_arg $ metric_arg $ git_arg
       $ script_out_arg $ baseline_out_arg $ params_term)
 
+(* The evaluation grids.  Every cell runs in its own [bench cell]
+   process (see [Pta_bench.Grid]). *)
+
+let grid_term =
+  let timeout =
+    Arg.(
+      value & opt float 90.
+      & timeout_info
+          "Per-cell analysis cutoff; a cell that exceeds it prints as \
+           $(b,-), like the paper's dashes.")
+  in
+  Term.(const (fun timeout_s -> Grid.create ~timeout_s) $ timeout)
+
+let benchmarks_arg =
+  let doc = "Benchmark profiles to run (default: the command's own grid)." in
+  Arg.(
+    value
+    & opt (some (list string)) None
+    & info [ "benchmarks" ] ~docv:"NAME,..." ~doc)
+
+let analyses_arg =
+  let doc = "Analyses to run (default: the command's own grid)." in
+  Arg.(
+    value
+    & opt (some (list string)) None
+    & info [ "analyses" ] ~docv:"STRATEGY,..." ~doc)
+
+let profiles_of ~default = function
+  | None -> default
+  | Some names ->
+    List.map
+      (fun n ->
+        match Profile.by_name n with
+        | Some p -> p
+        | None -> fail_usage "unknown benchmark %S" n)
+      names
+
+let analyses_of ~default = function
+  | None -> default
+  | Some names ->
+    List.iter
+      (fun n ->
+        if Result.is_error (Strategies.resolve n) then
+          fail_usage "unknown analysis %S" n)
+      names;
+    names
+
+let grid_cmd name doc term =
+  Cmd.v (Cmd.info name ~doc ~exits:bench_exits) term
+
+(* A grid over [--benchmarks] x [--analyses], with the command's own
+   defaults. *)
+let selection_cmd name doc ~benchmarks ~analyses f =
+  grid_cmd name doc
+    Term.(
+      const (fun g bs xs ->
+          f g
+            ~benchmarks:(profiles_of ~default:benchmarks bs)
+            ~analyses:(analyses_of ~default:analyses xs))
+      $ grid_term $ benchmarks_arg $ analyses_arg)
+
+let benchmarks_cmd name doc f =
+  grid_cmd name doc
+    Term.(
+      const (fun g bs -> f g ~benchmarks:(profiles_of ~default:Profile.dacapo bs))
+      $ grid_term $ benchmarks_arg)
+
+let table1_cmd =
+  selection_cmd "table1"
+    "Table 1: precision metrics, time and context-sensitive var-points-to \
+     for every benchmark x analysis.  Writes table1.csv, table1_stats.json \
+     and the BENCH_table1.json snapshot to the working directory."
+    ~benchmarks:Profile.dacapo ~analyses:Grid.table1_analyses Grid.table1
+
+let propbench_cmd =
+  selection_cmd "propbench"
+    "The propagation grid: the cycle-heavy cyclic profile under a small \
+     analysis spread, isolating the solver's propagation core.  Writes the \
+     BENCH_prop.json snapshot to the working directory."
+    ~benchmarks:[ Option.get (Profile.by_name "cyclic") ]
+    ~analyses:Grid.prop_analyses Grid.propbench
+
+let figure3_cmd =
+  benchmarks_cmd "figure3"
+    "Figure 3: an ASCII scatter of time against may-fail casts per benchmark."
+    Grid.figure3
+
+let summary_cmd =
+  benchmarks_cmd "summary"
+    "The paper's headline ratios, as geometric means over the benchmarks."
+    Grid.summary
+
+let fixed_cmd name doc f = grid_cmd name doc Term.(const f $ grid_term)
+
+let ablation_cmd =
+  fixed_cmd "ablation"
+    "Section 3's dismissed context combinations, and a field-based heap, on \
+     antlr, luindex and pmd."
+    Grid.ablation
+
+let futurework_cmd =
+  fixed_cmd "futurework"
+    "Section 6's adaptive context constructors on antlr, jython and lusearch."
+    Grid.futurework
+
+let scaling_cmd =
+  fixed_cmd "scaling" "Analysis cost against program size (luindex x0.5-2)."
+    Grid.scaling
+
+let micro_cmd =
+  grid_cmd "micro" "Bechamel micro-benchmarks of the solver's building blocks."
+    Term.(const Grid.micro $ const ())
+
+let all_cmd =
+  benchmarks_cmd "all"
+    "table1, figure3, summary, ablation, futurework, scaling and micro, \
+     sharing their cells."
+    (fun g ~benchmarks ->
+      Grid.table1 g ~benchmarks ~analyses:Grid.table1_analyses;
+      Grid.figure3 g ~benchmarks;
+      Grid.summary g ~benchmarks;
+      Grid.ablation g;
+      Grid.futurework g;
+      Grid.scaling g;
+      Grid.micro ())
+
+let compare_bench_cmd =
+  let baseline_arg =
+    let doc = "The committed snapshot to gate against." in
+    Arg.(
+      required & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
+  in
+  let delta_md_arg =
+    let doc = "Also write the per-cell delta table as Markdown to $(docv)." in
+    Arg.(value & opt (some string) None & info [ "delta-md" ] ~docv:"FILE" ~doc)
+  in
+  let snapshot_out_arg =
+    let doc =
+      "Write the measured snapshot to $(docv) before the verdict, so a \
+       regressed run can still be archived with $(b,history append)."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "snapshot-out" ] ~docv:"FILE" ~doc)
+  in
+  let run g baseline_file bs xs thresholds delta_md snapshot_out =
+    let baseline = load_snapshot baseline_file in
+    (* By default, the baseline's own benchmarks and analyses, in
+       first-appearance order. *)
+    let or_baseline f = function
+      | Some names -> Some names
+      | None ->
+        Some
+          (List.rev
+             (List.fold_left
+                (fun acc c -> if List.mem (f c) acc then acc else f c :: acc)
+                [] baseline.Snapshot.cells))
+    in
+    let failed =
+      Grid.compare g ~baseline_name:baseline_file ~baseline
+        ~benchmarks:
+          (profiles_of ~default:[]
+             (or_baseline (fun c -> c.Snapshot.benchmark) bs))
+        ~analyses:
+          (analyses_of ~default:[]
+             (or_baseline (fun c -> c.Snapshot.analysis) xs))
+        ~thresholds ~delta_md ~snapshot_out
+    in
+    if failed then exit 4
+  in
+  grid_cmd "compare"
+    "Re-measure the baseline's cells (or the $(b,--benchmarks) x \
+     $(b,--analyses) subset) and gate them against it: exit 4 when a cell \
+     is slower, fatter or newly timed out beyond the tolerances."
+    Term.(
+      const run $ grid_term $ baseline_arg $ benchmarks_arg $ analyses_arg
+      $ thresholds_term $ delta_md_arg $ snapshot_out_arg)
+
+let cell_cmd =
+  grid_cmd "cell"
+    "Internal: measure one grid cell for the commands above, reading the \
+     request from stdin and writing the outcome to stdout."
+    Term.(const Grid.child $ const ())
+
 let bench_cmd =
   let doc =
-    "Perf trajectory over time: the bench-history ledger, trend report, \
-     regression gate and auto-bisect."
+    "The paper's evaluation grids, the snapshot regression gate, and the \
+     perf trajectory over time: the bench-history ledger, trend report and \
+     auto-bisect."
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "Workflow: a benchmark run writes a snapshot \
-         ($(b,bench/main.exe --snapshot-out)); $(b,history append) archives \
-         it as one ledger record; $(b,trend) renders sparklines over the \
+        "Every grid cell runs in a fresh process, so its peak heap does not \
+         depend on the cells before it.  Workflow: $(b,table1) or \
+         $(b,propbench) writes a snapshot, and $(b,compare --snapshot-out) \
+         writes one while gating; $(b,history append) archives a snapshot \
+         as one ledger record; $(b,trend) renders sparklines over the \
          accumulated records and $(b,trend --check) gates the latest one \
-         against its own history; when a regression is flagged, $(b,bisect) \
-         locates the first bad record and can hand off to $(b,git bisect) \
-         to narrow it to a commit.";
+         against its own history; when a regression is flagged, \
+         $(b,bisect) locates the first bad record and can hand off to \
+         $(b,git bisect) to narrow it to a commit.";
     ]
   in
   Cmd.group
     (Cmd.info "bench" ~doc ~man ~exits:bench_exits)
-    [ history_cmd; trend_cmd; bisect_cmd ]
+    [
+      table1_cmd; figure3_cmd; summary_cmd; ablation_cmd; futurework_cmd;
+      scaling_cmd; propbench_cmd; micro_cmd; all_cmd; compare_bench_cmd;
+      cell_cmd; history_cmd; trend_cmd; bisect_cmd;
+    ]
 
 let version_cmd =
   let json_arg =

@@ -1,5 +1,4 @@
 module Snapshot = Pta_report.Bench_snapshot
-module Memstats = Pta_obs.Memstats
 
 type outcome = {
   benchmark : string;
@@ -29,9 +28,12 @@ let anchor_values (p : Trend.params) metric ~benchmark ~analysis records =
   go [] 0 records
 
 let run ?(params = Trend.default_params) ~metric ~benchmark ~analysis records =
-  match records with
+  match List.rev records with
   | [] -> Error "empty ledger: nothing to bisect"
-  | _ -> (
+  | latest :: _ -> (
+    let records =
+      List.filter (fun (r : Record.t) -> r.Record.host = latest.Record.host) records
+    in
     let anchor_vals =
       anchor_values params metric ~benchmark ~analysis records
     in
@@ -60,7 +62,7 @@ let run ?(params = Trend.default_params) ~metric ~benchmark ~analysis records =
         let verdict =
           match Record.cell_find r ~benchmark ~analysis with
           | None -> false
-          | Some c when c.Record.timed_out -> true
+          | Some c when c.Snapshot.timed_out -> true
           | Some c -> (
             match Trend.cell_value metric c with
             | None -> false
@@ -122,48 +124,12 @@ let baseline_snapshot (r : Record.t) ~benchmark ~analysis =
     Error
       (Printf.sprintf "record #%d has no cell %s/%s" r.Record.seq benchmark
          analysis)
-  | Some c when c.Record.timed_out ->
+  | Some c when c.Snapshot.timed_out ->
     Error
       (Printf.sprintf "record #%d: %s/%s timed out; cannot baseline on it"
          r.Record.seq benchmark analysis)
   | Some c ->
-    let memory =
-      Option.map
-        (fun peak ->
-          (* Only the peak survives into a ledger record; the rest of
-             the GC profile is zeroed, which the comparator ignores. *)
-          {
-            Memstats.minor_allocated_words = 0.;
-            promoted_delta_words = 0.;
-            major_allocated_words = 0.;
-            minor_collections_delta = 0;
-            major_collections_delta = 0;
-            compactions_delta = 0;
-            heap_words_after = peak;
-            peak_heap_words = peak;
-          })
-        c.Record.peak_heap_words
-    in
-    Ok
-      {
-        Snapshot.schema_version = Snapshot.current_schema_version;
-        timeout_s = r.Record.timeout_s;
-        pointsto = None;
-        cells =
-          [
-            {
-              Snapshot.benchmark = c.Record.benchmark;
-              analysis = c.Record.analysis;
-              timed_out = false;
-              time_s = c.Record.time_s;
-              iterations = c.Record.iterations;
-              nodes = c.Record.nodes;
-              memory;
-              time_hist = c.Record.time_hist;
-              heap_components = c.Record.heap_components;
-            };
-          ];
-      }
+    Ok { Snapshot.timeout_s = r.Record.timeout_s; pointsto = None; cells = [ c ] }
 
 (* The run command is nested two shells deep (`git bisect run sh -c`),
    so rather than double-quote we only accept names that need none. *)
@@ -233,11 +199,11 @@ let git_script o ~ledger ~baseline_file =
              Printf.sprintf "git bisect start %s %s" bb.Record.commit
                gb.Record.commit;
              Printf.sprintf
-               "git bisect run sh -c 'dune build bench/main.exe || exit 125; \
-                dune exec bench/main.exe -- --benchmarks %s --analyses %s \
-                --compare --baseline %s --time-tol %s --heap-tol %s \
+               "git bisect run sh -c 'dune build bin/pointsto.exe || exit 125; \
+                dune exec bin/pointsto.exe -- bench compare --baseline %s \
+                --benchmarks %s --analyses %s --time-tol %s --heap-tol %s \
                 --heap-component-tol %s'"
-               o.benchmark o.analysis baseline_file time_tol heap_tol comp_tol;
+               baseline_file o.benchmark o.analysis time_tol heap_tol comp_tol;
              "git bisect reset";
              "";
            ])

@@ -1,7 +1,8 @@
 (** Auto-bisect over the ledger: locate the {e first} record at which
     one cell's metric crossed its regression threshold.
 
-    The anchor is the robust baseline of the cell's early history — the
+    Only records measured on the latest record's host take part.  The
+    anchor is the robust baseline of the cell's early history — the
     {!Trend.window_stats} of its first [window] finished observations —
     and a record is {e bad} when its value exceeds the anchor threshold
     (or it times out while the anchor finished).  Against a step
@@ -46,8 +47,8 @@ val baseline_snapshot :
   benchmark:string ->
   analysis:string ->
   (Snapshot.t, string) result
-(** A single-cell snapshot reconstructed from the last-good record, fit
-    to serve as the [--compare] baseline inside a [git bisect run]
+(** The last-good record's cell as a single-cell snapshot, fit to
+    serve as the [bench compare] baseline inside a [git bisect run]
     step. *)
 
 val git_script :

@@ -1,14 +1,5 @@
 module Json = Pta_obs.Json
 module Snapshot = Pta_report.Bench_snapshot
-module Census = Pta_obs.Census
-
-(* v2 adds the optional per-cell [heap_components] census block; v1
-   records load with it empty.  v3 once added per-cell [jobs]/[domains]
-   and the host's [cores] for a parallel drain that has since been
-   removed: sequential v3 records are unchanged, a [cores] stamp is
-   ignored, and a cell with [jobs] or [domains] other than 1 is
-   refused. *)
-let current_schema_version = 3
 
 type build = {
   semver : string;
@@ -34,27 +25,14 @@ let current_host () =
   in
   { os_type = Sys.os_type; word_size = Sys.word_size; hostname }
 
-type cell = {
-  benchmark : string;
-  analysis : string;
-  timed_out : bool;
-  time_s : float;
-  iterations : int;
-  nodes : int option;
-  peak_heap_words : int option;
-  time_hist : Snapshot.hist option;
-  heap_components : Census.component list;  (* v2; [] when absent *)
-}
-
 type t = {
-  schema_version : int;
   seq : int;
   timestamp : float option;
   note : string option;
   timeout_s : float;
   build : build;
   host : host;
-  cells : cell list;
+  cells : Snapshot.cell list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -79,30 +57,10 @@ let host_to_json h =
       ("hostname", Json.String h.hostname);
     ]
 
-let cell_to_json c =
-  Json.Obj
-    ([
-       ("benchmark", Json.String c.benchmark);
-       ("analysis", Json.String c.analysis);
-       ("timed_out", Json.Bool c.timed_out);
-       ("time_s", Json.Float c.time_s);
-       ("iterations", Json.Int c.iterations);
-     ]
-    @ (match c.nodes with None -> [] | Some n -> [ ("nodes", Json.Int n) ])
-    @ (match c.peak_heap_words with
-      | None -> []
-      | Some w -> [ ("peak_heap_words", Json.Int w) ])
-    @ (match c.time_hist with
-      | None -> []
-      | Some h -> [ ("time_hist", Snapshot.hist_to_json h) ])
-    @ (match c.heap_components with
-      | [] -> []
-      | cs -> [ ("heap_components", Census.components_to_json cs) ]))
-
 let to_json t =
   Json.Obj
     ([
-       ("schema_version", Json.Int t.schema_version);
+       ("schema_version", Json.Int Snapshot.current_schema_version);
        ("seq", Json.Int t.seq);
      ]
     @ (match t.timestamp with
@@ -113,7 +71,7 @@ let to_json t =
         ("timeout_s", Json.Float t.timeout_s);
         ("build", build_to_json t.build);
         ("host", host_to_json t.host);
-        ("cells", Json.List (List.map cell_to_json t.cells));
+        ("cells", Json.List (List.map Snapshot.cell_to_json t.cells));
       ])
 
 let ( let* ) r f = Result.bind r f
@@ -139,83 +97,25 @@ let host_of_json json =
   let* hostname = field json "hostname" Json.to_str in
   Ok { os_type; word_size; hostname }
 
-let cell_of_json json =
-  let* benchmark = field json "benchmark" Json.to_str in
-  let* analysis = field json "analysis" Json.to_str in
-  let* timed_out = field json "timed_out" to_bool in
-  let* time_s = field json "time_s" Json.to_float in
-  let* iterations = field json "iterations" Json.to_int in
-  let nodes = Option.bind (Json.member "nodes" json) Json.to_int in
-  let peak_heap_words =
-    Option.bind (Json.member "peak_heap_words" json) Json.to_int
-  in
-  let* time_hist =
-    match Json.member "time_hist" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Snapshot.hist_of_json j)
-  in
-  let* heap_components =
-    match Json.member "heap_components" json with
-    | None -> Ok []
-    | Some j -> Census.components_of_json_list j
-  in
-  let* () = Snapshot.refuse_parallel_cell json ~benchmark ~analysis in
-  Ok
-    {
-      benchmark;
-      analysis;
-      timed_out;
-      time_s;
-      iterations;
-      nodes;
-      peak_heap_words;
-      time_hist;
-      heap_components;
-    }
-
 let of_json json =
-  let* schema_version = field json "schema_version" Json.to_int in
-  if schema_version < 1 || schema_version > current_schema_version then
-    Error
-      (Printf.sprintf "unsupported schema_version %d (max %d)" schema_version
-         current_schema_version)
+  let* () = Snapshot.check_schema_version json in
+  let* seq = field json "seq" Json.to_int in
+  if seq < 0 then Error "negative seq"
   else
-    let* seq = field json "seq" Json.to_int in
-    if seq < 0 then Error "negative seq"
-    else
-      let timestamp = Option.bind (Json.member "timestamp" json) Json.to_float in
-      let note = Option.bind (Json.member "note" json) Json.to_str in
-      let* timeout_s = field json "timeout_s" Json.to_float in
-      let* build =
-        match Json.member "build" json with
-        | None -> Error "missing \"build\""
-        | Some j -> build_of_json j
-      in
-      let* host =
-        match Json.member "host" json with
-        | None -> Error "missing \"host\""
-        | Some j -> host_of_json j
-      in
-      let* cell_list = field json "cells" Json.to_list in
-      let* cells =
-        List.fold_left
-          (fun acc j ->
-            let* acc = acc in
-            let* c = cell_of_json j in
-            Ok (c :: acc))
-          (Ok []) cell_list
-      in
-      Ok
-        {
-          schema_version;
-          seq;
-          timestamp;
-          note;
-          timeout_s;
-          build;
-          host;
-          cells = List.rev cells;
-        }
+    let* timeout_s = field json "timeout_s" Json.to_float in
+    let* build = Result.bind (field json "build" Option.some) build_of_json in
+    let* host = Result.bind (field json "host" Option.some) host_of_json in
+    let* cells = Snapshot.cells_of_json json in
+    Ok
+      {
+        seq;
+        timestamp = Option.bind (Json.member "timestamp" json) Json.to_float;
+        note = Option.bind (Json.member "note" json) Json.to_str;
+        timeout_s;
+        build;
+        host;
+        cells;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* From a bench snapshot                                               *)
@@ -253,43 +153,23 @@ let of_snapshot ~seq ?timestamp ?note ~host (snap : Snapshot.t) =
     match snap.Snapshot.pointsto with
     | None ->
       Error
-        "snapshot carries no build stamp (schema v1?); a ledger record must \
-         be traceable to the build that measured it"
+        "snapshot carries no build stamp; a ledger record must be traceable \
+         to the build that measured it"
     | Some stamp -> build_of_stamp stamp
-  in
-  let cells =
-    List.map
-      (fun (c : Snapshot.cell) ->
-        {
-          benchmark = c.Snapshot.benchmark;
-          analysis = c.Snapshot.analysis;
-          timed_out = c.Snapshot.timed_out;
-          time_s = c.Snapshot.time_s;
-          iterations = c.Snapshot.iterations;
-          nodes = c.Snapshot.nodes;
-          peak_heap_words =
-            Option.map
-              (fun m -> m.Pta_obs.Memstats.peak_heap_words)
-              c.Snapshot.memory;
-          time_hist = c.Snapshot.time_hist;
-          heap_components = c.Snapshot.heap_components;
-        })
-      snap.Snapshot.cells
   in
   Ok
     {
-      schema_version = current_schema_version;
       seq;
       timestamp;
       note;
       timeout_s = snap.Snapshot.timeout_s;
       build;
       host;
-      cells;
+      cells = snap.Snapshot.cells;
     }
 
 let cell_find t ~benchmark ~analysis =
   List.find_opt
-    (fun c ->
+    (fun (c : Snapshot.cell) ->
       String.equal c.benchmark benchmark && String.equal c.analysis analysis)
     t.cells

@@ -71,12 +71,12 @@ let window_stats p metric values =
       let rel_floor = median *. tol_pct /. 100. in
       Some { median; mad; threshold = median +. Float.max spread rel_floor }
 
-let cell_value metric (c : Record.cell) =
-  if c.Record.timed_out then None
+let cell_value metric (c : Snapshot.cell) =
+  if c.Snapshot.timed_out then None
   else
     match metric with
-    | Time -> Some c.Record.time_s
-    | Heap -> Option.map float_of_int c.Record.peak_heap_words
+    | Time -> Some c.Snapshot.time_s
+    | Heap -> Option.map float_of_int c.Snapshot.peak_heap_words
     | Heap_component name ->
       Option.map
         (fun (comp : Pta_obs.Census.component) ->
@@ -84,13 +84,15 @@ let cell_value metric (c : Record.cell) =
         (List.find_opt
            (fun (comp : Pta_obs.Census.component) ->
              String.equal comp.Pta_obs.Census.comp_name name)
-           c.Record.heap_components)
+           c.Snapshot.heap_components)
 
 (* The up-to-[window] most recent finished observations among the
-   records strictly before index [i]. *)
+   records strictly before index [i] that were measured on its host. *)
 let window_before p metric records ~benchmark ~analysis i =
+  let host = records.(i).Record.host in
   let rec go j acc count =
     if j < 0 || count >= p.window then acc
+    else if records.(j).Record.host <> host then go (j - 1) acc count
     else
       match
         Option.bind
@@ -132,7 +134,7 @@ let check_cell p records i ~benchmark ~analysis =
   match Record.cell_find r ~benchmark ~analysis with
   | None -> []
   | Some c ->
-    if c.Record.timed_out then
+    if c.Snapshot.timed_out then
       (* A fresh timeout is a regression whenever the cell has enough
          finished history for the trend to have an opinion at all. *)
       let w = window_before p Time records ~benchmark ~analysis i in
@@ -163,7 +165,7 @@ let check_cell p records i ~benchmark ~analysis =
         :: List.map
              (fun (comp : Pta_obs.Census.component) ->
                Heap_component comp.Pta_obs.Census.comp_name)
-             c.Record.heap_components)
+             c.Snapshot.heap_components)
 
 let check_latest ?(params = default_params) records =
   match records with
@@ -173,9 +175,9 @@ let check_latest ?(params = default_params) records =
     let last = Array.length arr - 1 in
     Ok
       (List.concat_map
-         (fun (c : Record.cell) ->
-           check_cell params arr last ~benchmark:c.Record.benchmark
-             ~analysis:c.Record.analysis)
+         (fun (c : Snapshot.cell) ->
+           check_cell params arr last ~benchmark:c.Snapshot.benchmark
+             ~analysis:c.Snapshot.analysis)
          arr.(last).Record.cells)
 
 let flag_mask p metric ~benchmark ~analysis records =
@@ -199,8 +201,8 @@ let cell_universe records =
   List.iter
     (fun (r : Record.t) ->
       List.iter
-        (fun (c : Record.cell) ->
-          let key = (c.Record.benchmark, c.Record.analysis) in
+        (fun (c : Snapshot.cell) ->
+          let key = (c.Snapshot.benchmark, c.Snapshot.analysis) in
           if not (Hashtbl.mem seen key) then (
             Hashtbl.add seen key ();
             order := key :: !order))
@@ -220,8 +222,8 @@ let series_of p metric ~fmt ~benchmark ~analysis records =
       let value, timed_out, txt =
         match Record.cell_find r ~benchmark ~analysis with
         | None -> (None, false, "absent")
-        | Some c when c.Record.timed_out ->
-          (None, true, Printf.sprintf "timeout after %.0fs" c.Record.time_s)
+        | Some c when c.Snapshot.timed_out ->
+          (None, true, Printf.sprintf "timeout after %.0fs" c.Snapshot.time_s)
         | Some c -> (
           match cell_value metric c with
           | Some v -> (Some v, false, fmt v)
@@ -244,7 +246,7 @@ let plain_series ~fmt ~value_of ~benchmark ~analysis records =
       let value, timed_out, txt =
         match Record.cell_find r ~benchmark ~analysis with
         | None -> (None, false, "absent")
-        | Some c when c.Record.timed_out -> (None, true, "timeout")
+        | Some c when c.Snapshot.timed_out -> (None, true, "timeout")
         | Some c -> (
           match value_of c with
           | Some v -> (Some v, false, fmt v)
@@ -284,7 +286,7 @@ let component_universe ~benchmark ~analysis records =
             if not (Hashtbl.mem seen name) then (
               Hashtbl.add seen name ();
               order := name :: !order))
-          c.Record.heap_components)
+          c.Snapshot.heap_components)
     records;
   List.rev !order
 
@@ -320,7 +322,7 @@ let page ?(params = default_params) ~ledger records =
                 m_series =
                   plain_series ~fmt:fmt_nodes
                     ~value_of:(fun c ->
-                      Option.map float_of_int c.Record.nodes)
+                      Option.map float_of_int c.Snapshot.nodes)
                     ~benchmark ~analysis records;
               };
               {

@@ -79,16 +79,17 @@ val check_latest : ?params:params -> Record.t list -> (flag list, string) result
     tested against its own history.  Cells with no (or too little)
     history pass — a newly added analysis needs [min_points] runs
     before the trend can say anything about it.  Cells are keyed by
-    (benchmark, analysis).  [Error] on an empty ledger. *)
+    (benchmark, analysis), and the window holds only records whose host
+    equals the latest record's.  [Error] on an empty ledger. *)
 
 val flag_mask :
   params -> metric -> benchmark:string -> analysis:string -> Record.t list ->
   bool array
 (** Per-record breach marks for one cell's whole history (each record
-    tested against the window preceding it) — drives the red markers on
-    the trend page. *)
+    tested against the window of same-host records preceding it) —
+    drives the red markers on the trend page. *)
 
-val cell_value : metric -> Record.cell -> float option
+val cell_value : metric -> Snapshot.cell -> float option
 (** [None] for timeouts and for heap on histogram-less records. *)
 
 val page : ?params:params -> ledger:string -> Record.t list -> Pta_report.Trend_page.page

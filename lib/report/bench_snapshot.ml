@@ -1,8 +1,7 @@
 module Json = Pta_obs.Json
-module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 
-let current_schema_version = 5
+let current_schema_version = 6
 
 type hist = {
   bounds : float list;  (* strictly increasing upper bounds, no +Inf *)
@@ -17,14 +16,12 @@ type cell = {
   time_s : float;
   iterations : int;
   nodes : int option;
-  memory : Memstats.delta option;
+  peak_heap_words : int option;
   time_hist : hist option;
   heap_components : Census.component list;
-      (* v4: per-component retained/unshared words; [] when absent *)
 }
 
 type t = {
-  schema_version : int;
   timeout_s : float;
   pointsto : Json.t option;
   cells : cell list;
@@ -54,7 +51,7 @@ let hist_of_buckets ~sum buckets =
   split [] [] buckets
 
 let hist_of_json json =
-  let err what = Error (Printf.sprintf "bench snapshot: time_hist %s" what) in
+  let err what = Error ("time_hist " ^ what) in
   match
     ( Option.map (List.filter_map Json.to_float)
         (Option.bind (Json.member "bounds" json) Json.to_list),
@@ -89,9 +86,9 @@ let cell_to_json c =
        ("iterations", Json.Int c.iterations);
      ]
     @ (match c.nodes with None -> [] | Some n -> [ ("nodes", Json.Int n) ])
-    @ (match c.memory with
+    @ (match c.peak_heap_words with
       | None -> []
-      | Some m -> [ ("memory", Memstats.to_json m) ])
+      | Some w -> [ ("peak_heap_words", Json.Int w) ])
     @ (match c.time_hist with
       | None -> []
       | Some h -> [ ("time_hist", hist_to_json h) ])
@@ -113,26 +110,7 @@ let ( let* ) r f = Result.bind r f
 let field json name conv =
   match Option.bind (Json.member name json) conv with
   | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bench snapshot: missing or mistyped %S" name)
-
-(* Older v5 snapshots and v3 ledger records stamped parallel-drain cells
-   with jobs/domains; such a cell would load as a duplicate (benchmark,
-   analysis) key. *)
-let refuse_parallel_cell json ~benchmark ~analysis =
-  match
-    List.find_map
-      (fun key ->
-        match Json.member key json with
-        | None | Some (Json.Int 1) -> None
-        | Some v -> Some (key, v))
-      [ "jobs"; "domains" ]
-  with
-  | None -> Ok ()
-  | Some (key, v) ->
-    Error
-      (Printf.sprintf
-         "cell %s/%s has %s=%s; parallel cells are no longer supported"
-         benchmark analysis key (Json.to_string ~indent:false v))
+  | None -> Error (Printf.sprintf "missing or mistyped %S" name)
 
 let cell_of_json json =
   let* benchmark = field json "benchmark" Json.to_str in
@@ -142,56 +120,56 @@ let cell_of_json json =
   in
   let* time_s = field json "time_s" Json.to_float in
   let* iterations = field json "iterations" Json.to_int in
-  (* v2 fields; absent in v1 snapshots. *)
-  let nodes = Option.bind (Json.member "nodes" json) Json.to_int in
-  let* memory =
-    match Json.member "memory" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (Memstats.of_json j)
-  in
-  (* v3 field; absent in v1/v2 snapshots. *)
+  let opt name conv = Option.bind (Json.member name json) conv in
   let* time_hist =
     match Json.member "time_hist" json with
     | None -> Ok None
     | Some j -> Result.map Option.some (hist_of_json j)
   in
-  (* v4 field; absent in v1-v3 snapshots. *)
   let* heap_components =
     match Json.member "heap_components" json with
     | None -> Ok []
-    | Some j ->
-      Result.map_error
-        (fun e -> "bench snapshot: " ^ e)
-        (Census.components_of_json_list j)
-  in
-  let* () =
-    Result.map_error
-      (fun e -> "bench snapshot: " ^ e)
-      (refuse_parallel_cell json ~benchmark ~analysis)
+    | Some j -> Census.components_of_json_list j
   in
   Ok
-    { benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-      time_hist; heap_components }
+    {
+      benchmark;
+      analysis;
+      timed_out;
+      time_s;
+      iterations;
+      nodes = opt "nodes" Json.to_int;
+      peak_heap_words = opt "peak_heap_words" Json.to_int;
+      time_hist;
+      heap_components;
+    }
+
+let check_schema_version json =
+  let* v = field json "schema_version" Json.to_int in
+  if v = current_schema_version then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "unsupported schema_version %d (this build reads only %d; \
+          regenerate the file)"
+         v current_schema_version)
+
+let cells_of_json json =
+  let* cell_list = field json "cells" Json.to_list in
+  List.fold_right
+    (fun j acc ->
+      let* acc = acc in
+      let* c = cell_of_json j in
+      Ok (c :: acc))
+    cell_list (Ok [])
 
 let of_json json =
-  let* schema_version = field json "schema_version" Json.to_int in
-  if schema_version < 1 || schema_version > current_schema_version then
-    Error
-      (Printf.sprintf "bench snapshot: unsupported schema_version %d (max %d)"
-         schema_version current_schema_version)
-  else
-    let* timeout_s = field json "timeout_s" Json.to_float in
-    let pointsto = Json.member "pointsto" json in
-    let* cell_list = field json "cells" Json.to_list in
-    let* cells =
-      List.fold_left
-        (fun acc j ->
-          let* acc = acc in
-          let* c = cell_of_json j in
-          Ok (c :: acc))
-        (Ok []) cell_list
-    in
-    Ok { schema_version; timeout_s; pointsto; cells = List.rev cells }
+  Result.map_error
+    (fun e -> "bench snapshot: " ^ e)
+    (let* () = check_schema_version json in
+     let* timeout_s = field json "timeout_s" Json.to_float in
+     let* cells = cells_of_json json in
+     Ok { timeout_s; pointsto = Json.member "pointsto" json; cells })
 
 let of_string s =
   match Json.of_string s with
@@ -254,7 +232,6 @@ let pct_change base cur =
   if base = 0. then if cur = 0. then 0. else infinity
   else (cur -. base) /. base *. 100.
 
-let peak_heap c = Option.map (fun m -> m.Memstats.peak_heap_words) c.memory
 
 let compare_cells th (base : cell) (cur : cell) =
   match (base.timed_out, cur.timed_out) with
@@ -273,17 +250,17 @@ let compare_cells th (base : cell) (cur : cell) =
         else []
     in
     let heap_v =
-      match (peak_heap base, peak_heap cur) with
+      match (base.peak_heap_words, cur.peak_heap_words) with
       | Some b, Some c when b > 0 ->
         let pct = pct_change (float_of_int b) (float_of_int c) in
         if pct > th.heap_tol_pct then
           [ Heap_regression { base_w = b; cur_w = c; pct } ]
         else []
-      | _ -> []  (* v1 baseline has no memory figures: nothing to gate on *)
+      | _ -> []  (* a timed-out side has no peak: nothing to gate on *)
     in
     let comp_v =
-      (* v1-v3 cells carry no components, so the list is empty and the
-         gate is silent — same lenient posture as the heap gate. *)
+      (* A cell without a census has an empty list, and the gate is
+         silent — same lenient posture as the heap gate. *)
       List.map
         (fun b -> Component_regression b)
         (Census.compare_components ~tol_pct:th.heap_component_tol_pct
@@ -355,7 +332,7 @@ let cell_time = function
 let cell_iters = function None -> "-" | Some c -> string_of_int c.iterations
 
 let cell_heap c =
-  match Option.bind c peak_heap with
+  match Option.bind c (fun c -> c.peak_heap_words) with
   | None -> "-"
   | Some w -> Printf.sprintf "%.1fM" (float_of_int w /. 1e6)
 

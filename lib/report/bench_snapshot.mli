@@ -1,30 +1,18 @@
-(** Codec and comparator for the committed benchmark snapshot
-    ([BENCH_table1.json]).
+(** Codec and comparator for the benchmark snapshots
+    ([BENCH_table1.json], [BENCH_prop.json]).
 
-    Schema v2 extends v1 with per-cell [nodes] (the solver's supergraph
-    size — also recorded for timeout cells, from the abort payload), a
-    [memory] block (the {!Pta_obs.Memstats.delta} of the instrumented
-    run), and a top-level [pointsto] build stamp.  Schema v3 (written by
-    {!to_json}) adds an optional per-cell [time_hist] — the distribution
-    of the individual timed solves behind the reported min, recorded on
-    an exponential-bucket {!Pta_metrics.Registry} histogram and carried
-    into bench-history ledger records.  Schema v4 adds an optional
-    per-cell [heap_components] block — the retained/unshared word
-    attribution of a {!Pta_obs.Census} walk over the solved state — and
-    a per-component regression gate.  Schema v5 once added per-cell
-    [jobs]/[domains] and a top-level core-count stamp for a parallel
-    drain that has since been removed; sequential v5 cells are
-    byte-identical to v4 ones.  {!of_json} reads all five versions and
-    refuses a cell whose [jobs] or [domains] is not 1, naming the cell
-    (it would otherwise load as a duplicate (benchmark, analysis) key);
-    the core-count stamp is ignored.  Older cells simply come back with
-    the newer fields absent, so a regression gate against an old
-    baseline still checks time and iterations. *)
+    A snapshot holds one {!cell} per (benchmark, analysis): the best of
+    three timed solves, the instrumented solve's iterations,
+    supergraph nodes and peak major heap, the distribution of the timed
+    solves, and the census of the solved state.  Bench-history ledger
+    records ({!Pta_bench_history.Record}) carry the same cells under the
+    same {!current_schema_version}; {!of_json} and the record reader
+    refuse every other version, naming it. *)
 
 module Json := Pta_obs.Json
 
 val current_schema_version : int
-(** The version {!to_json} writes: 5. *)
+(** 6, shared by snapshots and ledger records. *)
 
 type hist = {
   bounds : float list;  (** strictly increasing upper bounds, no +Inf *)
@@ -39,17 +27,17 @@ type cell = {
   timed_out : bool;
   time_s : float;  (** best wall time, or elapsed-at-abort for timeouts *)
   iterations : int;
-  nodes : int option;  (** v2: supergraph nodes (also at abort) *)
-  memory : Pta_obs.Memstats.delta option;  (** v2: instrumented-run GC profile *)
-  time_hist : hist option;  (** v3: per-run solve-time distribution *)
+  nodes : int option;  (** supergraph nodes (also at abort) *)
+  peak_heap_words : int option;
+      (** major-heap peak of the instrumented solve; [None] on timeouts *)
+  time_hist : hist option;  (** per-run solve-time distribution *)
   heap_components : Pta_obs.Census.component list;
-      (** v4: reachable-heap census components; [[]] when absent *)
+      (** reachable-heap census components; [[]] when absent *)
 }
 
 type t = {
-  schema_version : int;  (** of the document as read; {!to_json} rewrites *)
   timeout_s : float;
-  pointsto : Json.t option;  (** v2: build stamp, held opaquely *)
+  pointsto : Json.t option;  (** build stamp, held opaquely *)
   cells : cell list;
 }
 
@@ -57,11 +45,16 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
 
-val refuse_parallel_cell :
-  Json.t -> benchmark:string -> analysis:string -> (unit, string) result
-(** [Error] naming the cell when its JSON object carries a [jobs] or
-    [domains] other than 1 — a cell of the removed parallel drain.
-    Shared with the ledger record reader. *)
+(** {1 Shared with the ledger record codec} *)
+
+val check_schema_version : Json.t -> (unit, string) result
+(** [Error] naming the document's [schema_version] unless it is
+    {!current_schema_version}. *)
+
+val cell_to_json : cell -> Json.t
+
+val cells_of_json : Json.t -> (cell list, string) result
+(** The document's ["cells"] list. *)
 
 (** {1 Histogram helpers} *)
 

@@ -1,4 +1,4 @@
-(* Checks a `bench/main.exe propbench --benchmarks tiny --analyses insens`
+(* Checks a `pointsto bench propbench --benchmarks tiny --analyses insens`
    run: the printed table and the written snapshot must each hold exactly
    one tiny/insens cell, proving both flags overrode the propagation
    grid's default cyclic x analysis spread.

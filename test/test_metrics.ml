@@ -1,13 +1,12 @@
 (** Tests for the pta_metrics registry and the bench snapshot codec:
     exposition determinism, null-registry transparency of the solver,
-    histogram bucket semantics, v1/v2 snapshot round-tripping, and the
-    regression comparator's verdicts. *)
+    histogram bucket semantics, snapshot round-tripping and version
+    refusal, and the regression comparator's verdicts. *)
 
 module Registry = Pta_metrics.Registry
 module Snapshot = Pta_report.Bench_snapshot
 module Solver = Pta_solver.Solver
 module Intset = Pta_solver.Intset
-module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 module Json = Pta_obs.Json
 module Metrics = Pta_clients.Metrics
@@ -331,32 +330,14 @@ let registry_validation_test () =
 (* Bench snapshot codec                                                *)
 (* ------------------------------------------------------------------ *)
 
-let mem : Memstats.delta =
-  {
-    Memstats.minor_allocated_words = 1000.;
-    promoted_delta_words = 100.;
-    major_allocated_words = 500.;
-    minor_collections_delta = 2;
-    major_collections_delta = 1;
-    compactions_delta = 0;
-    heap_words_after = 4096;
-    peak_heap_words = 8192;
-  }
-
 let cell ?(timed_out = false) ?(time_s = 1.0) ?(iterations = 100) ?nodes
-    ?memory ?time_hist ?(heap_components = []) benchmark analysis =
+    ?peak_heap_words ?time_hist ?(heap_components = []) benchmark analysis =
   {
-    Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes; memory;
-    time_hist; heap_components;
+    Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes;
+    peak_heap_words; time_hist; heap_components;
   }
 
-let snap ?pointsto cells =
-  {
-    Snapshot.schema_version = Snapshot.current_schema_version;
-    timeout_s = 60.;
-    pointsto;
-    cells;
-  }
+let snap ?pointsto cells = { Snapshot.timeout_s = 60.; pointsto; cells }
 
 let comps =
   [
@@ -366,7 +347,7 @@ let comps =
       unshared_words = 50_000 };
   ]
 
-let v2_roundtrip_test () =
+let roundtrip_test () =
   let hist =
     { Snapshot.bounds = [ 0.5; 1.0 ]; counts = [ 2; 1; 0 ]; sum = 1.9 }
   in
@@ -374,7 +355,8 @@ let v2_roundtrip_test () =
     snap
       ~pointsto:(Json.Obj [ ("commit", Json.String "abc123") ])
       [
-        cell ~nodes:1234 ~memory:mem ~time_hist:hist ~heap_components:comps
+        cell ~nodes:1234 ~peak_heap_words:8192 ~time_hist:hist
+          ~heap_components:comps
           "antlr" "2obj+H";
         cell ~timed_out:true ~time_s:60.2 ~iterations:999 "bloat" "2obj+H";
       ]
@@ -382,13 +364,12 @@ let v2_roundtrip_test () =
   match Snapshot.of_string (Json.to_string (Snapshot.to_json t)) with
   | Error e -> Alcotest.fail e
   | Ok t' ->
-    Alcotest.(check int) "current schema" Snapshot.current_schema_version
-      t'.Snapshot.schema_version;
     Alcotest.(check bool) "stamp survives" true (t'.Snapshot.pointsto <> None);
     (match t'.Snapshot.cells with
     | [ c1; c2 ] ->
       Alcotest.(check (option int)) "nodes" (Some 1234) c1.Snapshot.nodes;
-      Alcotest.(check bool) "memory survives" true (c1.Snapshot.memory = Some mem);
+      Alcotest.(check (option int)) "peak heap survives" (Some 8192)
+        c1.Snapshot.peak_heap_words;
       Alcotest.(check bool) "hist survives" true
         (c1.Snapshot.time_hist = Some hist);
       Alcotest.(check bool) "components survive" true
@@ -401,59 +382,32 @@ let v2_roundtrip_test () =
       Alcotest.(check int) "abort iterations" 999 c2.Snapshot.iterations
     | _ -> Alcotest.fail "wrong cell count")
 
-(* A v1 document (no nodes/memory/pointsto) must still load, with the
-   v2-only fields absent — an old baseline keeps gating on time. *)
-let v1_compat_test () =
-  let v1 =
-    {|{"schema_version": 1, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42}]}|}
-  in
-  match Snapshot.of_string v1 with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-    Alcotest.(check int) "schema v1" 1 t.Snapshot.schema_version;
-    Alcotest.(check bool) "no stamp" true (t.Snapshot.pointsto = None);
-    let c = List.hd t.Snapshot.cells in
-    Alcotest.(check (option int)) "no nodes" None c.Snapshot.nodes;
-    Alcotest.(check bool) "no memory" true (c.Snapshot.memory = None)
-
-(* v2 (memory, no hist) and v3 (hist, no heap_components) snapshots
-   predate the census block; both must still load. *)
-let v2_v3_compat_test () =
-  let v2 =
-    {|{"schema_version": 2, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42, "nodes": 10,
-         "memory": {"minor_allocated_words": 1.0, "promoted_words": 0.0,
-                    "major_allocated_words": 0.0, "minor_collections": 0,
-                    "major_collections": 0, "compactions": 0,
-                    "heap_words": 100, "peak_heap_words": 200}}]}|}
-  in
-  let v3 =
-    {|{"schema_version": 3, "timeout_s": 60.0, "cells": [
-        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42,
-         "time_hist": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}}]}|}
-  in
-  List.iter
-    (fun (label, src) ->
-      match Snapshot.of_string src with
-      | Error e -> Alcotest.failf "%s rejected: %s" label e
-      | Ok t ->
-        let c = List.hd t.Snapshot.cells in
-        Alcotest.(check bool)
-          (label ^ ": no components") true
-          (c.Snapshot.heap_components = []))
-    [ ("v2", v2); ("v3", v3) ]
-
+(* Snapshots and ledger records share one schema version; a document
+   of any other version, older or newer, is refused with an error naming
+   it. *)
 let unsupported_schema_test () =
-  match Snapshot.of_string {|{"schema_version": 99, "timeout_s": 1, "cells": []}|} with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error e ->
-    Alcotest.(check bool)
-      "names the version" true
-      (Helpers.contains_substring e "99")
+  List.iter
+    (fun v ->
+      match
+        Snapshot.of_string
+          (Printf.sprintf
+             {|{"schema_version": %d, "timeout_s": 1, "cells": []}|} v)
+      with
+      | Ok _ -> Alcotest.failf "schema_version %d accepted" v
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "names version %d (%s)" v e)
+          true
+          (Helpers.contains_substring e
+             (Printf.sprintf "schema_version %d" v)))
+    [ 1; 2; 3; 4; 5; 99 ];
+  match
+    Snapshot.of_string
+      (Printf.sprintf {|{"schema_version": %d, "timeout_s": 1, "cells": []}|}
+         Snapshot.current_schema_version)
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "current version refused: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Regression comparator                                               *)
@@ -487,15 +441,14 @@ let regression_verdicts_test () =
   Alcotest.(check bool) "noise floor" false (Snapshot.has_regression r)
 
 let heap_verdict_test () =
-  let base = cell ~memory:mem "a" "x" in
-  let fat =
-    cell ~memory:{ mem with Memstats.peak_heap_words = 16384 } "a" "x"
-  in
+  let base = cell ~peak_heap_words:8192 "a" "x" in
+  let fat = cell ~peak_heap_words:16384 "a" "x" in
   let r = compare_cells [ base ] [ fat ] in
   Alcotest.(check bool) "heap regression" true (Snapshot.has_regression r);
-  (* Against a v1 baseline (no memory) there is nothing to gate on. *)
+  (* Against a baseline cell without a peak there is nothing to gate on. *)
   let r = compare_cells [ cell "a" "x" ] [ fat ] in
-  Alcotest.(check bool) "v1 baseline skips heap" false (Snapshot.has_regression r)
+  Alcotest.(check bool) "peak-less baseline skips heap" false
+    (Snapshot.has_regression r)
 
 let timeout_verdicts_test () =
   let fine = cell "a" "x" and dead = cell ~timed_out:true "a" "x" in
@@ -548,7 +501,7 @@ let component_verdict_test () =
       ~current:(snap [ grown ]) ()
   in
   Alcotest.(check bool) "loosened gate passes" false (Snapshot.has_regression r);
-  (* Baselines without census blocks (v1-v3) have nothing to gate on. *)
+  (* Baselines without census blocks have nothing to gate on. *)
   let r = compare_cells [ cell "a" "x" ] [ grown ] in
   Alcotest.(check bool) "component-less baseline passes" false
     (Snapshot.has_regression r)
@@ -577,39 +530,6 @@ let markdown_report_test () =
     "counts regressions" true
     (Helpers.contains_substring md "1 regression(s)")
 
-(* ------------------------------------------------------------------ *)
-(* Schema v5 cells written by the removed parallel drain               *)
-(* ------------------------------------------------------------------ *)
-
-let v5_parallel_cells_refused_test () =
-  let doc cell_extra =
-    Printf.sprintf
-      {|{"schema_version": 5, "timeout_s": 60.0, "cells": [
-          {"benchmark": "cyclic", "analysis": "insens", "timed_out": false,
-           "time_s": 1.0, "iterations": 10%s}]}|}
-      cell_extra
-  in
-  List.iter
-    (fun extra ->
-      match Snapshot.of_string (doc extra) with
-      | Ok _ -> Alcotest.failf "parallel cell accepted: %s" extra
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "error names the cell (%s)" e)
-          true
-          (Helpers.contains_substring e "cyclic/insens"))
-    [ {|, "jobs": 4, "domains": 4|}; {|, "domains": 2|} ];
-  (* Sequential cells, stamped or not, still load, and are written back
-     without the stamp. *)
-  match Snapshot.of_string (doc {|, "jobs": 1, "domains": 1|}) with
-  | Error e -> Alcotest.fail e
-  | Ok t ->
-    Alcotest.(check int) "sequential cell loads" 1
-      (List.length t.Snapshot.cells);
-    let json = Json.to_string (Snapshot.to_json t) in
-    Alcotest.(check bool) "no jobs key written" false
-      (Helpers.contains_substring json "jobs")
-
 let tests =
   [
     Alcotest.test_case "exposition deterministic" `Quick
@@ -629,9 +549,7 @@ let tests =
     Alcotest.test_case "histogram to snapshot hist" `Quick
       histogram_to_hist_test;
     Alcotest.test_case "registry validation" `Quick registry_validation_test;
-    Alcotest.test_case "snapshot v2 round-trip" `Quick v2_roundtrip_test;
-    Alcotest.test_case "snapshot v1 compat" `Quick v1_compat_test;
-    Alcotest.test_case "snapshot v2/v3 compat" `Quick v2_v3_compat_test;
+    Alcotest.test_case "snapshot round-trip" `Quick roundtrip_test;
     Alcotest.test_case "unsupported schema" `Quick unsupported_schema_test;
     Alcotest.test_case "time regression verdicts" `Quick
       regression_verdicts_test;
@@ -642,6 +560,4 @@ let tests =
     Alcotest.test_case "missing / new cells" `Quick cell_presence_test;
     Alcotest.test_case "custom thresholds" `Quick custom_thresholds_test;
     Alcotest.test_case "markdown report" `Quick markdown_report_test;
-    Alcotest.test_case "snapshot reader refuses parallel cells" `Quick
-      v5_parallel_cells_refused_test;
   ]
