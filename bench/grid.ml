@@ -91,7 +91,9 @@ let measure r =
       | Ok (r : Driver.run) -> r.Driver.wall_time_s
       | Error _ -> infinity
     in
-    let times = [ r1.Driver.wall_time_s; time (run_once ()); time (run_once ()) ] in
+    let times =
+      [ r1.Driver.wall_time_s; time (run_once ()); time (run_once ()) ]
+    in
     let census = (Solver.census r1.Driver.solver).Census.components in
     let reg = Registry.create () in
     let h =
@@ -154,7 +156,8 @@ let spawn (req : request) : (outcome, string) result =
   in
   match (wait (), reply) with
   | Unix.WEXITED 0, Some r -> r
-  | Unix.WEXITED n, _ -> Error (Printf.sprintf "cell process exited with code %d" n)
+  | Unix.WEXITED n, _ ->
+    Error (Printf.sprintf "cell process exited with code %d" n)
   | (Unix.WSIGNALED s | Unix.WSTOPPED s), _ ->
     Error (Printf.sprintf "cell process killed by signal %d" s)
 
@@ -747,16 +750,30 @@ let micro () =
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds ~delta_md
-    ~snapshot_out =
+let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds
+    ~delta_md ~snapshot_out =
   let current = snapshot g ~benchmarks ~analyses in
   Option.iter (fun path -> write_snapshot path current) snapshot_out;
-  let subset =
-    Pta_report.Comparator.subset_of
-      ~benchmarks:(Some (List.map (fun p -> p.Profile.name) benchmarks))
-      ~analyses:(Some analyses)
+  if baseline.Snapshot.timeout_s <> g.timeout_s then
+    Printf.eprintf
+      "[bench] warning: baseline timeout %.0fs != current %.0fs; timeout \
+       cells may not be comparable\n\
+       %!"
+      baseline.Snapshot.timeout_s g.timeout_s;
+  (* Gate only the measured subset of the baseline. *)
+  let names = List.map (fun p -> p.Profile.name) benchmarks in
+  let baseline =
+    {
+      baseline with
+      Snapshot.cells =
+        List.filter
+          (fun (c : Snapshot.cell) ->
+            List.mem c.benchmark names && List.mem c.analysis analyses)
+          baseline.Snapshot.cells;
+    }
   in
-  Printf.printf "=== Regression report (vs %s) ===\n%!" baseline_name;
-  (Pta_report.Comparator.gate ~thresholds ~subset ?delta_md ~baseline ~current
-     ())
-    .Pta_report.Comparator.failed
+  let report = Snapshot.compare ~thresholds ~baseline ~current () in
+  Printf.printf "=== Regression report (vs %s) ===\n" baseline_name;
+  Format.printf "%a%!" Snapshot.pp_report report;
+  Option.iter (fun path -> write_file path (Snapshot.to_markdown report)) delta_md;
+  Snapshot.has_regression report

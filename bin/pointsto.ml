@@ -1783,7 +1783,7 @@ let compare_bench_cmd =
 
 let cell_cmd =
   grid_cmd "cell"
-    "Internal: measure one grid cell for the commands above, reading the \
+    "Internal: measure one grid cell for the grid commands, reading the \
      request from stdin and writing the outcome to stdout."
     Term.(const Grid.child $ const ())
 

@@ -32,7 +32,9 @@ let run ?(params = Trend.default_params) ~metric ~benchmark ~analysis records =
   | [] -> Error "empty ledger: nothing to bisect"
   | latest :: _ -> (
     let records =
-      List.filter (fun (r : Record.t) -> r.Record.host = latest.Record.host) records
+      List.filter
+        (fun (r : Record.t) -> r.Record.host = latest.Record.host)
+        records
     in
     let anchor_vals =
       anchor_values params metric ~benchmark ~analysis records
