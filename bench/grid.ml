@@ -1,12 +1,4 @@
-(* The paper's evaluation grids behind `pointsto bench`: Table 1,
-   Figure 3, the headline ratios, the ablation, future-work and scaling
-   studies, the propagation grid and its regression gate, and the
-   Bechamel micro-benchmarks.
-
-   Every grid cell is measured in a fresh `pointsto bench cell` process
-   that marshals its outcome back on stdout.  A cell's heap then starts
-   empty whatever ran before it, so its peak heap is a property of the
-   cell alone, not of the grid order. *)
+(* The evaluation grids behind `pointsto bench`; see grid.mli. *)
 
 module Ir = Pta_ir.Ir
 module Metrics = Pta_clients.Metrics
