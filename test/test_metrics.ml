@@ -385,22 +385,47 @@ let roundtrip_test () =
 (* Snapshots and ledger records share one schema version; a document
    of any other version, older or newer, is refused with an error naming
    it. *)
+let refused_naming_version v src =
+  match Snapshot.of_string src with
+  | Ok _ -> Alcotest.failf "schema_version %d accepted" v
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "names version %d (%s)" v e)
+      true
+      (Helpers.contains_substring e (Printf.sprintf "schema_version %d" v))
+
+(* A real v1 document (no nodes/memory/pointsto) is refused, not read
+   with the later fields defaulted. *)
+let v1_refused_test () =
+  refused_naming_version 1
+    {|{"schema_version": 1, "timeout_s": 60.0, "cells": [
+        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
+         "time_s": 0.5, "iterations": 42}]}|}
+
+(* v2 (memory block, no hist) and v3 (hist, no heap_components)
+   documents are refused too. *)
+let v2_v3_refused_test () =
+  refused_naming_version 2
+    {|{"schema_version": 2, "timeout_s": 60.0, "cells": [
+        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
+         "time_s": 0.5, "iterations": 42, "nodes": 10,
+         "memory": {"minor_allocated_words": 1.0, "promoted_words": 0.0,
+                    "major_allocated_words": 0.0, "minor_collections": 0,
+                    "major_collections": 0, "compactions": 0,
+                    "heap_words": 100, "peak_heap_words": 200}}]}|};
+  refused_naming_version 3
+    {|{"schema_version": 3, "timeout_s": 60.0, "cells": [
+        {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
+         "time_s": 0.5, "iterations": 42,
+         "time_hist": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}}]}|}
+
 let unsupported_schema_test () =
   List.iter
     (fun v ->
-      match
-        Snapshot.of_string
-          (Printf.sprintf
-             {|{"schema_version": %d, "timeout_s": 1, "cells": []}|} v)
-      with
-      | Ok _ -> Alcotest.failf "schema_version %d accepted" v
-      | Error e ->
-        Alcotest.(check bool)
-          (Printf.sprintf "names version %d (%s)" v e)
-          true
-          (Helpers.contains_substring e
-             (Printf.sprintf "schema_version %d" v)))
-    [ 1; 2; 3; 4; 5; 99 ];
+      refused_naming_version v
+        (Printf.sprintf
+           {|{"schema_version": %d, "timeout_s": 1, "cells": []}|} v))
+    [ 4; 5; 99 ];
   match
     Snapshot.of_string
       (Printf.sprintf {|{"schema_version": %d, "timeout_s": 1, "cells": []}|}
@@ -550,6 +575,8 @@ let tests =
       histogram_to_hist_test;
     Alcotest.test_case "registry validation" `Quick registry_validation_test;
     Alcotest.test_case "snapshot round-trip" `Quick roundtrip_test;
+    Alcotest.test_case "snapshot v1 refused" `Quick v1_refused_test;
+    Alcotest.test_case "snapshot v2/v3 refused" `Quick v2_v3_refused_test;
     Alcotest.test_case "unsupported schema" `Quick unsupported_schema_test;
     Alcotest.test_case "time regression verdicts" `Quick
       regression_verdicts_test;
