@@ -132,6 +132,38 @@ let preds_of_site t site =
     Hashtbl.add t.preds site preds;
     preds
 
+(* The node a chain ends at: among [var]'s nodes holding one of
+   [hobjs], the first in the order the solver listed a variable's nodes
+   while its (var, ctx) -> node table was a [Hashtbl] created with 4096
+   buckets and filled in node-id order.  That order is bucket
+   descending, then node id ascending, where a node's bucket is
+   [Hashtbl.hash (var, ctx)] masked to the table's final size: the
+   smallest power of two [l >= 4096] with [2l >= n_var_nodes].  Keeping
+   it keeps every witness byte-identical to the reports of that solver;
+   it costs O(candidates) per query and no global sort. *)
+let target solver hobjs var =
+  let n = Solver.n_var_nodes solver in
+  let rec buckets l = if 2 * l >= n then l else buckets (2 * l) in
+  let mask = buckets 4096 - 1 in
+  let bucket nid =
+    match Solver.node_kind solver nid with
+    | Solver.Var_node (v, ctx) -> Hashtbl.hash (Var_id.to_int v, ctx) land mask
+    | _ -> invalid_arg "Provenance.target: not a variable node"
+  in
+  (* [var_node_ids] ascends, so a later node wins only from a strictly
+     higher bucket. *)
+  List.fold_left
+    (fun best nid ->
+      if not (holds solver hobjs nid) then best
+      else
+        let b = bucket nid in
+        match best with
+        | Some (_, best_b) when best_b >= b -> best
+        | _ -> Some (nid, b))
+    None
+    (Solver.var_node_ids solver var)
+  |> Option.map fst
+
 (* Breadth-first search backwards from the target among nodes containing
    the abstract object; the chain root is a node with no predecessor
    passing the object (the allocation target, a receiver binding, ...). *)
@@ -147,9 +179,9 @@ let explain t ~var ~heap =
   let hobjs = hobjs_of_site t site in
   (* The target keeps its original id so the reported step names the
      variable the caller asked about, not an arbitrary cycle member. *)
-  match List.filter (holds solver hobjs) (Solver.var_node_ids solver var) with
-  | [] -> None
-  | target0 :: _ ->
+  match target solver hobjs var with
+  | None -> None
+  | Some target0 ->
     let preds = preds_of_site t site in
     let preds_of nid = Option.value ~default:[] (Hashtbl.find_opt preds nid) in
     let target = Solver.canonical_node solver target0 in

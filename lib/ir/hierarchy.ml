@@ -3,7 +3,7 @@ open Ir
 type t = {
   program : Program.t;
   supers : Type_id.Set.t option array;  (* memo: reflexive-transitive supertypes *)
-  dispatch : (int * int, Meth_id.t option) Hashtbl.t;
+  dispatch : Inttbl.t;  (* (type, signature) -> target method, or -1 *)
   mutable subclasses : Type_id.t list Type_id.Map.t option;
 }
 
@@ -11,7 +11,7 @@ let create program =
   {
     program;
     supers = Array.make (Program.n_types program) None;
-    dispatch = Hashtbl.create 256;
+    dispatch = Inttbl.create_map ();
     subclasses = None;
   }
 
@@ -38,10 +38,11 @@ let rec supertypes h ty =
 let subtype h ~sub ~sup = Type_id.Set.mem sup (supertypes h sub)
 
 let lookup h ty signature =
-  let key = (Type_id.to_int ty, Sig_id.to_int signature) in
-  match Hashtbl.find_opt h.dispatch key with
-  | Some r -> r
-  | None ->
+  let key = Inttbl.pack (Type_id.to_int ty) (Sig_id.to_int signature) in
+  let cached = Inttbl.find h.dispatch key in
+  if cached >= 0 then Some (Meth_id.of_int cached)
+  else if cached = -1 then None
+  else begin
     let rec walk ty =
       let info = Program.type_info h.program ty in
       match List.assoc_opt signature info.declared with
@@ -49,8 +50,10 @@ let lookup h ty signature =
       | None -> Option.bind info.superclass walk
     in
     let r = walk ty in
-    Hashtbl.add h.dispatch key r;
+    Inttbl.add h.dispatch key
+      (match r with Some m -> Meth_id.to_int m | None -> -1);
     r
+  end
 
 let direct_subclasses h ty =
   let map =

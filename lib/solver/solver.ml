@@ -1,5 +1,6 @@
 module Ir = Pta_ir.Ir
 module Vec = Pta_ir.Vec
+module Inttbl = Pta_ir.Inttbl
 module Hierarchy = Pta_ir.Hierarchy
 module Ctx = Pta_context.Ctx
 module Strategy = Pta_context.Strategy
@@ -141,21 +142,24 @@ type t = {
          clients can refuse to walk a partially-populated supergraph *)
   ctx_store : Ctx.store;
   hctx_store : Ctx.store;
-  (* hobj interning *)
-  hobj_table : (int * int, hobj) Hashtbl.t;  (* (heap, hctx) -> hobj *)
+  (* hobj interning; every table keyed by ids is an [Inttbl], its
+     pairs of ids packed into one int *)
+  hobj_table : Inttbl.t;  (* (heap, hctx) -> hobj *)
   hobj_heaps : int Vec.t;
   hobj_hctxs : int Vec.t;
   hobj_types : Type_id.t Vec.t;
   (* supergraph nodes *)
   nodes : node Vec.t;
-  var_nodes : (int * int, int) Hashtbl.t;  (* (var, ctx) -> node *)
-  fld_nodes : (int * int, int) Hashtbl.t;  (* (hobj, field) -> node *)
-  static_fld_nodes : (int, int) Hashtbl.t;  (* static field -> node *)
-  throw_nodes : (int * int, int) Hashtbl.t;
+  var_nodes : Inttbl.t;  (* (var, ctx) -> node *)
+  fld_nodes : Inttbl.t;
+      (* (hobj + 1, field) -> node; hobj is -1 in field-based mode *)
+  static_fld_nodes : int array;  (* static field -> node, or -1 *)
+  throw_nodes : Inttbl.t;
       (* (meth, ctx) -> node holding the exceptions escaping the method:
          ThrowPointsTo(meth, ctx) *)
-  edge_seen : (int * int * int, unit) Hashtbl.t;
-      (* (src, dst, filter), keyed by ids canonical at insertion time *)
+  edge_seen : Inttbl.t;
+      (* set of ((src, dst), filter), keyed by ids canonical at insertion
+         time *)
   (* cycle elimination: copy-edge SCCs collapse onto one shared [node]
      record; [unify] maps any node id to its class's canonical id *)
   unify : Unify.t;
@@ -166,9 +170,9 @@ type t = {
   pq : Pqueue.t;
   meth_queue : (Meth_id.t * Ctx.id) Queue.t;
   (* facts *)
-  reachable : (int * int, unit) Hashtbl.t;  (* (meth, ctx) *)
-  call_edges : (int * int * int * int, unit) Hashtbl.t;
-      (* (invo, caller ctx, meth, callee ctx) *)
+  reachable : Inttbl.t;  (* set of (meth, ctx) *)
+  call_edges : Inttbl.t;
+      (* set of ((invo, caller ctx), (meth, callee ctx)) *)
   (* memoized context-insensitive projections *)
   mutable var_node_index : int list array option;  (* var -> its nodes *)
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
@@ -192,17 +196,18 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let intern_hobj st heap hctx =
-  let key = (Heap_id.to_int heap, hctx) in
-  match Hashtbl.find_opt st.hobj_table key with
-  | Some h -> h
-  | None ->
+  let key = Inttbl.pack (Heap_id.to_int heap) hctx in
+  let h = Inttbl.find st.hobj_table key in
+  if h <> Inttbl.absent then h
+  else begin
     let h = Vec.push st.hobj_heaps (Heap_id.to_int heap) in
     let (_ : int) = Vec.push st.hobj_hctxs hctx in
     let (_ : int) =
       Vec.push st.hobj_types (Program.heap_info st.program heap).heap_type
     in
-    Hashtbl.add st.hobj_table key h;
+    Inttbl.add st.hobj_table key h;
     h
+  end
 
 let fresh_node st =
   let nid =
@@ -221,47 +226,40 @@ let fresh_node st =
   Unify.ensure st.unify (nid + 1);
   nid
 
-let var_node st var ctx =
-  let key = (Var_id.to_int var, ctx) in
-  match Hashtbl.find_opt st.var_nodes key with
-  | Some n -> n
-  | None ->
+(* The node bound to [key] in [table], made on first use. *)
+let keyed_node st table key =
+  let n = Inttbl.find table key in
+  if n <> Inttbl.absent then n
+  else begin
     let n = fresh_node st in
-    Hashtbl.add st.var_nodes key n;
+    Inttbl.add table key n;
     n
+  end
+
+let var_node st var ctx =
+  keyed_node st st.var_nodes (Inttbl.pack (Var_id.to_int var) ctx)
 
 (* Static fields are global cells: one node each, no context and no base
    object — exactly the treatment the paper calls "a mere engineering
    complexity" orthogonal to context choice. *)
 let static_fld_node st field =
-  let key = Field_id.to_int field in
-  match Hashtbl.find_opt st.static_fld_nodes key with
-  | Some n -> n
-  | None ->
+  let i = Field_id.to_int field in
+  let n = st.static_fld_nodes.(i) in
+  if n >= 0 then n
+  else begin
     let n = fresh_node st in
-    Hashtbl.add st.static_fld_nodes key n;
+    st.static_fld_nodes.(i) <- n;
     n
+  end
 
 let fld_node st hobj field =
   (* Field-based mode conflates all base objects into one cell per
      field. *)
   let hobj = if st.field_based then -1 else hobj in
-  let key = (hobj, Field_id.to_int field) in
-  match Hashtbl.find_opt st.fld_nodes key with
-  | Some n -> n
-  | None ->
-    let n = fresh_node st in
-    Hashtbl.add st.fld_nodes key n;
-    n
+  keyed_node st st.fld_nodes (Inttbl.pack (hobj + 1) (Field_id.to_int field))
 
 let throw_node st meth ctx =
-  let key = (Meth_id.to_int meth, ctx) in
-  match Hashtbl.find_opt st.throw_nodes key with
-  | Some n -> n
-  | None ->
-    let n = fresh_node st in
-    Hashtbl.add st.throw_nodes key n;
-    n
+  keyed_node st st.throw_nodes (Inttbl.pack (Meth_id.to_int meth) ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Difference propagation                                              *)
@@ -329,11 +327,8 @@ let add_edge st ~src ~dst ~filter =
            table. *)
         invalid_arg "add_edge: exception-scope edges use attach_edge"
     in
-    let key = (src, dst, fkey) in
-    if not (Hashtbl.mem st.edge_seen key) then begin
-      Hashtbl.add st.edge_seen key ();
+    if Inttbl.add_new st.edge_seen (Inttbl.pack src dst) fkey then
       attach_edge st ~src ~dst ~filter
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -506,11 +501,8 @@ let collapse_and_reprioritize st =
 (* ------------------------------------------------------------------ *)
 
 let mark_reachable st meth ctx =
-  let key = (Meth_id.to_int meth, ctx) in
-  if not (Hashtbl.mem st.reachable key) then begin
-    Hashtbl.add st.reachable key ();
+  if Inttbl.add_new st.reachable (Meth_id.to_int meth) ctx then
     Queue.add (meth, ctx) st.meth_queue
-  end
 
 (* Record a call-graph edge; on first discovery wire the parameter and
    return-value assignments (the two InterProcAssign rules) and make the
@@ -520,9 +512,11 @@ let mark_reachable st meth ctx =
    applied in its own context (see [apply_shortcut]). *)
 let wire_call st ~invo ~caller_ctx ~callee ~callee_ctx ~args ~ret_target
     ~exc_target ~cut =
-  let key = (Invo_id.to_int invo, caller_ctx, Meth_id.to_int callee, callee_ctx) in
-  if not (Hashtbl.mem st.call_edges key) then begin
-    Hashtbl.add st.call_edges key ();
+  if
+    Inttbl.add_new st.call_edges
+      (Inttbl.pack (Invo_id.to_int invo) caller_ctx)
+      (Inttbl.pack (Meth_id.to_int callee) callee_ctx)
+  then begin
     mark_reachable st callee callee_ctx;
     let mi = Program.meth_info st.program callee in
     let n_formals = Array.length mi.formals in
@@ -919,7 +913,7 @@ let record_final_metrics st =
         ~buckets:(Registry.pow2_buckets 14) "pta_solver_pts_size"
     in
     let vpt = ref 0 in
-    Hashtbl.iter
+    Inttbl.iter
       (fun _ nid ->
         let c = Intset.cardinal (Vec.get st.nodes nid).all in
         vpt := !vpt + c;
@@ -946,8 +940,9 @@ let record_final_metrics st =
    several components is retained by the earliest one listed, so the
    points-to sets come first (they are the cost the paper's Table 1 is
    about), then the supergraph structure, then bookkeeping.  Every root
-   below is closure-free data (records, lists, arrays, hashtables), so
-   no component accidentally retains captured environments.
+   below is closure-free data (records, lists, arrays, flat [Inttbl]s
+   and the memo hashtables), so no component accidentally retains
+   captured environments.
 
    SCC collapse makes unified node ids alias one shared record; roots
    are taken once per canonical id so the unshared view does not count
@@ -1031,24 +1026,24 @@ let solve_outcome ?(config = Config.default) program strategy =
         solved = false;
         ctx_store = Ctx.create_store ();
         hctx_store = Ctx.create_store ();
-        hobj_table = Hashtbl.create 4096;
+        hobj_table = Inttbl.create_map ();
         hobj_heaps = Vec.create ();
         hobj_hctxs = Vec.create ();
         hobj_types = Vec.create ();
         nodes = Vec.create ();
-        var_nodes = Hashtbl.create 4096;
-        fld_nodes = Hashtbl.create 4096;
-        static_fld_nodes = Hashtbl.create 64;
-        throw_nodes = Hashtbl.create 1024;
-        edge_seen = Hashtbl.create 4096;
+        var_nodes = Inttbl.create_map ();
+        fld_nodes = Inttbl.create_map ();
+        static_fld_nodes = Array.make (Program.n_fields program) (-1);
+        throw_nodes = Inttbl.create_map ();
+        edge_seen = Inttbl.create_set ();
         unify = Unify.create ~capacity:4096 ();
         copy_edges_since_scc = 0;
         copy_edges_total = 0;
         scc_threshold = 512;
         pq = Pqueue.create ();
         meth_queue = Queue.create ();
-        reachable = Hashtbl.create 1024;
-        call_edges = Hashtbl.create 4096;
+        reachable = Inttbl.create_set ();
+        call_edges = Inttbl.create_set ();
         var_node_index = None;
         ci_targets = None;
         node_kinds = None;
@@ -1155,43 +1150,48 @@ let n_ctxs st = Ctx.size st.ctx_store
 let n_hctxs st = Ctx.size st.hctx_store
 
 let iter_var_points_to st f =
-  Hashtbl.iter
-    (fun (var, ctx) nid -> f (Var_id.of_int var) ctx (Vec.get st.nodes nid).all)
+  Inttbl.iter
+    (fun key nid ->
+      f (Var_id.of_int (Inttbl.high key)) (Inttbl.low key)
+        (Vec.get st.nodes nid).all)
     st.var_nodes
 
 let iter_fld_points_to st f =
-  Hashtbl.iter
-    (fun (hobj, field) nid ->
-      f hobj (Field_id.of_int field) (Vec.get st.nodes nid).all)
+  Inttbl.iter
+    (fun key nid ->
+      f (Inttbl.high key - 1) (Field_id.of_int (Inttbl.low key))
+        (Vec.get st.nodes nid).all)
     st.fld_nodes
 
 let static_fld_points_to st field =
-  match Hashtbl.find_opt st.static_fld_nodes (Field_id.to_int field) with
-  | Some n -> (Vec.get st.nodes n).all
-  | None -> Intset.empty
+  let n = st.static_fld_nodes.(Field_id.to_int field) in
+  if n >= 0 then (Vec.get st.nodes n).all else Intset.empty
 
 let iter_throw_points_to st f =
-  Hashtbl.iter
-    (fun (meth, ctx) nid -> f (Meth_id.of_int meth) ctx (Vec.get st.nodes nid).all)
+  Inttbl.iter
+    (fun key nid ->
+      f (Meth_id.of_int (Inttbl.high key)) (Inttbl.low key)
+        (Vec.get st.nodes nid).all)
     st.throw_nodes
 
 let iter_call_edges st f =
-  Hashtbl.iter
-    (fun (invo, caller_ctx, meth, callee_ctx) () ->
-      f (Invo_id.of_int invo) caller_ctx (Meth_id.of_int meth) callee_ctx)
+  Inttbl.iter
+    (fun site target ->
+      f (Invo_id.of_int (Inttbl.high site)) (Inttbl.low site)
+        (Meth_id.of_int (Inttbl.high target)) (Inttbl.low target))
     st.call_edges
 
 let iter_reachable st f =
-  Hashtbl.iter (fun (meth, ctx) () -> f (Meth_id.of_int meth) ctx) st.reachable
+  Inttbl.iter (fun meth ctx -> f (Meth_id.of_int meth) ctx) st.reachable
 
 let sensitive_vpt_size st =
-  Hashtbl.fold
+  Inttbl.fold
     (fun _ nid acc -> acc + Intset.cardinal (Vec.get st.nodes nid).all)
     st.var_nodes 0
 
-let n_var_nodes st = Hashtbl.length st.var_nodes
-let n_reachable_cs st = Hashtbl.length st.reachable
-let n_call_edges_cs st = Hashtbl.length st.call_edges
+let n_var_nodes st = Inttbl.length st.var_nodes
+let n_reachable_cs st = Inttbl.length st.reachable
+let n_call_edges_cs st = Inttbl.length st.call_edges
 let n_edges st = st.n_edges
 let n_triggers st = st.n_triggers
 let delta_total st = st.delta_total
@@ -1207,17 +1207,23 @@ let canonical_node st nid = Unify.find st.unify nid
 
 let node_kind_table st =
   let kinds = Array.make (Vec.length st.nodes) Scope_node in
-  Hashtbl.iter
-    (fun (var, ctx) nid -> kinds.(nid) <- Var_node (Var_id.of_int var, ctx))
+  Inttbl.iter
+    (fun key nid ->
+      kinds.(nid) <- Var_node (Var_id.of_int (Inttbl.high key), Inttbl.low key))
     st.var_nodes;
-  Hashtbl.iter
-    (fun (hobj, field) nid -> kinds.(nid) <- Fld_node (hobj, Field_id.of_int field))
+  Inttbl.iter
+    (fun key nid ->
+      kinds.(nid) <-
+        Fld_node (Inttbl.high key - 1, Field_id.of_int (Inttbl.low key)))
     st.fld_nodes;
-  Hashtbl.iter
-    (fun field nid -> kinds.(nid) <- Static_fld_node (Field_id.of_int field))
+  Array.iteri
+    (fun field nid ->
+      if nid >= 0 then kinds.(nid) <- Static_fld_node (Field_id.of_int field))
     st.static_fld_nodes;
-  Hashtbl.iter
-    (fun (meth, ctx) nid -> kinds.(nid) <- Throw_node (Meth_id.of_int meth, ctx))
+  Inttbl.iter
+    (fun key nid ->
+      kinds.(nid) <-
+        Throw_node (Meth_id.of_int (Inttbl.high key), Inttbl.low key))
     st.throw_nodes;
   kinds
 
@@ -1242,16 +1248,21 @@ let node_succs_passing st nid hobj =
       else None)
     (Vec.get st.nodes nid).succs
 
-(* Prepending in [Hashtbl.iter] order lists each variable's nodes in
-   the reverse of table order — the order a [Hashtbl.fold] consing the
-   matches would give, which provenance relies on to pick its target. *)
+(* One pass over the table marks each var node with its variable; a
+   descending sweep over the node ids then conses every list in
+   ascending order. *)
 let var_node_ids st var =
   let index =
     match st.var_node_index with
     | Some t -> t
     | None ->
+      let owner = Array.make (Vec.length st.nodes) (-1) in
+      Inttbl.iter (fun key nid -> owner.(nid) <- Inttbl.high key) st.var_nodes;
       let t = Array.make (Program.n_vars st.program) [] in
-      Hashtbl.iter (fun (v, _) nid -> t.(v) <- nid :: t.(v)) st.var_nodes;
+      for nid = Array.length owner - 1 downto 0 do
+        let v = owner.(nid) in
+        if v >= 0 then t.(v) <- nid :: t.(v)
+      done;
       st.var_node_index <- Some t;
       t
   in
@@ -1291,8 +1302,8 @@ let ci_var_points_to st var =
     Intset.empty (var_node_ids st var)
 
 let reachable_meths st =
-  Hashtbl.fold
-    (fun (meth, _) () acc -> Meth_id.Set.add (Meth_id.of_int meth) acc)
+  Inttbl.fold
+    (fun meth _ acc -> Meth_id.Set.add (Meth_id.of_int meth) acc)
     st.reachable Meth_id.Set.empty
 
 let invo_targets_table st =
@@ -1300,15 +1311,11 @@ let invo_targets_table st =
   | Some t -> t
   | None ->
     let t = Invo_id.Tbl.create 1024 in
-    Hashtbl.iter
-      (fun (invo, _, meth, _) () ->
-        let invo = Invo_id.of_int invo in
+    iter_call_edges st (fun invo _ meth _ ->
         let existing =
           Option.value ~default:Meth_id.Set.empty (Invo_id.Tbl.find_opt t invo)
         in
-        Invo_id.Tbl.replace t invo
-          (Meth_id.Set.add (Meth_id.of_int meth) existing))
-      st.call_edges;
+        Invo_id.Tbl.replace t invo (Meth_id.Set.add meth existing));
     st.ci_targets <- Some t;
     t
 

@@ -262,8 +262,8 @@ val node_succs_passing : t -> node_id -> hobj -> node_id list
     {!canonical_node} before using them as indices. *)
 
 val var_node_ids : t -> Pta_ir.Ir.Var_id.t -> node_id list
-(** All (var, context) nodes of a variable, in a fixed order for a
-    given solved state.  Memoized on first use (one pass over the
+(** All (var, context) nodes of a variable, in ascending node id.
+    Memoized on first use for every variable at once (one pass over the
     variable nodes, counted under the census's ["memos"]); later calls
     cost O(result). *)
 
@@ -273,9 +273,15 @@ val census : t -> Pta_obs.Census.t
 (** A reachable-heap census of the solver state, attributing live words
     to named components — in ownership order: ["points-to-sets"] (the
     [Intset]s of every canonical node, [all] and [pending]),
-    ["edge-lists"] (successor/trigger lists), ["node-tables"],
-    ["context-tables"], ["hobj-tables"], ["unification-forest"],
-    ["call-graph-facts"], ["worklists"], ["memos"].  The census's set
+    ["edge-lists"] (successor/trigger lists), ["node-tables"] (the node
+    records and their vector, the (var, ctx), (hobj, field) and
+    (meth, ctx) node tables, the static-field node array and the edge
+    dedup set), ["context-tables"], ["hobj-tables"] (the (heap, hctx)
+    table and the hobj attribute vectors), ["unification-forest"],
+    ["call-graph-facts"] (the reachable (meth, ctx) and call-edge sets),
+    ["worklists"], ["memos"].  Every id-keyed table is a flat
+    {!Pta_ir.Inttbl.t}, so its retained words are its slot array.  The
+    census's set
     histogram is the points-to population distribution over canonical
     nodes (power-of-two buckets).
 

@@ -1,7 +1,8 @@
 (** Unit and property tests for the small container/PRNG substrates:
-    [Vec], [Rng], and the context-interning store. *)
+    [Vec], [Inttbl], [Rng], and the context-interning store. *)
 
 module Vec = Pta_ir.Vec
+module Inttbl = Pta_ir.Inttbl
 module Rng = Pta_workloads.Rng
 module Ctx = Pta_context.Ctx
 module Ir = Pta_ir.Ir
@@ -37,6 +38,121 @@ let vec_tests =
         Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x = 3) v);
         Alcotest.(check bool) "not exists" false (Vec.exists (fun x -> x = 9) v));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Inttbl, against a Stdlib [Hashtbl] model                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A table starts at 8 slots and doubles past 3/4 full, so 1500 draws
+   from 1000 keys (about 780 distinct) cross 7 resizes. *)
+let n_ops = 1500
+
+(* Half the keys are small, half packed from two ids near [2^31]: the
+   second kind differs only in the bits the hash must spread. *)
+let key_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int_bound 499;
+        map (fun i -> Inttbl.pack (0x7FFF_FFFF - (i mod 5)) (i / 5)) (int_bound 499);
+      ])
+
+type op = Add | Add_new | Find
+
+let op_gen = QCheck.Gen.oneofl [ Add; Add_new; Find ]
+
+(* Every entry [iter] visits, each paired with how often it came. *)
+let visits t =
+  let seen = Hashtbl.create 64 in
+  Inttbl.iter
+    (fun a b ->
+      Hashtbl.replace seen (a, b)
+        (1 + Option.value ~default:0 (Hashtbl.find_opt seen (a, b))))
+    t;
+  seen
+
+(* [t] holds exactly [entries]: [length], [iter] and [fold] agree, and
+   [iter] visits each entry once. *)
+let agrees_with entries t =
+  let seen = visits t in
+  let n = List.length entries in
+  Inttbl.length t = n
+  && Hashtbl.length seen = n
+  && Hashtbl.fold (fun _ count ok -> ok && count = 1) seen true
+  && List.for_all (Hashtbl.mem seen) entries
+  && Inttbl.fold (fun _ _ count -> count + 1) t 0 = n
+
+let map_qcheck =
+  let gen =
+    QCheck.Gen.(list_repeat n_ops (triple op_gen key_gen (int_range (-5) 5)))
+  in
+  QCheck.Test.make ~count:50 ~name:"map = Hashtbl model"
+    (QCheck.make gen) (fun ops ->
+      let t = Inttbl.create_map () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (op, k, v) ->
+          match op with
+          | Add ->
+            Inttbl.add t k v;
+            Hashtbl.replace model k v;
+            true
+          | Add_new ->
+            let fresh = not (Hashtbl.mem model k) in
+            if fresh then Hashtbl.replace model k v;
+            Inttbl.add_new t k v = fresh
+          | Find ->
+            Inttbl.find t k
+            = Option.value ~default:Inttbl.absent (Hashtbl.find_opt model k))
+        ops
+      && agrees_with (List.of_seq (Hashtbl.to_seq model)) t)
+
+let set_qcheck =
+  let gen =
+    QCheck.Gen.(list_repeat n_ops (triple bool key_gen (int_range (-2) 2)))
+  in
+  QCheck.Test.make ~count:50 ~name:"set = Hashtbl model"
+    (QCheck.make gen) (fun ops ->
+      let t = Inttbl.create_set () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (plain_add, k1, k2) ->
+          let fresh = not (Hashtbl.mem model (k1, k2)) in
+          Hashtbl.replace model (k1, k2) ();
+          if plain_add then begin
+            Inttbl.add t k1 k2;
+            true
+          end
+          else Inttbl.add_new t k1 k2 = fresh)
+        ops
+      && Hashtbl.fold
+           (fun (k1, k2) () ok -> ok && not (Inttbl.add_new t k1 k2))
+           model true
+      && agrees_with (List.of_seq (Hashtbl.to_seq_keys model)) t)
+
+let inttbl_tests =
+  [
+    Alcotest.test_case "pack round trip at the range ends" `Quick (fun () ->
+        let top = 0x7FFF_FFFF in
+        List.iter
+          (fun (a, b) ->
+            let k = Inttbl.pack a b in
+            Alcotest.(check bool) "non-negative" true (k >= 0);
+            Alcotest.(check (pair int int)) "unpack" (a, b) (Inttbl.high k, Inttbl.low k))
+          [ (0, 0); (0, top); (top, 0); (top, top); (1, top - 1) ]);
+    Alcotest.test_case "pack rejects ids out of range" `Quick (fun () ->
+        List.iter
+          (fun (a, b) ->
+            Alcotest.check_raises
+              (Printf.sprintf "pack %d %d" a b)
+              (Invalid_argument "Inttbl.pack")
+              (fun () -> ignore (Inttbl.pack a b)))
+          [ (-1, 0); (0, -1); (1 lsl 31, 0); (0, 1 lsl 31); (min_int, max_int) ]);
+    Alcotest.test_case "negative keys are refused" `Quick (fun () ->
+        Alcotest.check_raises "map" (Invalid_argument "Inttbl.add") (fun () ->
+            Inttbl.add (Inttbl.create_map ()) (-1) 0);
+        Alcotest.check_raises "set" (Invalid_argument "Inttbl.add") (fun () ->
+            ignore (Inttbl.add_new (Inttbl.create_set ()) (-3) 0)));
+  ]
+  @ List.map QCheck_alcotest.to_alcotest [ map_qcheck; set_qcheck ]
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -149,4 +265,4 @@ let ctx_qcheck =
   ]
 
 let tests =
-  vec_tests @ rng_tests @ ctx_tests @ List.map QCheck_alcotest.to_alcotest ctx_qcheck
+  vec_tests @ inttbl_tests @ rng_tests @ ctx_tests @ List.map QCheck_alcotest.to_alcotest ctx_qcheck

@@ -129,6 +129,23 @@ let aborted_run_test () =
 (* Differential: session vs the whole-graph reference                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A variable's nodes in the order the solver listed them while its
+   (var, ctx) -> node table was a polymorphic [Hashtbl]: the table is
+   rebuilt here as it was, created with 4096 buckets and filled in
+   node-id order, and each variable's list is consed in [Hashtbl.iter]
+   order.  Provenance still ends every chain at the first holder in
+   this order. *)
+let legacy_var_node_ids solver =
+  let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
+  for nid = 0 to Solver.n_nodes solver - 1 do
+    match Solver.node_kind solver nid with
+    | Solver.Var_node (var, ctx) -> Hashtbl.add tbl (Ir.Var_id.to_int var, ctx) nid
+    | _ -> ()
+  done;
+  let index = Array.make (Ir.Program.n_vars (Solver.program solver)) [] in
+  Hashtbl.iter (fun (var, _) nid -> index.(var) <- nid :: index.(var)) tbl;
+  fun var -> index.(Ir.Var_id.to_int var)
+
 (* The per-query algorithm the session replaced, kept here as the
    reference.  It is split in two so the sweep below can reuse the
    whole-graph scan across the queries of one allocation site (the scan
@@ -204,11 +221,11 @@ module Reference = struct
     let n = Solver.n_nodes solver in
     { visited = Array.make n false; parent = Array.make n (-1) }
 
-  let explain solver scratch (hobjs, preds) ~var ~heap =
+  let explain solver var_node_ids scratch (hobjs, preds) ~var ~heap =
     if not (Intset.mem (Ir.Heap_id.to_int heap) (Solver.ci_var_points_to solver var))
     then None
     else
-      match List.filter (holds solver hobjs) (Solver.var_node_ids solver var) with
+      match List.filter (holds solver hobjs) (var_node_ids var) with
       | [] -> None
       | target0 :: _ ->
         let { visited; parent } = scratch in
@@ -311,6 +328,7 @@ let differential ?limit ~workload ~analysis () =
       Hashtbl.replace got (var, heap) chain)
     (casts @ vpt);
   let scratch = Reference.scratch solver in
+  let var_node_ids = legacy_var_node_ids solver in
   let by_site = Hashtbl.create 256 in
   Hashtbl.iter
     (fun (var, heap) _ ->
@@ -324,7 +342,9 @@ let differential ?limit ~workload ~analysis () =
       let index = Reference.preds solver heap in
       List.iter
         (fun var ->
-          let expected = Reference.explain solver scratch index ~var ~heap in
+          let expected =
+            Reference.explain solver var_node_ids scratch index ~var ~heap
+          in
           (* every query is a var-points-to fact, so it has a chain *)
           if expected = None || Hashtbl.find got (var, heap) <> expected then
             Alcotest.failf "%s/%s: chains differ for %s -> %s" workload analysis
@@ -334,11 +354,39 @@ let differential ?limit ~workload ~analysis () =
     by_site;
   Alcotest.(check bool) "some cast queries" true (casts <> [])
 
+(* Every may-fail-cast query's chain ends at the first holder in the
+   legacy order, whatever order the solver's tables iterate in. *)
+let witness_order ~workload ~analysis () =
+  let program = Option.get (Pta_workloads.Workloads.program_by_name workload) in
+  let factory = Option.get (Pta_context.Strategies.by_name analysis) in
+  let solver = Solver.solve program (factory program) in
+  let var_node_ids = legacy_var_node_ids solver in
+  let session = Provenance.create solver in
+  let queries = cast_queries solver in
+  List.iter
+    (fun (var, heap) ->
+      let hobjs = Reference.hobjs_of solver heap in
+      let expected =
+        match List.filter (Reference.holds solver hobjs) (var_node_ids var) with
+        | first :: _ -> Reference.describe_node solver first
+        | [] -> Alcotest.fail "a cast query without a holding node"
+      in
+      match Provenance.explain session ~var ~heap with
+      | None -> Alcotest.fail "a cast query without a chain"
+      | Some chain ->
+        let last = List.nth chain (List.length chain - 1) in
+        if last.Provenance.description <> expected then
+          Alcotest.failf "%s/%s: chain for %s ends at %s, not %s" workload
+            analysis
+            (Ir.Program.var_qualified_name program var)
+            last.Provenance.description expected)
+    queries;
+  Alcotest.(check bool) "some cast queries" true (queries <> [])
+
 (* The may-fail-cast report on the tiny workload, witness chains
    included, digested: pins everything the reference above takes from
-   the solver as given — the order of [Solver.var_node_ids], hence which
-   context a chain ends at — to the reports the whole-graph algorithm
-   produced. *)
+   the solver as given — which context a chain ends at — to the reports
+   the whole-graph algorithm produced. *)
 let pinned_report ~analysis ~digest () =
   let program = Option.get (Pta_workloads.Workloads.program_by_name "tiny") in
   let factory = Option.get (Pta_context.Strategies.by_name analysis) in
@@ -364,6 +412,18 @@ let tests =
       (differential ~limit:300 ~workload:"antlr" ~analysis:"insens");
     Alcotest.test_case "session = reference on antlr/S-2obj+H" `Slow
       (differential ~workload:"antlr" ~analysis:"S-2obj+H");
+    Alcotest.test_case "witness order on tiny/1obj" `Quick
+      (witness_order ~workload:"tiny" ~analysis:"1obj");
+    Alcotest.test_case "witness order on tiny/S-2obj+H" `Quick
+      (witness_order ~workload:"tiny" ~analysis:"S-2obj+H");
+    Alcotest.test_case "witness order on tiny/2type+H" `Quick
+      (witness_order ~workload:"tiny" ~analysis:"2type+H");
+    Alcotest.test_case "witness order on antlr/1obj" `Slow
+      (witness_order ~workload:"antlr" ~analysis:"1obj");
+    Alcotest.test_case "witness order on antlr/S-2obj+H" `Slow
+      (witness_order ~workload:"antlr" ~analysis:"S-2obj+H");
+    Alcotest.test_case "witness order on antlr/2type+H" `Slow
+      (witness_order ~workload:"antlr" ~analysis:"2type+H");
       Alcotest.test_case "tiny/1obj cast report is pinned" `Quick
       (pinned_report ~analysis:"1obj" ~digest:"a33de8e71c5b23a8d7835b0933be672d");
     Alcotest.test_case "tiny/S-2obj+H cast report is pinned" `Quick
