@@ -50,8 +50,6 @@ let find t k =
   let s = t.slots in
   if s.(j) = empty then absent else s.(j + 1)
 
-(* Doubles the capacity once more than three quarters of the slots are
-   taken. *)
 let grow t =
   let old = t.slots in
   t.slots <- Array.make (2 * Array.length old) empty;
@@ -65,6 +63,8 @@ let grow t =
     end
   done
 
+(* Doubles the capacity once more than three quarters of the slots are
+   taken. *)
 let insert t j k1 k2 =
   t.slots.(j) <- k1;
   t.slots.(j + 1) <- k2;
