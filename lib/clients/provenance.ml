@@ -148,7 +148,7 @@ let target solver hobjs var =
   let bucket nid =
     match Solver.node_kind solver nid with
     | Solver.Var_node (v, ctx) -> Hashtbl.hash (Var_id.to_int v, ctx) land mask
-    | _ -> invalid_arg "Provenance.target: not a variable node"
+    | _ -> assert false  (* [var_node_ids] lists variable nodes only *)
   in
   (* [var_node_ids] ascends, so a later node wins only from a strictly
      higher bucket. *)
