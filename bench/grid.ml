@@ -14,7 +14,6 @@ module Trace = Pta_obs.Trace
 module Budget = Pta_obs.Budget
 module Census = Pta_obs.Census
 module Snapshot = Pta_report.Bench_snapshot
-module Registry = Pta_metrics.Registry
 
 (* Table-1 column order and the per-group partition used for marking the
    best time (the paper's bold entries; we use a trailing '*'). *)
@@ -87,13 +86,6 @@ let measure r =
       [ r1.Driver.wall_time_s; time (run_once ()); time (run_once ()) ]
     in
     let census = (Solver.census r1.Driver.solver).Census.components in
-    let reg = Registry.create () in
-    let h =
-      Registry.histogram reg ~buckets:Registry.time_buckets
-        ~help:"Per-run wall time of one benchmark cell"
-        "pta_bench_cell_time_seconds"
-    in
-    List.iter (fun t -> if Float.is_finite t then Registry.observe h t) times;
     Ok
       (Done
          {
@@ -102,9 +94,7 @@ let measure r =
            stats = Option.get r1.Driver.stats;
            trace = Trace.profile trace;
            census;
-           hist =
-             Snapshot.hist_of_buckets ~sum:(Registry.histogram_sum h)
-               (Registry.histogram_buckets h);
+           hist = Snapshot.hist_of_times times;
            methods = Ir.Program.n_meths program;
          })
 
@@ -205,9 +195,7 @@ let snapshot_cell benchmark analysis = function
       iterations = r.stats.Run_stats.iterations;
       nodes = Some r.stats.Run_stats.n_nodes;
       peak_heap_words =
-        Option.map
-          (fun m -> m.Pta_obs.Memstats.peak_heap_words)
-          r.stats.Run_stats.memory;
+        Some r.stats.Run_stats.memory.Pta_obs.Memstats.peak_heap_words;
       time_hist = Some r.hist;
       heap_components = r.census;
     }
@@ -705,9 +693,8 @@ let micro () =
                ignore
                  (Pta_frontend.Frontend.parse ~file:"<mjdk>"
                     Pta_mjdk.Mjdk.source)));
-        (* The default config's trace and registry are null — this
-           measures the solver with instrumentation compiled in but
-           switched off. *)
+        (* The default config's trace is null — this measures the solver
+           with instrumentation compiled in but switched off. *)
         Test.make ~name:"solver-1obj-tiny" (solve "1obj");
         (* Same run with a live trace sink, to expose the tracer tax
            (compare against solver-1obj-tiny: the untraced run must not

@@ -11,7 +11,6 @@
      dump-ir    — parse, lower and pretty-print the IR
      gen        — emit a synthetic benchmark's MJ source
      strategies — list available analyses
-     metrics    — run one analysis, dump the metric registry as OpenMetrics
      heapmap    — run one analysis, print the reachable-heap census
                   (per-component retained/unshared words, set-sharing
                   factor), or gate it against a blessed census JSON
@@ -39,7 +38,6 @@ module Json = Pta_obs.Json
 module Run_stats = Pta_obs.Run_stats
 module Trace = Pta_obs.Trace
 module Census = Pta_obs.Census
-module Registry = Pta_metrics.Registry
 module Version = Pta_version.Version
 module Snapshot = Pta_report.Bench_snapshot
 module Trend_page = Pta_report.Trend_page
@@ -133,8 +131,8 @@ let timed_out ~analysis abort =
 
 (* [--progress]: a running iteration count on stderr, overwritten in
    place while the fixpoint runs, then one line per solver phase. *)
-let config_of ?timeout_s ?trace ?metrics ~progress () =
-  let config = Solver.Config.make ?timeout_s ?trace ?metrics () in
+let config_of ?timeout_s ?trace ~progress () =
+  let config = Solver.Config.make ?timeout_s ?trace () in
   let budget = config.Solver.Config.budget in
   if progress then
     Budget.on_tick budget (fun n ->
@@ -150,12 +148,6 @@ let report_phases ~progress solver =
         Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name s
           (String.make 24 ' '))
       (Solver.phases solver)
-
-(* Stats collection implies a live metric registry, so [--stats-json]
-   documents carry the [memory] and [metrics] blocks. *)
-let metrics_for ~collect_stats ~analysis =
-  if collect_stats then Registry.create ~labels:[ ("analysis", analysis) ] ()
-  else Registry.null
 
 let sources_of files = List.map (fun f -> Driver.File f) files
 
@@ -257,8 +249,7 @@ let analyze_cmd =
       profile =
     let trace = trace_sink trace_file in
     let collect_stats = stats_json <> None || profile in
-    let metrics = metrics_for ~collect_stats ~analysis in
-    let config = config_of ?timeout_s ~trace ~metrics ~progress () in
+    let config = config_of ?timeout_s ~trace ~progress () in
     let ppf =
       report_ppf
         ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
@@ -315,8 +306,7 @@ let compare_cmd =
         let (_ : Pta_context.Strategy.t) =
           handle (Driver.strategy_of_name program name)
         in
-        let metrics = metrics_for ~collect_stats ~analysis:name in
-        let config = config_of ?timeout_s ~trace ~metrics ~progress () in
+        let config = config_of ?timeout_s ~trace ~progress () in
         match Driver.run ~config ~collect_stats program ~analysis:name with
         | Ok r ->
           report_phases ~progress r.Driver.solver;
@@ -1026,57 +1016,6 @@ let strategies_cmd =
   Cmd.v
     (Cmd.info "strategies" ~doc ~exits:common_exits)
     Term.(const run $ const ())
-
-let metrics_cmd =
-  let output_arg =
-    let doc =
-      "Write the OpenMetrics dump to $(docv) instead of stdout ($(b,-) also \
-       means stdout)."
-    in
-    Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let datalog_arg =
-    let doc =
-      "Meter the reference Datalog implementation (per-rule fact counters, \
-       round counter, per-relation sizes) instead of the native solver."
-    in
-    Arg.(value & flag & info [ "datalog" ] ~doc)
-  in
-  let run files analysis no_stdlib timeout_s output datalog =
-    let metrics = Registry.create ~labels:[ ("analysis", analysis) ] () in
-    (if datalog then begin
-       let program =
-         handle
-           (Driver.load_program ~stdlib:(not no_stdlib) ~metrics
-              (sources_of files))
-       in
-       let strategy = handle (Driver.strategy_of_name program analysis) in
-       let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-       match Pta_refimpl.Refimpl.run ~budget ~metrics program strategy with
-       | (_ : Pta_refimpl.Refimpl.t) -> ()
-       | exception Pta_obs.Budget.Exhausted abort ->
-         Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-     end
-     else
-       let config = config_of ?timeout_s ~metrics ~progress:false () in
-       ignore
-         (handle
-            (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-               (sources_of files))));
-    write_output output (Registry.to_openmetrics metrics)
-  in
-  let doc =
-    "Run one analysis with a live metric registry and dump it in \
-     OpenMetrics text format (solver counters and histograms, per-phase GC \
-     gauges; per-rule Datalog fact counters with $(b,--datalog)).  The \
-     dump is deterministic: no wall-clock values are recorded, so two runs \
-     on the same input are byte-identical."
-  in
-  Cmd.v
-    (Cmd.info "metrics" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ output_arg $ datalog_arg)
 
 let heapmap_cmd =
   let format_arg =
@@ -1839,8 +1778,8 @@ let main_cmd =
     [
       analyze_cmd; compare_cmd; check_cmd; taint_cmd; profile_cmd; query_cmd;
       why_cmd; casts_cmd; exceptions_cmd; callgraph_cmd; stats_cmd;
-      dump_ir_cmd; decompile_cmd; gen_cmd; strategies_cmd; metrics_cmd;
-      heapmap_cmd; bench_cmd; version_cmd;
+      dump_ir_cmd; decompile_cmd; gen_cmd; strategies_cmd; heapmap_cmd;
+      bench_cmd; version_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

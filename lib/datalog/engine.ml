@@ -297,30 +297,13 @@ let relations_of rules =
   !out
 
 let run ?(budget = Pta_obs.Budget.unlimited ()) ?(trace = Pta_obs.Trace.null)
-    ?(metrics = Pta_metrics.Registry.null) rules =
+    rules =
   let module Budget = Pta_obs.Budget in
   let module Trace = Pta_obs.Trace in
-  let module Registry = Pta_metrics.Registry in
   let rels = relations_of rules in
   let total_facts () =
     List.fold_left (fun acc r -> acc + Relation.cardinal r) 0 rels
   in
-  let metered = not (Registry.is_null metrics) in
-  let rounds_counter =
-    Registry.counter metrics ~help:"Semi-naive evaluation rounds"
-      "pta_datalog_rounds_total"
-  in
-  (* Per-rule counters resolved once, outside the fixpoint loop. *)
-  let rule_counters = Hashtbl.create 16 in
-  if metered then
-    List.iter
-      (fun rule ->
-        if not (Hashtbl.mem rule_counters rule.rname) then
-          Hashtbl.add rule_counters rule.rname
-            (Registry.counter metrics ~help:"Facts derived, by rule"
-               ~labels:[ ("rule", rule.rname) ]
-               "pta_datalog_facts_total"))
-      rules;
   Budget.start budget ~probe:total_facts;
   Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
   (* delta = facts with index in [low, high) *)
@@ -336,7 +319,6 @@ let run ?(budget = Pta_obs.Budget.unlimited ()) ?(trace = Pta_obs.Trace.null)
     (* One semi-naive round is one budget iteration.  Rounds are few
        and heavy, so poll the clock on every one. *)
     Budget.check budget;
-    if metered then Registry.incr rounds_counter;
     Trace.begin_span trace ~cat:"phase" "round";
     let traced = not (Trace.is_null trace) in
     let facts_before = if traced then total_facts () else 0 in
@@ -367,22 +349,18 @@ let run ?(budget = Pta_obs.Budget.unlimited ()) ?(trace = Pta_obs.Trace.null)
                 done)
             rule.body
         in
-        if Trace.is_null trace && not metered then eval ()
+        if not traced then eval ()
         else begin
-          (* One complete span / counter bump per rule per round: its
-             wall time and the facts it alone derived (rules fire in
-             sequence, so the fact-count difference is attributable). *)
+          (* One complete span per rule per round: its wall time and the
+             facts it alone derived (rules fire in sequence, so the
+             fact-count difference is attributable). *)
           let before = total_facts () in
-          let t0 = if Trace.is_null trace then 0. else Trace.now_us trace in
+          let t0 = Trace.now_us trace in
           let a0 = Trace.alloc_mark trace in
           eval ();
-          let derived = total_facts () - before in
-          if metered then
-            Registry.add (Hashtbl.find rule_counters rule.rname) derived;
-          if not (Trace.is_null trace) then
-            Trace.complete trace ~alloc:a0 ~delta:derived ~cat:"rule"
-              ~name:rule.rname ~t0_us:t0
-              ~dur_us:(Trace.now_us trace -. t0)
+          Trace.complete trace ~alloc:a0 ~delta:(total_facts () - before)
+            ~cat:"rule" ~name:rule.rname ~t0_us:t0
+            ~dur_us:(Trace.now_us trace -. t0)
         end)
       rules;
     (* Advance the delta windows. *)
@@ -396,13 +374,4 @@ let run ?(budget = Pta_obs.Budget.unlimited ()) ?(trace = Pta_obs.Trace.null)
     Trace.end_span ~delta:fresh trace
     (* A final catch-up round: facts derived this round become the next
        delta; loop continues while any rule fired. *)
-  done;
-  if metered then
-    List.iter
-      (fun r ->
-        Registry.set
-          (Registry.gauge metrics ~help:"Final relation cardinality"
-             ~labels:[ ("relation", Relation.name r) ]
-             "pta_datalog_relation_facts")
-          (float_of_int (Relation.cardinal r)))
-      rels
+  done

@@ -84,7 +84,6 @@ val lint : rule list -> lint_error list
 val run :
   ?budget:Pta_obs.Budget.t ->
   ?trace:Pta_obs.Trace.t ->
-  ?metrics:Pta_metrics.Registry.t ->
   rule list ->
   unit
 (** Evaluate to fixpoint, mutating the relations appearing in the rules.
@@ -92,7 +91,7 @@ val run :
 
     The same instruments the native solver takes: [budget] is ticked
     once per semi-naive round (its work probe reads the total fact
-    count, so an abort payload's [nodes] field is facts derived).  All
+    count, so an abort payload's [nodes] field is facts derived).  Both
     default to the free null/unlimited instruments.
 
     With a live [trace], the engine emits a ["phase"] span for the
@@ -102,11 +101,5 @@ val run :
     aggregates behind {!Pta_obs.Trace.profile} are exact; the engine is
     deterministic, so firing and delta counts are identical across
     identical runs.
-
-    With a live [metrics] registry, the engine maintains a
-    [pta_datalog_rounds_total] counter, per-rule
-    [pta_datalog_facts_total{rule=...}] derived-fact counters, and — at
-    fixpoint — [pta_datalog_relation_facts{relation=...}] cardinality
-    gauges.  All deterministic, same as the trace aggregates.
 
     @raise Pta_obs.Budget.Exhausted when the budget runs out. *)

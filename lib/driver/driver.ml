@@ -3,7 +3,6 @@ module Strategies = Pta_context.Strategies
 module Run_stats = Pta_obs.Run_stats
 module Memstats = Pta_obs.Memstats
 module Clock = Pta_obs.Clock
-module Registry = Pta_metrics.Registry
 
 type source =
   | File of string
@@ -60,100 +59,25 @@ let is_frontend_error exn =
   let sink = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   Pta_frontend.Frontend.report sink exn
 
-(* Per-phase GC deltas land in the registry as gauges: one value per
-   run, labelled by phase, all deterministic for a deterministic
-   program (word counts, not wall time). *)
-let record_memory metrics ~phase (d : Memstats.delta) =
-  if not (Registry.is_null metrics) then begin
-    let g name help v =
-      Registry.set
-        (Registry.gauge metrics ~help ~labels:[ ("phase", phase) ] name)
-        v
-    in
-    let gi name help v = g name help (float_of_int v) in
-    g "pta_gc_minor_allocated_words" "Words allocated in the minor heap"
-      d.Memstats.minor_allocated_words;
-    g "pta_gc_major_allocated_words" "Words allocated in the major heap"
-      d.Memstats.major_allocated_words;
-    g "pta_gc_promoted_words" "Words promoted minor-to-major"
-      d.Memstats.promoted_delta_words;
-    gi "pta_gc_minor_collections" "Minor collections"
-      d.Memstats.minor_collections_delta;
-    gi "pta_gc_major_collections" "Major collection cycles"
-      d.Memstats.major_collections_delta;
-    gi "pta_gc_compactions" "Heap compactions" d.Memstats.compactions_delta;
-    gi "pta_gc_peak_heap_words" "Peak major-heap size (Gc.alarm-sampled)"
-      d.Memstats.peak_heap_words
-  end
-
-(* The census exposes bytes (not words) so dashboards need no word-size
-   context, one gauge per component plus the Intset sharing factor over
-   the points-to sets.  Everything here is structural — reachable words
-   of deterministic data structures — so a metered run's exposition
-   stays byte-stable. *)
-let record_census metrics (census : Pta_obs.Census.t) =
-  if not (Registry.is_null metrics) then begin
-    let module Census = Pta_obs.Census in
-    List.iter
-      (fun (c : Census.component) ->
-        Registry.set
-          (Registry.gauge metrics
-             ~help:"Retained bytes attributed to a solver component"
-             ~labels:[ ("component", c.Census.comp_name) ]
-             "pta_heap_component_bytes")
-          (float_of_int (Census.bytes_of_words census c.Census.retained_words)))
-      census.Census.components;
-    match Census.find census "points-to-sets" with
-    | None -> ()
-    | Some c ->
-      Registry.set
-        (Registry.gauge metrics
-           ~help:
-             "Intset structural sharing over points-to sets: unshared / \
-              retained words"
-           "pta_intset_sharing_factor")
-        (Census.sharing_factor c)
-  end
-
-let load_program ?(stdlib = true) ?(metrics = Registry.null) sources =
+let load_program ?(stdlib = true) sources =
   match
-    let named =
-      (if stdlib then [ (Pta_mjdk.Mjdk.file_name, Pta_mjdk.Mjdk.source) ]
-       else [])
+    Pta_frontend.Frontend.program_of_sources
+      ((if stdlib then [ (Pta_mjdk.Mjdk.file_name, Pta_mjdk.Mjdk.source) ]
+        else [])
       @ List.map
           (function
             | File path -> (path, read_file path)
             | Literal { name; contents } -> (name, contents))
-          sources
-    in
-    if Registry.is_null metrics then
-      Pta_frontend.Frontend.program_of_sources named
-    else begin
-      (* Same pipeline as [Frontend.program_of_sources], with a GC
-         tracker around each phase. *)
-      let decls, parse_mem =
-        Memstats.tracked (fun () ->
-            List.concat_map
-              (fun (file, contents) ->
-                Pta_frontend.Frontend.parse ~file contents)
-              named)
-      in
-      record_memory metrics ~phase:"parse" parse_mem;
-      let program, lower_mem =
-        Memstats.tracked (fun () -> Pta_frontend.Lower.program decls)
-      in
-      record_memory metrics ~phase:"lower" lower_mem;
-      program
-    end
+          sources)
   with
   | program -> Ok program
   | exception exn when is_frontend_error exn -> Error (Frontend_error exn)
 
-let load_files ?stdlib ?metrics paths =
-  load_program ?stdlib ?metrics (List.map (fun p -> File p) paths)
+let load_files ?stdlib paths =
+  load_program ?stdlib (List.map (fun p -> File p) paths)
 
-let load_string ?stdlib ?metrics ?(name = "<string>") contents =
-  load_program ?stdlib ?metrics [ Literal { name; contents } ]
+let load_string ?stdlib ?(name = "<string>") contents =
+  load_program ?stdlib [ Literal { name; contents } ]
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -203,17 +127,13 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
   match strategy_of_name program analysis with
   | Error e -> Error e
   | Ok strategy -> (
-    let metrics = config.Solver.Config.metrics in
-    (* GC tracking is on whenever someone will read the result: a stats
-       bundle or a live registry. *)
+    (* GC tracking is on whenever someone will read the stats bundle.
+       The solver gets the tracker too, so the fixpoint loop samples the
+       peak between major collections (the alarm alone misses alarm-free
+       stretches). *)
     let tracker =
-      if collect_stats || not (Registry.is_null metrics) then
-        Some (Memstats.start_tracking ())
-      else None
+      if collect_stats then Some (Memstats.start_tracking ()) else None
     in
-    (* Hand the tracker to the solver so the fixpoint loop samples the
-       peak between major collections (the alarm alone misses
-       alarm-free stretches). *)
     let config =
       match tracker with
       | None -> config
@@ -224,14 +144,10 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
     | solver ->
       let wall_time_s = Clock.elapsed_s clock in
       let memory = Option.map Memstats.finish tracker in
-      Option.iter (record_memory metrics ~phase:"solve") memory;
-      if not (Registry.is_null metrics) then
-        record_census metrics (Solver.census solver);
       emit_gauges config.Solver.Config.trace program solver;
       let stats =
-        if not collect_stats then None
-        else
-          Some
+        Option.map
+          (fun memory ->
             {
               Run_stats.analysis;
               wall_time_s;
@@ -245,12 +161,13 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
               triggers = Solver.n_triggers solver;
               delta_total = Solver.delta_total solver;
               max_delta = Solver.max_delta solver;
+              sccs_collapsed = Solver.sccs_collapsed solver;
+              nodes_unified = Solver.nodes_unified solver;
+              stale_skipped = Solver.stale_skipped solver;
               phases = Solver.phases solver;
               memory;
-              metrics =
-                (if Registry.is_null metrics then None
-                 else Some (Registry.to_json metrics));
-            }
+            })
+          memory
       in
       Ok { solver; strategy; wall_time_s; stats }
     | exception Solver.Timeout abort ->
@@ -258,8 +175,7 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
       Error (Timed_out { analysis; abort }))
 
 let load_and_run ?stdlib ?config ?collect_stats ~analysis sources =
-  let metrics = Option.map (fun c -> c.Solver.Config.metrics) config in
-  Result.bind (load_program ?stdlib ?metrics sources) (fun program ->
+  Result.bind (load_program ?stdlib sources) (fun program ->
       Result.map
         (fun r -> (program, r))
         (run ?config ?collect_stats program ~analysis))

@@ -36,27 +36,16 @@ val report_and_exit : error -> 'a
 (** {1 Loading} *)
 
 val load_program :
-  ?stdlib:bool ->
-  ?metrics:Pta_metrics.Registry.t ->
-  source list ->
-  (Pta_ir.Ir.Program.t, error) result
+  ?stdlib:bool -> source list -> (Pta_ir.Ir.Program.t, error) result
 (** Parse, link (with the mini-JDK unless [~stdlib:false]) and lower.
     Never raises on bad input: lexical, syntax and semantic failures
-    come back as [Error (Frontend_error _)].
-
-    A live [metrics] registry receives per-phase GC gauges
-    ([pta_gc_*{phase="parse"|"lower"}]: allocated/promoted words,
-    collection counts, alarm-sampled peak heap). *)
+    come back as [Error (Frontend_error _)]. *)
 
 val load_files :
-  ?stdlib:bool ->
-  ?metrics:Pta_metrics.Registry.t ->
-  string list ->
-  (Pta_ir.Ir.Program.t, error) result
+  ?stdlib:bool -> string list -> (Pta_ir.Ir.Program.t, error) result
 
 val load_string :
   ?stdlib:bool ->
-  ?metrics:Pta_metrics.Registry.t ->
   ?name:string ->
   string ->
   (Pta_ir.Ir.Program.t, error) result
@@ -83,19 +72,15 @@ val run :
   analysis:string ->
   (run, error) result
 (** Resolve [analysis] and solve under [config].  With
-    [~collect_stats:true] the full {!Pta_obs.Run_stats.t} bundle
-    (counters, final sizes, wall time, phase timings) is read off the
-    solver and the budget.
+    [~collect_stats:true] the solve runs under a GC tracker, and the
+    full {!Pta_obs.Run_stats.t} bundle (counters, final sizes, wall
+    time, phase timings, the tracker's GC delta) is read off the solver,
+    the budget and the tracker.
 
     If [config] carries a live {!Pta_obs.Trace.t}, the four Table-1
     precision gauges are sampled into it at fixpoint as
     ["gauge"]-category counters: ["contexts"], ["avg objs per var"],
-    ["reachable methods"] and ["call-graph edges"].
-
-    If [config] carries a live {!Pta_metrics.Registry.t}, the solve
-    phase runs under a GC tracker whose delta lands in the registry
-    ([pta_gc_*{phase="solve"}]) and in [stats.memory]; the registry's
-    JSON export is embedded as [stats.metrics]. *)
+    ["reachable methods"] and ["call-graph edges"]. *)
 
 val load_and_run :
   ?stdlib:bool ->

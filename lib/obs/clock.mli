@@ -6,8 +6,7 @@
     even if the wall clock steps backwards mid-run.  {!Trace},
     {!Budget}, the solver's phase timings and the driver all read
     through this module instead of carrying their own
-    [Unix.gettimeofday] + clamp logic; the metrics layer's timing
-    helpers do too. *)
+    [Unix.gettimeofday] + clamp logic. *)
 
 type t
 

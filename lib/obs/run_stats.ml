@@ -11,15 +11,16 @@ type t = {
   triggers : int;
   delta_total : int;
   max_delta : int;
+  sccs_collapsed : int;
+  nodes_unified : int;
+  stale_skipped : int;
   phases : (string * float) list;
-  memory : Memstats.delta option;
-  metrics : Json.t option;
+  memory : Memstats.delta;
 }
 
 let to_json t =
-  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.Obj
-    ([
+    [
       ("analysis", Json.String t.analysis);
       ("wall_time_s", Json.Float t.wall_time_s);
       ("iterations", Json.Int t.iterations);
@@ -32,10 +33,12 @@ let to_json t =
       ("triggers", Json.Int t.triggers);
       ("delta_total", Json.Int t.delta_total);
       ("max_delta", Json.Int t.max_delta);
+      ("sccs_collapsed", Json.Int t.sccs_collapsed);
+      ("nodes_unified", Json.Int t.nodes_unified);
+      ("stale_skipped", Json.Int t.stale_skipped);
       ("phases", Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) t.phases));
+      ("memory", Memstats.to_json t.memory);
     ]
-    @ opt "memory" Memstats.to_json t.memory
-    @ opt "metrics" Fun.id t.metrics)
 
 let pp ppf t =
   let line fmt = Format.fprintf ppf fmt in
@@ -51,16 +54,15 @@ let pp ppf t =
   line "  %-22s %12d@," "trigger firings" t.triggers;
   line "  %-22s %12d@," "delta volume" t.delta_total;
   line "  %-22s %12d@," "max delta" t.max_delta;
+  line "  %-22s %12d@," "SCCs collapsed" t.sccs_collapsed;
+  line "  %-22s %12d@," "nodes unified" t.nodes_unified;
+  line "  %-22s %12d@," "stale entries skipped" t.stale_skipped;
   List.iter
     (fun (name, s) -> line "  %-22s %12.3f@," (Printf.sprintf "[%s] (s)" name) s)
     t.phases;
-  (match t.memory with
-  | None -> ()
-  | Some m ->
-    line "  %-22s %12.0f@," "minor alloc (words)"
-      m.Memstats.minor_allocated_words;
-    line "  %-22s %12.0f@," "major alloc (words)"
-      m.Memstats.major_allocated_words;
-    line "  %-22s %12d@," "peak heap (words)" m.Memstats.peak_heap_words;
-    line "  %-22s %12d@," "major collections" m.Memstats.major_collections_delta);
+  let m = t.memory in
+  line "  %-22s %12.0f@," "minor alloc (words)" m.Memstats.minor_allocated_words;
+  line "  %-22s %12.0f@," "major alloc (words)" m.Memstats.major_allocated_words;
+  line "  %-22s %12d@," "peak heap (words)" m.Memstats.peak_heap_words;
+  line "  %-22s %12d@," "major collections" m.Memstats.major_collections_delta;
   line "@]"

@@ -3,9 +3,10 @@
     Every field is read off the finished run: the engine's final sizes
     (nodes, contexts, abstract objects, the paper's
     platform-independent [sensitive_vpt_size] metric), its dynamic
-    counters (edges, trigger firings, delta volume), the budget's
-    iteration count and the engine's per-phase timings.  Every field
-    except [wall_time_s] and [phases] is deterministic.
+    counters (edges, trigger firings, delta volume, cycle elimination),
+    the budget's iteration count, the engine's per-phase timings and the
+    run's GC profile.  Every field except [wall_time_s], [phases] and
+    [memory] is deterministic.
 
     Renders to a human-readable table ({!pp}) and to stable JSON
     ({!to_json}). *)
@@ -23,15 +24,15 @@ type t = {
   triggers : int;
   delta_total : int;
   max_delta : int;
+  sccs_collapsed : int;  (** copy-edge SCCs collapsed online *)
+  nodes_unified : int;  (** nodes absorbed into an SCC representative *)
+  stale_skipped : int;
+      (** worklist entries skipped because their node was already drained
+          or unified away *)
   phases : (string * float) list;  (** seconds per phase, stable order *)
-  memory : Memstats.delta option;
-      (** GC/memory profile for the run, when tracking was enabled *)
-  metrics : Json.t option;
-      (** metric-registry export ({!Pta_metrics.Registry.to_json} shape);
-          held opaquely to keep [pta_obs] at the bottom of the stack *)
+  memory : Memstats.delta;  (** GC/memory profile of the solve *)
 }
 
 val to_json : t -> Json.t
-(** [memory] and [metrics] are omitted when absent. *)
 
 val pp : Format.formatter -> t -> unit

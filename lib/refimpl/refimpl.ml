@@ -237,7 +237,7 @@ let build_edb ~plan program =
     subtype,
     (throw_in, call_scope, catches, escapes_scope, scope_parent, root_scope) )
 
-let run ?budget ?trace ?metrics program (strategy : Strategy.t) =
+let run ?budget ?trace program (strategy : Strategy.t) =
   let ( alloc,
         move,
         cast,
@@ -466,7 +466,7 @@ let run ?budget ?trace ?metrics program (strategy : Strategy.t) =
       ("Refimpl: rule program fails lint:\n"
       ^ String.concat "\n"
           (List.map (fun e -> "  " ^ e.Engine.lint_message) hard)));
-  Engine.run ?budget ?trace ?metrics rules;
+  Engine.run ?budget ?trace rules;
   { vpt; cg; reach; throwpt; ctx_store; hctx_store }
 
 let fold_var_points_to t f acc =

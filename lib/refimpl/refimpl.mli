@@ -12,12 +12,11 @@ type t
 val run :
   ?budget:Pta_obs.Budget.t ->
   ?trace:Pta_obs.Trace.t ->
-  ?metrics:Pta_metrics.Registry.t ->
   Pta_ir.Ir.Program.t ->
   Pta_context.Strategy.t ->
   t
-(** Evaluate the reference rules, optionally under the same budget /
-    trace / metrics instruments as the native solver — so the
+(** Evaluate the reference rules, optionally under the same budget and
+    trace instruments as the native solver — so the
     differential oracle is measured with the same tools.  A live [trace]
     receives per-rule complete spans from the engine (see
     {!Pta_datalog.Engine.run}).

@@ -39,16 +39,32 @@ let hist_to_json h =
       ("sum", Json.Float h.sum);
     ]
 
-(* A histogram straight off a {!Pta_metrics.Registry} handle:
-   [histogram_buckets]' trailing +Inf bucket becomes the overflow
-   count. *)
-let hist_of_buckets ~sum buckets =
-  let rec split bounds counts = function
-    | [] -> { bounds = List.rev bounds; counts = List.rev counts; sum }
-    | [ (_inf, n) ] -> split bounds (n :: counts) []
-    | (b, n) :: rest -> split (b :: bounds) (n :: counts) rest
+(* The solve-time ladder: 1 ms doubling over 24 buckets (about 2.3 h).
+   Bounds come from repeated multiplication, not [pow], so they are
+   bit-identical on every platform; they land in committed ledger
+   records. *)
+let time_bounds =
+  let rec go acc b k =
+    if k = 0 then List.rev acc else go (b :: acc) (b *. 2.) (k - 1)
   in
-  split [] [] buckets
+  go [] 0.001 24
+
+let hist_of_times times =
+  let bounds = Array.of_list time_bounds in
+  let counts = Array.make (Array.length bounds + 1) 0 in
+  let sum =
+    List.fold_left
+      (fun sum t ->
+        if not (Float.is_finite t) then sum
+        else begin
+          let i = ref 0 in
+          while !i < Array.length bounds && t > bounds.(!i) do incr i done;
+          counts.(!i) <- counts.(!i) + 1;
+          sum +. t
+        end)
+      0. times
+  in
+  { bounds = time_bounds; counts = Array.to_list counts; sum }
 
 let hist_of_json json =
   let err what = Error ("time_hist " ^ what) in

@@ -64,9 +64,13 @@ val hist_of_json : Json.t -> (hist, string) result
 (** Validates shape: [length counts = length bounds + 1], non-negative
     counts, strictly increasing bounds. *)
 
-val hist_of_buckets : sum:float -> (float * int) list -> hist
-(** From {!Pta_metrics.Registry.histogram_buckets} output: the trailing
-    [+Inf] bucket becomes the overflow count. *)
+val hist_of_times : float list -> hist
+(** Bucket solve times on the fixed ladder of 24 bounds: 1 ms, then
+    each bound twice the last, built by repeated multiplication so the
+    bounds are bit-identical everywhere.  A time lands in the first
+    bucket whose bound it does not exceed, or in the overflow bucket;
+    non-finite times (timed-out runs) are skipped.  [sum] adds the
+    finite times in list order. *)
 
 val hist_count : hist -> int
 (** Total observations. *)

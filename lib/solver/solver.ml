@@ -10,7 +10,6 @@ module Trace = Pta_obs.Trace
 module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 module Clock = Pta_obs.Clock
-module Registry = Pta_metrics.Registry
 open Ir
 
 type hobj = int
@@ -47,64 +46,6 @@ type store_trigger = { st_field : Field_id.t; st_source : int }
 
 type node_id = int
 
-(* Metric handles resolved once at solver construction; the fixpoint
-   loop gates every touch on the precomputed [m_live], so an unmetered
-   run pays one boolean load per iteration. *)
-type meters = {
-  m_reg : Registry.t;
-  m_live : bool;  (* [not (Registry.is_null m_reg)], hoisted *)
-  prop_move : Registry.counter;
-  prop_vcall : Registry.counter;
-  prop_load : Registry.counter;
-  prop_store : Registry.counter;
-  worklist_depth : Registry.histogram;
-  sccs_collapsed : Registry.counter;
-  nodes_unified : Registry.counter;
-  redundant_visits : Registry.counter;
-}
-
-let make_live_meters reg =
-  let prop kind =
-    Registry.counter reg
-      ~help:"Objects propagated through supergraph edges, by edge kind"
-      ~labels:[ ("kind", kind) ]
-      "pta_solver_propagated_total"
-  in
-  {
-    m_reg = reg;
-    m_live = not (Registry.is_null reg);
-    prop_move = prop "move";
-    prop_vcall = prop "vcall";
-    prop_load = prop "load";
-    prop_store = prop "store";
-    worklist_depth =
-      Registry.histogram reg
-        ~help:"Node-worklist depth sampled at each fixpoint iteration"
-        ~buckets:(Registry.pow2_buckets 18) "pta_solver_worklist_depth";
-    sccs_collapsed =
-      Registry.counter reg
-        ~help:"Copy-edge strongly connected components collapsed online"
-        "pta_solver_sccs_collapsed_total";
-    nodes_unified =
-      Registry.counter reg
-        ~help:"Supergraph nodes absorbed into an SCC representative"
-        "pta_solver_nodes_unified_total";
-    redundant_visits =
-      Registry.counter reg
-        ~help:
-          "Stale worklist entries skipped because their node was already \
-           drained (or unified away) by an earlier visit"
-        "pta_solver_redundant_visits_avoided_total";
-  }
-
-(* Shared by every unmetered solve: building it once at module init means
-   the null path performs no registration calls (and so no bucket-ladder
-   or handle allocation) per solver construction. *)
-let null_meters = make_live_meters Registry.null
-
-let make_meters reg =
-  if Registry.is_null reg then null_meters else make_live_meters reg
-
 type node_kind =
   | Var_node of Var_id.t * Ctx.id
   | Fld_node of hobj * Field_id.t
@@ -136,7 +77,6 @@ type t = {
   trace : Trace.t;
       (* every emission is guarded by a physical-equality check against
          [Trace.null]; an untraced run pays nothing *)
-  meters : meters;
   mutable solved : bool;
       (* set once the worklists drain; false on a budget abort, so
          clients can refuse to walk a partially-populated supergraph *)
@@ -187,6 +127,11 @@ type t = {
   mutable n_triggers : int;  (* vcall / load / store firings *)
   mutable delta_total : int;  (* objects in all processed deltas *)
   mutable max_delta : int;
+  mutable sccs_collapsed : int;  (* copy-edge SCCs collapsed online *)
+  mutable nodes_unified : int;  (* nodes absorbed into a representative *)
+  mutable stale_skipped : int;
+      (* worklist entries skipped because their node was already drained
+         or unified away by an earlier visit *)
   mutable setup_s : float;
   mutable fixpoint_s : float;
 }
@@ -470,8 +415,8 @@ let collapse_and_reprioritize st =
         }
       in
       List.iter (fun o -> Vec.set st.nodes o merged) members;
-      Registry.incr st.meters.sccs_collapsed;
-      Registry.add st.meters.nodes_unified (List.length members - 1))
+      st.sccs_collapsed <- st.sccs_collapsed + 1;
+      st.nodes_unified <- st.nodes_unified + List.length members - 1)
     !sccs;
   (* Canonicalize every alias slot (members of classes merged in earlier
      passes must alias the newest record too), assign pseudo-topological
@@ -491,8 +436,7 @@ let collapse_and_reprioritize st =
   done;
   (* Entries not re-created were duplicates of a now-unified class (or
      already drained): visits the collapse saved us. *)
-  let dropped = entries_before - Pqueue.length st.pq in
-  if dropped > 0 then Registry.add st.meters.redundant_visits dropped;
+  st.stale_skipped <- st.stale_skipped + entries_before - Pqueue.length st.pq;
   st.copy_edges_since_scc <- 0;
   st.scc_threshold <- max 512 st.copy_edges_total
 
@@ -792,12 +736,6 @@ let process_node st nid =
     let card = Intset.cardinal delta in
     st.delta_total <- st.delta_total + card;
     if card > st.max_delta then st.max_delta <- card;
-    if not (Registry.is_null st.meters.m_reg) then begin
-      if n.succs <> [] then Registry.add st.meters.prop_move card;
-      if n.vcalls <> [] then Registry.add st.meters.prop_vcall card;
-      if n.loads <> [] then Registry.add st.meters.prop_load card;
-      if n.stores <> [] then Registry.add st.meters.prop_store card
-    end;
     n.all <- Intset.union n.all delta;
     if Trace.is_null st.trace then begin
       List.iter
@@ -861,7 +799,6 @@ module Config = struct
     budget : Budget.t;
     field_based : bool;
     trace : Trace.t;
-    metrics : Registry.t;
     mem_tracker : Memstats.tracker option;
     mem_sample_every : int;
   }
@@ -873,18 +810,16 @@ module Config = struct
       budget = Budget.unlimited ();
       field_based = false;
       trace = Trace.null;
-      metrics = Registry.null;
       mem_tracker = None;
       mem_sample_every = default_mem_sample_every;
     }
 
-  let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) ?(metrics = Registry.null) ?mem_tracker
+  let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) ?mem_tracker
       ?(mem_sample_every = default_mem_sample_every) () =
     {
       budget = Budget.of_seconds_opt timeout_s;
       field_based;
       trace;
-      metrics;
       mem_tracker;
       mem_sample_every = max 1 mem_sample_every;
     }
@@ -899,38 +834,6 @@ exception Timeout = Budget.Exhausted
 type outcome =
   | Complete of t
   | Aborted of t * Budget.abort
-
-(* Final sizes recorded once the worklists drain (or the budget trips):
-   the points-to set size distribution over variable nodes, plus engine
-   size gauges.  All deterministic for a deterministic program, so a
-   metered run's exposition is byte-stable. *)
-let record_final_metrics st =
-  let reg = st.meters.m_reg in
-  if not (Registry.is_null reg) then begin
-    let pts =
-      Registry.histogram reg
-        ~help:"Points-to set sizes over variable nodes at fixpoint"
-        ~buckets:(Registry.pow2_buckets 14) "pta_solver_pts_size"
-    in
-    let vpt = ref 0 in
-    Inttbl.iter
-      (fun _ nid ->
-        let c = Intset.cardinal (Vec.get st.nodes nid).all in
-        vpt := !vpt + c;
-        Registry.observe_int pts c)
-      st.var_nodes;
-    let g name help v =
-      Registry.set (Registry.gauge reg ~help name) (float_of_int v)
-    in
-    g "pta_solver_contexts" "Method contexts interned" (Ctx.size st.ctx_store);
-    g "pta_solver_heap_contexts" "Heap contexts interned"
-      (Ctx.size st.hctx_store);
-    g "pta_solver_hobjs" "Abstract heap objects interned"
-      (Vec.length st.hobj_heaps);
-    g "pta_solver_nodes" "Supergraph nodes" (Vec.length st.nodes);
-    g "pta_solver_sensitive_vpt_size"
-      "Paper metric: total context-sensitive var points-to size" !vpt
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Reachable-heap census                                               *)
@@ -1022,7 +925,6 @@ let solve_outcome ?(config = Config.default) program strategy =
         hierarchy = Hierarchy.create program;
         field_based = config.Config.field_based;
         trace;
-        meters = make_meters config.Config.metrics;
         solved = false;
         ctx_store = Ctx.create_store ();
         hctx_store = Ctx.create_store ();
@@ -1054,6 +956,9 @@ let solve_outcome ?(config = Config.default) program strategy =
         n_triggers = 0;
         delta_total = 0;
         max_delta = 0;
+        sccs_collapsed = 0;
+        nodes_unified = 0;
+        stale_skipped = 0;
         setup_s = 0.;
         fixpoint_s = 0.;
       }
@@ -1069,7 +974,6 @@ let solve_outcome ?(config = Config.default) program strategy =
   Budget.start budget ~probe:(fun () -> Vec.length st.nodes);
   let fixpoint () =
     Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
-    let metered = st.meters.m_live in
     (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
        at major-cycle ends, so a long alarm-free stretch (e.g. one huge
        allocation that never triggers a cycle) would under-report the
@@ -1101,11 +1005,9 @@ let solve_outcome ?(config = Config.default) program strategy =
         if st.copy_edges_since_scc >= st.scc_threshold then
           collapse_and_reprioritize st;
         if not (Pqueue.is_empty st.pq) then begin
-          if metered then
-            Registry.observe_int st.meters.worklist_depth (Pqueue.length st.pq);
           let nid = Pqueue.pop st.pq in
           if (Vec.get st.nodes nid).queued then process_node st nid
-          else if metered then Registry.incr st.meters.redundant_visits
+          else st.stale_skipped <- st.stale_skipped + 1
         end;
         loop ()
       end
@@ -1118,12 +1020,10 @@ let solve_outcome ?(config = Config.default) program strategy =
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     Budget.stop budget;
     st.solved <- true;
-    record_final_metrics st;
     Complete st
   | exception Budget.Exhausted abort ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     Budget.stop budget;
-    record_final_metrics st;
     Aborted (st, abort)
 
 let solve ?config program strategy =
@@ -1196,6 +1096,9 @@ let n_edges st = st.n_edges
 let n_triggers st = st.n_triggers
 let delta_total st = st.delta_total
 let max_delta st = st.max_delta
+let sccs_collapsed st = st.sccs_collapsed
+let nodes_unified st = st.nodes_unified
+let stale_skipped st = st.stale_skipped
 let phases st = [ ("setup", st.setup_s); ("fixpoint", st.fixpoint_s) ]
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,8 @@ exception Timeout of Pta_obs.Budget.abort
 
 (** How to run the solver: the budget (deadline / cancellation token),
     the heap-field abstraction, the trace sink receiving timed spans and
-    the metric registry.  Replaces the
-    former pile of optional arguments on [run]. *)
+    the memory tracker.  Replaces the former pile of optional arguments
+    on [run]. *)
 module Config : sig
   type t = {
     budget : Pta_obs.Budget.t;
@@ -52,21 +52,6 @@ module Config : sig
             propagation batch, a ["solver"]-category complete span named
             by edge kind ([move]/[load]/[store]/[vcall]/[scall]) whose
             [delta] is the number of objects pushed through that kind. *)
-    metrics : Pta_metrics.Registry.t;
-        (** metric registry; {!Pta_metrics.Registry.null} costs one
-            boolean test per fixpoint iteration and registers nothing
-            (the null path shares one set of dummy handles built at
-            module initialization).  A live registry receives
-            [pta_solver_propagated_total{kind=...}] counters, the
-            [pta_solver_worklist_depth] histogram sampled each
-            iteration, the cycle-elimination counters
-            ([pta_solver_sccs_collapsed_total],
-            [pta_solver_nodes_unified_total],
-            [pta_solver_redundant_visits_avoided_total]), and — at
-            fixpoint or abort — the [pta_solver_pts_size] histogram
-            plus size gauges ([pta_solver_contexts],
-            [pta_solver_heap_contexts], [pta_solver_hobjs],
-            [pta_solver_nodes], [pta_solver_sensitive_vpt_size]). *)
     mem_tracker : Pta_obs.Memstats.tracker option;
         (** When set, the fixpoint loop folds the current major-heap
             size into the tracker's peak every [mem_sample_every]
@@ -83,14 +68,12 @@ module Config : sig
       ([Gc.quick_stat] reads no heap) to leave timings unchanged. *)
 
   val default : t
-  (** Unlimited budget, field-sensitive, no trace, no
-      metrics, no memory tracker. *)
+  (** Unlimited budget, field-sensitive, no trace, no memory tracker. *)
 
   val make :
     ?timeout_s:float ->
     ?field_based:bool ->
     ?trace:Pta_obs.Trace.t ->
-    ?metrics:Pta_metrics.Registry.t ->
     ?mem_tracker:Pta_obs.Memstats.tracker ->
     ?mem_sample_every:int ->
     unit ->
@@ -114,7 +97,7 @@ val solve :
   ?config:Config.t -> Pta_ir.Ir.Program.t -> Pta_context.Strategy.t -> t
 (** Run the analysis to fixpoint.  Deterministic: same program and
     strategy yield identical interning and results, with or without a
-    trace or metric registry installed.
+    trace installed.
 
     Times two phases, reported by {!phases} and as trace spans:
     ["setup"] (hierarchy and entry seeding) and ["fixpoint"] (the
@@ -207,6 +190,18 @@ val delta_total : t -> int
 (** Sum of the sizes of all processed propagation deltas. *)
 
 val max_delta : t -> int
+
+val sccs_collapsed : t -> int
+(** Copy-edge strongly connected components collapsed by online cycle
+    elimination. *)
+
+val nodes_unified : t -> int
+(** Supergraph nodes absorbed into an SCC representative: at least one
+    per collapsed SCC. *)
+
+val stale_skipped : t -> int
+(** Worklist entries skipped because their node was already drained,
+    or unified away, by an earlier visit. *)
 
 val phases : t -> (string * float) list
 (** Seconds spent in ["setup"] and ["fixpoint"]. *)

@@ -1,29 +1,32 @@
 (* Schema check for `pointsto analyze --stats-json`: the emitted file
    must be valid JSON carrying the documented keys with the documented
-   types.  Time-valued fields vary run to run, so only presence and type
-   are checked here — value determinism is covered by test_obs. *)
+   types.  Given a second file from another run on the same input, every
+   key except the wall-clock, GC and build-stamp ones must also be
+   equal: `check_stats_json FILE [FILE2]`. *)
 
 module Json = Pta_obs.Json
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let () =
-  let path =
-    match Sys.argv with
-    | [| _; path |] -> path
-    | _ -> fail "usage: check_stats_json FILE"
-  in
-  let contents =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let json =
+  let read path =
+    let contents =
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
     match Json.of_string contents with
     | Ok json -> json
     | Error msg -> fail "%s: not valid JSON: %s" path msg
   in
+  let path, other =
+    match Sys.argv with
+    | [| _; path |] -> (path, None)
+    | [| _; path; other |] -> (path, Some other)
+    | _ -> fail "usage: check_stats_json FILE [FILE2]"
+  in
+  let json = read path in
   let get name =
     match Json.member name json with
     | Some v -> v
@@ -41,6 +44,7 @@ let () =
     [
       "iterations"; "n_nodes"; "n_edges"; "n_ctxs"; "n_hctxs"; "n_hobjs";
       "sensitive_vpt_size"; "triggers"; "delta_total"; "max_delta";
+      "sccs_collapsed"; "nodes_unified"; "stale_skipped";
     ];
   (match Json.to_obj (get "phases") with
   | None -> fail "%s: key \"phases\" is not an object" path
@@ -53,8 +57,7 @@ let () =
         | Some _ -> ()
         | None -> fail "%s: phase %S is not a number" path name)
       phases);
-  (* --stats-json implies a live metric registry, so the document must
-     carry the GC profile, the metrics export, and the build stamp. *)
+  (* --stats-json implies a GC tracker and the build stamp. *)
   (match Json.to_obj (get "memory") with
   | None -> fail "%s: key \"memory\" is not an object" path
   | Some fields ->
@@ -67,21 +70,6 @@ let () =
         "minor_allocated_words"; "major_allocated_words"; "peak_heap_words";
         "major_collections";
       ]);
-  (match Json.to_obj (get "metrics") with
-  | None -> fail "%s: key \"metrics\" is not an object" path
-  | Some families ->
-    List.iter
-      (fun name ->
-        if not (List.mem_assoc name families) then
-          fail "%s: metrics lacks the %S family" path name)
-      [
-        "pta_gc_peak_heap_words"; "pta_solver_nodes"; "pta_solver_pts_size";
-        (* cycle-elimination counters: registered eagerly, so present
-           (zero-valued) even when the program is too small to trigger a
-           collapse *)
-        "pta_solver_sccs_collapsed_total"; "pta_solver_nodes_unified_total";
-        "pta_solver_redundant_visits_avoided_total";
-      ]);
   (match Json.to_obj (get "pointsto") with
   | None -> fail "%s: key \"pointsto\" is not an object" path
   | Some stamp ->
@@ -91,4 +79,23 @@ let () =
         | Some _ -> ()
         | None -> fail "%s: pointsto.%s missing or not a string" path name)
       [ "version"; "commit"; "ocaml"; "profile" ]);
+  Option.iter
+    (fun other ->
+      let varying = [ "wall_time_s"; "phases"; "memory"; "pointsto" ] in
+      let stable j =
+        List.filter
+          (fun (k, _) -> not (List.mem k varying))
+          (Option.value ~default:[] (Json.to_obj j))
+      in
+      let a = stable json and b = stable (read other) in
+      if List.map fst a <> List.map fst b then
+        fail "%s and %s: different keys" path other;
+      List.iter2
+        (fun (k, va) (_, vb) ->
+          if va <> vb then
+            fail "%s and %s: %S differs: %s vs %s" path other k
+              (Json.to_string ~indent:false va)
+              (Json.to_string ~indent:false vb))
+        a b)
+    other;
   print_endline "stats JSON schema ok"

@@ -1,171 +1,45 @@
-(** Tests for the pta_metrics registry and the bench snapshot codec:
-    exposition determinism, null-registry transparency of the solver,
-    histogram bucket semantics, snapshot round-tripping and version
-    refusal, and the regression comparator's verdicts. *)
+(** Tests for the solver's cycle-elimination counters, the histogram
+    ladders behind the census and the bench snapshots, and the bench
+    snapshot codec: round-tripping, version refusal, and the regression
+    comparator's verdicts. *)
 
-module Registry = Pta_metrics.Registry
 module Snapshot = Pta_report.Bench_snapshot
 module Solver = Pta_solver.Solver
 module Intset = Pta_solver.Intset
 module Census = Pta_obs.Census
 module Json = Pta_obs.Json
-module Metrics = Pta_clients.Metrics
-
-let tiny_program () =
-  Pta_workloads.Workloads.program
-    (Option.get (Pta_workloads.Profile.by_name "tiny"))
 
 (* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
+(* Cycle-elimination counters                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The same sequence of updates must expose byte-identically, whatever
-   order families and label sets were registered in. *)
-let exposition_deterministic_test () =
-  let build order_flipped =
-    let r = Registry.create ~labels:[ ("benchmark", "tiny") ] () in
-    let reg_counter k =
-      Registry.counter r ~help:"Edges walked" ~labels:[ ("kind", k) ]
-        "pta_test_edges_total"
-    in
-    let kinds = [ "move"; "load"; "store" ] in
-    let kinds = if order_flipped then List.rev kinds else kinds in
-    List.iter (fun k -> Registry.add (reg_counter k) 7) kinds;
-    let g = Registry.gauge r ~help:"Nodes" "pta_test_nodes" in
-    Registry.set g 42.;
-    let h =
-      Registry.histogram r ~buckets:(Registry.pow2_buckets 4) "pta_test_sizes"
-    in
-    List.iter (Registry.observe_int h) [ 1; 2; 3; 9; 100 ];
-    Registry.to_openmetrics r
-  in
-  let a = build false and b = build true in
-  Alcotest.(check string) "byte-identical" a b;
-  Alcotest.(check bool)
-    "terminated by EOF" true
-    (String.length a > 6
-    && String.equal (String.sub a (String.length a - 6) 6) "# EOF\n")
+let solve_insens profile =
+  let src = Pta_workloads.Workloads.source profile in
+  let program = Pta_frontend.Frontend.program_of_string ~file:"<w>" src in
+  let factory = Option.get (Pta_context.Strategies.by_name "insens") in
+  Solver.solve program (factory program)
 
-(* JSON exposition must be deterministic too (it lands in --stats-json
-   and bench snapshots). *)
-let json_deterministic_test () =
-  let build () =
-    let r = Registry.create () in
-    Registry.incr (Registry.counter r "pta_test_total");
-    Registry.set (Registry.gauge r "pta_test_gauge") 3.5;
-    Json.to_string (Registry.to_json r)
-  in
-  Alcotest.(check string) "same JSON" (build ()) (build ())
-
-(* The null registry hands out dummy handles: updates are dead stores,
-   exposition is empty, and no family is ever created. *)
-let null_registry_test () =
-  let r = Registry.null in
-  Alcotest.(check bool) "is_null" true (Registry.is_null r);
-  let c = Registry.counter r "pta_test_total" in
-  Registry.incr c;
-  Registry.add c 10;
-  let g = Registry.gauge r "pta_test_gauge" in
-  Registry.set g 1.;
-  let h = Registry.histogram r ~buckets:[ 1.; 2. ] "pta_test_h" in
-  Registry.observe h 1.5;
-  Alcotest.(check string) "empty exposition" "# EOF\n" (Registry.to_openmetrics r);
-  Alcotest.(check bool)
-    "live registry is not null" false
-    (Registry.is_null (Registry.create ()))
-
-(* Running the solver with a live registry must not change what it
-   computes, and the instrumented gauges must agree with the solver's
-   own numbers. *)
-let solver_transparent_test () =
-  let program = tiny_program () in
-  let factory = Option.get (Pta_context.Strategies.by_name "S-2obj+H") in
-  let bare = Solver.solve program (factory program) in
-  let r = Registry.create () in
-  let config = Solver.Config.make ~metrics:r () in
-  let metered = Solver.solve ~config program (factory program) in
-  Alcotest.(check bool)
-    "identical metric bundles" true
-    (Metrics.compute bare = Metrics.compute metered);
-  let gauge name =
-    int_of_float (Registry.gauge_value (Registry.gauge r name))
-  in
-  Alcotest.(check int)
-    "nodes gauge matches" (Solver.n_nodes metered) (gauge "pta_solver_nodes");
-  Alcotest.(check bool)
-    "propagation counters populated" true
-    (Registry.counter_value
-       (Registry.counter r ~labels:[ ("kind", "move") ]
-          "pta_solver_propagated_total")
-     > 0)
-
-(* The fixpoint loop must not touch meters when metrics are off: the
-   meter bundle is the module-level shared dummy and the worklist-depth
-   sampling is skipped, so a null-metered solve allocates exactly as
-   much as any other null-metered solve — and strictly less than a
-   live-metered one, which registers families and boxes histogram
-   samples.  (Regression test for the null path allocating per-solve
-   meter records / sampling the depth histogram unconditionally.)
-   Points-to sets are hash-consed in one global weak table, so a solve's
-   allocation also depends on the dead entries earlier solves left
-   there; a full major collection before each measured solve clears
-   them, so every measured solve starts from the same table. *)
-let null_metrics_allocation_test () =
-  let program = tiny_program () in
-  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
-  let strategy = factory program in
-  let measure config =
-    (* Warm-up run: populates program-side memo tables so the measured
-       run's allocation is purely the solver's. *)
-    ignore (Solver.solve ~config program strategy);
-    Gc.full_major ();
-    let before = Gc.allocated_bytes () in
-    ignore (Solver.solve ~config program strategy);
-    Gc.allocated_bytes () -. before
-  in
-  let null_explicit = measure (Solver.Config.make ~metrics:Registry.null ()) in
-  let null_default = measure Solver.Config.default in
-  let live = measure (Solver.Config.make ~metrics:(Registry.create ()) ()) in
-  Alcotest.(check (float 0.))
-    "null-metered solves allocate identically" null_explicit null_default;
-  Alcotest.(check bool)
-    (Printf.sprintf "null (%.0fB) allocates less than live (%.0fB)"
-       null_explicit live)
-    true
-    (null_explicit < live)
+let counters solver =
+  ( Solver.sccs_collapsed solver,
+    Solver.nodes_unified solver,
+    Solver.stale_skipped solver )
 
 (* On a cycle-heavy workload the online cycle elimination must actually
-   fire: SCCs collapsed, nodes unified, and stale queue entries dropped
-   — and the worklist-depth histogram is fed from the priority queue. *)
+   fire: SCCs collapsed, nodes unified, and stale queue entries
+   skipped.  On tiny, which has no copy cycles, all three stay 0. *)
 let cycle_counters_test () =
-  let profile =
-    Pta_workloads.Profile.scale 0.2
-      (Option.get (Pta_workloads.Profile.by_name "cyclic"))
+  let profile name = Option.get (Pta_workloads.Profile.by_name name) in
+  let solver =
+    solve_insens (Pta_workloads.Profile.scale 0.2 (profile "cyclic"))
   in
-  let src = Pta_workloads.Workloads.source profile in
-  let program = Pta_frontend.Frontend.program_of_string ~file:"cyclic" src in
-  let factory = Option.get (Pta_context.Strategies.by_name "insens") in
-  let r = Registry.create () in
-  let config = Solver.Config.make ~metrics:r () in
-  let solver = Solver.solve ~config program (factory program) in
-  let c name = Registry.counter_value (Registry.counter r name) in
-  Alcotest.(check bool)
-    "sccs collapsed" true (c "pta_solver_sccs_collapsed_total" > 0);
-  Alcotest.(check bool)
-    "nodes unified" true (c "pta_solver_nodes_unified_total" > 0);
-  Alcotest.(check bool)
-    "redundant visits avoided" true
-    (c "pta_solver_redundant_visits_avoided_total" > 0);
-  Alcotest.(check bool)
-    "more nodes than classes" true
-    (c "pta_solver_nodes_unified_total" > c "pta_solver_sccs_collapsed_total");
-  let depth =
-    Registry.histogram r ~buckets:(Registry.pow2_buckets 18)
-      "pta_solver_worklist_depth"
-  in
-  Alcotest.(check bool)
-    "worklist depth sampled" true
-    (Registry.histogram_count depth > 0);
+  let sccs, unified, stale = counters solver in
+  Alcotest.(check bool) "sccs collapsed" true (sccs > 0);
+  Alcotest.(check bool) "nodes unified" true (unified > 0);
+  Alcotest.(check bool) "stale entries skipped" true (stale > 0);
+  Alcotest.(check bool) "more nodes than classes" true (unified > sccs);
+  Alcotest.(check (triple int int int))
+    "tiny collapses nothing" (0, 0, 0)
+    (counters (solve_insens (profile "tiny")));
   (* Unified members answer queries through their canonical node. *)
   let unified_pair = ref None in
   (try
@@ -186,115 +60,81 @@ let cycle_counters_test () =
          (Solver.node_points_to solver i)
          (Solver.node_points_to solver r))
 
-(* The Datalog engine's counters: rounds tick, every rule has a fact
-   counter, and the per-relation gauges agree with the engine's final
-   fact counts — all deterministic across two runs. *)
-let datalog_metrics_test () =
-  let program = tiny_program () in
-  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
-  let run () =
-    let r = Registry.create () in
-    let (_ : Pta_refimpl.Refimpl.t) =
-      Pta_refimpl.Refimpl.run ~metrics:r program (factory program)
-    in
-    r
-  in
-  let r = run () in
-  Alcotest.(check bool)
-    "rounds ticked" true
-    (Registry.counter_value (Registry.counter r "pta_datalog_rounds_total") > 0);
-  Alcotest.(check bool)
-    "vcall rule derived facts" true
-    (Registry.counter_value
-       (Registry.counter r ~labels:[ ("rule", "vcall") ]
-          "pta_datalog_facts_total")
-     > 0);
-  Alcotest.(check bool)
-    "relation gauge populated" true
-    (Registry.gauge_value
-       (Registry.gauge r ~labels:[ ("relation", "VarPointsTo") ]
-          "pta_datalog_relation_facts")
-     > 0.);
-  Alcotest.(check string)
-    "deterministic" (Registry.to_openmetrics r)
-    (Registry.to_openmetrics (run ()))
+(* ------------------------------------------------------------------ *)
+(* Histogram ladders                                                   *)
+(* ------------------------------------------------------------------ *)
 
-(* le semantics: a value equal to a bucket's upper bound lands in that
-   bucket, one past it lands in the next, and values beyond the last
-   bound land in the implicit +Inf bucket. *)
+(* le semantics: a time equal to a bucket's upper bound lands in that
+   bucket, one past it lands in the next, times beyond the last bound
+   land in the overflow bucket, and non-finite times are skipped. *)
 let histogram_buckets_test () =
-  let r = Registry.create () in
-  let h = Registry.histogram r ~buckets:[ 1.; 2.; 4. ] "pta_test_h" in
-  List.iter (Registry.observe_int h) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "count" 5 (Registry.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 15. (Registry.histogram_sum h);
-  let text = Registry.to_openmetrics r in
-  let expect line =
-    Alcotest.(check bool)
-      (Printf.sprintf "exposition has %S" line)
-      true
-      (List.mem line (String.split_on_char '\n' text))
+  let h =
+    Snapshot.hist_of_times [ 0.001; 0.002; 0.0021; 0.004; 1e4; infinity; nan ]
   in
-  (* Cumulative: le=1 -> 1, le=2 -> 2, le=4 -> 4, le=+Inf -> 5. *)
-  expect "pta_test_h_bucket{le=\"1.0\"} 1";
-  expect "pta_test_h_bucket{le=\"2.0\"} 2";
-  expect "pta_test_h_bucket{le=\"4.0\"} 4";
-  expect "pta_test_h_bucket{le=\"+Inf\"} 5";
-  expect "pta_test_h_count 5"
+  let count i = List.nth h.Snapshot.counts i in
+  Alcotest.(check int) "count" 5 (Snapshot.hist_count h);
+  Alcotest.(check int) "le=0.001" 1 (count 0);
+  Alcotest.(check int) "le=0.002" 1 (count 1);
+  Alcotest.(check int) "le=0.004" 2 (count 2);
+  Alcotest.(check int) "overflow" 1 (count 24);
+  Alcotest.(check (float 1e-9)) "sum" 10000.0091 h.Snapshot.sum
 
+(* The census's power-of-two ladder, with the same le semantics. *)
 let pow2_buckets_test () =
-  Alcotest.(check (list (float 1e-9)))
-    "ladder" [ 1.; 2.; 4.; 8. ] (Registry.pow2_buckets 4)
+  Alcotest.(check (list int)) "ladder" [ 1; 2; 4; 8 ] (Census.pow2_bounds 4);
+  let h = Census.hist_of_values ~bounds:[ 1; 2; 4 ] [ 1; 2; 3; 4; 5 ] in
+  Alcotest.(check (list int)) "per-bucket counts" [ 1; 1; 2; 1 ]
+    h.Census.h_counts
 
+(* The solve-time ladder: 1 ms doubling, 24 buckets, ~2.3h ceiling, each
+   bound exactly twice the last. *)
 let exp_buckets_test () =
-  Alcotest.(check (list (float 1e-9)))
-    "geometric ladder"
-    [ 0.5; 1.5; 4.5 ]
-    (Registry.exp_buckets ~start:0.5 ~factor:3. 3);
-  (* the shared time ladder: 1ms doubling, 24 buckets, ~2.3h ceiling *)
-  let tb = Registry.time_buckets in
+  let tb = (Snapshot.hist_of_times []).Snapshot.bounds in
   Alcotest.(check int) "time ladder length" 24 (List.length tb);
-  Alcotest.(check (float 1e-12)) "time ladder start" 0.001 (List.hd tb);
+  Alcotest.(check (float 0.)) "time ladder start" 0.001 (List.hd tb);
+  Alcotest.(check (float 0.)) "time ladder end" 8388.608 (List.nth tb 23);
   Alcotest.(check bool)
-    "strictly increasing" true
-    (List.for_all2 (fun a b -> a < b)
+    "each bound doubles the last" true
+    (List.for_all2
+       (fun a b -> Float.equal b (a *. 2.))
        (List.filteri (fun i _ -> i < 23) tb)
-       (List.tl tb));
-  List.iter
-    (fun f ->
-      Alcotest.check_raises "invalid args rejected"
-        (Invalid_argument
-           (Printf.sprintf "Registry.exp_buckets: %s"
-              (match f with
-              | `Start -> "start must be positive and finite"
-              | `Factor -> "factor must be > 1 and finite"
-              | `Count -> "count must be >= 1")))
-        (fun () ->
-          ignore
-            (match f with
-            | `Start -> Registry.exp_buckets ~start:0. ~factor:2. 3
-            | `Factor -> Registry.exp_buckets ~start:1. ~factor:1. 3
-            | `Count -> Registry.exp_buckets ~start:1. ~factor:2. 0)))
-    [ `Start; `Factor; `Count ]
+       (List.tl tb))
 
-(* histogram_buckets hands back per-bucket (non-cumulative) counts with
-   the +Inf overflow last — the shape the snapshot hist codec stores. *)
+(* The [time_hist] JSON of ledger records and bench snapshots, pinned
+   byte for byte: committed ledger records and BENCH_*.json files carry
+   it, so a new record must bucket and sum exactly as they did. *)
 let histogram_to_hist_test () =
-  let r = Registry.create () in
-  let h = Registry.histogram r ~buckets:[ 1.; 2.; 4. ] "pta_test_h" in
-  List.iter (Registry.observe_int h) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "per-bucket counts"
-    [ (1., 1); (2., 1); (4., 2); (infinity, 1) ]
-    (Registry.histogram_buckets h);
-  let hist =
-    Snapshot.hist_of_buckets ~sum:(Registry.histogram_sum h)
-      (Registry.histogram_buckets h)
+  let ladder =
+    "[0.001,0.002,0.0040000000000000001,0.0080000000000000002,0.016,\
+     0.032000000000000001,0.064000000000000001,0.128,0.25600000000000001,\
+     0.51200000000000001,1.024,2.048,4.0960000000000001,\
+     8.1920000000000002,16.384,32.768000000000001,65.536000000000001,\
+     131.072,262.14400000000001,524.28800000000001,1048.576,2097.152,\
+     4194.3040000000001,8388.6080000000002]"
   in
-  Alcotest.(check (list (float 1e-9))) "bounds" [ 1.; 2.; 4. ] hist.Snapshot.bounds;
-  Alcotest.(check (list int)) "counts" [ 1; 1; 2; 1 ] hist.Snapshot.counts;
-  Alcotest.(check int) "total" 5 (Snapshot.hist_count hist);
+  List.iter
+    (fun (times, counts, sum) ->
+      Alcotest.(check string)
+        "time_hist JSON"
+        (Printf.sprintf {|{"bounds":%s,"counts":[%s],"sum":%s}|} ladder
+           counts sum)
+        (Json.to_string ~indent:false
+           (Snapshot.hist_to_json (Snapshot.hist_of_times times))))
+    [
+      ( [ 0.0005; 0.001; 0.0015; 0.25; 3.7; 1e5; infinity; 0.002 ],
+        "2,2,0,0,0,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,1",
+        "100003.95499999999" );
+      ( [ 0.1; 0.2; 0.30000000000000004 ],
+        "0,0,0,0,0,0,0,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "0.60000000000000009" );
+      ( [ 1.234; 1.2339; 1.2341 ],
+        "0,0,0,0,0,0,0,0,0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "3.702" );
+    ];
   (* codec round-trip, and the codec's shape rejections *)
+  let hist =
+    { Snapshot.bounds = [ 1.; 2.; 4. ]; counts = [ 1; 1; 2; 1 ]; sum = 15. }
+  in
   (match Snapshot.hist_of_json (Snapshot.hist_to_json hist) with
   | Ok hist' -> Alcotest.(check bool) "round-trip" true (hist = hist')
   | Error e -> Alcotest.failf "hist round-trip: %s" e);
@@ -306,25 +146,6 @@ let histogram_to_hist_test () =
   reject "length mismatch" { hist with Snapshot.counts = [ 1; 2 ] };
   reject "negative count" { hist with Snapshot.counts = [ 1; -1; 2; 1 ] };
   reject "non-increasing bounds" { hist with Snapshot.bounds = [ 1.; 1.; 4. ] }
-
-(* Misuse must fail loudly at registration/update time. *)
-let registry_validation_test () =
-  let r = Registry.create () in
-  let (_ : Registry.counter) = Registry.counter r "pta_test_total" in
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument
-       "Registry: pta_test_total registered as counter, requested as gauge")
-    (fun () -> ignore (Registry.gauge r "pta_test_total"));
-  Alcotest.check_raises "bad name"
-    (Invalid_argument "Registry: invalid metric name \"9bad\"") (fun () ->
-      ignore (Registry.counter r "9bad"));
-  Alcotest.check_raises "empty buckets"
-    (Invalid_argument "Registry: histogram needs at least one bucket")
-    (fun () -> ignore (Registry.histogram r ~buckets:[] "pta_test_h"));
-  let c = Registry.counter r "pta_test_mono_total" in
-  Alcotest.check_raises "negative add"
-    (Invalid_argument "Registry.add: counters are monotone") (fun () ->
-      Registry.add c (-1))
 
 (* ------------------------------------------------------------------ *)
 (* Bench snapshot codec                                                *)
@@ -557,23 +378,13 @@ let markdown_report_test () =
 
 let tests =
   [
-    Alcotest.test_case "exposition deterministic" `Quick
-      exposition_deterministic_test;
-    Alcotest.test_case "json deterministic" `Quick json_deterministic_test;
-    Alcotest.test_case "null registry" `Quick null_registry_test;
-    Alcotest.test_case "solver transparent under metrics" `Quick
-      solver_transparent_test;
-    Alcotest.test_case "null metrics allocate nothing extra" `Quick
-      null_metrics_allocation_test;
     Alcotest.test_case "cycle-elimination counters fire" `Quick
       cycle_counters_test;
-    Alcotest.test_case "datalog engine counters" `Quick datalog_metrics_test;
     Alcotest.test_case "histogram buckets (le)" `Quick histogram_buckets_test;
     Alcotest.test_case "pow2 buckets" `Quick pow2_buckets_test;
     Alcotest.test_case "exp buckets" `Quick exp_buckets_test;
     Alcotest.test_case "histogram to snapshot hist" `Quick
       histogram_to_hist_test;
-    Alcotest.test_case "registry validation" `Quick registry_validation_test;
     Alcotest.test_case "snapshot round-trip" `Quick roundtrip_test;
     Alcotest.test_case "snapshot v1 refused" `Quick v1_refused_test;
     Alcotest.test_case "snapshot v2/v3 refused" `Quick v2_v3_refused_test;

@@ -119,20 +119,30 @@ let datalog_determinism_test () =
       }
       |}
   in
-  let run () =
+  let run program =
     let trace = Trace.create () in
     let strategy = Pta_context.Strategies.get "1obj" program in
     ignore (Pta_refimpl.Refimpl.run ~trace program strategy);
     trace
   in
-  let t1 = run () and t2 = run () in
+  let t1 = run program and t2 = run program in
   let rules t =
     List.filter (fun (c, _, _, _) -> c = "rule") (shape (Trace.profile t))
   in
   Alcotest.(check bool) "some rule spans" true (rules t1 <> []);
   Alcotest.(check bool)
     "identical rule firing counts" true
-    (rules t1 = rules t2)
+    (rules t1 = rules t2);
+  (* On tiny, the virtual-call rule derives facts. *)
+  let vcall_delta =
+    List.fold_left
+      (fun acc (c, name, _, delta) ->
+        if c = "rule" && name = "vcall" then acc + delta else acc)
+      0
+      (shape (Trace.profile (run (tiny_program ()))))
+  in
+  Alcotest.(check bool) "vcall rule derived facts on tiny" true
+    (vcall_delta > 0)
 
 (* Tracing must not change what the solver computes: same metric bundle
    with a live sink, the null sink, and no sink at all. *)
