@@ -260,7 +260,11 @@ let analyze_cmd =
            ~analysis (sources_of files))
     in
     report_phases ~progress r.Driver.solver;
-    let metrics = Metrics.compute r.Driver.solver in
+    let metrics =
+      match Metrics.compute ~budget:config.Solver.Config.budget r.Driver.solver with
+      | m -> m
+      | exception Budget.Exhausted abort -> timed_out ~analysis abort
+    in
     Format.fprintf ppf "analysis: %s (%s)@." analysis
       r.Driver.strategy.Pta_context.Strategy.description;
     Format.fprintf ppf "%a@." Metrics.pp metrics;
@@ -307,37 +311,45 @@ let compare_cmd =
           handle (Driver.strategy_of_name program name)
         in
         let config = config_of ?timeout_s ~trace ~progress () in
-        match Driver.run ~config ~collect_stats program ~analysis:name with
-        | Ok r ->
-          report_phases ~progress r.Driver.solver;
-          let m = Metrics.compute r.Driver.solver in
-          (match r.Driver.stats with
-          | Some stats ->
-            if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
-            all_stats := stats_doc stats :: !all_stats
-          | None -> ());
-          Pta_report.Table.add_row table
-            [
-              name;
-              Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
-              string_of_int m.Metrics.call_graph_edges;
-              Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
-              Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
-              Printf.sprintf "%.3f" r.Driver.wall_time_s;
-              string_of_int m.Metrics.sensitive_vpt;
-            ]
-        | Error (Driver.Timed_out { abort; _ }) ->
+        (* A budget exhausted in the solve or in the metrics' taint pass
+           leaves the same "-" row. *)
+        let timed_out_row (abort : Budget.abort) =
           all_stats :=
             Json.Obj
               [
                 ("analysis", Json.String name);
                 ("timed_out", Json.Bool true);
-                ("elapsed_s", Json.Float abort.Pta_obs.Budget.elapsed_s);
-                ("iterations", Json.Int abort.Pta_obs.Budget.iterations);
-                ("nodes", Json.Int abort.Pta_obs.Budget.nodes);
+                ("elapsed_s", Json.Float abort.Budget.elapsed_s);
+                ("iterations", Json.Int abort.Budget.iterations);
+                ("nodes", Json.Int abort.Budget.nodes);
               ]
             :: !all_stats;
           Pta_report.Table.add_row table [ name; "-"; "-"; "-"; "-"; "-"; "-" ]
+        in
+        match Driver.run ~config ~collect_stats program ~analysis:name with
+        | Ok r -> (
+          report_phases ~progress r.Driver.solver;
+          match
+            Metrics.compute ~budget:config.Solver.Config.budget r.Driver.solver
+          with
+          | exception Budget.Exhausted abort -> timed_out_row abort
+          | m ->
+            (match r.Driver.stats with
+            | Some stats ->
+              if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
+              all_stats := stats_doc stats :: !all_stats
+            | None -> ());
+            Pta_report.Table.add_row table
+              [
+                name;
+                Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
+                string_of_int m.Metrics.call_graph_edges;
+                Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
+                Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
+                Printf.sprintf "%.3f" r.Driver.wall_time_s;
+                string_of_int m.Metrics.sensitive_vpt;
+              ])
+        | Error (Driver.Timed_out { abort; _ }) -> timed_out_row abort
         | Error e -> Driver.report_and_exit e)
       analyses;
     Format.fprintf ppf "%s@?" (Pta_report.Table.render table);

@@ -23,7 +23,7 @@ type t = {
   n_reachable_cs : int;
 }
 
-let compute solver =
+let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
   let program = Solver.program solver in
   let total_objs = ref 0 in
   let vars_with_objs = ref 0 in
@@ -39,7 +39,7 @@ let compute solver =
   let taint_flows =
     let spec = Pta_taint.Spec.compile program Pta_taint.Spec.default in
     if Pta_taint.Spec.n_sources spec = 0 then 0
-    else Pta_taint.Taint.n_flows (Pta_taint.Taint.analyze solver spec)
+    else Pta_taint.Taint.n_flows (Pta_taint.Taint.analyze ~budget solver spec)
   in
   {
     avg_objs_per_var =

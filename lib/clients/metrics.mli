@@ -36,5 +36,10 @@ type t = {
   n_reachable_cs : int;
 }
 
-val compute : Pta_solver.Solver.t -> t
+val compute : ?budget:Pta_obs.Budget.t -> Pta_solver.Solver.t -> t
+(** [budget] (default: unlimited) bounds the taint pass behind
+    [taint_flows], as {!Pta_taint.Taint.analyze}'s does; pass the
+    solve's own token to keep counting against its deadline.
+    @raise Pta_obs.Budget.Exhausted when [budget] runs out. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1056,6 +1056,10 @@ let iter_var_points_to st f =
         (Vec.get st.nodes nid).all)
     st.var_nodes
 
+let var_points_to st var ctx =
+  let nid = Inttbl.find st.var_nodes (Inttbl.pack (Var_id.to_int var) ctx) in
+  if nid = Inttbl.absent then Intset.empty else (Vec.get st.nodes nid).all
+
 let iter_fld_points_to st f =
   Inttbl.iter
     (fun key nid ->

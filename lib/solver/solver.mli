@@ -141,6 +141,13 @@ val iter_var_points_to :
   t -> (Pta_ir.Ir.Var_id.t -> Pta_context.Ctx.id -> Intset.t -> unit) -> unit
 (** Every (variable, context) node with its set of hobjs. *)
 
+val var_points_to :
+  t -> Pta_ir.Ir.Var_id.t -> Pta_context.Ctx.id -> Intset.t
+(** The set {!iter_var_points_to} gives for the (variable, context)
+    node, or {!Intset.empty} when the solve made no such node (a
+    variable of an unreachable method, a context the method was never
+    analyzed in).  One table lookup; allocates nothing. *)
+
 val iter_fld_points_to :
   t -> (hobj -> Pta_ir.Ir.Field_id.t -> Intset.t -> unit) -> unit
 

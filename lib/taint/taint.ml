@@ -104,6 +104,32 @@ let index_add tbl k v =
 
 let index_find tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
 
+(* Stable counting sort of the indices of [keys] (each in [0, n)) by
+   key: the indices holding key [k] are [order.(start.(k))] up to
+   [order.(start.(k + 1) - 1)], ascending. *)
+type buckets = { start : int array; order : int array }
+
+let bucket n keys =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) keys;
+  for k = 1 to n do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let next = Array.sub start 0 n in
+  let order = Array.make (Array.length keys) 0 in
+  Array.iteri
+    (fun i k ->
+      order.(next.(k)) <- i;
+      next.(k) <- next.(k) + 1)
+    keys;
+  { start; order }
+
+(* The indices of key [k], last first. *)
+let iter_bucket_rev b k f =
+  for j = b.start.(k + 1) - 1 downto b.start.(k) do
+    f b.order.(j)
+  done
+
 let analyze ?(budget = Budget.unlimited ()) solver spec =
   if not (Solver.is_complete solver) then
     invalid_arg "Taint.analyze: aborted solver state (incomplete points-to)";
@@ -132,27 +158,59 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
       Option.iter
         (fun rv -> Hashtbl.replace ret_meth (Var_id.to_int rv) (Meth_id.to_int m))
         mi.ret_var);
-  (* ---------------- solved-state indexes ------------------------ *)
-  (* Var-points-to, restricted to the variables taint actually joins
-     against: bases of stores (forward lookup) and bases of loads
-     (inverse lookup). *)
-  let store_bases = Hashtbl.create 64 in
-  List.iter (fun (b, _, _) -> Hashtbl.replace store_bases b ()) fl.Flows.stores;
-  let vpt = Hashtbl.create 1024 (* (base var, ctx) -> hobj Intset *)
-  and vpt_inv = Hashtbl.create 1024 (* hobj -> (load-base var, ctx) list *) in
-  Solver.iter_var_points_to solver (fun v c objs ->
-      let vi = Var_id.to_int v in
-      if Hashtbl.mem store_bases vi then Hashtbl.replace vpt (vi, c) objs;
-      if Hashtbl.mem load_by_base vi then
-        Intset.iter (fun o -> index_add vpt_inv o (vi, c)) objs);
-  let ce_by_invo = Hashtbl.create 256 (* invo -> (cctx, meth, ectx) list *)
-  and ce_by_invo_ctx = Hashtbl.create 256 (* (invo, cctx) -> (meth, ectx) list *)
-  and ce_by_callee = Hashtbl.create 256 (* (meth, ectx) -> (invo, cctx) list *) in
+  (* ---------------- solved-state lookups ------------------------ *)
+  (* No index over every var node: a store reads its base's set with
+     [Solver.var_points_to], and the inverse lookup of loads is built
+     per field, on demand (below).  The call edges are copied once into
+     four int arrays and bucketed by invocation and by callee.  Buckets
+     are read backwards, latest [iter_call_edges] edge first: node ids
+     and first-arrival origins depend on that order, and the pinned
+     digests in the taint tests hold it. *)
+  let n_ce = Solver.n_call_edges_cs solver in
+  let ce_invo = Array.make n_ce 0
+  and ce_cctx = Array.make n_ce 0
+  and ce_meth = Array.make n_ce 0
+  and ce_ectx = Array.make n_ce 0 in
+  let n = ref 0 in
   Solver.iter_call_edges solver (fun invo cc m ec ->
-      let i = Invo_id.to_int invo and mi = Meth_id.to_int m in
-      index_add ce_by_invo i (cc, mi, ec);
-      index_add ce_by_invo_ctx (i, cc) (mi, ec);
-      index_add ce_by_callee (mi, ec) (i, cc));
+      let e = !n in
+      ce_invo.(e) <- Invo_id.to_int invo;
+      ce_cctx.(e) <- cc;
+      ce_meth.(e) <- Meth_id.to_int m;
+      ce_ectx.(e) <- ec;
+      n := e + 1);
+  let by_invo = bucket (Program.n_invos program) ce_invo
+  and by_callee = bucket (Program.n_meths program) ce_meth in
+  (* Callees [(meth, ectx)] of [invo] under caller context [c]. *)
+  let iter_callees invo c f =
+    iter_bucket_rev by_invo invo (fun e ->
+        if ce_cctx.(e) = c then f ce_meth.(e) ce_ectx.(e))
+  (* Call sites [(invo, cctx)] of [m] entered under context [c]. *)
+  and iter_callers m c f =
+    iter_bucket_rev by_callee m (fun e ->
+        if ce_ectx.(e) = c then f ce_invo.(e) ce_cctx.(e))
+  in
+  (* Inverse var-points-to of one field: hobj -> the (base, ctx) nodes
+     pointing to it, over the bases of loads of that field only.  Made
+     the first time a cell of the field is tainted, by one scan of the
+     var nodes that reads just those bases' sets. *)
+  let inv_by_field = Hashtbl.create 16 (* field -> (hobj -> node list) *) in
+  let vpt_inv f =
+    match Hashtbl.find_opt inv_by_field f with
+    | Some inv -> inv
+    | None ->
+      let bases = Hashtbl.create 8 and inv = Hashtbl.create 64 in
+      List.iter
+        (fun (_, b, f') -> if f' = f then Hashtbl.replace bases b ())
+        fl.Flows.loads;
+      if Hashtbl.length bases > 0 then
+        Solver.iter_var_points_to solver (fun v c objs ->
+            let vi = Var_id.to_int v in
+            if Hashtbl.mem bases vi then
+              Intset.iter (fun o -> index_add inv o (vi, c)) objs);
+      Hashtbl.replace inv_by_field f inv;
+      inv
+  in
   let reach_ctxs = Hashtbl.create 256 (* meth -> ctx list *) in
   Solver.iter_reachable solver (fun m c ->
       index_add reach_ctxs (Meth_id.to_int m) c);
@@ -199,13 +257,10 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
       (index_find copy_out v);
     List.iter
       (fun (b, f) ->
-        match Hashtbl.find_opt vpt (b, c) with
-        | None -> ()
-        | Some objs ->
-          let fname = (Program.field_info program (Field_id.of_int f)).field_name in
-          Intset.iter
-            (fun o -> push_from id (kfld o f) d ("store ." ^ fname))
-            objs)
+        let fname = (Program.field_info program (Field_id.of_int f)).field_name in
+        Intset.iter
+          (fun o -> push_from id (kfld o f) d ("store ." ^ fname))
+          (Solver.var_points_to solver (Var_id.of_int b) c))
       (index_find store_out v);
     List.iter
       (fun f ->
@@ -214,8 +269,7 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
       (index_find sstore_out v);
     List.iter
       (fun (invo, pos) ->
-        List.iter
-          (fun (m, ec) ->
+        iter_callees invo c (fun m ec ->
             if not (sanitizer m) then begin
               let formals = (meth_info m).formals in
               if pos < Array.length formals then
@@ -224,13 +278,11 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
                   d
                   (Printf.sprintf "arg %d at %s" pos
                      (Program.invo_name program (Invo_id.of_int invo)))
-            end)
-          (index_find ce_by_invo_ctx (invo, c)))
+            end))
       (index_find arg_out v);
     List.iter
       (fun invo ->
-        List.iter
-          (fun (m, ec) ->
+        iter_callees invo c (fun m ec ->
             if not (sanitizer m) then
               match (meth_info m).this_var with
               | Some tv ->
@@ -238,19 +290,16 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
                   (kvar (Var_id.to_int tv) ec)
                   d
                   ("receiver at " ^ Program.invo_name program (Invo_id.of_int invo))
-              | None -> ())
-          (index_find ce_by_invo_ctx (invo, c)))
+              | None -> ()))
       (index_find this_out v);
     match Hashtbl.find_opt ret_meth v with
     | Some m when not (sanitizer m) ->
-      List.iter
-        (fun (invo, cc) ->
+      iter_callers m c (fun invo cc ->
           match Hashtbl.find_opt ret_of_invo invo with
           | Some rt ->
             push_from id (kvar rt cc) d
               ("return from " ^ Program.meth_qualified_name program (Meth_id.of_int m))
           | None -> ())
-        (index_find ce_by_callee (m, c))
     | _ -> ()
   in
   let propagate_fld id o f d =
@@ -264,7 +313,7 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
               in
               push_from id (kvar dst c) d ("load ." ^ fname))
           (index_find load_by_base bv))
-      (index_find vpt_inv o)
+      (index_find (vpt_inv f) o)
   in
   let propagate_static id f d =
     let fname = (Program.field_info program (Field_id.of_int f)).field_name in
@@ -298,9 +347,9 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
   let hit_tbl = Hashtbl.create 64 in
   List.iter
     (fun (invo, pos, av) ->
-      List.iter
-        (fun (cc, m, _ec) ->
-          match Hashtbl.find_opt sink_pos m with
+      iter_bucket_rev by_invo invo (fun e ->
+          let cc = ce_cctx.(e) in
+          match Hashtbl.find_opt sink_pos ce_meth.(e) with
           | Some positions when List.mem pos positions -> (
             match Hashtbl.find_opt ns.tbl (kvar av cc) with
             | Some id when not (Intset.is_empty ns.all.(id)) ->
@@ -311,8 +360,7 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
               in
               Hashtbl.replace hit_tbl key (Intset.union prev ns.all.(id))
             | _ -> ())
-          | _ -> ())
-        (index_find ce_by_invo invo))
+          | _ -> ()))
     fl.Flows.sink_args;
   let hits =
     Hashtbl.fold (fun (i, p, c) labels acc -> (i, p, c, labels) :: acc) hit_tbl []

@@ -110,10 +110,36 @@ let unreachable_code_test () =
   Alcotest.(check int) "no vcalls counted" 0 m.Metrics.total_vcalls;
   Alcotest.(check int) "only main reachable" 1 m.Metrics.reachable_methods
 
+(* The metric bundle's taint pass counts against the caller's budget:
+   on a program with a source, a cancelled token must stop it. *)
+let metrics_budget_test () =
+  let module Budget = Pta_obs.Budget in
+  let program =
+    Pta_frontend.Frontend.program_of_string ~file:"<t>"
+      {|
+      class Data {}
+      class Net {
+        static method fetch() { var t = new Data; return t; }
+        static method leak(x) { }
+      }
+      class Main { static method main() { var d = Net::fetch(); Net::leak(d); } }
+      |}
+  in
+  let solver = Solver.solve program (Pta_context.Strategies.get "1obj" program) in
+  Alcotest.(check int) "one flow unbounded" 1
+    (Metrics.compute solver).Metrics.taint_flows;
+  let budget = Budget.unlimited () in
+  Budget.cancel budget;
+  match Metrics.compute ~budget solver with
+  | _ -> Alcotest.fail "expected Budget.Exhausted"
+  | exception Budget.Exhausted _ -> ()
+
 let tests =
   [
     Alcotest.test_case "devirtualization classification" `Quick devirt_test;
     Alcotest.test_case "cast verdicts and witnesses" `Quick casts_test;
     Alcotest.test_case "metric bundle" `Quick metrics_test;
     Alcotest.test_case "unreachable code excluded" `Quick unreachable_code_test;
+    Alcotest.test_case "a cancelled budget stops the metrics" `Quick
+      metrics_budget_test;
   ]

@@ -288,6 +288,34 @@ let default_budget_releases_state_test () =
   Gc.full_major ();
   Alcotest.(check bool) "dropped state collected" false (Weak.check weak 0)
 
+(* [var_points_to] answers for exactly the nodes [iter_var_points_to]
+   walks, with the same set, and is empty for any pair the solve never
+   made: a variable of an unreachable method, or an unused context id. *)
+let var_points_to_test w () =
+  let program =
+    Pta_workloads.Workloads.program (Option.get (Pta_workloads.Profile.by_name w))
+  in
+  let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+  let solver = Solver.solve program (factory program) in
+  Solver.iter_var_points_to solver (fun v c objs ->
+      if not (Intset.equal objs (Solver.var_points_to solver v c)) then
+        Alcotest.failf "%s: var %d ctx %d differs" w (Ir.Var_id.to_int v) c);
+  let reachable = Solver.reachable_meths solver in
+  let unused_ctx = Solver.n_ctxs solver in
+  let unreachable_vars = ref 0 in
+  Ir.Program.iter_vars program (fun v info ->
+      Alcotest.(check bool) "unused context id" true
+        (Intset.is_empty (Solver.var_points_to solver v unused_ctx));
+      if not (Ir.Meth_id.Set.mem info.Ir.var_owner reachable) then begin
+        incr unreachable_vars;
+        for c = 0 to unused_ctx - 1 do
+          if not (Intset.is_empty (Solver.var_points_to solver v c)) then
+            Alcotest.failf "%s: unreachable var %d has a set in ctx %d" w
+              (Ir.Var_id.to_int v) c
+        done
+      end);
+  Alcotest.(check bool) "some method is unreachable" true (!unreachable_vars > 0)
+
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
@@ -314,3 +342,9 @@ let tests =
           (Printf.sprintf "CI projection = fold: %s" w)
           `Quick (ci_projection_test w))
       [ "tiny"; "cyclic"; "luindex" ]
+  @ List.map
+      (fun w ->
+        Alcotest.test_case
+          (Printf.sprintf "var_points_to = iteration: %s" w)
+          `Quick (var_points_to_test w))
+      [ "tiny"; "antlr" ]

@@ -523,6 +523,201 @@ let soundness_tests =
           (Pta_workloads.Gen.taint_ground_truth tiny));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned output: the pass's full observable result, digested per      *)
+(* (program, strategy) and compared with digests recorded before the   *)
+(* solved-state lookups were rebuilt, so node ids, first-arrival       *)
+(* origins and chain wording cannot drift.                             *)
+(* ------------------------------------------------------------------ *)
+
+let labels_str labels =
+  String.concat "," (List.map string_of_int (Intset.elements labels))
+
+(* Flows, the chain of each flow, sink hits, then tainted var nodes in
+   node-id order. *)
+let serialise taint =
+  let b = Buffer.create 4096 in
+  let flows = Taint.flows taint in
+  List.iter (fun f -> Printf.bprintf b "flow %s\n" (flow_str f)) flows;
+  List.iter
+    (fun f ->
+      Printf.bprintf b "explain %s\n" (flow_str f);
+      List.iter (Printf.bprintf b "  %s\n") (Taint.explain_flow taint f))
+    flows;
+  List.iter
+    (fun (h : Taint.hit) ->
+      Printf.bprintf b "hit %d|%d|%s|%s\n"
+        (Ir.Invo_id.to_int h.h_invo)
+        h.h_pos
+        (ctx_str (Taint.ctx_value taint h.h_ctx))
+        (labels_str h.h_labels))
+    (Taint.sink_hits taint);
+  Taint.iter_tainted taint (fun v c labels ->
+      Printf.bprintf b "tainted %d|%s|%s\n" (Ir.Var_id.to_int v)
+        (ctx_str (Taint.ctx_value taint c))
+        (labels_str labels));
+  Buffer.contents b
+
+let pinned_case program spec strat_name =
+  let factory = Option.get (Strategies.by_name strat_name) in
+  serialise (Taint.analyze (Solver.solve program (factory program)) spec)
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let pinned_programs =
+  [
+    ("conflation", program_conflation, default_spec_text);
+    ("heap", program_heap, default_spec_text);
+    ("virtual", program_virtual, spec_virtual);
+    ("static-throw", program_static_and_throw, spec_static);
+  ]
+
+let pinned_small =
+  [
+    ("conflation/insens", "0cea71d8817702b85df4ddc5172728e2");
+    ("conflation/1call", "fcf4845b7db392dad91baa3ac9c721de");
+    ("conflation/1call+H", "fcf4845b7db392dad91baa3ac9c721de");
+    ("conflation/1obj", "b720218d0a9563c9d389efdad2ed19a4");
+    ("conflation/2obj+H", "5fb4141236404ba97c6958d5793af753");
+    ("conflation/2type+H", "5fb4141236404ba97c6958d5793af753");
+    ("conflation/U-1obj", "f40c245450ce9b13d9a03762c8185dfc");
+    ("conflation/U-2obj+H", "7391956321eb4d408c20c7629aef93f7");
+    ("conflation/U-2type+H", "7391956321eb4d408c20c7629aef93f7");
+    ("conflation/SA-1obj", "fcf4845b7db392dad91baa3ac9c721de");
+    ("conflation/SB-1obj", "f40c245450ce9b13d9a03762c8185dfc");
+    ("conflation/S-2obj+H", "ce1c4959d72f6ca655724ed6c16fbb38");
+    ("conflation/S-2type+H", "ce1c4959d72f6ca655724ed6c16fbb38");
+    ("conflation/2call+H", "327444ba283a91499e48a0f5448ec3ae");
+    ("conflation/1obj+H", "b720218d0a9563c9d389efdad2ed19a4");
+    ("conflation/3obj+2H", "2d237be2d5d6fbb1428d1d7e4a2745c2");
+    ("conflation/A-2obj+H", "ce1c4959d72f6ca655724ed6c16fbb38");
+    ("conflation/A-2type+H", "ce1c4959d72f6ca655724ed6c16fbb38");
+    ("conflation/AD-2obj+H", "f518d0a88a049392a8d03b9dd4b44d47");
+    ("conflation/CS", "7bc87825ca13828c8f5b4578d1e250d1");
+    ("conflation/CS-2obj+H", "4098bc9dbadac41a140036d7c281b1a8");
+    ("conflation/X-2obj+IH", "7391956321eb4d408c20c7629aef93f7");
+    ("conflation/X-2obj+Hrev", "5fb4141236404ba97c6958d5793af753");
+    ("conflation/X-freemix", "327444ba283a91499e48a0f5448ec3ae");
+    ("heap/insens", "eedd4fed69a186d29a592032de264e68");
+    ("heap/1call", "ce7bc3c9e132e4beb9759b7df396e03a");
+    ("heap/1call+H", "c612e5286653cd36c95d8c313e51fa71");
+    ("heap/1obj", "ae88785e52905f623043ecad03ee7e6b");
+    ("heap/2obj+H", "184d35f147645dba454e64d947926715");
+    ("heap/2type+H", "c45418a660cd6c787ad0277f512652c8");
+    ("heap/U-1obj", "598536976acfefd123abd8ffea804047");
+    ("heap/U-2obj+H", "ffc1808c1e7fdddfd72168a08dd94b4a");
+    ("heap/U-2type+H", "13f7f6e49c454b66bb62eccc65d241ae");
+    ("heap/SA-1obj", "bcabf6a7e54e0275f7aaf4050ac84fcf");
+    ("heap/SB-1obj", "327d64eb86c9a57e7c8267485ffc617d");
+    ("heap/S-2obj+H", "e8261cda2f3c905599b6671f026e384b");
+    ("heap/S-2type+H", "00cc7e49bb64306b53d6ecb5dbfa34a7");
+    ("heap/2call+H", "53ceee49752eefc888a3bd65bbe744c7");
+    ("heap/1obj+H", "ae88785e52905f623043ecad03ee7e6b");
+    ("heap/3obj+2H", "0007beb496cf2f1999df6872c17f9b87");
+    ("heap/A-2obj+H", "f4657b45cd5765fc904578144ece2338");
+    ("heap/A-2type+H", "2ec42955b4c3f1c5bc82187452b7370e");
+    ("heap/AD-2obj+H", "0c299b7f95dcbad5e17fa34e5fba47d2");
+    ("heap/CS", "5c7f1503701fffec7f032f57d7145b08");
+    ("heap/CS-2obj+H", "15dc318afad22fa809d9203ff811a707");
+    ("heap/X-2obj+IH", "fbb0a70b05e44f72db75069149657165");
+    ("heap/X-2obj+Hrev", "599b3cd763a7673b353e324407cbafd4");
+    ("heap/X-freemix", "3ca2c7a2fca5466bd13e0b3dac014af8");
+    ("virtual/insens", "054e80a3060af63da671047d66fba5ef");
+    ("virtual/1call", "023dec4339023d4af0558ee177a4557d");
+    ("virtual/1call+H", "023dec4339023d4af0558ee177a4557d");
+    ("virtual/1obj", "a7abddb796818b5a4120f6dfa64038c2");
+    ("virtual/2obj+H", "5e281d43c356b986d8b0fba8ca208d4f");
+    ("virtual/2type+H", "2e2d930614b939722da4ac3227e026e6");
+    ("virtual/U-1obj", "816502f390d552766b190fd79a65c723");
+    ("virtual/U-2obj+H", "5b4c68102aa0abf57aa5a4345f9b1075");
+    ("virtual/U-2type+H", "7a154186410c0e0f1de18ba1d848f05b");
+    ("virtual/SA-1obj", "9b95addb2b2c2d338a64bad2fadf7368");
+    ("virtual/SB-1obj", "85235f55900d39bdc8e4054a36ffcadc");
+    ("virtual/S-2obj+H", "c5f3c6f640e7ebd1cb6c4ed73bde2559");
+    ("virtual/S-2type+H", "40dff5e07d3de1a90be7c4a2e30f976a");
+    ("virtual/2call+H", "ba1fbe7efbfa5fe4764b16d4408ccfd3");
+    ("virtual/1obj+H", "a7abddb796818b5a4120f6dfa64038c2");
+    ("virtual/3obj+2H", "4580c8f8ab027eae469cadb224de0153");
+    ("virtual/A-2obj+H", "c5f3c6f640e7ebd1cb6c4ed73bde2559");
+    ("virtual/A-2type+H", "40dff5e07d3de1a90be7c4a2e30f976a");
+    ("virtual/AD-2obj+H", "a7abddb796818b5a4120f6dfa64038c2");
+    ("virtual/CS", "0123c8beee9a5066e3deae5754601aa2");
+    ("virtual/CS-2obj+H", "b9869b74d334f9d8231e447275cffbba");
+    ("virtual/X-2obj+IH", "5b4c68102aa0abf57aa5a4345f9b1075");
+    ("virtual/X-2obj+Hrev", "18fa202567a05c186626735a633df835");
+    ("virtual/X-freemix", "d536ebcfbdf7a2e212762102804bc9fa");
+    ("static-throw/insens", "915280d3b4126655c6e626025305c149");
+    ("static-throw/1call", "858c05cbe0357026e685ab00d272a433");
+    ("static-throw/1call+H", "858c05cbe0357026e685ab00d272a433");
+    ("static-throw/1obj", "33906787cede2404bf2c70b6390c7959");
+    ("static-throw/2obj+H", "a0c8f89247ecf6830f777439d6a5b51d");
+    ("static-throw/2type+H", "a0c8f89247ecf6830f777439d6a5b51d");
+    ("static-throw/U-1obj", "5d0edf9a7b1f64e7668a8f0ea40ad9c9");
+    ("static-throw/U-2obj+H", "d7851d6f3c5d091171feee386ada3922");
+    ("static-throw/U-2type+H", "d7851d6f3c5d091171feee386ada3922");
+    ("static-throw/SA-1obj", "858c05cbe0357026e685ab00d272a433");
+    ("static-throw/SB-1obj", "5d0edf9a7b1f64e7668a8f0ea40ad9c9");
+    ("static-throw/S-2obj+H", "3afb2f3779e42192ab74aa3caef4f593");
+    ("static-throw/S-2type+H", "3afb2f3779e42192ab74aa3caef4f593");
+    ("static-throw/2call+H", "1e25923c8150b027ff3991fe1aa8fedc");
+    ("static-throw/1obj+H", "33906787cede2404bf2c70b6390c7959");
+    ("static-throw/3obj+2H", "0ed95bf34758d3a0a5091304468c887f");
+    ("static-throw/A-2obj+H", "3afb2f3779e42192ab74aa3caef4f593");
+    ("static-throw/A-2type+H", "3afb2f3779e42192ab74aa3caef4f593");
+    ("static-throw/AD-2obj+H", "4774bac4f335cf9f4ccba4187710b6d1");
+    ("static-throw/CS", "b5160059d079f281f96f60681ac312af");
+    ("static-throw/CS-2obj+H", "71023b1ce3f98ae4a40d399a1ad2b985");
+    ("static-throw/X-2obj+IH", "d7851d6f3c5d091171feee386ada3922");
+    ("static-throw/X-2obj+Hrev", "a0c8f89247ecf6830f777439d6a5b51d");
+    ("static-throw/X-freemix", "1e25923c8150b027ff3991fe1aa8fedc");
+  ]
+
+let pinned_antlr =
+  [
+    ("antlr/1obj", "7ddd7062cb5ffc996ae45d0d6b1aefdd");
+    ("antlr/S-2obj+H", "5210a4c158a72b77d24094ee8c624aae");
+  ]
+
+(* The whole (case, digest) list is compared at once, so a failure
+   prints every current digest. *)
+let check_pinned expected outputs =
+  Alcotest.(check (list (pair string string)))
+    "taint output digests" expected
+    (List.map (fun (case, out) -> (case, Digest.to_hex (Digest.string out))) outputs)
+
+let pinned_tests =
+  [
+    Alcotest.test_case "pinned output, test programs, all strategies" `Quick
+      (fun () ->
+        let outputs =
+          List.concat_map
+            (fun (name, src, spec_text) ->
+              let program =
+                Pta_frontend.Frontend.program_of_string ~file:name src
+              in
+              let spec = compile_spec program spec_text in
+              List.map
+                (fun strat -> (name ^ "/" ^ strat, pinned_case program spec strat))
+                all_strategies)
+            pinned_programs
+        in
+        check_pinned pinned_small outputs;
+        (* The per-field inverse points-to lookup only runs when a heap
+           cell is tainted; some chain must go through a load. *)
+        Alcotest.(check bool) "some chain has a load step" true
+          (List.exists (fun (_, out) -> contains_sub out "load .") outputs));
+    Alcotest.test_case "pinned output, gen antlr" `Slow (fun () ->
+        let program = Option.get (Pta_workloads.Workloads.program_by_name "antlr") in
+        let spec = Spec.compile program Spec.default in
+        check_pinned pinned_antlr
+          (List.map
+             (fun strat -> ("antlr/" ^ strat, pinned_case program spec strat))
+             [ "1obj"; "S-2obj+H" ]));
+  ]
+
 let tests =
   parse_tests @ differential_tests @ precision_tests @ misc_tests
-  @ soundness_tests
+  @ soundness_tests @ pinned_tests
