@@ -93,4 +93,7 @@ let to_json ~tool_version diagnostics =
     ]
 
 let to_string ~tool_version diagnostics =
-  Json.to_string ~indent:true (to_json ~tool_version diagnostics) ^ "\n"
+  let buf = Buffer.create 65536 in
+  Json.to_buffer ~indent:true buf (to_json ~tool_version diagnostics);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf

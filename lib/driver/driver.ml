@@ -61,14 +61,17 @@ let is_frontend_error exn =
 
 let load_program ?(stdlib = true) sources =
   match
-    Pta_frontend.Frontend.program_of_sources
-      ((if stdlib then [ (Pta_mjdk.Mjdk.file_name, Pta_mjdk.Mjdk.source) ]
-        else [])
-      @ List.map
-          (function
-            | File path -> (path, read_file path)
-            | Literal { name; contents } -> (name, contents))
-          sources)
+    let user =
+      List.concat_map
+        (fun (file, contents) -> Pta_frontend.Frontend.parse ~file contents)
+        (List.map
+           (function
+             | File path -> (path, read_file path)
+             | Literal { name; contents } -> (name, contents))
+           sources)
+    in
+    Pta_frontend.Lower.program
+      (if stdlib then Pta_mjdk.Mjdk.decls @ user else user)
   with
   | program -> Ok program
   | exception exn when is_frontend_error exn -> Error (Frontend_error exn)

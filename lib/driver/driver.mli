@@ -37,7 +37,9 @@ val report_and_exit : error -> 'a
 
 val load_program :
   ?stdlib:bool -> source list -> (Pta_ir.Ir.Program.t, error) result
-(** Parse, link (with the mini-JDK unless [~stdlib:false]) and lower.
+(** Parse, link and lower.  Unless [~stdlib:false], the mini-JDK's
+    declarations, parsed at build time ({!Pta_mjdk.Mjdk.decls}), come
+    first.
     Never raises on bad input: lexical, syntax and semantic failures
     come back as [Error (Frontend_error _)]. *)
 

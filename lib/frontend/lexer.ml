@@ -11,14 +11,17 @@ let create ~file src = { src; file; pos = 0; line = 1; bol = 0 }
 let here lx =
   { Srcloc.file = lx.file; line = lx.line; col = lx.pos - lx.bol + 1 }
 
-let peek lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+(* The character under the cursor, or ['\000'] past the end.  A NUL
+   inside the source is still an invalid character: every reader tests
+   [at_end] before it treats ['\000'] as the end. *)
+let at_end lx = lx.pos >= String.length lx.src
+let peek lx = if at_end lx then '\000' else String.unsafe_get lx.src lx.pos
 
 let advance lx =
-  (match peek lx with
-  | Some '\n' ->
+  if peek lx = '\n' then begin
     lx.line <- lx.line + 1;
     lx.bol <- lx.pos + 1
-  | _ -> ());
+  end;
   lx.pos <- lx.pos + 1
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
@@ -26,13 +29,13 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let rec skip_space lx =
   match peek lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  | ' ' | '\t' | '\r' | '\n' ->
     advance lx;
     skip_space lx
-  | Some '/' when lx.pos + 1 < String.length lx.src -> (
+  | '/' when lx.pos + 1 < String.length lx.src -> (
     match lx.src.[lx.pos + 1] with
     | '/' ->
-      while peek lx <> None && peek lx <> Some '\n' do
+      while (not (at_end lx)) && peek lx <> '\n' do
         advance lx
       done;
       skip_space lx
@@ -41,14 +44,19 @@ let rec skip_space lx =
       advance lx;
       advance lx;
       let rec close () =
-        match peek lx with
-        | None -> Srcloc.error start "unterminated block comment"
-        | Some '*' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/' ->
+        if at_end lx then Srcloc.error start "unterminated block comment"
+        else if
+          peek lx = '*'
+          && lx.pos + 1 < String.length lx.src
+          && lx.src.[lx.pos + 1] = '/'
+        then begin
           advance lx;
           advance lx
-        | Some _ ->
+        end
+        else begin
           advance lx;
           close ()
+        end
       in
       close ();
       skip_space lx
@@ -57,11 +65,7 @@ let rec skip_space lx =
 
 let read_ident lx =
   let start = lx.pos in
-  while
-    match peek lx with
-    | Some c -> is_ident_char c
-    | None -> false
-  do
+  while is_ident_char (peek lx) do
     advance lx
   done;
   String.sub lx.src start (lx.pos - start)
@@ -73,8 +77,8 @@ let next lx =
   let pos = here lx in
   let finish tok = (tok, pos, here lx) in
   match peek lx with
-  | None -> finish Token.Eof
-  | Some c when is_ident_start c ->
+  | _ when at_end lx -> finish Token.Eof
+  | c when is_ident_start c ->
     let word = read_ident lx in
     let tok =
       match Token.keyword_of_string word with
@@ -82,41 +86,41 @@ let next lx =
       | None -> Token.Ident word
     in
     finish tok
-  | Some '{' ->
+  | '{' ->
     advance lx;
     finish Token.Lbrace
-  | Some '}' ->
+  | '}' ->
     advance lx;
     finish Token.Rbrace
-  | Some '(' ->
+  | '(' ->
     advance lx;
     finish Token.Lparen
-  | Some ')' ->
+  | ')' ->
     advance lx;
     finish Token.Rparen
-  | Some ',' ->
+  | ',' ->
     advance lx;
     finish Token.Comma
-  | Some ';' ->
+  | ';' ->
     advance lx;
     finish Token.Semi
-  | Some '=' ->
+  | '=' ->
     advance lx;
     finish Token.Eq
-  | Some '.' ->
+  | '.' ->
     advance lx;
     finish Token.Dot
-  | Some '*' ->
+  | '*' ->
     advance lx;
     finish Token.Star
-  | Some ':' ->
+  | ':' ->
     advance lx;
-    if peek lx = Some ':' then begin
+    if peek lx = ':' then begin
       advance lx;
       finish Token.Coloncolon
     end
     else finish Token.Colon
-  | Some c -> Srcloc.error pos "invalid character %C" c
+  | c -> Srcloc.error pos "invalid character %C" c
 
 let tokenize ~file src =
   let lx = create ~file src in

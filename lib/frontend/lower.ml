@@ -249,17 +249,23 @@ type menv = {
 }
 
 let fresh_temp me =
-  let name = Printf.sprintf "$t%d" me.n_temp in
+  let name = "$t" ^ string_of_int me.n_temp in
   me.n_temp <- me.n_temp + 1;
   Builder.add_var me.e.b ~owner:me.meth ~name
 
 let fresh_heap me pos ~span ~ty =
-  let label = Printf.sprintf "h%d@%d:%d" me.n_heap pos.Srcloc.line pos.Srcloc.col in
+  let label =
+    "h" ^ string_of_int me.n_heap ^ "@" ^ string_of_int pos.Srcloc.line ^ ":"
+    ^ string_of_int pos.Srcloc.col
+  in
   me.n_heap <- me.n_heap + 1;
   Builder.add_heap ~span me.e.b ~owner:me.meth ~label ~ty
 
 let fresh_invo me pos ~span =
-  let label = Printf.sprintf "i%d@%d:%d" me.n_invo pos.Srcloc.line pos.Srcloc.col in
+  let label =
+    "i" ^ string_of_int me.n_invo ^ "@" ^ string_of_int pos.Srcloc.line ^ ":"
+    ^ string_of_int pos.Srcloc.col
+  in
   me.n_invo <- me.n_invo + 1;
   Builder.add_invo ~span me.e.b ~owner:me.meth ~label
 

@@ -1,20 +1,44 @@
+(* The parser pulls tokens from the lexer on demand: it holds the
+   current token and at most one token of lookahead, for [peek2]. *)
 type state = {
-  toks : (Token.t * Srcloc.pos * Srcloc.pos) array;
-  mutable cursor : int;
+  lx : Lexer.t;
+  mutable tok : Token.t;
+  mutable tok_pos : Srcloc.pos;
+  mutable tok_end : Srcloc.pos;
+  mutable ahead : (Token.t * Srcloc.pos * Srcloc.pos) option;
   mutable last_end : Srcloc.pos;
       (* position just past the last consumed token: the right edge of
          any span closed now *)
 }
 
-let tok_of (t, _, _) = t
-let peek st = tok_of st.toks.(st.cursor)
-let peek2 st = if st.cursor + 1 < Array.length st.toks then tok_of st.toks.(st.cursor + 1) else Token.Eof
-let pos st = let _, p, _ = st.toks.(st.cursor) in p
+let peek st = st.tok
+let pos st = st.tok_pos
 
+let peek2 st =
+  match st.ahead with
+  | Some (t, _, _) -> t
+  | None ->
+    if st.tok = Token.Eof then Token.Eof
+    else begin
+      let ((t, _, _) as next) = Lexer.next st.lx in
+      st.ahead <- Some next;
+      t
+    end
+
+(* The lexer keeps returning [Eof] after [Eof], so advancing past the
+   end stays there. *)
 let advance st =
-  (let _, _, stop = st.toks.(st.cursor) in
-   st.last_end <- stop);
-  if st.cursor + 1 < Array.length st.toks then st.cursor <- st.cursor + 1
+  st.last_end <- st.tok_end;
+  let t, p, e =
+    match st.ahead with
+    | Some next ->
+      st.ahead <- None;
+      next
+    | None -> Lexer.next st.lx
+  in
+  st.tok <- t;
+  st.tok_pos <- p;
+  st.tok_end <- e
 
 (* Span from [left] to the end of the last consumed token. *)
 let close st left = Srcloc.span left st.last_end
@@ -343,17 +367,24 @@ let parse_class st =
     c_pos = at;
   }
 
+(* A syntax error reports the first lexical error of the file instead,
+   if there is one: the rest of the input is lexed before the syntax
+   error is re-raised. *)
+let rec drain lx =
+  match Lexer.next lx with
+  | Token.Eof, _, _ -> ()
+  | _ -> drain lx
+
 let parse_string ~file src =
+  let lx = Lexer.create ~file src in
+  let tok, tok_pos, tok_end = Lexer.next lx in
   let st =
-    {
-      toks = Array.of_list (Lexer.tokenize ~file src);
-      cursor = 0;
-      last_end = Srcloc.dummy;
-    }
+    { lx; tok; tok_pos; tok_end; ahead = None; last_end = Srcloc.dummy }
   in
   let rec loop acc =
     if peek st = Token.Eof then List.rev acc else loop (parse_class st :: acc)
   in
-  let program = loop [] in
-  ignore (peek2 st);
-  program
+  try loop []
+  with Srcloc.Error _ as e ->
+    drain lx;
+    raise e

@@ -9,7 +9,13 @@
     are precisely the feature hybrid context-sensitivity targets. *)
 
 val source : string
-(** One MJ compilation unit containing the whole library. *)
+(** One MJ compilation unit containing the whole library: the text of
+    [mjdk.mj]. *)
+
+val decls : Pta_frontend.Ast.program
+(** [source], parsed at build time: equal to
+    [Pta_frontend.Frontend.parse ~file:file_name source], positions
+    included.  Loading starts from these instead of parsing [source]. *)
 
 val file_name : string
 (** Pseudo file name used in error positions. *)

@@ -11,20 +11,30 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Runs of characters that need no escape are copied with one
+   [Buffer.add_substring] each. *)
 let escape buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
 let float_repr x =
@@ -35,9 +45,17 @@ let float_repr x =
     (* %.17g round-trips every finite double exactly. *)
     Printf.sprintf "%.17g" x
 
-let to_string ?(indent = true) v =
-  let buf = Buffer.create 256 in
-  let pad depth = if indent then Buffer.add_string buf (String.make (2 * depth) ' ') in
+let spaces = String.make 64 ' '
+
+let rec add_spaces buf n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring buf spaces 0 k;
+    add_spaces buf (n - k)
+  end
+
+let to_buffer ?(indent = true) buf v =
+  let pad depth = if indent then add_spaces buf (2 * depth) in
   let nl () = if indent then Buffer.add_char buf '\n' in
   let rec go depth v =
     match v with
@@ -85,7 +103,11 @@ let to_string ?(indent = true) v =
       Buffer.add_char buf '}'
   in
   go 0 v;
-  if indent then Buffer.add_char buf '\n';
+  if indent then Buffer.add_char buf '\n'
+
+let to_string ?indent v =
+  let buf = Buffer.create 256 in
+  to_buffer ?indent buf v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -19,6 +19,9 @@ val to_string : ?indent:bool -> t -> string
 (** Serialize.  [indent] (default [true]) pretty-prints with two-space
     indentation; either form parses back with {!of_string}. *)
 
+val to_buffer : ?indent:bool -> Buffer.t -> t -> unit
+(** [to_string], appended to a buffer. *)
+
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error msg] carries a byte offset. *)
 

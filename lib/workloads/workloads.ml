@@ -10,11 +10,11 @@ let program profile =
   | Some p -> p
   | None ->
     let program =
-      Pta_frontend.Frontend.program_of_sources
-        [
-          (Pta_mjdk.Mjdk.file_name, Pta_mjdk.Mjdk.source);
-          ("<" ^ profile.Profile.name ^ ">", Gen.generate profile);
-        ]
+      Pta_frontend.Lower.program
+        (Pta_mjdk.Mjdk.decls
+        @ Pta_frontend.Frontend.parse
+            ~file:("<" ^ profile.Profile.name ^ ">")
+            (Gen.generate profile))
     in
     Hashtbl.add cache profile.Profile.name program;
     program

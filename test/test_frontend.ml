@@ -106,6 +106,21 @@ let parser_tests =
         expect_syntax_error "class A { method m() { var x = this } }" "expected");
     Alcotest.test_case "static interface methods rejected" `Quick (fun () ->
         expect_syntax_error "interface I { static method m(); }" "static");
+    (* The parser pulls tokens on demand, but a lexical error anywhere in
+       the file still wins over a syntax error before it. *)
+    Alcotest.test_case "lexical error wins over earlier syntax error" `Quick
+      (fun () ->
+        let body = "class A {\n  method m() {\n    var x = ;\n  }\n}\n" in
+        let error_at src =
+          match parse src with
+          | _ -> Alcotest.failf "expected an error on %S" src
+          | exception Srcloc.Error (p, msg) ->
+            Format.asprintf "%a" Srcloc.pp_error (p, msg)
+        in
+        Alcotest.(check string) "syntax error alone"
+          "<t>:3:13: error: expected expression but found ';'" (error_at body);
+        Alcotest.(check string) "stray character later"
+          "<t>:6:1: error: invalid character '#'" (error_at (body ^ "#\n")));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -101,6 +101,38 @@ let json_roundtrip_test () =
   | Error msg -> Alcotest.failf "printed JSON does not parse: %s" msg
   | Ok v' -> Alcotest.(check bool) "structurally equal" true (v = v')
 
+(* The printer's bytes: every control character 0x00-0x1f, a quote and
+   a backslash are escaped, while DEL and non-ASCII bytes pass through.
+   Both expected strings come from the printer that escaped one
+   character at a time. *)
+let json_escape_bytes_test () =
+  let v =
+    Json.Obj
+      [
+        ( "k\"\\\x1f",
+          Json.List
+            [
+              Json.String
+                ("a" ^ String.init 32 Char.chr ^ "\"\\ \xc3\xa9 z\x7f");
+              Json.String "";
+            ] );
+      ]
+  in
+  let escaped =
+    "\"a\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\\\"\\\\ \195\169 z\127\""
+  in
+  Alcotest.(check string) "compact"
+    ("{\"k\\\"\\\\\\u001f\":[" ^ escaped ^ ",\"\"]}")
+    (Json.to_string ~indent:false v);
+  Alcotest.(check string) "indented"
+    ("{\n  \"k\\\"\\\\\\u001f\": [\n    " ^ escaped ^ ",\n    \"\"\n  ]\n}\n")
+    (Json.to_string v);
+  (* Nesting deeper than one run of the printer's space padding. *)
+  let rec nest d = if d = 0 then Json.Int 1 else Json.List [ nest (d - 1) ] in
+  let lines = String.split_on_char '\n' (Json.to_string (nest 40)) in
+  Alcotest.(check string) "deepest line" (String.make 80 ' ' ^ "1")
+    (List.nth lines 40)
+
 (* ------------------------------------------------------------------ *)
 (* Memory: Memstats clamping / codec / exception safety, loop sampling *)
 (* ------------------------------------------------------------------ *)
@@ -277,6 +309,8 @@ let tests =
     Alcotest.test_case "counters pinned on sample.mj" `Quick counters_pinned_test;
     Alcotest.test_case "budget cancellation" `Quick budget_cancellation_test;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip_test;
+    Alcotest.test_case "json escapes every control byte" `Quick
+      json_escape_bytes_test;
     Alcotest.test_case "refimpl budget" `Quick refimpl_budget_test;
     Alcotest.test_case "memstats peak clamping" `Quick memstats_clamp_test;
     Alcotest.test_case "memstats JSON round-trip" `Quick

@@ -57,6 +57,13 @@ let tests =
                ])
         in
         Alcotest.(check bool) "more methods" true (n bigger > n tiny));
+    (* Loading starts from the declarations parsed at build time, so they
+       must be what parsing the source gives now, positions included. *)
+    Alcotest.test_case "mjdk decls match its source" `Quick (fun () ->
+        Alcotest.(check bool) "structurally equal" true
+          (Pta_mjdk.Mjdk.decls
+          = Pta_frontend.Frontend.parse ~file:Pta_mjdk.Mjdk.file_name
+              Pta_mjdk.Mjdk.source));
     Alcotest.test_case "mjdk parses standalone" `Quick (fun () ->
         let program =
           Pta_frontend.Frontend.program_of_string ~file:Pta_mjdk.Mjdk.file_name
