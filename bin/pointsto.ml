@@ -25,7 +25,9 @@
    All subcommands share the exit-code contract enforced by
    [Pta_driver.Driver]: 1 = MJ parse/semantic error, 2 = unknown
    analysis (or benchmark), 3 = analysis timeout.  [check] adds
-   4 = at least one error-severity diagnostic. *)
+   4 = at least one error-severity diagnostic.  Every subcommand that
+   solves loads, solves and emits through [Session], so a flag means the
+   same thing wherever it appears. *)
 
 module Ir = Pta_ir.Ir
 module Solver = Pta_solver.Solver
@@ -33,9 +35,7 @@ module Intset = Pta_solver.Intset
 module Metrics = Pta_clients.Metrics
 module Strategies = Pta_context.Strategies
 module Driver = Pta_driver.Driver
-module Budget = Pta_obs.Budget
 module Json = Pta_obs.Json
-module Run_stats = Pta_obs.Run_stats
 module Trace = Pta_obs.Trace
 module Census = Pta_obs.Census
 module Version = Pta_version.Version
@@ -53,9 +53,6 @@ open Cmdliner
 (* Shared argument definitions                                         *)
 (* ------------------------------------------------------------------ *)
 
-let files_arg =
-  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"MJ source files.")
-
 let analysis_arg =
   let doc =
     "Context-sensitivity strategy: a preset name such as $(b,S-2obj+H) (see \
@@ -68,46 +65,17 @@ let analysis_arg =
     & opt string "S-2obj+H"
     & info [ "a"; "analysis"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
-let no_stdlib_arg =
-  let doc = "Do not link the bundled mini-JDK." in
-  Arg.(value & flag & info [ "no-stdlib" ] ~doc)
+(* The flag sets of the analysing subcommands (see [Session]). *)
+let observed_flags =
+  Session.(
+    flags files_arg ~stats_json:stats_json_arg ~trace:trace_arg
+      ~progress:progress_arg ~profile:profile_arg)
 
-let timeout_info doc = Arg.info [ "timeout" ] ~docv:"SECONDS" ~doc
+let traced_flags =
+  Session.(flags files_arg ~stats_json:absent ~trace:trace_arg ~progress:off ~profile:off)
 
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & timeout_info "Abort the analysis after $(docv) seconds (exit code 3).")
-
-let stats_json_arg =
-  let doc =
-    "Write run statistics (wall time, iterations, nodes, edges, contexts, \
-     abstract objects, sensitive var-points-to size, per-phase timings) as \
-     JSON to $(docv), or to stdout if $(docv) is $(b,-) (the human-readable \
-     report then goes to stderr)."
-  in
-  Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
-
-let trace_arg =
-  let doc =
-    "Record a rule/edge-level execution trace and write it as Chrome \
-     trace-event JSON to $(docv), or to stdout if $(docv) is $(b,-) (the \
-     human-readable report then goes to stderr).  Open the file in Perfetto \
-     (ui.perfetto.dev) or chrome://tracing."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let progress_arg =
-  let doc = "Report solver progress on stderr while the analysis runs." in
-  Arg.(value & flag & info [ "progress" ] ~doc)
-
-let profile_arg =
-  let doc =
-    "After the run, print the observability profile (counters and per-phase \
-     timings) in human-readable form."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
+let plain_flags files =
+  Session.(flags files ~stats_json:absent ~trace:absent ~progress:off ~profile:off)
 
 (* Exit-code contract, rendered into every subcommand's man page. *)
 let common_exits =
@@ -123,104 +91,59 @@ let check_exits =
   Cmd.Exit.info 4 ~doc:"when any error-severity diagnostic is reported."
   :: common_exits
 
-let handle = function Ok v -> v | Error e -> Driver.report_and_exit e
+let write_output = Session.write_output
 
-(* A client run after the solve exhausted the solve's budget. *)
-let timed_out ~analysis abort =
-  Driver.report_and_exit (Driver.Timed_out { analysis; abort })
+(* A usage error: a message on stderr, exit 2. *)
+let fail_usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "pointsto: %s\n" msg;
+      exit 2)
+    fmt
 
-(* [--progress]: a running iteration count on stderr, overwritten in
-   place while the fixpoint runs, then one line per solver phase. *)
-let config_of ?timeout_s ?trace ~progress () =
-  let config = Solver.Config.make ?timeout_s ?trace () in
-  let budget = config.Solver.Config.budget in
-  if progress then
-    Budget.on_tick budget (fun n ->
-        if n land 0xFFFF = 0 then
-          Printf.eprintf "\r[progress] %9d iterations %8.1fs%!" n
-            (Budget.elapsed_s budget));
-  config
-
-let report_phases ~progress solver =
-  if progress then
-    List.iter
-      (fun (name, s) ->
-        Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name s
-          (String.make 24 ' '))
-      (Solver.phases solver)
-
-let sources_of files = List.map (fun f -> Driver.File f) files
-
-(* Exits 123 (cmdliner's "indiscriminate error") on I/O failure rather
-   than dying with an uncaught Sys_error. *)
-let write_file path contents =
-  match open_out path with
-  | oc ->
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        output_string oc contents)
-  | exception Sys_error msg ->
-    Printf.eprintf "pointsto: cannot write %s: %s\n" path msg;
-    exit 123
-
-(* "-" means stdout, so machine output can be piped; the callers then
-   route the human-readable report to stderr to keep the two streams
-   from interleaving. *)
-let write_output path contents =
-  if String.equal path "-" then (print_string contents; flush stdout)
-  else write_file path contents
-
-let stdout_dest = function Some "-" -> true | _ -> false
-
-(* The human-readable report goes to stdout unless some machine output
-   claimed it. *)
-let report_ppf ~machine_on_stdout =
-  if machine_on_stdout then Format.err_formatter else Format.std_formatter
-
-let trace_sink = function
-  | None -> Trace.null
-  | Some _ -> Trace.create ()
-
-let emit_trace trace_file trace =
-  Option.iter
-    (fun path -> write_output path (Json.to_string (Trace.to_chrome_json trace)))
-    trace_file
-
-(* Every machine-readable stats document carries the build stamp, so a
-   recorded number can be traced back to the binary that produced it. *)
-let stamp_build = function
-  | Json.Obj fields -> Json.Obj (fields @ [ ("pointsto", Version.to_json ()) ])
-  | j -> j
-
-let stats_doc stats = stamp_build (Run_stats.to_json stats)
-
-let emit_stats ~ppf ~stats_json ~profile (r : Driver.run) =
-  match r.Driver.stats with
-  | None -> ()
-  | Some stats ->
-    if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
-    Option.iter
-      (fun path -> write_output path (Json.to_string (stats_doc stats)))
-      stats_json
+let read_file path =
+  match open_in_bin path with
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  | exception Sys_error msg -> fail_usage "cannot read %s: %s" path msg
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [query] and [why] name one variable by --method and --var. *)
+let meth_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
+
+let var_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
+
 let resolve_meth_var program meth_name var_name =
+  let usage () =
+    Printf.eprintf "--method expects Class.meth/arity\n";
+    exit 2
+  in
   let cls, rest =
     match String.index_opt meth_name '.' with
     | Some i ->
       ( String.sub meth_name 0 i,
         String.sub meth_name (i + 1) (String.length meth_name - i - 1) )
-    | None ->
-      Printf.eprintf "--method expects Class.meth/arity\n";
-      exit 2
+    | None -> usage ()
   in
   let mname, arity =
     match String.index_opt rest '/' with
-    | Some i ->
-      ( String.sub rest 0 i,
-        int_of_string (String.sub rest (i + 1) (String.length rest - i - 1)) )
+    | Some i -> (
+      match int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1)) with
+      | Some arity -> (String.sub rest 0 i, arity)
+      | None -> usage ())
     | None -> (rest, 0)
   in
   let meth =
@@ -230,54 +153,31 @@ let resolve_meth_var program meth_name var_name =
       Printf.eprintf "no method %s.%s/%d\n" cls mname arity;
       exit 2
   in
-  let var =
-    let found = ref None in
-    Ir.Program.iter_vars program (fun v info ->
-        if Ir.Meth_id.equal info.Ir.var_owner meth
-           && String.equal info.Ir.var_name var_name
-        then found := Some v);
-    match !found with
-    | Some v -> v
-    | None ->
-      Printf.eprintf "no variable %s in %s\n" var_name meth_name;
-      exit 2
-  in
-  (meth, var)
+  let found = ref None in
+  Ir.Program.iter_vars program (fun v info ->
+      if Ir.Meth_id.equal info.Ir.var_owner meth
+         && String.equal info.Ir.var_name var_name
+      then found := Some v);
+  match !found with
+  | Some v -> v
+  | None ->
+    Printf.eprintf "no variable %s in %s\n" var_name meth_name;
+    exit 2
 
 let analyze_cmd =
-  let run files analysis no_stdlib timeout_s stats_json trace_file progress
-      profile =
-    let trace = trace_sink trace_file in
-    let collect_stats = stats_json <> None || profile in
-    let config = config_of ?timeout_s ~trace ~progress () in
-    let ppf =
-      report_ppf
-        ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
-    in
-    let _program, r =
-      handle
-        (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~collect_stats
-           ~analysis (sources_of files))
-    in
-    report_phases ~progress r.Driver.solver;
-    let metrics =
-      match Metrics.compute ~budget:config.Solver.Config.budget r.Driver.solver with
-      | m -> m
-      | exception Budget.Exhausted abort -> timed_out ~analysis abort
-    in
-    Format.fprintf ppf "analysis: %s (%s)@." analysis
-      r.Driver.strategy.Pta_context.Strategy.description;
-    Format.fprintf ppf "%a@." Metrics.pp metrics;
-    Format.fprintf ppf "elapsed: %.3fs@." r.Driver.wall_time_s;
-    emit_stats ~ppf ~stats_json ~profile r;
-    emit_trace trace_file trace
+  let run flags analysis =
+    Session.run Native flags ~analysis (fun _ budget r ->
+        let metrics = Metrics.compute ~budget r.Driver.solver in
+        fun ppf ->
+          Format.fprintf ppf "analysis: %s (%s)@." analysis
+            r.Driver.strategy.Pta_context.Strategy.description;
+          Format.fprintf ppf "%a@." Metrics.pp metrics;
+          Format.fprintf ppf "elapsed: %.3fs@." r.Driver.wall_time_s)
   in
   let doc = "Run one points-to analysis and print its metrics." in
   Cmd.v
     (Cmd.info "analyze" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
+    Term.(const run $ observed_flags $ analysis_arg)
 
 let compare_cmd =
   let analyses_arg =
@@ -287,171 +187,93 @@ let compare_cmd =
       & opt (list string) [ "1call"; "1obj"; "SB-1obj"; "2obj+H"; "S-2obj+H"; "2type+H" ]
       & info [ "analyses" ] ~docv:"NAMES" ~doc)
   in
-  let run files analyses no_stdlib timeout_s stats_json trace_file progress
-      profile =
-    let program = handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files)) in
-    (* One shared sink: the trace holds every analysis back to back. *)
-    let trace = trace_sink trace_file in
-    let ppf =
-      report_ppf
-        ~machine_on_stdout:(stdout_dest stats_json || stdout_dest trace_file)
+  let run flags analyses =
+    (* One load and one trace for every analysis, back to back. *)
+    let s = Session.load flags in
+    let rows =
+      List.map
+        (fun name ->
+          let row =
+            Session.attempt s Native name (fun budget r ->
+                let m = Metrics.compute ~budget r.Driver.solver in
+                [
+                  Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
+                  string_of_int m.Metrics.call_graph_edges;
+                  Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
+                  Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
+                  Printf.sprintf "%.3f" r.Driver.wall_time_s;
+                  string_of_int m.Metrics.sensitive_vpt;
+                ])
+          in
+          name :: Option.value row ~default:(List.init 6 (fun _ -> "-")))
+        analyses
     in
-    let table =
-      Pta_report.Table.create
-        ~headers:
-          [ "analysis"; "avg objs"; "cg edges"; "poly v-calls"; "may-fail casts";
-            "time (s)"; "sensitive vpt" ]
-    in
-    let collect_stats = stats_json <> None || profile in
-    let all_stats = ref [] in
-    List.iter
-      (fun name ->
-        (* Resolution failures abort with exit 2 even mid-table. *)
-        let (_ : Pta_context.Strategy.t) =
-          handle (Driver.strategy_of_name program name)
+    Session.finish ~several:true s (fun ppf ->
+        let table =
+          Pta_report.Table.create
+            ~headers:
+              [ "analysis"; "avg objs"; "cg edges"; "poly v-calls"; "may-fail casts";
+                "time (s)"; "sensitive vpt" ]
         in
-        let config = config_of ?timeout_s ~trace ~progress () in
-        (* A budget exhausted in the solve or in the metrics' taint pass
-           leaves the same "-" row. *)
-        let timed_out_row (abort : Budget.abort) =
-          all_stats :=
-            Json.Obj
-              [
-                ("analysis", Json.String name);
-                ("timed_out", Json.Bool true);
-                ("elapsed_s", Json.Float abort.Budget.elapsed_s);
-                ("iterations", Json.Int abort.Budget.iterations);
-                ("nodes", Json.Int abort.Budget.nodes);
-              ]
-            :: !all_stats;
-          Pta_report.Table.add_row table [ name; "-"; "-"; "-"; "-"; "-"; "-" ]
-        in
-        match Driver.run ~config ~collect_stats program ~analysis:name with
-        | Ok r -> (
-          report_phases ~progress r.Driver.solver;
-          match
-            Metrics.compute ~budget:config.Solver.Config.budget r.Driver.solver
-          with
-          | exception Budget.Exhausted abort -> timed_out_row abort
-          | m ->
-            (match r.Driver.stats with
-            | Some stats ->
-              if profile then Format.fprintf ppf "%a@." Run_stats.pp stats;
-              all_stats := stats_doc stats :: !all_stats
-            | None -> ());
-            Pta_report.Table.add_row table
-              [
-                name;
-                Printf.sprintf "%.2f" m.Metrics.avg_objs_per_var;
-                string_of_int m.Metrics.call_graph_edges;
-                Printf.sprintf "%d/%d" m.Metrics.poly_vcalls m.Metrics.total_vcalls;
-                Printf.sprintf "%d/%d" m.Metrics.may_fail_casts m.Metrics.total_casts;
-                Printf.sprintf "%.3f" r.Driver.wall_time_s;
-                string_of_int m.Metrics.sensitive_vpt;
-              ])
-        | Error (Driver.Timed_out { abort; _ }) -> timed_out_row abort
-        | Error e -> Driver.report_and_exit e)
-      analyses;
-    Format.fprintf ppf "%s@?" (Pta_report.Table.render table);
-    Option.iter
-      (fun path ->
-        write_output path (Json.to_string (Json.List (List.rev !all_stats))))
-      stats_json;
-    emit_trace trace_file trace
+        List.iter (Pta_report.Table.add_row table) rows;
+        Format.fprintf ppf "%s@?" (Pta_report.Table.render table))
   in
   let doc = "Compare several analyses on the same program." in
   Cmd.v
     (Cmd.info "compare" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analyses_arg $ no_stdlib_arg $ timeout_arg
-      $ stats_json_arg $ trace_arg $ progress_arg $ profile_arg)
-
-(* Load + run for the query-style subcommands: no stats machinery, but
-   the same exit-code contract, optional timeout and optional trace.
-   The trace file is written before returning, so a "-" destination has
-   stdout to itself; the returned formatter is where the report goes.
-   A caller that runs a client after the solve passes its own [budget]
-   instead of [timeout_s], so the one deadline bounds both. *)
-let load_and_solve ?timeout_s ?(budget = Budget.of_seconds_opt timeout_s)
-    ?(trace_file = None) ~no_stdlib ~analysis files =
-  let trace = trace_sink trace_file in
-  let config = { (Solver.Config.make ~trace ()) with Solver.Config.budget } in
-  let program, r =
-    handle
-      (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-         (sources_of files))
-  in
-  emit_trace trace_file trace;
-  let ppf = report_ppf ~machine_on_stdout:(stdout_dest trace_file) in
-  (program, r.Driver.solver, ppf)
+    Term.(const run $ observed_flags $ analyses_arg)
 
 let query_cmd =
-  let meth_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
-  in
-  let var_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
-  in
-  let run files analysis no_stdlib timeout_s trace_file meth_name var_name =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let _, var = resolve_meth_var program meth_name var_name in
-    let heaps = Solver.ci_var_points_to solver var in
-    Format.fprintf ppf "%s may point to %d allocation site(s):@."
-      (Ir.Program.var_qualified_name program var)
-      (Intset.cardinal heaps);
-    Intset.iter
-      (fun h ->
-        Format.fprintf ppf "  %s@."
-          (Ir.Program.heap_name program (Ir.Heap_id.of_int h)))
-      heaps
+  let run flags analysis meth_name var_name =
+    Session.run Native flags ~analysis (fun s _ r ->
+        let program = s.Session.program in
+        let var = resolve_meth_var program meth_name var_name in
+        let heaps = Solver.ci_var_points_to r.Driver.solver var in
+        fun ppf ->
+          Format.fprintf ppf "%s may point to %d allocation site(s):@."
+            (Ir.Program.var_qualified_name program var)
+            (Intset.cardinal heaps);
+          Intset.iter
+            (fun h ->
+              Format.fprintf ppf "  %s@."
+                (Ir.Program.heap_name program (Ir.Heap_id.of_int h)))
+            heaps)
   in
   let doc = "Print the points-to set of one variable." in
   Cmd.v
     (Cmd.info "query" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ meth_arg $ var_arg)
+    Term.(const run $ traced_flags $ analysis_arg $ meth_arg $ var_arg)
 
 let casts_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let sites = Pta_clients.Casts.analyze solver in
-    List.iter
-      (fun (site : Pta_clients.Casts.site) ->
-        match site.verdict with
-        | Pta_clients.Casts.Safe -> ()
-        | Pta_clients.Casts.May_fail witnesses ->
-          Format.fprintf ppf "MAY FAIL: (%s) cast of %s in %s@."
-            (Ir.Program.type_name program site.cast_type)
-            (Ir.Program.var_info program site.source).Ir.var_name
-            (Ir.Program.meth_qualified_name program site.in_meth);
-          List.iteri
-            (fun i h ->
-              if i < 3 then
-                Format.fprintf ppf "    witness: %s@."
-                  (Ir.Program.heap_name program h))
-            witnesses)
-      sites;
-    Format.fprintf ppf "%d of %d casts may fail under %s@."
-      (Pta_clients.Casts.may_fail_count sites)
-      (List.length sites) analysis
+  let run flags analysis =
+    Session.run Native flags ~analysis (fun s _ r ->
+        let program = s.Session.program in
+        let sites = Pta_clients.Casts.analyze r.Driver.solver in
+        fun ppf ->
+          List.iter
+            (fun (site : Pta_clients.Casts.site) ->
+              match site.verdict with
+              | Pta_clients.Casts.Safe -> ()
+              | Pta_clients.Casts.May_fail witnesses ->
+                Format.fprintf ppf "MAY FAIL: (%s) cast of %s in %s@."
+                  (Ir.Program.type_name program site.cast_type)
+                  (Ir.Program.var_info program site.source).Ir.var_name
+                  (Ir.Program.meth_qualified_name program site.in_meth);
+                List.iteri
+                  (fun i h ->
+                    if i < 3 then
+                      Format.fprintf ppf "    witness: %s@."
+                        (Ir.Program.heap_name program h))
+                  witnesses)
+            sites;
+          Format.fprintf ppf "%d of %d casts may fail under %s@."
+            (Pta_clients.Casts.may_fail_count sites)
+            (List.length sites) analysis)
   in
   let doc = "List casts the analysis cannot prove safe." in
   Cmd.v
     (Cmd.info "casts" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ traced_flags $ analysis_arg)
 
 (* Shared by check and taint: load a spec file, exiting with the CLI
    usage code on parse errors so scripts can distinguish a bad spec from
@@ -470,9 +292,7 @@ let load_taint_spec = function
   | Some path -> (
     match Pta_taint.Spec.load path with
     | Ok entries -> Some entries
-    | Error msg ->
-      Printf.eprintf "pointsto: %s: %s\n" path msg;
-      exit 2)
+    | Error msg -> fail_usage "%s: %s" path msg)
 
 let print_checker_listing () =
   List.iter
@@ -524,61 +344,55 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "include-stdlib" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s checkers taint_spec format output
-      include_stdlib =
+  let run flags analysis checkers taint_spec format output include_stdlib =
     (match checkers with
     | Some [ "list" ] ->
       print_checker_listing ();
       exit 0
     | _ -> ());
-    if files = [] then begin
+    if flags.Session.files = [] then begin
       Printf.eprintf "pointsto: check: no MJ source files given\n";
       exit 124
     end;
-    (* One budget bounds the solve, the taint pass and the checkers. *)
-    let config = Solver.Config.make ?timeout_s () in
-    let budget = config.Solver.Config.budget in
-    let program, r =
-      handle
-        (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-           (sources_of files))
+    let entries = load_taint_spec taint_spec in
+    let has_errors =
+      Session.run Native flags ~analysis (fun s budget r ->
+          let solver = r.Driver.solver in
+          let taint =
+            Option.map
+              (fun entries ->
+                let spec = Pta_taint.Spec.compile s.Session.program entries in
+                Pta_taint.Taint.summary (Pta_taint.Taint.analyze ~budget solver spec))
+              entries
+          in
+          let results = Pta_checkers.Results.of_solver ?taint solver in
+          let diags =
+            match Pta_checkers.Checkers.run ?only:checkers ~budget results with
+            | diags -> diags
+            | exception Pta_checkers.Checkers.Unknown_checker
+                { code; suggestions; available } ->
+              unknown_checker_exit code suggestions available
+          in
+          let in_stdlib (d : Pta_checkers.Diagnostic.t) =
+            match d.span with
+            | Some span ->
+              String.equal span.Pta_ir.Srcloc.left.file Pta_mjdk.Mjdk.file_name
+            | None -> false
+          in
+          let diags =
+            if include_stdlib then diags
+            else List.filter (fun d -> not (in_stdlib d)) diags
+          in
+          let rendered =
+            match format with
+            | `Text -> Format.asprintf "%a" Pta_checkers.Diagnostic.pp_report diags
+            | `Sarif -> Pta_checkers.Sarif.to_string ~tool_version:"1.0.0" diags
+          in
+          fun _ppf ->
+            write_output output rendered;
+            Pta_checkers.Diagnostic.has_errors diags)
     in
-    let solver = r.Driver.solver in
-    let taint =
-      match load_taint_spec taint_spec with
-      | None -> None
-      | Some entries -> (
-        let spec = Pta_taint.Spec.compile program entries in
-        match Pta_taint.Taint.analyze ~budget solver spec with
-        | taint -> Some (Pta_taint.Taint.summary taint)
-        | exception Budget.Exhausted abort -> timed_out ~analysis abort)
-    in
-    let results = Pta_checkers.Results.of_solver ?taint solver in
-    let diags =
-      match Pta_checkers.Checkers.run ?only:checkers ~budget results with
-      | diags -> diags
-      | exception Pta_checkers.Checkers.Unknown_checker
-          { code; suggestions; available } ->
-        unknown_checker_exit code suggestions available
-      | exception Budget.Exhausted abort -> timed_out ~analysis abort
-    in
-    let in_stdlib (d : Pta_checkers.Diagnostic.t) =
-      match d.span with
-      | Some span ->
-        String.equal span.Pta_ir.Srcloc.left.file Pta_mjdk.Mjdk.file_name
-      | None -> false
-    in
-    let diags =
-      if include_stdlib then diags else List.filter (fun d -> not (in_stdlib d)) diags
-    in
-    let rendered =
-      match format with
-      | `Text ->
-        Format.asprintf "%a" Pta_checkers.Diagnostic.pp_report diags
-      | `Sarif -> Pta_checkers.Sarif.to_string ~tool_version:"1.0.0" diags
-    in
-    write_output output rendered;
-    if Pta_checkers.Diagnostic.has_errors diags then exit 4
+    if has_errors then exit 4
   in
   let files_opt_arg =
     (* Optional here (unlike other subcommands) so `--checkers list`
@@ -615,84 +429,59 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc ~man ~exits:check_exits)
     Term.(
-      const run $ files_opt_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ checkers_arg $ taint_spec_arg $ format_arg $ output_arg
-      $ include_stdlib_arg)
+      const run $ plain_flags files_opt_arg $ analysis_arg $ checkers_arg
+      $ taint_spec_arg $ format_arg $ output_arg $ include_stdlib_arg)
 
 let taint_cmd =
-  let all_arg =
-    let doc =
-      "Run every strategy preset and print one flow-count line per \
-       strategy (the default when $(b,-a) is not given)."
-    in
-    Arg.(value & flag & info [ "all-strategies" ] ~doc)
-  in
-  let run files analysis_opt no_stdlib timeout_s trace_file taint_spec _all =
+  let run flags analysis_opt taint_spec =
     let entries =
-      match load_taint_spec taint_spec with
-      | Some entries -> entries
-      | None -> Pta_taint.Spec.default
+      Option.value (load_taint_spec taint_spec) ~default:Pta_taint.Spec.default
     in
     match analysis_opt with
     | Some analysis ->
-      (* One strategy: every flow, with its provenance chain.  One
-         budget bounds the solve and the taint pass. *)
-      let budget = Budget.of_seconds_opt timeout_s in
-      let program, solver, ppf =
-        load_and_solve ~budget ~trace_file ~no_stdlib ~analysis files
-      in
-      let spec = Pta_taint.Spec.compile program entries in
-      let taint =
-        match Pta_taint.Taint.analyze ~budget solver spec with
-        | taint -> taint
-        | exception Budget.Exhausted abort -> timed_out ~analysis abort
-      in
-      let flows = Pta_taint.Taint.flows taint in
-      Format.fprintf ppf "%d source(s), %d sink method(s): %d flow(s) under %s@."
-        (Pta_taint.Spec.n_sources spec)
-        (List.length (Pta_taint.Spec.sink_meths spec))
-        (List.length flows) analysis;
-      List.iter
-        (fun (f : Pta_taint.Taint.flow) ->
-          Format.fprintf ppf "@.FLOW %s -> argument %d of %s@."
-            (Pta_taint.Spec.label_name spec f.f_label)
-            f.f_pos
-            (Ir.Program.invo_name program f.f_invo);
-          List.iter
-            (fun line -> Format.fprintf ppf "    %s@." line)
-            (Pta_taint.Taint.explain_flow taint f))
-        flows
+      (* One strategy: every flow, with its provenance chain. *)
+      Session.run Native flags ~analysis (fun s budget r ->
+          let program = s.Session.program in
+          let spec = Pta_taint.Spec.compile program entries in
+          let taint = Pta_taint.Taint.analyze ~budget r.Driver.solver spec in
+          let flows = Pta_taint.Taint.flows taint in
+          let chains = List.map (Pta_taint.Taint.explain_flow taint) flows in
+          fun ppf ->
+            Format.fprintf ppf "%d source(s), %d sink method(s): %d flow(s) under %s@."
+              (Pta_taint.Spec.n_sources spec)
+              (List.length (Pta_taint.Spec.sink_meths spec))
+              (List.length flows) analysis;
+            List.iter2
+              (fun (f : Pta_taint.Taint.flow) chain ->
+                Format.fprintf ppf "@.FLOW %s -> argument %d of %s@."
+                  (Pta_taint.Spec.label_name spec f.f_label)
+                  f.f_pos
+                  (Ir.Program.invo_name program f.f_invo);
+                List.iter (fun line -> Format.fprintf ppf "    %s@." line) chain)
+              flows chains)
     | None ->
       (* The per-strategy precision column: flow counts across every
          preset, so hybrids' spurious-flow advantage is visible. *)
-      let program, _r =
-        handle
-          (Driver.load_and_run ~stdlib:(not no_stdlib)
-             ~config:(Solver.Config.make ?timeout_s ())
-             ~analysis:"insens" (sources_of files))
+      let s = Session.load flags in
+      let spec = Pta_taint.Spec.compile s.Session.program entries in
+      let rows =
+        List.map
+          (fun name ->
+            ( name,
+              Session.attempt s Native name (fun budget r ->
+                  Pta_taint.Taint.n_flows
+                    (Pta_taint.Taint.analyze ~budget r.Driver.solver spec)) ))
+          Strategies.names
       in
-      let spec = Pta_taint.Spec.compile program entries in
-      let ppf = report_ppf ~machine_on_stdout:false in
-      Format.fprintf ppf "%d source(s), %d sink method(s)@."
-        (Pta_taint.Spec.n_sources spec)
-        (List.length (Pta_taint.Spec.sink_meths spec));
-      List.iter
-        (fun (name, factory) ->
-          let strategy = factory program in
-          let config = Solver.Config.make ?timeout_s () in
-          let no_result () = Format.fprintf ppf "%-12s -@." name in
-          match Solver.solve_outcome ~config program strategy with
-          | Solver.Aborted _ -> no_result ()
-          | Solver.Complete solver -> (
-            match
-              Pta_taint.Taint.analyze ~budget:config.Solver.Config.budget
-                solver spec
-            with
-            | taint ->
-              Format.fprintf ppf "%-12s %d flow(s)@." name
-                (Pta_taint.Taint.n_flows taint)
-            | exception Budget.Exhausted _ -> no_result ()))
-        Strategies.all
+      Session.finish ~several:true s (fun ppf ->
+          Format.fprintf ppf "%d source(s), %d sink method(s)@."
+            (Pta_taint.Spec.n_sources spec)
+            (List.length (Pta_taint.Spec.sink_meths spec));
+          List.iter
+            (function
+              | name, Some n -> Format.fprintf ppf "%-12s %d flow(s)@." name n
+              | name, None -> Format.fprintf ppf "%-12s -@." name)
+            rows)
   in
   let analysis_opt_arg =
     let doc =
@@ -729,125 +518,99 @@ let taint_cmd =
   in
   Cmd.v
     (Cmd.info "taint" ~doc ~man ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_opt_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ taint_spec_arg $ all_arg)
+    Term.(const run $ traced_flags $ analysis_opt_arg $ taint_spec_arg)
 
 let callgraph_cmd =
   let dot_arg =
     Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz dot on stdout.")
   in
-  let run files analysis no_stdlib timeout_s trace_file dot =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    (* Method-level edges: caller method -> callee method. *)
-    let edges = Hashtbl.create 256 in
-    Ir.Program.iter_invos program (fun invo info ->
-        Ir.Meth_id.Set.iter
-          (fun target ->
-            Hashtbl.replace edges
-              ( Ir.Program.meth_qualified_name program info.Ir.invo_owner,
-                Ir.Program.meth_qualified_name program target )
-              ())
-          (Solver.invo_targets solver invo));
-    let sorted =
-      Hashtbl.fold (fun e () acc -> e :: acc) edges [] |> List.sort compare
-    in
-    if dot then begin
-      Format.fprintf ppf "digraph callgraph {@.";
-      List.iter
-        (fun (src, dst) -> Format.fprintf ppf "  %S -> %S;@." src dst)
-        sorted;
-      Format.fprintf ppf "}@."
-    end
-    else begin
-      List.iter (fun (src, dst) -> Format.fprintf ppf "%s -> %s@." src dst) sorted;
-      Format.fprintf ppf "%d method-level call edges@." (List.length sorted)
-    end
+  let run flags analysis dot =
+    Session.run Native flags ~analysis (fun s _ r ->
+        let program = s.Session.program in
+        (* Method-level edges: caller method -> callee method. *)
+        let edges = Hashtbl.create 256 in
+        Ir.Program.iter_invos program (fun invo info ->
+            Ir.Meth_id.Set.iter
+              (fun target ->
+                Hashtbl.replace edges
+                  ( Ir.Program.meth_qualified_name program info.Ir.invo_owner,
+                    Ir.Program.meth_qualified_name program target )
+                  ())
+              (Solver.invo_targets r.Driver.solver invo));
+        let sorted =
+          Hashtbl.fold (fun e () acc -> e :: acc) edges [] |> List.sort compare
+        in
+        fun ppf ->
+          if dot then begin
+            Format.fprintf ppf "digraph callgraph {@.";
+            List.iter
+              (fun (src, dst) -> Format.fprintf ppf "  %S -> %S;@." src dst)
+              sorted;
+            Format.fprintf ppf "}@."
+          end
+          else begin
+            List.iter
+              (fun (src, dst) -> Format.fprintf ppf "%s -> %s@." src dst)
+              sorted;
+            Format.fprintf ppf "%d method-level call edges@." (List.length sorted)
+          end)
   in
   let doc = "Print the computed (context-insensitive) call graph." in
   Cmd.v
     (Cmd.info "callgraph" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ dot_arg)
+    Term.(const run $ traced_flags $ analysis_arg $ dot_arg)
 
 let why_cmd =
-  let meth_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "method" ] ~docv:"Class.meth/arity" ~doc:"Qualified method name.")
-  in
-  let var_arg =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "var" ] ~docv:"NAME" ~doc:"Local variable name.")
-  in
-  let run files analysis no_stdlib timeout_s trace_file meth_name var_name =
-    let budget = Budget.of_seconds_opt timeout_s in
-    let program, solver, ppf =
-      load_and_solve ~budget ~trace_file ~no_stdlib ~analysis files
-    in
-    let meth, var = resolve_meth_var program meth_name var_name in
-    ignore meth;
-    let heaps = Solver.ci_var_points_to solver var in
-    if Intset.is_empty heaps then
-      Format.fprintf ppf "%s points to nothing under %s@."
-        (Ir.Program.var_qualified_name program var)
-        analysis
-    else
-      (* Every chain from one session, all before any is printed, so a
-         timeout leaves no partial report. *)
-      let session = Pta_clients.Provenance.create ~budget solver in
-      let chains =
-        match
-          List.map
-            (fun h ->
-              let heap = Ir.Heap_id.of_int h in
-              (heap, Pta_clients.Provenance.explain session ~var ~heap))
-            (Intset.elements heaps)
-        with
-        | chains -> chains
-        | exception Budget.Exhausted abort -> timed_out ~analysis abort
-      in
-      List.iter
-        (fun (heap, chain) ->
-          Format.fprintf ppf "@[<v>%s may point to %s because:@,"
-            (Ir.Program.var_qualified_name program var)
-            (Ir.Program.heap_name program heap);
-          (match chain with
-          | Some chain -> Pta_clients.Provenance.pp_chain ppf chain
-          | None -> Format.fprintf ppf "  (no witness chain found)@,");
-          Format.fprintf ppf "@]@.")
-        chains
+  let run flags analysis meth_name var_name =
+    Session.run Native flags ~analysis (fun s budget r ->
+        let program = s.Session.program in
+        let var = resolve_meth_var program meth_name var_name in
+        let heaps = Solver.ci_var_points_to r.Driver.solver var in
+        (* Every chain from one provenance session. *)
+        let chains =
+          if Intset.is_empty heaps then []
+          else
+            let session = Pta_clients.Provenance.create ~budget r.Driver.solver in
+            List.map
+              (fun h ->
+                let heap = Ir.Heap_id.of_int h in
+                (heap, Pta_clients.Provenance.explain session ~var ~heap))
+              (Intset.elements heaps)
+        in
+        fun ppf ->
+          if chains = [] then
+            Format.fprintf ppf "%s points to nothing under %s@."
+              (Ir.Program.var_qualified_name program var)
+              analysis;
+          List.iter
+            (fun (heap, chain) ->
+              Format.fprintf ppf "@[<v>%s may point to %s because:@,"
+                (Ir.Program.var_qualified_name program var)
+                (Ir.Program.heap_name program heap);
+              (match chain with
+              | Some chain -> Pta_clients.Provenance.pp_chain ppf chain
+              | None -> Format.fprintf ppf "  (no witness chain found)@,");
+              Format.fprintf ppf "@]@.")
+            chains)
   in
   let doc = "Explain why a variable may point to each of its allocation sites." in
   Cmd.v
     (Cmd.info "why" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ meth_arg $ var_arg)
+    Term.(const run $ traced_flags $ analysis_arg $ meth_arg $ var_arg)
 
 let stats_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    Format.fprintf ppf "%a@."
-      (Pta_clients.Stats.pp program)
-      (Pta_clients.Stats.compute solver)
+  let run flags analysis =
+    Session.run Native flags ~analysis (fun s _ r ->
+        let stats = Pta_clients.Stats.compute r.Driver.solver in
+        fun ppf ->
+          Format.fprintf ppf "%a@." (Pta_clients.Stats.pp s.Session.program) stats)
   in
   let doc =
     "Show where the context-sensitive facts come from (heaviest methods,      fattest variables, context histogram)."
   in
   Cmd.v
     (Cmd.info "stats" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ traced_flags $ analysis_arg)
 
 let profile_cmd =
   let top_arg =
@@ -880,56 +643,40 @@ let profile_cmd =
       & opt sort_conv Pta_report.Hotspots.By_time
       & info [ "sort" ] ~docv:"KEY" ~doc)
   in
-  let run files analysis no_stdlib timeout_s trace_file top datalog sort =
+  let run flags analysis top datalog sort =
     (* Always trace — the profile is read off the sink's aggregates —
        but only write the event timeline when --trace asks for it.  GC
        accounting is on so the alloc column (and the alloc sort) have
        something to show. *)
     let trace = Trace.create ~alloc:true () in
-    let ppf = report_ppf ~machine_on_stdout:(stdout_dest trace_file) in
-    let wall_time_s =
-      let t0 = Unix.gettimeofday () in
-      (if datalog then begin
-         let program =
-           handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-         in
-         let strategy = handle (Driver.strategy_of_name program analysis) in
-         let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-         match Pta_refimpl.Refimpl.run ~budget ~trace program strategy with
-         | (_ : Pta_refimpl.Refimpl.t) -> ()
-         | exception Pta_obs.Budget.Exhausted abort ->
-           Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-       end
-       else
-         let config = Solver.Config.make ?timeout_s ~trace () in
-         ignore
-           (handle
-              (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-                 (sources_of files))));
-      Unix.gettimeofday () -. t0
+    let cat, title, engine =
+      if datalog then ("rule", "rule", "reference Datalog engine")
+      else ("solver", "edge kind", "native solver")
     in
-    let cat = if datalog then "rule" else "solver" in
-    let rows =
-      List.filter_map
-        (fun (s : Trace.stat) ->
-          if String.equal s.stat_cat cat then
-            Some
-              {
-                Pta_report.Hotspots.name = s.stat_name;
-                events = s.events;
-                delta = s.delta;
-                seconds = s.seconds;
-                alloc_words = Trace.stat_alloc_words s;
-              }
-          else None)
-        (Trace.profile trace)
+    let report (s : Session.t) _budget _result =
+      let wall_time_s = Pta_obs.Clock.elapsed_s s.Session.clock in
+      let rows =
+        List.filter_map
+          (fun (st : Trace.stat) ->
+            if String.equal st.stat_cat cat then
+              Some
+                {
+                  Pta_report.Hotspots.name = st.stat_name;
+                  events = st.events;
+                  delta = st.delta;
+                  seconds = st.seconds;
+                  alloc_words = Trace.stat_alloc_words st;
+                }
+            else None)
+          (Trace.profile trace)
+      in
+      fun ppf ->
+        Format.fprintf ppf "analysis: %s (%s)@." analysis engine;
+        Format.fprintf ppf "%s" (Pta_report.Hotspots.render ~top ~sort ~title rows);
+        Format.fprintf ppf "elapsed: %.3fs@." wall_time_s
     in
-    let title = if datalog then "rule" else "edge kind" in
-    Format.fprintf ppf "analysis: %s (%s)@." analysis
-      (if datalog then "reference Datalog engine" else "native solver");
-    Format.fprintf ppf "%s" (Pta_report.Hotspots.render ~top ~sort ~title rows);
-    Format.fprintf ppf "elapsed: %.3fs@." wall_time_s;
-    emit_trace trace_file trace
+    if datalog then Session.run ~trace Datalog flags ~analysis report
+    else Session.run ~trace Native flags ~analysis report
   in
   let doc =
     "Run one analysis under the tracer and print its hot-spot table \
@@ -938,59 +685,52 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg $ top_arg $ datalog_arg $ sort_arg)
+    Term.(const run $ traced_flags $ analysis_arg $ top_arg $ datalog_arg $ sort_arg)
+
+let load_program_cmd name ~doc print =
+  let run files no_stdlib =
+    match Driver.load_files ~stdlib:(not no_stdlib) files with
+    | Ok program -> print program
+    | Error e -> Driver.report_and_exit e
+  in
+  Cmd.v
+    (Cmd.info name ~doc ~exits:common_exits)
+    Term.(const run $ Session.files_arg $ Session.no_stdlib_arg)
 
 let decompile_cmd =
-  let run files no_stdlib =
-    let program =
-      handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-    in
-    print_string (Pta_frontend.To_mj.program_to_source program)
-  in
-  let doc = "Parse, lower, and print back equivalent MJ source." in
-  Cmd.v
-    (Cmd.info "decompile" ~doc ~exits:common_exits)
-    Term.(const run $ files_arg $ no_stdlib_arg)
+  load_program_cmd "decompile" ~doc:"Parse, lower, and print back equivalent MJ source."
+    (fun program -> print_string (Pta_frontend.To_mj.program_to_source program))
 
 let exceptions_cmd =
-  let run files analysis no_stdlib timeout_s trace_file =
-    let program, solver, ppf =
-      load_and_solve ?timeout_s ~trace_file ~no_stdlib ~analysis files
-    in
-    let escapes = Pta_clients.Exceptions.escapes solver in
-    List.iter
-      (fun (e : Pta_clients.Exceptions.escape) ->
-        Format.fprintf ppf "%s may leak:@."
-          (Ir.Program.meth_qualified_name program e.meth);
-        List.iter
-          (fun h -> Format.fprintf ppf "    %s@." (Ir.Program.heap_name program h))
-          e.exceptions)
-      escapes;
-    let uncaught = Pta_clients.Exceptions.uncaught_at_entries solver escapes in
-    Format.fprintf ppf
-      "%d method(s) may leak exceptions; %d site(s) may escape main@."
-      (List.length escapes) (List.length uncaught)
+  let run flags analysis =
+    Session.run Native flags ~analysis (fun s _ r ->
+        let program = s.Session.program in
+        let escapes = Pta_clients.Exceptions.escapes r.Driver.solver in
+        let uncaught =
+          Pta_clients.Exceptions.uncaught_at_entries r.Driver.solver escapes
+        in
+        fun ppf ->
+          List.iter
+            (fun (e : Pta_clients.Exceptions.escape) ->
+              Format.fprintf ppf "%s may leak:@."
+                (Ir.Program.meth_qualified_name program e.meth);
+              List.iter
+                (fun h ->
+                  Format.fprintf ppf "    %s@." (Ir.Program.heap_name program h))
+                e.exceptions)
+            escapes;
+          Format.fprintf ppf
+            "%d method(s) may leak exceptions; %d site(s) may escape main@."
+            (List.length escapes) (List.length uncaught))
   in
   let doc = "Report which exceptions may escape which methods." in
   Cmd.v
     (Cmd.info "exceptions" ~doc ~exits:common_exits)
-    Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ trace_arg)
+    Term.(const run $ traced_flags $ analysis_arg)
 
 let dump_ir_cmd =
-  let run files no_stdlib =
-    let program =
-      handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-    in
-    Format.printf "@[<v>%a@]@." Pta_ir.Ir_pp.pp_program program
-  in
-  let doc = "Parse, lower and pretty-print the IR." in
-  Cmd.v
-    (Cmd.info "dump-ir" ~doc ~exits:common_exits)
-    Term.(const run $ files_arg $ no_stdlib_arg)
+  load_program_cmd "dump-ir" ~doc:"Parse, lower and pretty-print the IR."
+    (fun program -> Format.printf "@[<v>%a@]@." Pta_ir.Ir_pp.pp_program program)
 
 let gen_cmd =
   let bench_arg =
@@ -1063,53 +803,29 @@ let heapmap_cmd =
     in
     Arg.(value & flag & info [ "datalog" ] ~doc)
   in
-  let run files analysis no_stdlib timeout_s datalog format output
-      compare_file tol =
+  let run flags analysis datalog format output compare_file tol =
     let census =
-      if datalog then begin
-        let program =
-          handle (Driver.load_program ~stdlib:(not no_stdlib) (sources_of files))
-        in
-        let strategy = handle (Driver.strategy_of_name program analysis) in
-        let budget = Pta_obs.Budget.of_seconds_opt timeout_s in
-        match Pta_refimpl.Refimpl.run ~budget program strategy with
-        | r -> Pta_refimpl.Refimpl.census r
-        | exception Pta_obs.Budget.Exhausted abort ->
-          Driver.report_and_exit (Driver.Timed_out { analysis; abort })
-      end
+      let client census_of _ _ r =
+        let census = census_of r in
+        fun _ -> census
+      in
+      if datalog then Session.run Datalog flags ~analysis (client Pta_refimpl.Refimpl.census)
       else
-        let config = config_of ?timeout_s ~progress:false () in
-        let _program, r =
-          handle
-            (Driver.load_and_run ~stdlib:(not no_stdlib) ~config ~analysis
-               (sources_of files))
-        in
-        Solver.census r.Driver.solver
+        Session.run Native flags ~analysis
+          (client (fun r -> Solver.census r.Driver.solver))
     in
     (match format with
     | `Text -> write_output output (Format.asprintf "%a" Census.pp census)
     | `Json ->
       write_output output
-        (Json.to_string (stamp_build (Census.to_json census)) ^ "\n"));
+        (Json.to_string (Session.stamp_build (Census.to_json census)) ^ "\n"));
     match compare_file with
     | None -> ()
     | Some path -> (
-      let contents =
-        match open_in_bin path with
-        | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        | exception Sys_error msg ->
-          Printf.eprintf "pointsto: cannot read %s: %s\n" path msg;
-          exit 2
-      in
       let baseline =
-        match Result.bind (Json.of_string contents) Census.of_json with
+        match Result.bind (Json.of_string (read_file path)) Census.of_json with
         | Ok c -> c
-        | Error e ->
-          Printf.eprintf "pointsto: %s: %s\n" path e;
-          exit 2
+        | Error e -> fail_usage "%s: %s" path e
       in
       match
         Census.compare_components ~tol_pct:tol
@@ -1157,8 +873,8 @@ let heapmap_cmd =
   Cmd.v
     (Cmd.info "heapmap" ~doc ~man ~exits:heapmap_exits)
     Term.(
-      const run $ files_arg $ analysis_arg $ no_stdlib_arg $ timeout_arg
-      $ datalog_arg $ format_arg $ output_arg $ compare_arg $ tol_arg)
+      const run $ plain_flags Session.files_arg $ analysis_arg $ datalog_arg
+      $ format_arg $ output_arg $ compare_arg $ tol_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench: the perf-trajectory commands                                  *)
@@ -1180,21 +896,6 @@ let bench_exits =
             flagged as a regression.";
   ]
   @ Cmd.Exit.defaults
-
-let fail_usage fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "pointsto: %s\n" msg;
-      exit 2)
-    fmt
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  | exception Sys_error msg -> fail_usage "cannot read %s: %s" path msg
 
 let load_ledger path =
   match Hledger.load path with Ok rs -> rs | Error e -> fail_usage "%s" e
@@ -1407,7 +1108,7 @@ let trend_cmd =
       let files = Trend_page.render page in
       List.iter
         (fun (name, contents) ->
-          write_file (Filename.concat dir name) contents)
+          Session.write_file (Filename.concat dir name) contents)
         files;
       Printf.printf "wrote %d files to %s\n" (List.length files) dir);
     print_endline page.Trend_page.p_subtitle;
@@ -1520,7 +1221,7 @@ let bisect_cmd =
         match Hbisect.git_script o ~ledger ~baseline_file:baseline_out with
         | Error e -> fail_usage "%s" e
         | Ok script ->
-          write_file baseline_out (Json.to_string (Snapshot.to_json snap));
+          Session.write_file baseline_out (Json.to_string (Snapshot.to_json snap));
           write_output script_out script;
           if not (String.equal script_out "-") then
             Printf.printf "wrote %s and %s; inspect, then run the script\n"
@@ -1562,8 +1263,8 @@ let grid_term =
   let timeout =
     Arg.(
       value & opt float 90.
-      & timeout_info
-          "Per-cell analysis cutoff; a cell that exceeds it prints as \
+      & info [ "timeout" ] ~docv:"SECONDS"
+          ~doc:"Per-cell analysis cutoff; a cell that exceeds it prints as \
            $(b,-), like the paper's dashes.")
   in
   Term.(const (fun timeout_s -> Grid.create ~timeout_s) $ timeout)

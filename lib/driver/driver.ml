@@ -176,9 +176,3 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
     | exception Solver.Timeout abort ->
       Option.iter (fun t -> ignore (Memstats.finish t)) tracker;
       Error (Timed_out { analysis; abort }))
-
-let load_and_run ?stdlib ?config ?collect_stats ~analysis sources =
-  Result.bind (load_program ?stdlib sources) (fun program ->
-      Result.map
-        (fun r -> (program, r))
-        (run ?config ?collect_stats program ~analysis))

@@ -83,12 +83,3 @@ val run :
     precision gauges are sampled into it at fixpoint as
     ["gauge"]-category counters: ["contexts"], ["avg objs per var"],
     ["reachable methods"] and ["call-graph edges"]. *)
-
-val load_and_run :
-  ?stdlib:bool ->
-  ?config:Pta_solver.Solver.Config.t ->
-  ?collect_stats:bool ->
-  analysis:string ->
-  source list ->
-  (Pta_ir.Ir.Program.t * run, error) result
-(** {!load_program} then {!run}. *)

@@ -86,14 +86,6 @@ let finish t =
   sample t;
   diff ~peak:!(t.t_peak) ~before:t.t_before ~after:(snapshot ()) ()
 
-let tracked f =
-  let t = start_tracking () in
-  match f () with
-  | v -> (v, finish t)
-  | exception exn ->
-    let (_ : delta) = finish t in
-    raise exn
-
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)

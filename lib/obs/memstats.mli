@@ -59,10 +59,6 @@ val sample : tracker -> unit
 val finish : tracker -> delta
 (** Remove the alarm and return the interval's delta, peak included. *)
 
-val tracked : (unit -> 'a) -> 'a * delta
-(** [tracked f] runs [f] under a tracker.  If [f] raises, the alarm is
-    removed and the exception re-raised. *)
-
 (** {1 Serialisation} *)
 
 val to_json : delta -> Json.t

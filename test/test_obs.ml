@@ -180,14 +180,6 @@ let memstats_roundtrip_test () =
   | Error e -> Alcotest.failf "memstats round-trip: %s" e
   | Ok d' -> Alcotest.(check bool) "identical" true (d = d')
 
-let memstats_tracked_exn_test () =
-  Alcotest.check_raises "re-raises" Exit (fun () ->
-      ignore (Memstats.tracked (fun () -> raise Exit)));
-  (* The alarm must be gone: a fresh tracked call still works. *)
-  let x, d = Memstats.tracked (fun () -> 42) in
-  Alcotest.(check int) "value" 42 x;
-  Alcotest.(check bool) "sane delta" true (d.Memstats.peak_heap_words > 0)
-
 (* A large major-heap allocation that lives only between two major
    collections must be caught by the fixpoint loop's periodic sample:
    a tick callback plants a ~2M-word block at iteration 3 and drops it a
@@ -315,8 +307,6 @@ let tests =
     Alcotest.test_case "memstats peak clamping" `Quick memstats_clamp_test;
     Alcotest.test_case "memstats JSON round-trip" `Quick
       memstats_roundtrip_test;
-    Alcotest.test_case "memstats tracked re-raises" `Quick
-      memstats_tracked_exn_test;
     Alcotest.test_case "solver loop samples the peak" `Quick
       solver_peak_sampling_test;
     Alcotest.test_case "census invariants" `Quick census_invariants_test;
