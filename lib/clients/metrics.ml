@@ -1,6 +1,5 @@
 module Ir = Pta_ir.Ir
 module Solver = Pta_solver.Solver
-module Intset = Pta_solver.Intset
 
 type t = {
   avg_objs_per_var : float;
@@ -25,14 +24,7 @@ type t = {
 
 let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
   let program = Solver.program solver in
-  let total_objs = ref 0 in
-  let vars_with_objs = ref 0 in
-  Ir.Program.iter_vars program (fun var _ ->
-      let size = Intset.cardinal (Solver.ci_var_points_to solver var) in
-      if size > 0 then begin
-        incr vars_with_objs;
-        total_objs := !total_objs + size
-      end);
+  let vpt = Solver.vpt_counts solver in
   let vcall_sites = Devirt.analyze solver in
   let cast_sites = Casts.analyze solver in
   let escapes = Exceptions.escapes solver in
@@ -43,9 +35,9 @@ let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
   in
   {
     avg_objs_per_var =
-      (if !vars_with_objs = 0 then 0.
-       else float_of_int !total_objs /. float_of_int !vars_with_objs);
-    vars_with_objs = !vars_with_objs;
+      (if vpt.vars_with_objs = 0 then 0.
+       else float_of_int vpt.ci_facts /. float_of_int vpt.vars_with_objs);
+    vars_with_objs = vpt.vars_with_objs;
     call_graph_edges = Solver.n_call_edges_ci solver;
     reachable_methods = Ir.Meth_id.Set.cardinal (Solver.reachable_meths solver);
     poly_vcalls = Devirt.poly_count vcall_sites;
@@ -56,7 +48,7 @@ let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
     uncaught_exceptions =
       List.length (Exceptions.uncaught_at_entries solver escapes);
     taint_flows;
-    sensitive_vpt = Solver.sensitive_vpt_size solver;
+    sensitive_vpt = vpt.cs_facts;
     n_ctxs = Solver.n_ctxs solver;
     n_hctxs = Solver.n_hctxs solver;
     n_hobjs = Solver.n_hobjs solver;

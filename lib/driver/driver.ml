@@ -103,18 +103,13 @@ type run = {
 
 (* The four Table-1 precision gauges, sampled once at fixpoint into the
    trace so a Chrome-trace export is self-describing. *)
-let emit_gauges trace program solver =
+let emit_gauges trace solver =
   let module Trace = Pta_obs.Trace in
   if not (Trace.is_null trace) then begin
-    let module Intset = Pta_solver.Intset in
-    let vars = ref 0 and objs = ref 0 in
-    Pta_ir.Ir.Program.iter_vars program (fun v _info ->
-        let s = Solver.ci_var_points_to solver v in
-        if not (Intset.is_empty s) then begin
-          incr vars;
-          objs := !objs + Intset.cardinal s
-        end);
-    let avg = if !vars = 0 then 0. else float_of_int !objs /. float_of_int !vars in
+    let { Solver.vars_with_objs = vars; ci_facts = objs; _ } =
+      Solver.vpt_counts solver
+    in
+    let avg = if vars = 0 then 0. else float_of_int objs /. float_of_int vars in
     Trace.counter trace ~cat:"gauge" "contexts"
       (float_of_int (Solver.n_ctxs solver));
     Trace.counter trace ~cat:"gauge" "avg objs per var" avg;
@@ -147,7 +142,7 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
     | solver ->
       let wall_time_s = Clock.elapsed_s clock in
       let memory = Option.map Memstats.finish tracker in
-      emit_gauges config.Solver.Config.trace program solver;
+      emit_gauges config.Solver.Config.trace solver;
       let stats =
         Option.map
           (fun memory ->

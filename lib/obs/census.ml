@@ -15,7 +15,7 @@
    [retained <= unshared] holds per component (every retained block is
    reachable from at least one of the component's roots), and the
    retained total equals one walk over all roots, which is at most the
-   live major heap at walk time. *)
+   process's major heap at walk time. *)
 
 type component = {
   comp_name : string;
@@ -30,7 +30,7 @@ type hist = {
 
 type t = {
   word_bytes : int;
-  live_heap_words : int;
+  process_heap_words : int;
   components : component list;
   set_hist : hist option;
 }
@@ -64,7 +64,7 @@ let survey ?set_hist comps =
   (* Promote everything live out of the minor heap so the retained total
      is comparable to [heap_words] (major-heap words) at walk time. *)
   Gc.full_major ();
-  let live_heap_words = (Gc.quick_stat ()).Gc.heap_words in
+  let process_heap_words = (Gc.quick_stat ()).Gc.heap_words in
   let rec go prefix prev rev = function
     | [] -> List.rev rev
     | (comp_name, roots) :: rest ->
@@ -80,7 +80,7 @@ let survey ?set_hist comps =
   in
   {
     word_bytes = Sys.word_size / 8;
-    live_heap_words;
+    process_heap_words;
     components = go [] 0 [] comps;
     set_hist;
   }
@@ -132,7 +132,7 @@ let to_json t =
     ([
        ("schema_version", Json.Int current_schema_version);
        ("word_bytes", Json.Int t.word_bytes);
-       ("live_heap_words", Json.Int t.live_heap_words);
+       ("live_heap_words", Json.Int t.process_heap_words);
        ("components", Json.List (List.map component_to_json t.components));
      ]
     @
@@ -186,14 +186,14 @@ let of_json json =
          current_schema_version)
   else
     let* word_bytes = field json "word_bytes" Json.to_int in
-    let* live_heap_words = field json "live_heap_words" Json.to_int in
+    let* process_heap_words = field json "live_heap_words" Json.to_int in
     let* components = components_of_json json in
     let* set_hist =
       match Json.member "intset_hist" json with
       | None -> Ok None
       | Some j -> Result.map Option.some (hist_of_json j)
     in
-    Ok { word_bytes; live_heap_words; components; set_hist }
+    Ok { word_bytes; process_heap_words; components; set_hist }
 
 (* The snapshot/ledger embedding carries only the component list (the
    process-global context of a walk does not belong in a per-cell
@@ -230,7 +230,11 @@ let pp ppf t =
          else 100. *. float_of_int c.retained_words /. float_of_int total))
     t.components;
   line "  %-20s %12d@," "total" total;
-  line "  %-20s %12d@," "live major heap" t.live_heap_words;
+  (* The whole process's major heap, free space included: what the
+     components do not account for is the program, the CLI's own state
+     and free blocks, never the engine's. *)
+  line "  %-20s %12d@," "outside solver" (t.process_heap_words - total);
+  line "  %-20s %12d@," "process heap" t.process_heap_words;
   (match t.set_hist with
   | None -> ()
   | Some h ->

@@ -7,7 +7,8 @@
     - {e retained} words — every reachable block charged exactly once,
       to the {e first} component that reaches it.  The per-component
       retained figures therefore sum to one deduplicated walk over all
-      roots, which is bounded by the live major heap at walk time.
+      roots, which is bounded by the process's major heap at walk
+      time.
     - {e unshared} words — the per-root walks summed, i.e. what the same
       state would cost if every cross-root reference were a private
       copy.  [unshared >= retained] always; their ratio is the
@@ -40,7 +41,10 @@ type hist = {
 
 type t = {
   word_bytes : int;  (** [Sys.word_size / 8] of the measuring process *)
-  live_heap_words : int;  (** major heap at walk time, post-[full_major] *)
+  process_heap_words : int;
+      (** the whole process's major heap ([Gc.heap_words]) at walk time,
+          post-[full_major]: free space and everything outside the
+          components included.  Its JSON key is ["live_heap_words"]. *)
   components : component list;  (** in declaration order *)
   set_hist : hist option;  (** points-to set population histogram *)
 }

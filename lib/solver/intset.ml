@@ -27,30 +27,140 @@ let mix a b =
   let h = (a + (b * 0x9E3779B97F4A7C1)) * 0xBF58476D1CE4E5B in
   h lxor (h lsr 31)
 
-(* The cons table.  Children are already consed, so one level of
-   comparison decides equality; [prefix] and [bit] follow from the
-   children but are cheap to check.  The hashes are structural, not
-   counters, so the table's layout (and so what a run allocates) does
-   not depend on which dead nodes the GC has cleared. *)
-module Cons = Weak.Make (struct
-  type nonrec t = t
+(* The cons table: open addressing with linear probing over one weak
+   array, so a set lives only as long as something else reaches it.
+   [tags] holds a byte per slot: 0 for a slot never used since the last
+   rehash (it ends a probe), else 1 + seven bits of the slot's hash, so
+   a probe reads a key only when its tag matches.  A slot whose key the
+   GC cleared keeps its tag until the next rehash.  Children are
+   already consed, so one level of physical comparison decides
+   equality, and a lookup builds a [Leaf] or [Branch] only on a miss.
+   The hashes are structural, not counters: the table's layout depends
+   only on the sequence of sets built and on what the GC has cleared. *)
+let min_capacity = 64
 
-  let equal a b =
-    match (a, b) with
-    | Leaf i, Leaf j -> i = j
-    | Branch (p, m, l, r, _), Branch (q, n, l', r', _) ->
-      l == l' && r == r' && p = q && m = n
-    | (Empty | Leaf _ | Branch _), _ -> false
+type table = {
+  mutable keys : t Weak.t;
+  mutable tags : Bytes.t;
+  mutable used : int;  (* slots with a nonzero tag *)
+}
 
-  let hash = hash
-end)
+let table =
+  {
+    keys = Weak.create min_capacity;
+    tags = Bytes.make min_capacity '\000';
+    used = 0;
+  }
 
-let table = Cons.create 64
-let leaf i = Cons.merge table (Leaf i)
+(* The slot and tag of a hash: [hash] itself is the element for a leaf,
+   so it is scrambled before its bits pick either. *)
+let scramble h =
+  let x = h * 0x2545F4914F6CDD1D in
+  x lxor (x lsr 29)
 
-(* The one way to build a [Branch]: the live node equal to the
-   candidate if there is one, else the candidate. *)
-let node p m l r = Cons.merge table (Branch (p, m, l, r, mix (hash l) (hash r)))
+let tag_of x = 1 + (x land 127)
+let start_of x mask = (x lsr 7) land mask
+
+(* The first never-used slot on [x]'s probe sequence. *)
+let rec free_slot tags mask i =
+  if Bytes.unsafe_get tags i = '\000' then i
+  else free_slot tags mask ((i + 1) land mask)
+
+(* Rebuild with the live keys only, at a capacity that leaves the
+   table at most 3/8 full; it doubles, keeps its size or halves. *)
+let rehash () =
+  let old_keys = table.keys and old_tags = table.tags in
+  let cap = Weak.length old_keys in
+  let live = ref 0 in
+  for i = 0 to cap - 1 do
+    if Bytes.unsafe_get old_tags i <> '\000' && Weak.check old_keys i then
+      incr live
+  done;
+  let cap' =
+    if 8 * !live > 3 * cap then 2 * cap
+    else if 8 * !live < cap && cap > min_capacity then cap / 2
+    else cap
+  in
+  let keys = Weak.create cap' and tags = Bytes.make cap' '\000' in
+  let mask = cap' - 1 in
+  let used = ref 0 in
+  for i = 0 to cap - 1 do
+    if Bytes.unsafe_get old_tags i <> '\000' then
+      match Weak.get old_keys i with
+      | None -> ()
+      | Some k as key ->
+        let x = scramble (hash k) in
+        let j = free_slot tags mask (start_of x mask) in
+        Bytes.unsafe_set tags j (Char.unsafe_chr (tag_of x));
+        Weak.set keys j key;
+        incr used
+  done;
+  table.keys <- keys;
+  table.tags <- tags;
+  table.used <- !used
+
+(* Store a node built on a miss in slot [i] (never used), rehashing
+   once the used slots pass 3/4 of the table. *)
+let insert i x v =
+  Bytes.unsafe_set table.tags i (Char.unsafe_chr (tag_of x));
+  Weak.set table.keys i (Some v);
+  table.used <- table.used + 1;
+  if 4 * table.used > 3 * Weak.length table.keys then rehash ();
+  v
+
+(* Probes return the live node they find, or [Empty] after recording
+   in [miss] the never-used slot that ended the probe: top-level
+   functions with no closure, so a hit allocates only [Weak.get]'s
+   option. *)
+let miss = ref 0
+
+let rec find_leaf keys tags mask tag i j =
+  let c = Bytes.unsafe_get tags j in
+  if c = '\000' then begin
+    miss := j;
+    Empty
+  end
+  else if c <> tag then find_leaf keys tags mask tag i ((j + 1) land mask)
+  else
+    match Weak.get keys j with
+    | Some (Leaf k as v) when k = i -> v
+    | Some _ | None -> find_leaf keys tags mask tag i ((j + 1) land mask)
+
+let rec find_branch keys tags mask tag l r j =
+  let c = Bytes.unsafe_get tags j in
+  if c = '\000' then begin
+    miss := j;
+    Empty
+  end
+  else if c <> tag then find_branch keys tags mask tag l r ((j + 1) land mask)
+  else
+    match Weak.get keys j with
+    | Some (Branch (_, _, l', r', _) as v) when l' == l && r' == r -> v
+    | Some _ | None -> find_branch keys tags mask tag l r ((j + 1) land mask)
+
+let leaf i =
+  let x = scramble i in
+  let keys = table.keys in
+  let mask = Weak.length keys - 1 in
+  let v =
+    find_leaf keys table.tags mask (Char.unsafe_chr (tag_of x)) i
+      (start_of x mask)
+  in
+  if v == Empty then insert !miss x (Leaf i) else v
+
+(* The one way to build a [Branch]: the live node with these children
+   if there is one, else a new one.  [prefix] and [bit] follow from the
+   children, so comparing the children decides equality. *)
+let node p m l r =
+  let h = mix (hash l) (hash r) in
+  let x = scramble h in
+  let keys = table.keys in
+  let mask = Weak.length keys - 1 in
+  let v =
+    find_branch keys table.tags mask (Char.unsafe_chr (tag_of x)) l r
+      (start_of x mask)
+  in
+  if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v
 
 let empty = Empty
 let is_empty t = t == Empty

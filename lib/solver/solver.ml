@@ -14,35 +14,38 @@ open Ir
 
 type hobj = int
 
-(* What an edge lets through.  [Compat] is the cast filter; [Catches] and
-   [Escapes] implement exception dispatch on the scope nodes: a handler
-   edge passes objects compatible with its catch type but not already
-   caught by an earlier handler, and the escape edge passes objects no
-   handler catches. *)
-type edge_filter =
-  | Compat of Type_id.t
+(* What a scope node's edge lets through, implementing exception
+   dispatch: a handler edge passes objects compatible with its catch
+   type but not already caught by an earlier handler, and the escape
+   edge passes objects no handler catches.  (A cast edge's filter is
+   its type's id; see [no_filter].) *)
+type scope_filter =
   | Catches of { ty : Type_id.t; skip : Type_id.t list }
   | Escapes of Type_id.t list
 
-type edge = {
-  dst : int;
-  filter : edge_filter option;
-}
+(* An edge's filter as one int: [no_filter], the id (>= 0) of the type a
+   cast edge lets through, or [-2 - i] for the scope filter at index [i]
+   of the solver's [scope_filters]. *)
+let no_filter = -1
 
-(* A virtual-call site attached to its base variable's node; fires for
-   every abstract object reaching the base. *)
-type vcall_site = {
-  vc_invo : Invo_id.t;
-  vc_sig : Sig_id.t;
-  vc_args : Var_id.t list;
-  vc_ret : Var_id.t option;
-  vc_ctx : Ctx.id;  (* caller context *)
-  vc_exc : int;  (* scope node receiving the callee's escaping exceptions *)
-  vc_cut : bool;  (* cut-shortcut site: no parameter/return wiring *)
-}
-
-type load_trigger = { ld_field : Field_id.t; ld_target : int }
-type store_trigger = { st_field : Field_id.t; st_source : int }
+(* Each node's edges and triggers of one kind form a chain through an
+   arena, a [Chunked] array of fixed-stride [int] entries: the node's
+   head slot holds its newest entry, and each entry's field 0 holds the
+   next older one, [-1] ending the chain.  Walking a chain from its head
+   visits entries newest first, the order of the lists it replaced.
+   Entry layouts:
+   - edge: [next; dst; filter];
+   - load trigger: [next; field; target node];
+   - store trigger: [next; field; source node];
+   - virtual-call site on its base variable's node, firing for every
+     abstract object reaching the base: [next; 2 * invo + cut; caller
+     ctx; scope node receiving the callee's escaping exceptions], [cut]
+     being 1 at a cut-shortcut site (no parameter/return wiring).  The
+     call's signature, arguments and return target are those of the
+     invocation's instruction, kept in [vcall_instrs]. *)
+let edge_stride = 3
+let trigger_stride = 3
+let vcall_stride = 4
 
 type node_id = int
 
@@ -55,19 +58,6 @@ type node_kind =
 
 (* Keyed by set identity: consing makes it extensional. *)
 module Set_tbl = Hashtbl.Make (Intset)
-
-type node = {
-  mutable all : Intset.t;
-  mutable pending : Intset.t;  (* invariant: disjoint from [all] *)
-  mutable queued : bool;
-  mutable prio : int;
-      (* pseudo-topological position in the copy subgraph (sources low);
-         0 until the first reprioritization pass *)
-  mutable succs : edge list;
-  mutable vcalls : vcall_site list;
-  mutable loads : load_trigger list;
-  mutable stores : store_trigger list;
-}
 
 type t = {
   program : Program.t;
@@ -88,8 +78,25 @@ type t = {
   hobj_heaps : int Vec.t;
   hobj_hctxs : int Vec.t;
   hobj_types : Type_id.t Vec.t;
-  (* supergraph nodes *)
-  nodes : node Vec.t;
+  (* supergraph nodes: one slot per node id in each array below; the
+     state of a unified class lives at its canonical id only *)
+  mutable n_nodes : int;
+  all : Intset.t Chunked.t;
+  mutable pending : Intset.t Chunked.t;  (* invariant: disjoint from [all] *)
+  mutable queued : Bytes.t;  (* '\001' while on the worklist *)
+  mutable prio : int Chunked.t;
+      (* pseudo-topological position in the copy subgraph (sources low);
+         0 until the first reprioritization pass *)
+  succ_head : int Chunked.t;  (* chain heads, -1 for none *)
+  vcall_head : int Chunked.t;
+  load_head : int Chunked.t;
+  store_head : int Chunked.t;
+  succs : int Chunked.t;  (* the arenas *)
+  vcalls : int Chunked.t;
+  loads : int Chunked.t;
+  stores : int Chunked.t;
+  scope_filters : scope_filter Vec.t;
+  vcall_instrs : instr array;  (* invo -> its [Virtual_call] *)
   var_nodes : Inttbl.t;  (* (var, ctx) -> node *)
   fld_nodes : Inttbl.t;
       (* (hobj + 1, field) -> node; hobj is -1 in field-based mode *)
@@ -100,8 +107,8 @@ type t = {
   edge_seen : Inttbl.t;
       (* set of ((src, dst), filter), keyed by ids canonical at insertion
          time *)
-  (* cycle elimination: copy-edge SCCs collapse onto one shared [node]
-     record; [unify] maps any node id to its class's canonical id *)
+  (* cycle elimination: copy-edge SCCs collapse onto their smallest
+     member; [unify] maps any node id to its class's canonical id *)
   unify : Unify.t;
   mutable copy_edges_since_scc : int;
   mutable copy_edges_total : int;
@@ -114,7 +121,10 @@ type t = {
   call_edges : Inttbl.t;
       (* set of ((invo, caller ctx), (meth, callee ctx)) *)
   (* memoized context-insensitive projections *)
-  mutable var_node_index : int list array option;  (* var -> its nodes *)
+  mutable var_node_start : int array;
+  mutable var_node_list : int array;
+      (* var -> its nodes: [var_node_list.(var_node_start.(v) ..
+         var_node_start.(v+1) - 1)], ascending; empty until built *)
   mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
   mutable node_kinds : node_kind array option;  (* introspection memo *)
   heap_sets : Intset.t Set_tbl.t;
@@ -154,20 +164,24 @@ let intern_hobj st heap hctx =
     h
   end
 
+(* New slots hold the state of a fresh node: empty sets, not queued,
+   priority 0, no chains. *)
 let fresh_node st =
-  let nid =
-    Vec.push st.nodes
-      {
-        all = Intset.empty;
-        pending = Intset.empty;
-        queued = false;
-        prio = 0;
-        succs = [];
-        vcalls = [];
-        loads = [];
-        stores = [];
-      }
-  in
+  let nid = st.n_nodes in
+  let extend a = ignore (Chunked.extend a : int) in
+  extend st.all;
+  extend st.pending;
+  extend st.prio;
+  extend st.succ_head;
+  extend st.vcall_head;
+  extend st.load_head;
+  extend st.store_head;
+  if nid = Bytes.length st.queued then begin
+    let queued = Bytes.make (max 256 (2 * nid)) '\000' in
+    Bytes.blit st.queued 0 queued 0 nid;
+    st.queued <- queued
+  end;
+  st.n_nodes <- nid + 1;
   Unify.ensure st.unify (nid + 1);
   nid
 
@@ -210,49 +224,71 @@ let throw_node st meth ctx =
 (* Difference propagation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Unified nodes share one [node] record (every member's slot in
-   [st.nodes] aliases it), so a stale id reaching here still lands on
-   the merged state; [Unify.find] is only needed where the {e id} itself
-   is semantic (edge keys, SCC traversal, introspection). *)
+(* A node's state lives at its canonical id: a stale id (an edge's or
+   trigger's target stored before a collapse) is mapped there first. *)
 let push st nid set =
-  let n = Vec.get st.nodes nid in
-  let fresh = Intset.diff2 set n.all n.pending in
+  let c = Unify.find st.unify nid in
+  let pending = Chunked.get st.pending c in
+  let fresh = Intset.diff2 set (Chunked.get st.all c) pending in
   if not (Intset.is_empty fresh) then begin
-    n.pending <- Intset.union n.pending fresh;
-    if not n.queued then begin
-      n.queued <- true;
-      Pqueue.push st.pq ~prio:n.prio nid
+    Chunked.set st.pending c (Intset.union pending fresh);
+    if Bytes.get st.queued c = '\000' then begin
+      Bytes.set st.queued c '\001';
+      Pqueue.push st.pq ~prio:(Chunked.get st.prio c) c
     end
   end
 
-let filter_set st set = function
-  | None -> set
-  | Some f ->
+let filter_set st set filter =
+  if filter = no_filter then set
+  else
     let compat hobj sup =
       Hierarchy.subtype st.hierarchy ~sub:(Vec.get st.hobj_types hobj) ~sup
     in
-    (match f with
-    | Compat cast_type -> Intset.filter (fun hobj -> compat hobj cast_type) set
-    | Catches { ty; skip } ->
-      Intset.filter
-        (fun hobj ->
-          compat hobj ty && not (List.exists (compat hobj) skip))
-        set
-    | Escapes tys ->
-      Intset.filter (fun hobj -> not (List.exists (compat hobj) tys)) set)
+    if filter >= 0 then
+      let cast_type = Type_id.of_int filter in
+      Intset.filter (fun hobj -> compat hobj cast_type) set
+    else
+      match Vec.get st.scope_filters (-2 - filter) with
+      | Catches { ty; skip } ->
+        Intset.filter
+          (fun hobj ->
+            compat hobj ty && not (List.exists (compat hobj) skip))
+          set
+      | Escapes tys ->
+        Intset.filter (fun hobj -> not (List.exists (compat hobj) tys)) set
 
+(* Put a new entry of [arena] at the head of [base]'s chain, its other
+   fields still to be filled. *)
+let link heads arena base =
+  let e = Chunked.extend arena in
+  Chunked.set arena e (Chunked.get heads base);
+  Chunked.set heads base e;
+  e
+
+(* [src] is canonical. *)
 let attach_edge st ~src ~dst ~filter =
   st.n_edges <- st.n_edges + 1;
-  let n = Vec.get st.nodes src in
-  n.succs <- { dst; filter } :: n.succs;
-  if filter == None then begin
+  let e = link st.succ_head st.succs src in
+  Chunked.set_field st.succs e 1 dst;
+  Chunked.set_field st.succs e 2 filter;
+  if filter = no_filter then begin
     st.copy_edges_since_scc <- st.copy_edges_since_scc + 1;
     st.copy_edges_total <- st.copy_edges_total + 1
   end;
-  let existing = Intset.union n.all n.pending in
+  let existing =
+    Intset.union (Chunked.get st.all src) (Chunked.get st.pending src)
+  in
   if not (Intset.is_empty existing) then
     push st dst (filter_set st existing filter)
 
+(* A scope edge's filter goes into the side table. *)
+let attach_scope_edge st ~src ~dst f =
+  attach_edge st ~src ~dst ~filter:(-2 - Vec.push st.scope_filters f)
+
+(* [filter] is [no_filter] or a cast type.  Scope edges are wired
+   exactly once per (method, context) traversal, onto a node created by
+   that same traversal, so they never need deduplication and go through
+   [attach_scope_edge]. *)
 let add_edge st ~src ~dst ~filter =
   (* Canonical ids make the self-loop check see through unification and
      keep the dedup table from growing one entry per alias.  Keys are
@@ -260,21 +296,10 @@ let add_edge st ~src ~dst ~filter =
      duplicate through — but propagation is idempotent, so a rare
      duplicate edge costs a little work, never correctness. *)
   let src = Unify.find st.unify src and dst = Unify.find st.unify dst in
-  if src <> dst || filter <> None then begin
-    let fkey =
-      match filter with
-      | None -> -1
-      | Some (Compat t) -> Type_id.to_int t
-      | Some (Catches _ | Escapes _) ->
-        (* Scope edges are wired exactly once per (method, context)
-           traversal, onto a node created by that same traversal, so
-           they never need deduplication — and must not collide in the
-           table. *)
-        invalid_arg "add_edge: exception-scope edges use attach_edge"
-    in
-    if Inttbl.add_new st.edge_seen (Inttbl.pack src dst) fkey then
-      attach_edge st ~src ~dst ~filter
-  end
+  if
+    (src <> dst || filter <> no_filter)
+    && Inttbl.add_new st.edge_seen (Inttbl.pack src dst) filter
+  then attach_edge st ~src ~dst ~filter
 
 (* ------------------------------------------------------------------ *)
 (* Online cycle elimination and reprioritization                       *)
@@ -285,7 +310,7 @@ let add_edge st ~src ~dst ~filter =
    Tarjan pass over the copy (filter=None) subgraph whenever enough new
    copy edges have accumulated — the threshold doubles with the graph, so
    total detection work is O(E log E).  Each multi-node SCC collapses
-   onto one shared record: members provably converge to the same set at
+   onto its smallest member: members provably converge to the same set at
    fixpoint, so the class thereafter propagates once instead of churning
    the worklist around the cycle.
 
@@ -293,7 +318,7 @@ let add_edge st ~src ~dst ~filter =
    copy DAG (Tarjan completion order reversed: sources first) and rebuilds
    the priority queue, so deltas flow source→sink. *)
 let collapse_and_reprioritize st =
-  let n = Vec.length st.nodes in
+  let n = st.n_nodes in
   let unify = st.unify in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
@@ -306,14 +331,18 @@ let collapse_and_reprioritize st =
   (* Copy successors of a canonical node, canonicalized; self-loops are
      irrelevant to both SCCs and order. *)
   let copy_succs v =
-    List.filter_map
-      (fun e ->
-        match e.filter with
-        | None ->
-          let w = Unify.find unify e.dst in
-          if w = v then None else Some w
-        | Some _ -> None)
-      (Vec.get st.nodes v).succs
+    let rec go e acc =
+      if e < 0 then List.rev acc
+      else
+        let acc =
+          if Chunked.field st.succs e 2 <> no_filter then acc
+          else
+            let w = Unify.find unify (Chunked.field st.succs e 1) in
+            if w = v then acc else w :: acc
+        in
+        go (Chunked.get st.succs e) acc
+    in
+    go (Chunked.get st.succ_head v) []
   in
   let strongconnect v =
     index.(v) <- !next;
@@ -376,62 +405,72 @@ let collapse_and_reprioritize st =
       List.iter (fun o -> ignore (Unify.union unify rep o)) members;
       (* The merged set state: what every member already propagated stays
          in [all]; anything only some member had (or had pending) must
-         flow through the merged successor list, so it lands in
+         flow through the merged successor chain, so it lands in
          [pending].  Idempotent for downstream nodes (push diffs against
          their state). *)
+      let all o = Chunked.get st.all o in
+      let pending o = Chunked.get st.pending o in
       let inter_all =
-        List.fold_left
-          (fun acc o -> Intset.inter acc (Vec.get st.nodes o).all)
-          (Vec.get st.nodes rep).all members
+        List.fold_left (fun acc o -> Intset.inter acc (all o)) (all rep) members
       in
       let union_reach =
         List.fold_left
-          (fun acc o ->
-            let r = Vec.get st.nodes o in
-            Intset.union acc (Intset.union r.all r.pending))
+          (fun acc o -> Intset.union acc (Intset.union (all o) (pending o)))
           Intset.empty members
       in
       let pending = Intset.diff union_reach inter_all in
-      let merge_lists f =
-        List.fold_left (fun acc o -> List.rev_append (f (Vec.get st.nodes o)) acc)
-          [] members
+      (* Relink every member's chain onto the representative, taking the
+         members in order and each chain from its head, each entry
+         pushed in front of the merged chain; [keep] drops entries. *)
+      let merge_chains heads arena keep =
+        let merged = ref (-1) in
+        List.iter
+          (fun o ->
+            let e = ref (Chunked.get heads o) in
+            Chunked.set heads o (-1);
+            while !e >= 0 do
+              let next = Chunked.get arena !e in
+              if keep !e then begin
+                Chunked.set arena !e !merged;
+                merged := !e
+              end;
+              e := next
+            done)
+          members;
+        Chunked.set heads rep !merged
       in
-      let succs =
-        (* Drop intra-class copy edges — the collapse replaces them. *)
-        List.filter
-          (fun e -> not (e.filter == None && Unify.find unify e.dst = rep))
-          (merge_lists (fun r -> r.succs))
-      in
-      let merged =
-        {
-          all = inter_all;
-          pending;
-          queued = not (Intset.is_empty pending);
-          prio = 0;
-          succs;
-          vcalls = merge_lists (fun r -> r.vcalls);
-          loads = merge_lists (fun r -> r.loads);
-          stores = merge_lists (fun r -> r.stores);
-        }
-      in
-      List.iter (fun o -> Vec.set st.nodes o merged) members;
+      let keep_all _ = true in
+      (* Drop intra-class copy edges — the collapse replaces them. *)
+      merge_chains st.succ_head st.succs (fun e ->
+          not
+            (Chunked.field st.succs e 2 = no_filter
+            && Unify.find unify (Chunked.field st.succs e 1) = rep));
+      merge_chains st.vcall_head st.vcalls keep_all;
+      merge_chains st.load_head st.loads keep_all;
+      merge_chains st.store_head st.stores keep_all;
+      List.iter
+        (fun o ->
+          Chunked.set st.all o Intset.empty;
+          Chunked.set st.pending o Intset.empty;
+          Bytes.set st.queued o '\000')
+        members;
+      Chunked.set st.all rep inter_all;
+      Chunked.set st.pending rep pending;
+      if not (Intset.is_empty pending) then Bytes.set st.queued rep '\001';
       st.sccs_collapsed <- st.sccs_collapsed + 1;
       st.nodes_unified <- st.nodes_unified + List.length members - 1)
     !sccs;
-  (* Canonicalize every alias slot (members of classes merged in earlier
-     passes must alias the newest record too), assign pseudo-topological
-     priorities, and rebuild the queue with exactly one entry per queued
-     class. *)
+  (* Point every id at its class's representative (one ascending [find]
+     sweep), assign pseudo-topological priorities, and rebuild the queue
+     with exactly one entry per queued class. *)
   let entries_before = Pqueue.length st.pq in
   Pqueue.clear st.pq;
   let nc = !n_comps in
   for i = 0 to n - 1 do
-    let r = Unify.find unify i in
-    if r <> i then Vec.set st.nodes i (Vec.get st.nodes r)
-    else begin
-      let node = Vec.get st.nodes i in
-      node.prio <- nc - 1 - comp_of.(i);
-      if node.queued then Pqueue.push st.pq ~prio:node.prio i
+    if Unify.find unify i = i then begin
+      let prio = nc - 1 - comp_of.(i) in
+      Chunked.set st.prio i prio;
+      if Bytes.get st.queued i <> '\000' then Pqueue.push st.pq ~prio i
     end
   done;
   (* Entries not re-created were duplicates of a now-unified class (or
@@ -471,111 +510,110 @@ let wire_call st ~invo ~caller_ctx ~callee ~callee_ctx ~args ~ret_target
             add_edge st
               ~src:(var_node st actual caller_ctx)
               ~dst:(var_node st mi.formals.(i) callee_ctx)
-              ~filter:None)
+              ~filter:no_filter)
         args;
     (* Exceptions escaping the callee unwind into the call site's
        enclosing scope. *)
     add_edge st ~src:(throw_node st callee callee_ctx) ~dst:exc_target
-      ~filter:None;
+      ~filter:no_filter;
     if not cut then
       match (mi.ret_var, ret_target) with
       | Some from_var, Some to_var ->
         add_edge st
           ~src:(var_node st from_var callee_ctx)
           ~dst:(var_node st to_var caller_ctx)
-          ~filter:None
+          ~filter:no_filter
       | _ -> ()
   end
 
-(* The virtual-call rule: one abstract object [hobj] reached the call's
-   base variable.  Resolve the target, build the callee context with
-   [Merge], bind [this], and wire the edge. *)
-let dispatch st (vc : vcall_site) hobj =
+(* The virtual-call rule: one abstract object [hobj] reached the base
+   of the call site at [vcall] in the vcall arena.  Resolve the target,
+   build the callee context with [Merge], bind [this], and wire the
+   edge. *)
+let dispatch st vcall hobj =
   st.n_triggers <- st.n_triggers + 1;
-  let heap = Heap_id.of_int (Vec.get st.hobj_heaps hobj) in
-  let receiver_type = Vec.get st.hobj_types hobj in
-  match Hierarchy.lookup st.hierarchy receiver_type vc.vc_sig with
-  | None -> ()  (* no matching method: dispatch failure, as in Doop *)
-  | Some callee ->
-    let mi = Program.meth_info st.program callee in
-    if not mi.meth_static then begin
-      let hctx = Ctx.value st.hctx_store (Vec.get st.hobj_hctxs hobj) in
-      let ctx = Ctx.value st.ctx_store vc.vc_ctx in
-      let callee_ctx =
-        Ctx.intern st.ctx_store
-          (st.strategy.Strategy.merge ~heap ~hctx ~invo:vc.vc_invo ~callee ~ctx)
-      in
-      (match mi.this_var with
-      | Some this -> push st (var_node st this callee_ctx) (Intset.singleton hobj)
-      | None -> ());
-      wire_call st ~invo:vc.vc_invo ~caller_ctx:vc.vc_ctx ~callee ~callee_ctx
-        ~args:vc.vc_args ~ret_target:vc.vc_ret ~exc_target:vc.vc_exc
-        ~cut:vc.vc_cut
-    end
+  let site = Chunked.field st.vcalls vcall 1 in
+  let caller_ctx = Chunked.field st.vcalls vcall 2 in
+  let exc_target = Chunked.field st.vcalls vcall 3 in
+  let cut = site land 1 = 1 in
+  match st.vcall_instrs.(site lsr 1) with
+  | Virtual_call { signature; invo; args; ret_target; _ } -> (
+    let heap = Heap_id.of_int (Vec.get st.hobj_heaps hobj) in
+    let receiver_type = Vec.get st.hobj_types hobj in
+    match Hierarchy.lookup st.hierarchy receiver_type signature with
+    | None -> ()  (* no matching method: dispatch failure, as in Doop *)
+    | Some callee ->
+      let mi = Program.meth_info st.program callee in
+      if not mi.meth_static then begin
+        let hctx = Ctx.value st.hctx_store (Vec.get st.hobj_hctxs hobj) in
+        let ctx = Ctx.value st.ctx_store caller_ctx in
+        let callee_ctx =
+          Ctx.intern st.ctx_store
+            (st.strategy.Strategy.merge ~heap ~hctx ~invo ~callee ~ctx)
+        in
+        (match mi.this_var with
+        | Some this ->
+          push st (var_node st this callee_ctx) (Intset.singleton hobj)
+        | None -> ());
+        wire_call st ~invo ~caller_ctx ~callee ~callee_ctx ~args ~ret_target
+          ~exc_target ~cut
+      end)
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Instruction processing: runs once per reachable (method, context)    *)
 (* ------------------------------------------------------------------ *)
 
-let fire_load st trigger hobj =
+(* [load] and [store] index their trigger arenas. *)
+let fire_load st load hobj =
   st.n_triggers <- st.n_triggers + 1;
-  add_edge st
-    ~src:(fld_node st hobj trigger.ld_field)
-    ~dst:trigger.ld_target ~filter:None
+  let field = Field_id.of_int (Chunked.field st.loads load 1) in
+  let target = Chunked.field st.loads load 2 in
+  add_edge st ~src:(fld_node st hobj field) ~dst:target ~filter:no_filter
 
-let fire_store st trigger hobj =
+let fire_store st store hobj =
   st.n_triggers <- st.n_triggers + 1;
-  add_edge st ~src:trigger.st_source
-    ~dst:(fld_node st hobj trigger.st_field)
-    ~filter:None
+  let field = Field_id.of_int (Chunked.field st.stores store 1) in
+  let source = Chunked.field st.stores store 2 in
+  add_edge st ~src:source ~dst:(fld_node st hobj field) ~filter:no_filter
 
 (* Trigger attachment replays the node's existing objects; when traced,
    each replay is one per-edge-kind complete span (same names as the
    delta-propagation spans in [process_node]). *)
-let attach_load st base_node trigger =
-  let n = Vec.get st.nodes base_node in
-  n.loads <- trigger :: n.loads;
-  if Trace.is_null st.trace || Intset.is_empty n.all then
-    Intset.iter (fun hobj -> fire_load st trigger hobj) n.all
+let replay st name all fire =
+  if Trace.is_null st.trace || Intset.is_empty all then Intset.iter fire all
   else begin
     let t0 = Trace.now_us st.trace in
     let a0 = Trace.alloc_mark st.trace in
-    Intset.iter (fun hobj -> fire_load st trigger hobj) n.all;
-    Trace.complete st.trace ~alloc:a0
-      ~delta:(Intset.cardinal n.all)
-      ~cat:"solver" ~name:"load" ~t0_us:t0
+    Intset.iter fire all;
+    Trace.complete st.trace ~alloc:a0 ~delta:(Intset.cardinal all)
+      ~cat:"solver" ~name ~t0_us:t0
       ~dur_us:(Trace.now_us st.trace -. t0)
   end
 
-let attach_store st base_node trigger =
-  let n = Vec.get st.nodes base_node in
-  n.stores <- trigger :: n.stores;
-  if Trace.is_null st.trace || Intset.is_empty n.all then
-    Intset.iter (fun hobj -> fire_store st trigger hobj) n.all
-  else begin
-    let t0 = Trace.now_us st.trace in
-    let a0 = Trace.alloc_mark st.trace in
-    Intset.iter (fun hobj -> fire_store st trigger hobj) n.all;
-    Trace.complete st.trace ~alloc:a0
-      ~delta:(Intset.cardinal n.all)
-      ~cat:"solver" ~name:"store" ~t0_us:t0
-      ~dur_us:(Trace.now_us st.trace -. t0)
-  end
+let attach_load st base_node field target =
+  let b = Unify.find st.unify base_node in
+  let e = link st.load_head st.loads b in
+  Chunked.set_field st.loads e 1 (Field_id.to_int field);
+  Chunked.set_field st.loads e 2 target;
+  replay st "load" (Chunked.get st.all b) (fun hobj -> fire_load st e hobj)
 
-let attach_vcall st base_node vc =
-  let n = Vec.get st.nodes base_node in
-  n.vcalls <- vc :: n.vcalls;
-  if Trace.is_null st.trace || Intset.is_empty n.all then
-    Intset.iter (fun hobj -> dispatch st vc hobj) n.all
-  else begin
-    let t0 = Trace.now_us st.trace in
-    let a0 = Trace.alloc_mark st.trace in
-    Intset.iter (fun hobj -> dispatch st vc hobj) n.all;
-    Trace.complete st.trace ~alloc:a0
-      ~delta:(Intset.cardinal n.all)
-      ~cat:"solver" ~name:"vcall" ~t0_us:t0
-      ~dur_us:(Trace.now_us st.trace -. t0)
-  end
+let attach_store st base_node field source =
+  let b = Unify.find st.unify base_node in
+  let e = link st.store_head st.stores b in
+  Chunked.set_field st.stores e 1 (Field_id.to_int field);
+  Chunked.set_field st.stores e 2 source;
+  replay st "store" (Chunked.get st.all b) (fun hobj -> fire_store st e hobj)
+
+let attach_vcall st base_node instr ~invo ~ctx ~exc_target ~cut =
+  st.vcall_instrs.(Invo_id.to_int invo) <- instr;
+  let b = Unify.find st.unify base_node in
+  let e = link st.vcall_head st.vcalls b in
+  Chunked.set_field st.vcalls e 1
+    ((Invo_id.to_int invo lsl 1) lor Bool.to_int cut);
+  Chunked.set_field st.vcalls e 2 ctx;
+  Chunked.set_field st.vcalls e 3 exc_target;
+  replay st "vcall" (Chunked.get st.all b) (fun hobj -> dispatch st e hobj)
 
 (* Cut-shortcut: the caller-side flows replacing a cut call's
    parameter/return wiring, applied in the caller's own context.  The
@@ -599,19 +637,17 @@ let apply_shortcut st ~ctx ~base ~args ~ret_target items =
         match (ret_target, arg_var arg) with
         | Some ret, Some src ->
           add_edge st ~src:(var_node st src ctx) ~dst:(var_node st ret ctx)
-            ~filter:None
+            ~filter:no_filter
         | _ -> ())
       | Shortcut.Load_ret field -> (
         match (ret_target, base) with
         | Some ret, Some b ->
-          attach_load st (var_node st b ctx)
-            { ld_field = field; ld_target = var_node st ret ctx }
+          attach_load st (var_node st b ctx) field (var_node st ret ctx)
         | _ -> ())
       | Shortcut.Store_field (field, arg) -> (
         match (base, arg_var arg) with
         | Some b, Some src ->
-          attach_store st (var_node st b ctx)
-            { st_field = field; st_source = var_node st src ctx }
+          attach_store st (var_node st b ctx) field (var_node st src ctx)
         | _ -> ()))
     items
 
@@ -630,12 +666,12 @@ let rec process_code st ~ctx ~ctx_value ~exc_target code =
     let scope = fresh_node st in
     let rec wire skip = function
       | [] ->
-        attach_edge st ~src:scope ~dst:exc_target
-          ~filter:(Some (Escapes (List.rev skip)))
+        attach_scope_edge st ~src:scope ~dst:exc_target
+          (Escapes (List.rev skip))
       | h :: rest ->
-        attach_edge st ~src:scope
+        attach_scope_edge st ~src:scope
           ~dst:(var_node st h.catch_var ctx)
-          ~filter:(Some (Catches { ty = h.catch_type; skip = List.rev skip }));
+          (Catches { ty = h.catch_type; skip = List.rev skip });
         wire (h.catch_type :: skip) rest
     in
     wire [] handlers;
@@ -655,17 +691,15 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
     push st (var_node st target ctx) (Intset.singleton (intern_hobj st heap hctx))
   | Move { target; source } ->
     add_edge st ~src:(var_node st source ctx) ~dst:(var_node st target ctx)
-      ~filter:None
+      ~filter:no_filter
   | Cast { target; source; cast_type } ->
     add_edge st ~src:(var_node st source ctx) ~dst:(var_node st target ctx)
-      ~filter:(Some (Compat cast_type))
+      ~filter:(Type_id.to_int cast_type)
   | Load { target; base; field } ->
-    attach_load st (var_node st base ctx)
-      { ld_field = field; ld_target = var_node st target ctx }
+    attach_load st (var_node st base ctx) field (var_node st target ctx)
   | Store { base; field; source } ->
-    attach_store st (var_node st base ctx)
-      { st_field = field; st_source = var_node st source ctx }
-  | Virtual_call { base; signature; invo; args; ret_target } ->
+    attach_store st (var_node st base ctx) field (var_node st source ctx)
+  | Virtual_call { base; invo; args; ret_target; _ } ->
     let cut =
       match shortcut_action st invo with
       | Some items ->
@@ -673,16 +707,7 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
         true
       | None -> false
     in
-    attach_vcall st (var_node st base ctx)
-      {
-        vc_invo = invo;
-        vc_sig = signature;
-        vc_args = args;
-        vc_ret = ret_target;
-        vc_ctx = ctx;
-        vc_exc = exc_target;
-        vc_cut = cut;
-      }
+    attach_vcall st (var_node st base ctx) instr ~invo ~ctx ~exc_target ~cut
   | Static_call { callee; invo; args; ret_target } ->
     (* The MergeStatic rule. *)
     let cut =
@@ -715,82 +740,76 @@ and process_instr st ~ctx ~ctx_value ~exc_target instr =
     end
   | Static_load { target; field } ->
     add_edge st ~src:(static_fld_node st field) ~dst:(var_node st target ctx)
-      ~filter:None
+      ~filter:no_filter
   | Static_store { field; source } ->
     add_edge st ~src:(var_node st source ctx) ~dst:(static_fld_node st field)
-      ~filter:None
+      ~filter:no_filter
   | Throw { source } ->
-    add_edge st ~src:(var_node st source ctx) ~dst:exc_target ~filter:None
+    add_edge st ~src:(var_node st source ctx) ~dst:exc_target ~filter:no_filter
 
 let process_method st meth ctx =
   let ctx_value = Ctx.value st.ctx_store ctx in
   let mi = Program.meth_info st.program meth in
   process_code st ~ctx ~ctx_value ~exc_target:(throw_node st meth ctx) mi.body
 
+let rec push_succs st delta e =
+  if e >= 0 then begin
+    let dst = Chunked.field st.succs e 1 in
+    push st dst (filter_set st delta (Chunked.field st.succs e 2));
+    push_succs st delta (Chunked.get st.succs e)
+  end
+
+let rec fire_vcalls st delta e =
+  if e >= 0 then begin
+    Intset.iter (fun hobj -> dispatch st e hobj) delta;
+    fire_vcalls st delta (Chunked.get st.vcalls e)
+  end
+
+let rec fire_loads st delta e =
+  if e >= 0 then begin
+    Intset.iter (fun hobj -> fire_load st e hobj) delta;
+    fire_loads st delta (Chunked.get st.loads e)
+  end
+
+let rec fire_stores st delta e =
+  if e >= 0 then begin
+    Intset.iter (fun hobj -> fire_store st e hobj) delta;
+    fire_stores st delta (Chunked.get st.stores e)
+  end
+
+(* [nid] is canonical: it came off the worklist. *)
 let process_node st nid =
-  let n = Vec.get st.nodes nid in
-  n.queued <- false;
-  let delta = n.pending in
-  n.pending <- Intset.empty;
+  Bytes.set st.queued nid '\000';
+  let delta = (Chunked.get st.pending nid) in
+  Chunked.set st.pending nid Intset.empty;
   if not (Intset.is_empty delta) then begin
     let card = Intset.cardinal delta in
     st.delta_total <- st.delta_total + card;
     if card > st.max_delta then st.max_delta <- card;
-    n.all <- Intset.union n.all delta;
+    Chunked.set st.all nid (Intset.union (Chunked.get st.all nid) delta);
     if Trace.is_null st.trace then begin
-      List.iter
-        (fun e -> push st e.dst (filter_set st delta e.filter))
-        n.succs;
-      List.iter
-        (fun vc -> Intset.iter (fun hobj -> dispatch st vc hobj) delta)
-        n.vcalls;
-      List.iter
-        (fun ld -> Intset.iter (fun hobj -> fire_load st ld hobj) delta)
-        n.loads;
-      List.iter
-        (fun stg -> Intset.iter (fun hobj -> fire_store st stg hobj) delta)
-        n.stores
+      push_succs st delta (Chunked.get st.succ_head nid);
+      fire_vcalls st delta (Chunked.get st.vcall_head nid);
+      fire_loads st delta (Chunked.get st.load_head nid);
+      fire_stores st delta (Chunked.get st.store_head nid)
     end
     else begin
       (* Traced: one complete span per edge kind with work to do, its
          delta being the objects propagated through that kind. *)
       let tr = st.trace in
-      if n.succs <> [] then begin
-        let t0 = Trace.now_us tr in
-        let a0 = Trace.alloc_mark tr in
-        List.iter
-          (fun e -> push st e.dst (filter_set st delta e.filter))
-          n.succs;
-        Trace.complete tr ~alloc:a0 ~delta:card ~cat:"solver" ~name:"move"
-          ~t0_us:t0 ~dur_us:(Trace.now_us tr -. t0)
-      end;
-      if n.vcalls <> [] then begin
-        let t0 = Trace.now_us tr in
-        let a0 = Trace.alloc_mark tr in
-        List.iter
-          (fun vc -> Intset.iter (fun hobj -> dispatch st vc hobj) delta)
-          n.vcalls;
-        Trace.complete tr ~alloc:a0 ~delta:card ~cat:"solver" ~name:"vcall"
-          ~t0_us:t0 ~dur_us:(Trace.now_us tr -. t0)
-      end;
-      if n.loads <> [] then begin
-        let t0 = Trace.now_us tr in
-        let a0 = Trace.alloc_mark tr in
-        List.iter
-          (fun ld -> Intset.iter (fun hobj -> fire_load st ld hobj) delta)
-          n.loads;
-        Trace.complete tr ~alloc:a0 ~delta:card ~cat:"solver" ~name:"load"
-          ~t0_us:t0 ~dur_us:(Trace.now_us tr -. t0)
-      end;
-      if n.stores <> [] then begin
-        let t0 = Trace.now_us tr in
-        let a0 = Trace.alloc_mark tr in
-        List.iter
-          (fun stg -> Intset.iter (fun hobj -> fire_store st stg hobj) delta)
-          n.stores;
-        Trace.complete tr ~alloc:a0 ~delta:card ~cat:"solver" ~name:"store"
-          ~t0_us:t0 ~dur_us:(Trace.now_us tr -. t0)
-      end
+      let span name head walk =
+        if head >= 0 then begin
+          let t0 = Trace.now_us tr in
+          let a0 = Trace.alloc_mark tr in
+          walk st delta head;
+          Trace.complete tr ~alloc:a0 ~delta:card ~cat:"solver" ~name
+            ~t0_us:t0 ~dur_us:(Trace.now_us tr -. t0)
+        end
+      in
+      span "move" (Chunked.get st.succ_head nid) push_succs;
+      span "vcall" (Chunked.get st.vcall_head nid) fire_vcalls;
+      span "load" (Chunked.get st.load_head nid) fire_loads;
+      span "store" (Chunked.get st.store_head nid) fire_stores
     end
   end
 
@@ -847,47 +866,37 @@ type outcome =
    and the memo hashtables), so no component accidentally retains
    captured environments.
 
-   SCC collapse makes unified node ids alias one shared record; roots
-   are taken once per canonical id so the unshared view does not count
-   a merged class once per member. *)
+   A unified class keeps its state at its canonical id only, so the
+   sets and the histogram are read there. *)
 let census st =
-  let n = Vec.length st.nodes in
-  let canonical = Array.make (max n 1) false in
-  for nid = 0 to n - 1 do
-    canonical.(Unify.find st.unify nid) <- true
+  let sets = ref [] and cardinals = ref [] in
+  for nid = st.n_nodes - 1 downto 0 do
+    if Unify.find st.unify nid = nid then begin
+      sets := Obj.repr (Chunked.get st.all nid) :: !sets;
+      if nid < Chunked.length st.pending then
+        sets := Obj.repr (Chunked.get st.pending nid) :: !sets;
+      cardinals := Intset.cardinal (Chunked.get st.all nid) :: !cardinals
+    end
   done;
-  let fold_canonical f acc =
-    let acc = ref acc in
-    for nid = 0 to n - 1 do
-      if canonical.(nid) then acc := f !acc (Vec.get st.nodes nid)
-    done;
-    !acc
-  in
-  let sets =
-    fold_canonical
-      (fun acc nd -> Obj.repr nd.all :: Obj.repr nd.pending :: acc)
-      []
-  in
-  let edges =
-    fold_canonical
-      (fun acc nd ->
-        Obj.repr nd.succs :: Obj.repr nd.vcalls :: Obj.repr nd.loads
-        :: Obj.repr nd.stores :: acc)
-      []
-  in
-  let cardinals =
-    fold_canonical (fun acc nd -> Intset.cardinal nd.all :: acc) []
-  in
   let set_hist =
-    Census.hist_of_values ~bounds:(Census.pow2_bounds 14) cardinals
+    Census.hist_of_values ~bounds:(Census.pow2_bounds 14) !cardinals
   in
   Census.survey ~set_hist
     [
-      ("points-to-sets", sets);
-      ("edge-lists", edges);
+      ("points-to-sets", !sets);
+      ( "edge-lists",
+        [
+          Obj.repr st.succ_head; Obj.repr st.vcall_head; Obj.repr st.load_head;
+          Obj.repr st.store_head; Obj.repr st.succs; Obj.repr st.vcalls;
+          Obj.repr st.loads; Obj.repr st.stores; Obj.repr st.scope_filters;
+          Obj.repr st.vcall_instrs;
+        ] );
       ( "node-tables",
         [
-          Obj.repr st.nodes;
+          Obj.repr st.all;
+          Obj.repr st.pending;
+          Obj.repr st.queued;
+          Obj.repr st.prio;
           Obj.repr st.var_nodes;
           Obj.repr st.fld_nodes;
           Obj.repr st.static_fld_nodes;
@@ -907,11 +916,19 @@ let census st =
       ("worklists", [ Obj.repr st.pq; Obj.repr st.meth_queue ]);
       ( "memos",
         [
-          Obj.repr st.var_node_index; Obj.repr st.ci_targets;
-          Obj.repr st.node_kinds; Obj.repr st.heap_sets;
-          Obj.repr st.heap_stamps;
+          Obj.repr st.var_node_start; Obj.repr st.var_node_list;
+          Obj.repr st.ci_targets; Obj.repr st.node_kinds;
+          Obj.repr st.heap_sets; Obj.repr st.heap_stamps;
         ] );
     ]
+
+(* A drained worklist leaves every pending set empty and every flag
+   clear, and no priority is read again: a complete solve drops those
+   three arrays. *)
+let release_worklist st =
+  st.pending <- Chunked.create Intset.empty;
+  st.prio <- Chunked.create 0;
+  st.queued <- Bytes.empty
 
 let solve_outcome ?(config = Config.default) program strategy =
   let trace = config.Config.trace in
@@ -932,13 +949,29 @@ let solve_outcome ?(config = Config.default) program strategy =
         hobj_heaps = Vec.create ();
         hobj_hctxs = Vec.create ();
         hobj_types = Vec.create ();
-        nodes = Vec.create ();
+        n_nodes = 0;
+        all = Chunked.create Intset.empty;
+        pending = Chunked.create Intset.empty;
+        queued = Bytes.make 256 '\000';
+        prio = Chunked.create 0;
+        succ_head = Chunked.create (-1);
+        vcall_head = Chunked.create (-1);
+        load_head = Chunked.create (-1);
+        store_head = Chunked.create (-1);
+        succs = Chunked.create ~stride:edge_stride 0;
+        vcalls = Chunked.create ~stride:vcall_stride 0;
+        loads = Chunked.create ~stride:trigger_stride 0;
+        stores = Chunked.create ~stride:trigger_stride 0;
+        scope_filters = Vec.create ();
+        vcall_instrs =
+          Array.make (Program.n_invos program)
+            (Throw { source = Var_id.of_int 0 });
         var_nodes = Inttbl.create_map ();
         fld_nodes = Inttbl.create_map ();
         static_fld_nodes = Array.make (Program.n_fields program) (-1);
         throw_nodes = Inttbl.create_map ();
         edge_seen = Inttbl.create_set ();
-        unify = Unify.create ~capacity:4096 ();
+        unify = Unify.create ~capacity:256 ();
         copy_edges_since_scc = 0;
         copy_edges_total = 0;
         scc_threshold = 512;
@@ -946,7 +979,8 @@ let solve_outcome ?(config = Config.default) program strategy =
         meth_queue = Queue.create ();
         reachable = Inttbl.create_set ();
         call_edges = Inttbl.create_set ();
-        var_node_index = None;
+        var_node_start = [||];
+        var_node_list = [||];
         ci_targets = None;
         node_kinds = None;
         heap_sets = Set_tbl.create 64;
@@ -971,7 +1005,7 @@ let solve_outcome ?(config = Config.default) program strategy =
   in
   st.setup_s <- Clock.elapsed_s setup_clock;
   let budget = config.Config.budget in
-  Budget.start budget ~probe:(fun () -> Vec.length st.nodes);
+  Budget.start budget ~probe:(fun () -> st.n_nodes);
   let fixpoint () =
     Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
     (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
@@ -1006,7 +1040,7 @@ let solve_outcome ?(config = Config.default) program strategy =
           collapse_and_reprioritize st;
         if not (Pqueue.is_empty st.pq) then begin
           let nid = Pqueue.pop st.pq in
-          if (Vec.get st.nodes nid).queued then process_node st nid
+          if Bytes.get st.queued nid <> '\000' then process_node st nid
           else st.stale_skipped <- st.stale_skipped + 1
         end;
         loop ()
@@ -1019,6 +1053,7 @@ let solve_outcome ?(config = Config.default) program strategy =
   | () ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     Budget.stop budget;
+    release_worklist st;
     st.solved <- true;
     Complete st
   | exception Budget.Exhausted abort ->
@@ -1049,33 +1084,36 @@ let hctx_value st id = Ctx.value st.hctx_store id
 let n_ctxs st = Ctx.size st.ctx_store
 let n_hctxs st = Ctx.size st.hctx_store
 
+(* The set of any node id, unified or not. *)
+let node_points_to st nid = Chunked.get st.all (Unify.find st.unify nid)
+
 let iter_var_points_to st f =
   Inttbl.iter
     (fun key nid ->
       f (Var_id.of_int (Inttbl.high key)) (Inttbl.low key)
-        (Vec.get st.nodes nid).all)
+        (node_points_to st nid))
     st.var_nodes
 
 let var_points_to st var ctx =
   let nid = Inttbl.find st.var_nodes (Inttbl.pack (Var_id.to_int var) ctx) in
-  if nid = Inttbl.absent then Intset.empty else (Vec.get st.nodes nid).all
+  if nid = Inttbl.absent then Intset.empty else node_points_to st nid
 
 let iter_fld_points_to st f =
   Inttbl.iter
     (fun key nid ->
       f (Inttbl.high key - 1) (Field_id.of_int (Inttbl.low key))
-        (Vec.get st.nodes nid).all)
+        (node_points_to st nid))
     st.fld_nodes
 
 let static_fld_points_to st field =
   let n = st.static_fld_nodes.(Field_id.to_int field) in
-  if n >= 0 then (Vec.get st.nodes n).all else Intset.empty
+  if n >= 0 then node_points_to st n else Intset.empty
 
 let iter_throw_points_to st f =
   Inttbl.iter
     (fun key nid ->
       f (Meth_id.of_int (Inttbl.high key)) (Inttbl.low key)
-        (Vec.get st.nodes nid).all)
+        (node_points_to st nid))
     st.throw_nodes
 
 let iter_call_edges st f =
@@ -1090,7 +1128,7 @@ let iter_reachable st f =
 
 let sensitive_vpt_size st =
   Inttbl.fold
-    (fun _ nid acc -> acc + Intset.cardinal (Vec.get st.nodes nid).all)
+    (fun _ nid acc -> acc + Intset.cardinal (node_points_to st nid))
     st.var_nodes 0
 
 let n_var_nodes st = Inttbl.length st.var_nodes
@@ -1109,11 +1147,11 @@ let phases st = [ ("setup", st.setup_s); ("fixpoint", st.fixpoint_s) ]
 (* Supergraph introspection                                             *)
 (* ------------------------------------------------------------------ *)
 
-let n_nodes st = Vec.length st.nodes
+let n_nodes st = st.n_nodes
 let canonical_node st nid = Unify.find st.unify nid
 
 let node_kind_table st =
-  let kinds = Array.make (Vec.length st.nodes) Scope_node in
+  let kinds = Array.make st.n_nodes Scope_node in
   Inttbl.iter
     (fun key nid ->
       kinds.(nid) <- Var_node (Var_id.of_int (Inttbl.high key), Inttbl.low key))
@@ -1137,7 +1175,7 @@ let node_kind_table st =
 let node_kind st nid =
   let kinds =
     match st.node_kinds with
-    | Some k when Array.length k = Vec.length st.nodes -> k
+    | Some k when Array.length k = st.n_nodes -> k
     | Some _ | None ->
       let k = node_kind_table st in
       st.node_kinds <- Some k;
@@ -1145,35 +1183,107 @@ let node_kind st nid =
   in
   kinds.(nid)
 
-let node_points_to st nid = (Vec.get st.nodes nid).all
-
 let node_succs_passing st nid hobj =
-  List.filter_map
-    (fun e ->
-      if Intset.mem hobj (filter_set st (Intset.singleton hobj) e.filter) then
-        Some e.dst
-      else None)
-    (Vec.get st.nodes nid).succs
-
-(* One pass over the table marks each var node with its variable; a
-   descending sweep over the node ids then conses every list in
-   ascending order. *)
-let var_node_ids st var =
-  let index =
-    match st.var_node_index with
-    | Some t -> t
-    | None ->
-      let owner = Array.make (Vec.length st.nodes) (-1) in
-      Inttbl.iter (fun key nid -> owner.(nid) <- Inttbl.high key) st.var_nodes;
-      let t = Array.make (Program.n_vars st.program) [] in
-      for nid = Array.length owner - 1 downto 0 do
-        let v = owner.(nid) in
-        if v >= 0 then t.(v) <- nid :: t.(v)
-      done;
-      st.var_node_index <- Some t;
-      t
+  let one = Intset.singleton hobj in
+  let rec go e acc =
+    if e < 0 then List.rev acc
+    else
+      let acc =
+        if Intset.mem hobj (filter_set st one (Chunked.field st.succs e 2)) then
+          Chunked.field st.succs e 1 :: acc
+        else acc
+      in
+      go (Chunked.get st.succs e) acc
   in
-  index.(Var_id.to_int var)
+  go (Chunked.get st.succ_head (Unify.find st.unify nid)) []
+
+(* A counting sort by variable over the node ids, ascending, so each
+   variable's nodes come out in ascending id order. *)
+let var_node_index st =
+  if Array.length st.var_node_start = 0 then begin
+    let n_vars = Program.n_vars st.program in
+    let owner = Array.make st.n_nodes (-1) in
+    Inttbl.iter (fun key nid -> owner.(nid) <- Inttbl.high key) st.var_nodes;
+    let start = Array.make (n_vars + 1) 0 in
+    Array.iter
+      (fun v -> if v >= 0 then start.(v + 1) <- start.(v + 1) + 1)
+      owner;
+    for v = 1 to n_vars do
+      start.(v) <- start.(v) + start.(v - 1)
+    done;
+    let list = Array.make start.(n_vars) 0 in
+    let fill = Array.sub start 0 (max n_vars 1) in
+    Array.iteri
+      (fun nid v ->
+        if v >= 0 then begin
+          list.(fill.(v)) <- nid;
+          fill.(v) <- fill.(v) + 1
+        end)
+      owner;
+    st.var_node_start <- start;
+    st.var_node_list <- list
+  end
+
+let var_node_ids st var =
+  var_node_index st;
+  let v = Var_id.to_int var in
+  let rec from k acc =
+    if k < st.var_node_start.(v) then acc
+    else from (k - 1) (st.var_node_list.(k) :: acc)
+  in
+  from (st.var_node_start.(v + 1) - 1) []
+
+let heap_stamps st =
+  if Array.length st.heap_stamps = 0 then
+    st.heap_stamps <- Array.make (Program.n_heaps st.program) 0;
+  st.heap_stamps
+
+type vpt_counts = { vars_with_objs : int; ci_facts : int; cs_facts : int }
+
+(* One walk over every variable's nodes.  A heap is counted for the
+   variable the first time it is stamped with the variable's epoch; a
+   node holding the same set as the node before it adds only its
+   size. *)
+let vpt_counts st =
+  var_node_index st;
+  let stamps = heap_stamps st in
+  let start = st.var_node_start and list = st.var_node_list in
+  let epoch = ref st.heap_epoch in
+  let distinct = ref 0 and cs = ref 0 in
+  let stamp hobj =
+    incr cs;
+    let heap = Vec.get st.hobj_heaps hobj in
+    if stamps.(heap) <> !epoch then begin
+      stamps.(heap) <- !epoch;
+      incr distinct
+    end
+  in
+  let vars = ref 0 and ci = ref 0 in
+  let prev = ref Intset.empty and prev_size = ref 0 in
+  for v = 0 to Array.length start - 2 do
+    if start.(v) < start.(v + 1) then begin
+      incr epoch;
+      distinct := 0;
+      prev := Intset.empty;
+      prev_size := 0;
+      for k = start.(v) to start.(v + 1) - 1 do
+        let s = node_points_to st list.(k) in
+        if s == !prev then cs := !cs + !prev_size
+        else begin
+          let before = !cs in
+          Intset.iter stamp s;
+          prev := s;
+          prev_size := !cs - before
+        end
+      done;
+      if !distinct > 0 then begin
+        incr vars;
+        ci := !ci + !distinct
+      end
+    end
+  done;
+  st.heap_epoch <- !epoch;
+  { vars_with_objs = !vars; ci_facts = !ci; cs_facts = !cs }
 
 (* The heap set of one hobj set, built once per distinct set: the
    epoch stamps drop repeated heaps, then a sort feeds
@@ -1182,10 +1292,9 @@ let heap_set st hobjs =
   match Set_tbl.find_opt st.heap_sets hobjs with
   | Some heaps -> heaps
   | None ->
-    if Array.length st.heap_stamps = 0 then
-      st.heap_stamps <- Array.make (Program.n_heaps st.program) 0;
+    let stamps = heap_stamps st in
     st.heap_epoch <- st.heap_epoch + 1;
-    let stamps = st.heap_stamps and epoch = st.heap_epoch in
+    let epoch = st.heap_epoch in
     let distinct =
       Intset.fold
         (fun hobj acc ->
@@ -1204,9 +1313,14 @@ let heap_set st hobjs =
     heaps
 
 let ci_var_points_to st var =
-  List.fold_left
-    (fun acc nid -> Intset.union acc (heap_set st (Vec.get st.nodes nid).all))
-    Intset.empty (var_node_ids st var)
+  var_node_index st;
+  let v = Var_id.to_int var in
+  let acc = ref Intset.empty in
+  for k = st.var_node_start.(v) to st.var_node_start.(v + 1) - 1 do
+    let set = node_points_to st st.var_node_list.(k) in
+    acc := Intset.union !acc (heap_set st set)
+  done;
+  !acc
 
 let reachable_meths st =
   Inttbl.fold

@@ -227,6 +227,24 @@ val ci_var_points_to : t -> Pta_ir.Ir.Var_id.t -> Intset.t
     The memo and a stamp array of one int per allocation site are
     counted under the census's ["memos"]. *)
 
+type vpt_counts = {
+  vars_with_objs : int;  (** variables pointing to at least one site *)
+  ci_facts : int;
+      (** context-insensitive var-points-to: the sum over variables of
+          [Intset.cardinal (ci_var_points_to t var)] *)
+  cs_facts : int;  (** context-sensitive var-points-to: {!sensitive_vpt_size} *)
+}
+
+val vpt_counts : t -> vpt_counts
+(** The sizes of every variable's projection and of every var node's
+    set, in one walk over the var nodes grouped by variable, without
+    building a set: each of a variable's objects stamps its allocation
+    site in an array of one int per site.  Equal to folding
+    {!ci_var_points_to} over the program's variables, at the cost of
+    one visit per context-sensitive fact (a node holding the same set
+    as the variable's previous node costs nothing).  Builds the
+    variable index of {!var_node_ids}. *)
+
 val reachable_meths : t -> Pta_ir.Ir.Meth_id.Set.t
 val invo_targets : t -> Pta_ir.Ir.Invo_id.t -> Pta_ir.Ir.Meth_id.Set.t
 (** Resolved callee set of an invocation site (empty if unreachable). *)
@@ -250,7 +268,9 @@ type node_kind =
 
 val n_nodes : t -> int
 val node_kind : t -> node_id -> node_kind
+
 val node_points_to : t -> node_id -> Intset.t
+(** The set of [nid]'s class: a unified node reads its representative's. *)
 
 val canonical_node : t -> node_id -> node_id
 (** The representative of [nid]'s copy-cycle equivalence class (itself
@@ -264,10 +284,11 @@ val node_succs_passing : t -> node_id -> hobj -> node_id list
     {!canonical_node} before using them as indices. *)
 
 val var_node_ids : t -> Pta_ir.Ir.Var_id.t -> node_id list
-(** All (var, context) nodes of a variable, in ascending node id.
-    Memoized on first use for every variable at once (one pass over the
-    variable nodes, counted under the census's ["memos"]); later calls
-    cost O(result). *)
+(** All (var, context) nodes of a variable, in ascending node id.  The
+    first call indexes every variable at once: a counting sort of the
+    variable nodes into two [int] arrays (one offset per variable, one
+    slot per node), counted under the census's ["memos"].  A later call
+    costs O(result). *)
 
 (** {1 Memory census} *)
 
@@ -275,11 +296,14 @@ val census : t -> Pta_obs.Census.t
 (** A reachable-heap census of the solver state, attributing live words
     to named components — in ownership order: ["points-to-sets"] (the
     [Intset]s of every canonical node, [all] and [pending]),
-    ["edge-lists"] (successor/trigger lists), ["node-tables"] (the node
-    records and their vector, the (var, ctx), (hobj, field) and
-    (meth, ctx) node tables, the static-field node array and the edge
-    dedup set), ["context-tables"], ["hobj-tables"] (the (heap, hctx)
-    table and the hobj attribute vectors), ["unification-forest"],
+    ["edge-lists"] (the four edge and trigger arenas, their per-node
+    chain heads, the scope-filter table and the per-invocation call
+    instructions), ["node-tables"] (the per-node set, priority and
+    worklist-flag arrays, the (var, ctx), (hobj, field) and (meth, ctx)
+    node tables, the static-field node array and the edge dedup set),
+    ["context-tables"], ["hobj-tables"] (the (heap, hctx) table and the
+    hobj attribute vectors), ["unification-forest"] (the canonical-id
+    array),
     ["call-graph-facts"] (the reachable (meth, ctx) and call-edge sets),
     ["worklists"], ["memos"].  Every id-keyed table is a flat
     {!Pta_ir.Inttbl.t}, so its retained words are its slot array.  The

@@ -1,80 +1,65 @@
-(* Union-find with union-by-rank and path halving.  The canonical id of
-   a class is its smallest member — kept in [min_id] at the root — so
-   canonicalization is deterministic under any union order, which the
-   solver needs for reproducible node numbering (results and metrics
-   must not depend on when a cycle happened to be detected). *)
+(* One array of canonical ids.  A class is a tree whose links always
+   point at a smaller id, so its root is its smallest member whatever
+   the union order, and the solver's node numbering stays reproducible
+   (results must not depend on when a cycle happened to be detected).
+   [find] halves the path it walks; one ascending pass of [find] over
+   every id leaves each entry holding its root, after which [find] is a
+   single read.  The solver's collapse pass makes that sweep. *)
 
 type t = {
-  mutable parent : int array;  (* parent.(i) = i at roots *)
-  mutable rank : int array;  (* valid at roots *)
-  mutable min_id : int array;  (* smallest class member; valid at roots *)
+  mutable canon : int array;  (* canon.(i) <= i; canon.(i) = i at roots *)
   mutable n : int;  (* ids [0, n) are live *)
   mutable merged : int;
 }
 
 let create ?(capacity = 1024) () =
-  let capacity = max capacity 1 in
-  {
-    parent = Array.make capacity 0;
-    rank = Array.make capacity 0;
-    min_id = Array.make capacity 0;
-    n = 0;
-    merged = 0;
-  }
+  { canon = Array.make (max capacity 1) 0; n = 0; merged = 0 }
 
 let length t = t.n
 
 let ensure t n =
   if n > t.n then begin
-    let cap = Array.length t.parent in
+    let cap = Array.length t.canon in
     if n > cap then begin
-      let cap' = max n (2 * cap) in
-      let grow a = Array.append a (Array.make (cap' - cap) 0) in
-      t.parent <- grow t.parent;
-      t.rank <- grow t.rank;
-      t.min_id <- grow t.min_id
+      let canon = Array.make (max n (2 * cap)) 0 in
+      Array.blit t.canon 0 canon 0 t.n;
+      t.canon <- canon
     end;
     for i = t.n to n - 1 do
-      t.parent.(i) <- i;
-      t.rank.(i) <- 0;
-      t.min_id.(i) <- i
+      t.canon.(i) <- i
     done;
     t.n <- n
   end
 
-(* Path halving: point each visited node at its grandparent. *)
-let rec root t i =
-  let p = t.parent.(i) in
+(* Path halving: point each visited id at its grandparent. *)
+let rec find t i =
+  let p = t.canon.(i) in
   if p = i then i
   else begin
-    let g = t.parent.(p) in
-    t.parent.(i) <- g;
-    root t g
+    let g = t.canon.(p) in
+    if g = p then p
+    else begin
+      t.canon.(i) <- g;
+      find t g
+    end
   end
 
-let find t i = t.min_id.(root t i)
-let same t a b = root t a = root t b
+let same t a b = find t a = find t b
 
 let union t a b =
-  let ra = root t a and rb = root t b in
-  if ra = rb then t.min_id.(ra)
+  let ra = find t a and rb = find t b in
+  if ra = rb then ra
   else begin
     t.merged <- t.merged + 1;
-    let m = min t.min_id.(ra) t.min_id.(rb) in
-    if t.rank.(ra) < t.rank.(rb) then begin
-      t.parent.(ra) <- rb;
-      t.min_id.(rb) <- m
-    end
-    else begin
-      t.parent.(rb) <- ra;
-      t.min_id.(ra) <- m;
-      if t.rank.(ra) = t.rank.(rb) then t.rank.(ra) <- t.rank.(ra) + 1
-    end;
+    let m = min ra rb in
+    t.canon.(max ra rb) <- m;
     m
   end
 
 let n_merged t = t.merged
 
 let depth t i =
-  let rec go i acc = if t.parent.(i) = i then acc else go t.parent.(i) (acc + 1) in
+  let rec go i acc =
+    if t.canon.(i) = i then acc else go t.canon.(i) (acc + 1)
+  in
   go i 0

@@ -10,8 +10,11 @@
     Deterministic: the canonical id of a class is always its {e
     smallest} member id, independent of union order — so a fixed
     program yields a fixed canonicalization regardless of when cycles
-    were detected.  Internally unions are by rank with path compression
-    ([find] is effectively O(α)). *)
+    were detected.  The structure is one [int array]: each id links to
+    a smaller member of its class, the root being the smallest.  [find]
+    halves the paths it walks, so calling it on every id in ascending
+    order leaves every link pointing at its root; from then until the
+    next {!union}, [find] is one array read. *)
 
 type t
 

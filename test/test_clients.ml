@@ -134,12 +134,58 @@ let metrics_budget_test () =
   | _ -> Alcotest.fail "expected Budget.Exhausted"
   | exception Budget.Exhausted _ -> ()
 
+(* The metric bundle's context-insensitive counts come from one walk
+   over the var nodes; they must equal the definition they replace:
+   [Solver.ci_var_points_to] folded over every variable, and the sum of
+   every var node's set size. *)
+let projection_counts_test cells () =
+  List.iter
+    (fun (workload, analysis) ->
+      let program =
+        Pta_workloads.Workloads.program
+          (Option.get (Pta_workloads.Profile.by_name workload))
+      in
+      let solver =
+        Solver.solve program (Pta_context.Strategies.get analysis program)
+      in
+      let m = Metrics.compute solver in
+      let vars = ref 0 and objs = ref 0 in
+      Ir.Program.iter_vars program (fun var _ ->
+          let size =
+            Pta_solver.Intset.cardinal (Solver.ci_var_points_to solver var)
+          in
+          if size > 0 then begin
+            incr vars;
+            objs := !objs + size
+          end);
+      let cs = ref 0 in
+      Solver.iter_var_points_to solver (fun _ _ s ->
+          cs := !cs + Pta_solver.Intset.cardinal s);
+      let cell = workload ^ "/" ^ analysis in
+      Alcotest.(check int) (cell ^ " vars_with_objs") !vars m.Metrics.vars_with_objs;
+      Alcotest.(check (float 0.)) (cell ^ " avg_objs_per_var")
+        (if !vars = 0 then 0. else float_of_int !objs /. float_of_int !vars)
+        m.Metrics.avg_objs_per_var;
+      Alcotest.(check int) (cell ^ " sensitive_vpt") !cs m.Metrics.sensitive_vpt;
+      Alcotest.(check int) (cell ^ " sensitive_vpt_size") !cs
+        (Solver.sensitive_vpt_size solver))
+    cells
+
+let table1_analyses =
+  [ "1obj"; "SB-1obj"; "2obj+H"; "S-2obj+H"; "2type+H"; "S-2type+H" ]
+
 let tests =
   [
+
     Alcotest.test_case "devirtualization classification" `Quick devirt_test;
     Alcotest.test_case "cast verdicts and witnesses" `Quick casts_test;
     Alcotest.test_case "metric bundle" `Quick metrics_test;
     Alcotest.test_case "unreachable code excluded" `Quick unreachable_code_test;
     Alcotest.test_case "a cancelled budget stops the metrics" `Quick
       metrics_budget_test;
+    Alcotest.test_case "antlr: count-only metrics = projection fold" `Slow
+      (projection_counts_test
+         (List.map (fun a -> ("antlr", a)) table1_analyses));
+    Alcotest.test_case "cyclic: count-only metrics = projection fold" `Slow
+      (projection_counts_test [ ("cyclic", "1call") ]);
   ]

@@ -104,6 +104,52 @@ let qcheck_tests =
         && M.fold Intset.remove mb sa == canon (M.diff ma mb)
         && Intset.filter even sa == canon (M.filter even ma)
         && Intset.hash (Intset.union sa sb) = Intset.hash (Intset.union sb sa));
+    (* Sets survive compactions in the cons table: after each step of a
+       random walk of unions, differences and filters over a small pool,
+       with [Gc.compact] between steps, [equal] (physical) agrees with
+       comparing elements, and rebuilding a set from its elements gives
+       the pooled set itself. *)
+    QCheck.Test.make ~count:60 ~name:"equal agrees with elements across compactions"
+      QCheck.(
+        pair
+          (list_of_size Gen.(return 4) ints_arb)
+          (list_of_size Gen.(int_bound 12)
+             (triple (int_bound 2) (int_bound 3) (int_bound 3))))
+      (fun (seeds, steps) ->
+        let pool = Array.of_list (List.map set_of_list seeds) in
+        let model = Array.of_list (List.map model_of_list seeds) in
+        let agree () =
+          let ok = ref true in
+          Array.iteri
+            (fun i s ->
+              if Intset.elements s <> M.elements model.(i) then ok := false;
+              if Intset.of_list (Intset.elements s) != s then ok := false;
+              Array.iter
+                (fun t ->
+                  if
+                    Intset.equal s t
+                    <> (Intset.elements s = Intset.elements t)
+                  then ok := false)
+                pool)
+            pool;
+          !ok
+        in
+        List.for_all
+          (fun (op, i, j) ->
+            (match op with
+            | 0 ->
+              pool.(i) <- Intset.union pool.(i) pool.(j);
+              model.(i) <- M.union model.(i) model.(j)
+            | 1 ->
+              pool.(i) <- Intset.diff pool.(i) pool.(j);
+              model.(i) <- M.diff model.(i) model.(j)
+            | _ ->
+              let keep x = x mod (j + 2) <> 0 in
+              pool.(i) <- Intset.filter keep pool.(i);
+              model.(i) <- M.filter keep model.(i));
+            Gc.compact ();
+            agree ())
+          steps);
     prop "for_all/exists" ints_arb (fun l ->
         let s = set_of_list l and m = model_of_list l in
         Intset.for_all (fun x -> x >= 0) s = M.for_all (fun x -> x >= 0) m
@@ -190,6 +236,47 @@ let unit_tests =
         build_and_drop ();
         Gc.full_major ();
         Alcotest.(check bool) "collected" false (Weak.check weak 0));
+    Alcotest.test_case "cons table across major collections" `Quick (fun () ->
+        (* Enough distinct sets to make the table grow several times;
+           elements no other test uses. *)
+        let build i = Intset.of_list [ 9_000_001 + i; 9_500_001 + (i * 7); 9_900_001 ] in
+        let n = 5_000 in
+        let dropped = Weak.create n in
+        let[@inline never] build_all () =
+          Array.init n (fun i ->
+              let s = build i in
+              if i mod 10 <> 0 then Weak.set dropped i (Some s);
+              if i mod 10 = 0 then Some s else None)
+        in
+        let kept = build_all () in
+        Gc.full_major ();
+        let reclaimed = ref 0 in
+        for i = 0 to n - 1 do
+          if i mod 10 <> 0 && not (Weak.check dropped i) then incr reclaimed
+        done;
+        Alcotest.(check int) "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
+        Array.iteri
+          (fun i s ->
+            match s with
+            | Some s ->
+              Alcotest.(check bool)
+                (Printf.sprintf "rebuilt set %d is the kept one" i)
+                true
+                (build i == s)
+            | None -> ())
+          kept;
+        (* A rebuilt dropped set is consed again: two rebuilds share. *)
+        Alcotest.(check bool) "rebuilds of a dropped set share" true
+          (build 3 == build 3);
+        Gc.full_major ();
+        Array.iteri
+          (fun i s ->
+            match s with
+            | Some s ->
+              Alcotest.(check bool) "kept set survives a second collection" true
+                (build i == s)
+            | None -> ())
+          kept);
     Alcotest.test_case "large and boundary values" `Quick (fun () ->
         let big = max_int / 2 in
         let s = Intset.of_list [ 0; 1; big; big - 1 ] in

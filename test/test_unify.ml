@@ -105,9 +105,10 @@ let unit_tests =
     Alcotest.test_case "find compresses paths" `Quick (fun () ->
         let u = Unify.create () in
         Unify.ensure u 64;
-        (* Tournament-merge equal-rank roots: union-by-rank then grows a
-           genuinely deep tree (a chain would just build a star).  Some
-           node ends up at depth >= 2, and find must shorten its chain. *)
+        (* Tournament merges: each union links the larger root under the
+           smaller, so the tree grows genuinely deep (a chain of unions
+           would just build a star).  Some node ends up at depth >= 2,
+           and find must shorten its chain. *)
         let stride = ref 1 in
         while !stride < 64 do
           let i = ref 0 in
