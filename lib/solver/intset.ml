@@ -52,46 +52,43 @@ let table =
     used = 0;
   }
 
-(* The slot and tag of a hash: [hash] itself is the element for a leaf,
-   so it is scrambled before its bits pick either. *)
+(* The first slot and the tag of a hash.  [hash] itself is the element
+   for a leaf, so it is scrambled before its bits pick either; the slot
+   is 32 of those bits scaled to the capacity, which need not be a power
+   of two. *)
 let scramble h =
   let x = h * 0x2545F4914F6CDD1D in
   x lxor (x lsr 29)
 
-let tag_of x = 1 + (x land 127)
-let start_of x mask = (x lsr 7) land mask
+let tag_of x = Char.unsafe_chr (1 + (x land 127))
+let start_of x cap = (((x lsr 7) land 0xFFFF_FFFF) * cap) lsr 32
+let next j cap = if j + 1 = cap then 0 else j + 1
 
-(* The first never-used slot on [x]'s probe sequence. *)
-let rec free_slot tags mask i =
-  if Bytes.unsafe_get tags i = '\000' then i
-  else free_slot tags mask ((i + 1) land mask)
+(* The first never-used slot on a probe sequence from [j]. *)
+let rec free_slot tags cap j =
+  if Bytes.unsafe_get tags j = '\000' then j
+  else free_slot tags cap (next j cap)
 
-(* Rebuild with the live keys only, at a capacity that leaves the
-   table at most 3/8 full; it doubles, keeps its size or halves. *)
+(* Rebuild with the live keys only, 2/5 full: the table grows or
+   shrinks to fit what survived. *)
 let rehash () =
   let old_keys = table.keys and old_tags = table.tags in
-  let cap = Weak.length old_keys in
   let live = ref 0 in
-  for i = 0 to cap - 1 do
+  for i = 0 to Weak.length old_keys - 1 do
     if Bytes.unsafe_get old_tags i <> '\000' && Weak.check old_keys i then
       incr live
   done;
-  let cap' =
-    if 8 * !live > 3 * cap then 2 * cap
-    else if 8 * !live < cap && cap > min_capacity then cap / 2
-    else cap
-  in
-  let keys = Weak.create cap' and tags = Bytes.make cap' '\000' in
-  let mask = cap' - 1 in
+  let cap = max min_capacity (!live * 5 / 2) in
+  let keys = Weak.create cap and tags = Bytes.make cap '\000' in
   let used = ref 0 in
-  for i = 0 to cap - 1 do
+  for i = 0 to Weak.length old_keys - 1 do
     if Bytes.unsafe_get old_tags i <> '\000' then
       match Weak.get old_keys i with
       | None -> ()
       | Some k as key ->
         let x = scramble (hash k) in
-        let j = free_slot tags mask (start_of x mask) in
-        Bytes.unsafe_set tags j (Char.unsafe_chr (tag_of x));
+        let j = free_slot tags cap (start_of x cap) in
+        Bytes.unsafe_set tags j (tag_of x);
         Weak.set keys j key;
         incr used
   done;
@@ -99,11 +96,11 @@ let rehash () =
   table.tags <- tags;
   table.used <- !used
 
-(* Store a node built on a miss in slot [i] (never used), rehashing
+(* Store a node built on a miss in slot [j] (never used), rehashing
    once the used slots pass 3/4 of the table. *)
-let insert i x v =
-  Bytes.unsafe_set table.tags i (Char.unsafe_chr (tag_of x));
-  Weak.set table.keys i (Some v);
+let insert j x v =
+  Bytes.unsafe_set table.tags j (tag_of x);
+  Weak.set table.keys j (Some v);
   table.used <- table.used + 1;
   if 4 * table.used > 3 * Weak.length table.keys then rehash ();
   v
@@ -114,38 +111,35 @@ let insert i x v =
    option. *)
 let miss = ref 0
 
-let rec find_leaf keys tags mask tag i j =
+let rec find_leaf keys tags cap tag i j =
   let c = Bytes.unsafe_get tags j in
   if c = '\000' then begin
     miss := j;
     Empty
   end
-  else if c <> tag then find_leaf keys tags mask tag i ((j + 1) land mask)
+  else if c <> tag then find_leaf keys tags cap tag i (next j cap)
   else
     match Weak.get keys j with
     | Some (Leaf k as v) when k = i -> v
-    | Some _ | None -> find_leaf keys tags mask tag i ((j + 1) land mask)
+    | Some _ | None -> find_leaf keys tags cap tag i (next j cap)
 
-let rec find_branch keys tags mask tag l r j =
+let rec find_branch keys tags cap tag l r j =
   let c = Bytes.unsafe_get tags j in
   if c = '\000' then begin
     miss := j;
     Empty
   end
-  else if c <> tag then find_branch keys tags mask tag l r ((j + 1) land mask)
+  else if c <> tag then find_branch keys tags cap tag l r (next j cap)
   else
     match Weak.get keys j with
     | Some (Branch (_, _, l', r', _) as v) when l' == l && r' == r -> v
-    | Some _ | None -> find_branch keys tags mask tag l r ((j + 1) land mask)
+    | Some _ | None -> find_branch keys tags cap tag l r (next j cap)
 
 let leaf i =
   let x = scramble i in
   let keys = table.keys in
-  let mask = Weak.length keys - 1 in
-  let v =
-    find_leaf keys table.tags mask (Char.unsafe_chr (tag_of x)) i
-      (start_of x mask)
-  in
+  let cap = Weak.length keys in
+  let v = find_leaf keys table.tags cap (tag_of x) i (start_of x cap) in
   if v == Empty then insert !miss x (Leaf i) else v
 
 (* The one way to build a [Branch]: the live node with these children
@@ -155,11 +149,8 @@ let node p m l r =
   let h = mix (hash l) (hash r) in
   let x = scramble h in
   let keys = table.keys in
-  let mask = Weak.length keys - 1 in
-  let v =
-    find_branch keys table.tags mask (Char.unsafe_chr (tag_of x)) l r
-      (start_of x mask)
-  in
+  let cap = Weak.length keys in
+  let v = find_branch keys table.tags cap (tag_of x) l r (start_of x cap) in
   if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v
 
 let empty = Empty
