@@ -230,9 +230,9 @@ let pp ppf t =
          else 100. *. float_of_int c.retained_words /. float_of_int total))
     t.components;
   line "  %-20s %12d@," "total" total;
-  (* The whole process's major heap, free space included: what the
-     components do not account for is the program, the CLI's own state
-     and free blocks, never the engine's. *)
+  (* The whole process's major heap, free space included: the
+     "outside solver" row is what no component reaches, such as the
+     program, the caller's own state, the cons table and free blocks. *)
   line "  %-20s %12d@," "outside solver" (t.process_heap_words - total);
   line "  %-20s %12d@," "process heap" t.process_heap_words;
   (match t.set_hist with

@@ -31,8 +31,9 @@ let no_filter = -1
 (* Each node's edges and triggers of one kind form a chain through an
    arena, a [Chunked] array of fixed-stride [int] entries: the node's
    head slot holds its newest entry, and each entry's field 0 holds the
-   next older one, [-1] ending the chain.  Walking a chain from its head
-   visits entries newest first, the order of the lists it replaced.
+   next older one, [-1] ending the chain.  A chain is walked from its
+   head, newest entry first: that order fixes the order of propagation,
+   and so the numbering of nodes, contexts and objects.
    Entry layouts:
    - edge: [next; dst; filter];
    - load trigger: [next; field; target node];

@@ -135,7 +135,7 @@ let metrics_budget_test () =
   | exception Budget.Exhausted _ -> ()
 
 (* The metric bundle's context-insensitive counts come from one walk
-   over the var nodes; they must equal the definition they replace:
+   over the var nodes; they must equal their definition:
    [Solver.ci_var_points_to] folded over every variable, and the sum of
    every var node's set size. *)
 let projection_counts_test cells () =
@@ -162,11 +162,15 @@ let projection_counts_test cells () =
       Solver.iter_var_points_to solver (fun _ _ s ->
           cs := !cs + Pta_solver.Intset.cardinal s);
       let cell = workload ^ "/" ^ analysis in
-      Alcotest.(check int) (cell ^ " vars_with_objs") !vars m.Metrics.vars_with_objs;
+      Alcotest.(check int)
+        (cell ^ " vars_with_objs")
+        !vars m.Metrics.vars_with_objs;
       Alcotest.(check (float 0.)) (cell ^ " avg_objs_per_var")
         (if !vars = 0 then 0. else float_of_int !objs /. float_of_int !vars)
         m.Metrics.avg_objs_per_var;
-      Alcotest.(check int) (cell ^ " sensitive_vpt") !cs m.Metrics.sensitive_vpt;
+      Alcotest.(check int)
+        (cell ^ " sensitive_vpt")
+        !cs m.Metrics.sensitive_vpt;
       Alcotest.(check int) (cell ^ " sensitive_vpt_size") !cs
         (Solver.sensitive_vpt_size solver))
     cells

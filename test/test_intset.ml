@@ -109,7 +109,8 @@ let qcheck_tests =
        with [Gc.compact] between steps, [equal] (physical) agrees with
        comparing elements, and rebuilding a set from its elements gives
        the pooled set itself. *)
-    QCheck.Test.make ~count:60 ~name:"equal agrees with elements across compactions"
+    QCheck.Test.make ~count:60
+      ~name:"equal agrees with elements across compactions"
       QCheck.(
         pair
           (list_of_size Gen.(return 4) ints_arb)
@@ -239,7 +240,9 @@ let unit_tests =
     Alcotest.test_case "cons table across major collections" `Quick (fun () ->
         (* Enough distinct sets to make the table grow several times;
            elements no other test uses. *)
-        let build i = Intset.of_list [ 9_000_001 + i; 9_500_001 + (i * 7); 9_900_001 ] in
+        let build i =
+          Intset.of_list [ 9_000_001 + i; 9_500_001 + (i * 7); 9_900_001 ]
+        in
         let n = 5_000 in
         let dropped = Weak.create n in
         let[@inline never] build_all () =
@@ -254,7 +257,8 @@ let unit_tests =
         for i = 0 to n - 1 do
           if i mod 10 <> 0 && not (Weak.check dropped i) then incr reclaimed
         done;
-        Alcotest.(check int) "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
+        Alcotest.(check int)
+          "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
         Array.iteri
           (fun i s ->
             match s with
