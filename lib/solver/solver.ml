@@ -282,7 +282,6 @@ let attach_edge st ~src ~dst ~filter =
   if not (Intset.is_empty existing) then
     push st dst (filter_set st existing filter)
 
-(* A scope edge's filter goes into the side table. *)
 let attach_scope_edge st ~src ~dst f =
   attach_edge st ~src ~dst ~filter:(-2 - Vec.push st.scope_filters f)
 
