@@ -46,9 +46,22 @@ bench:
 bench-compare:
 	$(call bench_gate,BENCH_table1.json,BENCH_delta.md)
 
+# A baseline must come from a committed tree: the binary stamps itself
+# dirty when tracked files differ from HEAD, and a dirty number cannot
+# be traced back to a commit.  Both -accept targets stop here first, so
+# running one after the other without a commit in between refuses.
+define require_clean_tree
+@if [ -n "$$(git status --porcelain --untracked-files=no)" ]; then \
+  echo "$@: tracked files differ from HEAD; commit or stash them before re-blessing a baseline" >&2; \
+  exit 1; \
+fi
+endef
+
 # Re-bless the committed baseline after an intentional performance
 # change: rerun the grid, then review and commit BENCH_table1.json.
-bench-accept: bench
+bench-accept:
+	$(require_clean_tree)
+	$(MAKE) bench
 	@echo "BENCH_table1.json regenerated; review the diff and commit it."
 
 # Propagation micro-benchmark: the cycle-heavy `cyclic` profile across a
@@ -63,7 +76,9 @@ bench-prop-compare:
 	$(call bench_gate,BENCH_prop.json,BENCH_prop_delta.md)
 
 # Re-bless the propagation baseline after an intentional change.
-bench-prop-accept: bench-prop
+bench-prop-accept:
+	$(require_clean_tree)
+	$(MAKE) bench-prop
 	@echo "BENCH_prop.json regenerated; review the diff and commit it."
 
 # ---------------------------------------------------------------------

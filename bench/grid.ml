@@ -298,23 +298,24 @@ let table1_block g ~analyses profile =
 
 (* A per-cell stats record for table1_stats.json: the Run_stats bundle
    plus the per-edge-kind solver spans of finished cells, the abort
-   payload of timed-out ones. *)
+   payload of timed-out ones.  Spans are sorted by name, not by seconds,
+   so a re-bless moves only the numbers that changed. *)
 let cell_stats_json benchmark analysis = function
   | Done r -> (
     let spans =
-      List.filter_map
-        (fun (s : Trace.stat) ->
-          if String.equal s.Trace.stat_cat "solver" then
-            Some
-              (Json.Obj
-                 [
-                   ("name", Json.String s.Trace.stat_name);
-                   ("events", Json.Int s.Trace.events);
-                   ("delta", Json.Int s.Trace.delta);
-                   ("seconds", Json.Float s.Trace.seconds);
-                 ])
-          else None)
+      List.filter
+        (fun (s : Trace.stat) -> String.equal s.Trace.stat_cat "solver")
         r.trace
+      |> List.sort (fun (a : Trace.stat) b ->
+             String.compare a.Trace.stat_name b.Trace.stat_name)
+      |> List.map (fun (s : Trace.stat) ->
+             Json.Obj
+               [
+                 ("name", Json.String s.Trace.stat_name);
+                 ("events", Json.Int s.Trace.events);
+                 ("delta", Json.Int s.Trace.delta);
+                 ("seconds", Json.Float s.Trace.seconds);
+               ])
     in
     match Run_stats.to_json r.stats with
     | Json.Obj fields ->

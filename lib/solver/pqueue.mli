@@ -9,7 +9,19 @@
 
     Not a stable total order — it doesn't need to be: the solver's
     fixpoint is confluent, and determinism only requires that the pop
-    sequence be a pure function of the push sequence, which it is. *)
+    sequence be a pure function of the push sequence, which it is.
+
+    Storage: every entry is a [[next; value]] pair in one [int] arena,
+    recycled through a free list, and a bucket is the index of its
+    newest entry, so a push allocates nothing once the arena has grown.
+    A two-level occupancy bitmap (one bit per bucket, one summary bit
+    per 32-bucket bitmap word) locates the lowest nonempty bucket: [pop]
+    reads one summary word and one bitmap word and takes each one's
+    lowest set bit by a de Bruijn multiply.  A push below the last
+    popped priority (a rewind) therefore costs no scan over the empty
+    buckets in between; only wholly empty runs of 1024 buckets are
+    stepped over, one word read each.  The solver drops the whole queue
+    after a complete solve. *)
 
 type t
 

@@ -115,7 +115,7 @@ type t = {
   mutable copy_edges_total : int;
   mutable scc_threshold : int;
   (* worklists *)
-  pq : Pqueue.t;
+  mutable pq : Pqueue.t;
   meth_queue : (Meth_id.t * Ctx.id) Queue.t;
   (* facts *)
   reachable : Inttbl.t;  (* set of (meth, ctx) *)
@@ -924,11 +924,12 @@ let census st =
 
 (* A drained worklist leaves every pending set empty and every flag
    clear, and no priority is read again: a complete solve drops those
-   three arrays. *)
+   three arrays and the queue's storage. *)
 let release_worklist st =
   st.pending <- Chunked.create Intset.empty;
   st.prio <- Chunked.create 0;
-  st.queued <- Bytes.empty
+  st.queued <- Bytes.empty;
+  st.pq <- Pqueue.create ()
 
 let solve_outcome ?(config = Config.default) program strategy =
   let trace = config.Config.trace in

@@ -316,6 +316,41 @@ let var_points_to_test w () =
       end);
   Alcotest.(check bool) "some method is unreachable" true (!unreachable_vars > 0)
 
+(* The goldens pin what the solver derives, not the order it visits
+   nodes in.  These counters depend on the worklist's pop sequence: a
+   queue that pops a different entry first changes the iteration count,
+   the deltas, the collapse points and the stale entries skipped. *)
+let pop_order_pins =
+  (* (workload, analysis, (iterations, n_nodes, delta_total,
+     sccs_collapsed, nodes_unified, stale_skipped)) *)
+  [
+    ("cyclic", "1call", (614026, 54105, 3036297, 318, 3958, 102));
+    ("antlr", "S-2obj+H", (36882, 34706, 43459, 72, 203, 0));
+  ]
+
+let pop_order_test (workload, analysis, expected) () =
+  let program =
+    Pta_workloads.Workloads.program
+      (Option.get (Pta_workloads.Profile.by_name workload))
+  in
+  let factory = Option.get (Pta_context.Strategies.by_name analysis) in
+  let config = Solver.Config.make () in
+  let st = Solver.solve ~config program (factory program) in
+  let actual =
+    ( Pta_obs.Budget.iterations config.Solver.Config.budget,
+      Solver.n_nodes st,
+      Solver.delta_total st,
+      Solver.sccs_collapsed st,
+      Solver.nodes_unified st,
+      Solver.stale_skipped st )
+  in
+  if actual <> expected then
+    let p (a, b, c, d, e, f) =
+      Printf.sprintf "(%d, %d, %d, %d, %d, %d)" a b c d e f
+    in
+    Alcotest.failf "%s/%s: pinned %s, got %s" workload analysis (p expected)
+      (p actual)
+
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
@@ -348,3 +383,9 @@ let tests =
           (Printf.sprintf "var_points_to = iteration: %s" w)
           `Quick (var_points_to_test w))
       [ "tiny"; "antlr" ]
+  @ List.map
+      (fun ((w, a, _) as pin) ->
+        Alcotest.test_case
+          (Printf.sprintf "pop order pinned by counters: %s/%s" w a)
+          `Slow (pop_order_test pin))
+      pop_order_pins

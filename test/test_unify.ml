@@ -276,7 +276,92 @@ let model_tests =
            && Pqueue.length q = List.length !model));
   ]
 
+(* Exact model: the queue as a list of (priority, push number, value).
+   [pop] must return the value of the newest entry of the lowest
+   priority present.  Priorities span [0, 2^20), so the queue grows
+   through many bitmap words; pushes below the last popped priority
+   rewind the search, and small values and repeated pushes make
+   duplicate entries. *)
+let exact_model_tests =
+  let max_prio = 1 lsl 20 in
+  (* lowest priority first, then the latest push number *)
+  let order (p, n, _) (p', n', _) = if p <> p' then compare p p' else compare n' n in
+  let pop_model model =
+    match List.sort order model with
+    | (p, n, v) :: _ -> (p, v, List.filter (fun (_, m, _) -> m <> n) model)
+    | [] -> assert false
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"pq: pops match a list model (newest of the lowest priority)"
+         QCheck.(
+           list_of_size
+             Gen.(int_bound 400)
+             (frequency
+                [
+                  ( 4,
+                    map
+                      (fun (p, v) -> `Push (p, v))
+                      (pair (int_bound (max_prio - 1)) (int_bound 7)) );
+                  ( 4,
+                    map
+                      (fun (d, v) -> `Push_below (d, v))
+                      (pair (int_bound (max_prio - 1)) (int_bound 7)) );
+                  (2, always `Push_again);
+                  (7, always `Pop);
+                  (1, always `Clear);
+                ]))
+         (fun ops ->
+           let q = Pqueue.create () in
+           let model = ref [] in
+           let pushes = ref 0 in
+           let last_popped = ref 0 in
+           let last_push = ref (0, 0) in
+           let push p v =
+             incr pushes;
+             last_push := (p, v);
+             Pqueue.push q ~prio:p v;
+             model := (p, !pushes, v) :: !model
+           in
+           List.for_all
+             (fun op ->
+               (match op with
+               | `Push (p, v) -> push p v
+               | `Push_below (d, v) ->
+                 push (if !last_popped = 0 then 0 else d mod !last_popped) v
+               | `Push_again ->
+                 let p, v = !last_push in
+                 push p v
+               | `Pop -> ()
+               | `Clear ->
+                 Pqueue.clear q;
+                 model := []);
+               (match op with
+               | `Pop when !model <> [] ->
+                 let p, v, rest = pop_model !model in
+                 model := rest;
+                 last_popped := p;
+                 Pqueue.pop q = v
+               | _ -> true)
+               && Pqueue.length q = List.length !model)
+             ops
+           && List.map (fun (_, _, v) -> v) (List.sort order !model) = drain q));
+    Alcotest.test_case "pq: a pop after a rewind crosses 300,000 empty buckets"
+      `Quick (fun () ->
+        let q = Pqueue.create () in
+        Pqueue.push q ~prio:120_000 1;
+        Pqueue.push q ~prio:320_000 2;
+        Alcotest.(check int) "first" 1 (Pqueue.pop q);
+        (* Rewind far below the last pop and drain the rewound bucket:
+           the next pop must find the only entry, 320,000 buckets up. *)
+        Pqueue.push q ~prio:3 3;
+        Alcotest.(check int) "rewound" 3 (Pqueue.pop q);
+        Alcotest.(check int) "far" 2 (Pqueue.pop q);
+        Alcotest.(check bool) "empty" true (Pqueue.is_empty q));
+  ]
+
 let tests =
   unit_tests
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
-  @ pqueue_tests @ model_tests
+  @ pqueue_tests @ model_tests @ exact_model_tests
