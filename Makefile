@@ -1,8 +1,7 @@
 # Convenience targets; everything here is a thin wrapper over dune.
 
 .PHONY: all build test bench bench-compare bench-accept bench-prop \
-	bench-prop-compare bench-prop-accept bench-history-append \
-	bench-trend bench-trend-check
+	bench-prop-compare bench-prop-accept
 
 all: build
 
@@ -80,23 +79,3 @@ bench-prop-accept:
 	$(require_clean_tree)
 	$(MAKE) bench-prop
 	@echo "BENCH_prop.json regenerated; review the diff and commit it."
-
-# ---------------------------------------------------------------------
-# Perf trajectory: the bench-history ledger and trend report
-# ---------------------------------------------------------------------
-
-# Archive the current BENCH_table1.json as one ledger record.
-bench-history-append:
-	dune exec bin/pointsto.exe -- bench history append \
-	  --ledger bench/history.jsonl --snapshot BENCH_table1.json --now
-
-# Render the static trend report (HTML + SVG sparklines) into _trend/.
-bench-trend:
-	dune exec bin/pointsto.exe -- bench trend \
-	  --ledger bench/history.jsonl -o _trend
-
-# Gate the latest ledger record against its own history (exit 4 on a
-# flagged cell).
-bench-trend-check:
-	dune exec bin/pointsto.exe -- bench trend \
-	  --ledger bench/history.jsonl --check

@@ -51,7 +51,6 @@ type measured = {
   stats : Run_stats.t;  (* of the first, instrumented solve *)
   trace : Trace.stat list;  (* its trace profile *)
   census : Census.component list;  (* its solved state's census *)
-  hist : Snapshot.hist;  (* all three solve times *)
   methods : int;  (* IR methods of the program *)
 }
 
@@ -94,7 +93,6 @@ let measure r =
            stats = Option.get r1.Driver.stats;
            trace = Trace.profile trace;
            census;
-           hist = Snapshot.hist_of_times times;
            methods = Ir.Program.n_meths program;
          })
 
@@ -196,7 +194,6 @@ let snapshot_cell benchmark analysis = function
       nodes = Some r.stats.Run_stats.n_nodes;
       peak_heap_words =
         Some r.stats.Run_stats.memory.Pta_obs.Memstats.peak_heap_words;
-      time_hist = Some r.hist;
       heap_components = r.census;
     }
   | Timed_out abort ->
@@ -208,7 +205,6 @@ let snapshot_cell benchmark analysis = function
       iterations = abort.Budget.iterations;
       nodes = Some abort.Budget.nodes;
       peak_heap_words = None;
-      time_hist = None;
       heap_components = [];
     }
 
@@ -731,9 +727,8 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds
-    ~delta_md ~snapshot_out =
+    ~delta_md =
   let current = snapshot g ~benchmarks ~analyses in
-  Option.iter (fun path -> write_snapshot path current) snapshot_out;
   if baseline.Snapshot.timeout_s <> g.timeout_s then
     Printf.eprintf
       "[bench] warning: baseline timeout %.0fs != current %.0fs; timeout \

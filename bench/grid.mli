@@ -4,8 +4,8 @@
     times — is measured in a fresh [pointsto bench cell] process
     ({!child}) that marshals its outcome back, so a cell's figures, its
     peak heap included, do not depend on the cells run before it.  The
-    commands print to stdout; [table1], [propbench] and [compare
-    ~snapshot_out] also write files to the working directory. *)
+    commands print to stdout; [table1] and [propbench] also write files
+    to the working directory. *)
 
 module Profile := Pta_workloads.Profile
 module Snapshot := Pta_report.Bench_snapshot
@@ -53,9 +53,7 @@ val compare :
   analyses:string list ->
   thresholds:Snapshot.thresholds ->
   delta_md:string option ->
-  snapshot_out:string option ->
   bool
-(** Measure [benchmarks] x [analyses], write the snapshot to
-    [snapshot_out] if given, gate it against the same cells of
-    [baseline], print the report (and write it as Markdown to
+(** Measure [benchmarks] x [analyses], gate them against the same cells
+    of [baseline], print the report (and write it as Markdown to
     [delta_md]), and return whether any cell regressed. *)

@@ -15,11 +15,8 @@
                   (per-component retained/unshared words, set-sharing
                   factor), or gate it against a blessed census JSON
      bench      — the paper's evaluation grids (table1, figure3, summary,
-                  ablation, futurework, scaling, propbench, micro, all),
-                  the snapshot regression gate (compare), and the
-                  bench-history ledger: history append/list/show, trend
-                  (report + --check gate), bisect (first bad ledger
-                  record, optional git handoff)
+                  ablation, futurework, scaling, propbench, micro, all)
+                  and the snapshot regression gate (compare)
      version    — print the build stamp (commit, OCaml version, profile)
 
    All subcommands share the exit-code contract enforced by
@@ -40,11 +37,6 @@ module Trace = Pta_obs.Trace
 module Census = Pta_obs.Census
 module Version = Pta_version.Version
 module Snapshot = Pta_report.Bench_snapshot
-module Trend_page = Pta_report.Trend_page
-module Hrecord = Pta_bench_history.Record
-module Hledger = Pta_bench_history.Ledger
-module Htrend = Pta_bench_history.Trend
-module Hbisect = Pta_bench_history.Bisect
 module Grid = Pta_bench.Grid
 module Profile = Pta_workloads.Profile
 open Cmdliner
@@ -866,8 +858,8 @@ let heapmap_cmd =
          byte-deterministic: two runs on the same input produce \
          cmp-identical JSON.  $(b,--compare) gates the fresh census \
          against a blessed one, flagging components whose retained words \
-         grew beyond the tolerance — the one-shot form of the per-component \
-         check that $(b,bench trend --check) applies over the ledger.";
+         grew beyond the tolerance — the per-component check that \
+         $(b,bench compare) applies to every snapshot cell.";
     ]
   in
   Cmd.v
@@ -877,82 +869,40 @@ let heapmap_cmd =
       $ format_arg $ output_arg $ compare_arg $ tol_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench: the perf-trajectory commands                                  *)
+(* bench: the evaluation grids and the regression gate                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The bench commands report timeouts as table entries and regressions
    as verdicts, so they have their own exit vocabulary. *)
 let bench_exits =
   [
-    Cmd.Exit.info 1
-      ~doc:"($(b,bisect)) when the latest ledger record is within threshold \
-            — there is nothing to bisect.";
     Cmd.Exit.info 2
-      ~doc:"on a missing, corrupt or unsupported ledger or snapshot, an \
-            unknown benchmark or analysis, or a malformed argument.";
+      ~doc:"on a missing, corrupt or unsupported snapshot, an unknown \
+            benchmark or analysis, or a malformed argument.";
     Cmd.Exit.info 4
-      ~doc:"($(b,compare)) when any cell regressed against the baseline; \
-            ($(b,trend --check)) when any cell of the latest record is \
-            flagged as a regression.";
+      ~doc:"($(b,compare)) when any cell regressed against the baseline.";
   ]
   @ Cmd.Exit.defaults
-
-let load_ledger path =
-  match Hledger.load path with Ok rs -> rs | Error e -> fail_usage "%s" e
 
 let load_snapshot path =
   match Snapshot.of_string (read_file path) with
   | Ok s -> s
   | Error e -> fail_usage "%s: %s" path e
 
-let rec ensure_dir d =
-  if not (Sys.file_exists d) then begin
-    ensure_dir (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let ledger_arg =
-  let doc = "The bench-history ledger (JSONL, one record per line)." in
-  Arg.(
-    value & opt string "bench/history.jsonl"
-    & info [ "ledger" ] ~docv:"FILE" ~doc)
-
-(* Detection parameters, shared by compare, trend and bisect. *)
-let window_arg =
-  let doc = "Sliding-window length: finished observations per cell." in
-  Arg.(value & opt int Htrend.default_params.Htrend.window
-       & info [ "window" ] ~docv:"N" ~doc)
-
-let min_points_arg =
-  let doc = "Observations required before the changepoint test fires." in
-  Arg.(value & opt int Htrend.default_params.Htrend.min_points
-       & info [ "min-points" ] ~docv:"N" ~doc)
-
-let mad_k_arg =
-  let doc = "MAD multiplier: flag values above median + $(docv)*1.4826*MAD." in
-  Arg.(value & opt float Htrend.default_params.Htrend.mad_k
-       & info [ "mad-k" ] ~docv:"K" ~doc)
-
 let time_tol_arg =
-  let doc =
-    "Time tolerance, percent over the baseline cell ($(b,compare)) or the \
-     window median ($(b,trend), $(b,bisect))."
-  in
+  let doc = "Time tolerance, percent over the baseline cell." in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.time_tol_pct
        & info [ "time-tol" ] ~docv:"PCT" ~doc)
 
 let heap_tol_arg =
-  let doc =
-    "Peak-heap tolerance, percent over the baseline cell or the window \
-     median."
-  in
+  let doc = "Peak-heap tolerance, percent over the baseline cell." in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.heap_tol_pct
        & info [ "heap-tol" ] ~docv:"PCT" ~doc)
 
 let heap_component_tol_arg =
   let doc =
     "Per-census-component retained-heap tolerance, percent over the \
-     baseline cell or the window median."
+     baseline cell."
   in
   Arg.(
     value
@@ -961,8 +911,8 @@ let heap_component_tol_arg =
 
 let min_time_arg =
   let doc =
-    "Noise floor: skip the time check when the baseline cell or the window \
-     median is below $(docv) seconds."
+    "Noise floor: skip the time check when the baseline cell is below \
+     $(docv) seconds."
   in
   Arg.(value & opt float Snapshot.default_thresholds.Snapshot.min_time_s
        & info [ "min-time" ] ~docv:"SECONDS" ~doc)
@@ -974,287 +924,6 @@ let thresholds_term =
   Term.(
     const make $ time_tol_arg $ heap_tol_arg $ heap_component_tol_arg
     $ min_time_arg)
-
-let params_term =
-  let make window min_points mad_k tolerances =
-    { Htrend.window; min_points; mad_k; tolerances }
-  in
-  Term.(
-    const make $ window_arg $ min_points_arg $ mad_k_arg $ thresholds_term)
-
-let history_append_cmd =
-  let snapshot_arg =
-    let doc =
-      "The benchmark snapshot to append (e.g. $(b,BENCH_table1.json), or the \
-       file written by $(b,bench compare --snapshot-out))."
-    in
-    Arg.(
-      required & opt (some string) None
-      & info [ "snapshot" ] ~docv:"FILE" ~doc)
-  in
-  let note_arg =
-    let doc = "Free-form provenance note stored in the record (e.g. $(b,ci))." in
-    Arg.(value & opt (some string) None & info [ "note" ] ~docv:"TEXT" ~doc)
-  in
-  let timestamp_arg =
-    let doc = "Record timestamp as unix seconds (omitted = no timestamp)." in
-    Arg.(value & opt (some float) None & info [ "timestamp" ] ~docv:"SECONDS" ~doc)
-  in
-  let now_arg =
-    let doc = "Stamp the record with the current time." in
-    Arg.(value & flag & info [ "now" ] ~doc)
-  in
-  let run ledger snapshot note timestamp now =
-    let snap = load_snapshot snapshot in
-    let timestamp = if now then Some (Unix.time ()) else timestamp in
-    let record =
-      match
-        Hrecord.of_snapshot ~seq:0 ?timestamp ?note
-          ~host:(Hrecord.current_host ()) snap
-      with
-      | Ok r -> r
-      | Error e -> fail_usage "%s: %s" snapshot e
-    in
-    match Hledger.append ~path:ledger record with
-    | Ok r -> print_endline (Hledger.describe r)
-    | Error e -> fail_usage "%s" e
-  in
-  let doc =
-    "Validate the ledger and append one record derived from a benchmark \
-     snapshot.  The record's build stamp comes from the snapshot's own \
-     $(b,pointsto) field — the binary that measured — and is mandatory; the \
-     host fingerprint honours $(b,PTA_BENCH_HOST)."
-  in
-  Cmd.v
-    (Cmd.info "append" ~doc ~exits:bench_exits)
-    Term.(
-      const run $ ledger_arg $ snapshot_arg $ note_arg $ timestamp_arg
-      $ now_arg)
-
-let history_list_cmd =
-  let run ledger =
-    List.iter (fun r -> print_endline (Hledger.describe r)) (load_ledger ledger)
-  in
-  let doc = "List the ledger, one line per record (seq, build, host, cells)." in
-  Cmd.v (Cmd.info "list" ~doc ~exits:bench_exits) Term.(const run $ ledger_arg)
-
-let history_show_cmd =
-  let seq_arg =
-    let doc = "Record to show (default: the latest)." in
-    Arg.(value & pos 0 (some int) None & info [] ~docv:"SEQ" ~doc)
-  in
-  let run ledger seq =
-    let records = load_ledger ledger in
-    let record =
-      match seq with
-      | None -> (
-        match List.rev records with
-        | r :: _ -> r
-        | [] -> fail_usage "%s: empty ledger" ledger)
-      | Some s -> (
-        match List.find_opt (fun r -> r.Hrecord.seq = s) records with
-        | Some r -> r
-        | None -> fail_usage "%s: no record with seq %d" ledger s)
-    in
-    print_endline (Json.to_string (Hrecord.to_json record))
-  in
-  let doc = "Print one ledger record as JSON." in
-  Cmd.v
-    (Cmd.info "show" ~doc ~exits:bench_exits)
-    Term.(const run $ ledger_arg $ seq_arg)
-
-let history_cmd =
-  let doc = "Inspect and append to the bench-history ledger." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "The ledger is an append-only JSONL file (one JSON record per line, \
-         schema-versioned) accumulating one record per benchmark run: build \
-         stamp (commit, dirty flag, OCaml version, dune profile), host \
-         fingerprint, and per-cell wall time, iterations, supergraph nodes, \
-         peak heap and a solve-time histogram.  Loading is strict — a \
-         corrupt line or a record from an unsupported schema refuses the \
-         whole ledger rather than silently skipping.";
-    ]
-  in
-  Cmd.group
-    (Cmd.info "history" ~doc ~man ~exits:bench_exits)
-    [ history_append_cmd; history_list_cmd; history_show_cmd ]
-
-let trend_cmd =
-  let out_arg =
-    let doc =
-      "Write the static trend report (index.html plus one SVG sparkline per \
-       cell and metric) into $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR" ~doc)
-  in
-  let check_arg =
-    let doc =
-      "Gate the latest record: flag any cell whose time or peak heap \
-       crosses its sliding-window median + MAD threshold (or that newly \
-       timed out), and exit 4 if anything is flagged."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let run ledger out check params =
-    let records = load_ledger ledger in
-    let page = Htrend.page ~params ~ledger records in
-    (match out with
-    | None -> ()
-    | Some dir ->
-      ensure_dir dir;
-      let files = Trend_page.render page in
-      List.iter
-        (fun (name, contents) ->
-          Session.write_file (Filename.concat dir name) contents)
-        files;
-      Printf.printf "wrote %d files to %s\n" (List.length files) dir);
-    print_endline page.Trend_page.p_subtitle;
-    if check then
-      match Htrend.check_latest ~params records with
-      | Error e -> fail_usage "%s" e
-      | Ok [] -> print_endline "trend check: latest record within thresholds"
-      | Ok flags ->
-        List.iter
-          (fun f -> Format.printf "FLAGGED %a@." Htrend.pp_flag f)
-          flags;
-        Printf.printf "trend check: %d flag(s) on the latest record\n"
-          (List.length flags);
-        exit 4
-  in
-  let doc =
-    "Render the perf-trend report from the ledger and optionally gate the \
-     latest record against its own history."
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "The report is byte-deterministic: rendering the same ledger twice \
-         produces cmp-identical HTML and SVG, so CI can cache and diff the \
-         artifact.  The changepoint check is robust (median + MAD over a \
-         sliding window of finished observations) with the same tolerance \
-         floors as $(b,bench compare); cells with fewer \
-         than $(b,--min-points) observations pass, so newly added analyses \
-         are not flagged while their history accumulates.  A record is \
-         judged only against earlier records measured on the same host.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "trend" ~doc ~man ~exits:bench_exits)
-    Term.(const run $ ledger_arg $ out_arg $ check_arg $ params_term)
-
-let bisect_cmd =
-  let cell_arg =
-    let doc = "The cell to bisect, as $(i,BENCHMARK)/$(i,ANALYSIS)." in
-    Arg.(
-      required & opt (some string) None & info [ "cell" ] ~docv:"B/A" ~doc)
-  in
-  let metric_arg =
-    let doc =
-      "Metric to bisect: $(b,time), $(b,heap), or \
-       $(b,heap:)$(i,COMPONENT) for one census component's retained words."
-    in
-    let metric_conv =
-      Arg.conv
-        ( (fun s ->
-            match Htrend.metric_of_string s with
-            | Ok m -> Ok m
-            | Error e -> Error (`Msg e)),
-          fun ppf m -> Format.pp_print_string ppf (Htrend.metric_name m) )
-    in
-    Arg.(value & opt metric_conv Htrend.Time & info [ "metric" ] ~docv:"METRIC" ~doc)
-  in
-  let git_arg =
-    let doc =
-      "Also emit a $(b,git bisect run) script spanning the last-good and \
-       first-bad commits, re-measuring just this cell per step."
-    in
-    Arg.(value & flag & info [ "git" ] ~doc)
-  in
-  let script_out_arg =
-    let doc = "Where to write the git-bisect script ($(b,-) = stdout)." in
-    Arg.(value & opt string "-" & info [ "script-out" ] ~docv:"FILE" ~doc)
-  in
-  let baseline_out_arg =
-    let doc =
-      "Where to write the single-cell baseline snapshot the script compares \
-       against (reconstructed from the last-good record)."
-    in
-    Arg.(
-      value
-      & opt string "BENCH_bisect_baseline.json"
-      & info [ "baseline-out" ] ~docv:"FILE" ~doc)
-  in
-  let run ledger cell metric git script_out baseline_out params =
-    let benchmark, analysis =
-      match String.index_opt cell '/' with
-      | Some i ->
-        ( String.sub cell 0 i,
-          String.sub cell (i + 1) (String.length cell - i - 1) )
-      | None -> fail_usage "--cell expects BENCHMARK/ANALYSIS, got %S" cell
-    in
-    let records = load_ledger ledger in
-    match Hbisect.run ~params ~metric ~benchmark ~analysis records with
-    | Error e -> fail_usage "%s" e
-    | Ok None ->
-      Printf.printf
-        "%s/%s: latest record is within the anchor threshold; nothing to \
-         bisect\n"
-        benchmark analysis;
-      exit 1
-    | Ok (Some o) ->
-      Format.printf "%a@." Hbisect.pp_outcome o;
-      if git then begin
-        let good =
-          match o.Hbisect.last_good with
-          | Some g -> g
-          | None -> fail_usage "no good record to baseline the git run on"
-        in
-        let snap =
-          match Hbisect.baseline_snapshot good ~benchmark ~analysis with
-          | Ok s -> s
-          | Error e -> fail_usage "%s" e
-        in
-        match Hbisect.git_script o ~ledger ~baseline_file:baseline_out with
-        | Error e -> fail_usage "%s" e
-        | Ok script ->
-          Session.write_file baseline_out (Json.to_string (Snapshot.to_json snap));
-          write_output script_out script;
-          if not (String.equal script_out "-") then
-            Printf.printf "wrote %s and %s; inspect, then run the script\n"
-              script_out baseline_out
-      end
-  in
-  let doc =
-    "Find the first ledger record at which a cell crossed its regression \
-     threshold, and optionally hand off to $(b,git bisect)."
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "The anchor baseline is the median + MAD threshold of the cell's \
-         first $(b,--window) finished observations; a record is bad when \
-         its value exceeds that threshold (or it times out).  Against a \
-         step regression the predicate is monotone, so binary search finds \
-         the boundary in O(log n) probes — each probe is reported, so a \
-         noisy history shows up in the log instead of being silently \
-         misattributed.  When the ledger is sparse (many commits between \
-         the last-good and first-bad records), $(b,--git) narrows further: \
-         it emits a $(b,git bisect run) recipe re-measuring just this cell \
-         per candidate commit against a baseline snapshot reconstructed \
-         from the last-good record.  The script is written for inspection, \
-         never executed by this command.";
-    ]
-  in
-  Cmd.v
-    (Cmd.info "bisect" ~doc ~man ~exits:bench_exits)
-    Term.(
-      const run $ ledger_arg $ cell_arg $ metric_arg $ git_arg
-      $ script_out_arg $ baseline_out_arg $ params_term)
 
 (* The evaluation grids.  Every cell runs in its own [bench cell]
    process (see [Pta_bench.Grid]). *)
@@ -1392,15 +1061,7 @@ let compare_bench_cmd =
     let doc = "Also write the per-cell delta table as Markdown to $(docv)." in
     Arg.(value & opt (some string) None & info [ "delta-md" ] ~docv:"FILE" ~doc)
   in
-  let snapshot_out_arg =
-    let doc =
-      "Write the measured snapshot to $(docv) before the verdict, so a \
-       regressed run can still be archived with $(b,history append)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "snapshot-out" ] ~docv:"FILE" ~doc)
-  in
-  let run g baseline_file bs xs thresholds delta_md snapshot_out =
+  let run g baseline_file bs xs thresholds delta_md =
     let baseline = load_snapshot baseline_file in
     (* By default, the baseline's own benchmarks and analyses, in
        first-appearance order. *)
@@ -1421,7 +1082,7 @@ let compare_bench_cmd =
         ~analyses:
           (analyses_of ~default:[]
              (or_baseline (fun c -> c.Snapshot.analysis) xs))
-        ~thresholds ~delta_md ~snapshot_out
+        ~thresholds ~delta_md
     in
     if failed then exit 4
   in
@@ -1431,7 +1092,7 @@ let compare_bench_cmd =
      is slower, fatter or newly timed out beyond the tolerances."
     Term.(
       const run $ grid_term $ baseline_arg $ benchmarks_arg $ analyses_arg
-      $ thresholds_term $ delta_md_arg $ snapshot_out_arg)
+      $ thresholds_term $ delta_md_arg)
 
 let cell_cmd =
   grid_cmd "cell"
@@ -1440,24 +1101,21 @@ let cell_cmd =
     Term.(const Grid.child $ const ())
 
 let bench_cmd =
-  let doc =
-    "The paper's evaluation grids, the snapshot regression gate, and the \
-     perf trajectory over time: the bench-history ledger, trend report and \
-     auto-bisect."
-  in
+  let doc = "The paper's evaluation grids and the snapshot regression gate." in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Every grid cell runs in a fresh process, so its peak heap does not \
-         depend on the cells before it.  Workflow: $(b,table1) or \
-         $(b,propbench) writes a snapshot, and $(b,compare --snapshot-out) \
-         writes one while gating; $(b,history append) archives a snapshot \
-         as one ledger record; $(b,trend) renders sparklines over the \
-         accumulated records and $(b,trend --check) gates the latest one \
-         against its own history; when a regression is flagged, \
-         $(b,bisect) locates the first bad record and can hand off to \
-         $(b,git bisect) to narrow it to a commit.";
+         depend on the cells before it.  $(b,table1) and $(b,propbench) \
+         write a snapshot; $(b,compare --baseline) $(i,FILE) re-measures \
+         the snapshot's cells and exits 4 on a regression.";
+      `P
+        "The committed baselines are the performance record: \
+         $(b,git log -p BENCH_table1.json) is the trajectory, and \
+         $(b,git bisect run) over $(b,bench compare --baseline) \
+         $(i,GOOD.json) $(b,--benchmarks) $(i,B) $(b,--analyses) $(i,A) \
+         finds the commit at which one cell regressed.";
     ]
   in
   Cmd.group
@@ -1465,7 +1123,7 @@ let bench_cmd =
     [
       table1_cmd; figure3_cmd; summary_cmd; ablation_cmd; futurework_cmd;
       scaling_cmd; propbench_cmd; micro_cmd; all_cmd; compare_bench_cmd;
-      cell_cmd; history_cmd; trend_cmd; bisect_cmd;
+      cell_cmd;
     ]
 
 let version_cmd =

@@ -46,7 +46,7 @@ let stats_json_arg =
     "Write run statistics (wall time, iterations, nodes, edges, contexts, \
      abstract objects, sensitive var-points-to size, per-phase timings) as \
      JSON to $(docv), or to stdout if $(docv) is $(b,-) (the human-readable \
-     report then goes to stderr)."
+     report then goes to stderr; $(b,--trace) must then name a file)."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
@@ -139,9 +139,17 @@ type _ engine =
   | Native : Driver.run engine
   | Datalog : Refimpl.t engine  (** the reference Datalog rules *)
 
-(* Exits 1 on a frontend error.  [trace] replaces the sink [--trace]
-   would create, for a subcommand that always records. *)
+(* Exits 1 on a frontend error, and 2 when [--stats-json] and [--trace]
+   both claim stdout: two JSON documents back to back parse as neither.
+   [trace] replaces the sink [--trace] would create, for a subcommand
+   that always records. *)
 let load ?trace flags =
+  if flags.stats_json = Some "-" && flags.trace_file = Some "-" then begin
+    prerr_endline
+      "pointsto: --stats-json and --trace cannot both write to stdout (-); \
+       send one of them to a file";
+    exit 2
+  end;
   let clock = Clock.create () in
   let trace =
     match (trace, flags.trace_file) with

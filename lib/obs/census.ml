@@ -195,7 +195,7 @@ let of_json json =
     in
     Ok { word_bytes; process_heap_words; components; set_hist }
 
-(* The snapshot/ledger embedding carries only the component list (the
+(* The snapshot embedding carries only the component list (the
    process-global context of a walk does not belong in a per-cell
    record). *)
 let components_to_json cs = Json.List (List.map component_to_json cs)

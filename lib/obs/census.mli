@@ -83,7 +83,7 @@ val of_json : Json.t -> (t, string) result
 
 val components_to_json : component list -> Json.t
 (** Just the component list — the per-cell embedding used by bench
-    snapshots and ledger records. *)
+    snapshots. *)
 
 val components_of_json_list : Json.t -> (component list, string) result
 

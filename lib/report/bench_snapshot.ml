@@ -3,12 +3,6 @@ module Census = Pta_obs.Census
 
 let current_schema_version = 6
 
-type hist = {
-  bounds : float list;  (* strictly increasing upper bounds, no +Inf *)
-  counts : int list;  (* per-bucket, non-cumulative; last = overflow *)
-  sum : float;
-}
-
 type cell = {
   benchmark : string;
   analysis : string;
@@ -17,7 +11,6 @@ type cell = {
   iterations : int;
   nodes : int option;
   peak_heap_words : int option;
-  time_hist : hist option;
   heap_components : Census.component list;
 }
 
@@ -30,67 +23,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let hist_to_json h =
-  Json.Obj
-    [
-      ("bounds", Json.List (List.map (fun b -> Json.Float b) h.bounds));
-      ("counts", Json.List (List.map (fun n -> Json.Int n) h.counts));
-      ("sum", Json.Float h.sum);
-    ]
-
-(* The solve-time ladder: 1 ms doubling over 24 buckets (about 2.3 h).
-   Bounds come from repeated multiplication, not [pow], so they are
-   bit-identical on every platform; they land in committed ledger
-   records. *)
-let time_bounds =
-  let rec go acc b k =
-    if k = 0 then List.rev acc else go (b :: acc) (b *. 2.) (k - 1)
-  in
-  go [] 0.001 24
-
-let hist_of_times times =
-  let bounds = Array.of_list time_bounds in
-  let counts = Array.make (Array.length bounds + 1) 0 in
-  let sum =
-    List.fold_left
-      (fun sum t ->
-        if not (Float.is_finite t) then sum
-        else begin
-          let i = ref 0 in
-          while !i < Array.length bounds && t > bounds.(!i) do incr i done;
-          counts.(!i) <- counts.(!i) + 1;
-          sum +. t
-        end)
-      0. times
-  in
-  { bounds = time_bounds; counts = Array.to_list counts; sum }
-
-let hist_of_json json =
-  let err what = Error ("time_hist " ^ what) in
-  match
-    ( Option.map (List.filter_map Json.to_float)
-        (Option.bind (Json.member "bounds" json) Json.to_list),
-      Option.map (List.filter_map Json.to_int)
-        (Option.bind (Json.member "counts" json) Json.to_list),
-      Option.bind (Json.member "sum" json) Json.to_float )
-  with
-  | Some bounds, Some counts, Some sum ->
-    if List.length counts <> List.length bounds + 1 then
-      err "counts must have one more entry than bounds"
-    else if List.exists (fun n -> n < 0) counts then
-      err "counts must be non-negative"
-    else if
-      (let rec incr = function
-         | a :: (b :: _ as rest) -> a < b && incr rest
-         | _ -> true
-       in
-       not (incr bounds))
-    then err "bounds must be strictly increasing"
-    else Ok { bounds; counts; sum }
-  | _ -> err "needs bounds, counts and sum"
-
-let hist_count h = List.fold_left ( + ) 0 h.counts
 
 let cell_to_json c =
   Json.Obj
@@ -105,9 +37,6 @@ let cell_to_json c =
     @ (match c.peak_heap_words with
       | None -> []
       | Some w -> [ ("peak_heap_words", Json.Int w) ])
-    @ (match c.time_hist with
-      | None -> []
-      | Some h -> [ ("time_hist", hist_to_json h) ])
     @ (match c.heap_components with
       | [] -> []
       | cs -> [ ("heap_components", Census.components_to_json cs) ]))
@@ -137,11 +66,6 @@ let cell_of_json json =
   let* time_s = field json "time_s" Json.to_float in
   let* iterations = field json "iterations" Json.to_int in
   let opt name conv = Option.bind (Json.member name json) conv in
-  let* time_hist =
-    match Json.member "time_hist" json with
-    | None -> Ok None
-    | Some j -> Result.map Option.some (hist_of_json j)
-  in
   let* heap_components =
     match Json.member "heap_components" json with
     | None -> Ok []
@@ -156,35 +80,32 @@ let cell_of_json json =
       iterations;
       nodes = opt "nodes" Json.to_int;
       peak_heap_words = opt "peak_heap_words" Json.to_int;
-      time_hist;
       heap_components;
     }
-
-let check_schema_version json =
-  let* v = field json "schema_version" Json.to_int in
-  if v = current_schema_version then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "unsupported schema_version %d (this build reads only %d; \
-          regenerate the file)"
-         v current_schema_version)
-
-let cells_of_json json =
-  let* cell_list = field json "cells" Json.to_list in
-  List.fold_right
-    (fun j acc ->
-      let* acc = acc in
-      let* c = cell_of_json j in
-      Ok (c :: acc))
-    cell_list (Ok [])
 
 let of_json json =
   Result.map_error
     (fun e -> "bench snapshot: " ^ e)
-    (let* () = check_schema_version json in
+    (let* v = field json "schema_version" Json.to_int in
+     let* () =
+       if v = current_schema_version then Ok ()
+       else
+         Error
+           (Printf.sprintf
+              "unsupported schema_version %d (this build reads only %d; \
+               regenerate the file)"
+              v current_schema_version)
+     in
      let* timeout_s = field json "timeout_s" Json.to_float in
-     let* cells = cells_of_json json in
+     let* cell_list = field json "cells" Json.to_list in
+     let* cells =
+       List.fold_right
+         (fun j acc ->
+           let* acc = acc in
+           let* c = cell_of_json j in
+           Ok (c :: acc))
+         cell_list (Ok [])
+     in
      Ok { timeout_s; pointsto = Json.member "pointsto" json; cells })
 
 let of_string s =

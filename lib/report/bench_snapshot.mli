@@ -3,23 +3,15 @@
 
     A snapshot holds one {!cell} per (benchmark, analysis): the best of
     three timed solves, the instrumented solve's iterations,
-    supergraph nodes and peak major heap, the distribution of the timed
-    solves, and the census of the solved state.  Bench-history ledger
-    records ({!Pta_bench_history.Record}) carry the same cells under the
-    same {!current_schema_version}; {!of_json} and the record reader
-    refuse every other version, naming it. *)
+    supergraph nodes and peak major heap, and the census of the solved
+    state.  {!of_json} refuses every [schema_version] but
+    {!current_schema_version}, naming it, and ignores fields it does not
+    know. *)
 
 module Json := Pta_obs.Json
 
 val current_schema_version : int
-(** 6, shared by snapshots and ledger records. *)
-
-type hist = {
-  bounds : float list;  (** strictly increasing upper bounds, no +Inf *)
-  counts : int list;  (** per-bucket, non-cumulative; last = overflow *)
-  sum : float;
-}
-(** A serialised latency histogram, [le] bucket semantics. *)
+(** 6. *)
 
 type cell = {
   benchmark : string;
@@ -30,7 +22,6 @@ type cell = {
   nodes : int option;  (** supergraph nodes (also at abort) *)
   peak_heap_words : int option;
       (** major-heap peak of the instrumented solve; [None] on timeouts *)
-  time_hist : hist option;  (** per-run solve-time distribution *)
   heap_components : Pta_obs.Census.component list;
       (** reachable-heap census components; [[]] when absent *)
 }
@@ -44,36 +35,6 @@ type t = {
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val of_string : string -> (t, string) result
-
-(** {1 Shared with the ledger record codec} *)
-
-val check_schema_version : Json.t -> (unit, string) result
-(** [Error] naming the document's [schema_version] unless it is
-    {!current_schema_version}. *)
-
-val cell_to_json : cell -> Json.t
-
-val cells_of_json : Json.t -> (cell list, string) result
-(** The document's ["cells"] list. *)
-
-(** {1 Histogram helpers} *)
-
-val hist_to_json : hist -> Json.t
-
-val hist_of_json : Json.t -> (hist, string) result
-(** Validates shape: [length counts = length bounds + 1], non-negative
-    counts, strictly increasing bounds. *)
-
-val hist_of_times : float list -> hist
-(** Bucket solve times on the fixed ladder of 24 bounds: 1 ms, then
-    each bound twice the last, built by repeated multiplication so the
-    bounds are bit-identical everywhere.  A time lands in the first
-    bucket whose bound it does not exceed, or in the overflow bucket;
-    non-finite times (timed-out runs) are skipped.  [sum] adds the
-    finite times in list order. *)
-
-val hist_count : hist -> int
-(** Total observations. *)
 
 (** {1 Regression comparison} *)
 

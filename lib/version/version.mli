@@ -1,15 +1,15 @@
 (** Build identity: semantic version plus the git commit, a dirty-worktree
     flag, the OCaml compiler version, and the dune profile the binary was
-    built with.  Stamped into [--stats-json] documents, benchmark
-    snapshots and bench-history ledger records so a recorded number can
-    always be traced back to the build that produced it. *)
+    built with.  Stamped into [--stats-json] documents and benchmark
+    snapshots so a recorded number can always be traced back to the
+    build that produced it. *)
 
 val semver : string
 
 (** Short git commit hash, or ["unknown"] outside a checkout.  Carries a
     ["-dirty"] suffix when the worktree had uncommitted changes to
     tracked files at build time — such numbers are not reproducible from
-    the hash alone, and the ledger/trend tooling surfaces the flag. *)
+    the hash alone. *)
 val commit : string
 
 (** The bare hash, without the dirty suffix. *)

@@ -24,7 +24,6 @@ let () =
       ("report", Test_report.tests);
       ("obs", Test_obs.tests);
       ("metrics", Test_metrics.tests);
-      ("history", Test_history.tests);
       ("trace", Test_trace.tests);
       ("stats", Test_stats.tests);
       ("provenance", Test_provenance.tests);

@@ -1,6 +1,6 @@
-(** Tests for the solver's cycle-elimination counters, the histogram
-    ladders behind the census and the bench snapshots, and the bench
-    snapshot codec: round-tripping, version refusal, and the regression
+(** Tests for the solver's cycle-elimination counters, the census's
+    histogram ladder, and the bench snapshot codec: round-tripping,
+    version refusal, the committed baselines, and the regression
     comparator's verdicts. *)
 
 module Snapshot = Pta_report.Bench_snapshot
@@ -61,101 +61,27 @@ let cycle_counters_test () =
          (Solver.node_points_to solver r))
 
 (* ------------------------------------------------------------------ *)
-(* Histogram ladders                                                   *)
+(* Census histogram ladder                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* le semantics: a time equal to a bucket's upper bound lands in that
-   bucket, one past it lands in the next, times beyond the last bound
-   land in the overflow bucket, and non-finite times are skipped. *)
-let histogram_buckets_test () =
-  let h =
-    Snapshot.hist_of_times [ 0.001; 0.002; 0.0021; 0.004; 1e4; infinity; nan ]
-  in
-  let count i = List.nth h.Snapshot.counts i in
-  Alcotest.(check int) "count" 5 (Snapshot.hist_count h);
-  Alcotest.(check int) "le=0.001" 1 (count 0);
-  Alcotest.(check int) "le=0.002" 1 (count 1);
-  Alcotest.(check int) "le=0.004" 2 (count 2);
-  Alcotest.(check int) "overflow" 1 (count 24);
-  Alcotest.(check (float 1e-9)) "sum" 10000.0091 h.Snapshot.sum
-
-(* The census's power-of-two ladder, with the same le semantics. *)
+(* The census's power-of-two ladder, [le] semantics: a value equal to a
+   bucket's upper bound lands in that bucket, one past it lands in the
+   next, values beyond the last bound land in the overflow bucket. *)
 let pow2_buckets_test () =
   Alcotest.(check (list int)) "ladder" [ 1; 2; 4; 8 ] (Census.pow2_bounds 4);
   let h = Census.hist_of_values ~bounds:[ 1; 2; 4 ] [ 1; 2; 3; 4; 5 ] in
   Alcotest.(check (list int)) "per-bucket counts" [ 1; 1; 2; 1 ]
     h.Census.h_counts
 
-(* The solve-time ladder: 1 ms doubling, 24 buckets, ~2.3h ceiling, each
-   bound exactly twice the last. *)
-let exp_buckets_test () =
-  let tb = (Snapshot.hist_of_times []).Snapshot.bounds in
-  Alcotest.(check int) "time ladder length" 24 (List.length tb);
-  Alcotest.(check (float 0.)) "time ladder start" 0.001 (List.hd tb);
-  Alcotest.(check (float 0.)) "time ladder end" 8388.608 (List.nth tb 23);
-  Alcotest.(check bool)
-    "each bound doubles the last" true
-    (List.for_all2
-       (fun a b -> Float.equal b (a *. 2.))
-       (List.filteri (fun i _ -> i < 23) tb)
-       (List.tl tb))
-
-(* The [time_hist] JSON of ledger records and bench snapshots, pinned
-   byte for byte: committed ledger records and BENCH_*.json files carry
-   it, so a new record must bucket and sum exactly as they did. *)
-let histogram_to_hist_test () =
-  let ladder =
-    "[0.001,0.002,0.0040000000000000001,0.0080000000000000002,0.016,\
-     0.032000000000000001,0.064000000000000001,0.128,0.25600000000000001,\
-     0.51200000000000001,1.024,2.048,4.0960000000000001,\
-     8.1920000000000002,16.384,32.768000000000001,65.536000000000001,\
-     131.072,262.14400000000001,524.28800000000001,1048.576,2097.152,\
-     4194.3040000000001,8388.6080000000002]"
-  in
-  List.iter
-    (fun (times, counts, sum) ->
-      Alcotest.(check string)
-        "time_hist JSON"
-        (Printf.sprintf {|{"bounds":%s,"counts":[%s],"sum":%s}|} ladder
-           counts sum)
-        (Json.to_string ~indent:false
-           (Snapshot.hist_to_json (Snapshot.hist_of_times times))))
-    [
-      ( [ 0.0005; 0.001; 0.0015; 0.25; 3.7; 1e5; infinity; 0.002 ],
-        "2,2,0,0,0,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,1",
-        "100003.95499999999" );
-      ( [ 0.1; 0.2; 0.30000000000000004 ],
-        "0,0,0,0,0,0,0,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
-        "0.60000000000000009" );
-      ( [ 1.234; 1.2339; 1.2341 ],
-        "0,0,0,0,0,0,0,0,0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0,0",
-        "3.702" );
-    ];
-  (* codec round-trip, and the codec's shape rejections *)
-  let hist =
-    { Snapshot.bounds = [ 1.; 2.; 4. ]; counts = [ 1; 1; 2; 1 ]; sum = 15. }
-  in
-  (match Snapshot.hist_of_json (Snapshot.hist_to_json hist) with
-  | Ok hist' -> Alcotest.(check bool) "round-trip" true (hist = hist')
-  | Error e -> Alcotest.failf "hist round-trip: %s" e);
-  let reject what h =
-    match Snapshot.hist_of_json (Snapshot.hist_to_json h) with
-    | Ok _ -> Alcotest.failf "%s: unexpectedly accepted" what
-    | Error _ -> ()
-  in
-  reject "length mismatch" { hist with Snapshot.counts = [ 1; 2 ] };
-  reject "negative count" { hist with Snapshot.counts = [ 1; -1; 2; 1 ] };
-  reject "non-increasing bounds" { hist with Snapshot.bounds = [ 1.; 1.; 4. ] }
-
 (* ------------------------------------------------------------------ *)
 (* Bench snapshot codec                                                *)
 (* ------------------------------------------------------------------ *)
 
 let cell ?(timed_out = false) ?(time_s = 1.0) ?(iterations = 100) ?nodes
-    ?peak_heap_words ?time_hist ?(heap_components = []) benchmark analysis =
+    ?peak_heap_words ?(heap_components = []) benchmark analysis =
   {
     Snapshot.benchmark; analysis; timed_out; time_s; iterations; nodes;
-    peak_heap_words; time_hist; heap_components;
+    peak_heap_words; heap_components;
   }
 
 let snap ?pointsto cells = { Snapshot.timeout_s = 60.; pointsto; cells }
@@ -169,15 +95,11 @@ let comps =
   ]
 
 let roundtrip_test () =
-  let hist =
-    { Snapshot.bounds = [ 0.5; 1.0 ]; counts = [ 2; 1; 0 ]; sum = 1.9 }
-  in
   let t =
     snap
       ~pointsto:(Json.Obj [ ("commit", Json.String "abc123") ])
       [
-        cell ~nodes:1234 ~peak_heap_words:8192 ~time_hist:hist
-          ~heap_components:comps
+        cell ~nodes:1234 ~peak_heap_words:8192 ~heap_components:comps
           "antlr" "2obj+H";
         cell ~timed_out:true ~time_s:60.2 ~iterations:999 "bloat" "2obj+H";
       ]
@@ -191,21 +113,16 @@ let roundtrip_test () =
       Alcotest.(check (option int)) "nodes" (Some 1234) c1.Snapshot.nodes;
       Alcotest.(check (option int)) "peak heap survives" (Some 8192)
         c1.Snapshot.peak_heap_words;
-      Alcotest.(check bool) "hist survives" true
-        (c1.Snapshot.time_hist = Some hist);
       Alcotest.(check bool) "components survive" true
         (c1.Snapshot.heap_components = comps);
       Alcotest.(check bool) "absent components read back empty" true
         (c2.Snapshot.heap_components = []);
       Alcotest.(check bool) "timeout cell" true c2.Snapshot.timed_out;
-      Alcotest.(check bool) "timeout cell has no hist" true
-        (c2.Snapshot.time_hist = None);
       Alcotest.(check int) "abort iterations" 999 c2.Snapshot.iterations
     | _ -> Alcotest.fail "wrong cell count")
 
-(* Snapshots and ledger records share one schema version; a document
-   of any other version, older or newer, is refused with an error naming
-   it. *)
+(* A snapshot of any schema version but the current one, older or
+   newer, is refused with an error naming it. *)
 let refused_naming_version v src =
   match Snapshot.of_string src with
   | Ok _ -> Alcotest.failf "schema_version %d accepted" v
@@ -223,8 +140,8 @@ let v1_refused_test () =
         {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
          "time_s": 0.5, "iterations": 42}]}|}
 
-(* v2 (memory block, no hist) and v3 (hist, no heap_components)
-   documents are refused too. *)
+(* v2 (memory block) and v3 (no heap_components) documents are refused
+   too. *)
 let v2_v3_refused_test () =
   refused_naming_version 2
     {|{"schema_version": 2, "timeout_s": 60.0, "cells": [
@@ -237,8 +154,7 @@ let v2_v3_refused_test () =
   refused_naming_version 3
     {|{"schema_version": 3, "timeout_s": 60.0, "cells": [
         {"benchmark": "antlr", "analysis": "insens", "timed_out": false,
-         "time_s": 0.5, "iterations": 42,
-         "time_hist": {"bounds": [1.0], "counts": [1, 0], "sum": 0.5}}]}|}
+         "time_s": 0.5, "iterations": 42}]}|}
 
 let unsupported_schema_test () =
   List.iter
@@ -254,6 +170,24 @@ let unsupported_schema_test () =
   with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "current version refused: %s" e
+
+(* The committed baselines load as they are, fields this build no longer
+   writes included, and survive a re-encode. *)
+let committed_snapshots_test () =
+  List.iter
+    (fun path ->
+      match
+        Snapshot.of_string (In_channel.with_open_bin path In_channel.input_all)
+      with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok t -> (
+        Alcotest.(check bool) (path ^ " has cells") true (t.Snapshot.cells <> []);
+        match Snapshot.of_json (Snapshot.to_json t) with
+        | Error e -> Alcotest.failf "%s re-encoded: %s" path e
+        | Ok t' ->
+          Alcotest.(check bool) (path ^ " re-encodes") true
+            (t'.Snapshot.cells = t.Snapshot.cells)))
+    [ "../BENCH_table1.json"; "../BENCH_prop.json" ]
 
 (* ------------------------------------------------------------------ *)
 (* Regression comparator                                               *)
@@ -380,15 +314,13 @@ let tests =
   [
     Alcotest.test_case "cycle-elimination counters fire" `Quick
       cycle_counters_test;
-    Alcotest.test_case "histogram buckets (le)" `Quick histogram_buckets_test;
     Alcotest.test_case "pow2 buckets" `Quick pow2_buckets_test;
-    Alcotest.test_case "exp buckets" `Quick exp_buckets_test;
-    Alcotest.test_case "histogram to snapshot hist" `Quick
-      histogram_to_hist_test;
     Alcotest.test_case "snapshot round-trip" `Quick roundtrip_test;
     Alcotest.test_case "snapshot v1 refused" `Quick v1_refused_test;
     Alcotest.test_case "snapshot v2/v3 refused" `Quick v2_v3_refused_test;
     Alcotest.test_case "unsupported schema" `Quick unsupported_schema_test;
+    Alcotest.test_case "committed snapshots load" `Quick
+      committed_snapshots_test;
     Alcotest.test_case "time regression verdicts" `Quick
       regression_verdicts_test;
     Alcotest.test_case "heap regression verdict" `Quick heap_verdict_test;
