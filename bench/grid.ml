@@ -23,7 +23,7 @@ let analysis_groups =
     [ "1obj"; "U-1obj"; "SA-1obj"; "SB-1obj" ];
     [ "2obj+H"; "U-2obj+H"; "S-2obj+H" ];
     [ "2type+H"; "U-2type+H"; "S-2type+H" ];
-    [ "CS"; "CS-2obj+H"; "AD-2obj+H" ];
+    [ "CS"; "CS-2obj+H" ];
   ]
 
 let table1_analyses = List.concat analysis_groups
@@ -426,7 +426,7 @@ let figure3_keys =
     ("1call", 'c'); ("1call+H", 'C'); ("1obj", 'o'); ("U-1obj", 'O');
     ("SA-1obj", 'a'); ("SB-1obj", 'b'); ("2obj+H", '2'); ("U-2obj+H", 'U');
     ("S-2obj+H", 'S'); ("2type+H", 't'); ("U-2type+H", 'Y');
-    ("S-2type+H", 's'); ("CS", 'x'); ("CS-2obj+H", 'X'); ("AD-2obj+H", 'd');
+    ("S-2type+H", 's'); ("CS", 'x'); ("CS-2obj+H", 'X');
   ]
 
 let figure3 g ~benchmarks =
@@ -594,19 +594,6 @@ let ablation g =
       (plain [ "2obj+H"; "S-2obj+H"; "X-2obj+IH"; "X-2obj+Hrev"; "X-freemix" ]
       @ [ ("2obj+H/fb", "2obj+H", true) ])
     [ "antlr"; "luindex"; "pmd" ]
-
-let futurework g =
-  print_endline "=== Future work: adaptive constructors (paper Section 6) ===";
-  print_endline
-    "(A-*: MergeStatic/Record inspect the incoming context's form;\n\
-    \ AD-*: per-callee depth dispatch on a hotness oracle;\n\
-    \ CS-*: cut-shortcut — trivial calls threaded through the caller)\n";
-  study g
-    ~subjects:
-      (plain
-         [ "2obj+H"; "S-2obj+H"; "A-2obj+H"; "AD-2obj+H"; "CS-2obj+H";
-           "2type+H"; "S-2type+H"; "A-2type+H" ])
-    [ "antlr"; "jython"; "lusearch" ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling study (extension): how cost grows with program size          *)

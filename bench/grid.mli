@@ -11,8 +11,8 @@ module Profile := Pta_workloads.Profile
 module Snapshot := Pta_report.Bench_snapshot
 
 val table1_analyses : string list
-(** The Table-1 columns: the paper's 12 analyses plus [CS],
-    [CS-2obj+H] and [AD-2obj+H]. *)
+(** The Table-1 columns: the paper's 12 analyses plus [CS] and
+    [CS-2obj+H]. *)
 
 val prop_analyses : string list
 (** The propagation grid's analysis spread. *)
@@ -39,7 +39,6 @@ val propbench : t -> benchmarks:Profile.t list -> analyses:string list -> unit
 val figure3 : t -> benchmarks:Profile.t list -> unit
 val summary : t -> benchmarks:Profile.t list -> unit
 val ablation : t -> unit
-val futurework : t -> unit
 val scaling : t -> unit
 
 val micro : unit -> unit

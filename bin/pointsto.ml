@@ -15,7 +15,7 @@
                   (per-component retained/unshared words, set-sharing
                   factor), or gate it against a blessed census JSON
      bench      — the paper's evaluation grids (table1, figure3, summary,
-                  ablation, futurework, scaling, propbench, micro, all)
+                  ablation, scaling, propbench, micro, all)
                   and the snapshot regression gate (compare)
      version    — print the build stamp (commit, OCaml version, profile)
 
@@ -50,7 +50,7 @@ let analysis_arg =
     "Context-sensitivity strategy: a preset name such as $(b,S-2obj+H) (see \
      $(b,pointsto strategies) for the list) or a strategy-algebra expression \
      such as $(b,selective(obj 2 1)), $(b,uniform(type 2 1)), \
-     $(b,cs(insens)) or $(b,adaptive(obj 2 1, obj 1, 3))."
+     $(b,cs(insens)) or $(b,per_method(\"List*\": obj 2 1, obj 1))."
   in
   Arg.(
     value
@@ -1025,11 +1025,6 @@ let ablation_cmd =
      antlr, luindex and pmd."
     Grid.ablation
 
-let futurework_cmd =
-  fixed_cmd "futurework"
-    "Section 6's adaptive context constructors on antlr, jython and lusearch."
-    Grid.futurework
-
 let scaling_cmd =
   fixed_cmd "scaling" "Analysis cost against program size (luindex x0.5-2)."
     Grid.scaling
@@ -1040,14 +1035,13 @@ let micro_cmd =
 
 let all_cmd =
   benchmarks_cmd "all"
-    "table1, figure3, summary, ablation, futurework, scaling and micro, \
-     sharing their cells."
+    "table1, figure3, summary, ablation, scaling and micro, sharing their \
+     cells."
     (fun g ~benchmarks ->
       Grid.table1 g ~benchmarks ~analyses:Grid.table1_analyses;
       Grid.figure3 g ~benchmarks;
       Grid.summary g ~benchmarks;
       Grid.ablation g;
-      Grid.futurework g;
       Grid.scaling g;
       Grid.micro ())
 
@@ -1121,9 +1115,8 @@ let bench_cmd =
   Cmd.group
     (Cmd.info "bench" ~doc ~man ~exits:bench_exits)
     [
-      table1_cmd; figure3_cmd; summary_cmd; ablation_cmd; futurework_cmd;
-      scaling_cmd; propbench_cmd; micro_cmd; all_cmd; compare_bench_cmd;
-      cell_cmd;
+      table1_cmd; figure3_cmd; summary_cmd; ablation_cmd; scaling_cmd;
+      propbench_cmd; micro_cmd; all_cmd; compare_bench_cmd; cell_cmd;
     ]
 
 let version_cmd =

@@ -1,5 +1,4 @@
 module Ir = Pta_ir.Ir
-module Hierarchy = Pta_ir.Hierarchy
 
 type kind = Kcall | Kobj | Ktype
 
@@ -26,8 +25,6 @@ type t =
   | Uniform of t
   | Selective of t
   | Selective_a of t
-  | Form_adaptive of t
-  | Adaptive of { deep : t; shallow : t; hot : int }
   | Per_method of { cases : (string * t) list; default : t }
   | Cut_shortcut of t
   | Raw of spec
@@ -39,8 +36,6 @@ let typ ?(h = 0) k = Base { kind = Ktype; k; h }
 let uniform t = Uniform t
 let selective_a t = Selective_a t
 let selective_b t = Selective t
-let form_adaptive t = Form_adaptive t
-let adaptive ~deep ~shallow ~hot = Adaptive { deep; shallow; hot }
 let per_method cases ~default = Per_method { cases; default }
 let cut_shortcut t = Cut_shortcut t
 
@@ -87,10 +82,6 @@ let rec to_string = function
   | Uniform t -> "uniform(" ^ to_string t ^ ")"
   | Selective t -> "selective(" ^ to_string t ^ ")"
   | Selective_a t -> "selective_a(" ^ to_string t ^ ")"
-  | Form_adaptive t -> "form_adaptive(" ^ to_string t ^ ")"
-  | Adaptive { deep; shallow; hot } ->
-    Printf.sprintf "adaptive(%s, %s, %d)" (to_string deep) (to_string shallow)
-      hot
   | Per_method { cases; default } ->
     let case (g, t) = Printf.sprintf "\"%s\": %s" g (to_string t) in
     "per_method("
@@ -119,10 +110,6 @@ let rec describe = function
   | Uniform t -> "uniform hybrid over " ^ describe t
   | Selective t -> "selective hybrid (variant B) over " ^ describe t
   | Selective_a t -> "selective hybrid (variant A) over " ^ describe t
-  | Form_adaptive t -> "form-adaptive selective hybrid over " ^ describe t
-  | Adaptive { deep; shallow; hot } ->
-    Printf.sprintf "adaptive: %s for methods with >= %d potential call sites, else %s"
-      (describe deep) hot (describe shallow)
   | Per_method _ -> "per-method context selection"
   | Cut_shortcut t ->
     "cut-shortcut (trivial calls threaded through the caller) over "
@@ -232,8 +219,8 @@ let base_of ~who t =
       (who
      ^ ": base must be object- or type-sensitive (obj K [H] or type K [H]), \
         not call-site-sensitive")
-  | Insens | Uniform _ | Selective _ | Selective_a _ | Form_adaptive _
-  | Adaptive _ | Per_method _ | Cut_shortcut _ | Raw _ ->
+  | Insens | Uniform _ | Selective _ | Selective_a _ | Per_method _
+  | Cut_shortcut _ | Raw _ ->
     Error
       (Printf.sprintf
          "%s: base must be a base analysis (obj K [H] or type K [H]), got %s"
@@ -311,18 +298,6 @@ let rec spec_of t =
         merge_static =
           Array.init s.depth (fun i -> if i = 0 then Site else Caller (i - 1));
       }
-  | Form_adaptive base -> (
-    let* kind, k, h = base_of ~who:"form_adaptive" base in
-    match (k, h) with
-    | 2, 1 ->
-      let* s = spec_of (Selective (Base { kind; k; h })) in
-      Ok { s with record = [| If_site (1, Caller 1, Caller 0) |] }
-    | _, _ ->
-      Error
-        (Printf.sprintf "form_adaptive: base must be obj 2 1 or type 2 1, got %s"
-           (to_string (Base { kind; k; h }))))
-  | Adaptive _ ->
-    Error "adaptive terms have no fixed constructor table (shape is per-callee)"
   | Per_method _ ->
     Error
       "per_method terms have no fixed constructor table (shape is per-callee)"
@@ -332,17 +307,6 @@ let rec spec_of t =
 
 let rec validate t =
   match t with
-  | Adaptive { deep; shallow; hot } ->
-    if hot < 1 then Error "adaptive: hot threshold must be at least 1"
-    else
-      let* deep_s = spec_of deep in
-      let* shallow_s = spec_of shallow in
-      if deep_s.depth < shallow_s.depth then
-        Error
-          (Printf.sprintf
-             "adaptive: deep shape %s is shallower than the shallow shape %s"
-             (to_string deep) (to_string shallow))
-      else Ok ()
   | Per_method { cases; default } ->
     let* () =
       List.fold_left
@@ -358,53 +322,13 @@ let rec validate t =
     Ok ()
   | Cut_shortcut (Cut_shortcut _) -> Error "cs: cut-shortcut terms do not nest"
   | Cut_shortcut inner -> validate inner
-  | Insens | Base _ | Uniform _ | Selective _ | Selective_a _ | Form_adaptive _
-  | Raw _ ->
+  | Insens | Base _ | Uniform _ | Selective _ | Selective_a _ | Raw _ ->
     let* _ = spec_of t in
     Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Compilation to a Strategy.t                                         *)
 (* ------------------------------------------------------------------ *)
-
-type oracle = Ir.Meth_id.t -> int
-
-let static_call_count_oracle program =
-  let counts = Array.make (Ir.Program.n_meths program) 0 in
-  let hierarchy = Hierarchy.create program in
-  let sig_targets = Hashtbl.create 16 in
-  let targets_of s =
-    match Hashtbl.find_opt sig_targets (Ir.Sig_id.to_int s) with
-    | Some ts -> ts
-    | None ->
-      let ts = ref Ir.Meth_id.Set.empty in
-      for ty = 0 to Ir.Program.n_types program - 1 do
-        match Hierarchy.lookup hierarchy (Ir.Type_id.of_int ty) s with
-        | Some m when not (Ir.Program.meth_info program m).Ir.meth_static ->
-          ts := Ir.Meth_id.Set.add m !ts
-        | Some _ | None -> ()
-      done;
-      Hashtbl.add sig_targets (Ir.Sig_id.to_int s) !ts;
-      !ts
-  in
-  Ir.Program.iter_meths program (fun _ mi ->
-      Ir.iter_instrs
-        (fun instr ->
-          match instr with
-          | Ir.Virtual_call { signature; _ } ->
-            Ir.Meth_id.Set.iter
-              (fun m ->
-                let i = Ir.Meth_id.to_int m in
-                counts.(i) <- counts.(i) + 1)
-              (targets_of signature)
-          | Ir.Static_call { callee; _ } ->
-            let i = Ir.Meth_id.to_int callee in
-            counts.(i) <- counts.(i) + 1
-          | Ir.Alloc _ | Ir.Move _ | Ir.Cast _ | Ir.Load _ | Ir.Store _
-          | Ir.Static_load _ | Ir.Static_store _ | Ir.Throw _ ->
-            ())
-        mi.Ir.body);
-  fun m -> counts.(Ir.Meth_id.to_int m)
 
 (* CA : H -> T, the class containing the allocation site. *)
 let class_of_alloc program heap =
@@ -487,18 +411,10 @@ let memo_spec_for f =
 let spec_of_exn t =
   match spec_of t with Ok s -> s | Error msg -> invalid_arg msg
 
-let rec build program ~oracle t : Strategy.t =
+let rec build program t : Strategy.t =
   match t with
-  | Insens | Base _ | Uniform _ | Selective _ | Selective_a _ | Form_adaptive _
-  | Raw _ ->
+  | Insens | Base _ | Uniform _ | Selective _ | Selective_a _ | Raw _ ->
     of_spec program (spec_of_exn t)
-  | Adaptive { deep; shallow; hot } ->
-    let deep_s = spec_of_exn deep and shallow_s = spec_of_exn shallow in
-    let hotness = Lazy.force oracle in
-    let spec_for =
-      memo_spec_for (fun m -> if hotness m >= hot then deep_s else shallow_s)
-    in
-    dispatching program ~depth:(max deep_s.depth shallow_s.depth) ~spec_for
   | Per_method { cases; default } ->
     let compiled =
       List.map (fun (glob, sub) -> (glob, spec_of_exn sub)) cases
@@ -520,7 +436,7 @@ let rec build program ~oracle t : Strategy.t =
     in
     dispatching program ~depth ~spec_for
   | Cut_shortcut inner ->
-    let inner_s = build program ~oracle inner in
+    let inner_s = build program inner in
     let plan = Shortcut.compute program in
     let cut invo = Shortcut.action plan invo <> None in
     {
@@ -536,15 +452,9 @@ let rec build program ~oracle t : Strategy.t =
       shortcut = Some plan;
     }
 
-let to_strategy ?name ?description ?oracle program t =
+let to_strategy ?name ?description program t =
   let* () = validate t in
-  let oracle =
-    lazy
-      (match oracle with
-      | Some f -> f
-      | None -> static_call_count_oracle program)
-  in
-  let s = build program ~oracle t in
+  let s = build program t in
   Ok
     {
       s with
@@ -552,8 +462,8 @@ let to_strategy ?name ?description ?oracle program t =
       description = Option.value description ~default:(describe t);
     }
 
-let to_strategy_exn ?name ?description ?oracle program t =
-  match to_strategy ?name ?description ?oracle program t with
+let to_strategy_exn ?name ?description program t =
+  match to_strategy ?name ?description program t with
   | Ok s -> s
   | Error msg -> invalid_arg ("Algebra.to_strategy: " ^ msg)
 
@@ -718,8 +628,8 @@ let parse input =
         in
         Base { kind; k; h }
       | Tid
-          (("uniform" | "selective" | "selective_a" | "selective_b"
-           | "form_adaptive" | "cs") as name) ->
+          (("uniform" | "selective" | "selective_a" | "selective_b" | "cs") as
+           name) ->
         expect Tlpar ("'(' after " ^ name);
         let sub = parse_term () in
         expect Trpar ("')' closing " ^ name);
@@ -727,17 +637,7 @@ let parse input =
         | "uniform" -> Uniform sub
         | "selective" | "selective_b" -> Selective sub
         | "selective_a" -> Selective_a sub
-        | "form_adaptive" -> Form_adaptive sub
         | _ -> Cut_shortcut sub)
-      | Tid "adaptive" ->
-        expect Tlpar "'(' after adaptive";
-        let deep = parse_term () in
-        expect Tcomma "',' after the deep shape";
-        let shallow = parse_term () in
-        expect Tcomma "',' after the shallow shape";
-        let hot = expect_int "a hotness threshold" in
-        expect Trpar "')' closing adaptive";
-        Adaptive { deep; shallow; hot }
       | Tid "per_method" ->
         expect Tlpar "'(' after per_method";
         let cases = ref [] in

@@ -5,10 +5,10 @@
     picks an element source (call sites, receiver objects, receiver
     types) and a k-limited tuple shape with an h-deep context-sensitive
     heap; hybrid composers mirror the paper's Sections 3.1–3.2
-    ([uniform], [selective_a], [selective_b]); [adaptive] and
-    [per_method] dispatch the shape per callee; [cut_shortcut] threads
-    trivial calls around the context machinery entirely; and [raw]
-    spells out an arbitrary constructor table element by element.
+    ([uniform], [selective_a], [selective_b]); [per_method] dispatches
+    the shape per callee; [cut_shortcut] threads trivial calls around
+    the context machinery entirely; and [raw] spells out an arbitrary
+    constructor table element by element.
 
     Every term compiles to a {!Strategy.t} ({!to_strategy}); terms
     print to a small expression language ({!to_string}) whose parser
@@ -61,13 +61,6 @@ type t =
   | Selective_a of t
       (** §3.2 hybrid A: same depth as the base; static calls replace
           the leading element with the invocation site *)
-  | Form_adaptive of t
-      (** §6: like {!Selective}, but [Record] stamps the freshest
-          invocation site for objects allocated under static chains *)
-  | Adaptive of { deep : t; shallow : t; hot : int }
-      (** per-callee dispatch on a hotness oracle: methods with at
-          least [hot] potential call sites get [deep], others
-          [shallow] *)
   | Per_method of { cases : (string * t) list; default : t }
       (** first glob pattern (["*"] wildcard) matching the callee's
           qualified name (["A.foo/2"]) picks the shape *)
@@ -89,8 +82,6 @@ val uniform : t -> t
 val selective_a : t -> t
 val selective_b : t -> t  (** alias of {!Selective} *)
 
-val form_adaptive : t -> t
-val adaptive : deep:t -> shallow:t -> hot:int -> t
 val per_method : (string * t) list -> default:t -> t
 val cut_shortcut : t -> t
 
@@ -114,40 +105,25 @@ val validate : t -> (unit, string) result
     elements, heap contexts of at most 2 — the paper's boundedness
     argument), element/position compatibility in {!Raw} rows, composer
     restrictions (hybrid composers need an object- or type-sensitive
-    base; {!Form_adaptive} needs [obj 2 1]/[type 2 1]; {!Cut_shortcut}
-    does not nest). *)
+    base; {!Cut_shortcut} does not nest). *)
 
 val spec_of : t -> (spec, string) result
 (** The constructor table a term denotes.  Defined for every term whose
-    rows do not depend on the callee (everything except {!Adaptive},
-    {!Per_method} and {!Cut_shortcut}). *)
-
-type oracle = Pta_ir.Ir.Meth_id.t -> int
-(** Hotness measure for {!Adaptive}: an upper bound proxy for how many
-    contexts a method may be analyzed under. *)
-
-val static_call_count_oracle : Pta_ir.Ir.Program.t -> oracle
-(** The default (deterministic, pre-analysis) oracle: the number of
-    invocation sites that may target the method — static calls naming
-    it plus virtual sites whose signature can dispatch to it under
-    CHA. *)
+    rows do not depend on the callee (everything except {!Per_method}
+    and {!Cut_shortcut}). *)
 
 val to_strategy :
   ?name:string ->
   ?description:string ->
-  ?oracle:oracle ->
   Pta_ir.Ir.Program.t ->
   t ->
   (Strategy.t, string) result
 (** Compile a term against a program.  [name] defaults to the canonical
-    {!to_string} form, [description] to {!describe}.  [oracle] replaces
-    the {!static_call_count_oracle} for {!Adaptive} terms (e.g. with
-    context counts measured by a previous run). *)
+    {!to_string} form, [description] to {!describe}. *)
 
 val to_strategy_exn :
   ?name:string ->
   ?description:string ->
-  ?oracle:oracle ->
   Pta_ir.Ir.Program.t ->
   t ->
   Strategy.t

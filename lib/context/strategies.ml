@@ -71,27 +71,6 @@ let extensions =
       "3-object-sensitive with a 2-context-sensitive heap";
   ]
 
-(* Adaptive hybrids (Section 6, future work): constructors that inspect
-   the incoming context's *form* (form_adaptive) or the callee's
-   expected context load (adaptive). *)
-let adaptive =
-  [
-    p "A-2obj+H"
-      (A.form_adaptive (A.obj ~h:1 2))
-      "adaptive 2-object-sensitive hybrid: static-in-static calls keep a \
-       2-deep call string; allocations under static chains get an \
-       invocation-site heap context";
-    p "A-2type+H"
-      (A.form_adaptive (A.typ ~h:1 2))
-      "adaptive 2-type-sensitive hybrid: static-in-static calls keep a \
-       2-deep call string; allocations under static chains get an \
-       invocation-site heap context";
-    p "AD-2obj+H"
-      (A.adaptive ~deep:(A.obj ~h:1 2) ~shallow:(A.obj 1) ~hot:3)
-      "adaptive depth: the 2obj+H shape for methods with at least 3 \
-       potential call sites, plain 1obj elsewhere";
-  ]
-
 (* Cut-shortcut analyses (Ma et al., "Context Sensitivity without
    Contexts"): trivial calls are cut and threaded through the caller. *)
 let shortcut =
@@ -134,7 +113,7 @@ let ablations =
   ]
 
 let presets =
-  standard @ uniform @ selective @ extensions @ adaptive @ shortcut @ ablations
+  standard @ uniform @ selective @ extensions @ shortcut @ ablations
 
 let () =
   List.iter

@@ -1,9 +1,8 @@
 (** The named analyses: every preset is an {!Algebra} term.
 
     This module is a registry, not a zoo of hand-written closures — each
-    analysis of the paper's Table 1 (plus the extensions, adaptive
-    hybrids, cut-shortcut analyses and ablations used by the
-    experiments) is a [(name, term, description)] triple compiled
+    analysis of the paper's Table 1 (plus the extensions, cut-shortcut
+    analyses and ablations used by the experiments) is a [(name, term, description)] triple compiled
     through {!Algebra.to_strategy}.  Fact-identity of the terms against
     the paper's hand-written constructor definitions is pinned by the
     differential test suite.
@@ -17,8 +16,8 @@ type preset = { name : string; term : Algebra.t; description : string }
 
 val presets : preset list
 (** All presets, in listing order: standard analyses, uniform hybrids,
-    selective hybrids, deeper-context extensions, adaptive hybrids,
-    cut-shortcut analyses, ablations. *)
+    selective hybrids, deeper-context extensions, cut-shortcut analyses,
+    ablations. *)
 
 val find_preset : string -> preset option
 val names : string list

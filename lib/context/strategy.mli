@@ -11,8 +11,8 @@
 
     Beyond the paper's signature, [merge]/[merge_static] also receive
     the resolved callee method — presets ignore it, but it is what lets
-    adaptive and per-method strategies choose a context shape per
-    callee without any engine changes. *)
+    per-method strategies choose a context shape per callee without any
+    engine changes. *)
 
 type t = {
   name : string;  (** the paper's abbreviation, e.g. ["S-2obj+H"] *)

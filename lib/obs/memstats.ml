@@ -103,33 +103,6 @@ let to_json d =
       ("peak_heap_words", Json.Int d.peak_heap_words);
     ]
 
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "memory JSON: missing or mistyped %S" name)
-  in
-  let* minor_allocated_words = field "minor_allocated_words" Json.to_float in
-  let* promoted_delta_words = field "promoted_words" Json.to_float in
-  let* major_allocated_words = field "major_allocated_words" Json.to_float in
-  let* minor_collections_delta = field "minor_collections" Json.to_int in
-  let* major_collections_delta = field "major_collections" Json.to_int in
-  let* compactions_delta = field "compactions" Json.to_int in
-  let* heap_words_after = field "heap_words" Json.to_int in
-  let* peak_heap_words = field "peak_heap_words" Json.to_int in
-  Ok
-    {
-      minor_allocated_words;
-      promoted_delta_words;
-      major_allocated_words;
-      minor_collections_delta;
-      major_collections_delta;
-      compactions_delta;
-      heap_words_after;
-      peak_heap_words;
-    }
-
 let pp ppf d =
   let line fmt = Format.fprintf ppf fmt in
   line "@[<v>memory:@,";

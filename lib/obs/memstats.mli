@@ -62,5 +62,4 @@ val finish : tracker -> delta
 (** {1 Serialisation} *)
 
 val to_json : delta -> Json.t
-val of_json : Json.t -> (delta, string) result
 val pp : Format.formatter -> delta -> unit

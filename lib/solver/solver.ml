@@ -819,10 +819,7 @@ module Config = struct
     field_based : bool;
     trace : Trace.t;
     mem_tracker : Memstats.tracker option;
-    mem_sample_every : int;
   }
-
-  let default_mem_sample_every = 1024
 
   let default =
     {
@@ -830,18 +827,11 @@ module Config = struct
       field_based = false;
       trace = Trace.null;
       mem_tracker = None;
-      mem_sample_every = default_mem_sample_every;
     }
 
   let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) ?mem_tracker
-      ?(mem_sample_every = default_mem_sample_every) () =
-    {
-      budget = Budget.of_seconds_opt timeout_s;
-      field_based;
-      trace;
-      mem_tracker;
-      mem_sample_every = max 1 mem_sample_every;
-    }
+      () =
+    { budget = Budget.of_seconds_opt timeout_s; field_based; trace; mem_tracker }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1012,9 +1002,10 @@ let solve_outcome ?(config = Config.default) program strategy =
     (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
        at major-cycle ends, so a long alarm-free stretch (e.g. one huge
        allocation that never triggers a cycle) would under-report the
-       peak.  Gated on iteration count; [None] costs one match per
-       iteration. *)
-    let mem_every = config.Config.mem_sample_every in
+       peak.  Every 1024 iterations: frequent enough to catch allocation
+       spikes, cheap enough ([Gc.quick_stat] reads no heap) to leave
+       timings unchanged; [None] costs one match per iteration. *)
+    let mem_every = 1024 in
     let mem_countdown = ref mem_every in
     let mem_tick () =
       match config.Config.mem_tracker with

@@ -54,18 +54,11 @@ module Config : sig
             [delta] is the number of objects pushed through that kind. *)
     mem_tracker : Pta_obs.Memstats.tracker option;
         (** When set, the fixpoint loop folds the current major-heap
-            size into the tracker's peak every [mem_sample_every]
-            iterations — catching peaks between major collections that
-            the tracker's GC alarm alone would miss.  [None] (default)
-            costs one match per iteration. *)
-    mem_sample_every : int;
-        (** sampling period in fixpoint iterations; clamped to [>= 1]
-            by {!make} (default {!default_mem_sample_every}). *)
+            size into the tracker's peak every 1024 iterations —
+            catching peaks between major collections that the tracker's
+            GC alarm alone would miss.  [None] (default) costs one match
+            per iteration. *)
   }
-
-  val default_mem_sample_every : int
-  (** [1024] — frequent enough to catch allocation spikes, cheap enough
-      ([Gc.quick_stat] reads no heap) to leave timings unchanged. *)
 
   val default : t
   (** Unlimited budget, field-sensitive, no trace, no memory tracker. *)
@@ -75,7 +68,6 @@ module Config : sig
     ?field_based:bool ->
     ?trace:Pta_obs.Trace.t ->
     ?mem_tracker:Pta_obs.Memstats.tracker ->
-    ?mem_sample_every:int ->
     unit ->
     t
 end

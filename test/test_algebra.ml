@@ -72,20 +72,8 @@ let gen_fixed =
         (2, map A.uniform (gen_hybrid_base ~max_k:2));
         (2, map A.selective_b (gen_hybrid_base ~max_k:2));
         (2, map A.selective_a (gen_hybrid_base ~max_k:3));
-        (1, map A.form_adaptive (oneofl [ A.obj ~h:1 2; A.typ ~h:1 2 ]));
         (2, gen_raw);
       ])
-
-let gen_adaptive =
-  QCheck.Gen.(
-    oneofl
-      [
-        (A.obj ~h:1 2, A.obj 1);
-        (A.selective_b (A.obj ~h:1 2), A.obj ~h:1 2);
-        (A.typ ~h:1 2, A.insens);
-      ]
-    >>= fun (deep, shallow) ->
-    int_range 1 10 >>= fun hot -> return (A.adaptive ~deep ~shallow ~hot))
 
 let gen_per_method =
   QCheck.Gen.(
@@ -99,9 +87,8 @@ let gen_term =
     frequency
       [
         (6, gen_fixed);
-        (1, gen_adaptive);
         (1, gen_per_method);
-        (1, map A.cut_shortcut (oneof [ gen_fixed; gen_adaptive; gen_per_method ]));
+        (1, map A.cut_shortcut (oneof [ gen_fixed; gen_per_method ]));
       ])
 
 let term_arb =
@@ -151,11 +138,7 @@ let printing_tests =
         check_prints (A.uniform (A.obj ~h:1 2)) "uniform(obj 2 1)" ();
         check_prints (A.selective_b (A.obj 1)) "selective(obj 1)" ();
         check_prints (A.selective_a (A.obj 1)) "selective_a(obj 1)" ();
-        check_prints (A.form_adaptive (A.obj ~h:1 2)) "form_adaptive(obj 2 1)" ();
-        check_prints (A.cut_shortcut A.insens) "cs(insens)" ();
-        check_prints
-          (A.adaptive ~deep:(A.obj ~h:1 2) ~shallow:(A.obj 1) ~hot:3)
-          "adaptive(obj 2 1, obj 1, 3)" ());
+        check_prints (A.cut_shortcut A.insens) "cs(insens)" ());
     Alcotest.test_case "per_method and raw forms" `Quick (fun () ->
         check_prints
           (A.per_method [ ("List*", A.obj ~h:1 2) ] ~default:A.insens)
@@ -200,7 +183,7 @@ let rejections =
   [
     ("uniform(call 1)", "object- or type-sensitive");
     ("uniform(insens)", "base must be a base analysis");
-    ("form_adaptive(obj 1)", "obj 2 1 or type 2 1");
+    ("form_adaptive(obj 1)", "unknown combinator");
     ("obj 4", "between 1 and 3");
     ("obj 2 3", "between 0 and 2");
     ("call 1 2", "cannot exceed context depth");
@@ -211,8 +194,8 @@ let rejections =
     ("raw(2, [caller 0], [hctx 2, recv], [site, caller 0])", "hctx index 2 out of range");
     ("raw(2, [caller 3], [site, recv], [site, caller 0])", "caller index 3 out of range");
     ("cs(cs(insens))", "do not nest");
-    ("adaptive(obj 1, obj 2 1, 3)", "shallower than");
-    ("adaptive(obj 2 1, obj 1, 0)", "hot threshold");
+    ("adaptive(obj 1, obj 2 1, 3)", "unknown combinator");
+    ("adaptive(obj 2 1, obj 1, 0)", "unknown combinator");
     ("per_method(\"\": obj 1, insens)", "empty glob");
     ("frobnicate(obj 1)", "unknown combinator");
     ("obj 1 1 1", "trailing input");
@@ -281,12 +264,7 @@ let spec_tests =
              ~merge_static:[ A.Caller 0; A.callsite; A.Caller 1 ]);
         check_spec "SA-1obj" (A.selective_a (A.obj 1))
           (mk ~depth:1 ~record:[] ~merge:[ A.receiver_obj ]
-             ~merge_static:[ A.callsite ]);
-        check_spec "A-2obj+H" (A.form_adaptive (A.obj ~h:1 2))
-          (mk ~depth:3
-             ~record:[ A.If_site (1, A.Caller 1, A.Caller 0) ]
-             ~merge:[ A.receiver_obj; A.Hctx 0; A.Star ]
-             ~merge_static:[ A.Caller 0; A.callsite; A.Caller 1 ]));
+             ~merge_static:[ A.callsite ]));
     Alcotest.test_case "callee-dispatched terms have no fixed table" `Quick
       (fun () ->
         List.iter
@@ -295,7 +273,7 @@ let spec_tests =
             | Ok _ -> Alcotest.failf "%s: unexpected table" (A.to_string term)
             | Error _ -> ())
           [
-            A.adaptive ~deep:(A.obj ~h:1 2) ~shallow:(A.obj 1) ~hot:3;
+            A.per_method [ ("*", A.obj ~h:1 2) ] ~default:(A.obj 1);
             A.per_method [ ("*", A.obj 1) ] ~default:A.insens;
             A.cut_shortcut A.insens;
           ]);

@@ -128,8 +128,7 @@ let check_program ~name src strategies =
   let program = Pta_frontend.Frontend.program_of_string ~file:name src in
   List.iter
     (fun strat_name ->
-      let factory = Option.get (Pta_context.Strategies.by_name strat_name) in
-      let strategy = factory program in
+      let strategy = Helpers.resolve strat_name program in
       let solver = Solver.solve program strategy in
       let reference = Pta_refimpl.Refimpl.run program strategy in
       let s_vpt, s_cg, s_reach, s_throws = solver_facts solver in
@@ -160,7 +159,7 @@ let check_program ~name src strategies =
         r_diags)
     strategies
 
-let all_strategies = List.map fst Pta_context.Strategies.all
+let all_strategies = Pta_context.Strategies.names @ Helpers.extra_terms
 
 let program_inheritance =
   {|
@@ -340,10 +339,6 @@ module Legacy = struct
   let ca program heap =
     Ctx.Type (Pta_context.Strategies.class_of_alloc program heap)
 
-  let is_invo = function
-    | Ctx.Invo _ -> true
-    | Ctx.Star | Ctx.Heap _ | Ctx.Type _ -> false
-
   let insens _program =
     make ~name:"insens" ~initial_ctx:empty
       ~record:(fun ~heap:_ ~ctx:_ -> empty)
@@ -457,26 +452,6 @@ module Legacy = struct
         [| Ctx.Heap heap; Ctx.first hctx; Ctx.second hctx |])
       ~merge_static:(fun ~invo:_ ~callee:_ ~ctx -> ctx)
 
-  let adaptive_obj2_heap _program =
-    make ~name:"A-2obj+H" ~initial_ctx:star3
-      ~record:(fun ~heap:_ ~ctx ->
-        if is_invo (Ctx.second ctx) then [| Ctx.second ctx |]
-        else [| Ctx.first ctx |])
-      ~merge:(fun ~heap ~hctx ~invo:_ ~callee:_ ~ctx:_ ->
-        [| Ctx.Heap heap; Ctx.first hctx; Ctx.Star |])
-      ~merge_static:(fun ~invo ~callee:_ ~ctx ->
-        [| Ctx.first ctx; Ctx.Invo invo; Ctx.second ctx |])
-
-  let adaptive_type2_heap program =
-    make ~name:"A-2type+H" ~initial_ctx:star3
-      ~record:(fun ~heap:_ ~ctx ->
-        if is_invo (Ctx.second ctx) then [| Ctx.second ctx |]
-        else [| Ctx.first ctx |])
-      ~merge:(fun ~heap ~hctx ~invo:_ ~callee:_ ~ctx:_ ->
-        [| ca program heap; Ctx.first hctx; Ctx.Star |])
-      ~merge_static:(fun ~invo ~callee:_ ~ctx ->
-        [| Ctx.first ctx; Ctx.Invo invo; Ctx.second ctx |])
-
   let ablation_invo_heap _program =
     make ~name:"X-2obj+IH" ~initial_ctx:star3
       ~record:(fun ~heap:_ ~ctx -> [| Ctx.third ctx |])
@@ -505,8 +480,7 @@ module Legacy = struct
       insens; call1; call1_heap; call2_heap; obj1; obj1_heap; obj2_heap;
       type2_heap; uniform_obj1; uniform_obj2_heap; uniform_type2_heap;
       selective_a_obj1; selective_b_obj1; selective_obj2_heap;
-      selective_type2_heap; obj3_heap2; adaptive_obj2_heap;
-      adaptive_type2_heap; ablation_invo_heap; ablation_inverted;
+      selective_type2_heap; obj3_heap2; ablation_invo_heap; ablation_inverted;
       ablation_freemix;
     ]
 end
@@ -572,6 +546,25 @@ let tests =
         check_program ~name:"static-fields" program_static_fields all_strategies);
     Alcotest.test_case "exceptions program, all strategies" `Quick (fun () ->
         check_program ~name:"exceptions" program_exceptions all_strategies);
+    (* The recursion program has a single callee, so it cannot split. *)
+    Alcotest.test_case "mixed-depth term splits the programs" `Quick (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let program = Pta_frontend.Frontend.program_of_string ~file:name src in
+            let solver =
+              Solver.solve program (Helpers.resolve Helpers.mixed_depth program)
+            in
+            Alcotest.(check (list int))
+              (name ^ ": callee context depths") [ 1; 2 ]
+              (Helpers.callee_depths solver))
+          [
+            ("inheritance", program_inheritance);
+            ("containers", program_containers);
+            ("statics", program_statics);
+            ("static-fields", program_static_fields);
+            ("exceptions", program_exceptions);
+            ("cyclic-workload", program_cyclic ());
+          ]);
     Alcotest.test_case "algebra presets = legacy closures (battery)" `Quick
       (fun () ->
         check_legacy_identity ~name:"inheritance" program_inheritance;

@@ -177,7 +177,8 @@ let random_program (rng : Rng.t) : Program.t =
 let strategies_to_try =
   [ "insens"; "1call"; "1call+H"; "1obj"; "SA-1obj"; "SB-1obj"; "2obj+H";
     "U-2obj+H"; "S-2obj+H"; "2type+H"; "3obj+2H"; "X-freemix"; "CS";
-    "CS-2obj+H"; "AD-2obj+H" ]
+    "CS-2obj+H" ]
+  @ Helpers.extra_terms
 
 let fuzz_differential_test () =
   for seed = 1 to 30 do
@@ -186,8 +187,7 @@ let fuzz_differential_test () =
     let strat_name =
       List.nth strategies_to_try (Rng.int rng (List.length strategies_to_try))
     in
-    let factory = Option.get (Pta_context.Strategies.by_name strat_name) in
-    let strategy = factory program in
+    let strategy = Helpers.resolve strat_name program in
     let solver = Pta_solver.Solver.solve program strategy in
     let reference = Pta_refimpl.Refimpl.run program strategy in
     let s_vpt, s_cg, s_reach, s_throws = Test_differential.solver_facts solver in
@@ -203,6 +203,20 @@ let fuzz_differential_test () =
     check "throws" s_throws r_throws
   done
 
+(* The mixed-depth term is only worth fuzzing where its globs send the
+   methods of a program to both shapes.  Which of them a random program
+   reaches is up to the seed; the differential suite checks reached
+   callees on its battery. *)
+let fuzz_split_test () =
+  List.iter
+    (fun seed ->
+      let program = random_program (Rng.create (Int64.of_int seed)) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d: shape depths" seed)
+        [ 1; 2 ]
+        (Helpers.shape_depths program Helpers.mixed_depth))
+    (List.init 30 (fun i -> i + 1) @ List.init 25 (fun i -> i + 41))
+
 let fuzz_soundness_test () =
   for seed = 41 to 65 do
     let rng = Rng.create (Int64.of_int seed) in
@@ -210,8 +224,7 @@ let fuzz_soundness_test () =
     let strat_name =
       List.nth strategies_to_try (Rng.int rng (List.length strategies_to_try))
     in
-    let factory = Option.get (Pta_context.Strategies.by_name strat_name) in
-    let strategy = factory program in
+    let strategy = Helpers.resolve strat_name program in
     let solver = Pta_solver.Solver.solve program strategy in
     let trace = Pta_interp.Interp.run ~seed:(Int64.of_int (seed * 7)) program in
     (* Cut-shortcut strategies carry no facts for vars inside summarized
@@ -250,6 +263,8 @@ let tests =
   [
     Alcotest.test_case "random programs: solver = reference" `Slow
       fuzz_differential_test;
+    Alcotest.test_case "random programs: mixed-depth term splits them" `Slow
+      fuzz_split_test;
     Alcotest.test_case "random programs: execution within analysis" `Slow
       fuzz_soundness_test;
   ]

@@ -172,22 +172,54 @@ let unsupported_schema_test () =
   | Error e -> Alcotest.failf "current version refused: %s" e
 
 (* The committed baselines load as they are, fields this build no longer
-   writes included, and survive a re-encode. *)
+   writes included, survive a re-encode, and name only profiles and
+   analyses the registries know: a deleted preset that leaves cells
+   behind makes [bench compare] fail on an unknown analysis.
+   [table1.csv] is written by the same grid run as [BENCH_table1.json]
+   and must hold the same cells. *)
 let committed_snapshots_test () =
+  let load path =
+    match
+      Snapshot.of_string (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Error e -> Alcotest.failf "%s: %s" path e
+    | Ok t -> t
+  in
   List.iter
     (fun path ->
-      match
-        Snapshot.of_string (In_channel.with_open_bin path In_channel.input_all)
-      with
-      | Error e -> Alcotest.failf "%s: %s" path e
-      | Ok t -> (
-        Alcotest.(check bool) (path ^ " has cells") true (t.Snapshot.cells <> []);
-        match Snapshot.of_json (Snapshot.to_json t) with
-        | Error e -> Alcotest.failf "%s re-encoded: %s" path e
-        | Ok t' ->
-          Alcotest.(check bool) (path ^ " re-encodes") true
-            (t'.Snapshot.cells = t.Snapshot.cells)))
-    [ "../BENCH_table1.json"; "../BENCH_prop.json" ]
+      let t = load path in
+      Alcotest.(check bool) (path ^ " has cells") true (t.Snapshot.cells <> []);
+      (match Snapshot.of_json (Snapshot.to_json t) with
+      | Error e -> Alcotest.failf "%s re-encoded: %s" path e
+      | Ok t' ->
+        Alcotest.(check bool) (path ^ " re-encodes") true
+          (t'.Snapshot.cells = t.Snapshot.cells));
+      List.iter
+        (fun (c : Snapshot.cell) ->
+          if Pta_workloads.Profile.by_name c.Snapshot.benchmark = None then
+            Alcotest.failf "%s: unknown benchmark %s" path c.Snapshot.benchmark;
+          if Pta_context.Strategies.by_name c.Snapshot.analysis = None then
+            Alcotest.failf "%s: unknown analysis %s" path c.Snapshot.analysis)
+        t.Snapshot.cells)
+    [ "../BENCH_table1.json"; "../BENCH_prop.json" ];
+  let csv_keys =
+    match In_channel.with_open_bin "../table1.csv" In_channel.input_lines with
+    | [] -> Alcotest.fail "../table1.csv is empty"
+    | _header :: rows ->
+      List.map
+        (fun row ->
+          match String.split_on_char ',' row with
+          | benchmark :: analysis :: _ -> (benchmark, analysis)
+          | _ -> Alcotest.failf "../table1.csv: malformed row %S" row)
+        rows
+  in
+  Alcotest.(check (list (pair string string)))
+    "table1.csv cells = BENCH_table1.json cells"
+    (List.sort compare
+       (List.map
+          (fun (c : Snapshot.cell) -> (c.Snapshot.benchmark, c.Snapshot.analysis))
+          (load "../BENCH_table1.json").Snapshot.cells))
+    (List.sort compare csv_keys)
 
 (* ------------------------------------------------------------------ *)
 (* Regression comparator                                               *)

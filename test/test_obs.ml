@@ -163,7 +163,7 @@ let memstats_clamp_test () =
   let d = Memstats.diff ~peak:9999 ~before ~after () in
   Alcotest.(check int) "genuine peak kept" 9999 d.Memstats.peak_heap_words
 
-let memstats_roundtrip_test () =
+let memstats_json_test () =
   let d =
     {
       Memstats.minor_allocated_words = 12345.5;
@@ -176,33 +176,44 @@ let memstats_roundtrip_test () =
       peak_heap_words = 8192;
     }
   in
-  match Memstats.of_json (Memstats.to_json d) with
-  | Error e -> Alcotest.failf "memstats round-trip: %s" e
-  | Ok d' -> Alcotest.(check bool) "identical" true (d = d')
+  let json = Memstats.to_json d in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (option (float 0.))) name (Some v)
+        (Option.bind (Json.member name json) Json.to_float))
+    [
+      ("minor_allocated_words", 12345.5); ("promoted_words", 100.);
+      ("major_allocated_words", 600.25); ("minor_collections", 3.);
+      ("major_collections", 1.); ("compactions", 0.); ("heap_words", 4096.);
+      ("peak_heap_words", 8192.);
+    ]
 
-(* A large major-heap allocation that lives only between two major
-   collections must be caught by the fixpoint loop's periodic sample:
-   a tick callback plants a ~2M-word block at iteration 3 and drops it a
-   few iterations later, and the tracker's peak must include it. *)
+(* A large major-heap allocation that dies before the fixpoint must
+   show in the tracker's peak: a tick callback plants a ~2M-word block at
+   iteration 3 and drops it at iteration 1100, past the loop's first
+   sample at 1024 (gen tiny under S-2obj+H runs about 1,350 iterations).
+   On OCaml 5.1 allocating the block also completes a major cycle, so
+   the tracker's GC alarm sees it too: this pins the peak, not which of
+   the two samplers recorded it. *)
 let solver_peak_sampling_test () =
   let program = tiny_program () in
   let factory = Option.get (Pta_context.Strategies.by_name "S-2obj+H") in
   let tracker = Memstats.start_tracking () in
   let planted_words = 2_000_000 in
-  let planted = ref None in
-  let config =
-    Solver.Config.make ~mem_tracker:tracker ~mem_sample_every:1 ()
-  in
+  let planted = ref None and dropped = ref false in
+  let config = Solver.Config.make ~mem_tracker:tracker () in
   Budget.on_tick config.Solver.Config.budget (fun n ->
       if n = 3 then
         planted := Some (Bytes.create (planted_words * (Sys.word_size / 8)));
-      if n = 8 then begin
+      if n = 1100 then begin
         planted := None;
+        dropped := true;
         Gc.compact ()
       end);
   ignore (Solver.solve ~config program (factory program));
   ignore !planted;
   let d = Memstats.finish tracker in
+  Alcotest.(check bool) "solve ran past the drop" true !dropped;
   Alcotest.(check bool)
     "peak saw the planted block" true
     (d.Memstats.peak_heap_words >= planted_words)
@@ -306,8 +317,7 @@ let tests =
       json_escape_bytes_test;
     Alcotest.test_case "refimpl budget" `Quick refimpl_budget_test;
     Alcotest.test_case "memstats peak clamping" `Quick memstats_clamp_test;
-    Alcotest.test_case "memstats JSON round-trip" `Quick
-      memstats_roundtrip_test;
+    Alcotest.test_case "memstats JSON encoding" `Quick memstats_json_test;
     Alcotest.test_case "solver loop samples the peak" `Quick
       solver_peak_sampling_test;
     Alcotest.test_case "census invariants" `Quick census_invariants_test;

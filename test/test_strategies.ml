@@ -36,7 +36,7 @@ let i x = Ctx.Invo x
 
 let ca heap = Ctx.Type (Strategies.class_of_alloc program heap)
 
-let strategy name = (Option.get (Strategies.by_name name)) program
+let strategy name = Helpers.resolve name program
 
 let check_record name ~heap ~ctx expected =
   let s = strategy name in
@@ -134,16 +134,17 @@ let tests =
           [| h heap_a; h heap_b; h heap_a |];
         check_record "3obj+2H" ~heap:heap_a ~ctx:[| h heap_b; h heap_a; star |]
           [| h heap_b; h heap_a |]);
-    Alcotest.test_case "A-2obj+H adapts Record to the context form" `Quick
+    Alcotest.test_case "if_site table adapts Record to the context form" `Quick
       (fun () ->
+        let t = Helpers.if_site_table in
         (* Allocation under a virtual-call context: receiver element. *)
-        check_record "A-2obj+H" ~heap:heap_a ~ctx:[| h heap_b; h heap_a; star |]
+        check_record t ~heap:heap_a ~ctx:[| h heap_b; h heap_a; star |]
           [| h heap_b |];
         (* Allocation under a static-call context (second element is an
            invocation site): the invocation site wins. *)
-        check_record "A-2obj+H" ~heap:heap_a ~ctx:[| h heap_b; i invo1; star |]
+        check_record t ~heap:heap_a ~ctx:[| h heap_b; i invo1; star |]
           [| i invo1 |];
-        check_merge_static "A-2obj+H" ~invo:invo2 ~ctx:[| h heap_a; i invo1; star |]
+        check_merge_static t ~invo:invo2 ~ctx:[| h heap_a; i invo1; star |]
           [| h heap_a; i invo2; i invo1 |]);
     Alcotest.test_case "ablations produce their documented shapes" `Quick
       (fun () ->

@@ -328,8 +328,7 @@ let differential_tests =
 let flows_of src spec_text strat_name =
   let program = Pta_frontend.Frontend.program_of_string ~file:"precision" src in
   let spec = compile_spec program spec_text in
-  let factory = Option.get (Strategies.by_name strat_name) in
-  let solver = Solver.solve program (factory program) in
+  let solver = Solver.solve program (Helpers.resolve strat_name program) in
   Taint.n_flows (Taint.analyze solver spec)
 
 let precision_tests =
@@ -363,7 +362,8 @@ let precision_tests =
           (flows "2obj+H");
         Alcotest.(check int) "1call+H separates" 1 (flows "1call+H");
         Alcotest.(check int) "2call+H separates" 1 (flows "2call+H");
-        Alcotest.(check int) "A-2obj+H separates" 1 (flows "A-2obj+H"));
+        Alcotest.(check int) "if_site heap context separates" 1
+          (flows Helpers.if_site_table));
   ]
 
 let misc_tests =
@@ -593,9 +593,6 @@ let pinned_small =
     ("conflation/2call+H", "327444ba283a91499e48a0f5448ec3ae");
     ("conflation/1obj+H", "b720218d0a9563c9d389efdad2ed19a4");
     ("conflation/3obj+2H", "2d237be2d5d6fbb1428d1d7e4a2745c2");
-    ("conflation/A-2obj+H", "ce1c4959d72f6ca655724ed6c16fbb38");
-    ("conflation/A-2type+H", "ce1c4959d72f6ca655724ed6c16fbb38");
-    ("conflation/AD-2obj+H", "f518d0a88a049392a8d03b9dd4b44d47");
     ("conflation/CS", "7bc87825ca13828c8f5b4578d1e250d1");
     ("conflation/CS-2obj+H", "4098bc9dbadac41a140036d7c281b1a8");
     ("conflation/X-2obj+IH", "7391956321eb4d408c20c7629aef93f7");
@@ -617,9 +614,6 @@ let pinned_small =
     ("heap/2call+H", "53ceee49752eefc888a3bd65bbe744c7");
     ("heap/1obj+H", "ae88785e52905f623043ecad03ee7e6b");
     ("heap/3obj+2H", "0007beb496cf2f1999df6872c17f9b87");
-    ("heap/A-2obj+H", "f4657b45cd5765fc904578144ece2338");
-    ("heap/A-2type+H", "2ec42955b4c3f1c5bc82187452b7370e");
-    ("heap/AD-2obj+H", "0c299b7f95dcbad5e17fa34e5fba47d2");
     ("heap/CS", "5c7f1503701fffec7f032f57d7145b08");
     ("heap/CS-2obj+H", "15dc318afad22fa809d9203ff811a707");
     ("heap/X-2obj+IH", "fbb0a70b05e44f72db75069149657165");
@@ -641,9 +635,6 @@ let pinned_small =
     ("virtual/2call+H", "ba1fbe7efbfa5fe4764b16d4408ccfd3");
     ("virtual/1obj+H", "a7abddb796818b5a4120f6dfa64038c2");
     ("virtual/3obj+2H", "4580c8f8ab027eae469cadb224de0153");
-    ("virtual/A-2obj+H", "c5f3c6f640e7ebd1cb6c4ed73bde2559");
-    ("virtual/A-2type+H", "40dff5e07d3de1a90be7c4a2e30f976a");
-    ("virtual/AD-2obj+H", "a7abddb796818b5a4120f6dfa64038c2");
     ("virtual/CS", "0123c8beee9a5066e3deae5754601aa2");
     ("virtual/CS-2obj+H", "b9869b74d334f9d8231e447275cffbba");
     ("virtual/X-2obj+IH", "5b4c68102aa0abf57aa5a4345f9b1075");
@@ -665,9 +656,6 @@ let pinned_small =
     ("static-throw/2call+H", "1e25923c8150b027ff3991fe1aa8fedc");
     ("static-throw/1obj+H", "33906787cede2404bf2c70b6390c7959");
     ("static-throw/3obj+2H", "0ed95bf34758d3a0a5091304468c887f");
-    ("static-throw/A-2obj+H", "3afb2f3779e42192ab74aa3caef4f593");
-    ("static-throw/A-2type+H", "3afb2f3779e42192ab74aa3caef4f593");
-    ("static-throw/AD-2obj+H", "4774bac4f335cf9f4ccba4187710b6d1");
     ("static-throw/CS", "b5160059d079f281f96f60681ac312af");
     ("static-throw/CS-2obj+H", "71023b1ce3f98ae4a40d399a1ad2b985");
     ("static-throw/X-2obj+IH", "d7851d6f3c5d091171feee386ada3922");
