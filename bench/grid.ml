@@ -637,79 +637,6 @@ let scaling g =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                         *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let module Intset = Pta_solver.Intset in
-  let module Strategies = Pta_context.Strategies in
-  let random_set seed n =
-    let rng = Pta_workloads.Rng.create seed in
-    let rec go acc k =
-      if k = 0 then acc
-      else go (Intset.add (Pta_workloads.Rng.int rng 100_000) acc) (k - 1)
-    in
-    go Intset.empty n
-  in
-  let s1 = random_set 1L 10_000 and s2 = random_set 2L 10_000 in
-  let s3 = random_set 4L 10_000 in
-  let tiny_program = Workloads.program (Option.get (Profile.by_name "tiny")) in
-  let solve ?config name =
-    Staged.stage (fun () ->
-        ignore
-          (Solver.solve ?config tiny_program (Strategies.get name tiny_program)))
-  in
-  let tests =
-    Test.make_grouped ~name:"hybridpta"
-      [
-        Test.make ~name:"intset-union-10k"
-          (Staged.stage (fun () -> ignore (Intset.union s1 s2)));
-        Test.make ~name:"intset-add-1k"
-          (Staged.stage (fun () -> ignore (random_set 3L 1_000)));
-        (* The solver's delta computation: one fused traversal vs the
-           two diffs it replaced. *)
-        Test.make ~name:"intset-diff2-10k"
-          (Staged.stage (fun () -> ignore (Intset.diff2 s1 s2 s3)));
-        Test.make ~name:"parse-mjdk"
-          (Staged.stage (fun () ->
-               ignore
-                 (Pta_frontend.Frontend.parse ~file:"<mjdk>"
-                    Pta_mjdk.Mjdk.source)));
-        (* The default config's trace is null — this measures the solver
-           with instrumentation compiled in but switched off. *)
-        Test.make ~name:"solver-1obj-tiny" (solve "1obj");
-        (* Same run with a live trace sink, to expose the tracer tax
-           (compare against solver-1obj-tiny: the untraced run must not
-           be measurably slower than before the tracer existed). *)
-        Test.make ~name:"solver-1obj-tiny-traced"
-          (Staged.stage (fun () ->
-               let trace = Trace.create ~limit:4096 () in
-               ignore
-                 (Solver.solve ~config:(Solver.Config.make ~trace ())
-                    tiny_program
-                    (Strategies.get "1obj" tiny_program))));
-        Test.make ~name:"solver-S-2obj+H-tiny" (solve "S-2obj+H");
-        Test.make ~name:"solver-U-2obj+H-tiny" (solve "U-2obj+H");
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols (List.hd instances) raw in
-  print_endline "=== Micro-benchmarks (Bechamel, monotonic clock) ===\n";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 

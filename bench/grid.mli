@@ -41,9 +41,6 @@ val summary : t -> benchmarks:Profile.t list -> unit
 val ablation : t -> unit
 val scaling : t -> unit
 
-val micro : unit -> unit
-(** Bechamel micro-benchmarks, run in this process. *)
-
 val compare :
   t ->
   baseline_name:string ->

@@ -13,9 +13,9 @@
      strategies — list available analyses
      heapmap    — run one analysis, print the reachable-heap census
                   (per-component retained/unshared words, set-sharing
-                  factor), or gate it against a blessed census JSON
+                  factor)
      bench      — the paper's evaluation grids (table1, figure3, summary,
-                  ablation, scaling, propbench, micro, all)
+                  ablation, scaling, propbench, all)
                   and the snapshot regression gate (compare)
      version    — print the build stamp (commit, OCaml version, profile)
 
@@ -61,13 +61,13 @@ let analysis_arg =
 let observed_flags =
   Session.(
     flags files_arg ~stats_json:stats_json_arg ~trace:trace_arg
-      ~progress:progress_arg ~profile:profile_arg)
+      ~progress:progress_arg)
 
 let traced_flags =
-  Session.(flags files_arg ~stats_json:absent ~trace:trace_arg ~progress:off ~profile:off)
+  Session.(flags files_arg ~stats_json:absent ~trace:trace_arg ~progress:off)
 
 let plain_flags files =
-  Session.(flags files ~stats_json:absent ~trace:absent ~progress:off ~profile:off)
+  Session.(flags files ~stats_json:absent ~trace:absent ~progress:off)
 
 (* Exit-code contract, rendered into every subcommand's man page. *)
 let common_exits =
@@ -773,21 +773,6 @@ let heapmap_cmd =
     let doc = "Write the census to $(docv) ($(b,-) = stdout)." in
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let compare_arg =
-    let doc =
-      "Gate the census against a blessed census JSON (as written by \
-       $(b,--format json)): exit 4 if any component's retained words grew \
-       by more than $(b,--tol) percent."
-    in
-    Arg.(value & opt (some string) None & info [ "compare" ] ~docv:"FILE" ~doc)
-  in
-  let tol_arg =
-    let doc = "Per-component growth tolerance for $(b,--compare), percent." in
-    Arg.(
-      value
-      & opt float Snapshot.default_thresholds.Snapshot.heap_component_tol_pct
-      & info [ "tol" ] ~docv:"PCT" ~doc)
-  in
   let datalog_arg =
     let doc =
       "Census the reference Datalog implementation's relations instead of \
@@ -795,7 +780,7 @@ let heapmap_cmd =
     in
     Arg.(value & flag & info [ "datalog" ] ~doc)
   in
-  let run flags analysis datalog format output compare_file tol =
+  let run flags analysis datalog format output =
     let census =
       let client census_of _ _ r =
         let census = census_of r in
@@ -806,40 +791,11 @@ let heapmap_cmd =
         Session.run Native flags ~analysis
           (client (fun r -> Solver.census r.Driver.solver))
     in
-    (match format with
+    match format with
     | `Text -> write_output output (Format.asprintf "%a" Census.pp census)
     | `Json ->
       write_output output
-        (Json.to_string (Session.stamp_build (Census.to_json census)) ^ "\n"));
-    match compare_file with
-    | None -> ()
-    | Some path -> (
-      let baseline =
-        match Result.bind (Json.of_string (read_file path)) Census.of_json with
-        | Ok c -> c
-        | Error e -> fail_usage "%s: %s" path e
-      in
-      match
-        Census.compare_components ~tol_pct:tol
-          ~baseline:baseline.Census.components
-          ~current:census.Census.components
-      with
-      | [] ->
-        Printf.eprintf "heapmap: all components within %.1f%% of %s\n" tol path
-      | breaches ->
-        List.iter
-          (fun (b : Census.breach) ->
-            Printf.eprintf
-              "heapmap: %s retained %d words, baseline %d (+%.1f%% > %.1f%%)\n"
-              b.Census.b_name b.Census.b_cur_words b.Census.b_base_words
-              b.Census.b_pct tol)
-          breaches;
-        exit 4)
-  in
-  let heapmap_exits =
-    Cmd.Exit.info 4
-      ~doc:"($(b,--compare)) when any component breaches the tolerance."
-    :: common_exits
+        (Json.to_string (Session.stamp_build (Census.to_json census)) ^ "\n")
   in
   let doc =
     "Run one analysis and print the reachable-heap census: live words \
@@ -856,17 +812,14 @@ let heapmap_cmd =
          physical-identity awareness (a block shared between components is \
          charged once, to the first component that reaches it), and is \
          byte-deterministic: two runs on the same input produce \
-         cmp-identical JSON.  $(b,--compare) gates the fresh census \
-         against a blessed one, flagging components whose retained words \
-         grew beyond the tolerance — the per-component check that \
-         $(b,bench compare) applies to every snapshot cell.";
+         cmp-identical JSON.";
     ]
   in
   Cmd.v
-    (Cmd.info "heapmap" ~doc ~man ~exits:heapmap_exits)
+    (Cmd.info "heapmap" ~doc ~man ~exits:common_exits)
     Term.(
       const run $ plain_flags Session.files_arg $ analysis_arg $ datalog_arg
-      $ format_arg $ output_arg $ compare_arg $ tol_arg)
+      $ format_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench: the evaluation grids and the regression gate                  *)
@@ -1029,21 +982,15 @@ let scaling_cmd =
   fixed_cmd "scaling" "Analysis cost against program size (luindex x0.5-2)."
     Grid.scaling
 
-let micro_cmd =
-  grid_cmd "micro" "Bechamel micro-benchmarks of the solver's building blocks."
-    Term.(const Grid.micro $ const ())
-
 let all_cmd =
   benchmarks_cmd "all"
-    "table1, figure3, summary, ablation, scaling and micro, sharing their \
-     cells."
+    "table1, figure3, summary, ablation and scaling, sharing their cells."
     (fun g ~benchmarks ->
       Grid.table1 g ~benchmarks ~analyses:Grid.table1_analyses;
       Grid.figure3 g ~benchmarks;
       Grid.summary g ~benchmarks;
       Grid.ablation g;
-      Grid.scaling g;
-      Grid.micro ())
+      Grid.scaling g)
 
 let compare_bench_cmd =
   let baseline_arg =
@@ -1116,7 +1063,7 @@ let bench_cmd =
     (Cmd.info "bench" ~doc ~man ~exits:bench_exits)
     [
       table1_cmd; figure3_cmd; summary_cmd; ablation_cmd; scaling_cmd;
-      propbench_cmd; micro_cmd; all_cmd; compare_bench_cmd; cell_cmd;
+      propbench_cmd; all_cmd; compare_bench_cmd; cell_cmd;
     ]
 
 let version_cmd =

@@ -63,13 +63,6 @@ let progress_arg =
   let doc = "Report solver progress on stderr while the analysis runs." in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-let profile_arg =
-  let doc =
-    "After the run, print the observability profile (counters and per-phase \
-     timings) in human-readable form."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
 (* What a subcommand passes for a flag it does not offer. *)
 let absent = Term.const None
 let off = Term.const false
@@ -81,16 +74,15 @@ type flags = {
   stats_json : string option;
   trace_file : string option;
   progress : bool;
-  profile : bool;
 }
 
-let flags files ~stats_json ~trace ~progress ~profile =
-  let make files no_stdlib timeout_s stats_json trace_file progress profile =
-    { files; no_stdlib; timeout_s; stats_json; trace_file; progress; profile }
+let flags files ~stats_json ~trace ~progress =
+  let make files no_stdlib timeout_s stats_json trace_file progress =
+    { files; no_stdlib; timeout_s; stats_json; trace_file; progress }
   in
   Term.(
     const make $ files $ no_stdlib_arg $ timeout_arg $ stats_json $ trace
-    $ progress $ profile)
+    $ progress)
 
 (* ------------------------------------------------------------------ *)
 (* Output                                                              *)
@@ -203,7 +195,7 @@ let solve : type r. t -> r engine -> string -> Budget.t * r =
   if s.flags.progress then report_progress budget;
   match engine with
   | Native -> (
-    let collect_stats = s.flags.stats_json <> None || s.flags.profile in
+    let collect_stats = s.flags.stats_json <> None in
     match Driver.run ~config ~collect_stats s.program ~analysis with
     | Ok r ->
       if s.flags.progress then report_phases r.Driver.solver;
@@ -248,8 +240,8 @@ let outcome_doc = function
       ]
 
 (* The exit step: the report (on stderr when machine output claimed
-   stdout), the [--profile] blocks, the stats document — one object for
-   a single analysis, a list for several — and the trace. *)
+   stdout), the stats document — one object for a single analysis, a
+   list for several — and the trace. *)
 let finish ?(several = false) s report =
   let f = s.flags in
   let on_stdout = function Some "-" -> true | _ -> false in
@@ -259,12 +251,6 @@ let finish ?(several = false) s report =
   in
   let v = report ppf in
   let outcomes = List.rev s.outcomes in
-  if f.profile then
-    List.iter
-      (function
-        | Solved stats -> Format.fprintf ppf "%a@." Run_stats.pp stats
-        | Timed_out _ -> ())
-      outcomes;
   Option.iter
     (fun path ->
       let docs = List.map outcome_doc outcomes in

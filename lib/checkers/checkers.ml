@@ -1,7 +1,7 @@
 module Ir = Pta_ir.Ir
-module Hierarchy = Pta_ir.Hierarchy
 module Intset = Pta_solver.Intset
 module Provenance = Pta_clients.Provenance
+module Casts = Pta_clients.Casts
 module Budget = Pta_obs.Budget
 open Ir
 
@@ -130,17 +130,9 @@ let may_fail_cast ?(budget = Budget.unlimited ()) (r : Results.t) =
       iter_instrs_with_spans p meth (fun instr span ->
           match instr with
           | Cast { source; cast_type; _ } ->
-            let bad =
-              Intset.fold
-                (fun heap bad ->
-                  let heap = Heap_id.of_int heap in
-                  let heap_type = (Program.heap_info p heap).heap_type in
-                  if Hierarchy.subtype r.hierarchy ~sub:heap_type ~sup:cast_type
-                  then bad
-                  else heap :: bad)
-                (r.points_to source) []
-            in
-            (match List.rev bad with
+            (match
+               Casts.incompatible p r.hierarchy ~cast_type (r.points_to source)
+             with
             | [] -> ()
             | heaps ->
               let witnesses =

@@ -15,6 +15,16 @@ type site = {
   verdict : verdict;
 }
 
+let incompatible program hierarchy ~cast_type heaps =
+  Intset.fold
+    (fun heap acc ->
+      let heap = Heap_id.of_int heap in
+      let heap_type = (Program.heap_info program heap).heap_type in
+      if Hierarchy.subtype hierarchy ~sub:heap_type ~sup:cast_type then acc
+      else heap :: acc)
+    heaps []
+  |> List.rev
+
 let analyze solver =
   let program = Solver.program solver in
   let hierarchy = Solver.hierarchy solver in
@@ -27,19 +37,13 @@ let analyze solver =
         (fun instr ->
           match instr with
           | Cast { source; cast_type; _ } ->
-            let witnesses =
-              Intset.fold
-                (fun heap acc ->
-                  let heap = Heap_id.of_int heap in
-                  let heap_type = (Program.heap_info program heap).heap_type in
-                  if Hierarchy.subtype hierarchy ~sub:heap_type ~sup:cast_type
-                  then acc
-                  else heap :: acc)
-                (Solver.ci_var_points_to solver source)
-                []
-            in
             let verdict =
-              match witnesses with [] -> Safe | ws -> May_fail (List.rev ws)
+              match
+                incompatible program hierarchy ~cast_type
+                  (Solver.ci_var_points_to solver source)
+              with
+              | [] -> Safe
+              | ws -> May_fail ws
             in
             sites := { in_meth = meth; cast_type; source; verdict } :: !sites
           | Alloc _ | Move _ | Load _ | Store _ | Virtual_call _ | Static_call _

@@ -155,46 +155,6 @@ let component_of_json json =
     Error (Printf.sprintf "census: negative words in component %S" comp_name)
   else Ok { comp_name; retained_words; unshared_words }
 
-let hist_of_json json =
-  let* h_bounds =
-    field json "bounds" (fun j ->
-        Option.map (List.filter_map Json.to_int) (Json.to_list j))
-  in
-  let* h_counts =
-    field json "counts" (fun j ->
-        Option.map (List.filter_map Json.to_int) (Json.to_list j))
-  in
-  if List.length h_counts <> List.length h_bounds + 1 then
-    Error "census: intset_hist counts must have one more entry than bounds"
-  else Ok { h_bounds; h_counts }
-
-let components_of_json json =
-  let* l = field json "components" Json.to_list in
-  List.fold_left
-    (fun acc j ->
-      let* acc = acc in
-      let* c = component_of_json j in
-      Ok (c :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
-let of_json json =
-  let* v = field json "schema_version" Json.to_int in
-  if v < 1 || v > current_schema_version then
-    Error
-      (Printf.sprintf "census: unsupported schema_version %d (max %d)" v
-         current_schema_version)
-  else
-    let* word_bytes = field json "word_bytes" Json.to_int in
-    let* process_heap_words = field json "live_heap_words" Json.to_int in
-    let* components = components_of_json json in
-    let* set_hist =
-      match Json.member "intset_hist" json with
-      | None -> Ok None
-      | Some j -> Result.map Option.some (hist_of_json j)
-    in
-    Ok { word_bytes; process_heap_words; components; set_hist }
-
 (* The snapshot embedding carries only the component list (the
    process-global context of a walk does not belong in a per-cell
    record). *)

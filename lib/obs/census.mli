@@ -79,7 +79,6 @@ val hist_total : hist -> int
     (fixed key order, integer words, no wall-clock values). *)
 
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 
 val components_to_json : component list -> Json.t
 (** Just the component list — the per-cell embedding used by bench

@@ -102,15 +102,3 @@ let to_json d =
       ("heap_words", Json.Int d.heap_words_after);
       ("peak_heap_words", Json.Int d.peak_heap_words);
     ]
-
-let pp ppf d =
-  let line fmt = Format.fprintf ppf fmt in
-  line "@[<v>memory:@,";
-  line "  %-22s %12.0f@," "minor alloc (words)" d.minor_allocated_words;
-  line "  %-22s %12.0f@," "major alloc (words)" d.major_allocated_words;
-  line "  %-22s %12.0f@," "promoted (words)" d.promoted_delta_words;
-  line "  %-22s %12d@," "minor collections" d.minor_collections_delta;
-  line "  %-22s %12d@," "major collections" d.major_collections_delta;
-  line "  %-22s %12d@," "compactions" d.compactions_delta;
-  line "  %-22s %12d@," "peak heap (words)" d.peak_heap_words;
-  line "@]"

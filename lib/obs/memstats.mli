@@ -62,4 +62,3 @@ val finish : tracker -> delta
 (** {1 Serialisation} *)
 
 val to_json : delta -> Json.t
-val pp : Format.formatter -> delta -> unit

@@ -8,8 +8,7 @@
     run's GC profile.  Every field except [wall_time_s], [phases] and
     [memory] is deterministic.
 
-    Renders to a human-readable table ({!pp}) and to stable JSON
-    ({!to_json}). *)
+    Renders to stable JSON ({!to_json}). *)
 
 type t = {
   analysis : string;
@@ -34,5 +33,3 @@ type t = {
 }
 
 val to_json : t -> Json.t
-
-val pp : Format.formatter -> t -> unit

@@ -131,7 +131,7 @@ let xalan =
 
 let dacapo = [ antlr; bloat; chart; eclipse; hsqldb; jython; luindex; lusearch; pmd; xalan ]
 
-(* A small profile for tests and micro-benchmarks. *)
+(* A small profile for tests and quick CLI runs. *)
 let tiny =
   make ~name:"tiny" ~seed:0xDA0C0DE_0FFL ~hierarchies:2 ~subclasses:2
     ~methods_per_class:3 ~driver_units:2 ~unit_ops:8 ~util_classes:1

@@ -7,6 +7,8 @@ val source : Profile.t -> string
 (** Benchmark source including the mini-JDK. *)
 
 val program : Profile.t -> Pta_ir.Ir.Program.t
-(** Parse and lower ({!source}); memoized per profile name. *)
+(** Parse the generated part of {!source}, prepend the mini-JDK's
+    pre-parsed declarations ([Pta_mjdk.Mjdk.decls]) and lower the
+    whole; memoized per profile name. *)
 
 val program_by_name : string -> Pta_ir.Ir.Program.t option

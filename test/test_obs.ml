@@ -293,11 +293,32 @@ let census_sharing_test () =
     Alcotest.(check bool) "sharing factor > 1" true
       (Census.sharing_factor comp > 1.)
 
+(* The component codec bench snapshots embed per cell: a solved
+   census's components survive printing and parsing unchanged. *)
 let census_json_roundtrip_test () =
-  let c = Solver.census (solve_for_census ()) in
-  match Census.of_json (Census.to_json c) with
+  let cs = (Solver.census (solve_for_census ())).Census.components in
+  let decoded =
+    Result.bind
+      (Json.of_string (Json.to_string (Census.components_to_json cs)))
+      Census.components_of_json_list
+  in
+  match decoded with
   | Error e -> Alcotest.failf "census round-trip: %s" e
-  | Ok c' -> Alcotest.(check bool) "identical" true (c = c')
+  | Ok cs' -> Alcotest.(check bool) "identical" true (cs = cs')
+
+let census_json_rejects_test () =
+  let decode s = Result.bind (Json.of_string s) Census.components_of_json_list in
+  let rejects label s =
+    match decode s with
+    | Ok _ -> Alcotest.failf "%s: accepted %s" label s
+    | Error _ -> ()
+  in
+  (match decode {|[{"name": "edge-lists", "retained_words": 3, "unshared_words": 4}]|} with
+  | Ok [ c ] -> Alcotest.(check int) "retained" 3 c.Census.retained_words
+  | Ok _ | Error _ -> Alcotest.fail "well-formed component rejected");
+  rejects "negative retained_words"
+    {|[{"name": "edge-lists", "retained_words": -1, "unshared_words": 4}]|};
+  rejects "missing name" {|[{"retained_words": 3, "unshared_words": 4}]|}
 
 let refimpl_budget_test () =
   let program = tiny_program () in
@@ -326,4 +347,6 @@ let tests =
       census_sharing_test;
     Alcotest.test_case "census JSON round-trip" `Quick
       census_json_roundtrip_test;
+    Alcotest.test_case "census JSON rejects bad components" `Quick
+      census_json_rejects_test;
   ]
