@@ -10,127 +10,169 @@ type step = {
   is_origin : bool;
 }
 
-let describe_node solver nid =
-  let program = Solver.program solver in
-  let ctx_str ctx =
-    Format.asprintf "%a" (Ctx.pp_value program) (Solver.ctx_value solver ctx)
-  in
-  match Solver.node_kind solver nid with
-  | Solver.Var_node (var, ctx) ->
-    Printf.sprintf "%s under %s" (Program.var_qualified_name program var)
-      (ctx_str ctx)
-  | Solver.Fld_node (hobj, field) ->
-    Printf.sprintf "field %s of %s"
-      (Program.field_info program field).field_name
-      (Program.heap_name program (Solver.hobj_heap solver hobj))
-  | Solver.Static_fld_node field ->
-    let fi = Program.field_info program field in
-    Printf.sprintf "static field %s::%s"
-      (Program.type_name program fi.field_owner)
-      fi.field_name
-  | Solver.Throw_node (meth, ctx) ->
-    Printf.sprintf "exceptions escaping %s under %s"
-      (Program.meth_qualified_name program meth)
-      (ctx_str ctx)
-  | Solver.Scope_node -> "a try-block scope"
-
 (* A session answers queries against one solved state, building its
    indexes lazily and once:
-   - [holders]: allocation site -> ascending canonical nodes holding
-     one of its hobjs, and [site_hobjs]: allocation site -> its hobjs in
-     descending id order — both from one pass over the state;
-   - [preds]: per allocation site, the reverse adjacency among its
-     holders, tracking which hobj travels each edge (any one works).
+   - [site_hobjs]: allocation site -> its hobjs in descending id order,
+     one pass over the hobj table;
+   - [rev_*]: the reverse adjacency of the canonical nodes, one pass
+     over every out-edge: [rev_src]/[rev_edge] hold, for each canonical
+     destination [d] in the slice [rev_start.(d) .. rev_start.(d+1)-1],
+     the canonical sources of [d]'s in-edges in descending id order and
+     the edge each came by.  Sources or destinations holding nothing are
+     left out, since a walk visits holders only;
+   - [preds]: per allocation site, the predecessor list of each node a
+     walk visited, computed from [rev_*] on first visit.
+   A predecessor list is exactly the one a forward pass would build by
+   visiting the site's holders in ascending order, hobjs in descending
+   order and edges in chain order, prepending each source: its sources
+   descending, each repeated once per (hobj, edge) pair that carries one
+   of the site's hobjs from it, self-edges excluded.  The duplicates are
+   kept, since they fix the BFS order and hence the chosen chain.
    The walk runs over canonical node ids — unified copy-cycle members
-   share state, so one class is one BFS vertex.  The predecessor map is
-   built visiting sources in ascending order, hobjs in descending order
-   and edges in list order, so its lists (duplicates included) and
-   hence the BFS order and the chosen chain are fixed by the state.
-   [parent] is the BFS state, allocated once per session and reset
-   entry by entry after each walk, so a query pays for the nodes it
-   visits, never for the whole supergraph. *)
+   share state, so one class is one BFS vertex.  [parent] is the BFS
+   state, allocated once per session and reset entry by entry after each
+   walk, so a query pays for the nodes it visits, never for the whole
+   supergraph.  [names] and [ctx_names] memoize the descriptions a
+   chain prints, per node and per context. *)
 type t = {
   solver : Solver.t;
   budget : Budget.t;
-  mutable holders : int list array;  (* [||] until built *)
-  mutable site_hobjs : int list array;
+  mutable site_hobjs : int list array;  (* [||] until built *)
+  mutable rev_start : int array;  (* [||] until built *)
+  mutable rev_src : int array;
+  mutable rev_edge : Solver.edge array;
   preds : (int, (int, int list) Hashtbl.t) Hashtbl.t;  (* site -> dst -> srcs *)
   mutable parent : int array;  (* [||] until the first walk *)
+  names : (int, string) Hashtbl.t;  (* node -> description *)
+  ctx_names : (int, string) Hashtbl.t;  (* ctx -> printed value *)
 }
 
 let create ?(budget = Budget.unlimited ()) solver =
   {
     solver;
     budget;
-    holders = [||];
     site_hobjs = [||];
+    rev_start = [||];
+    rev_src = [||];
+    rev_edge = [||];
     preds = Hashtbl.create 64;
     parent = [||];
+    names = Hashtbl.create 64;
+    ctx_names = Hashtbl.create 64;
   }
+
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f key in
+    Hashtbl.add tbl key v;
+    v
+
+let ctx_name t ctx =
+  memo t.ctx_names ctx (fun ctx ->
+      Ctx.value_to_string (Solver.program t.solver)
+        (Solver.ctx_value t.solver ctx))
+
+let describe_node t nid =
+  memo t.names nid (fun nid ->
+      let solver = t.solver in
+      let program = Solver.program solver in
+      match Solver.node_kind solver nid with
+      | Solver.Var_node (var, ctx) ->
+        Program.var_qualified_name program var ^ " under " ^ ctx_name t ctx
+      | Solver.Fld_node (hobj, field) ->
+        "field " ^ (Program.field_info program field).field_name ^ " of "
+        ^ Program.heap_name program (Solver.hobj_heap solver hobj)
+      | Solver.Static_fld_node field ->
+        let fi = Program.field_info program field in
+        "static field " ^ Program.type_name program fi.field_owner ^ "::"
+        ^ fi.field_name
+      | Solver.Throw_node (meth, ctx) ->
+        "exceptions escaping " ^ Program.meth_qualified_name program meth
+        ^ " under " ^ ctx_name t ctx
+      | Solver.Scope_node -> "a try-block scope")
 
 let unvisited = -2
 
 (* The budget is polled once per [poll_every] nodes of an index build. *)
 let poll_every = 0xFFF
 
-let build_holders t =
-  let solver = t.solver in
-  let n_sites = Program.n_heaps (Solver.program solver) in
-  let site_hobjs = Array.make n_sites [] in
-  for h = 0 to Solver.n_hobjs solver - 1 do
-    let site = Heap_id.to_int (Solver.hobj_heap solver h) in
-    site_hobjs.(site) <- h :: site_hobjs.(site)
-  done;
-  let holders = Array.make n_sites [] in
-  let last = Array.make n_sites (-1) in
-  for nid = Solver.n_nodes solver - 1 downto 0 do
-    if nid land poll_every = 0 then Budget.check t.budget;
-    if Solver.canonical_node solver nid = nid then
-      Intset.iter
-        (fun h ->
-          let site = Heap_id.to_int (Solver.hobj_heap solver h) in
-          if last.(site) <> nid then begin
-            last.(site) <- nid;
-            holders.(site) <- nid :: holders.(site)
-          end)
-        (Solver.node_points_to solver nid)
-  done;
-  t.site_hobjs <- site_hobjs;
-  t.holders <- holders
-
 let hobjs_of_site t site =
-  if Array.length t.holders = 0 then build_holders t;
+  if Array.length t.site_hobjs = 0 then begin
+    let solver = t.solver in
+    let site_hobjs = Array.make (Program.n_heaps (Solver.program solver)) [] in
+    for h = 0 to Solver.n_hobjs solver - 1 do
+      let site = Heap_id.to_int (Solver.hobj_heap solver h) in
+      site_hobjs.(site) <- h :: site_hobjs.(site)
+    done;
+    t.site_hobjs <- site_hobjs
+  end;
   t.site_hobjs.(site)
+
+(* Counts in-edges per destination, then fills each destination's slice
+   front to back while the sources descend, so a slice ends up in
+   descending source order. *)
+let build_rev t =
+  let solver = t.solver in
+  let n = Solver.n_nodes solver in
+  let live nid =
+    Solver.canonical_node solver nid = nid
+    && not (Intset.is_empty (Solver.node_points_to solver nid))
+  in
+  let each_edge f =
+    for src = n - 1 downto 0 do
+      if src land poll_every = 0 then Budget.check t.budget;
+      if live src then
+        Solver.iter_succ_edges solver src (fun e dst ->
+            let dst = Solver.canonical_node solver dst in
+            if dst <> src && live dst then f src e dst)
+    done
+  in
+  let start = Array.make (n + 1) 0 in
+  each_edge (fun _ _ dst -> start.(dst + 1) <- start.(dst + 1) + 1);
+  for d = 1 to n do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let m = start.(n) in
+  let src_of = Array.make m 0 and edge_of = Array.make m 0 in
+  let fill = Array.sub start 0 n in
+  each_edge (fun src e dst ->
+      let i = fill.(dst) in
+      fill.(dst) <- i + 1;
+      src_of.(i) <- src;
+      edge_of.(i) <- e);
+  t.rev_start <- start;
+  t.rev_src <- src_of;
+  t.rev_edge <- edge_of
+
+let preds_of t site hobjs nid =
+  let per_site =
+    match Hashtbl.find_opt t.preds site with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.add t.preds site tbl;
+      tbl
+  in
+  memo per_site nid (fun nid ->
+      if Array.length t.rev_start = 0 then build_rev t;
+      let solver = t.solver in
+      let acc = ref [] in
+      for i = t.rev_start.(nid + 1) - 1 downto t.rev_start.(nid) do
+        let src = t.rev_src.(i) and e = t.rev_edge.(i) in
+        let pts = Solver.node_points_to solver src in
+        List.iter
+          (fun h ->
+            if Intset.mem h pts && Solver.edge_passes solver e h then
+              acc := src :: !acc)
+          hobjs
+      done;
+      !acc)
 
 let holds solver hobjs nid =
   let pts = Solver.node_points_to solver nid in
   List.exists (fun h -> Intset.mem h pts) hobjs
-
-let preds_of_site t site =
-  match Hashtbl.find_opt t.preds site with
-  | Some preds -> preds
-  | None ->
-    let solver = t.solver in
-    let hobjs = hobjs_of_site t site in
-    let preds = Hashtbl.create 64 in
-    List.iteri
-      (fun i src ->
-        if i land poll_every = 0 then Budget.check t.budget;
-        let pts = Solver.node_points_to solver src in
-        List.iter
-          (fun h ->
-            if Intset.mem h pts then
-              List.iter
-                (fun dst ->
-                  let dst = Solver.canonical_node solver dst in
-                  if dst <> src && holds solver hobjs dst then
-                    Hashtbl.replace preds dst
-                      (src :: Option.value ~default:[] (Hashtbl.find_opt preds dst)))
-                (Solver.node_succs_passing solver src h))
-          hobjs)
-      t.holders.(site);
-    Hashtbl.add t.preds site preds;
-    preds
 
 (* The node a chain ends at: among [var]'s nodes holding one of
    [hobjs], the first in the order the solver listed a variable's nodes
@@ -182,8 +224,7 @@ let explain t ~var ~heap =
   match target solver hobjs var with
   | None -> None
   | Some target0 ->
-    let preds = preds_of_site t site in
-    let preds_of nid = Option.value ~default:[] (Hashtbl.find_opt preds nid) in
+    let preds_of = preds_of t site hobjs in
     let target = Solver.canonical_node solver target0 in
     if Array.length t.parent = 0 then
       t.parent <- Array.make (Solver.n_nodes solver) unvisited;
@@ -218,7 +259,7 @@ let explain t ~var ~heap =
       (List.mapi
          (fun i nid ->
            let nid = if nid = target then target0 else nid in
-           { description = describe_node solver nid; is_origin = i = 0 })
+           { description = describe_node t nid; is_origin = i = 0 })
          nodes)
 
 let pp_chain ppf steps =

@@ -15,16 +15,19 @@ type step = {
 type t
 (** A provenance session over one solved state.  Its indexes are built
     lazily, once, and shared by every later query:
+    - on the first query, one pass over the abstract objects maps each
+      allocation site to its objects;
     - on the first query whose pair is a points-to fact, one pass over
-      the canonical nodes' points-to sets maps each allocation site to
-      the nodes holding one of its abstract objects;
-    - on the first such query for an allocation site, the predecessor
-      map among that site's holders, one pass over their out-edges,
-      kept for the session's later queries on the same site.
+      every out-edge of the canonical nodes builds the reverse
+      adjacency;
+    - per allocation site, the predecessor list of each node a walk
+      visits, read off the reverse adjacency on the first visit and
+      kept for the session's later queries on the same site;
+    - the description of each node a chain names, and of each context.
 
-    A query then costs a breadth-first walk over the nodes holding the
-    site.  Its state is one node-indexed array per session, reset entry
-    by entry, so no query pays in proportion to the whole supergraph.
+    A query then costs a breadth-first walk over the nodes it visits.
+    Its state is one node-indexed array per session, reset entry by
+    entry, so no query pays in proportion to the whole supergraph.
     A session holds the indexes it built until it is dropped; open one
     per batch of queries (a checker run, a [pointsto why]). *)
 

@@ -60,18 +60,16 @@ let intern store v =
 let value store id = Vec.get store.rev id
 let size store = Vec.length store.rev
 
-let pp_elem program ppf = function
-  | Star -> Format.pp_print_string ppf "*"
-  | Heap h -> Format.pp_print_string ppf (Ir.Program.heap_name program h)
-  | Invo i -> Format.pp_print_string ppf (Ir.Program.invo_name program i)
-  | Type t -> Format.pp_print_string ppf (Ir.Program.type_name program t)
+let elem_name program = function
+  | Star -> "*"
+  | Heap h -> Ir.Program.heap_name program h
+  | Invo i -> Ir.Program.invo_name program i
+  | Type t -> Ir.Program.type_name program t
 
-let pp_value program ppf v =
-  Format.fprintf ppf "[@[<h>%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (pp_elem program))
-    (Array.to_list v)
+let value_to_string program v =
+  "[" ^ String.concat ", " (List.map (elem_name program) (Array.to_list v)) ^ "]"
+
+let pp_value program ppf v = Format.pp_print_string ppf (value_to_string program v)
 
 let nth v i = if i < Array.length v then v.(i) else Star
 let first v = nth v 0

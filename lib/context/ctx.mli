@@ -34,8 +34,11 @@ val intern : store -> value -> id
 val value : store -> id -> value
 val size : store -> int
 
-val pp_elem : Pta_ir.Ir.Program.t -> Format.formatter -> elem -> unit
+val value_to_string : Pta_ir.Ir.Program.t -> value -> string
+(** ["[e1, e2, ...]"], built without [Format]. *)
+
 val pp_value : Pta_ir.Ir.Program.t -> Format.formatter -> value -> unit
+(** Prints {!value_to_string}. *)
 
 (** Accessors mirroring the paper's [first]/[second]/[third]; total
     functions returning [Star] past the end of the tuple, so strategies

@@ -59,7 +59,23 @@ let is_frontend_error exn =
   let sink = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   Pta_frontend.Frontend.report sink exn
 
+(* A fresh process runs with the runtime's 256k-word minor heap, so a
+   request promotes most of what it allocates, the parsed AST included,
+   and runs its first major cycles during the load.  With a 4M-word
+   nursery a small request finishes inside it, and the load of a
+   Table-1 program like gen antlr runs without one, its AST dying
+   young.
+   Raised once, from the load every analysing entry point goes through,
+   and never lowered below a size set through [OCAMLRUNPARAM]. *)
+let minor_heap_words = 4 * 1024 * 1024
+
+let configure_gc () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = minor_heap_words }
+
 let load_program ?(stdlib = true) sources =
+  configure_gc ();
   match
     let user =
       List.concat_map

@@ -35,11 +35,18 @@ val report_and_exit : error -> 'a
 
 (** {1 Loading} *)
 
+val configure_gc : unit -> unit
+(** Raise the minor heap to {!minor_heap_words} unless it is already at
+    least that large (an [OCAMLRUNPARAM=s=...] setting is never lowered).
+    Idempotent; {!load_program} calls it first. *)
+
+val minor_heap_words : int
+
 val load_program :
   ?stdlib:bool -> source list -> (Pta_ir.Ir.Program.t, error) result
-(** Parse, link and lower.  Unless [~stdlib:false], the mini-JDK's
-    declarations, parsed at build time ({!Pta_mjdk.Mjdk.decls}), come
-    first.
+(** {!configure_gc}, then parse, link and lower.  Unless
+    [~stdlib:false], the mini-JDK's declarations, parsed at build time
+    ({!Pta_mjdk.Mjdk.decls}), come first.
     Never raises on bad input: lexical, syntax and semantic failures
     come back as [Error (Frontend_error _)]. *)
 

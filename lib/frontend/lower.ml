@@ -1,5 +1,36 @@
 open Pta_ir.Ir
 
+(* Tables keyed by names.  They hash with [Hashtbl.hash], as the generic
+   table does, so buckets, iteration order ([topo_order]) and every id
+   stay what they were; equality is monomorphic, never [compare_val]. *)
+module Name_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Name2_tbl = Hashtbl.Make (struct
+  type t = string * string
+
+  let equal (a, b) (c, d) = String.equal a c && String.equal b d
+  let hash = Hashtbl.hash
+end)
+
+module Arity_tbl = Hashtbl.Make (struct
+  type t = string * int
+
+  let equal (a, i) (b, j) = i = j && String.equal a b
+  let hash = Hashtbl.hash
+end)
+
+module Meth_tbl = Hashtbl.Make (struct
+  type t = string * string * int
+
+  let equal (a, b, i) (c, d, j) = i = j && String.equal a c && String.equal b d
+  let hash = Hashtbl.hash
+end)
+
 (* ------------------------------------------------------------------ *)
 (* Pass 1: class table and topological ordering                        *)
 (* ------------------------------------------------------------------ *)
@@ -7,15 +38,15 @@ open Pta_ir.Ir
 let object_name = "Object"
 
 let class_table (decls : Ast.program) =
-  let table : (string, Ast.class_decl) Hashtbl.t = Hashtbl.create 64 in
+  let table : Ast.class_decl Name_tbl.t = Name_tbl.create 64 in
   List.iter
     (fun (c : Ast.class_decl) ->
-      if Hashtbl.mem table c.c_name then
+      if Name_tbl.mem table c.c_name then
         Srcloc.error c.c_pos "duplicate type %s" c.c_name;
-      Hashtbl.add table c.c_name c)
+      Name_tbl.add table c.c_name c)
     decls;
-  if not (Hashtbl.mem table object_name) then
-    Hashtbl.add table object_name
+  if not (Name_tbl.mem table object_name) then
+    Name_tbl.add table object_name
       {
         Ast.c_name = object_name;
         c_kind = Ast.K_class;
@@ -28,7 +59,7 @@ let class_table (decls : Ast.program) =
   table
 
 let find_class table pos name =
-  match Hashtbl.find_opt table name with
+  match Name_tbl.find_opt table name with
   | Some c -> c
   | None -> Srcloc.error pos "unknown type %s" name
 
@@ -59,23 +90,23 @@ let parents table (c : Ast.class_decl) =
 (* Depth-first topological sort over the supertype edges, detecting
    inheritance cycles. *)
 let topo_order table =
-  let visiting = Hashtbl.create 16 in
-  let done_ = Hashtbl.create 16 in
+  let visiting = Name_tbl.create 16 in
+  let done_ = Name_tbl.create 16 in
   let order = ref [] in
   let rec visit name =
-    if not (Hashtbl.mem done_ name) then begin
-      if Hashtbl.mem visiting name then
-        Srcloc.error (Hashtbl.find table name).Ast.c_pos
+    if not (Name_tbl.mem done_ name) then begin
+      if Name_tbl.mem visiting name then
+        Srcloc.error (Name_tbl.find table name).Ast.c_pos
           "inheritance cycle through %s" name;
-      Hashtbl.add visiting name ();
-      let c = Hashtbl.find table name in
+      Name_tbl.add visiting name ();
+      let c = Name_tbl.find table name in
       List.iter visit (parents table c);
-      Hashtbl.remove visiting name;
-      Hashtbl.add done_ name ();
+      Name_tbl.remove visiting name;
+      Name_tbl.add done_ name ();
       order := name :: !order
     end
   in
-  Hashtbl.iter (fun name _ -> visit name) table;
+  Name_tbl.iter (fun name _ -> visit name) table;
   List.rev !order
 
 (* ------------------------------------------------------------------ *)
@@ -84,24 +115,24 @@ let topo_order table =
 
 type env = {
   b : Builder.t;
-  classes : (string, Ast.class_decl) Hashtbl.t;
-  type_ids : (string, Type_id.t) Hashtbl.t;
-  field_ids : (string, Field_id.t) Hashtbl.t;
-  sfield_ids : (string * string, Field_id.t) Hashtbl.t;
+  classes : Ast.class_decl Name_tbl.t;
+  type_ids : Type_id.t Name_tbl.t;
+  field_ids : Field_id.t Name_tbl.t;
+  sfield_ids : Field_id.t Name2_tbl.t;
       (* (declaring class, name) -> static field *)
-  meth_ids : (string * string * int, Meth_id.t) Hashtbl.t;
+  meth_ids : Meth_id.t Meth_tbl.t;
       (* (class, method, arity) -> concrete method *)
 }
 
 let type_id env pos name =
-  match Hashtbl.find_opt env.type_ids name with
+  match Name_tbl.find_opt env.type_ids name with
   | Some t -> t
   | None -> Srcloc.error pos "unknown type %s" name
 
 let declare_types env order =
   List.iter
     (fun name ->
-      let c = Hashtbl.find env.classes name in
+      let c = Name_tbl.find env.classes name in
       let kind =
         match c.Ast.c_kind with Ast.K_class -> Class | Ast.K_interface -> Interface
       in
@@ -119,41 +150,41 @@ let declare_types env order =
         List.map (type_id env c.Ast.c_pos) c.Ast.c_ifaces
       in
       let id = Builder.add_type env.b ~name ~kind ~superclass ~interfaces in
-      Hashtbl.add env.type_ids name id)
+      Name_tbl.add env.type_ids name id)
     order
 
 let declare_fields env order =
   List.iter
     (fun name ->
-      let c = Hashtbl.find env.classes name in
-      let owner = Hashtbl.find env.type_ids name in
+      let c = Name_tbl.find env.classes name in
+      let owner = Name_tbl.find env.type_ids name in
       List.iter
         (fun (f : Ast.field_decl) ->
           if f.f_static then begin
             (* Static fields are per-class global cells, accessed as
                [C::f] and resolved along the superclass chain. *)
-            if Hashtbl.mem env.sfield_ids (name, f.f_name) then
+            if Name2_tbl.mem env.sfield_ids (name, f.f_name) then
               Srcloc.error f.f_pos "duplicate static field %s in %s" f.f_name name;
-            Hashtbl.add env.sfield_ids (name, f.f_name)
+            Name2_tbl.add env.sfield_ids (name, f.f_name)
               (Builder.add_field env.b ~owner ~name:f.f_name ~static:true)
           end
-          else if not (Hashtbl.mem env.field_ids f.f_name) then
+          else if not (Name_tbl.mem env.field_ids f.f_name) then
             (* Instance fields are a global namespace (MJ is untyped at
                use sites); the first declaration owns the id. *)
-            Hashtbl.add env.field_ids f.f_name
+            Name_tbl.add env.field_ids f.f_name
               (Builder.add_field env.b ~owner ~name:f.f_name ~static:false))
         c.c_fields)
     order
 
 (* Resolve [C::f] along the superclass chain, like inherited statics. *)
 let resolve_sfield env pos cls_name field_name =
-  if not (Hashtbl.mem env.type_ids cls_name) then
+  if not (Name_tbl.mem env.type_ids cls_name) then
     Srcloc.error pos "unknown type %s in static field access" cls_name;
   let rec walk name =
-    match Hashtbl.find_opt env.sfield_ids (name, field_name) with
+    match Name2_tbl.find_opt env.sfield_ids (name, field_name) with
     | Some f -> Some f
     | None ->
-      let c = Hashtbl.find env.classes name in
+      let c = Name_tbl.find env.classes name in
       (match c.Ast.c_kind with
       | Ast.K_interface -> None
       | Ast.K_class ->
@@ -167,22 +198,22 @@ let resolve_sfield env pos cls_name field_name =
 let declare_meths env order =
   List.iter
     (fun cls_name ->
-      let c = Hashtbl.find env.classes cls_name in
-      let owner = Hashtbl.find env.type_ids cls_name in
-      let seen = Hashtbl.create 8 in
+      let c = Name_tbl.find env.classes cls_name in
+      let owner = Name_tbl.find env.type_ids cls_name in
+      let seen = Arity_tbl.create 8 in
       List.iter
         (fun (m : Ast.meth_decl) ->
           let arity = List.length m.m_params in
-          if Hashtbl.mem seen (m.m_name, arity) then
+          if Arity_tbl.mem seen (m.m_name, arity) then
             Srcloc.error m.m_pos "duplicate method %s/%d in %s" m.m_name arity
               cls_name;
-          Hashtbl.add seen (m.m_name, arity) ();
+          Arity_tbl.add seen (m.m_name, arity) ();
           if not m.m_abstract then begin
             let id =
               Builder.add_meth ~span:m.m_span env.b ~owner ~name:m.m_name ~arity
                 ~static:m.m_static
             in
-            Hashtbl.add env.meth_ids (cls_name, m.m_name, arity) id
+            Meth_tbl.add env.meth_ids (cls_name, m.m_name, arity) id
           end)
         c.c_meths)
     order
@@ -191,17 +222,17 @@ let declare_meths env order =
    inherited statics included. *)
 let resolve_static env pos cls_name meth_name arity =
   let rec walk name =
-    match Hashtbl.find_opt env.meth_ids (name, meth_name, arity) with
+    match Meth_tbl.find_opt env.meth_ids (name, meth_name, arity) with
     | Some m -> Some m
     | None ->
-      let c = Hashtbl.find env.classes name in
+      let c = Name_tbl.find env.classes name in
       (match c.Ast.c_kind with
       | Ast.K_interface -> None
       | Ast.K_class ->
         if String.equal name object_name then None
         else walk (Option.value ~default:object_name c.Ast.c_super))
   in
-  if not (Hashtbl.mem env.type_ids cls_name) then
+  if not (Name_tbl.mem env.type_ids cls_name) then
     Srcloc.error pos "unknown type %s in static call" cls_name;
   match walk cls_name with
   | Some m -> m
@@ -218,7 +249,7 @@ let check_instantiable env pos cls_name ~ctor_arity =
   | None -> ()
   | Some arity ->
     let rec has_init name =
-      let c = Hashtbl.find env.classes name in
+      let c = Name_tbl.find env.classes name in
       List.exists
         (fun (m : Ast.meth_decl) ->
           String.equal m.m_name "init"
@@ -241,7 +272,7 @@ let check_instantiable env pos cls_name ~ctor_arity =
 type menv = {
   e : env;
   meth : Meth_id.t;
-  locals : (string, Var_id.t) Hashtbl.t;
+  locals : Var_id.t Name_tbl.t;
   mutable n_temp : int;
   mutable n_heap : int;
   mutable n_invo : int;
@@ -283,15 +314,15 @@ let this_var me pos =
   | None -> Srcloc.error pos "'this' used in a static method"
 
 let lookup_var me pos name =
-  match Hashtbl.find_opt me.locals name with
+  match Name_tbl.find_opt me.locals name with
   | Some v -> v
   | None -> Srcloc.error pos "unbound variable %s" name
 
 let declare_var me pos name =
-  if Hashtbl.mem me.locals name then
+  if Name_tbl.mem me.locals name then
     Srcloc.error pos "duplicate variable %s" name;
   let v = Builder.add_var me.e.b ~owner:me.meth ~name in
-  Hashtbl.add me.locals name v;
+  Name_tbl.add me.locals name v;
   v
 
 (* Lowered code annotated with the source span of each instruction.  The
@@ -404,7 +435,7 @@ and lower_into me ~target (expr : Ast.expr) : (instr * Srcloc.span) list =
     instrs @ [ (Cast { target; source; cast_type }, sp) ]
 
 and field_id me pos name =
-  match Hashtbl.find_opt me.e.field_ids name with
+  match Name_tbl.find_opt me.e.field_ids name with
   | Some f -> f
   | None -> Srcloc.error pos "unknown field %s" name
 
@@ -454,7 +485,7 @@ let rec lower_stmt me (stmt : Ast.stmt) : acode list =
     | Some expr -> instrs_to_acode (lower_into me ~target:v expr))
   | Ast.S_assign (name, expr) ->
     let target =
-      match Hashtbl.find_opt me.locals name with
+      match Name_tbl.find_opt me.locals name with
       | Some v -> v
       | None -> declare_var me pos name  (* implicit declaration *)
     in
@@ -512,12 +543,12 @@ and lower_block me stmts = A_seq (List.concat_map (lower_stmt me) stmts)
 
 let lower_body env cls_name (m : Ast.meth_decl) =
   let arity = List.length m.m_params in
-  let meth = Hashtbl.find env.meth_ids (cls_name, m.m_name, arity) in
+  let meth = Meth_tbl.find env.meth_ids (cls_name, m.m_name, arity) in
   let me =
     {
       e = env;
       meth;
-      locals = Hashtbl.create 16;
+      locals = Name_tbl.create 16;
       n_temp = 0;
       n_heap = 0;
       n_invo = 0;
@@ -527,10 +558,10 @@ let lower_body env cls_name (m : Ast.meth_decl) =
   let formals =
     List.map
       (fun param ->
-        if Hashtbl.mem me.locals param then
+        if Name_tbl.mem me.locals param then
           Srcloc.error m.m_pos "duplicate parameter %s" param;
         let v = Builder.add_var env.b ~owner:meth ~name:param in
-        Hashtbl.add me.locals param v;
+        Name_tbl.add me.locals param v;
         v)
       m.m_params
   in
@@ -546,10 +577,10 @@ let program (decls : Ast.program) : Program.t =
     {
       b = Builder.create ();
       classes;
-      type_ids = Hashtbl.create 64;
-      field_ids = Hashtbl.create 64;
-      sfield_ids = Hashtbl.create 64;
-      meth_ids = Hashtbl.create 256;
+      type_ids = Name_tbl.create 64;
+      field_ids = Name_tbl.create 64;
+      sfield_ids = Name2_tbl.create 64;
+      meth_ids = Meth_tbl.create 256;
     }
   in
   declare_types env order;
@@ -557,7 +588,7 @@ let program (decls : Ast.program) : Program.t =
   declare_meths env order;
   List.iter
     (fun cls_name ->
-      let c = Hashtbl.find classes cls_name in
+      let c = Name_tbl.find classes cls_name in
       List.iter
         (fun (m : Ast.meth_decl) ->
           if not m.Ast.m_abstract then lower_body env cls_name m)
@@ -566,7 +597,7 @@ let program (decls : Ast.program) : Program.t =
   (* Entry points: every [static method main()], in class-name order for
      determinism. *)
   let mains =
-    Hashtbl.fold
+    Meth_tbl.fold
       (fun (cls, name, arity) meth acc ->
         if
           String.equal name "main" && arity = 0

@@ -199,6 +199,14 @@ module Program = struct
 end
 
 module Builder = struct
+  (* (name, arity) -> signature, with monomorphic equality. *)
+  module Sig_tbl = Hashtbl.Make (struct
+    type t = string * int
+
+    let equal (a, i) (b, j) = i = j && String.equal a b
+    let hash = Hashtbl.hash
+  end)
+
   type pending_meth = {
     pm_name : string;
     pm_sig : Sig_id.t;
@@ -229,7 +237,7 @@ module Builder = struct
     heaps : heap_info Vec.t;
     invos : invo_info Vec.t;
     mutable entry_list : Meth_id.t list;
-    sig_table : (string * int, Sig_id.t) Hashtbl.t;
+    sig_table : Sig_id.t Sig_tbl.t;
     name_table : (string, Type_id.t) Hashtbl.t;
     heap_spans : Srcloc.span option Vec.t;
     invo_spans : Srcloc.span option Vec.t;
@@ -245,7 +253,7 @@ module Builder = struct
       heaps = Vec.create ();
       invos = Vec.create ();
       entry_list = [];
-      sig_table = Hashtbl.create 64;
+      sig_table = Sig_tbl.create 64;
       name_table = Hashtbl.create 64;
       heap_spans = Vec.create ();
       invo_spans = Vec.create ();
@@ -274,11 +282,11 @@ module Builder = struct
          { field_name = name; field_owner = owner; field_static = static })
 
   let intern_sig b ~name ~arity =
-    match Hashtbl.find_opt b.sig_table (name, arity) with
+    match Sig_tbl.find_opt b.sig_table (name, arity) with
     | Some s -> s
     | None ->
       let s = Sig_id.of_int (Vec.push b.sigs { sig_name = name; sig_arity = arity }) in
-      Hashtbl.add b.sig_table (name, arity) s;
+      Sig_tbl.add b.sig_table (name, arity) s;
       s
 
   let add_var b ~owner ~name =
@@ -410,7 +418,7 @@ module Builder = struct
       | None -> Type_id.of_int 0
     in
     let types =
-      Array.map
+      Vec.map_to_array
         (fun pt ->
           {
             type_name = pt.pt_name;
@@ -419,10 +427,10 @@ module Builder = struct
             interfaces = pt.pt_ifaces;
             declared = List.rev pt.pt_declared;
           })
-        (Vec.to_array b.types)
+        b.types
     in
     let meths =
-      Array.map
+      Vec.map_to_array
         (fun pm ->
           {
             meth_name = pm.pm_name;
@@ -434,7 +442,7 @@ module Builder = struct
             ret_var = pm.pm_ret;
             body = pm.pm_body;
           })
-        (Vec.to_array b.meths)
+        b.meths
     in
     Array.iteri (fun i mi -> validate_body b (Meth_id.of_int i) mi.body) meths;
     {
@@ -448,10 +456,9 @@ module Builder = struct
       entries = List.rev b.entry_list;
       object_type;
       type_by_name = Hashtbl.copy b.name_table;
-      meth_spans = Array.map (fun pm -> pm.pm_span) (Vec.to_array b.meths);
+      meth_spans = Vec.map_to_array (fun pm -> pm.pm_span) b.meths;
       heap_spans = Vec.to_array b.heap_spans;
       invo_spans = Vec.to_array b.invo_spans;
-      instr_span_tab =
-        Array.map (fun pm -> pm.pm_instr_spans) (Vec.to_array b.meths);
+      instr_span_tab = Vec.map_to_array (fun pm -> pm.pm_instr_spans) b.meths;
     }
 end

@@ -5,18 +5,17 @@ type 'a t = {
 
 let create () = { data = [||]; size = 0 }
 
-let grow v needed =
-  let cap = max 8 (max needed (2 * Array.length v.data)) in
-  (* The dummy slots beyond [size] hold copies of existing elements, so no
-     [Obj.magic] is needed. *)
-  let data = Array.make cap v.data.(0) in
-  Array.blit v.data 0 data 0 v.size;
-  v.data <- data
+(* Doubles a full array by appending it to itself: the slots beyond
+   [size] hold copies of existing elements, so no [Obj.magic] is needed.
+   [Array.make] with an element still in the minor heap would force a
+   minor collection once the array outgrows the minor heap's largest
+   block; [Array.append] copies into the major heap without one. *)
+let grow v = v.data <- Array.append v.data v.data
 
 let push v x =
   let i = v.size in
   if i >= Array.length v.data then
-    if i = 0 then v.data <- Array.make 8 x else grow v (i + 1);
+    if i = 0 then v.data <- Array.make 8 x else grow v;
   v.data.(i) <- x;
   v.size <- i + 1;
   i
@@ -54,6 +53,11 @@ let exists p v =
   loop 0
 
 let to_array v = Array.sub v.data 0 v.size
+
+let map_to_array f v =
+  let r = create () in
+  iter (fun x -> ignore (push r (f x))) v;
+  to_array r
 let to_list v = Array.to_list (to_array v)
 
 let of_list xs =

@@ -54,9 +54,20 @@ let rec add_spaces buf n =
     add_spaces buf (n - k)
   end
 
+(* A line break and the indentation of depth [d], one string per depth
+   for the depths a document usually reaches. *)
+let line_breaks = Array.init 32 (fun d -> "\n" ^ String.make (2 * d) ' ')
+
+let add_line_break buf d =
+  if d < Array.length line_breaks then Buffer.add_string buf line_breaks.(d)
+  else begin
+    Buffer.add_char buf '\n';
+    add_spaces buf (2 * d)
+  end
+
 let to_buffer ?(indent = true) buf v =
-  let pad depth = if indent then add_spaces buf (2 * depth) in
-  let nl () = if indent then Buffer.add_char buf '\n' in
+  let brk depth = if indent then add_line_break buf depth in
+  let colon = if indent then ": " else ":" in
   let rec go depth v =
     match v with
     | Null -> Buffer.add_string buf "null"
@@ -68,39 +79,39 @@ let to_buffer ?(indent = true) buf v =
       else Buffer.add_string buf (float_repr x)
     | String s -> escape buf s
     | List [] -> Buffer.add_string buf "[]"
-    | List items ->
+    | List (item :: items) ->
       Buffer.add_char buf '[';
-      nl ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
-          go (depth + 1) item)
-        items;
-      nl ();
-      pad depth;
+      brk (depth + 1);
+      go (depth + 1) item;
+      items_after depth items;
+      brk depth;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
-    | Obj members ->
+    | Obj (member :: members) ->
       Buffer.add_char buf '{';
-      nl ();
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
-          escape buf k;
-          Buffer.add_string buf (if indent then ": " else ":");
-          go (depth + 1) item)
-        members;
-      nl ();
-      pad depth;
+      brk (depth + 1);
+      member_at (depth + 1) member;
+      members_after depth members;
+      brk depth;
       Buffer.add_char buf '}'
+  and items_after depth = function
+    | [] -> ()
+    | item :: items ->
+      Buffer.add_char buf ',';
+      brk (depth + 1);
+      go (depth + 1) item;
+      items_after depth items
+  and member_at depth (k, item) =
+    escape buf k;
+    Buffer.add_string buf colon;
+    go depth item
+  and members_after depth = function
+    | [] -> ()
+    | member :: members ->
+      Buffer.add_char buf ',';
+      brk (depth + 1);
+      member_at (depth + 1) member;
+      members_after depth members
   in
   go 0 v;
   if indent then Buffer.add_char buf '\n'

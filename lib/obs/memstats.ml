@@ -7,7 +7,30 @@ type snapshot = {
   compactions : int;
   heap_words : int;
   top_heap_words : int;
+  minor_heap_words : int;
+  peak_rss_kb : int option;
 }
+
+(* [VmHWM] of /proc/self/status: the process's resident-set high-water
+   mark, minor heap and runtime included.  [None] off Linux, or wherever
+   the file cannot be read. *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line ->
+        (* "VmHWM:\t   12345 kB" *)
+        if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
+          let value = String.trim (String.sub line 6 (String.length line - 6)) in
+          match String.index_opt value ' ' with
+          | Some i -> int_of_string_opt (String.sub value 0 i)
+          | None -> int_of_string_opt value
+        else scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
 
 let snapshot () =
   let s = Gc.quick_stat () in
@@ -20,6 +43,8 @@ let snapshot () =
     compactions = s.Gc.compactions;
     heap_words = s.Gc.heap_words;
     top_heap_words = s.Gc.top_heap_words;
+    minor_heap_words = (Gc.get ()).Gc.minor_heap_size;
+    peak_rss_kb = peak_rss_kb ();
   }
 
 type delta = {
@@ -31,6 +56,8 @@ type delta = {
   compactions_delta : int;
   heap_words_after : int;
   peak_heap_words : int;
+  minor_heap_words : int;
+  peak_rss_kb : int option;
 }
 
 let diff ?peak ~before ~after () =
@@ -49,6 +76,8 @@ let diff ?peak ~before ~after () =
       max
         (Option.value ~default:after.heap_words peak)
         (max before.heap_words after.heap_words);
+    minor_heap_words = after.minor_heap_words;
+    peak_rss_kb = after.peak_rss_kb;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -58,7 +87,7 @@ let diff ?peak ~before ~after () =
 type tracker = {
   t_before : snapshot;
   t_peak : int ref;
-  alarm : Gc.alarm;
+  alarm : Gc.alarm option;
 }
 
 (* The alarm fires at the end of every major collection cycle — exactly
@@ -67,13 +96,16 @@ type tracker = {
    that a before/after diff misses.  [top_heap_words] cannot serve: it
    is a process-global high-water mark that never resets between
    benchmark cells. *)
-let start_tracking () =
+let start_tracking ?(alarm = true) () =
   let before = snapshot () in
   let peak = ref before.heap_words in
   let alarm =
-    Gc.create_alarm (fun () ->
-        let h = (Gc.quick_stat ()).Gc.heap_words in
-        if h > !peak then peak := h)
+    if alarm then
+      Some
+        (Gc.create_alarm (fun () ->
+             let h = (Gc.quick_stat ()).Gc.heap_words in
+             if h > !peak then peak := h))
+    else None
   in
   { t_before = before; t_peak = peak; alarm }
 
@@ -82,7 +114,7 @@ let sample t =
   if h > !(t.t_peak) then t.t_peak := h
 
 let finish t =
-  Gc.delete_alarm t.alarm;
+  Option.iter Gc.delete_alarm t.alarm;
   sample t;
   diff ~peak:!(t.t_peak) ~before:t.t_before ~after:(snapshot ()) ()
 
@@ -101,4 +133,7 @@ let to_json d =
       ("compactions", Json.Int d.compactions_delta);
       ("heap_words", Json.Int d.heap_words_after);
       ("peak_heap_words", Json.Int d.peak_heap_words);
+      ("minor_heap_words", Json.Int d.minor_heap_words);
+      ( "peak_rss_kb",
+        match d.peak_rss_kb with Some kb -> Json.Int kb | None -> Json.Null );
     ]

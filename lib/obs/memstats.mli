@@ -1,7 +1,8 @@
 (** GC / memory profiling for the analysis engines.
 
     Snapshots of the OCaml GC counters ([Gc.quick_stat] — no heap
-    traversal, cheap enough to take around every phase), deltas between
+    traversal) and the process's peak resident set (one read of
+    /proc/self/status), taken at a run's two ends, deltas between
     two snapshots, and a [Gc.alarm]-based tracker that records the
     major-heap peak {e during} a run.  The peak matters because
     [top_heap_words] is a process-global high-water mark: it never
@@ -21,6 +22,10 @@ type snapshot = {
   compactions : int;
   heap_words : int;
   top_heap_words : int;
+  minor_heap_words : int;  (** the minor heap's size, not its use *)
+  peak_rss_kb : int option;
+      (** the process's resident-set high-water mark ([VmHWM] in
+          /proc/self/status); [None] where that cannot be read *)
 }
 
 val snapshot : unit -> snapshot
@@ -37,6 +42,11 @@ type delta = {
   peak_heap_words : int;
       (** major-heap peak over the interval when tracked; otherwise
           [heap_words_after] *)
+  minor_heap_words : int;  (** minor heap size at the end snapshot *)
+  peak_rss_kb : int option;
+      (** process resident-set high-water mark at the end snapshot: the
+          memory the process holds, minor heap included, which
+          [peak_heap_words] leaves out *)
 }
 
 val diff : ?peak:int -> before:snapshot -> after:snapshot -> unit -> delta
@@ -48,9 +58,11 @@ val diff : ?peak:int -> before:snapshot -> after:snapshot -> unit -> delta
 
 type tracker
 
-val start_tracking : unit -> tracker
-(** Take the "before" snapshot and install a [Gc.alarm] that samples
-    the major heap size at the end of every major collection. *)
+val start_tracking : ?alarm:bool -> unit -> tracker
+(** Take the "before" snapshot and, unless [~alarm:false], install a
+    [Gc.alarm] that samples the major heap size at the end of every major
+    collection.  Without the alarm only {!sample} and {!finish} read the
+    heap. *)
 
 val sample : tracker -> unit
 (** Fold the current heap size into the peak (for long alarm-free

@@ -1,8 +1,7 @@
 (* Layout in the interface.  Invariants: bucket [b] is nonempty iff bit
-   [b land 31] of [bits.(b lsr 5)] is set; [bits.(w) <> 0] iff bit
-   [w land 31] of [summary.(w lsr 5)] is set; no summary word below [low]
-   is nonzero.  A push below [low] pulls it back, and [pop] steps it over
-   zero summary words, each a wholly empty run of 1024 buckets. *)
+   [b land 31] of [levels.(0).(b lsr 5)] is set; for [k > 0], word [w]
+   of level [k - 1] is nonzero iff bit [w land 31] of
+   [levels.(k).(w lsr 5)] is set; the last level is one word. *)
 
 let word_bits = 5
 let word_mask = (1 lsl word_bits) - 1
@@ -25,9 +24,8 @@ let lowest_bit w =
 
 type t = {
   mutable heads : int array;  (* bucket -> its newest entry, or -1 *)
-  mutable bits : int array;  (* bit [b] of word [w]: bucket [32w + b] is nonempty *)
-  mutable summary : int array;  (* bit [j] of word [s]: [bits.(32s + j) <> 0] *)
-  mutable low : int;  (* no nonzero summary word strictly below this *)
+  mutable levels : int array array;
+      (* occupancy bitmaps, buckets first, each summarising the one below *)
   mutable cells : int array;
       (* entry [e] is the pair [cells.(e)] = next entry of its bucket or
          -1, [cells.(e + 1)] = value *)
@@ -36,19 +34,30 @@ type t = {
   mutable len : int;
 }
 
-let summary_words n_words = (n_words + word_mask) lsr word_bits
-
 let create () =
   {
     heads = Array.make 32 (-1);
-    bits = [| 0 |];
-    summary = [| 0 |];
-    low = 0;
+    levels = [| [| 0 |] |];
     cells = Array.make 32 0;
     free = -1;
     top = 0;
     len = 0;
   }
+
+(* The levels above [bits], each one bit per nonzero word below, up to
+   a single word. *)
+let rec summarise bits =
+  if Array.length bits = 1 then [ bits ]
+  else begin
+    let up = Array.make ((Array.length bits + word_mask) lsr word_bits) 0 in
+    Array.iteri
+      (fun w word ->
+        if word <> 0 then
+          up.(w lsr word_bits) <-
+            up.(w lsr word_bits) lor (1 lsl (w land word_mask)))
+      bits;
+    bits :: summarise up
+  end
 
 let grow t want =
   let cap = Array.length t.heads in
@@ -59,13 +68,9 @@ let grow t want =
   let heads = Array.make !cap' (-1) in
   Array.blit t.heads 0 heads 0 cap;
   t.heads <- heads;
-  let n_words = !cap' lsr word_bits in
-  let bits = Array.make n_words 0 in
-  Array.blit t.bits 0 bits 0 (Array.length t.bits);
-  t.bits <- bits;
-  let summary = Array.make (summary_words n_words) 0 in
-  Array.blit t.summary 0 summary 0 (Array.length t.summary);
-  t.summary <- summary
+  let bits = Array.make (!cap' lsr word_bits) 0 in
+  Array.blit t.levels.(0) 0 bits 0 (Array.length t.levels.(0));
+  t.levels <- Array.of_list (summarise bits)
 
 let alloc t =
   let e = t.free in
@@ -84,6 +89,24 @@ let alloc t =
     e
   end
 
+(* Set bit [i] of level [k], and the levels above while a word turns
+   nonzero. *)
+let rec mark levels k i =
+  let level = Array.unsafe_get levels k in
+  let w = i lsr word_bits in
+  let word = level.(w) in
+  level.(w) <- word lor (1 lsl (i land word_mask));
+  if word = 0 && k + 1 < Array.length levels then mark levels (k + 1) w
+
+(* Clear bit [i] of level [k], and the levels above while a word turns
+   zero. *)
+let rec unmark levels k i =
+  let level = Array.unsafe_get levels k in
+  let w = i lsr word_bits in
+  let word = level.(w) land lnot (1 lsl (i land word_mask)) in
+  level.(w) <- word;
+  if word = 0 && k + 1 < Array.length levels then unmark levels (k + 1) w
+
 let push t ~prio v =
   let prio = if prio < 0 then 0 else prio in
   if prio >= Array.length t.heads then grow t prio;
@@ -92,42 +115,26 @@ let push t ~prio v =
   t.cells.(e) <- head;
   t.cells.(e + 1) <- v;
   t.heads.(prio) <- e;
-  if head < 0 then begin
-    let w = prio lsr word_bits in
-    let word = t.bits.(w) in
-    t.bits.(w) <- word lor (1 lsl (prio land word_mask));
-    if word = 0 then begin
-      let s = w lsr word_bits in
-      t.summary.(s) <- t.summary.(s) lor (1 lsl (w land word_mask));
-      if s < t.low then t.low <- s
-    end
-  end;
+  if head < 0 then mark t.levels 0 prio;
   t.len <- t.len + 1
 
 let is_empty t = t.len = 0
 let length t = t.len
 
+(* One word per level, from the top: each level's lowest set bit picks
+   the word to read below it. *)
+let rec lowest levels k w =
+  let w = (w lsl word_bits) lor lowest_bit (Array.unsafe_get levels k).(w) in
+  if k = 0 then w else lowest levels (k - 1) w
+
 let pop t =
   if t.len = 0 then invalid_arg "Pqueue.pop: empty";
-  let s = ref t.low in
-  while t.summary.(!s) = 0 do
-    incr s
-  done;
-  let s = !s in
-  t.low <- s;
-  let sword = t.summary.(s) in
-  let w = (s lsl word_bits) lor lowest_bit sword in
-  let word = t.bits.(w) in
-  let b = (w lsl word_bits) lor lowest_bit word in
+  let levels = t.levels in
+  let b = lowest levels (Array.length levels - 1) 0 in
   let e = t.heads.(b) in
   let next = t.cells.(e) in
   t.heads.(b) <- next;
-  if next < 0 then begin
-    (* [b] and [w] hold the lowest set bits of their words *)
-    let word = word land (word - 1) in
-    t.bits.(w) <- word;
-    if word = 0 then t.summary.(s) <- sword land (sword - 1)
-  end;
+  if next < 0 then unmark levels 0 b;
   t.cells.(e) <- t.free;
   t.free <- e;
   t.len <- t.len - 1;
@@ -135,9 +142,7 @@ let pop t =
 
 let clear t =
   Array.fill t.heads 0 (Array.length t.heads) (-1);
-  Array.fill t.bits 0 (Array.length t.bits) 0;
-  Array.fill t.summary 0 (Array.length t.summary) 0;
-  t.low <- 0;
+  Array.iter (fun level -> Array.fill level 0 (Array.length level) 0) t.levels;
   t.free <- -1;
   t.top <- 0;
   t.len <- 0

@@ -14,14 +14,15 @@
     Storage: every entry is a [[next; value]] pair in one [int] arena,
     recycled through a free list, and a bucket is the index of its
     newest entry, so a push allocates nothing once the arena has grown.
-    A two-level occupancy bitmap (one bit per bucket, one summary bit
-    per 32-bucket bitmap word) locates the lowest nonempty bucket: [pop]
-    reads one summary word and one bitmap word and takes each one's
-    lowest set bit by a de Bruijn multiply.  A push below the last
-    popped priority (a rewind) therefore costs no scan over the empty
-    buckets in between; only wholly empty runs of 1024 buckets are
-    stepped over, one word read each.  The solver drops the whole queue
-    after a complete solve. *)
+    A hierarchy of occupancy bitmaps locates the lowest nonempty bucket:
+    one bit per bucket, then one bit per nonzero word of the level
+    below, up to a single top word (three levels for up to 32,768
+    buckets, four for up to 2{^20}).  [pop] reads one word per level,
+    top down, taking each one's lowest set bit by a de Bruijn multiply,
+    so a push below the last popped priority (a rewind) costs no scan
+    over the empty buckets in between: every pop reads the same number
+    of words.  The solver drops the whole queue after a complete
+    solve. *)
 
 type t
 

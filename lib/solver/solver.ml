@@ -114,6 +114,11 @@ type t = {
   mutable copy_edges_since_scc : int;
   mutable copy_edges_total : int;
   mutable scc_threshold : int;
+  mutable scc_index : int array;
+  mutable scc_low : int array;
+  mutable scc_comp : int array;
+      (* Tarjan state of [collapse_and_reprioritize], kept between passes
+         and grown with the node count; [||] once the solve completes *)
   (* worklists *)
   mutable pq : Pqueue.t;
   meth_queue : (Meth_id.t * Ctx.id) Queue.t;
@@ -239,24 +244,25 @@ let push st nid set =
     end
   end
 
-let filter_set st set filter =
-  if filter = no_filter then set
+(* What an edge with [filter] lets through, as a predicate on hobjs;
+   the filter is decoded once, not per object. *)
+let passes st filter =
+  if filter = no_filter then fun _ -> true
   else
     let compat hobj sup =
       Hierarchy.subtype st.hierarchy ~sub:(Vec.get st.hobj_types hobj) ~sup
     in
     if filter >= 0 then
       let cast_type = Type_id.of_int filter in
-      Intset.filter (fun hobj -> compat hobj cast_type) set
+      fun hobj -> compat hobj cast_type
     else
       match Vec.get st.scope_filters (-2 - filter) with
       | Catches { ty; skip } ->
-        Intset.filter
-          (fun hobj ->
-            compat hobj ty && not (List.exists (compat hobj) skip))
-          set
-      | Escapes tys ->
-        Intset.filter (fun hobj -> not (List.exists (compat hobj) tys)) set
+        fun hobj -> compat hobj ty && not (List.exists (compat hobj) skip)
+      | Escapes tys -> fun hobj -> not (List.exists (compat hobj) tys)
+
+let filter_set st set filter =
+  if filter = no_filter then set else Intset.filter (passes st filter) set
 
 (* Put a new entry of [arena] at the head of [base]'s chain, its other
    fields still to be filled. *)
@@ -320,10 +326,18 @@ let add_edge st ~src ~dst ~filter =
 let collapse_and_reprioritize st =
   let n = st.n_nodes in
   let unify = st.unify in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let comp_of = Array.make n (-1) in
+  if Array.length st.scc_index < n then begin
+    let cap = max n (2 * Array.length st.scc_index) in
+    st.scc_index <- Array.make cap (-1);
+    st.scc_low <- Array.make cap 0;
+    st.scc_comp <- Array.make cap (-1)
+  end;
+  let index = st.scc_index and lowlink = st.scc_low and comp_of = st.scc_comp in
+  Array.fill index 0 n (-1);
+  Array.fill comp_of 0 n (-1);
+  (* Visited and not yet assigned a component: Tarjan's stack holds
+     exactly these nodes. *)
+  let on_stack w = comp_of.(w) < 0 in
   let stack = ref [] in
   let next = ref 0 in
   let n_comps = ref 0 in
@@ -349,7 +363,6 @@ let collapse_and_reprioritize st =
     lowlink.(v) <- !next;
     incr next;
     stack := v :: !stack;
-    on_stack.(v) <- true;
     (* Explicit work stack: (node, unexplored successors). *)
     let work = ref [ (v, copy_succs v) ] in
     while !work <> [] do
@@ -364,10 +377,9 @@ let collapse_and_reprioritize st =
             lowlink.(w) <- !next;
             incr next;
             stack := w :: !stack;
-            on_stack.(w) <- true;
             work := (w, copy_succs w) :: !work
           end
-          else if on_stack.(w) then
+          else if on_stack w then
             lowlink.(v) <- min lowlink.(v) index.(w)
         | [] ->
           work := rest;
@@ -379,7 +391,6 @@ let collapse_and_reprioritize st =
               match !stack with
               | w :: tl ->
                 stack := tl;
-                on_stack.(w) <- false;
                 comp_of.(w) <- !n_comps;
                 members := w :: !members;
                 if w = v then continue_pop := false
@@ -914,12 +925,15 @@ let census st =
 
 (* A drained worklist leaves every pending set empty and every flag
    clear, and no priority is read again: a complete solve drops those
-   three arrays and the queue's storage. *)
+   three arrays, the queue's storage and the collapse's Tarjan state. *)
 let release_worklist st =
   st.pending <- Chunked.create Intset.empty;
   st.prio <- Chunked.create 0;
   st.queued <- Bytes.empty;
-  st.pq <- Pqueue.create ()
+  st.pq <- Pqueue.create ();
+  st.scc_index <- [||];
+  st.scc_low <- [||];
+  st.scc_comp <- [||]
 
 let solve_outcome ?(config = Config.default) program strategy =
   let trace = config.Config.trace in
@@ -966,6 +980,9 @@ let solve_outcome ?(config = Config.default) program strategy =
         copy_edges_since_scc = 0;
         copy_edges_total = 0;
         scc_threshold = 512;
+        scc_index = [||];
+        scc_low = [||];
+        scc_comp = [||];
         pq = Pqueue.create ();
         meth_queue = Queue.create ();
         reachable = Inttbl.create_set ();
@@ -1175,19 +1192,24 @@ let node_kind st nid =
   in
   kinds.(nid)
 
-let node_succs_passing st nid hobj =
-  let one = Intset.singleton hobj in
-  let rec go e acc =
-    if e < 0 then List.rev acc
-    else
-      let acc =
-        if Intset.mem hobj (filter_set st one (Chunked.field st.succs e 2)) then
-          Chunked.field st.succs e 1 :: acc
-        else acc
-      in
-      go (Chunked.get st.succs e) acc
+type edge = int
+
+let iter_succ_edges st nid f =
+  let rec go e =
+    if e >= 0 then begin
+      f e (Chunked.field st.succs e 1);
+      go (Chunked.get st.succs e)
+    end
   in
-  go (Chunked.get st.succ_head (Unify.find st.unify nid)) []
+  go (Chunked.get st.succ_head (Unify.find st.unify nid))
+
+let edge_passes st e hobj = passes st (Chunked.field st.succs e 2) hobj
+
+let node_succs_passing st nid hobj =
+  let acc = ref [] in
+  iter_succ_edges st nid (fun e dst ->
+      if edge_passes st e hobj then acc := dst :: !acc);
+  List.rev !acc
 
 (* A counting sort by variable over the node ids, ascending, so each
    variable's nodes come out in ascending id order. *)

@@ -270,6 +270,19 @@ val canonical_node : t -> node_id -> node_id
     successor lists; graph walkers should compare and index nodes by
     canonical id, while {!node_kind} stays meaningful on original ids. *)
 
+type edge = int
+(** An out-edge of the supergraph: its slot in the solver's edge arena,
+    meaningful only to the solver it came from. *)
+
+val iter_succ_edges : t -> node_id -> (edge -> node_id -> unit) -> unit
+(** [iter_succ_edges t nid f] calls [f e dst] on every out-edge of
+    [nid]'s class, newest first (the order {!node_succs_passing} lists
+    them in).  [dst] may be a stale alias of a unified class. *)
+
+val edge_passes : t -> edge -> hobj -> bool
+(** Whether the edge's filter (a cast type, an exception handler or
+    none) lets [hobj] through. *)
+
 val node_succs_passing : t -> node_id -> hobj -> node_id list
 (** Successor nodes whose connecting edge lets [hobj] through.  Returned
     ids may be stale aliases of a unified class — canonicalize with

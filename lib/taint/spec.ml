@@ -116,13 +116,17 @@ let position_order = function
   | Param i -> i
 
 let compile program spec =
+  (* Every method with its qualified name, in id order, named once for
+     all the globs. *)
+  let qnames =
+    List.init (Ir.Program.n_meths program) (fun m ->
+        let m = Ir.Meth_id.of_int m in
+        (m, Ir.Program.meth_qualified_name program m))
+  in
   let matching glob =
-    (* All methods whose qualified name matches, in id order. *)
-    let out = ref [] in
-    Ir.Program.iter_meths program (fun m _ ->
-        if Algebra.glob_match glob (Ir.Program.meth_qualified_name program m)
-        then out := m :: !out);
-    List.rev !out
+    List.filter_map
+      (fun (m, qname) -> if Algebra.glob_match glob qname then Some m else None)
+      qnames
   in
   (* Source positions: collect (meth, pos) pairs, dedup, order by
      (meth id, position) so labels are deterministic. *)

@@ -68,8 +68,13 @@ let () =
         | None -> fail "%s: memory.%s missing or not a number" path name)
       [
         "minor_allocated_words"; "major_allocated_words"; "peak_heap_words";
-        "major_collections";
-      ]);
+        "major_collections"; "minor_heap_words";
+      ];
+    (* Null where the process's resident set cannot be read. *)
+    match List.assoc_opt "peak_rss_kb" fields with
+    | Some Json.Null -> ()
+    | Some v when Json.to_int v <> None -> ()
+    | _ -> fail "%s: memory.peak_rss_kb missing or not an integer or null" path);
   (match Json.to_obj (get "pointsto") with
   | None -> fail "%s: key \"pointsto\" is not an object" path
   | Some stamp ->
