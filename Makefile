@@ -16,8 +16,9 @@ test:
 #
 # Both gates are the same `pointsto bench compare` invocation (one
 # tolerance config: +15% time, +10% peak heap, +25% per census
-# component, 0.5s noise floor), parameterized by baseline snapshot and
-# delta file; each re-measures exactly the baseline's cells.  Override
+# component, 0.5s noise floor), parameterized by baseline snapshot;
+# each re-measures exactly the baseline's cells and prints the per-cell
+# report (time, iterations, peak heap, verdicts).  Override
 # tolerances per call with TIME_TOL= / HEAP_TOL= / HEAP_COMPONENT_TOL=
 # (percent), e.g. `make bench-compare TIME_TOL=75` on a noisy host.
 # HEAP_COMPONENT_TOL gates the per-component census words (points-to
@@ -28,22 +29,20 @@ TOLERANCE_FLAGS = $(if $(TIME_TOL),--time-tol $(TIME_TOL)) \
 	$(if $(HEAP_TOL),--heap-tol $(HEAP_TOL)) \
 	$(if $(HEAP_COMPONENT_TOL),--heap-component-tol $(HEAP_COMPONENT_TOL))
 
-# $(call bench_gate,baseline.json,delta.md)
+# $(call bench_gate,baseline.json)
 define bench_gate
-dune exec bin/pointsto.exe -- bench compare --baseline $(1) \
-  --delta-md $(2) $(TOLERANCE_FLAGS)
+dune exec bin/pointsto.exe -- bench compare --baseline $(1) $(TOLERANCE_FLAGS)
 endef
 
-# Full benchmark grid.  Writes table1.csv, table1_stats.json, and a
-# fresh BENCH_table1.json snapshot into the repository root.
+# Full benchmark grid.  Writes table1.csv and a fresh BENCH_table1.json
+# snapshot into the repository root.
 bench:
 	dune exec bin/pointsto.exe -- bench table1
 
 # Gate the current tree against the committed baseline snapshot.
-# Exits 4 on a regression; the per-cell delta table lands in
-# BENCH_delta.md.
+# Exits 4 on a regression.
 bench-compare:
-	$(call bench_gate,BENCH_table1.json,BENCH_delta.md)
+	$(call bench_gate,BENCH_table1.json)
 
 # A baseline must come from a committed tree: the binary stamps itself
 # dirty when tracked files differ from HEAD, and a dirty number cannot
@@ -72,7 +71,7 @@ bench-prop:
 # Gate the propagation core against its committed baseline — the same
 # recipe as bench-compare, restricted to the propagation cells.
 bench-prop-compare:
-	$(call bench_gate,BENCH_prop.json,BENCH_prop_delta.md)
+	$(call bench_gate,BENCH_prop.json)
 
 # Re-bless the propagation baseline after an intentional change.
 bench-prop-accept:

@@ -10,7 +10,6 @@ module Scatter = Pta_report.Scatter
 module Driver = Pta_driver.Driver
 module Json = Pta_obs.Json
 module Run_stats = Pta_obs.Run_stats
-module Trace = Pta_obs.Trace
 module Budget = Pta_obs.Budget
 module Census = Pta_obs.Census
 module Snapshot = Pta_report.Bench_snapshot
@@ -48,8 +47,7 @@ type request = {
 type measured = {
   metrics : Metrics.t;
   best_s : float;  (* minimum of the three timed solves *)
-  stats : Run_stats.t;  (* of the first, instrumented solve *)
-  trace : Trace.stat list;  (* its trace profile *)
+  stats : Run_stats.t;  (* of the first solve *)
   census : Census.component list;  (* its solved state's census *)
   methods : int;  (* IR methods of the program *)
 }
@@ -59,21 +57,20 @@ type outcome = Done of measured | Timed_out of Budget.abort
 (* Minimum of three timed runs.  The analysis is deterministic, so
    scheduler/VM interference can only ADD time — the minimum is the
    least-noisy estimate of the true cost, and it is what the regression
-   gate compares against a committed baseline.  Metrics, counters, the
-   trace profile and the census come from the first run; the census is
-   taken after the timed re-runs so its [Gc.full_major] cannot perturb
-   them. *)
+   gate compares against a committed baseline.  The three runs are the
+   same untraced, stats-collecting solve; metrics, counters and the
+   census come from the first, and the census is taken after the timed
+   re-runs so its [Gc.full_major] cannot perturb them. *)
 let measure r =
   let program = Workloads.program r.profile in
-  let run_once ?trace () =
+  let run_once () =
     Driver.run
       ~config:
         (Solver.Config.make ~timeout_s:r.timeout_s ~field_based:r.field_based
-           ?trace ())
-      ~collect_stats:(trace <> None) program ~analysis:r.analysis
+           ())
+      ~collect_stats:true program ~analysis:r.analysis
   in
-  let trace = Trace.create ~limit:4096 () in
-  match run_once ~trace () with
+  match run_once () with
   | Error (Driver.Timed_out { abort; _ }) -> Ok (Timed_out abort)
   | Error e -> Error (Format.asprintf "%a" Driver.pp_error e)
   | Ok r1 ->
@@ -91,7 +88,6 @@ let measure r =
            metrics = Metrics.compute r1.Driver.solver;
            best_s = List.fold_left min infinity times;
            stats = Option.get r1.Driver.stats;
-           trace = Trace.profile trace;
            census;
            methods = Ir.Program.n_meths program;
          })
@@ -292,44 +288,6 @@ let table1_block g ~analyses profile =
   metric_row "sensitive var-points-to" (fun m -> fmt_k m.Metrics.sensitive_vpt);
   (headline, Table.render t)
 
-(* A per-cell stats record for table1_stats.json: the Run_stats bundle
-   plus the per-edge-kind solver spans of finished cells, the abort
-   payload of timed-out ones.  Spans are sorted by name, not by seconds,
-   so a re-bless moves only the numbers that changed. *)
-let cell_stats_json benchmark analysis = function
-  | Done r -> (
-    let spans =
-      List.filter
-        (fun (s : Trace.stat) -> String.equal s.Trace.stat_cat "solver")
-        r.trace
-      |> List.sort (fun (a : Trace.stat) b ->
-             String.compare a.Trace.stat_name b.Trace.stat_name)
-      |> List.map (fun (s : Trace.stat) ->
-             Json.Obj
-               [
-                 ("name", Json.String s.Trace.stat_name);
-                 ("events", Json.Int s.Trace.events);
-                 ("delta", Json.Int s.Trace.delta);
-                 ("seconds", Json.Float s.Trace.seconds);
-               ])
-    in
-    match Run_stats.to_json r.stats with
-    | Json.Obj fields ->
-      Json.Obj
-        ((("benchmark", Json.String benchmark) :: fields)
-        @ [ ("trace", Json.List spans) ])
-    | _ -> assert false)
-  | Timed_out abort ->
-    Json.Obj
-      [
-        ("benchmark", Json.String benchmark);
-        ("analysis", Json.String analysis);
-        ("timed_out", Json.Bool true);
-        ("elapsed_s", Json.Float abort.Budget.elapsed_s);
-        ("iterations", Json.Int abort.Budget.iterations);
-        ("nodes", Json.Int abort.Budget.nodes);
-      ]
-
 let table1 g ~benchmarks ~analyses =
   print_endline
     "=== Table 1: precision and performance, all benchmarks x all analyses ===";
@@ -343,30 +301,29 @@ let table1 g ~benchmarks ~analyses =
       print_endline headline;
       print_endline rendered)
     benchmarks;
-  let cells f =
-    List.concat_map
-      (fun p -> List.map (fun a -> f p a (run_cell g p a)) analyses)
-      benchmarks
+  let row p a = function
+    | Done r ->
+      let m = r.metrics in
+      [
+        p.Profile.name;
+        a;
+        fmt_float m.Metrics.avg_objs_per_var;
+        fmt_int m.Metrics.call_graph_edges;
+        fmt_int m.Metrics.poly_vcalls;
+        fmt_int m.Metrics.may_fail_casts;
+        fmt_int m.Metrics.total_casts;
+        fmt_int
+          (m.Metrics.taint_flows - Pta_workloads.Gen.taint_ground_truth p);
+        Printf.sprintf "%.3f" r.best_s;
+        fmt_int m.Metrics.sensitive_vpt;
+        fmt_int m.Metrics.n_ctxs;
+      ]
+    | Timed_out _ -> p.Profile.name :: a :: List.init 9 (fun _ -> "-")
   in
   let rows =
-    cells (fun p a -> function
-      | Done r ->
-        let m = r.metrics in
-        [
-          p.Profile.name;
-          a;
-          fmt_float m.Metrics.avg_objs_per_var;
-          fmt_int m.Metrics.call_graph_edges;
-          fmt_int m.Metrics.poly_vcalls;
-          fmt_int m.Metrics.may_fail_casts;
-          fmt_int m.Metrics.total_casts;
-          fmt_int
-            (m.Metrics.taint_flows - Pta_workloads.Gen.taint_ground_truth p);
-          Printf.sprintf "%.3f" r.best_s;
-          fmt_int m.Metrics.sensitive_vpt;
-          fmt_int m.Metrics.n_ctxs;
-        ]
-      | Timed_out _ -> p.Profile.name :: a :: List.init 9 (fun _ -> "-"))
+    List.concat_map
+      (fun p -> List.map (fun a -> row p a (run_cell g p a)) analyses)
+      benchmarks
   in
   write_file "table1.csv"
     (Table.csv
@@ -377,10 +334,6 @@ let table1 g ~benchmarks ~analyses =
            "spurious_taint_flows"; "time_s"; "sensitive_vpt"; "contexts";
          ]
        rows);
-  write_file "table1_stats.json"
-    (Json.to_string
-       (Json.List (cells (fun p a o -> cell_stats_json p.Profile.name a o)))
-    ^ "\n");
   write_snapshot "BENCH_table1.json" (snapshot g ~benchmarks ~analyses);
   print_newline ()
 
@@ -640,8 +593,7 @@ let scaling g =
 (* Regression gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds
-    ~delta_md =
+let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds =
   let current = snapshot g ~benchmarks ~analyses in
   if baseline.Snapshot.timeout_s <> g.timeout_s then
     Printf.eprintf
@@ -664,5 +616,4 @@ let compare g ~baseline_name ~baseline ~benchmarks ~analyses ~thresholds
   let report = Snapshot.compare ~thresholds ~baseline ~current () in
   Printf.printf "=== Regression report (vs %s) ===\n" baseline_name;
   Format.printf "%a%!" Snapshot.pp_report report;
-  Option.iter (fun path -> write_file path (Snapshot.to_markdown report)) delta_md;
   Snapshot.has_regression report

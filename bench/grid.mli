@@ -30,8 +30,7 @@ val child : unit -> unit
 (** {1 Commands} *)
 
 val table1 : t -> benchmarks:Profile.t list -> analyses:string list -> unit
-(** Table 1; writes [table1.csv], [table1_stats.json] and
-    [BENCH_table1.json]. *)
+(** Table 1; writes [table1.csv] and [BENCH_table1.json]. *)
 
 val propbench : t -> benchmarks:Profile.t list -> analyses:string list -> unit
 (** The propagation grid; writes [BENCH_prop.json]. *)
@@ -48,8 +47,7 @@ val compare :
   benchmarks:Profile.t list ->
   analyses:string list ->
   thresholds:Snapshot.thresholds ->
-  delta_md:string option ->
   bool
 (** Measure [benchmarks] x [analyses], gate them against the same cells
-    of [baseline], print the report (and write it as Markdown to
-    [delta_md]), and return whether any cell regressed. *)
+    of [baseline], print the report, and return whether any cell
+    regressed. *)

@@ -948,8 +948,8 @@ let benchmarks_cmd name doc f =
 let table1_cmd =
   selection_cmd "table1"
     "Table 1: precision metrics, time and context-sensitive var-points-to \
-     for every benchmark x analysis.  Writes table1.csv, table1_stats.json \
-     and the BENCH_table1.json snapshot to the working directory."
+     for every benchmark x analysis.  Writes table1.csv and the \
+     BENCH_table1.json snapshot to the working directory."
     ~benchmarks:Profile.dacapo ~analyses:Grid.table1_analyses Grid.table1
 
 let propbench_cmd =
@@ -998,11 +998,7 @@ let compare_bench_cmd =
     Arg.(
       required & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
   in
-  let delta_md_arg =
-    let doc = "Also write the per-cell delta table as Markdown to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "delta-md" ] ~docv:"FILE" ~doc)
-  in
-  let run g baseline_file bs xs thresholds delta_md =
+  let run g baseline_file bs xs thresholds =
     let baseline = load_snapshot baseline_file in
     (* By default, the baseline's own benchmarks and analyses, in
        first-appearance order. *)
@@ -1023,7 +1019,7 @@ let compare_bench_cmd =
         ~analyses:
           (analyses_of ~default:[]
              (or_baseline (fun c -> c.Snapshot.analysis) xs))
-        ~thresholds ~delta_md
+        ~thresholds
     in
     if failed then exit 4
   in
@@ -1033,7 +1029,7 @@ let compare_bench_cmd =
      is slower, fatter or newly timed out beyond the tolerances."
     Term.(
       const run $ grid_term $ baseline_arg $ benchmarks_arg $ analyses_arg
-      $ thresholds_term $ delta_md_arg)
+      $ thresholds_term)
 
 let cell_cmd =
   grid_cmd "cell"

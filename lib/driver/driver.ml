@@ -142,19 +142,18 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
   | Error e -> Error e
   | Ok strategy -> (
     (* GC tracking is on whenever someone will read the stats bundle.
-       The solver gets the tracker too, so the fixpoint loop samples the
-       peak between major collections (the alarm alone misses alarm-free
-       stretches). *)
+       The budget's ticks sample the peak between major collections too
+       (the alarm alone misses alarm-free stretches). *)
     let tracker =
       if collect_stats then Some (Memstats.start_tracking ()) else None
     in
-    let config =
-      match tracker with
-      | None -> config
-      | Some t -> { config with Solver.Config.mem_tracker = Some t }
-    in
+    let solve () = Solver.solve ~config program strategy in
     let clock = Clock.create () in
-    match Solver.solve ~config program strategy with
+    match
+      match tracker with
+      | None -> solve ()
+      | Some t -> Memstats.sampling t config.Solver.Config.budget solve
+    with
     | solver ->
       let wall_time_s = Clock.elapsed_s clock in
       let memory = Option.map Memstats.finish tracker in

@@ -81,10 +81,13 @@ val run :
   analysis:string ->
   (run, error) result
 (** Resolve [analysis] and solve under [config].  With
-    [~collect_stats:true] the solve runs under a GC tracker, and the
-    full {!Pta_obs.Run_stats.t} bundle (counters, final sizes, wall
-    time, phase timings, the tracker's GC delta) is read off the solver,
-    the budget and the tracker.
+    [~collect_stats:true] the solve runs under a GC tracker that every
+    1024th tick of [config]'s budget samples
+    ({!Pta_obs.Memstats.sampling}: callbacks already on the budget keep
+    firing, and the sampler is gone when [run] returns), and the full
+    {!Pta_obs.Run_stats.t} bundle (counters, final sizes, wall time,
+    phase timings, the tracker's GC delta) is read off the solver, the
+    budget and the tracker.
 
     If [config] carries a live {!Pta_obs.Trace.t}, the four Table-1
     precision gauges are sampled into it at fixpoint as

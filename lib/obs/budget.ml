@@ -74,5 +74,24 @@ let check b =
     exhaust b
 
 let cancel b = b.cancelled <- true
-let on_tick b f = b.on_tick <- f
+
+let on_tick b f =
+  let installed = b.on_tick in
+  b.on_tick <-
+    (if installed == no_tick then f
+     else fun n ->
+       installed n;
+       f n)
+
+let with_tick b f k =
+  let installed = b.on_tick in
+  on_tick b f;
+  match k () with
+  | v ->
+    b.on_tick <- installed;
+    v
+  | exception e ->
+    b.on_tick <- installed;
+    raise e
+
 let is_limited b = b.timeout_s <> None

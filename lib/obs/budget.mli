@@ -63,9 +63,17 @@ val cancel : t -> unit
 
 val on_tick : t -> (int -> unit) -> unit
 (** [on_tick b f] makes every {!tick} and {!check} call [f n], [n] being
-    the iteration count including this one — for progress reports and
-    for tests that cancel at a given iteration.  Survives {!start}.
-    Without a callback a tick pays one pointer comparison for it. *)
+    the iteration count including this one — for progress reports, peak
+    sampling and tests that cancel at a given iteration.  [f] runs after
+    the callbacks installed before it, which it keeps.  Survives
+    {!start}.  Without a callback a tick pays one pointer comparison for
+    it. *)
+
+val with_tick : t -> (int -> unit) -> (unit -> 'a) -> 'a
+(** [with_tick b f k] installs [f] as {!on_tick} does, runs [k ()], and
+    then restores the callbacks installed before, also when [k] raises:
+    a budget shared between runs does not pile up per-run callbacks.
+    Callbacks installed inside [k] go with [f]. *)
 
 val iterations : t -> int
 (** Ticks since the last {!start}. *)

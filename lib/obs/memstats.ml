@@ -113,6 +113,9 @@ let sample t =
   let h = (Gc.quick_stat ()).Gc.heap_words in
   if h > !(t.t_peak) then t.t_peak := h
 
+let sampling t budget k =
+  Budget.with_tick budget (fun n -> if n land 1023 = 0 then sample t) k
+
 let finish t =
   Option.iter Gc.delete_alarm t.alarm;
   sample t;

@@ -68,6 +68,13 @@ val sample : tracker -> unit
 (** Fold the current heap size into the peak (for long alarm-free
     stretches). *)
 
+val sampling : tracker -> Budget.t -> (unit -> 'a) -> 'a
+(** [sampling t b k] runs [k ()] (an engine run on [b]) with {!sample}
+    [t] hooked onto every 1024th tick of [b] — frequent enough to catch
+    allocation spikes, cheap enough ([Gc.quick_stat] reads no heap) to
+    leave timings unchanged.  The hook is gone when [k] returns or
+    raises ({!Budget.with_tick}). *)
+
 val finish : tracker -> delta
 (** Remove the alarm and return the interval's delta, peak included. *)
 

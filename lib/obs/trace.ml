@@ -22,7 +22,6 @@ type ev =
       delta : int option;
       alloc : (float * float) option;  (* minor, major allocated words *)
     }
-  | Instant of { cat : string; name : string; ts : float }
   | Counter of { cat : string; name : string; ts : float; value : float }
 
 type agg = {
@@ -47,7 +46,7 @@ type t = {
   aggs : (string * string, agg) Hashtbl.t;
 }
 
-let dummy = Instant { cat = ""; name = ""; ts = 0. }
+let dummy = Counter { cat = ""; name = ""; ts = 0.; value = 0. }
 
 let null =
   {
@@ -214,9 +213,6 @@ let complete ?delta ?(alloc = null_mark) t ~cat ~name ~t0_us ~dur_us =
     bump t cat name ~us:dur_us ~delta:(Option.value ~default:0 delta) alloc
   end
 
-let instant t ~cat name =
-  if t != null then push t (Instant { cat; name; ts = now_us t })
-
 let counter t ~cat name value =
   if t != null then push t (Counter { cat; name; ts = now_us t; value })
 
@@ -300,8 +296,6 @@ let to_chrome_json t =
           in
           common ~name ~ph:"X" ~ts
             (cat c :: ("dur", Json.Float dur) :: args fields)
-        | Instant { cat = c; name; ts } ->
-          common ~name ~ph:"i" ~ts [ cat c; ("s", Json.String "t") ]
         | Counter { cat = c; name; ts; value } ->
           common ~name ~ph:"C" ~ts
             [ cat c; ("args", Json.Obj [ ("value", Json.Float value) ]) ]

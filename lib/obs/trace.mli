@@ -1,7 +1,7 @@
 (** Span-based tracing and profiling for the analysis engines.
 
-    A trace sink collects begin/end spans, complete (pre-timed) spans,
-    instant events and counter samples into a growable ring buffer, and
+    A trace sink collects begin/end spans, complete (pre-timed) spans
+    and counter samples into a growable ring buffer, and
     exports them as Chrome trace-event JSON — the format Perfetto
     ([ui.perfetto.dev]) and [chrome://tracing] load directly.
 
@@ -91,7 +91,6 @@ val complete :
     to attach its allocation delta; the mark from an accounting-off sink
     degrades to a no-op. *)
 
-val instant : t -> cat:string -> string -> unit
 val counter : t -> cat:string -> string -> float -> unit
 (** A sampled value; rendered by trace viewers as a counter track. *)
 

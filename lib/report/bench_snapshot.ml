@@ -277,46 +277,31 @@ let delta_status d =
   if d.verdicts = [] then "ok"
   else String.concat ", " (List.map verdict_label d.verdicts)
 
-let to_markdown r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# Benchmark regression report\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "Thresholds: time +%.0f%%, peak heap +%.0f%%, heap component +%.0f%% \
-        (cells under %.2fs skipped for time).\n\n"
-       r.thresholds.time_tol_pct r.thresholds.heap_tol_pct
-       r.thresholds.heap_component_tol_pct r.thresholds.min_time_s);
-  let n_reg = List.length (regressions r) in
-  Buffer.add_string buf
-    (if n_reg = 0 then "**No regressions.**\n\n"
-     else Printf.sprintf "**%d regression(s).**\n\n" n_reg);
-  Buffer.add_string buf
-    "| benchmark | analysis | base time | cur time | base iters | cur iters \
-     | base heap | cur heap | status |\n";
-  Buffer.add_string buf
-    "|---|---|---:|---:|---:|---:|---:|---:|---|\n";
-  List.iter
-    (fun d ->
-      Buffer.add_string buf
-        (Printf.sprintf "| %s | %s | %s | %s | %s | %s | %s | %s | %s |\n"
-           d.d_benchmark d.d_analysis (cell_time d.d_base)
-           (cell_time d.d_cur) (cell_iters d.d_base) (cell_iters d.d_cur)
-           (cell_heap d.d_base) (cell_heap d.d_cur) (delta_status d)))
-    r.deltas;
-  Buffer.contents buf
-
 let pp_report ppf r =
-  let reg = regressions r in
+  let th = r.thresholds in
+  Format.fprintf ppf
+    "thresholds: time +%.0f%%, peak heap +%.0f%%, heap component +%.0f%% \
+     (cells under %.2fs skipped for time)@."
+    th.time_tol_pct th.heap_tol_pct th.heap_component_tol_pct th.min_time_s;
+  let t =
+    Table.create
+      ~headers:
+        [ "cell"; "base s"; "cur s"; "base iters"; "cur iters"; "base heap";
+          "cur heap"; "status" ]
+  in
   List.iter
     (fun d ->
-      Format.fprintf ppf "  %-10s %-10s %s -> %s  %s@." d.d_benchmark
-        d.d_analysis (cell_time d.d_base) (cell_time d.d_cur)
-        (delta_status d))
+      Table.add_row t
+        [
+          d.d_benchmark ^ "/" ^ d.d_analysis; cell_time d.d_base;
+          cell_time d.d_cur; cell_iters d.d_base; cell_iters d.d_cur;
+          cell_heap d.d_base; cell_heap d.d_cur; delta_status d;
+        ])
     r.deltas;
-  if reg = [] then Format.fprintf ppf "no regressions@."
-  else
+  Format.pp_print_string ppf (Table.render t);
+  match regressions r with
+  | [] -> Format.fprintf ppf "no regressions@."
+  | reg ->
     Format.fprintf ppf "%d regression(s): %s@." (List.length reg)
       (String.concat ", "
-         (List.map
-            (fun d -> d.d_benchmark ^ "/" ^ d.d_analysis)
-            reg))
+         (List.map (fun d -> d.d_benchmark ^ "/" ^ d.d_analysis) reg))

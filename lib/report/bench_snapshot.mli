@@ -84,9 +84,7 @@ val compare : ?thresholds:thresholds -> baseline:t -> current:t -> unit -> repor
 val regressions : report -> delta list
 val has_regression : report -> bool
 
-val to_markdown : report -> string
-(** Full per-cell delta table (time, iterations, peak heap, status). *)
-
 val pp_report : Format.formatter -> report -> unit
-(** Terminal-friendly summary: one line per cell, regressions recapped
+(** The thresholds, then one line per cell (base -> current time,
+    iterations and peak heap, and the verdicts), regressions recapped
     last. *)

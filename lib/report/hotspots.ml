@@ -27,7 +27,7 @@ let fmt_alloc w =
   else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
   else Printf.sprintf "%.0fw" w
 
-let render ?(top = 10) ?total_s ?(sort = By_time) ~title rows =
+let render ?(top = 10) ?(sort = By_time) ~title rows =
   let key r = match sort with By_time -> r.seconds | By_alloc -> r.alloc_words in
   let rows =
     List.sort
@@ -37,8 +37,7 @@ let render ?(top = 10) ?total_s ?(sort = By_time) ~title rows =
         | c -> c)
       rows
   in
-  let sum = List.fold_left (fun acc r -> acc +. r.seconds) 0. rows in
-  let total = match total_s with Some t when t > 0. -> t | _ -> sum in
+  let total = List.fold_left (fun acc r -> acc +. r.seconds) 0. rows in
   let shown, hidden =
     if List.length rows <= top then (rows, [])
     else (List.filteri (fun i _ -> i < top) rows, List.filteri (fun i _ -> i >= top) rows)

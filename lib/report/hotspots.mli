@@ -21,13 +21,10 @@ type sort = By_time | By_alloc
 val sort_of_string : string -> (sort, string) result
 (** ["time"] or ["alloc"]. *)
 
-val render :
-  ?top:int -> ?total_s:float -> ?sort:sort -> title:string -> row list ->
-  string
+val render : ?top:int -> ?sort:sort -> title:string -> row list -> string
 (** [render ~title rows] sorts [rows] by [seconds] (or [alloc_words]
     under [~sort:By_alloc]) descending, keeps the first [top] (default
     10), and renders a column-aligned table headed by [title].  The
-    share column is always time share, relative to [total_s] when
-    given, otherwise to the sum over {e all} rows (so truncation never
-    hides time: the footer reports how much the dropped rows account
-    for). *)
+    share column is always time share, relative to the sum over {e all}
+    rows (so truncation never hides time: the footer reports how much
+    the dropped rows account for). *)

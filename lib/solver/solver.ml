@@ -7,7 +7,6 @@ module Strategy = Pta_context.Strategy
 module Shortcut = Pta_context.Shortcut
 module Budget = Pta_obs.Budget
 module Trace = Pta_obs.Trace
-module Memstats = Pta_obs.Memstats
 module Census = Pta_obs.Census
 module Clock = Pta_obs.Clock
 open Ir
@@ -829,20 +828,13 @@ module Config = struct
     budget : Budget.t;
     field_based : bool;
     trace : Trace.t;
-    mem_tracker : Memstats.tracker option;
   }
 
   let default =
-    {
-      budget = Budget.unlimited ();
-      field_based = false;
-      trace = Trace.null;
-      mem_tracker = None;
-    }
+    { budget = Budget.unlimited (); field_based = false; trace = Trace.null }
 
-  let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) ?mem_tracker
-      () =
-    { budget = Budget.of_seconds_opt timeout_s; field_based; trace; mem_tracker }
+  let make ?timeout_s ?(field_based = false) ?(trace = Trace.null) () =
+    { budget = Budget.of_seconds_opt timeout_s; field_based; trace }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1016,35 +1008,15 @@ let solve_outcome ?(config = Config.default) program strategy =
   Budget.start budget ~probe:(fun () -> st.n_nodes);
   let fixpoint () =
     Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
-    (* Periodic peak-heap sampling: the tracker's [Gc.alarm] only fires
-       at major-cycle ends, so a long alarm-free stretch (e.g. one huge
-       allocation that never triggers a cycle) would under-report the
-       peak.  Every 1024 iterations: frequent enough to catch allocation
-       spikes, cheap enough ([Gc.quick_stat] reads no heap) to leave
-       timings unchanged; [None] costs one match per iteration. *)
-    let mem_every = 1024 in
-    let mem_countdown = ref mem_every in
-    let mem_tick () =
-      match config.Config.mem_tracker with
-      | None -> ()
-      | Some t ->
-        decr mem_countdown;
-        if !mem_countdown <= 0 then begin
-          Memstats.sample t;
-          mem_countdown := mem_every
-        end
-    in
     let rec loop () =
       if not (Queue.is_empty st.meth_queue) then begin
         Budget.tick budget;
-        mem_tick ();
         let meth, ctx = Queue.pop st.meth_queue in
         process_method st meth ctx;
         loop ()
       end
       else if not (Pqueue.is_empty st.pq) then begin
         Budget.tick budget;
-        mem_tick ();
         if st.copy_edges_since_scc >= st.scc_threshold then
           collapse_and_reprioritize st;
         if not (Pqueue.is_empty st.pq) then begin

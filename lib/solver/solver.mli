@@ -34,8 +34,8 @@ exception Timeout of Pta_obs.Budget.abort
     exception rebinding), so either name matches. *)
 
 (** How to run the solver: the budget (deadline / cancellation token),
-    the heap-field abstraction, the trace sink receiving timed spans and
-    the memory tracker.  Replaces the former pile of optional arguments
+    the heap-field abstraction and the trace sink receiving timed spans.
+    Replaces the former pile of optional arguments
     on [run]. *)
 module Config : sig
   type t = {
@@ -52,24 +52,13 @@ module Config : sig
             propagation batch, a ["solver"]-category complete span named
             by edge kind ([move]/[load]/[store]/[vcall]/[scall]) whose
             [delta] is the number of objects pushed through that kind. *)
-    mem_tracker : Pta_obs.Memstats.tracker option;
-        (** When set, the fixpoint loop folds the current major-heap
-            size into the tracker's peak every 1024 iterations —
-            catching peaks between major collections that the tracker's
-            GC alarm alone would miss.  [None] (default) costs one match
-            per iteration. *)
   }
 
   val default : t
-  (** Unlimited budget, field-sensitive, no trace, no memory tracker. *)
+  (** Unlimited budget, field-sensitive, no trace. *)
 
   val make :
-    ?timeout_s:float ->
-    ?field_based:bool ->
-    ?trace:Pta_obs.Trace.t ->
-    ?mem_tracker:Pta_obs.Memstats.tracker ->
-    unit ->
-    t
+    ?timeout_s:float -> ?field_based:bool -> ?trace:Pta_obs.Trace.t -> unit -> t
 end
 
 type outcome =

@@ -1,21 +1,26 @@
 (* Checks a `pointsto bench propbench --benchmarks tiny --analyses insens`
    run: the printed table and the written snapshot must each hold exactly
    one tiny/insens cell, proving both flags overrode the propagation
-   grid's default cyclic x analysis spread.
+   grid's default cyclic x analysis spread.  The cell's census must be
+   the one `pointsto heapmap --format json` writes for the same solve
+   (HEAPMAP: gen tiny under insens): a grid cell measures the analysis
+   the way every other reader does.
 
-   usage: check_propbench STDOUT SNAPSHOT *)
+   usage: check_propbench STDOUT SNAPSHOT HEAPMAP *)
 
 module Snapshot = Pta_report.Bench_snapshot
+module Census = Pta_obs.Census
+module Json = Pta_obs.Json
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let () =
-  let out_path, snap_path =
+  let out_path, snap_path, heapmap_path =
     match Sys.argv with
-    | [| _; o; s |] -> (o, s)
-    | _ -> fail "usage: check_propbench STDOUT SNAPSHOT"
+    | [| _; o; s; h |] -> (o, s, h)
+    | _ -> fail "usage: check_propbench STDOUT SNAPSHOT HEAPMAP"
   in
   (* Table rows sit between the dashed header rule and the next blank
      line. *)
@@ -38,7 +43,34 @@ let () =
   | Error e -> fail "%s: %s" snap_path e
   | Ok { Snapshot.cells = [ c ]; _ }
     when c.Snapshot.benchmark = "tiny" && c.Snapshot.analysis = "insens" ->
-    print_endline "propbench honours --benchmarks and --analyses: 1 row, 1 cell"
+    let heapmap =
+      match Json.of_string (read_file heapmap_path) with
+      | Error e -> fail "%s: %s" heapmap_path e
+      | Ok j -> (
+        match
+          Option.to_result ~none:"no \"components\""
+            (Json.member "components" j)
+          |> Fun.flip Result.bind Census.components_of_json_list
+        with
+        | Ok comps -> comps
+        | Error e -> fail "%s: %s" heapmap_path e)
+    in
+    let cell = c.Snapshot.heap_components in
+    if List.length cell <> List.length heapmap then
+      fail "%d census components in the cell, %d in heapmap"
+        (List.length cell) (List.length heapmap);
+    List.iter2
+      (fun (c : Census.component) (h : Census.component) ->
+        if c <> h then
+          fail
+            "component %s: %d/%d retained/unshared words in the cell, %s \
+             %d/%d in heapmap"
+            c.Census.comp_name c.Census.retained_words c.Census.unshared_words
+            h.Census.comp_name h.Census.retained_words h.Census.unshared_words)
+      cell heapmap;
+    print_endline
+      "propbench honours --benchmarks and --analyses: 1 row, 1 cell, census = \
+       heapmap"
   | Ok t ->
     fail "%s: expected the single cell tiny/insens, got %d cell(s)" snap_path
       (List.length t.Snapshot.cells)

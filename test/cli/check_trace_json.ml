@@ -43,7 +43,7 @@ let () =
       | Some _ -> ()
       | None -> fail "%s: event lacks a numeric \"ts\"" path);
       match str_field ev "ph" with
-      | Some ("B" | "E" | "X" | "i" | "C") -> ()
+      | Some ("B" | "E" | "X" | "C") -> ()
       | Some ph -> fail "%s: unknown ph %S" path ph
       | None -> fail "%s: event lacks a string \"ph\"" path)
     events;

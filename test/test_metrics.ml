@@ -330,17 +330,17 @@ let custom_thresholds_test () =
   in
   Alcotest.(check bool) "loosened gate passes" false (Snapshot.has_regression r)
 
-let markdown_report_test () =
+let report_test () =
   let r =
     compare_cells [ cell ~time_s:1.0 "a" "x" ] [ cell ~time_s:2.0 "a" "x" ]
   in
-  let md = Snapshot.to_markdown r in
+  let text = Format.asprintf "%a" Snapshot.pp_report r in
   Alcotest.(check bool)
     "names the cell" true
-    (Helpers.contains_substring md "| a | x |");
+    (Helpers.contains_substring text "\na/x ");
   Alcotest.(check bool)
     "counts regressions" true
-    (Helpers.contains_substring md "1 regression(s)")
+    (Helpers.contains_substring text "1 regression(s)")
 
 let tests =
   [
@@ -361,5 +361,5 @@ let tests =
     Alcotest.test_case "timeout verdicts" `Quick timeout_verdicts_test;
     Alcotest.test_case "missing / new cells" `Quick cell_presence_test;
     Alcotest.test_case "custom thresholds" `Quick custom_thresholds_test;
-    Alcotest.test_case "markdown report" `Quick markdown_report_test;
+    Alcotest.test_case "gate report" `Quick report_test;
   ]

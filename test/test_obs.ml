@@ -204,14 +204,14 @@ let memstats_json_test () =
 
 (* A large major-heap allocation that dies before the fixpoint must
    show in the tracker's peak: a tick callback plants a ~2M-word block at
-   iteration 3 and drops it at iteration 1100, past the loop's first
-   sample at 1024 (gen tiny under S-2obj+H runs about 1,350 iterations).
+   iteration 3 and drops it at iteration 1100, past the first sample
+   that [Memstats.sampling] (the one [Driver.run] uses) takes at 1024 (gen tiny under S-2obj+H runs about 1,350 iterations).
    The tracker has no GC alarm, which on OCaml 5.1 would record the
    block at the major cycle its allocation completes, and the heap is
    collected until the block is gone before the solve ends (4.14 gives
    the block's memory back only when it compacts; 5.1 frees a large
    block in the sweep of a later cycle than the one that finds it dead),
-   so only the solver's loop sample can see it. *)
+   so only the per-tick sample can see it. *)
 let solver_peak_sampling_test () =
   let program = tiny_program () in
   let factory = Option.get (Pta_context.Strategies.by_name "S-2obj+H") in
@@ -222,8 +222,9 @@ let solver_peak_sampling_test () =
   Gc.full_major ();
   let tracker = Memstats.start_tracking ~alarm:false () in
   let planted = ref None and dropped = ref false in
-  let config = Solver.Config.make ~mem_tracker:tracker () in
-  Budget.on_tick config.Solver.Config.budget (fun n ->
+  let config = Solver.Config.make () in
+  let budget = config.Solver.Config.budget in
+  Budget.on_tick budget (fun n ->
       if n = 3 then begin
         planted := Some (Bytes.create (planted_words * (Sys.word_size / 8)));
         (* OCaml 5.1 refreshes [heap_words] when a major cycle ends. *)
@@ -235,7 +236,8 @@ let solver_peak_sampling_test () =
         Gc.compact ();
         Gc.full_major ()
       end);
-  ignore (Solver.solve ~config program (factory program));
+  Memstats.sampling tracker budget (fun () ->
+      ignore (Solver.solve ~config program (factory program)));
   ignore !planted;
   let d = Memstats.finish tracker in
   Alcotest.(check bool) "solve ran past the drop" true !dropped;
@@ -245,6 +247,60 @@ let solver_peak_sampling_test () =
     "peak saw the planted block" true
     (d.Memstats.peak_heap_words - d.Memstats.heap_words_after
     >= planted_words / 2)
+
+(* Callbacks on one budget all fire, in the order they were installed;
+   a scoped one fires only inside its scope, also when the scope
+   raises. *)
+let budget_hooks_test () =
+  let b = Budget.unlimited () in
+  let log = ref [] in
+  let hook name n = log := (name, n) :: !log in
+  Budget.on_tick b (hook "a");
+  Budget.on_tick b (hook "b");
+  Budget.tick b;
+  Budget.with_tick b (hook "c") (fun () -> Budget.tick b);
+  (try Budget.with_tick b (hook "d") (fun () -> Budget.check b; raise Exit)
+   with Exit -> ());
+  Budget.tick b;
+  Alcotest.(check (list (pair string int)))
+    "firing order"
+    [
+      ("a", 1); ("b", 1); ("a", 2); ("b", 2); ("c", 2); ("a", 3); ("b", 3);
+      ("d", 3); ("a", 4); ("b", 4);
+    ]
+    (List.rev !log)
+
+(* [Driver.run ~collect_stats:true] samples on the budget's ticks next
+   to the callbacks already there, and takes its sampler away when it
+   returns: afterwards a tick of the budget allocates exactly what a
+   tick of a fresh budget holding only the test's callback does, where
+   a left-over sampler would allocate a [Gc.quick_stat] record every
+   1024 ticks. *)
+let driver_sampler_scoped_test () =
+  let config = Solver.Config.make () in
+  let budget = config.Solver.Config.budget in
+  let ticks = ref 0 in
+  let count _ = incr ticks in
+  Budget.on_tick budget count;
+  (match Driver.run ~config ~collect_stats:true (tiny_program ()) ~analysis:"S-2obj+H" with
+  | Ok r ->
+    Alcotest.(check int)
+      "installed callback fired on every tick"
+      (Option.get r.Driver.stats).Run_stats.iterations !ticks
+  | Error e -> Alcotest.failf "driver error: %a" Driver.pp_error e);
+  let fresh = Budget.unlimited () in
+  Budget.on_tick fresh count;
+  let minor_cost b =
+    let a = Gc.minor_words () in
+    for _ = 1 to 4096 do
+      Budget.tick b
+    done;
+    Gc.minor_words () -. a
+  in
+  ignore (minor_cost fresh);
+  ignore (minor_cost budget);
+  Alcotest.(check (float 0.))
+    "sampler gone after the solve" (minor_cost fresh) (minor_cost budget)
 
 (* ------------------------------------------------------------------ *)
 (* Census                                                              *)
@@ -361,6 +417,9 @@ let tests =
     Alcotest.test_case "counters deterministic" `Quick counters_deterministic_test;
     Alcotest.test_case "counters pinned on sample.mj" `Quick counters_pinned_test;
     Alcotest.test_case "budget cancellation" `Quick budget_cancellation_test;
+    Alcotest.test_case "budget callbacks fire in order" `Quick budget_hooks_test;
+    Alcotest.test_case "driver sampler scoped to the solve" `Quick
+      driver_sampler_scoped_test;
     Alcotest.test_case "json round-trip" `Quick json_roundtrip_test;
     Alcotest.test_case "json escapes every control byte" `Quick
       json_escape_bytes_test;

@@ -21,7 +21,7 @@ let solve_traced ?(analysis = "S-2obj+H") program =
 
 (* Every exported event must carry the fields Chrome/Perfetto require:
    "name", a known "ph", a numeric "ts"; "X" events a numeric "dur";
-   "B"/"X"/"i"/"C" a "cat". *)
+   "B"/"X"/"C" a "cat". *)
 let chrome_schema_test () =
   let _, trace = solve_traced (tiny_program ()) in
   let json = Trace.to_chrome_json trace in
@@ -52,7 +52,7 @@ let chrome_schema_test () =
       | Some ts -> Alcotest.(check bool) "ts >= 0" true (ts >= 0.)
       | None -> Alcotest.fail "ts is not a number");
       match Json.to_str (get "ph") with
-      | Some (("B" | "E" | "X" | "i" | "C") as ph) ->
+      | Some (("B" | "E" | "X" | "C") as ph) ->
         if ph <> "E" then
           (match Json.to_str (get "cat") with
           | Some _ -> ()
@@ -208,7 +208,6 @@ let null_zero_alloc_test () =
     for _ = 1 to n do
       Trace.begin_span Trace.null ~cat:"t" "x";
       Trace.end_span Trace.null;
-      Trace.instant Trace.null ~cat:"t" "x";
       Trace.counter Trace.null ~cat:"t" "x" 1.0;
       ignore (Trace.alloc_mark Trace.null)
     done
