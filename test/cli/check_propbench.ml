@@ -44,30 +44,31 @@ let () =
   | Ok { Snapshot.cells = [ c ]; _ }
     when c.Snapshot.benchmark = "tiny" && c.Snapshot.analysis = "insens" ->
     let heapmap =
-      match Json.of_string (read_file heapmap_path) with
-      | Error e -> fail "%s: %s" heapmap_path e
-      | Ok j -> (
-        match
-          Option.to_result ~none:"no \"components\""
-            (Json.member "components" j)
-          |> Fun.flip Result.bind Census.components_of_json_list
-        with
+      match
+        Result.map (Json.member "components")
+          (Json.of_string (read_file heapmap_path))
+      with
+      | Ok (Some comps) -> (
+        match Census.components_of_json_list comps with
         | Ok comps -> comps
         | Error e -> fail "%s: %s" heapmap_path e)
+      | Ok None -> fail "%s: no \"components\"" heapmap_path
+      | Error e -> fail "%s: %s" heapmap_path e
     in
-    let cell = c.Snapshot.heap_components in
-    if List.length cell <> List.length heapmap then
-      fail "%d census components in the cell, %d in heapmap"
-        (List.length cell) (List.length heapmap);
-    List.iter2
-      (fun (c : Census.component) (h : Census.component) ->
-        if c <> h then
-          fail
-            "component %s: %d/%d retained/unshared words in the cell, %s \
-             %d/%d in heapmap"
-            c.Census.comp_name c.Census.retained_words c.Census.unshared_words
-            h.Census.comp_name h.Census.retained_words h.Census.unshared_words)
-      cell heapmap;
+    let show comps =
+      String.concat ", "
+        (List.map
+           (fun (c : Census.component) ->
+             Printf.sprintf "%s %d/%d" c.Census.comp_name
+               c.Census.retained_words c.Census.unshared_words)
+           comps)
+    in
+    if c.Snapshot.heap_components <> heapmap then
+      fail
+        "census (retained/unshared words) differs from heapmap's:\n\
+         cell:    %s\n\
+         heapmap: %s"
+        (show c.Snapshot.heap_components) (show heapmap);
     print_endline
       "propbench honours --benchmarks and --analyses: 1 row, 1 cell, census = \
        heapmap"

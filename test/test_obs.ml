@@ -205,7 +205,8 @@ let memstats_json_test () =
 (* A large major-heap allocation that dies before the fixpoint must
    show in the tracker's peak: a tick callback plants a ~2M-word block at
    iteration 3 and drops it at iteration 1100, past the first sample
-   that [Memstats.sampling] (the one [Driver.run] uses) takes at 1024 (gen tiny under S-2obj+H runs about 1,350 iterations).
+   that [Memstats.sampling] (the one [Driver.run] uses) takes at 1024
+   (gen tiny under S-2obj+H runs about 1,350 iterations).
    The tracker has no GC alarm, which on OCaml 5.1 would record the
    block at the major cycle its allocation completes, and the heap is
    collected until the block is gone before the solve ends (4.14 gives
@@ -282,7 +283,10 @@ let driver_sampler_scoped_test () =
   let ticks = ref 0 in
   let count _ = incr ticks in
   Budget.on_tick budget count;
-  (match Driver.run ~config ~collect_stats:true (tiny_program ()) ~analysis:"S-2obj+H" with
+  (match
+     Driver.run ~config ~collect_stats:true (tiny_program ())
+       ~analysis:"S-2obj+H"
+   with
   | Ok r ->
     Alcotest.(check int)
       "installed callback fired on every tick"
