@@ -64,31 +64,15 @@ let rule (i : Checkers.info) =
       );
     ]
 
-let to_json ~tool_version diagnostics =
-  let diagnostics = List.sort Diagnostic.compare diagnostics in
+let tool ~tool_version =
   Json.Obj
     [
-      ("$schema", Json.String "https://json.schemastore.org/sarif-2.1.0.json");
-      ("version", Json.String "2.1.0");
-      ( "runs",
-        Json.List
+      ( "driver",
+        Json.Obj
           [
-            Json.Obj
-              [
-                ( "tool",
-                  Json.Obj
-                    [
-                      ( "driver",
-                        Json.Obj
-                          [
-                            ("name", Json.String "pointsto");
-                            ("version", Json.String tool_version);
-                            ( "rules",
-                              Json.List (List.map rule Checkers.all) );
-                          ] );
-                    ] );
-                ("results", Json.List (List.map result diagnostics));
-              ];
+            ("name", Json.String "pointsto");
+            ("version", Json.String tool_version);
+            ("rules", Json.List (List.map rule Checkers.all));
           ] );
     ]
 
@@ -113,8 +97,28 @@ let estimated_size diagnostics =
         d.witnesses)
     8192 diagnostics
 
+(* The document is printed in pieces: the envelope's fixed text, the
+   tool at its depth, then each result's tree, built and printed one at
+   a time, so a whole-document tree never exists.  The bytes are those
+   of the whole tree printed by [Json.to_buffer], followed by one more
+   newline. *)
 let to_string ~tool_version diagnostics =
+  let diagnostics = List.sort Diagnostic.compare diagnostics in
   let buf = Buffer.create (estimated_size diagnostics) in
-  Json.to_buffer ~indent:true buf (to_json ~tool_version diagnostics);
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf
+    "{\n\
+    \  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n\
+    \  \"version\": \"2.1.0\",\n\
+    \  \"runs\": [\n\
+    \    {\n\
+    \      \"tool\": ";
+  Json.to_buffer ~depth:3 buf (tool ~tool_version);
+  Buffer.add_string buf ",\n      \"results\": [";
+  List.iteri
+    (fun i d ->
+      Buffer.add_string buf (if i = 0 then "\n        " else ",\n        ");
+      Json.to_buffer ~depth:4 buf (result d))
+    diagnostics;
+  if diagnostics <> [] then Buffer.add_string buf "\n      ";
+  Buffer.add_string buf "]\n    }\n  ]\n}\n\n";
   Buffer.contents buf

@@ -6,7 +6,6 @@
     {!Diagnostic.compare} order and the JSON printer is stable, so two
     identical analyses produce byte-identical documents. *)
 
-val to_json : tool_version:string -> Diagnostic.t list -> Pta_obs.Json.t
-
 val to_string : tool_version:string -> Diagnostic.t list -> string
-(** [to_json] pretty-printed, with a trailing newline. *)
+(** The document, pretty-printed with two-space indentation.  It ends
+    in ["}\n\n"]: the printer's newline, then one more. *)

@@ -23,6 +23,7 @@ type t = {
 }
 
 let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
+  Pta_solver.Intset.with_front_cache @@ fun () ->
   let program = Solver.program solver in
   let vpt = Solver.vpt_counts solver in
   let vcall_sites = Devirt.analyze solver in

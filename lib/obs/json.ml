@@ -65,7 +65,7 @@ let add_line_break buf d =
     add_spaces buf (2 * d)
   end
 
-let to_buffer ?(indent = true) buf v =
+let to_buffer ?(indent = true) ?(depth = 0) buf v =
   let brk depth = if indent then add_line_break buf depth in
   let colon = if indent then ": " else ":" in
   let rec go depth v =
@@ -113,8 +113,8 @@ let to_buffer ?(indent = true) buf v =
       member_at (depth + 1) member;
       members_after depth members
   in
-  go 0 v;
-  if indent then Buffer.add_char buf '\n'
+  go depth v;
+  if indent && depth = 0 then Buffer.add_char buf '\n'
 
 let to_string ?indent v =
   let buf = Buffer.create 256 in

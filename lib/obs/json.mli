@@ -19,8 +19,12 @@ val to_string : ?indent:bool -> t -> string
 (** Serialize.  [indent] (default [true]) pretty-prints with two-space
     indentation; either form parses back with {!of_string}. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> t -> unit
-(** [to_string], appended to a buffer. *)
+val to_buffer : ?indent:bool -> ?depth:int -> Buffer.t -> t -> unit
+(** [to_string], appended to a buffer.  [depth] (default 0) prints the
+    value as a member or item nested [depth] levels deep in an indented
+    document, to stream a document whose parts are printed one at a
+    time: its inner lines are indented to match, and it gets no
+    trailing newline, which only a whole document (depth 0) ends with. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error msg] carries a byte offset. *)

@@ -105,6 +105,31 @@ let insert j x v =
   if 4 * table.used > 3 * Weak.length table.keys then rehash ();
   v
 
+(* The front cache: a strong, direct-mapped array of recently consed
+   nodes, indexed by low bits of the scrambled hash, that [leaf] and
+   [node] check before probing.  A front hit reads no weak slot and
+   allocates nothing.  It is filled only inside [with_front_cache] and
+   emptied when the outermost scope exits, normally or by an exception,
+   so outside a scope a node lives exactly as long as some set reaches
+   it.  A cached node is strongly reachable, so the GC never clears its
+   weak slot: the cache is a subset of the table, and a front hit is the
+   node the probe would have found. *)
+let front_size = 4096
+let front = Array.make front_size Empty
+let front_depth = ref 0
+let front_slot x = x land (front_size - 1)
+
+let with_front_cache f =
+  incr front_depth;
+  Fun.protect f ~finally:(fun () ->
+      decr front_depth;
+      if !front_depth = 0 then Array.fill front 0 front_size Empty)
+
+(* [v], kept in front slot [f] inside a scope. *)
+let remember f v =
+  if !front_depth > 0 then Array.unsafe_set front f v;
+  v
+
 (* Probes return the live node they find, or [Empty] after recording
    in [miss] the never-used slot that ended the probe: top-level
    functions with no closure, so a hit allocates only [Weak.get]'s
@@ -137,10 +162,14 @@ let rec find_branch keys tags cap tag l r j =
 
 let leaf i =
   let x = scramble i in
-  let keys = table.keys in
-  let cap = Weak.length keys in
-  let v = find_leaf keys table.tags cap (tag_of x) i (start_of x cap) in
-  if v == Empty then insert !miss x (Leaf i) else v
+  let f = front_slot x in
+  match Array.unsafe_get front f with
+  | Leaf k as v when k = i -> v
+  | _ ->
+    let keys = table.keys in
+    let cap = Weak.length keys in
+    let v = find_leaf keys table.tags cap (tag_of x) i (start_of x cap) in
+    remember f (if v == Empty then insert !miss x (Leaf i) else v)
 
 (* The one way to build a [Branch]: the live node with these children
    if there is one, else a new one.  [prefix] and [bit] follow from the
@@ -148,10 +177,14 @@ let leaf i =
 let node p m l r =
   let h = mix (hash l) (hash r) in
   let x = scramble h in
-  let keys = table.keys in
-  let cap = Weak.length keys in
-  let v = find_branch keys table.tags cap (tag_of x) l r (start_of x cap) in
-  if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v
+  let f = front_slot x in
+  match Array.unsafe_get front f with
+  | Branch (_, _, l', r', _) as v when l' == l && r' == r -> v
+  | _ ->
+    let keys = table.keys in
+    let cap = Weak.length keys in
+    let v = find_branch keys table.tags cap (tag_of x) l r (start_of x cap) in
+    remember f (if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v)
 
 let empty = Empty
 let is_empty t = t == Empty

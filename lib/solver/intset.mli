@@ -5,8 +5,10 @@
     The sets are hash-consed: every tree node is built through one
     process-global weak table, so two equal sets are always the same
     physical value and {!equal} is [(==)].  A set costs memory once
-    however many contexts hold it, and a node lives as long as some
-    set reaches it.  Each node carries a hash computed from its
+    however many contexts hold it.  Outside {!with_front_cache}, a node
+    lives as long as some set reaches it; inside, the scope's cache
+    also holds up to 4096 recently built nodes until the outermost
+    scope exits.  Each node carries a hash computed from its
     elements, never a counter, so nothing about a set depends on
     allocation order or GC timing.  Key tables by {!hash} and {!equal}
     ([Hashtbl.Make (Intset)]); polymorphic [compare], [(=)] and
@@ -73,3 +75,13 @@ val of_sorted_array : int array -> t
     @raise Invalid_argument if the array is not strictly increasing. *)
 
 val choose_opt : t -> int option
+
+val with_front_cache : (unit -> 'a) -> 'a
+(** [with_front_cache f] runs [f] with a small strong cache of recently
+    built nodes in front of the weak cons table, so rebuilding a set
+    that already exists reads no weak slot and allocates nothing.
+    Results are the same physical sets as without it.  The cache is
+    emptied when the outermost scope exits, normally or by an
+    exception; scopes nest.  Wrap the loops that build many sets (the
+    solver's fixpoint, {!Pta_clients.Metrics.compute}), not code that
+    expects what it drops to be collected before the scope ends. *)

@@ -1030,7 +1030,7 @@ let solve_outcome ?(config = Config.default) program strategy =
     loop ()
   in
   let fixpoint_clock = Clock.create () in
-  match fixpoint () with
+  match Intset.with_front_cache fixpoint with
   | () ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     Budget.stop budget;

@@ -338,6 +338,19 @@ let sarif_tests =
         Alcotest.(check (option int)) "startColumn" (Some 13) (geti "startColumn");
         Alcotest.(check (option int)) "endLine" (Some 6) (geti "endLine");
         Alcotest.(check (option int)) "endColumn" (Some 18) (geti "endColumn"));
+    Alcotest.test_case "SARIF streams the whole tree's bytes" `Quick
+      (fun () ->
+        (* Printed one result at a time, the document is what printing
+           its parsed tree at once gives, plus one more newline. *)
+        List.iter
+          (fun (what, diags) ->
+            let doc = Sarif.to_string ~tool_version:"1.0.0" diags in
+            let tree = Result.get_ok (Json.of_string doc) in
+            Alcotest.(check string) what (Json.to_string tree ^ "\n") doc)
+          [
+            ("with results", Checkers.run (results demo_src));
+            ("no results", []);
+          ]);
     Alcotest.test_case "SARIF is byte-deterministic across runs" `Quick
       (fun () ->
         let doc () =

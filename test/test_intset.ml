@@ -281,6 +281,109 @@ let unit_tests =
                 (build i == s)
             | None -> ())
           kept);
+    Alcotest.test_case "front cache returns the table's sets" `Quick (fun () ->
+        (* Elements no other test uses. *)
+        let build base = Intset.of_list (List.init 48 (fun i -> base + (i * 5))) in
+        let before = build 11_000_001 in
+        let inside, after_gc =
+          Intset.with_front_cache (fun () ->
+              Alcotest.(check bool) "a set built before the scope" true
+                (build 11_000_001 == before);
+              let inside = build 11_200_001 in
+              Alcotest.(check bool) "rebuilt before exit" true
+                (build 11_200_001 == inside);
+              (* Nodes only the cache reaches, then a collection: the
+                 cache and the table must still agree. *)
+              ignore (Sys.opaque_identity (build 11_400_001));
+              Gc.full_major ();
+              let after_gc = build 11_400_001 in
+              Alcotest.(check bool) "rebuilt after a major collection" true
+                (build 11_200_001 == inside && build 11_400_001 == after_gc);
+              (inside, after_gc))
+        in
+        Alcotest.(check bool) "rebuilt after exit" true
+          (build 11_200_001 == inside);
+        Alcotest.(check bool) "built after a collection, rebuilt after exit"
+          true
+          (build 11_400_001 == after_gc);
+        Alcotest.(check bool) "built before the scope, after exit" true
+          (build 11_000_001 == before));
+    Alcotest.test_case "front cache: dropped sets reclaimed after exit" `Quick
+      (fun () ->
+        (* [cons table across major collections], with the sets built
+           in a scope; elements no other test uses. *)
+        let build i =
+          Intset.of_list [ 12_000_001 + i; 12_500_001 + (i * 7); 12_900_001 ]
+        in
+        let n = 5_000 in
+        let dropped = Weak.create n in
+        let[@inline never] build_all () =
+          Array.init n (fun i ->
+              let s = build i in
+              if i mod 10 <> 0 then Weak.set dropped i (Some s);
+              if i mod 10 = 0 then Some s else None)
+        in
+        let kept = Intset.with_front_cache build_all in
+        Gc.full_major ();
+        let reclaimed = ref 0 in
+        for i = 0 to n - 1 do
+          if i mod 10 <> 0 && not (Weak.check dropped i) then incr reclaimed
+        done;
+        Alcotest.(check int)
+          "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
+        Array.iteri
+          (fun i s ->
+            match s with
+            | Some s ->
+              Alcotest.(check bool)
+                (Printf.sprintf "rebuilt set %d is the kept one" i)
+                true
+                (build i == s)
+            | None -> ())
+          kept);
+    Alcotest.test_case "front cache: exceptions and nesting leave none cached"
+      `Quick (fun () ->
+        (* Each phase drops [n] sets of elements no other test uses,
+           then a collection must reclaim all of them. *)
+        let n = 2_000 in
+        let[@inline never] build_dropped base =
+          let dropped = Weak.create n in
+          for i = 0 to n - 1 do
+            Weak.set dropped i
+              (Some (Intset.of_list [ base + i; base + 300_001 + (i * 7) ]))
+          done;
+          dropped
+        in
+        let reclaimed dropped =
+          Gc.full_major ();
+          let k = ref 0 in
+          for i = 0 to n - 1 do
+            if not (Weak.check dropped i) then incr k
+          done;
+          !k
+        in
+        let by_exception = ref (Weak.create 0) in
+        (match
+           Intset.with_front_cache (fun () ->
+               by_exception := build_dropped 13_000_001;
+               raise Exit)
+         with
+        | () -> Alcotest.fail "the scope swallowed the exception"
+        | exception Exit -> ());
+        Alcotest.(check int) "built in a scope left by an exception" n
+          (reclaimed !by_exception);
+        Alcotest.(check int) "built after that scope" n
+          (reclaimed (build_dropped 13_500_001));
+        let inner = ref (Weak.create 0) and outer = ref (Weak.create 0) in
+        Intset.with_front_cache (fun () ->
+            Intset.with_front_cache (fun () ->
+                inner := build_dropped 14_000_001);
+            outer := build_dropped 14_500_001);
+        Alcotest.(check int) "built in an inner scope" n (reclaimed !inner);
+        Alcotest.(check int) "built in the outer scope after the inner" n
+          (reclaimed !outer);
+        Alcotest.(check int) "built after nested scopes" n
+          (reclaimed (build_dropped 15_000_001)));
     Alcotest.test_case "large and boundary values" `Quick (fun () ->
         let big = max_int / 2 in
         let s = Intset.of_list [ 0; 1; big; big - 1 ] in

@@ -133,6 +133,28 @@ let json_escape_bytes_test () =
   Alcotest.(check string) "deepest line" (String.make 80 ' ' ^ "1")
     (List.nth lines 40)
 
+(* A value printed at a depth is the text it has inside the whole
+   document printed at once, without the document's trailing newline. *)
+let json_depth_test () =
+  let inner =
+    Json.Obj
+      [
+        ("l", Json.List [ Json.Int 1; Json.Obj [ ("s", Json.String "x") ] ]);
+        ("e", Json.List []);
+      ]
+  in
+  let at depth v =
+    let buf = Buffer.create 64 in
+    Json.to_buffer ~depth buf v;
+    Buffer.contents buf
+  in
+  Alcotest.(check string) "member at depth 1"
+    (Json.to_string (Json.Obj [ ("a", Json.Int 1); ("inner", inner) ]))
+    ("{\n  \"a\": 1,\n  \"inner\": " ^ at 1 inner ^ "\n}\n");
+  Alcotest.(check string) "item at depth 2"
+    (Json.to_string (Json.Obj [ ("l", Json.List [ inner; Json.Null ]) ]))
+    ("{\n  \"l\": [\n    " ^ at 2 inner ^ ",\n    null\n  ]\n}\n")
+
 (* ------------------------------------------------------------------ *)
 (* Memory: Memstats clamping / codec / exception safety, loop sampling *)
 (* ------------------------------------------------------------------ *)
@@ -427,6 +449,7 @@ let tests =
     Alcotest.test_case "json round-trip" `Quick json_roundtrip_test;
     Alcotest.test_case "json escapes every control byte" `Quick
       json_escape_bytes_test;
+    Alcotest.test_case "json printed at a depth nests" `Quick json_depth_test;
     Alcotest.test_case "refimpl budget" `Quick refimpl_budget_test;
     Alcotest.test_case "memstats peak clamping" `Quick memstats_clamp_test;
     Alcotest.test_case "memstats JSON encoding" `Quick memstats_json_test;
