@@ -83,5 +83,5 @@ val with_front_cache : (unit -> 'a) -> 'a
     Results are the same physical sets as without it.  The cache is
     emptied when the outermost scope exits, normally or by an
     exception; scopes nest.  Wrap the loops that build many sets (the
-    solver's fixpoint, {!Pta_clients.Metrics.compute}), not code that
-    expects what it drops to be collected before the scope ends. *)
+    solver's fixpoint, [Metrics.compute]), not code that expects what
+    it drops to be collected before the scope ends. *)
