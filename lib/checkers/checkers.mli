@@ -18,13 +18,6 @@ val all : info list
     may-fail-cast, null-dereference, dead-method, monomorphic-call-site,
     tainted-sink-argument, sanitizer-bypassed. *)
 
-val find : string -> info option
-
-val suggest : string -> string list
-(** Up to three checker codes close to the (unknown) input, best first
-    — same edit-distance scoring as
-    {!Pta_context.Strategies.suggest}. *)
-
 exception
   Unknown_checker of {
     code : string;  (** the unrecognized input *)
@@ -40,31 +33,6 @@ val may_fail_cast : ?budget:Pta_obs.Budget.t -> Results.t -> Diagnostic.t list
     native solver produced the result).  [budget] (unlimited by default)
     is checked once per witness.
     @raise Pta_obs.Budget.Exhausted when it runs out. *)
-
-val null_dereference : Results.t -> Diagnostic.t list
-(** A field load, field store, or virtual call whose base variable has
-    an empty points-to set: every execution reaching it dereferences
-    null (or the instruction is dead). *)
-
-val dead_method : Results.t -> Diagnostic.t list
-(** Methods never reached from any entry point, context-insensitively. *)
-
-val monomorphic_call_site : Results.t -> Diagnostic.t list
-(** Virtual calls with exactly one resolved target — devirtualization
-    opportunities, reported as notes. *)
-
-val tainted_sink_argument : Results.t -> Diagnostic.t list
-(** Source-to-sink taint flows, one diagnostic per (sink call,
-    argument position), each source label a witness; native results
-    enrich witnesses with the propagation chain ([w_detail], excluded
-    from differential comparison like provenance).  Empty when
-    {!Results.t.taint} is [None]. *)
-
-val sanitizer_bypassed : Results.t -> Diagnostic.t list
-(** Calls to a sanitizer that discard its result while passing a
-    (context-insensitively) tainted argument — the cleansed value is
-    dropped, so sanitization has no effect.  Empty when
-    {!Results.t.taint} is [None]. *)
 
 val run :
   ?only:string list -> ?budget:Pta_obs.Budget.t -> Results.t -> Diagnostic.t list

@@ -10,7 +10,7 @@
     the context machinery entirely; and [raw] spells out an arbitrary
     constructor table element by element.
 
-    Every term compiles to a {!Strategy.t} ({!to_strategy}); terms
+    Every term compiles to a {!Strategy.t} ({!to_strategy_exn}); terms
     print to a small expression language ({!to_string}) whose parser
     ({!of_string}) round-trips the canonical form — the same language
     the CLI accepts as [--strategy 'selective_a(obj 1)'].  All named
@@ -112,22 +112,15 @@ val spec_of : t -> (spec, string) result
     rows do not depend on the callee (everything except {!Per_method}
     and {!Cut_shortcut}). *)
 
-val to_strategy :
-  ?name:string ->
-  ?description:string ->
-  Pta_ir.Ir.Program.t ->
-  t ->
-  (Strategy.t, string) result
-(** Compile a term against a program.  [name] defaults to the canonical
-    {!to_string} form, [description] to {!describe}. *)
-
 val to_strategy_exn :
   ?name:string ->
   ?description:string ->
   Pta_ir.Ir.Program.t ->
   t ->
   Strategy.t
-(** @raise Invalid_argument on a term {!validate} rejects. *)
+(** Compile a term against a program.  [name] defaults to the canonical
+    {!to_string} form, [description] to a one-line human description.
+    @raise Invalid_argument on a term {!validate} rejects. *)
 
 (** {1 The expression language} *)
 
@@ -142,10 +135,6 @@ val parse : string -> (t, string) result
 
 val of_string : string -> (t, string) result
 (** [parse] followed by {!validate}. *)
-
-val describe : t -> string
-(** One-line human description, used as the default strategy
-    description and by [pointsto strategies]. *)
 
 val glob_match : string -> string -> bool
 (** [glob_match pat s]: does [s] match [pat], where ['*'] in [pat]

@@ -17,7 +17,6 @@ type elem =
   | Type of Pta_ir.Ir.Type_id.t
 
 val elem_equal : elem -> elem -> bool
-val elem_hash : elem -> int
 
 type value = elem array
 

@@ -194,4 +194,3 @@ let compute program =
 
 let action t invo = Hashtbl.find_opt t.actions (Invo_id.to_int invo)
 let summarized t = t.summarized
-let n_cut_sites t = t.n_cut_sites

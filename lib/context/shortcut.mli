@@ -55,5 +55,3 @@ val summarized : t -> Pta_ir.Ir.Meth_id.Set.t
 (** The methods whose calls may be cut somewhere — the scope of the
     under-approximation described above. *)
 
-val n_cut_sites : t -> int
-(** Invocation sites with an action, for reporting. *)

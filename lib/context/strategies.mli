@@ -19,7 +19,6 @@ val presets : preset list
     selective hybrids, deeper-context extensions, cut-shortcut analyses,
     ablations. *)
 
-val find_preset : string -> preset option
 val names : string list
 
 val all : (string * factory) list

@@ -67,7 +67,6 @@ let cardinal r = Vec.length r.facts
 let iter f r = Vec.iter f r.facts
 let fold f r acc = Vec.fold_left (fun acc fact -> f fact acc) acc r.facts
 let nth r i = Vec.get r.facts i
-let to_list r = Vec.to_list r.facts
 
 let bound_positions pattern =
   let rec loop i acc =

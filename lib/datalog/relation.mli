@@ -29,5 +29,3 @@ val select : t -> pattern:int array -> (int array -> unit) -> unit
 val nth : t -> int -> int array
 (** Facts are numbered densely in insertion order; used by the engine's
     delta windows. *)
-
-val to_list : t -> int array list

@@ -142,8 +142,7 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
   | Error e -> Error e
   | Ok strategy -> (
     (* GC tracking is on whenever someone will read the stats bundle.
-       The budget's ticks sample the peak between major collections too
-       (the alarm alone misses alarm-free stretches). *)
+       The budget's ticks sample the peak. *)
     let tracker =
       if collect_stats then Some (Memstats.start_tracking ()) else None
     in

@@ -25,22 +25,17 @@ type error =
           failed to parse or validate *)
   | Timed_out of { analysis : string; abort : Pta_obs.Budget.abort }
 
-val exit_code : error -> int
-(** 1 / 2 / 3 as per the contract above. *)
-
 val pp_error : Format.formatter -> error -> unit
 
 val report_and_exit : error -> 'a
-(** Print to stderr, [exit (exit_code e)]. *)
+(** Print to stderr and exit 1 / 2 / 3 as per the contract above. *)
 
 (** {1 Loading} *)
 
 val configure_gc : unit -> unit
-(** Raise the minor heap to {!minor_heap_words} unless it is already at
-    least that large (an [OCAMLRUNPARAM=s=...] setting is never lowered).
+(** Raise the minor heap to 4M words unless it is already at least
+    that large (an [OCAMLRUNPARAM=s=...] setting is never lowered).
     Idempotent; {!load_program} calls it first. *)
-
-val minor_heap_words : int
 
 val load_program :
   ?stdlib:bool -> source list -> (Pta_ir.Ir.Program.t, error) result

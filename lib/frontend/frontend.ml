@@ -9,15 +9,6 @@ let program_of_sources sources =
 let program_of_string ?(file = "<string>") src =
   program_of_sources [ (file, src) ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let program_of_files paths =
-  program_of_sources (List.map (fun p -> (p, read_file p)) paths)
-
 let report ppf = function
   | Srcloc.Error (pos, msg) ->
     Format.fprintf ppf "%a@." Srcloc.pp_error (pos, msg);

@@ -115,7 +115,6 @@ module Program = struct
     heaps : heap_info array;
     invos : invo_info array;
     entries : Meth_id.t list;
-    object_type : Type_id.t;
     type_by_name : (string, Type_id.t) Hashtbl.t;
     (* Source-span side tables, populated by the frontend's lowering
        pass and absent ([None] / [[||]]) for programs built directly
@@ -143,7 +142,6 @@ module Program = struct
   let n_heaps p = Array.length p.heaps
   let n_invos p = Array.length p.invos
   let entries p = p.entries
-  let object_type p = p.object_type
 
   let iter_types p f = Array.iteri (fun i info -> f (Type_id.of_int i) info) p.types
   let iter_meths p f = Array.iteri (fun i info -> f (Meth_id.of_int i) info) p.meths
@@ -192,10 +190,6 @@ module Program = struct
   let heap_span p id = p.heap_spans.(Heap_id.to_int id)
   let invo_span p id = p.invo_spans.(Invo_id.to_int id)
   let instr_spans p id = p.instr_span_tab.(Meth_id.to_int id)
-
-  let instr_span p id i =
-    let spans = instr_spans p id in
-    if i >= 0 && i < Array.length spans then Some spans.(i) else None
 end
 
 module Builder = struct
@@ -412,11 +406,6 @@ module Builder = struct
 
   let freeze b =
     if Vec.is_empty b.types then invalid_arg "Builder.freeze: no types";
-    let object_type =
-      match Hashtbl.find_opt b.name_table "Object" with
-      | Some t -> t
-      | None -> Type_id.of_int 0
-    in
     let types =
       Vec.map_to_array
         (fun pt ->
@@ -454,7 +443,6 @@ module Builder = struct
       heaps = Vec.to_array b.heaps;
       invos = Vec.to_array b.invos;
       entries = List.rev b.entry_list;
-      object_type;
       type_by_name = Hashtbl.copy b.name_table;
       meth_spans = Vec.map_to_array (fun pm -> pm.pm_span) b.meths;
       heap_spans = Vec.to_array b.heap_spans;

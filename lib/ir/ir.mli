@@ -97,7 +97,6 @@ and code =
           handlers are tried in order. *)
 
 val iter_instrs : (instr -> unit) -> code -> unit
-val fold_instrs : ('acc -> instr -> 'acc) -> 'acc -> code -> 'acc
 val instr_list : code -> instr list
 
 type meth_info = {
@@ -142,9 +141,6 @@ module Program : sig
   val entries : t -> Meth_id.t list
   (** Entry-point methods ([static main]) seeded as reachable. *)
 
-  val object_type : t -> Type_id.t
-  (** The root of the class hierarchy. *)
-
   val iter_types : t -> (Type_id.t -> type_info -> unit) -> unit
   val iter_meths : t -> (Meth_id.t -> meth_info -> unit) -> unit
   val iter_vars : t -> (Var_id.t -> var_info -> unit) -> unit
@@ -180,12 +176,8 @@ module Program : sig
 
   val instr_spans : t -> Meth_id.t -> Srcloc.span array
   (** Per-instruction spans for a method body, aligned positionally with
-      {!instr_list} / {!fold_instrs} order.  Empty when the method body
-      carries no span information. *)
-
-  val instr_span : t -> Meth_id.t -> int -> Srcloc.span option
-  (** [instr_span p m i] is the span of the [i]-th instruction of [m]
-      (in {!instr_list} order), if recorded. *)
+      {!instr_list} order.  Empty when the method body carries no span
+      information. *)
 end
 
 (** Mutable program-construction API used by the frontend's lowering pass,

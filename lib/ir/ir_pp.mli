@@ -1,6 +1,3 @@
-(** Human-readable printing of IR programs and instructions. *)
+(** Human-readable printing of IR programs. *)
 
-val pp_instr : Ir.Program.t -> Format.formatter -> Ir.instr -> unit
-val pp_code : Ir.Program.t -> Format.formatter -> Ir.code -> unit
-val pp_meth : Ir.Program.t -> Format.formatter -> Ir.Meth_id.t -> unit
 val pp_program : Format.formatter -> Ir.Program.t -> unit

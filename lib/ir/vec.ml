@@ -64,7 +64,3 @@ let of_list xs =
   let v = create () in
   List.iter (fun x -> ignore (push v x)) xs;
   v
-
-let clear v =
-  v.data <- [||];
-  v.size <- 0

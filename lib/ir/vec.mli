@@ -25,4 +25,3 @@ val to_array : 'a t -> 'a array
 val map_to_array : ('a -> 'b) -> 'a t -> 'b array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
-val clear : 'a t -> unit

@@ -93,5 +93,3 @@ let with_tick b f k =
   | exception e ->
     b.on_tick <- installed;
     raise e
-
-let is_limited b = b.timeout_s <> None

@@ -49,8 +49,6 @@ type t = {
   set_hist : hist option;  (** points-to set population histogram *)
 }
 
-val current_schema_version : int
-
 val survey : ?set_hist:hist -> (string * Obj.t list) list -> t
 (** [survey comps] walks the heap from each [(name, roots)] component.
     Triggers a full major collection before walking. *)

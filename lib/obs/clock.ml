@@ -14,8 +14,3 @@ let now_us t =
   else t.last_us
 
 let elapsed_s t = now_us t /. 1e6
-
-let timed f =
-  let c = create () in
-  let v = f () in
-  (v, elapsed_s c)

@@ -19,7 +19,3 @@ val now_us : t -> float
 val elapsed_s : t -> float
 (** Seconds since the clock's epoch, clamped monotone (never
     negative). *)
-
-val timed : (unit -> 'a) -> 'a * float
-(** [timed f] runs [f] under a fresh clock and returns its result with
-    the elapsed seconds. *)

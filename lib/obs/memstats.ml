@@ -32,10 +32,15 @@ let peak_rss_kb () =
     in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
 
+(* Minor words are read last, after the rest of the snapshot has
+   allocated, so an interval that starts with a snapshot counts none of
+   it: the /proc read allocates by the lengths of its lines. *)
 let snapshot () =
   let s = Gc.quick_stat () in
+  let minor_heap_words = (Gc.get ()).Gc.minor_heap_size in
+  let peak_rss_kb = peak_rss_kb () in
   {
-    minor_words = s.Gc.minor_words;
+    minor_words = Gc.minor_words ();
     promoted_words = s.Gc.promoted_words;
     major_words = s.Gc.major_words;
     minor_collections = s.Gc.minor_collections;
@@ -43,8 +48,8 @@ let snapshot () =
     compactions = s.Gc.compactions;
     heap_words = s.Gc.heap_words;
     top_heap_words = s.Gc.top_heap_words;
-    minor_heap_words = (Gc.get ()).Gc.minor_heap_size;
-    peak_rss_kb = peak_rss_kb ();
+    minor_heap_words;
+    peak_rss_kb;
   }
 
 type delta = {
@@ -70,7 +75,7 @@ let diff ?peak ~before ~after () =
     compactions_delta = after.compactions - before.compactions;
     heap_words_after = after.heap_words;
     (* An interval's peak can never be below the heap at either of its
-       endpoints: a stale sampled peak (e.g. an alarm that never fired)
+       endpoints: a stale sampled peak (e.g. no tick in the interval)
        is clamped up rather than reported as an impossible value. *)
     peak_heap_words =
       max
@@ -84,30 +89,14 @@ let diff ?peak ~before ~after () =
 (* Peak tracking                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type tracker = {
-  t_before : snapshot;
-  t_peak : int ref;
-  alarm : Gc.alarm option;
-}
+type tracker = { t_before : snapshot; t_peak : int ref }
 
-(* The alarm fires at the end of every major collection cycle — exactly
-   the instants where the live major heap peaks before being trimmed —
-   so sampling [heap_words] there catches the per-run major-heap peak
-   that a before/after diff misses.  [top_heap_words] cannot serve: it
-   is a process-global high-water mark that never resets between
-   benchmark cells. *)
-let start_tracking ?(alarm = true) () =
+(* The peak is sampled on budget ticks and at the end.  [top_heap_words]
+   cannot serve: it is a process-global high-water mark that never
+   resets between benchmark cells. *)
+let start_tracking () =
   let before = snapshot () in
-  let peak = ref before.heap_words in
-  let alarm =
-    if alarm then
-      Some
-        (Gc.create_alarm (fun () ->
-             let h = (Gc.quick_stat ()).Gc.heap_words in
-             if h > !peak then peak := h))
-    else None
-  in
-  { t_before = before; t_peak = peak; alarm }
+  { t_before = before; t_peak = ref before.heap_words }
 
 let sample t =
   let h = (Gc.quick_stat ()).Gc.heap_words in
@@ -116,10 +105,12 @@ let sample t =
 let sampling t budget k =
   Budget.with_tick budget (fun n -> if n land 1023 = 0 then sample t) k
 
+(* The end's minor words are read before anything here allocates. *)
 let finish t =
-  Option.iter Gc.delete_alarm t.alarm;
+  let minor_words = Gc.minor_words () in
   sample t;
-  diff ~peak:!(t.t_peak) ~before:t.t_before ~after:(snapshot ()) ()
+  let after = { (snapshot ()) with minor_words } in
+  diff ~peak:!(t.t_peak) ~before:t.t_before ~after ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

@@ -1,13 +1,15 @@
 (** GC / memory profiling for the analysis engines.
 
     Snapshots of the OCaml GC counters ([Gc.quick_stat] — no heap
-    traversal) and the process's peak resident set (one read of
-    /proc/self/status), taken at a run's two ends, deltas between
-    two snapshots, and a [Gc.alarm]-based tracker that records the
-    major-heap peak {e during} a run.  The peak matters because
-    [top_heap_words] is a process-global high-water mark: it never
-    resets, so in a harness running many cells in one process only an
-    alarm sampled per cell attributes the peak to the right cell.
+    traversal — and [Gc.minor_words], which counts to the word, where
+    [quick_stat]'s count moves only at a minor collection) and the
+    process's peak resident set (one read of /proc/self/status), taken
+    at a run's two ends, deltas between two snapshots, and a tracker
+    that records the major-heap peak {e during} a run.  The peak
+    matters because [top_heap_words] is a process-global high-water
+    mark: it never resets, so in a harness running many cells in one
+    process only a peak sampled per cell attributes it to the right
+    cell.
 
     Word counts are per-process and deterministic for a deterministic
     program, so they diff cleanly across runs of the same binary; only
@@ -51,32 +53,27 @@ type delta = {
 
 val diff : ?peak:int -> before:snapshot -> after:snapshot -> unit -> delta
 (** [peak] is clamped up to at least the heap size at both endpoints —
-    a sampled peak can lag (no alarm fired in the interval) but never
+    a sampled peak can lag (no sample in the interval) but never
     legitimately undercut what the endpoints saw. *)
 
 (** {1 Peak tracking} *)
 
 type tracker
 
-val start_tracking : ?alarm:bool -> unit -> tracker
-(** Take the "before" snapshot and, unless [~alarm:false], install a
-    [Gc.alarm] that samples the major heap size at the end of every major
-    collection.  Without the alarm only {!sample} and {!finish} read the
-    heap. *)
-
-val sample : tracker -> unit
-(** Fold the current heap size into the peak (for long alarm-free
-    stretches). *)
+val start_tracking : unit -> tracker
+(** Take the "before" snapshot.  Only {!sampling} and {!finish} read
+    the heap after it. *)
 
 val sampling : tracker -> Budget.t -> (unit -> 'a) -> 'a
-(** [sampling t b k] runs [k ()] (an engine run on [b]) with {!sample}
-    [t] hooked onto every 1024th tick of [b] — frequent enough to catch
-    allocation spikes, cheap enough ([Gc.quick_stat] reads no heap) to
-    leave timings unchanged.  The hook is gone when [k] returns or
-    raises ({!Budget.with_tick}). *)
+(** [sampling t b k] runs [k ()] (an engine run on [b]) with the
+    current major-heap size folded into [t]'s peak on every 1024th tick
+    of [b] — frequent enough to catch allocation spikes, cheap enough
+    ([Gc.quick_stat] reads no heap) to leave timings unchanged, and
+    allocating the same on every run.  The hook is gone when [k]
+    returns or raises ({!Budget.with_tick}). *)
 
 val finish : tracker -> delta
-(** Remove the alarm and return the interval's delta, peak included. *)
+(** Sample the peak once more and return the interval's delta. *)
 
 (** {1 Serialisation} *)
 

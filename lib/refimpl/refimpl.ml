@@ -505,9 +505,6 @@ let fold_throw_points_to t f acc =
         acc)
     t.throwpt acc
 
-let n_var_points_to t = Relation.cardinal t.vpt
-let n_call_edges t = Relation.cardinal t.cg
-let n_reachable t = Relation.cardinal t.reach
 
 (* ------------------------------------------------------------------ *)
 (* Reachable-heap census                                               *)

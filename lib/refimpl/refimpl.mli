@@ -61,10 +61,6 @@ val fold_throw_points_to :
 val fold_reachable :
   t -> (Pta_ir.Ir.Meth_id.t -> Pta_context.Ctx.value -> 'a -> 'a) -> 'a -> 'a
 
-val n_var_points_to : t -> int
-val n_call_edges : t -> int
-val n_reachable : t -> int
-
 val census : t -> Pta_obs.Census.t
 (** A reachable-heap census of the solved EDB/IDB state: one component
     per result relation (["var-points-to"], ["call-graph"],

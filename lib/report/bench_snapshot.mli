@@ -62,11 +62,6 @@ type verdict =
   | Missing_cell  (** in the baseline but absent from the current run *)
   | New_cell  (** in the current run but absent from the baseline *)
 
-val verdict_is_regression : verdict -> bool
-(** [Time_regression], [Heap_regression], [Component_regression],
-    [New_timeout] and [Missing_cell] fail the gate; the rest are
-    informational. *)
-
 type delta = {
   d_benchmark : string;
   d_analysis : string;
@@ -81,7 +76,6 @@ type report = {
 }
 
 val compare : ?thresholds:thresholds -> baseline:t -> current:t -> unit -> report
-val regressions : report -> delta list
 val has_regression : report -> bool
 
 val pp_report : Format.formatter -> report -> unit

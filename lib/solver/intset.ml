@@ -1,12 +1,11 @@
 (* Big-endian Patricia trees for non-negative integers, after Okasaki &
    Gill, "Fast Mergeable Integer Maps".  The representation is canonical
    (equal sets have equal structure) and hash-consed: every [Leaf] and
-   [Branch] is built through one process-global weak table, so equal
-   subtrees are one physical node and [equal] is [(==)].  Hybrid
-   context-sensitivity repeats the same points-to sets across many
-   contexts; consing stores each distinct subtree once.  Every
-   constructor goes through [leaf] or [node]; never build a [Leaf] or
-   [Branch] directly. *)
+   [Branch] is built through one cons table, so within a table equal
+   subtrees are one physical node.  Hybrid context-sensitivity repeats
+   the same points-to sets across many contexts; consing stores each
+   distinct subtree once.  Every constructor goes through [leaf] or
+   [node]; never build a [Leaf] or [Branch] directly. *)
 
 type t =
   | Empty
@@ -27,27 +26,26 @@ let mix a b =
   let h = (a + (b * 0x9E3779B97F4A7C1)) * 0xBF58476D1CE4E5B in
   h lxor (h lsr 31)
 
-(* The cons table: open addressing with linear probing over one weak
-   array, so a set lives only as long as something else reaches it.
-   [tags] holds a byte per slot: 0 for a slot never used since the last
-   rehash (it ends a probe), else 1 + seven bits of the slot's hash, so
-   a probe reads a key only when its tag matches.  A slot whose key the
-   GC cleared keeps its tag until the next rehash.  Children are
-   already consed, so one level of physical comparison decides
-   equality, and a lookup builds a [Leaf] or [Branch] only on a miss.
-   The hashes are structural, not counters: the table's layout depends
-   only on the sequence of sets built and on what the GC has cleared. *)
+(* The cons table: open addressing with linear probing over one strong
+   array that holds every node built since the last [new_table].
+   [tags] holds a byte per slot: 0 for an empty slot (it ends a probe),
+   else 1 + seven bits of the slot's hash, so a probe reads a key only
+   when its tag matches.  Children are already consed, so one level of
+   physical comparison decides equality, and a lookup builds a [Leaf]
+   or [Branch] only on a miss.  The hashes are structural, not
+   counters, and nothing is ever removed: the table's layout depends
+   only on the sequence of sets built since it started. *)
 let min_capacity = 64
 
 type table = {
-  mutable keys : t Weak.t;
+  mutable keys : t array;
   mutable tags : Bytes.t;
   mutable used : int;  (* slots with a nonzero tag *)
 }
 
 let table =
   {
-    keys = Weak.create min_capacity;
+    keys = Array.make min_capacity Empty;
     tags = Bytes.make min_capacity '\000';
     used = 0;
   }
@@ -64,76 +62,55 @@ let tag_of x = Char.unsafe_chr (1 + (x land 127))
 let start_of x cap = (((x lsr 7) land 0xFFFF_FFFF) * cap) lsr 32
 let next j cap = if j + 1 = cap then 0 else j + 1
 
-(* The first never-used slot on a probe sequence from [j]. *)
+(* The first empty slot on a probe sequence from [j]. *)
 let rec free_slot tags cap j =
   if Bytes.unsafe_get tags j = '\000' then j
   else free_slot tags cap (next j cap)
 
-(* Rebuild with the live keys only, 2/5 full: the table grows or
-   shrinks to fit what survived. *)
-let rehash () =
+(* Rebuild 2/5 full. *)
+let grow () =
   let old_keys = table.keys and old_tags = table.tags in
-  let live = ref 0 in
-  for i = 0 to Weak.length old_keys - 1 do
-    if Bytes.unsafe_get old_tags i <> '\000' && Weak.check old_keys i then
-      incr live
-  done;
-  let cap = max min_capacity (!live * 5 / 2) in
-  let keys = Weak.create cap and tags = Bytes.make cap '\000' in
-  let used = ref 0 in
-  for i = 0 to Weak.length old_keys - 1 do
-    if Bytes.unsafe_get old_tags i <> '\000' then
-      match Weak.get old_keys i with
-      | None -> ()
-      | Some k as key ->
-        let x = scramble (hash k) in
-        let j = free_slot tags cap (start_of x cap) in
-        Bytes.unsafe_set tags j (tag_of x);
-        Weak.set keys j key;
-        incr used
+  let cap = table.used * 5 / 2 in
+  let keys = Array.make cap Empty and tags = Bytes.make cap '\000' in
+  for i = 0 to Array.length old_keys - 1 do
+    if Bytes.unsafe_get old_tags i <> '\000' then begin
+      let k = Array.unsafe_get old_keys i in
+      let x = scramble (hash k) in
+      let j = free_slot tags cap (start_of x cap) in
+      Bytes.unsafe_set tags j (tag_of x);
+      Array.unsafe_set keys j k
+    end
   done;
   table.keys <- keys;
-  table.tags <- tags;
-  table.used <- !used
+  table.tags <- tags
 
-(* Store a node built on a miss in slot [j] (never used), rehashing
-   once the used slots pass 3/4 of the table. *)
+(* Store a node built on a miss in slot [j] (empty), growing the table
+   once the used slots pass 3/4 of it. *)
 let insert j x v =
   Bytes.unsafe_set table.tags j (tag_of x);
-  Weak.set table.keys j (Some v);
+  Array.unsafe_set table.keys j v;
   table.used <- table.used + 1;
-  if 4 * table.used > 3 * Weak.length table.keys then rehash ();
+  if 4 * table.used > 3 * Array.length table.keys then grow ();
   v
 
-(* The front cache: a strong, direct-mapped array of recently consed
-   nodes, indexed by low bits of the scrambled hash, that [leaf] and
-   [node] check before probing.  A front hit reads no weak slot and
-   allocates nothing.  It is filled only inside [with_front_cache] and
-   emptied when the outermost scope exits, normally or by an exception,
-   so outside a scope a node lives exactly as long as some set reaches
-   it.  A cached node is strongly reachable, so the GC never clears its
-   weak slot: the cache is a subset of the table, and a front hit is the
-   node the probe would have found. *)
+(* The front cache: a direct-mapped array of recently consed nodes,
+   indexed by low bits of the scrambled hash, that [leaf] and [node]
+   check before probing.  A front hit reads no tag and no table slot.
+   Every node in it is also in the table, which never drops one, so a
+   front hit is the node the probe would have found. *)
 let front_size = 4096
 let front = Array.make front_size Empty
-let front_depth = ref 0
 let front_slot x = x land (front_size - 1)
 
-let with_front_cache f =
-  incr front_depth;
-  Fun.protect f ~finally:(fun () ->
-      decr front_depth;
-      if !front_depth = 0 then Array.fill front 0 front_size Empty)
+let new_table () =
+  table.keys <- Array.make min_capacity Empty;
+  table.tags <- Bytes.make min_capacity '\000';
+  table.used <- 0;
+  Array.fill front 0 front_size Empty
 
-(* [v], kept in front slot [f] inside a scope. *)
-let remember f v =
-  if !front_depth > 0 then Array.unsafe_set front f v;
-  v
-
-(* Probes return the live node they find, or [Empty] after recording
-   in [miss] the never-used slot that ended the probe: top-level
-   functions with no closure, so a hit allocates only [Weak.get]'s
-   option. *)
+(* Probes return the node they find, or [Empty] after recording in
+   [miss] the empty slot that ended the probe: top-level functions with
+   no closure, so a hit allocates nothing. *)
 let miss = ref 0
 
 let rec find_leaf keys tags cap tag i j =
@@ -144,9 +121,9 @@ let rec find_leaf keys tags cap tag i j =
   end
   else if c <> tag then find_leaf keys tags cap tag i (next j cap)
   else
-    match Weak.get keys j with
-    | Some (Leaf k as v) when k = i -> v
-    | Some _ | None -> find_leaf keys tags cap tag i (next j cap)
+    match Array.unsafe_get keys j with
+    | Leaf k as v when k = i -> v
+    | _ -> find_leaf keys tags cap tag i (next j cap)
 
 let rec find_branch keys tags cap tag l r j =
   let c = Bytes.unsafe_get tags j in
@@ -156,9 +133,9 @@ let rec find_branch keys tags cap tag l r j =
   end
   else if c <> tag then find_branch keys tags cap tag l r (next j cap)
   else
-    match Weak.get keys j with
-    | Some (Branch (_, _, l', r', _) as v) when l' == l && r' == r -> v
-    | Some _ | None -> find_branch keys tags cap tag l r (next j cap)
+    match Array.unsafe_get keys j with
+    | Branch (_, _, l', r', _) as v when l' == l && r' == r -> v
+    | _ -> find_branch keys tags cap tag l r (next j cap)
 
 let leaf i =
   let x = scramble i in
@@ -167,13 +144,15 @@ let leaf i =
   | Leaf k as v when k = i -> v
   | _ ->
     let keys = table.keys in
-    let cap = Weak.length keys in
+    let cap = Array.length keys in
     let v = find_leaf keys table.tags cap (tag_of x) i (start_of x cap) in
-    remember f (if v == Empty then insert !miss x (Leaf i) else v)
+    let v = if v == Empty then insert !miss x (Leaf i) else v in
+    Array.unsafe_set front f v;
+    v
 
-(* The one way to build a [Branch]: the live node with these children
-   if there is one, else a new one.  [prefix] and [bit] follow from the
-   children, so comparing the children decides equality. *)
+(* The one way to build a [Branch]: the table's node with these
+   children if there is one, else a new one.  [prefix] and [bit] follow
+   from the children, so comparing the children decides equality. *)
 let node p m l r =
   let h = mix (hash l) (hash r) in
   let x = scramble h in
@@ -182,13 +161,29 @@ let node p m l r =
   | Branch (_, _, l', r', _) as v when l' == l && r' == r -> v
   | _ ->
     let keys = table.keys in
-    let cap = Weak.length keys in
+    let cap = Array.length keys in
     let v = find_branch keys table.tags cap (tag_of x) l r (start_of x cap) in
-    remember f (if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v)
+    let v =
+      if v == Empty then insert !miss x (Branch (p, m, l, r, h)) else v
+    in
+    Array.unsafe_set front f v;
+    v
 
 let empty = Empty
 let is_empty t = t == Empty
-let equal (s : t) t = s == t
+
+(* Within one table [(==)] decides; a set from an earlier table is
+   compared by structure, which is canonical, once the hashes agree.  A
+   leaf's hash is its element, so two leaves with one hash are equal. *)
+let rec equal s t =
+  s == t
+  || hash s = hash t
+     &&
+     match (s, t) with
+     | Branch (p, m, sl, sr, _), Branch (q, n, tl, tr, _) ->
+       p = q && m = n && equal sl tl && equal sr tr
+     | Leaf _, Leaf _ -> true
+     | _ -> false
 
 let check_elt i = if i < 0 then invalid_arg "Intset: negative element"
 
@@ -293,11 +288,11 @@ let rec union s t =
         else node q n tl (union s tr)
       else join p s q t
 
-(* Consing makes "nothing grew" a pointer test: the union equals [s]
-   exactly when it is [s]. *)
+(* Within one table the union equals [s] exactly when it is [s], so
+   [equal] stops at the pointer test. *)
 let union_stats s t =
   let u = union s t in
-  (u, u != s)
+  if equal u s then (s, false) else (u, true)
 
 let rec inter s t =
   if s == t then s

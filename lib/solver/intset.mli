@@ -2,18 +2,19 @@
     (Okasaki & Gill).  The solver's points-to sets: persistent, with
     cheap unions of mostly-shared sets and canonical structure.
 
-    The sets are hash-consed: every tree node is built through one
-    process-global weak table, so two equal sets are always the same
-    physical value and {!equal} is [(==)].  A set costs memory once
-    however many contexts hold it.  Outside {!with_front_cache}, a node
-    lives as long as some set reaches it; inside, the scope's cache
-    also holds up to 4096 recently built nodes until the outermost
-    scope exits.  Each node carries a hash computed from its
-    elements, never a counter, so nothing about a set depends on
-    allocation order or GC timing.  Key tables by {!hash} and {!equal}
-    ([Hashtbl.Make (Intset)]); polymorphic [compare], [(=)] and
-    [Hashtbl.hash] still work but walk the tree.  The cons table is not
-    domain-safe: build sets from one domain at a time.
+    The sets are hash-consed through one strong cons table, which
+    {!new_table} replaces at the start of every solve: two equal sets
+    built since the same {!new_table} are the same physical value, so a
+    set costs memory once however many contexts hold it, and {!equal}
+    is one pointer test.  The table keeps every node until the next
+    {!new_table}.  A set kept from an earlier solve stays valid and
+    {!equal} to the same set built later, but not [(==)] to it.  Each
+    node carries a hash computed from its elements, never a counter, so
+    nothing about a set depends on allocation order or GC timing.  Key
+    tables by {!hash} and {!equal} ([Hashtbl.Make (Intset)]);
+    polymorphic [compare], [(=)] and [Hashtbl.hash] still work but walk
+    the tree.  The cons table is not domain-safe: build sets from one
+    domain at a time.
 
     All elements must be non-negative; operations raise
     [Invalid_argument] otherwise. *)
@@ -32,7 +33,8 @@ val union_stats : t -> t -> t * bool
 (** [union_stats s t] is [(union s t, grew)] where [grew] reports
     whether the union is a strict superset of [s] (i.e. [t] is not a
     subset of [s]).  When [grew] is [false], the returned set is [s]
-    itself (physical equality). *)
+    itself (physical equality), also when [t] comes from another
+    solve. *)
 
 val inter : t -> t -> t
 val diff : t -> t -> t
@@ -49,7 +51,8 @@ val cardinal : t -> int
 val subset : t -> t -> bool
 
 val equal : t -> t -> bool
-(** Physical equality, which consing makes extensional. *)
+(** Physical equality within one table; across tables, a structural
+    walk once the hashes agree. *)
 
 val hash : t -> int
 (** A hash consistent with {!equal}, read off the root in O(1): the
@@ -76,12 +79,6 @@ val of_sorted_array : int array -> t
 
 val choose_opt : t -> int option
 
-val with_front_cache : (unit -> 'a) -> 'a
-(** [with_front_cache f] runs [f] with a small strong cache of recently
-    built nodes in front of the weak cons table, so rebuilding a set
-    that already exists reads no weak slot and allocates nothing.
-    Results are the same physical sets as without it.  The cache is
-    emptied when the outermost scope exits, normally or by an
-    exception; scopes nest.  Wrap the loops that build many sets (the
-    solver's fixpoint, [Metrics.compute]), not code that expects what
-    it drops to be collected before the scope ends. *)
+val new_table : unit -> unit
+(** Start an empty cons table, dropping the old one; [Solver.solve]
+    calls it before each solve's setup. *)

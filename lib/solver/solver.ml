@@ -929,6 +929,7 @@ let release_worklist st =
 
 let solve_outcome ?(config = Config.default) program strategy =
   let trace = config.Config.trace in
+  Intset.new_table ();
   let setup_clock = Clock.create () in
   let st =
     Trace.span trace ~cat:"phase" "setup" @@ fun () ->
@@ -1030,7 +1031,7 @@ let solve_outcome ?(config = Config.default) program strategy =
     loop ()
   in
   let fixpoint_clock = Clock.create () in
-  match Intset.with_front_cache fixpoint with
+  match fixpoint () with
   | () ->
     st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
     Budget.stop budget;
@@ -1058,7 +1059,6 @@ let strategy st = st.strategy
 let hierarchy st = st.hierarchy
 let hobj_heap st h = Heap_id.of_int (Vec.get st.hobj_heaps h)
 let hobj_hctx st h = Vec.get st.hobj_hctxs h
-let hobj_type st h = Vec.get st.hobj_types h
 let n_hobjs st = Vec.length st.hobj_heaps
 let ctx_value st id = Ctx.value st.ctx_store id
 let hctx_value st id = Ctx.value st.hctx_store id
@@ -1078,17 +1078,6 @@ let iter_var_points_to st f =
 let var_points_to st var ctx =
   let nid = Inttbl.find st.var_nodes (Inttbl.pack (Var_id.to_int var) ctx) in
   if nid = Inttbl.absent then Intset.empty else node_points_to st nid
-
-let iter_fld_points_to st f =
-  Inttbl.iter
-    (fun key nid ->
-      f (Inttbl.high key - 1) (Field_id.of_int (Inttbl.low key))
-        (node_points_to st nid))
-    st.fld_nodes
-
-let static_fld_points_to st field =
-  let n = st.static_fld_nodes.(Field_id.to_int field) in
-  if n >= 0 then node_points_to st n else Intset.empty
 
 let iter_throw_points_to st f =
   Inttbl.iter

@@ -78,7 +78,10 @@ val solve :
   ?config:Config.t -> Pta_ir.Ir.Program.t -> Pta_context.Strategy.t -> t
 (** Run the analysis to fixpoint.  Deterministic: same program and
     strategy yield identical interning and results, with or without a
-    trace installed.
+    trace installed.  Starts a new {!Intset} cons table
+    ({!Intset.new_table}) before its setup, so its allocation does not
+    depend on earlier solves or on the GC; the points-to sets of an
+    earlier solve stay valid.
 
     Times two phases, reported by {!phases} and as trace spans:
     ["setup"] (hierarchy and entry seeding) and ["fixpoint"] (the
@@ -102,7 +105,6 @@ type hobj = int
 
 val hobj_heap : t -> hobj -> Pta_ir.Ir.Heap_id.t
 val hobj_hctx : t -> hobj -> Pta_context.Ctx.id
-val hobj_type : t -> hobj -> Pta_ir.Ir.Type_id.t
 val n_hobjs : t -> int
 
 (** {1 Contexts} *)
@@ -128,12 +130,6 @@ val var_points_to :
     node, or {!Intset.empty} when the solve made no such node (a
     variable of an unreachable method, a context the method was never
     analyzed in).  One table lookup; allocates nothing. *)
-
-val iter_fld_points_to :
-  t -> (hobj -> Pta_ir.Ir.Field_id.t -> Intset.t -> unit) -> unit
-
-val static_fld_points_to : t -> Pta_ir.Ir.Field_id.t -> Intset.t
-(** Objects a static field may hold (context-insensitive by nature). *)
 
 val iter_throw_points_to :
   t -> (Pta_ir.Ir.Meth_id.t -> Pta_context.Ctx.id -> Intset.t -> unit) -> unit

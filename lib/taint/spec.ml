@@ -207,7 +207,6 @@ let compile program spec =
     c_sanitizers = sanitizers;
   }
 
-let entries c = c.c_entries
 let sources c = c.c_sources
 let n_sources c = List.length c.c_sources
 
@@ -225,7 +224,6 @@ let label_name c label =
 let sink_positions c m =
   Option.value ~default:[] (Ir.Meth_id.Tbl.find_opt c.c_sinks m)
 
-let is_sink c m = Ir.Meth_id.Tbl.mem c.c_sinks m
 let is_sanitizer c m = Ir.Meth_id.Tbl.mem c.c_sanitizers m
 
 let sink_meths c =

@@ -66,7 +66,6 @@ type compiled
 
 val compile : Ir.Program.t -> t -> compiled
 
-val entries : compiled -> t
 val sources : compiled -> source list
 (** In label order (labels are [0 .. n_sources - 1]). *)
 
@@ -84,7 +83,6 @@ val sink_positions : compiled -> Ir.Meth_id.t -> int list
 (** Sensitive argument positions of a method (empty = not a sink);
     [Any_arg] expanded to [0 .. arity - 1], sorted, deduplicated. *)
 
-val is_sink : compiled -> Ir.Meth_id.t -> bool
 val is_sanitizer : compiled -> Ir.Meth_id.t -> bool
 
 val sink_meths : compiled -> Ir.Meth_id.t list

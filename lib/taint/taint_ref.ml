@@ -244,7 +244,6 @@ let fold_sink_hits t f acc =
     t.sinkhit acc
 
 let flows t = t.flow_list
-let n_flows t = List.length t.flow_list
 
 let summary t =
   let tainted = Var_id.Tbl.create 64 in

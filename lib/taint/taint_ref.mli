@@ -30,7 +30,5 @@ val flows : t -> Taint.flow list
 (** Distinct context-insensitive verdicts, sorted — same encoding as
     {!Taint.flows}. *)
 
-val n_flows : t -> int
-
 val summary : t -> Taint.summary
 (** Engine-neutral view for the checkers (no provenance chains). *)

@@ -4,16 +4,11 @@
     snapshots so a recorded number can always be traced back to the
     build that produced it. *)
 
-val semver : string
-
 (** Short git commit hash, or ["unknown"] outside a checkout.  Carries a
     ["-dirty"] suffix when the worktree had uncommitted changes to
     tracked files at build time — such numbers are not reproducible from
     the hash alone. *)
 val commit : string
-
-(** The bare hash, without the dirty suffix. *)
-val commit_hash : string
 
 (** True when tracked files differed from HEAD at build time. *)
 val dirty : bool

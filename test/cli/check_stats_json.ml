@@ -2,7 +2,9 @@
    must be valid JSON carrying the documented keys with the documented
    types.  Given a second file from another run on the same input, every
    key except the wall-clock, GC and build-stamp ones must also be
-   equal: `check_stats_json FILE [FILE2]`. *)
+   equal, and so must the solve's `memory.minor_allocated_words`, which
+   depends on neither the GC settings nor the run:
+   `check_stats_json FILE [FILE2]`. *)
 
 module Json = Pta_obs.Json
 
@@ -92,7 +94,8 @@ let () =
           (fun (k, _) -> not (List.mem k varying))
           (Option.value ~default:[] (Json.to_obj j))
       in
-      let a = stable json and b = stable (read other) in
+      let other_json = read other in
+      let a = stable json and b = stable other_json in
       if List.map fst a <> List.map fst b then
         fail "%s and %s: different keys" path other;
       List.iter2
@@ -101,6 +104,14 @@ let () =
             fail "%s and %s: %S differs: %s vs %s" path other k
               (Json.to_string ~indent:false va)
               (Json.to_string ~indent:false vb))
-        a b)
+        a b;
+      let minor j =
+        Option.bind (Json.member "memory" j) (Json.member "minor_allocated_words")
+        |> Option.fold ~none:"missing" ~some:(Json.to_string ~indent:false)
+      in
+      let ma = minor json and mb = minor other_json in
+      if ma <> mb then
+        fail "%s and %s: memory.minor_allocated_words differs: %s vs %s" path
+          other ma mb)
     other;
   print_endline "stats JSON schema ok"

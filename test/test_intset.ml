@@ -226,164 +226,101 @@ let unit_tests =
         in
         Alcotest.(check bool) "same node" true (a == b);
         Alcotest.(check bool) "equal" true (Intset.equal a b));
-    Alcotest.test_case "unreachable sets are collected" `Quick (fun () ->
-        (* Elements no other test uses, so nothing else can reach the
-           set through the cons table's sharing. *)
-        let weak = Weak.create 1 in
-        let[@inline never] build_and_drop () =
-          Weak.set weak 0
-            (Some (Intset.of_list (List.init 64 (fun i -> 7_000_003 + (i * 3)))))
-        in
-        build_and_drop ();
-        Gc.full_major ();
-        Alcotest.(check bool) "collected" false (Weak.check weak 0));
-    Alcotest.test_case "cons table across major collections" `Quick (fun () ->
-        (* Enough distinct sets to make the table grow several times;
-           elements no other test uses. *)
-        let build i =
-          Intset.of_list [ 9_000_001 + i; 9_500_001 + (i * 7); 9_900_001 ]
-        in
-        let n = 5_000 in
-        let dropped = Weak.create n in
-        let[@inline never] build_all () =
-          Array.init n (fun i ->
-              let s = build i in
-              if i mod 10 <> 0 then Weak.set dropped i (Some s);
-              if i mod 10 = 0 then Some s else None)
-        in
-        let kept = build_all () in
-        Gc.full_major ();
-        let reclaimed = ref 0 in
-        for i = 0 to n - 1 do
-          if i mod 10 <> 0 && not (Weak.check dropped i) then incr reclaimed
-        done;
-        Alcotest.(check int)
-          "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
-        Array.iteri
-          (fun i s ->
-            match s with
-            | Some s ->
-              Alcotest.(check bool)
-                (Printf.sprintf "rebuilt set %d is the kept one" i)
-                true
-                (build i == s)
-            | None -> ())
-          kept;
-        (* A rebuilt dropped set is consed again: two rebuilds share. *)
-        Alcotest.(check bool) "rebuilds of a dropped set share" true
-          (build 3 == build 3);
-        Gc.full_major ();
-        Array.iteri
-          (fun i s ->
-            match s with
-            | Some s ->
-              Alcotest.(check bool) "kept set survives a second collection" true
-                (build i == s)
-            | None -> ())
-          kept);
     Alcotest.test_case "front cache returns the table's sets" `Quick (fun () ->
         (* Elements no other test uses. *)
         let build base = Intset.of_list (List.init 48 (fun i -> base + (i * 5))) in
         let before = build 11_000_001 in
-        let inside, after_gc =
-          Intset.with_front_cache (fun () ->
-              Alcotest.(check bool) "a set built before the scope" true
-                (build 11_000_001 == before);
-              let inside = build 11_200_001 in
-              Alcotest.(check bool) "rebuilt before exit" true
-                (build 11_200_001 == inside);
-              (* Nodes only the cache reaches, then a collection: the
-                 cache and the table must still agree. *)
-              ignore (Sys.opaque_identity (build 11_400_001));
-              Gc.full_major ();
-              let after_gc = build 11_400_001 in
-              Alcotest.(check bool) "rebuilt after a major collection" true
-                (build 11_200_001 == inside && build 11_400_001 == after_gc);
-              (inside, after_gc))
-        in
-        Alcotest.(check bool) "rebuilt after exit" true
-          (build 11_200_001 == inside);
-        Alcotest.(check bool) "built after a collection, rebuilt after exit"
-          true
-          (build 11_400_001 == after_gc);
-        Alcotest.(check bool) "built before the scope, after exit" true
-          (build 11_000_001 == before));
-    Alcotest.test_case "front cache: dropped sets reclaimed after exit" `Quick
-      (fun () ->
-        (* [cons table across major collections], with the sets built
-           in a scope; elements no other test uses. *)
-        let build i =
-          Intset.of_list [ 12_000_001 + i; 12_500_001 + (i * 7); 12_900_001 ]
-        in
-        let n = 5_000 in
-        let dropped = Weak.create n in
-        let[@inline never] build_all () =
-          Array.init n (fun i ->
-              let s = build i in
-              if i mod 10 <> 0 then Weak.set dropped i (Some s);
-              if i mod 10 = 0 then Some s else None)
-        in
-        let kept = Intset.with_front_cache build_all in
-        Gc.full_major ();
-        let reclaimed = ref 0 in
-        for i = 0 to n - 1 do
-          if i mod 10 <> 0 && not (Weak.check dropped i) then incr reclaimed
+        Alcotest.(check bool) "rebuilt" true (build 11_000_001 == before);
+        (* Enough other sets to evict every front slot [before] took. *)
+        for i = 0 to 5_000 do
+          ignore
+            (Sys.opaque_identity (Intset.of_list [ 11_200_001 + i; 11_900_001 ]))
         done;
-        Alcotest.(check int)
-          "every dropped set reclaimed" (n - (n / 10)) !reclaimed;
-        Array.iteri
-          (fun i s ->
-            match s with
-            | Some s ->
-              Alcotest.(check bool)
-                (Printf.sprintf "rebuilt set %d is the kept one" i)
-                true
-                (build i == s)
-            | None -> ())
-          kept);
-    Alcotest.test_case "front cache: exceptions and nesting leave none cached"
+        Gc.full_major ();
+        Alcotest.(check bool) "rebuilt after evictions and a major collection"
+          true
+          (build 11_000_001 == before);
+        (* A new table empties the front array too: a rebuild is not the
+           old node, but it is equal to it. *)
+        Intset.new_table ();
+        let after = build 11_000_001 in
+        Alcotest.(check bool) "rebuilt after a new table" false (after == before);
+        Alcotest.(check bool) "equal to the old node" true
+          (Intset.equal after before);
+        Alcotest.(check bool) "rebuilt again" true (build 11_000_001 == after));
+    Alcotest.test_case "cons table: one per solve, kept sets stay equal"
       `Quick (fun () ->
-        (* Each phase drops [n] sets of elements no other test uses,
-           then a collection must reclaim all of them. *)
-        let n = 2_000 in
-        let[@inline never] build_dropped base =
-          let dropped = Weak.create n in
-          for i = 0 to n - 1 do
-            Weak.set dropped i
-              (Some (Intset.of_list [ base + i; base + 300_001 + (i * 7) ]))
-          done;
-          dropped
+        (* Elements no other test uses. *)
+        let build () =
+          Intset.of_list (List.init 40 (fun i -> 7_000_003 + (i * 3)))
         in
-        let reclaimed dropped =
-          Gc.full_major ();
-          let k = ref 0 in
-          for i = 0 to n - 1 do
-            if not (Weak.check dropped i) then incr k
-          done;
-          !k
+        let kept = build () in
+        Alcotest.(check bool) "rebuilt in the same table" true (build () == kept);
+        Intset.new_table ();
+        let later = build () in
+        Alcotest.(check bool) "rebuilt in a later table" false (later == kept);
+        Alcotest.(check bool) "equal across tables" true (Intset.equal kept later);
+        Alcotest.(check bool) "and the other way" true (Intset.equal later kept);
+        Alcotest.(check bool) "shared again in the later table" true
+          (build () == later);
+        Alcotest.(check bool) "a different set stays different" false
+          (Intset.equal kept (Intset.add 1 later)));
+    Alcotest.test_case "cons table: Hashtbl.Make finds a kept set" `Quick
+      (fun () ->
+        let module Tbl = Hashtbl.Make (Intset) in
+        let build i =
+          Intset.of_list [ 9_000_001 + i; 9_500_001 + (i * 7); 9_900_001 ]
         in
-        let by_exception = ref (Weak.create 0) in
-        (match
-           Intset.with_front_cache (fun () ->
-               by_exception := build_dropped 13_000_001;
-               raise Exit)
-         with
-        | () -> Alcotest.fail "the scope swallowed the exception"
-        | exception Exit -> ());
-        Alcotest.(check int) "built in a scope left by an exception" n
-          (reclaimed !by_exception);
-        Alcotest.(check int) "built after that scope" n
-          (reclaimed (build_dropped 13_500_001));
-        let inner = ref (Weak.create 0) and outer = ref (Weak.create 0) in
-        Intset.with_front_cache (fun () ->
-            Intset.with_front_cache (fun () ->
-                inner := build_dropped 14_000_001);
-            outer := build_dropped 14_500_001);
-        Alcotest.(check int) "built in an inner scope" n (reclaimed !inner);
-        Alcotest.(check int) "built in the outer scope after the inner" n
-          (reclaimed !outer);
-        Alcotest.(check int) "built after nested scopes" n
-          (reclaimed (build_dropped 15_000_001)));
+        let tbl = Tbl.create 16 in
+        for i = 0 to 99 do
+          Tbl.replace tbl (build i) i
+        done;
+        Intset.new_table ();
+        for i = 0 to 99 do
+          Alcotest.(check (option int))
+            (Printf.sprintf "set %d rebuilt after a new table" i)
+            (Some i)
+            (Tbl.find_opt tbl (build i))
+        done;
+        Tbl.replace tbl (build 0) 0;
+        Alcotest.(check int) "a rebuilt key replaces the kept one" 100
+          (Tbl.length tbl));
+    Alcotest.test_case "cons table: union_stats of a kept set reports no growth"
+      `Quick (fun () ->
+        let build () =
+          Intset.of_list (List.init 48 (fun i -> 12_000_001 + (i * 5)))
+        in
+        let kept = build () in
+        Intset.new_table ();
+        let later = build () in
+        let u, grew = Intset.union_stats kept later in
+        Alcotest.(check bool) "kept grows by its rebuild" false grew;
+        Alcotest.(check bool) "and is returned itself" true (u == kept);
+        let u, grew = Intset.union_stats later kept in
+        Alcotest.(check bool) "the rebuild grows by the kept set" false grew;
+        Alcotest.(check bool) "and is returned itself" true (u == later);
+        let _, grew = Intset.union_stats kept (Intset.remove 12_000_001 later) in
+        Alcotest.(check bool) "kept grows by a later subset" false grew;
+        let u, grew = Intset.union_stats kept (Intset.add 3 later) in
+        Alcotest.(check bool) "a later superset grows it" true grew;
+        Alcotest.(check bool) "to the union" true
+          (Intset.equal u (Intset.add 3 kept)));
+    Alcotest.test_case "cons table: a solve starts a new table" `Quick
+      (fun () ->
+        let build () =
+          Intset.of_list (List.init 32 (fun i -> 13_000_001 + (i * 11)))
+        in
+        let before = build () in
+        let program =
+          Pta_workloads.Workloads.program
+            (Option.get (Pta_workloads.Profile.by_name "tiny"))
+        in
+        let factory = Option.get (Pta_context.Strategies.by_name "1obj") in
+        ignore (Pta_solver.Solver.solve program (factory program));
+        let after = build () in
+        Alcotest.(check bool) "not the node built before the solve" false
+          (after == before);
+        Alcotest.(check bool) "but equal to it" true (Intset.equal before after));
     Alcotest.test_case "large and boundary values" `Quick (fun () ->
         let big = max_int / 2 in
         let s = Intset.of_list [ 0; 1; big; big - 1 ] in

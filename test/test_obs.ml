@@ -176,7 +176,7 @@ let snap_with heap : Memstats.snapshot =
     peak_rss_kb = None;
   }
 
-(* A sampled peak can lag (no alarm fired) but never undercut what the
+(* A sampled peak can lag (no sample taken) but never undercut what the
    interval's endpoints saw. *)
 let memstats_clamp_test () =
   let before = snap_with 1000 and after = snap_with 500 in
@@ -229,9 +229,8 @@ let memstats_json_test () =
    iteration 3 and drops it at iteration 1100, past the first sample
    that [Memstats.sampling] (the one [Driver.run] uses) takes at 1024
    (gen tiny under S-2obj+H runs about 1,350 iterations).
-   The tracker has no GC alarm, which on OCaml 5.1 would record the
-   block at the major cycle its allocation completes, and the heap is
-   collected until the block is gone before the solve ends (4.14 gives
+   The tracker reads the heap only on ticks and at the end, and the heap
+   is collected until the block is gone before the solve ends (4.14 gives
    the block's memory back only when it compacts; 5.1 frees a large
    block in the sweep of a later cycle than the one that finds it dead),
    so only the per-tick sample can see it. *)
@@ -243,7 +242,7 @@ let solver_peak_sampling_test () =
      from, or it could stand in for the block. *)
   Gc.full_major ();
   Gc.full_major ();
-  let tracker = Memstats.start_tracking ~alarm:false () in
+  let tracker = Memstats.start_tracking () in
   let planted = ref None and dropped = ref false in
   let config = Solver.Config.make () in
   let budget = config.Solver.Config.budget in
