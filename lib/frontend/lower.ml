@@ -1,4 +1,5 @@
 open Pta_ir.Ir
+module Vec = Pta_ir.Vec
 
 (* Tables keyed by names.  They hash with [Hashtbl.hash], as the generic
    table does, so buckets, iteration order ([topo_order]) and every id
@@ -113,6 +114,35 @@ let topo_order table =
 (* Pass 2+3: declare types, fields and method shells                   *)
 (* ------------------------------------------------------------------ *)
 
+let rec collect v mark i acc =
+  if i < mark then acc else collect v mark (i - 1) (Vec.get v i :: acc)
+
+(* The items of [v] from [mark] on, oldest first, popped: a block's
+   items sit above the mark taken when it began. *)
+let pop_list v mark =
+  let items = collect v mark (Vec.length v - 1) [] in
+  Vec.truncate v mark;
+  items
+
+let reverse v lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let x = Vec.get v !lo in
+    Vec.set v !lo (Vec.get v !hi);
+    Vec.set v !hi x;
+    incr lo;
+    decr hi
+  done
+
+(* Swaps the [n] items above [mark] with the ones above them. *)
+let rotate v mark n =
+  let top = Vec.length v in
+  reverse v mark (top - 1);
+  reverse v mark (top - n - 1);
+  reverse v (top - n) (top - 1)
+
+(* One environment serves the whole program; the fields from [meth] on
+   describe the method being lowered and are reset for each. *)
 type env = {
   b : Builder.t;
   classes : Ast.class_decl Name_tbl.t;
@@ -122,12 +152,22 @@ type env = {
       (* (declaring class, name) -> static field *)
   meth_ids : Meth_id.t Meth_tbl.t;
       (* (class, method, arity) -> concrete method *)
+  code : code Vec.t;  (* the items of the blocks being lowered *)
+  spans : Srcloc.span Vec.t;
+      (* the method's instruction spans so far, in [fold_instrs] order *)
+  temp_names : string Vec.t;  (* ["$t<i>"] at index [i], built once *)
+  locals : Var_id.t Name_tbl.t;
+  mutable meth : Meth_id.t;
+  mutable n_temp : int;
+  mutable n_heap : int;
+  mutable n_invo : int;
+  mutable null_var : Var_id.t option;
 }
 
 let type_id env pos name =
-  match Name_tbl.find_opt env.type_ids name with
-  | Some t -> t
-  | None -> Srcloc.error pos "unknown type %s" name
+  match Name_tbl.find env.type_ids name with
+  | t -> t
+  | exception Not_found -> Srcloc.error pos "unknown type %s" name
 
 let declare_types env order =
   List.iter
@@ -196,11 +236,12 @@ let resolve_sfield env pos cls_name field_name =
   | None -> Srcloc.error pos "no static field %s::%s" cls_name field_name
 
 let declare_meths env order =
+  let seen = Arity_tbl.create 8 in
   List.iter
     (fun cls_name ->
       let c = Name_tbl.find env.classes cls_name in
       let owner = Name_tbl.find env.type_ids cls_name in
-      let seen = Arity_tbl.create 8 in
+      Arity_tbl.reset seen;
       List.iter
         (fun (m : Ast.meth_decl) ->
           let arity = List.length m.m_params in
@@ -222,9 +263,9 @@ let declare_meths env order =
    inherited statics included. *)
 let resolve_static env pos cls_name meth_name arity =
   let rec walk name =
-    match Meth_tbl.find_opt env.meth_ids (name, meth_name, arity) with
-    | Some m -> Some m
-    | None ->
+    match Meth_tbl.find env.meth_ids (name, meth_name, arity) with
+    | m -> Some m
+    | exception Not_found ->
       let c = Name_tbl.find env.classes name in
       (match c.Ast.c_kind with
       | Ast.K_interface -> None
@@ -239,336 +280,306 @@ let resolve_static env pos cls_name meth_name arity =
   | None ->
     Srcloc.error pos "no static method %s::%s/%d" cls_name meth_name arity
 
+let rec declares_init arity = function
+  | [] -> false
+  | (m : Ast.meth_decl) :: ms ->
+    (String.equal m.m_name "init"
+    && List.compare_length_with m.m_params arity = 0
+    && not m.m_static)
+    || declares_init arity ms
+
+let rec has_init env name arity =
+  let c = Name_tbl.find env.classes name in
+  declares_init arity c.Ast.c_meths
+  ||
+  match c.Ast.c_super with
+  | Some s -> has_init env s arity
+  | None ->
+    (not (String.equal name object_name)) && has_init env object_name arity
+
 (* [new C(...)] requires a concrete class and, when constructor arguments
    are given, a reachable [init] definition. *)
-let check_instantiable env pos cls_name ~ctor_arity =
+let check_instantiable env pos cls_name (args : Ast.expr list option) =
   let c = find_class env.classes pos cls_name in
   if c.Ast.c_kind = Ast.K_interface then
     Srcloc.error pos "cannot instantiate interface %s" cls_name;
-  match ctor_arity with
+  match args with
   | None -> ()
-  | Some arity ->
-    let rec has_init name =
-      let c = Name_tbl.find env.classes name in
-      List.exists
-        (fun (m : Ast.meth_decl) ->
-          String.equal m.m_name "init"
-          && List.length m.m_params = arity
-          && not m.m_static)
-        c.Ast.c_meths
-      ||
-      match c.Ast.c_super with
-      | Some s -> has_init s
-      | None ->
-        (not (String.equal name object_name)) && has_init object_name
-    in
-    if not (has_init cls_name) then
+  | Some args ->
+    let arity = List.length args in
+    if not (has_init env cls_name arity) then
       Srcloc.error pos "class %s has no constructor init/%d" cls_name arity
 
 (* ------------------------------------------------------------------ *)
 (* Pass 4: method bodies                                               *)
 (* ------------------------------------------------------------------ *)
 
-type menv = {
-  e : env;
-  meth : Meth_id.t;
-  locals : Var_id.t Name_tbl.t;
-  mutable n_temp : int;
-  mutable n_heap : int;
-  mutable n_invo : int;
-  mutable null_var : Var_id.t option;
-}
+let temp_name env n =
+  if n < Vec.length env.temp_names then Vec.get env.temp_names n
+  else begin
+    let name = "$t" ^ string_of_int n in
+    ignore (Vec.push env.temp_names name : int);
+    name
+  end
 
-let fresh_temp me =
-  let name = "$t" ^ string_of_int me.n_temp in
-  me.n_temp <- me.n_temp + 1;
-  Builder.add_var me.e.b ~owner:me.meth ~name
+let fresh_temp env =
+  let name = temp_name env env.n_temp in
+  env.n_temp <- env.n_temp + 1;
+  Builder.add_var env.b ~owner:env.meth ~name
 
-let fresh_heap me pos ~span ~ty =
-  let label =
-    "h" ^ string_of_int me.n_heap ^ "@" ^ string_of_int pos.Srcloc.line ^ ":"
-    ^ string_of_int pos.Srcloc.col
-  in
-  me.n_heap <- me.n_heap + 1;
-  Builder.add_heap ~span me.e.b ~owner:me.meth ~label ~ty
+let rec n_digits n = if n < 10 then 1 else 1 + n_digits (n / 10)
 
-let fresh_invo me pos ~span =
-  let label =
-    "i" ^ string_of_int me.n_invo ^ "@" ^ string_of_int pos.Srcloc.line ^ ":"
-    ^ string_of_int pos.Srcloc.col
-  in
-  me.n_invo <- me.n_invo + 1;
-  Builder.add_invo ~span me.e.b ~owner:me.meth ~label
+(* Writes the [len] decimal digits of [n] at [off]. *)
+let rec put_digits b off len n =
+  if len > 0 then begin
+    Bytes.unsafe_set b (off + len - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    put_digits b off (len - 1) (n / 10)
+  end
 
-let null_var me =
-  match me.null_var with
+(* [String.make 1 kind ^ string_of_int n ^ "@" ^ string_of_int line ^ ":"
+   ^ string_of_int col], in one allocation. *)
+let site_label kind n (pos : Srcloc.pos) =
+  let dn = n_digits n and dl = n_digits pos.line and dc = n_digits pos.col in
+  let b = Bytes.create (dn + dl + dc + 3) in
+  Bytes.unsafe_set b 0 kind;
+  put_digits b 1 dn n;
+  Bytes.unsafe_set b (dn + 1) '@';
+  put_digits b (dn + 2) dl pos.line;
+  Bytes.unsafe_set b (dn + dl + 2) ':';
+  put_digits b (dn + dl + 3) dc pos.col;
+  Bytes.unsafe_to_string b
+
+let fresh_heap env pos ~span ~ty =
+  let label = site_label 'h' env.n_heap pos in
+  env.n_heap <- env.n_heap + 1;
+  Builder.add_heap ~span env.b ~owner:env.meth ~label ~ty
+
+let fresh_invo env pos ~span =
+  let label = site_label 'i' env.n_invo pos in
+  env.n_invo <- env.n_invo + 1;
+  Builder.add_invo ~span env.b ~owner:env.meth ~label
+
+let null_var env =
+  match env.null_var with
   | Some v -> v
   | None ->
-    let v = Builder.add_var me.e.b ~owner:me.meth ~name:"$null" in
-    me.null_var <- Some v;
+    let v = Builder.add_var env.b ~owner:env.meth ~name:"$null" in
+    env.null_var <- Some v;
     v
 
-let this_var me pos =
-  match Builder.this_var me.e.b me.meth with
+let this_var env pos =
+  match Builder.this_var env.b env.meth with
   | Some v -> v
   | None -> Srcloc.error pos "'this' used in a static method"
 
-let lookup_var me pos name =
-  match Name_tbl.find_opt me.locals name with
-  | Some v -> v
-  | None -> Srcloc.error pos "unbound variable %s" name
+let lookup_var env pos name =
+  match Name_tbl.find env.locals name with
+  | v -> v
+  | exception Not_found -> Srcloc.error pos "unbound variable %s" name
 
-let declare_var me pos name =
-  if Name_tbl.mem me.locals name then
+let declare_var env pos name =
+  if Name_tbl.mem env.locals name then
     Srcloc.error pos "duplicate variable %s" name;
-  let v = Builder.add_var me.e.b ~owner:me.meth ~name in
-  Name_tbl.add me.locals name v;
+  let v = Builder.add_var env.b ~owner:env.meth ~name in
+  Name_tbl.add env.locals name v;
   v
 
-(* Lowered code annotated with the source span of each instruction.  The
-   spans are stripped into a positional side table (in [fold_instrs]
-   order) once the whole body is assembled, so they survive interning
-   without the IR needing per-instruction identities. *)
-type acode =
-  | A_instr of instr * Srcloc.span
-  | A_seq of acode list
-  | A_branch of acode * acode
-  | A_loop of acode
-  | A_try of acode * ahandler list
+let field_id env pos name =
+  match Name_tbl.find env.field_ids name with
+  | f -> f
+  | exception Not_found -> Srcloc.error pos "unknown field %s" name
 
-and ahandler = {
-  a_catch_type : Type_id.t;
-  a_catch_var : Var_id.t;
-  a_handler_body : acode;
-}
+(* Instructions go onto [code], and their spans onto [spans], in the
+   order [fold_instrs] visits them; a [Branch], [Loop] or [Try] goes
+   onto [code] once its blocks are lowered. *)
+let emit_code env code = ignore (Vec.push env.code code : int)
 
-(* Explicit recursion (not [List.map]) so the traversal order provably
-   matches [fold_instrs] over the stripped tree. *)
-let strip_spans (root : acode) : code * Srcloc.span array =
-  let spans = ref [] in
-  let rec go = function
-    | A_instr (i, sp) ->
-      spans := sp :: !spans;
-      Instr i
-    | A_seq cs -> Seq (go_list cs)
-    | A_branch (a, b) ->
-      let a = go a in
-      let b = go b in
-      Branch (a, b)
-    | A_loop c -> Loop (go c)
-    | A_try (body, handlers) ->
-      let body = go body in
-      Try (body, go_handlers handlers)
-  and go_list = function
-    | [] -> []
-    | c :: rest ->
-      let c = go c in
-      c :: go_list rest
-  and go_handlers = function
-    | [] -> []
-    | h :: rest ->
-      let handler_body = go h.a_handler_body in
-      { catch_type = h.a_catch_type; catch_var = h.a_catch_var; handler_body }
-      :: go_handlers rest
-  in
-  let code = go root in
-  (code, Array.of_list (List.rev !spans))
+let emit env instr span =
+  emit_code env (Instr instr);
+  ignore (Vec.push env.spans span : int)
 
-(* [lower_value] produces the variable holding the expression's value;
-   [lower_into] materializes the expression directly into [target].
-   Both return the emitted instructions in order, each carrying the span
-   of the expression it implements. *)
-let rec lower_value me (expr : Ast.expr) :
-    (instr * Srcloc.span) list * Var_id.t =
+(* [lower_value] emits the expression's instructions and returns the
+   variable holding its value; [lower_into] emits them so that they
+   leave the value in [target].  Each instruction carries the span of
+   the expression it implements. *)
+let rec lower_value env (expr : Ast.expr) =
   match expr.e with
-  | Ast.E_var name -> ([], lookup_var me expr.e_pos name)
-  | Ast.E_this -> ([], this_var me expr.e_pos)
-  | Ast.E_null -> ([], null_var me)
+  | Ast.E_var name -> lookup_var env expr.e_pos name
+  | Ast.E_this -> this_var env expr.e_pos
+  | Ast.E_null -> null_var env
   | Ast.E_new _ | Ast.E_load _ | Ast.E_vcall _ | Ast.E_scall _ | Ast.E_cast _
   | Ast.E_sfield _ ->
-    let t = fresh_temp me in
-    (lower_into me ~target:t expr, t)
+    let t = fresh_temp env in
+    lower_into env ~target:t expr;
+    t
 
-and lower_into me ~target (expr : Ast.expr) : (instr * Srcloc.span) list =
+and lower_into env ~target (expr : Ast.expr) =
   let pos = expr.e_pos in
   let sp = expr.e_span in
   match expr.e with
-  | Ast.E_var name -> [ (Move { target; source = lookup_var me pos name }, sp) ]
-  | Ast.E_this -> [ (Move { target; source = this_var me pos }, sp) ]
-  | Ast.E_null -> []
+  | Ast.E_var name -> emit env (Move { target; source = lookup_var env pos name }) sp
+  | Ast.E_this -> emit env (Move { target; source = this_var env pos }) sp
+  | Ast.E_null -> ()
   | Ast.E_new (cls_name, args) ->
-    let ctor_arity = Option.map List.length args in
-    check_instantiable me.e pos cls_name ~ctor_arity;
-    let ty = type_id me.e pos cls_name in
-    let heap = fresh_heap me pos ~span:sp ~ty in
-    let alloc = (Alloc { target; heap }, sp) in
+    check_instantiable env pos cls_name args;
+    let ty = type_id env pos cls_name in
+    let heap = fresh_heap env pos ~span:sp ~ty in
+    emit env (Alloc { target; heap }) sp;
     (match args with
-    | None -> [ alloc ]
+    | None -> ()
     | Some args ->
-      let arg_instrs, arg_vars = lower_args me args in
-      let invo = fresh_invo me pos ~span:sp in
+      let arg_vars = lower_args env args in
+      let invo = fresh_invo env pos ~span:sp in
       let signature =
-        Builder.intern_sig me.e.b ~name:"init" ~arity:(List.length args)
+        Builder.intern_sig env.b ~name:"init" ~arity:(List.length args)
       in
-      (alloc :: arg_instrs)
-      @ [
-          ( Virtual_call
-              { base = target; signature; invo; args = arg_vars;
-                ret_target = None },
-            sp );
-        ])
+      emit env
+        (Virtual_call
+           { base = target; signature; invo; args = arg_vars; ret_target = None })
+        sp)
   | Ast.E_load (base, field_name) ->
-    let base_instrs, base_var = lower_value me base in
-    let field = field_id me pos field_name in
-    base_instrs @ [ (Load { target; base = base_var; field }, sp) ]
+    let base_var = lower_value env base in
+    let field = field_id env pos field_name in
+    emit env (Load { target; base = base_var; field }) sp
   | Ast.E_vcall (base, meth_name, args) ->
-    lower_call me pos ~span:sp ~ret_target:(Some target) base meth_name args
+    lower_call env pos ~span:sp ~ret_target:(Some target) base meth_name args
   | Ast.E_scall (cls_name, meth_name, args) ->
-    lower_static_call me pos ~span:sp ~ret_target:(Some target) cls_name
+    lower_static_call env pos ~span:sp ~ret_target:(Some target) cls_name
       meth_name args
   | Ast.E_sfield (cls_name, field_name) ->
-    let field = resolve_sfield me.e pos cls_name field_name in
-    [ (Static_load { target; field }, sp) ]
+    let field = resolve_sfield env pos cls_name field_name in
+    emit env (Static_load { target; field }) sp
   | Ast.E_cast (cls_name, operand) ->
-    let cast_type = type_id me.e pos cls_name in
-    let instrs, source = lower_value me operand in
-    instrs @ [ (Cast { target; source; cast_type }, sp) ]
+    let cast_type = type_id env pos cls_name in
+    let source = lower_value env operand in
+    emit env (Cast { target; source; cast_type }) sp
 
-and field_id me pos name =
-  match Name_tbl.find_opt me.e.field_ids name with
-  | Some f -> f
-  | None -> Srcloc.error pos "unknown field %s" name
+and lower_args env = function
+  | [] -> []
+  | arg :: args ->
+    let v = lower_value env arg in
+    v :: lower_args env args
 
-and lower_args me args =
-  let instrs, vars =
-    List.fold_left
-      (fun (instrs, vars) arg ->
-        let arg_instrs, v = lower_value me arg in
-        (instrs @ arg_instrs, v :: vars))
-      ([], []) args
-  in
-  (instrs, List.rev vars)
-
-and lower_call me pos ~span ~ret_target base meth_name args =
-  let base_instrs, base_var = lower_value me base in
-  let arg_instrs, arg_vars = lower_args me args in
-  let invo = fresh_invo me pos ~span in
+and lower_call env pos ~span ~ret_target base meth_name args =
+  let base_var = lower_value env base in
+  let arg_vars = lower_args env args in
+  let invo = fresh_invo env pos ~span in
   let signature =
-    Builder.intern_sig me.e.b ~name:meth_name ~arity:(List.length args)
+    Builder.intern_sig env.b ~name:meth_name ~arity:(List.length args)
   in
-  base_instrs @ arg_instrs
-  @ [
-      ( Virtual_call
-          { base = base_var; signature; invo; args = arg_vars; ret_target },
-        span );
-    ]
+  emit env
+    (Virtual_call
+       { base = base_var; signature; invo; args = arg_vars; ret_target })
+    span
 
-and lower_static_call me pos ~span ~ret_target cls_name meth_name args =
+and lower_static_call env pos ~span ~ret_target cls_name meth_name args =
   let callee =
-    resolve_static me.e pos cls_name meth_name (List.length args)
+    resolve_static env pos cls_name meth_name (List.length args)
   in
-  let arg_instrs, arg_vars = lower_args me args in
-  let invo = fresh_invo me pos ~span in
-  arg_instrs
-  @ [ (Static_call { callee; invo; args = arg_vars; ret_target }, span) ]
+  let arg_vars = lower_args env args in
+  let invo = fresh_invo env pos ~span in
+  emit env (Static_call { callee; invo; args = arg_vars; ret_target }) span
 
-let instrs_to_acode annotated =
-  List.map (fun (i, sp) -> A_instr (i, sp)) annotated
-
-let rec lower_stmt me (stmt : Ast.stmt) : acode list =
+let rec lower_stmt env (stmt : Ast.stmt) =
   let pos = stmt.s_pos in
   match stmt.s with
   | Ast.S_decl (name, init) ->
-    let v = declare_var me pos name in
+    let v = declare_var env pos name in
     (match init with
-    | None -> []
-    | Some expr -> instrs_to_acode (lower_into me ~target:v expr))
+    | None -> ()
+    | Some expr -> lower_into env ~target:v expr)
   | Ast.S_assign (name, expr) ->
     let target =
-      match Name_tbl.find_opt me.locals name with
-      | Some v -> v
-      | None -> declare_var me pos name  (* implicit declaration *)
+      match Name_tbl.find env.locals name with
+      | v -> v
+      | exception Not_found -> declare_var env pos name  (* implicit declaration *)
     in
-    instrs_to_acode (lower_into me ~target expr)
+    lower_into env ~target expr
   | Ast.S_sstore (cls_name, field_name, rhs) ->
-    let field = resolve_sfield me.e pos cls_name field_name in
-    let rhs_instrs, source = lower_value me rhs in
-    instrs_to_acode
-      (rhs_instrs @ [ (Static_store { field; source }, stmt.s_span) ])
+    let field = resolve_sfield env pos cls_name field_name in
+    let source = lower_value env rhs in
+    emit env (Static_store { field; source }) stmt.s_span
   | Ast.S_store (base, field_name, rhs) ->
-    let base_instrs, base_var = lower_value me base in
-    let rhs_instrs, source = lower_value me rhs in
-    let field = field_id me pos field_name in
-    instrs_to_acode
-      (base_instrs @ rhs_instrs
-      @ [ (Store { base = base_var; field; source }, stmt.s_span) ])
-  | Ast.S_expr expr ->
-    let instrs =
-      match expr.e with
-      | Ast.E_vcall (base, meth_name, args) ->
-        lower_call me pos ~span:expr.e_span ~ret_target:None base meth_name
-          args
-      | Ast.E_scall (cls_name, meth_name, args) ->
-        lower_static_call me pos ~span:expr.e_span ~ret_target:None cls_name
-          meth_name args
-      | Ast.E_new (_, Some _) ->
-        let t = fresh_temp me in
-        lower_into me ~target:t expr
-      | _ -> Srcloc.error pos "expression statement must be a call"
-    in
-    instrs_to_acode instrs
-  | Ast.S_return None -> []
+    let base_var = lower_value env base in
+    let source = lower_value env rhs in
+    let field = field_id env pos field_name in
+    emit env (Store { base = base_var; field; source }) stmt.s_span
+  | Ast.S_expr expr -> (
+    match expr.e with
+    | Ast.E_vcall (base, meth_name, args) ->
+      lower_call env pos ~span:expr.e_span ~ret_target:None base meth_name args
+    | Ast.E_scall (cls_name, meth_name, args) ->
+      lower_static_call env pos ~span:expr.e_span ~ret_target:None cls_name
+        meth_name args
+    | Ast.E_new (_, Some _) ->
+      let t = fresh_temp env in
+      lower_into env ~target:t expr
+    | _ -> Srcloc.error pos "expression statement must be a call")
+  | Ast.S_return None -> ()
   | Ast.S_return (Some expr) ->
-    let target = Builder.ensure_ret_var me.e.b me.meth in
-    instrs_to_acode (lower_into me ~target expr)
+    let target = Builder.ensure_ret_var env.b env.meth in
+    lower_into env ~target expr
   | Ast.S_if (then_branch, else_branch) ->
-    [ A_branch (lower_block me then_branch, lower_block me else_branch) ]
-  | Ast.S_while body -> [ A_loop (lower_block me body) ]
+    (* The else branch takes its ids first, as it always has; its spans
+       then move behind the then branch's, into [fold_instrs] order. *)
+    let mark = Vec.length env.spans in
+    let else_code = lower_block env else_branch in
+    let n_else = Vec.length env.spans - mark in
+    let then_code = lower_block env then_branch in
+    rotate env.spans mark n_else;
+    emit_code env (Branch (then_code, else_code))
+  | Ast.S_while body -> emit_code env (Loop (lower_block env body))
   | Ast.S_throw expr ->
-    let instrs, source = lower_value me expr in
-    instrs_to_acode instrs @ [ A_instr (Throw { source }, stmt.s_span) ]
+    let source = lower_value env expr in
+    emit env (Throw { source }) stmt.s_span
   | Ast.S_try (body, catches) ->
-    let lowered_body = lower_block me body in
-    let handlers =
-      List.map
-        (fun (c : Ast.catch_clause) ->
-          let a_catch_type = type_id me.e pos c.cc_type in
-          let a_catch_var = declare_var me pos c.cc_var in
-          { a_catch_type; a_catch_var; a_handler_body = lower_block me c.cc_body })
-        catches
-    in
-    [ A_try (lowered_body, handlers) ]
+    let body = lower_block env body in
+    let handlers = lower_handlers env pos catches in
+    emit_code env (Try (body, handlers))
 
-and lower_block me stmts = A_seq (List.concat_map (lower_stmt me) stmts)
+and lower_handlers env pos = function
+  | [] -> []
+  | (c : Ast.catch_clause) :: catches ->
+    let catch_type = type_id env pos c.cc_type in
+    let catch_var = declare_var env pos c.cc_var in
+    let handler_body = lower_block env c.cc_body in
+    let handler = { catch_type; catch_var; handler_body } in
+    handler :: lower_handlers env pos catches
+
+and lower_stmts env = function
+  | [] -> ()
+  | stmt :: stmts ->
+    lower_stmt env stmt;
+    lower_stmts env stmts
+
+and lower_block env stmts =
+  let mark = Vec.length env.code in
+  lower_stmts env stmts;
+  Seq (pop_list env.code mark)
+
+let rec declare_formals env (m : Ast.meth_decl) = function
+  | [] -> []
+  | param :: params ->
+    if Name_tbl.mem env.locals param then
+      Srcloc.error m.m_pos "duplicate parameter %s" param;
+    let v = Builder.add_var env.b ~owner:env.meth ~name:param in
+    Name_tbl.add env.locals param v;
+    v :: declare_formals env m params
 
 let lower_body env cls_name (m : Ast.meth_decl) =
   let arity = List.length m.m_params in
-  let meth = Meth_tbl.find env.meth_ids (cls_name, m.m_name, arity) in
-  let me =
-    {
-      e = env;
-      meth;
-      locals = Name_tbl.create 16;
-      n_temp = 0;
-      n_heap = 0;
-      n_invo = 0;
-      null_var = None;
-    }
-  in
-  let formals =
-    List.map
-      (fun param ->
-        if Name_tbl.mem me.locals param then
-          Srcloc.error m.m_pos "duplicate parameter %s" param;
-        let v = Builder.add_var env.b ~owner:meth ~name:param in
-        Name_tbl.add me.locals param v;
-        v)
-      m.m_params
-  in
-  Builder.set_formals env.b meth formals;
-  let code, spans = strip_spans (lower_block me m.m_body) in
-  Builder.set_body env.b meth code;
-  Builder.set_instr_spans env.b meth spans
+  env.meth <- Meth_tbl.find env.meth_ids (cls_name, m.m_name, arity);
+  Name_tbl.reset env.locals;
+  env.n_temp <- 0;
+  env.n_heap <- 0;
+  env.n_invo <- 0;
+  env.null_var <- None;
+  Builder.set_formals env.b env.meth (declare_formals env m m.m_params);
+  let body = lower_block env m.m_body in
+  let spans = Vec.to_array env.spans in
+  Vec.truncate env.spans 0;
+  Builder.set_body env.b env.meth body;
+  Builder.set_instr_spans env.b env.meth spans
 
 let program (decls : Ast.program) : Program.t =
   let classes = class_table decls in
@@ -581,6 +592,15 @@ let program (decls : Ast.program) : Program.t =
       field_ids = Name_tbl.create 64;
       sfield_ids = Name2_tbl.create 64;
       meth_ids = Meth_tbl.create 256;
+      code = Vec.create ();
+      spans = Vec.create ();
+      temp_names = Vec.create ();
+      locals = Name_tbl.create 16;
+      meth = Meth_id.of_int 0;
+      n_temp = 0;
+      n_heap = 0;
+      n_invo = 0;
+      null_var = None;
     }
   in
   declare_types env order;

@@ -1,47 +1,84 @@
 (* The parser pulls tokens from the lexer on demand: it holds the
-   current token and at most one token of lookahead, for [peek2]. *)
+   current token and at most one token of lookahead, for [peek2], each
+   with its extent as line and column numbers.  A [Srcloc.pos] is built
+   only when a node asks for one, at most once per token: [tok_pos] and
+   [last_end] hold [unbuilt] until then. *)
 type state = {
   lx : Lexer.t;
   mutable tok : Token.t;
+  mutable line : int;
+  mutable col : int;
+  mutable end_line : int;
+  mutable end_col : int;
   mutable tok_pos : Srcloc.pos;
-  mutable tok_end : Srcloc.pos;
-  mutable ahead : (Token.t * Srcloc.pos * Srcloc.pos) option;
+  mutable has_ahead : bool;
+  mutable ahead : Token.t;
+  mutable ahead_line : int;
+  mutable ahead_col : int;
+  mutable ahead_end_line : int;
+  mutable ahead_end_col : int;
+  mutable last_line : int;
+  mutable last_col : int;
   mutable last_end : Srcloc.pos;
       (* position just past the last consumed token: the right edge of
          any span closed now *)
 }
 
+let unbuilt = { Srcloc.dummy with line = -1 }
+
 let peek st = st.tok
-let pos st = st.tok_pos
+
+let pos st =
+  if st.tok_pos == unbuilt then
+    st.tok_pos <- { Srcloc.file = Lexer.file st.lx; line = st.line; col = st.col };
+  st.tok_pos
+
+let last_end st =
+  if st.last_end == unbuilt then
+    st.last_end <-
+      { Srcloc.file = Lexer.file st.lx; line = st.last_line; col = st.last_col };
+  st.last_end
 
 let peek2 st =
-  match st.ahead with
-  | Some (t, _, _) -> t
-  | None ->
-    if st.tok = Token.Eof then Token.Eof
-    else begin
-      let ((t, _, _) as next) = Lexer.next st.lx in
-      st.ahead <- Some next;
-      t
-    end
+  if st.has_ahead then st.ahead
+  else if st.tok = Token.Eof then Token.Eof
+  else begin
+    let lx = st.lx in
+    st.ahead <- Lexer.next lx;
+    st.ahead_line <- Lexer.start_line lx;
+    st.ahead_col <- Lexer.start_col lx;
+    st.ahead_end_line <- Lexer.end_line lx;
+    st.ahead_end_col <- Lexer.end_col lx;
+    st.has_ahead <- true;
+    st.ahead
+  end
 
 (* The lexer keeps returning [Eof] after [Eof], so advancing past the
    end stays there. *)
 let advance st =
-  st.last_end <- st.tok_end;
-  let t, p, e =
-    match st.ahead with
-    | Some next ->
-      st.ahead <- None;
-      next
-    | None -> Lexer.next st.lx
-  in
-  st.tok <- t;
-  st.tok_pos <- p;
-  st.tok_end <- e
+  st.last_line <- st.end_line;
+  st.last_col <- st.end_col;
+  st.last_end <- unbuilt;
+  st.tok_pos <- unbuilt;
+  if st.has_ahead then begin
+    st.has_ahead <- false;
+    st.tok <- st.ahead;
+    st.line <- st.ahead_line;
+    st.col <- st.ahead_col;
+    st.end_line <- st.ahead_end_line;
+    st.end_col <- st.ahead_end_col
+  end
+  else begin
+    let lx = st.lx in
+    st.tok <- Lexer.next lx;
+    st.line <- Lexer.start_line lx;
+    st.col <- Lexer.start_col lx;
+    st.end_line <- Lexer.end_line lx;
+    st.end_col <- Lexer.end_col lx
+  end
 
 (* Span from [left] to the end of the last consumed token. *)
-let close st left = Srcloc.span left st.last_end
+let close st left = Srcloc.span left (last_end st)
 
 let expect st tok =
   if peek st = tok then advance st
@@ -370,16 +407,30 @@ let parse_class st =
 (* A syntax error reports the first lexical error of the file instead,
    if there is one: the rest of the input is lexed before the syntax
    error is re-raised. *)
-let rec drain lx =
-  match Lexer.next lx with
-  | Token.Eof, _, _ -> ()
-  | _ -> drain lx
+let rec drain lx = if Lexer.next lx <> Token.Eof then drain lx
 
 let parse_string ~file src =
   let lx = Lexer.create ~file src in
-  let tok, tok_pos, tok_end = Lexer.next lx in
+  let tok = Lexer.next lx in
   let st =
-    { lx; tok; tok_pos; tok_end; ahead = None; last_end = Srcloc.dummy }
+    {
+      lx;
+      tok;
+      line = Lexer.start_line lx;
+      col = Lexer.start_col lx;
+      end_line = Lexer.end_line lx;
+      end_col = Lexer.end_col lx;
+      tok_pos = unbuilt;
+      has_ahead = false;
+      ahead = Token.Eof;
+      ahead_line = 0;
+      ahead_col = 0;
+      ahead_end_line = 0;
+      ahead_end_col = 0;
+      last_line = 0;
+      last_col = 0;
+      last_end = Srcloc.dummy;
+    }
   in
   let rec loop acc =
     if peek st = Token.Eof then List.rev acc else loop (parse_class st :: acc)

@@ -33,26 +33,29 @@ type t =
   | Star
   | Eof
 
-let keyword_of_string = function
-  | "class" -> Some Kw_class
-  | "interface" -> Some Kw_interface
-  | "extends" -> Some Kw_extends
-  | "implements" -> Some Kw_implements
-  | "field" -> Some Kw_field
-  | "method" -> Some Kw_method
-  | "static" -> Some Kw_static
-  | "var" -> Some Kw_var
-  | "new" -> Some Kw_new
-  | "return" -> Some Kw_return
-  | "if" -> Some Kw_if
-  | "else" -> Some Kw_else
-  | "while" -> Some Kw_while
-  | "this" -> Some Kw_this
-  | "null" -> Some Kw_null
-  | "throw" -> Some Kw_throw
-  | "try" -> Some Kw_try
-  | "catch" -> Some Kw_catch
-  | _ -> None
+(* Every keyword, with its spelling: the lexer's word table starts with
+   these. *)
+let keywords =
+  [
+    ("class", Kw_class);
+    ("interface", Kw_interface);
+    ("extends", Kw_extends);
+    ("implements", Kw_implements);
+    ("field", Kw_field);
+    ("method", Kw_method);
+    ("static", Kw_static);
+    ("var", Kw_var);
+    ("new", Kw_new);
+    ("return", Kw_return);
+    ("if", Kw_if);
+    ("else", Kw_else);
+    ("while", Kw_while);
+    ("this", Kw_this);
+    ("null", Kw_null);
+    ("throw", Kw_throw);
+    ("try", Kw_try);
+    ("catch", Kw_catch);
+  ]
 
 let to_string = function
   | Ident s -> Printf.sprintf "identifier %S" s

@@ -434,6 +434,14 @@ module Builder = struct
         b.meths
     in
     Array.iteri (fun i mi -> validate_body b (Meth_id.of_int i) mi.body) meths;
+    (* Built afresh, in id order as [add_type] built [name_table], rather
+       than copied: [Hashtbl.copy] maps the bucket array with a young
+       first bucket, which forces a minor collection once the array
+       outgrows the minor heap's largest block. *)
+    let type_by_name = Hashtbl.create 64 in
+    Array.iteri
+      (fun i ti -> Hashtbl.add type_by_name ti.type_name (Type_id.of_int i))
+      types;
     {
       Program.types;
       fields = Vec.to_array b.fields;
@@ -443,7 +451,7 @@ module Builder = struct
       heaps = Vec.to_array b.heaps;
       invos = Vec.to_array b.invos;
       entries = List.rev b.entry_list;
-      type_by_name = Hashtbl.copy b.name_table;
+      type_by_name;
       meth_spans = Vec.map_to_array (fun pm -> pm.pm_span) b.meths;
       heap_spans = Vec.to_array b.heap_spans;
       invo_spans = Vec.to_array b.invo_spans;

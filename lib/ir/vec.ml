@@ -28,6 +28,10 @@ let set v i x =
   if i < 0 || i >= v.size then invalid_arg "Vec.set";
   v.data.(i) <- x
 
+let truncate v n =
+  if n < 0 || n > v.size then invalid_arg "Vec.truncate";
+  v.size <- n
+
 let length v = v.size
 let is_empty v = v.size = 0
 

@@ -10,6 +10,12 @@ val push : 'a t -> 'a -> int
 
 val get : 'a t -> int -> 'a
 val set : 'a t -> int -> 'a -> unit
+
+(** [truncate v n] drops the elements from index [n] on.  The array
+    keeps its capacity (and references to the dropped elements until they
+    are overwritten). *)
+val truncate : 'a t -> int -> unit
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val iter : ('a -> unit) -> 'a t -> unit

@@ -108,7 +108,9 @@ let qcheck_tests =
        random walk of unions, differences and filters over a small pool,
        with [Gc.compact] between steps, [equal] (physical) agrees with
        comparing elements, and rebuilding a set from its elements gives
-       the pooled set itself. *)
+       the pooled set itself.  Each case starts a cons table of its own,
+       so a compaction moves only that case's sets, not the sets of
+       every earlier case. *)
     QCheck.Test.make ~count:60
       ~name:"equal agrees with elements across compactions"
       QCheck.(
@@ -117,6 +119,7 @@ let qcheck_tests =
           (list_of_size Gen.(int_bound 12)
              (triple (int_bound 2) (int_bound 3) (int_bound 3))))
       (fun (seeds, steps) ->
+        Intset.new_table ();
         let pool = Array.of_list (List.map set_of_list seeds) in
         let model = Array.of_list (List.map model_of_list seeds) in
         let agree () =
