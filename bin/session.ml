@@ -124,6 +124,7 @@ type t = {
   trace : Trace.t;
   clock : Clock.t;  (** started before the load *)
   load_s : float;
+  load_minor_words : float;  (** words the load allocated in the minor heap *)
   mutable outcomes : outcome list;  (** newest first *)
 }
 
@@ -149,6 +150,11 @@ let load ?trace flags =
     | None, None -> Trace.null
     | None, Some _ -> Trace.create ()
   in
+  (* The nursery is raised before the count starts: the raise allocates
+     a [Gc.control] record only where it is needed, so the words counted
+     would otherwise depend on [OCAMLRUNPARAM]. *)
+  Driver.configure_gc ();
+  let words = Gc.minor_words () in
   let program =
     match
       Driver.load_program ~stdlib:(not flags.no_stdlib)
@@ -157,7 +163,16 @@ let load ?trace flags =
     | Ok program -> program
     | Error e -> Driver.report_and_exit e
   in
-  { flags; program; trace; clock; load_s = Clock.elapsed_s clock; outcomes = [] }
+  let load_minor_words = Gc.minor_words () -. words in
+  {
+    flags;
+    program;
+    trace;
+    clock;
+    load_s = Clock.elapsed_s clock;
+    load_minor_words;
+    outcomes = [];
+  }
 
 (* Abort payloads count from the start of the solve; the load came
    before it. *)
@@ -227,8 +242,25 @@ let attempt s engine analysis client =
     s.outcomes <- Timed_out (analysis, charge s abort) :: s.outcomes;
     None
 
-let outcome_doc = function
-  | Solved stats -> stamp_build (Run_stats.to_json stats)
+(* The load heads the solve's phases, and its allocation joins the
+   solve's GC profile: every analysis of the run is charged the one
+   load. *)
+let with_load s = function
+  | Json.Obj fields ->
+    let prepend key member =
+      List.map (function
+        | k, Json.Obj members when String.equal k key ->
+          (k, Json.Obj (member :: members))
+        | field -> field)
+    in
+    Json.Obj
+      (fields
+      |> prepend "phases" ("load", Json.Float s.load_s)
+      |> prepend "memory" ("load_minor_words", Json.Float s.load_minor_words))
+  | j -> j
+
+let outcome_doc s = function
+  | Solved stats -> stamp_build (with_load s (Run_stats.to_json stats))
   | Timed_out (analysis, abort) ->
     Json.Obj
       [
@@ -253,7 +285,7 @@ let finish ?(several = false) s report =
   let outcomes = List.rev s.outcomes in
   Option.iter
     (fun path ->
-      let docs = List.map outcome_doc outcomes in
+      let docs = List.map (outcome_doc s) outcomes in
       let doc = match docs with [ doc ] when not several -> doc | _ -> Json.List docs in
       write_output path (Json.to_string doc))
     f.stats_json;

@@ -114,33 +114,6 @@ let topo_order table =
 (* Pass 2+3: declare types, fields and method shells                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec collect v mark i acc =
-  if i < mark then acc else collect v mark (i - 1) (Vec.get v i :: acc)
-
-(* The items of [v] from [mark] on, oldest first, popped: a block's
-   items sit above the mark taken when it began. *)
-let pop_list v mark =
-  let items = collect v mark (Vec.length v - 1) [] in
-  Vec.truncate v mark;
-  items
-
-let reverse v lo hi =
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let x = Vec.get v !lo in
-    Vec.set v !lo (Vec.get v !hi);
-    Vec.set v !hi x;
-    incr lo;
-    decr hi
-  done
-
-(* Swaps the [n] items above [mark] with the ones above them. *)
-let rotate v mark n =
-  let top = Vec.length v in
-  reverse v mark (top - 1);
-  reverse v mark (top - n - 1);
-  reverse v (top - n) (top - 1)
-
 (* One environment serves the whole program; the fields from [meth] on
    describe the method being lowered and are reset for each. *)
 type env = {
@@ -156,8 +129,8 @@ type env = {
   spans : Srcloc.span Vec.t;
       (* the method's instruction spans so far, in [fold_instrs] order *)
   temp_names : string Vec.t;  (* ["$t<i>"] at index [i], built once *)
-  locals : Var_id.t Name_tbl.t;
   mutable meth : Meth_id.t;
+  locals : Var_id.t Name_tbl.t;
   mutable n_temp : int;
   mutable n_heap : int;
   mutable n_invo : int;
@@ -314,6 +287,33 @@ let check_instantiable env pos cls_name (args : Ast.expr list option) =
 (* Pass 4: method bodies                                               *)
 (* ------------------------------------------------------------------ *)
 
+let rec collect v mark i acc =
+  if i < mark then acc else collect v mark (i - 1) (Vec.get v i :: acc)
+
+(* The items of [v] from [mark] on, oldest first, popped: a block's
+   items sit above the mark taken when it began. *)
+let pop_list v mark =
+  let items = collect v mark (Vec.length v - 1) [] in
+  Vec.truncate v mark;
+  items
+
+let reverse v lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let x = Vec.get v !lo in
+    Vec.set v !lo (Vec.get v !hi);
+    Vec.set v !hi x;
+    incr lo;
+    decr hi
+  done
+
+(* Swaps the [n] items above [mark] with the ones above them. *)
+let rotate v mark n =
+  let top = Vec.length v in
+  reverse v mark (top - 1);
+  reverse v mark (top - n - 1);
+  reverse v (top - n) (top - 1)
+
 let temp_name env n =
   if n < Vec.length env.temp_names then Vec.get env.temp_names n
   else begin
@@ -417,7 +417,8 @@ and lower_into env ~target (expr : Ast.expr) =
   let pos = expr.e_pos in
   let sp = expr.e_span in
   match expr.e with
-  | Ast.E_var name -> emit env (Move { target; source = lookup_var env pos name }) sp
+  | Ast.E_var name ->
+    emit env (Move { target; source = lookup_var env pos name }) sp
   | Ast.E_this -> emit env (Move { target; source = this_var env pos }) sp
   | Ast.E_null -> ()
   | Ast.E_new (cls_name, args) ->
@@ -595,8 +596,8 @@ let program (decls : Ast.program) : Program.t =
       code = Vec.create ();
       spans = Vec.create ();
       temp_names = Vec.create ();
-      locals = Name_tbl.create 16;
       meth = Meth_id.of_int 0;
+      locals = Name_tbl.create 16;
       n_temp = 0;
       n_heap = 0;
       n_invo = 0;

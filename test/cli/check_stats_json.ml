@@ -2,9 +2,9 @@
    must be valid JSON carrying the documented keys with the documented
    types.  Given a second file from another run on the same input, every
    key except the wall-clock, GC and build-stamp ones must also be
-   equal, and so must the solve's `memory.minor_allocated_words`, which
-   depends on neither the GC settings nor the run:
-   `check_stats_json FILE [FILE2]`. *)
+   equal, and so must the solve's `memory.minor_allocated_words` and the
+   load's `memory.load_minor_words`, which depend on neither the GC
+   settings nor the run: `check_stats_json FILE [FILE2]`. *)
 
 module Json = Pta_obs.Json
 
@@ -51,8 +51,11 @@ let () =
   (match Json.to_obj (get "phases") with
   | None -> fail "%s: key \"phases\" is not an object" path
   | Some phases ->
-    if not (List.mem_assoc "fixpoint" phases) then
-      fail "%s: phases lacks a \"fixpoint\" entry" path;
+    List.iter
+      (fun name ->
+        if not (List.mem_assoc name phases) then
+          fail "%s: phases lacks a %S entry" path name)
+      [ "load"; "fixpoint" ];
     List.iter
       (fun (name, v) ->
         match Json.to_float v with
@@ -69,8 +72,8 @@ let () =
         | Some _ -> ()
         | None -> fail "%s: memory.%s missing or not a number" path name)
       [
-        "minor_allocated_words"; "major_allocated_words"; "peak_heap_words";
-        "major_collections"; "minor_heap_words";
+        "load_minor_words"; "minor_allocated_words"; "major_allocated_words";
+        "peak_heap_words"; "major_collections"; "minor_heap_words";
       ];
     (* Null where the process's resident set cannot be read. *)
     match List.assoc_opt "peak_rss_kb" fields with
@@ -105,13 +108,15 @@ let () =
               (Json.to_string ~indent:false va)
               (Json.to_string ~indent:false vb))
         a b;
-      let minor j =
-        Option.bind (Json.member "memory" j) (Json.member "minor_allocated_words")
-        |> Option.fold ~none:"missing" ~some:(Json.to_string ~indent:false)
-      in
-      let ma = minor json and mb = minor other_json in
-      if ma <> mb then
-        fail "%s and %s: memory.minor_allocated_words differs: %s vs %s" path
-          other ma mb)
+      List.iter
+        (fun key ->
+          let words j =
+            Option.bind (Json.member "memory" j) (Json.member key)
+            |> Option.fold ~none:"missing" ~some:(Json.to_string ~indent:false)
+          in
+          let wa = words json and wb = words other_json in
+          if wa <> wb then
+            fail "%s and %s: memory.%s differs: %s vs %s" path other key wa wb)
+        [ "minor_allocated_words"; "load_minor_words" ])
     other;
   print_endline "stats JSON schema ok"

@@ -49,6 +49,41 @@ let lexer_tests =
         match toks "a /* oops" with
         | _ -> Alcotest.fail "expected lexer error"
         | exception Srcloc.Error (_, _) -> ());
+    (* Once every word of a source has been seen, lexing allocates
+       nothing per token: lexing 99 more copies of a unit costs the minor
+       words of an empty loop measured the same way (the measurement
+       itself boxes a constant number of floats, identical in both
+       runs). *)
+    Alcotest.test_case "seen words lex without allocation" `Quick (fun () ->
+        let unit =
+          "class A extends B implements I {\n  static field s : A;\n\
+           \  method m(x, y) {\n    var v = (A) x.f; /* cast */\n\
+           \    B::g(v, this); // call\n\
+           \    if (*) { v = null; } else { return v; }\n  }\n}\n"
+        in
+        let copies = 100 in
+        let lx =
+          Lexer.create ~file:"<t>"
+            (String.concat "" (List.init copies (fun _ -> unit)))
+        in
+        let per_copy = List.length (toks unit) - 1 in
+        for _ = 1 to per_copy do
+          ignore (Lexer.next lx)
+        done;
+        let minor_cost f =
+          let a = Gc.minor_words () in
+          f ();
+          let b = Gc.minor_words () in
+          b -. a
+        in
+        let n = ref 0 in
+        let empty () = for _ = 1 to per_copy * (copies - 1) do () done in
+        let lex () = while Lexer.next lx <> Token.Eof do incr n done in
+        empty ();
+        let baseline = minor_cost empty in
+        let cost = minor_cost lex in
+        Alcotest.(check int) "tokens lexed" (per_copy * (copies - 1)) !n;
+        Alcotest.(check (float 0.)) "no allocation per token" baseline cost);
   ]
 
 (* ------------------------------------------------------------------ *)
