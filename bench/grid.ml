@@ -9,7 +9,6 @@ module Table = Pta_report.Table
 module Scatter = Pta_report.Scatter
 module Driver = Pta_driver.Driver
 module Json = Pta_obs.Json
-module Run_stats = Pta_obs.Run_stats
 module Budget = Pta_obs.Budget
 module Census = Pta_obs.Census
 module Snapshot = Pta_report.Bench_snapshot
@@ -47,7 +46,9 @@ type request = {
 type measured = {
   metrics : Metrics.t;
   best_s : float;  (* minimum of the three timed solves *)
-  stats : Run_stats.t;  (* of the first solve *)
+  iterations : int;  (* of the first solve, like the two below *)
+  nodes : int;
+  peak_heap_words : int;
   census : Census.component list;  (* its solved state's census *)
   methods : int;  (* IR methods of the program *)
 }
@@ -87,7 +88,10 @@ let measure r =
          {
            metrics = Metrics.compute r1.Driver.solver;
            best_s = List.fold_left min infinity times;
-           stats = Option.get r1.Driver.stats;
+           iterations = r1.Driver.iterations;
+           nodes = Solver.n_nodes r1.Driver.solver;
+           peak_heap_words =
+             (Option.get r1.Driver.memory).Pta_obs.Memstats.peak_heap_words;
            census;
            methods = Ir.Program.n_meths program;
          })
@@ -186,10 +190,9 @@ let snapshot_cell benchmark analysis = function
       analysis;
       timed_out = false;
       time_s = r.best_s;
-      iterations = r.stats.Run_stats.iterations;
-      nodes = Some r.stats.Run_stats.n_nodes;
-      peak_heap_words =
-        Some r.stats.Run_stats.memory.Pta_obs.Memstats.peak_heap_words;
+      iterations = r.iterations;
+      nodes = Some r.nodes;
+      peak_heap_words = Some r.peak_heap_words;
       heap_components = r.census;
     }
   | Timed_out abort ->
@@ -359,8 +362,8 @@ let propbench g ~benchmarks ~analyses =
             | Done r ->
               [
                 Printf.sprintf "%.2f" r.best_s;
-                fmt_int r.stats.Run_stats.iterations;
-                fmt_int r.stats.Run_stats.n_nodes;
+                fmt_int r.iterations;
+                fmt_int r.nodes;
               ]
             | Timed_out _ -> [ "-"; "-"; "-" ])))
         analyses)

@@ -5,10 +5,15 @@
      compare    — run several analyses, print a metric table
      check      — run the points-to-powered checkers, report diagnostics
      taint      — source-to-sink taint flows, per strategy or in detail
+     profile    — one analysis under the tracer: its hot-spot table
      query      — points-to set of one variable
+     why        — provenance chains of one variable's points-to set
      casts      — may-fail casts with witness allocation sites
+     exceptions — exceptions that may escape each method
      callgraph  — context-insensitive call graph
+     stats      — where the context-sensitive facts come from
      dump-ir    — parse, lower and pretty-print the IR
+     decompile  — parse, lower and print back equivalent MJ source
      gen        — emit a synthetic benchmark's MJ source
      strategies — list available analyses
      heapmap    — run one analysis, print the reachable-heap census
@@ -598,7 +603,8 @@ let stats_cmd =
           Format.fprintf ppf "%a@." (Pta_clients.Stats.pp s.Session.program) stats)
   in
   let doc =
-    "Show where the context-sensitive facts come from (heaviest methods,      fattest variables, context histogram)."
+    "Show where the context-sensitive facts come from (heaviest methods, \
+     fattest variables, context histogram)."
   in
   Cmd.v
     (Cmd.info "stats" ~doc ~exits:common_exits)

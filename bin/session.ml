@@ -3,6 +3,11 @@
    under either engine, and the exit step that prints the report and
    writes the stats and the trace.
 
+   Each phase of an analysis is timed once and entered in one list: the
+   load, the solver's setup and fixpoint, and the client.  The stats
+   document, the trace's "phase" spans and [--progress] all report
+   those same readings.
+
    The time budget of an analysis counts its whole share of the run:
    the load of the program, its solve and the client that reads the
    solution.  A run of several analyses loads once and charges the load
@@ -16,7 +21,6 @@ module Refimpl = Pta_refimpl.Refimpl
 module Budget = Pta_obs.Budget
 module Clock = Pta_obs.Clock
 module Json = Pta_obs.Json
-module Run_stats = Pta_obs.Run_stats
 module Trace = Pta_obs.Trace
 module Version = Pta_version.Version
 open Cmdliner
@@ -44,9 +48,11 @@ let timeout_arg =
 let stats_json_arg =
   let doc =
     "Write run statistics (wall time, iterations, nodes, edges, contexts, \
-     abstract objects, sensitive var-points-to size, per-phase timings) as \
-     JSON to $(docv), or to stdout if $(docv) is $(b,-) (the human-readable \
-     report then goes to stderr; $(b,--trace) must then name a file)."
+     abstract objects, sensitive var-points-to size, the seconds of the \
+     phases $(b,load), $(b,setup), $(b,fixpoint) and $(b,client), and the \
+     memory profile) as JSON to $(docv), or to stdout if $(docv) is \
+     $(b,-) (the human-readable report then goes to stderr; $(b,--trace) \
+     must then name a file)."
   in
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
 
@@ -116,8 +122,6 @@ let stamp_build = function
 (* The session                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = Solved of Run_stats.t | Timed_out of string * Budget.abort
-
 type t = {
   flags : flags;
   program : Pta_ir.Ir.Program.t;
@@ -125,12 +129,30 @@ type t = {
   clock : Clock.t;  (** started before the load *)
   load_s : float;
   load_minor_words : float;  (** words the load allocated in the minor heap *)
-  mutable outcomes : outcome list;  (** newest first *)
+  mutable phases : (string * float) list;
+      (** seconds per phase, newest first: the load, then the phases of
+          the analysis under way *)
+  mutable docs : Json.t list;  (** [--stats-json] documents, newest first *)
 }
 
 type _ engine =
   | Native : Driver.run engine
   | Datalog : Refimpl.t engine  (** the reference Datalog rules *)
+
+(* Every phase is read once, on the clock of the code that ran it, and
+   entered here: the stats document reads the list, and [--progress]
+   prints each entry as it comes in. *)
+let add_phase s (name, seconds) =
+  s.phases <- (name, seconds) :: s.phases;
+  if s.flags.progress then
+    Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name seconds
+      (String.make 24 ' ')
+
+(* A phase the session timed itself also goes to the trace, as the same
+   reading; the solver reports its own. *)
+let traced_phase s name seconds =
+  Trace.phase s.trace name seconds;
+  add_phase s (name, seconds)
 
 (* Exits 1 on a frontend error, and 2 when [--stats-json] and [--trace]
    both claim stdout: two JSON documents back to back parse as neither.
@@ -143,13 +165,13 @@ let load ?trace flags =
        send one of them to a file";
     exit 2
   end;
-  let clock = Clock.create () in
   let trace =
     match (trace, flags.trace_file) with
     | Some trace, _ -> trace
     | None, None -> Trace.null
     | None, Some _ -> Trace.create ()
   in
+  let clock = Clock.create () in
   (* The nursery is raised before the count starts: the raise allocates
      a [Gc.control] record only where it is needed, so the words counted
      would otherwise depend on [OCAMLRUNPARAM]. *)
@@ -164,15 +186,21 @@ let load ?trace flags =
     | Error e -> Driver.report_and_exit e
   in
   let load_minor_words = Gc.minor_words () -. words in
-  {
-    flags;
-    program;
-    trace;
-    clock;
-    load_s = Clock.elapsed_s clock;
-    load_minor_words;
-    outcomes = [];
-  }
+  let load_s = Clock.elapsed_s clock in
+  let s =
+    {
+      flags;
+      program;
+      trace;
+      clock;
+      load_s;
+      load_minor_words;
+      phases = [];
+      docs = [];
+    }
+  in
+  traced_phase s "load" load_s;
+  s
 
 (* Abort payloads count from the start of the solve; the load came
    before it. *)
@@ -180,19 +208,12 @@ let charge s (abort : Budget.abort) =
   { abort with Budget.elapsed_s = abort.Budget.elapsed_s +. s.load_s }
 
 (* [--progress]: a running iteration count on stderr, overwritten in
-   place while the fixpoint runs, then one line per solver phase. *)
+   place while the fixpoint runs. *)
 let report_progress budget =
   Budget.on_tick budget (fun n ->
       if n land 0xFFFF = 0 then
         Printf.eprintf "\r[progress] %9d iterations %8.1fs%!" n
           (Budget.elapsed_s budget))
-
-let report_phases solver =
-  List.iter
-    (fun (name, s) ->
-      Printf.eprintf "\r[progress] phase %-10s done in %.3fs%s\n%!" name s
-        (String.make 24 ' '))
-    (Solver.phases solver)
 
 (* Solve [analysis] under a fresh budget holding what the load left of
    the timeout.  Exits 1 or 2 on a bad analysis name.
@@ -208,12 +229,15 @@ let solve : type r. t -> r engine -> string -> Budget.t * r =
   let config = Solver.Config.make ?timeout_s ~trace:s.trace () in
   let budget = config.Solver.Config.budget in
   if s.flags.progress then report_progress budget;
+  (* Every analysis of the run starts from the one load. *)
+  s.phases <- [ ("load", s.load_s) ];
   match engine with
   | Native -> (
     let collect_stats = s.flags.stats_json <> None in
     match Driver.run ~config ~collect_stats s.program ~analysis with
     | Ok r ->
-      if s.flags.progress then report_phases r.Driver.solver;
+      (* The solver reported these two to the trace itself. *)
+      List.iter (add_phase s) (Solver.phases r.Driver.solver);
       (budget, r)
     | Error (Driver.Timed_out { abort; _ }) -> raise (Budget.Exhausted abort)
     | Error e -> Driver.report_and_exit e)
@@ -227,11 +251,21 @@ let solve : type r. t -> r engine -> string -> Budget.t * r =
 let solve_and : type r a. t -> r engine -> string -> (Budget.t -> r -> a) -> a =
  fun s engine analysis client ->
   let budget, r = solve s engine analysis in
+  let clock = Clock.create () in
   let v = client budget r in
+  traced_phase s "client" (Clock.elapsed_s clock);
   Budget.check budget;
+  (* The document is rendered now, so a run of several analyses keeps
+     no solver state for it.  Each is charged the one load and its own
+     phases, allocation and client. *)
   (match engine with
-  | Native -> Option.iter (fun st -> s.outcomes <- Solved st :: s.outcomes) r.Driver.stats
-  | Datalog -> ());
+  | Native when s.flags.stats_json <> None ->
+    let doc =
+      Driver.stats_json r ~analysis ~phases:(List.rev s.phases)
+        ~load_minor_words:s.load_minor_words
+    in
+    s.docs <- stamp_build doc :: s.docs
+  | _ -> ());
   v
 
 (* One analysis of several: [None] when its budget ran out. *)
@@ -239,37 +273,19 @@ let attempt s engine analysis client =
   match solve_and s engine analysis client with
   | v -> Some v
   | exception Budget.Exhausted abort ->
-    s.outcomes <- Timed_out (analysis, charge s abort) :: s.outcomes;
-    None
-
-(* The load heads the solve's phases, and its allocation joins the
-   solve's GC profile: every analysis of the run is charged the one
-   load. *)
-let with_load s = function
-  | Json.Obj fields ->
-    let prepend key member =
-      List.map (function
-        | k, Json.Obj members when String.equal k key ->
-          (k, Json.Obj (member :: members))
-        | field -> field)
+    let abort = charge s abort in
+    let doc =
+      Json.Obj
+        [
+          ("analysis", Json.String analysis);
+          ("timed_out", Json.Bool true);
+          ("elapsed_s", Json.Float abort.Budget.elapsed_s);
+          ("iterations", Json.Int abort.Budget.iterations);
+          ("nodes", Json.Int abort.Budget.nodes);
+        ]
     in
-    Json.Obj
-      (fields
-      |> prepend "phases" ("load", Json.Float s.load_s)
-      |> prepend "memory" ("load_minor_words", Json.Float s.load_minor_words))
-  | j -> j
-
-let outcome_doc s = function
-  | Solved stats -> stamp_build (with_load s (Run_stats.to_json stats))
-  | Timed_out (analysis, abort) ->
-    Json.Obj
-      [
-        ("analysis", Json.String analysis);
-        ("timed_out", Json.Bool true);
-        ("elapsed_s", Json.Float abort.Budget.elapsed_s);
-        ("iterations", Json.Int abort.Budget.iterations);
-        ("nodes", Json.Int abort.Budget.nodes);
-      ]
+    s.docs <- doc :: s.docs;
+    None
 
 (* The exit step: the report (on stderr when machine output claimed
    stdout), the stats document — one object for a single analysis, a
@@ -282,10 +298,9 @@ let finish ?(several = false) s report =
     else Format.std_formatter
   in
   let v = report ppf in
-  let outcomes = List.rev s.outcomes in
   Option.iter
     (fun path ->
-      let docs = List.map (outcome_doc s) outcomes in
+      let docs = List.rev s.docs in
       let doc = match docs with [ doc ] when not several -> doc | _ -> Json.List docs in
       write_output path (Json.to_string doc))
     f.stats_json;

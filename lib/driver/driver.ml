@@ -1,8 +1,7 @@
 module Solver = Pta_solver.Solver
 module Strategies = Pta_context.Strategies
-module Run_stats = Pta_obs.Run_stats
 module Memstats = Pta_obs.Memstats
-module Clock = Pta_obs.Clock
+module Json = Pta_obs.Json
 
 type source =
   | File of string
@@ -114,7 +113,8 @@ type run = {
   solver : Solver.t;
   strategy : Pta_context.Strategy.t;
   wall_time_s : float;
-  stats : Run_stats.t option;
+  iterations : int;
+  memory : Memstats.delta option;
 }
 
 (* The four Table-1 precision gauges, sampled once at fixpoint into the
@@ -141,47 +141,50 @@ let run ?(config = Solver.Config.default) ?(collect_stats = false) program
   match strategy_of_name program analysis with
   | Error e -> Error e
   | Ok strategy -> (
-    (* GC tracking is on whenever someone will read the stats bundle.
+    (* GC tracking is on whenever someone will read the stats document.
        The budget's ticks sample the peak. *)
     let tracker =
       if collect_stats then Some (Memstats.start_tracking ()) else None
     in
     let solve () = Solver.solve ~config program strategy in
-    let clock = Clock.create () in
     match
       match tracker with
       | None -> solve ()
       | Some t -> Memstats.sampling t config.Solver.Config.budget solve
     with
     | solver ->
-      let wall_time_s = Clock.elapsed_s clock in
       let memory = Option.map Memstats.finish tracker in
       emit_gauges config.Solver.Config.trace solver;
-      let stats =
-        Option.map
-          (fun memory ->
-            {
-              Run_stats.analysis;
-              wall_time_s;
-              iterations = Pta_obs.Budget.iterations config.Solver.Config.budget;
-              n_nodes = Solver.n_nodes solver;
-              n_edges = Solver.n_edges solver;
-              n_ctxs = Solver.n_ctxs solver;
-              n_hctxs = Solver.n_hctxs solver;
-              n_hobjs = Solver.n_hobjs solver;
-              sensitive_vpt_size = Solver.sensitive_vpt_size solver;
-              triggers = Solver.n_triggers solver;
-              delta_total = Solver.delta_total solver;
-              max_delta = Solver.max_delta solver;
-              sccs_collapsed = Solver.sccs_collapsed solver;
-              nodes_unified = Solver.nodes_unified solver;
-              stale_skipped = Solver.stale_skipped solver;
-              phases = Solver.phases solver;
-              memory;
-            })
-          memory
+      let wall_time_s =
+        List.fold_left (fun t (_, s) -> t +. s) 0. (Solver.phases solver)
       in
-      Ok { solver; strategy; wall_time_s; stats }
+      let iterations = Pta_obs.Budget.iterations config.Solver.Config.budget in
+      Ok { solver; strategy; wall_time_s; iterations; memory }
     | exception Solver.Timeout abort ->
       Option.iter (fun t -> ignore (Memstats.finish t)) tracker;
       Error (Timed_out { analysis; abort }))
+
+let stats_json r ~analysis ~phases ~load_minor_words =
+  let s = r.solver in
+  let int name v = (name, Json.Int v) in
+  Json.Obj
+    ([
+       ("analysis", Json.String analysis);
+       ("wall_time_s", Json.Float r.wall_time_s);
+       int "iterations" r.iterations;
+       int "n_nodes" (Solver.n_nodes s);
+       int "n_edges" (Solver.n_edges s);
+       int "n_ctxs" (Solver.n_ctxs s);
+       int "n_hctxs" (Solver.n_hctxs s);
+       int "n_hobjs" (Solver.n_hobjs s);
+       int "sensitive_vpt_size" (Solver.sensitive_vpt_size s);
+       int "triggers" (Solver.n_triggers s);
+       int "delta_total" (Solver.delta_total s);
+       int "max_delta" (Solver.max_delta s);
+       int "sccs_collapsed" (Solver.sccs_collapsed s);
+       int "nodes_unified" (Solver.nodes_unified s);
+       int "stale_skipped" (Solver.stale_skipped s);
+       ("phases", Json.Obj (List.map (fun (n, t) -> (n, Json.Float t)) phases));
+     ]
+    @ Option.fold r.memory ~none:[] ~some:(fun m ->
+          [ ("memory", Memstats.to_json ~load_minor_words m) ]))

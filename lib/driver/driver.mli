@@ -65,8 +65,10 @@ val strategy_of_name :
 type run = {
   solver : Pta_solver.Solver.t;
   strategy : Pta_context.Strategy.t;
-  wall_time_s : float;
-  stats : Pta_obs.Run_stats.t option;  (** [Some] iff [collect_stats] *)
+  wall_time_s : float;  (** the solver's ["setup"] plus ["fixpoint"] *)
+  iterations : int;  (** the budget's worklist iterations *)
+  memory : Pta_obs.Memstats.delta option;
+      (** the solve's GC profile; [Some] iff [collect_stats] *)
 }
 
 val run :
@@ -79,12 +81,27 @@ val run :
     [~collect_stats:true] the solve runs under a GC tracker that every
     1024th tick of [config]'s budget samples
     ({!Pta_obs.Memstats.sampling}: callbacks already on the budget keep
-    firing, and the sampler is gone when [run] returns), and the full
-    {!Pta_obs.Run_stats.t} bundle (counters, final sizes, wall time,
-    phase timings, the tracker's GC delta) is read off the solver, the
-    budget and the tracker.
+    firing, and the sampler is gone when [run] returns), and [memory]
+    holds the tracker's delta.
 
     If [config] carries a live {!Pta_obs.Trace.t}, the four Table-1
     precision gauges are sampled into it at fixpoint as
     ["gauge"]-category counters: ["contexts"], ["avg objs per var"],
     ["reachable methods"] and ["call-graph edges"]. *)
+
+val stats_json :
+  run ->
+  analysis:string ->
+  phases:(string * float) list ->
+  load_minor_words:float ->
+  Pta_obs.Json.t
+(** The [--stats-json] document of one run, read off the solver, the
+    run record and [phases] (seconds per phase, in the order given):
+    ["analysis"], ["wall_time_s"], ["iterations"], the final sizes
+    ([n_nodes], [n_edges], [n_ctxs], [n_hctxs], [n_hobjs]), the paper's
+    platform-independent [sensitive_vpt_size], the work counters
+    ([triggers], [delta_total], [max_delta], [sccs_collapsed],
+    [nodes_unified], [stale_skipped]), ["phases"] and, when the run
+    collected stats, ["memory"]: [load_minor_words] followed by the
+    solve's {!Pta_obs.Memstats.to_json}.  Every key but
+    ["wall_time_s"], ["phases"] and ["memory"] is deterministic. *)

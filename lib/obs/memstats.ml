@@ -116,18 +116,20 @@ let finish t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let to_json d =
+let to_json ?load_minor_words d =
   Json.Obj
-    [
-      ("minor_allocated_words", Json.Float d.minor_allocated_words);
-      ("promoted_words", Json.Float d.promoted_delta_words);
-      ("major_allocated_words", Json.Float d.major_allocated_words);
-      ("minor_collections", Json.Int d.minor_collections_delta);
-      ("major_collections", Json.Int d.major_collections_delta);
-      ("compactions", Json.Int d.compactions_delta);
-      ("heap_words", Json.Int d.heap_words_after);
-      ("peak_heap_words", Json.Int d.peak_heap_words);
-      ("minor_heap_words", Json.Int d.minor_heap_words);
-      ( "peak_rss_kb",
-        match d.peak_rss_kb with Some kb -> Json.Int kb | None -> Json.Null );
-    ]
+    (Option.fold load_minor_words ~none:[] ~some:(fun w ->
+         [ ("load_minor_words", Json.Float w) ])
+    @ [
+        ("minor_allocated_words", Json.Float d.minor_allocated_words);
+        ("promoted_words", Json.Float d.promoted_delta_words);
+        ("major_allocated_words", Json.Float d.major_allocated_words);
+        ("minor_collections", Json.Int d.minor_collections_delta);
+        ("major_collections", Json.Int d.major_collections_delta);
+        ("compactions", Json.Int d.compactions_delta);
+        ("heap_words", Json.Int d.heap_words_after);
+        ("peak_heap_words", Json.Int d.peak_heap_words);
+        ("minor_heap_words", Json.Int d.minor_heap_words);
+        ( "peak_rss_kb",
+          match d.peak_rss_kb with Some kb -> Json.Int kb | None -> Json.Null );
+      ])

@@ -77,4 +77,6 @@ val finish : tracker -> delta
 
 (** {1 Serialisation} *)
 
-val to_json : delta -> Json.t
+val to_json : ?load_minor_words:float -> delta -> Json.t
+(** With [load_minor_words], the words the program's load allocated in
+    the minor heap come first, as ["load_minor_words"]. *)

@@ -213,6 +213,14 @@ let complete ?delta ?(alloc = null_mark) t ~cat ~name ~t0_us ~dur_us =
     bump t cat name ~us:dur_us ~delta:(Option.value ~default:0 delta) alloc
   end
 
+let phase t name s =
+  if t != null then begin
+    let dur_us = s *. 1e6 in
+    complete t ~cat:"phase" ~name
+      ~t0_us:(Float.max 0. (now_us t -. dur_us))
+      ~dur_us
+  end
+
 let counter t ~cat name value =
   if t != null then push t (Counter { cat; name; ts = now_us t; value })
 

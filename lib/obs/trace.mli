@@ -19,8 +19,9 @@
     runs — this is what the hot-rule tables are built from.
 
     Category conventions used by the engines:
-    - ["phase"]  — coarse structure: solver/datalog [setup], [fixpoint],
-      per-round spans;
+    - ["phase"]  — coarse structure: the CLI session's [load] and
+      [client], the solver's [setup] and [fixpoint] ({!phase}), the
+      datalog engine's [fixpoint] and per-round spans;
     - ["rule"]   — one Datalog rule evaluation (complete span; [delta] =
       facts it derived);
     - ["solver"] — one native-solver propagation batch, named by edge
@@ -90,6 +91,12 @@ val complete :
     twice, then report.  Pass the {!alloc_mark} taken before the region
     to attach its allocation delta; the mark from an accounting-off sink
     degrades to a no-op. *)
+
+val phase : t -> string -> float -> unit
+(** [phase t name s] reports a ["phase"] of [s] seconds that ends now,
+    as one complete span whose [dur] is exactly [s] (in microseconds):
+    the caller's own clock reading, so a trace and a stats document that
+    both report the phase agree. *)
 
 val counter : t -> cat:string -> string -> float -> unit
 (** A sampled value; rendered by trace viewers as a counter track. *)

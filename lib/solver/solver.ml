@@ -929,118 +929,112 @@ let release_worklist st =
 
 let solve_outcome ?(config = Config.default) program strategy =
   let trace = config.Config.trace in
+  (* One clock for both phases, read once at the end of each. *)
+  let clock = Clock.create () in
   Intset.new_table ();
-  let setup_clock = Clock.create () in
   let st =
-    Trace.span trace ~cat:"phase" "setup" @@ fun () ->
-    let st =
-      {
-        program;
-        strategy;
-        hierarchy = Hierarchy.create program;
-        field_based = config.Config.field_based;
-        trace;
-        solved = false;
-        ctx_store = Ctx.create_store ();
-        hctx_store = Ctx.create_store ();
-        hobj_table = Inttbl.create_map ();
-        hobj_heaps = Vec.create ();
-        hobj_hctxs = Vec.create ();
-        hobj_types = Vec.create ();
-        n_nodes = 0;
-        all = Chunked.create Intset.empty;
-        pending = Chunked.create Intset.empty;
-        queued = Bytes.make 256 '\000';
-        prio = Chunked.create 0;
-        succ_head = Chunked.create (-1);
-        vcall_head = Chunked.create (-1);
-        load_head = Chunked.create (-1);
-        store_head = Chunked.create (-1);
-        succs = Chunked.create ~stride:edge_stride 0;
-        vcalls = Chunked.create ~stride:vcall_stride 0;
-        loads = Chunked.create ~stride:trigger_stride 0;
-        stores = Chunked.create ~stride:trigger_stride 0;
-        scope_filters = Vec.create ();
-        vcall_instrs =
-          Array.make (Program.n_invos program)
-            (Throw { source = Var_id.of_int 0 });
-        var_nodes = Inttbl.create_map ();
-        fld_nodes = Inttbl.create_map ();
-        static_fld_nodes = Array.make (Program.n_fields program) (-1);
-        throw_nodes = Inttbl.create_map ();
-        edge_seen = Inttbl.create_set ();
-        unify = Unify.create ~capacity:256 ();
-        copy_edges_since_scc = 0;
-        copy_edges_total = 0;
-        scc_threshold = 512;
-        scc_index = [||];
-        scc_low = [||];
-        scc_comp = [||];
-        pq = Pqueue.create ();
-        meth_queue = Queue.create ();
-        reachable = Inttbl.create_set ();
-        call_edges = Inttbl.create_set ();
-        var_node_start = [||];
-        var_node_list = [||];
-        ci_targets = None;
-        node_kinds = None;
-        heap_sets = Set_tbl.create 64;
-        heap_stamps = [||];
-        heap_epoch = 0;
-        n_edges = 0;
-        n_triggers = 0;
-        delta_total = 0;
-        max_delta = 0;
-        sccs_collapsed = 0;
-        nodes_unified = 0;
-        stale_skipped = 0;
-        setup_s = 0.;
-        fixpoint_s = 0.;
-      }
-    in
-    let initial_ctx = Ctx.intern st.ctx_store strategy.Strategy.initial_ctx in
-    List.iter
-      (fun m -> mark_reachable st m initial_ctx)
-      (Program.entries program);
-    st
+    {
+      program;
+      strategy;
+      hierarchy = Hierarchy.create program;
+      field_based = config.Config.field_based;
+      trace;
+      solved = false;
+      ctx_store = Ctx.create_store ();
+      hctx_store = Ctx.create_store ();
+      hobj_table = Inttbl.create_map ();
+      hobj_heaps = Vec.create ();
+      hobj_hctxs = Vec.create ();
+      hobj_types = Vec.create ();
+      n_nodes = 0;
+      all = Chunked.create Intset.empty;
+      pending = Chunked.create Intset.empty;
+      queued = Bytes.make 256 '\000';
+      prio = Chunked.create 0;
+      succ_head = Chunked.create (-1);
+      vcall_head = Chunked.create (-1);
+      load_head = Chunked.create (-1);
+      store_head = Chunked.create (-1);
+      succs = Chunked.create ~stride:edge_stride 0;
+      vcalls = Chunked.create ~stride:vcall_stride 0;
+      loads = Chunked.create ~stride:trigger_stride 0;
+      stores = Chunked.create ~stride:trigger_stride 0;
+      scope_filters = Vec.create ();
+      vcall_instrs =
+        Array.make (Program.n_invos program)
+          (Throw { source = Var_id.of_int 0 });
+      var_nodes = Inttbl.create_map ();
+      fld_nodes = Inttbl.create_map ();
+      static_fld_nodes = Array.make (Program.n_fields program) (-1);
+      throw_nodes = Inttbl.create_map ();
+      edge_seen = Inttbl.create_set ();
+      unify = Unify.create ~capacity:256 ();
+      copy_edges_since_scc = 0;
+      copy_edges_total = 0;
+      scc_threshold = 512;
+      scc_index = [||];
+      scc_low = [||];
+      scc_comp = [||];
+      pq = Pqueue.create ();
+      meth_queue = Queue.create ();
+      reachable = Inttbl.create_set ();
+      call_edges = Inttbl.create_set ();
+      var_node_start = [||];
+      var_node_list = [||];
+      ci_targets = None;
+      node_kinds = None;
+      heap_sets = Set_tbl.create 64;
+      heap_stamps = [||];
+      heap_epoch = 0;
+      n_edges = 0;
+      n_triggers = 0;
+      delta_total = 0;
+      max_delta = 0;
+      sccs_collapsed = 0;
+      nodes_unified = 0;
+      stale_skipped = 0;
+      setup_s = 0.;
+      fixpoint_s = 0.;
+    }
   in
-  st.setup_s <- Clock.elapsed_s setup_clock;
+  let initial_ctx = Ctx.intern st.ctx_store strategy.Strategy.initial_ctx in
+  List.iter (fun m -> mark_reachable st m initial_ctx) (Program.entries program);
+  st.setup_s <- Clock.elapsed_s clock;
+  Trace.phase trace "setup" st.setup_s;
   let budget = config.Config.budget in
   Budget.start budget ~probe:(fun () -> st.n_nodes);
-  let fixpoint () =
-    Trace.span trace ~cat:"phase" "fixpoint" @@ fun () ->
-    let rec loop () =
-      if not (Queue.is_empty st.meth_queue) then begin
-        Budget.tick budget;
-        let meth, ctx = Queue.pop st.meth_queue in
-        process_method st meth ctx;
-        loop ()
-      end
-      else if not (Pqueue.is_empty st.pq) then begin
-        Budget.tick budget;
-        if st.copy_edges_since_scc >= st.scc_threshold then
-          collapse_and_reprioritize st;
-        if not (Pqueue.is_empty st.pq) then begin
-          let nid = Pqueue.pop st.pq in
-          if Bytes.get st.queued nid <> '\000' then process_node st nid
-          else st.stale_skipped <- st.stale_skipped + 1
-        end;
-        loop ()
-      end
-    in
-    loop ()
+  let end_fixpoint () =
+    st.fixpoint_s <- Clock.elapsed_s clock -. st.setup_s;
+    Trace.phase trace "fixpoint" st.fixpoint_s;
+    Budget.stop budget
   in
-  let fixpoint_clock = Clock.create () in
-  match fixpoint () with
+  let rec loop () =
+    if not (Queue.is_empty st.meth_queue) then begin
+      Budget.tick budget;
+      let meth, ctx = Queue.pop st.meth_queue in
+      process_method st meth ctx;
+      loop ()
+    end
+    else if not (Pqueue.is_empty st.pq) then begin
+      Budget.tick budget;
+      if st.copy_edges_since_scc >= st.scc_threshold then
+        collapse_and_reprioritize st;
+      if not (Pqueue.is_empty st.pq) then begin
+        let nid = Pqueue.pop st.pq in
+        if Bytes.get st.queued nid <> '\000' then process_node st nid
+        else st.stale_skipped <- st.stale_skipped + 1
+      end;
+      loop ()
+    end
+  in
+  match loop () with
   | () ->
-    st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
-    Budget.stop budget;
+    end_fixpoint ();
     release_worklist st;
     st.solved <- true;
     Complete st
   | exception Budget.Exhausted abort ->
-    st.fixpoint_s <- Clock.elapsed_s fixpoint_clock;
-    Budget.stop budget;
+    end_fixpoint ();
     Aborted (st, abort)
 
 let solve ?config program strategy =

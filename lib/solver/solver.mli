@@ -83,9 +83,10 @@ val solve :
     depend on earlier solves or on the GC; the points-to sets of an
     earlier solve stay valid.
 
-    Times two phases, reported by {!phases} and as trace spans:
-    ["setup"] (hierarchy and entry seeding) and ["fixpoint"] (the
-    worklist).
+    Times two phases, ["setup"] (the cons table, hierarchy and entry
+    seeding) and ["fixpoint"] (the worklist), with one clock read once
+    at the end of each: {!phases} returns the readings, and a live trace
+    receives the same readings as ["phase"] spans ({!Pta_obs.Trace.phase}).
 
     @raise Timeout if the configured budget is exhausted. *)
 
@@ -160,8 +161,8 @@ val n_call_edges_cs : t -> int
 (** {1 Run counters}
 
     Work measures kept by the fixpoint loop (deterministic) and the
-    phase timings (wall clock), read into a {!Pta_obs.Run_stats.t}
-    after the run.  The iteration count lives in the
+    phase timings (wall clock), read after the run by
+    [Pta_driver.Driver.stats_json].  The iteration count lives in the
     {!Pta_obs.Budget.t}. *)
 
 val n_edges : t -> int

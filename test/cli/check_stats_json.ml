@@ -1,10 +1,15 @@
 (* Schema check for `pointsto analyze --stats-json`: the emitted file
    must be valid JSON carrying the documented keys with the documented
-   types.  Given a second file from another run on the same input, every
-   key except the wall-clock, GC and build-stamp ones must also be
-   equal, and so must the solve's `memory.minor_allocated_words` and the
-   load's `memory.load_minor_words`, which depend on neither the GC
-   settings nor the run: `check_stats_json FILE [FILE2]`. *)
+   types, the four phases, and a `wall_time_s` that is the sum of the
+   `setup` and `fixpoint` phases.  Given a second file from another run
+   on the same input, every key except the wall-clock, GC and
+   build-stamp ones must also be equal, and so must the solve's
+   `memory.minor_allocated_words` and the load's
+   `memory.load_minor_words`, which depend on neither the GC settings
+   nor the run: `check_stats_json FILE [FILE2]`.  Given the `--trace`
+   file of the same run, its "phase" spans and the file's phases must
+   name the same phases, each span's `dur` within 1 us of the phase's
+   seconds: `check_stats_json FILE --trace TRACE`. *)
 
 module Json = Pta_obs.Json
 
@@ -22,11 +27,12 @@ let () =
     | Ok json -> json
     | Error msg -> fail "%s: not valid JSON: %s" path msg
   in
-  let path, other =
+  let path, other, trace =
     match Sys.argv with
-    | [| _; path |] -> (path, None)
-    | [| _; path; other |] -> (path, Some other)
-    | _ -> fail "usage: check_stats_json FILE [FILE2]"
+    | [| _; path |] -> (path, None, None)
+    | [| _; path; "--trace"; trace |] -> (path, None, Some trace)
+    | [| _; path; other |] -> (path, Some other, None)
+    | _ -> fail "usage: check_stats_json FILE [FILE2 | --trace TRACE]"
   in
   let json = read path in
   let get name =
@@ -48,20 +54,27 @@ let () =
       "sensitive_vpt_size"; "triggers"; "delta_total"; "max_delta";
       "sccs_collapsed"; "nodes_unified"; "stale_skipped";
     ];
-  (match Json.to_obj (get "phases") with
-  | None -> fail "%s: key \"phases\" is not an object" path
-  | Some phases ->
-    List.iter
-      (fun name ->
-        if not (List.mem_assoc name phases) then
-          fail "%s: phases lacks a %S entry" path name)
-      [ "load"; "fixpoint" ];
-    List.iter
-      (fun (name, v) ->
-        match Json.to_float v with
-        | Some _ -> ()
-        | None -> fail "%s: phase %S is not a number" path name)
-      phases);
+  let phases =
+    match Json.to_obj (get "phases") with
+    | None -> fail "%s: key \"phases\" is not an object" path
+    | Some phases ->
+      List.map
+        (fun (name, v) ->
+          match Json.to_float v with
+          | Some s -> (name, s)
+          | None -> fail "%s: phase %S is not a number" path name)
+        phases
+  in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name phases) then
+        fail "%s: phases lacks a %S entry" path name)
+    [ "load"; "setup"; "fixpoint"; "client" ];
+  (* The solve's wall time is its two phases, read off one clock. *)
+  (let wall = Option.get (Json.to_float (get "wall_time_s")) in
+   let sum = List.assoc "setup" phases +. List.assoc "fixpoint" phases in
+   if Float.abs (wall -. sum) > 4. *. epsilon_float *. Float.max 1. wall then
+     fail "%s: wall_time_s %.17g is not setup + fixpoint = %.17g" path wall sum);
   (* --stats-json implies a GC tracker and the build stamp. *)
   (match Json.to_obj (get "memory") with
   | None -> fail "%s: key \"memory\" is not an object" path
@@ -119,4 +132,40 @@ let () =
             fail "%s and %s: memory.%s differs: %s vs %s" path other key wa wb)
         [ "minor_allocated_words"; "load_minor_words" ])
     other;
+  Option.iter
+    (fun trace ->
+      let spans =
+        match read trace with
+        | Json.List events ->
+          List.filter_map
+            (fun ev ->
+              let str name = Option.bind (Json.member name ev) Json.to_str in
+              if str "cat" = Some "phase" then
+                Some
+                  ( Option.value (str "name") ~default:"",
+                    Option.bind (Json.member "dur" ev) Json.to_float )
+              else None)
+            events
+        | _ -> fail "%s: not a JSON array" trace
+      in
+      List.iter
+        (fun (name, s) ->
+          if
+            not
+              (List.exists
+                 (fun (n, dur) ->
+                   String.equal n name
+                   && Option.fold dur ~none:false ~some:(fun d ->
+                          Float.abs (d -. (s *. 1e6)) <= 1.))
+                 spans)
+          then
+            fail "%s: no \"phase\" span %S of %.3f us in %s" path name
+              (s *. 1e6) trace)
+        phases;
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem_assoc name phases) then
+            fail "%s: \"phase\" span %S has no entry in %s" trace name path)
+        spans)
+    trace;
   print_endline "stats JSON schema ok"

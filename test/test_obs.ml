@@ -4,7 +4,6 @@
 
 module Solver = Pta_solver.Solver
 module Budget = Pta_obs.Budget
-module Run_stats = Pta_obs.Run_stats
 module Json = Pta_obs.Json
 module Driver = Pta_driver.Driver
 
@@ -12,31 +11,34 @@ let tiny_program () =
   Pta_workloads.Workloads.program
     (Option.get (Pta_workloads.Profile.by_name "tiny"))
 
+(* The --stats-json document of one solve, its phases the solver's. *)
 let collect_run ?(analysis = "S-2obj+H") program =
   match Driver.run ~collect_stats:true program ~analysis with
-  | Ok r -> Option.get r.Driver.stats
+  | Ok r ->
+    Driver.stats_json r ~analysis ~phases:(Solver.phases r.Driver.solver)
+      ~load_minor_words:0.
   | Error e -> Alcotest.failf "driver error: %a" Driver.pp_error e
+
+let member name decode json =
+  match Option.bind (Json.member name json) decode with
+  | Some v -> v
+  | None -> Alcotest.failf "stats document: no %S of the right type" name
 
 (* Every non-time field of two identical runs must agree: the solver is
    deterministic, and so are the counters it keeps. *)
 let counters_deterministic_test () =
   let program = tiny_program () in
   let s1 = collect_run program and s2 = collect_run program in
-  let check name f = Alcotest.(check int) name (f s1) (f s2) in
-  check "iterations" (fun s -> s.Run_stats.iterations);
-  check "n_nodes" (fun s -> s.Run_stats.n_nodes);
-  check "n_edges" (fun s -> s.Run_stats.n_edges);
-  check "n_ctxs" (fun s -> s.Run_stats.n_ctxs);
-  check "n_hctxs" (fun s -> s.Run_stats.n_hctxs);
-  check "n_hobjs" (fun s -> s.Run_stats.n_hobjs);
-  check "sensitive_vpt_size" (fun s -> s.Run_stats.sensitive_vpt_size);
-  check "triggers" (fun s -> s.Run_stats.triggers);
-  check "delta_total" (fun s -> s.Run_stats.delta_total);
-  check "max_delta" (fun s -> s.Run_stats.max_delta);
-  Alcotest.(check (list string))
-    "same phases"
-    (List.map fst s1.Run_stats.phases)
-    (List.map fst s2.Run_stats.phases)
+  List.iter
+    (fun name ->
+      Alcotest.(check int) name (member name Json.to_int s1)
+        (member name Json.to_int s2))
+    [
+      "iterations"; "n_nodes"; "n_edges"; "n_ctxs"; "n_hctxs"; "n_hobjs";
+      "sensitive_vpt_size"; "triggers"; "delta_total"; "max_delta";
+    ];
+  let phase_names s = List.map fst (member "phases" Json.to_obj s) in
+  Alcotest.(check (list string)) "same phases" (phase_names s1) (phase_names s2)
 
 (* The --stats-json counters on test/cli/sample.mj under S-2obj+H,
    pinned exactly: a miscounting edge, trigger or delta site shows up
@@ -47,12 +49,10 @@ let counters_pinned_test () =
     | Ok p -> p
     | Error e -> Alcotest.failf "load: %a" Driver.pp_error e
   in
-  let json = Run_stats.to_json (collect_run program) in
+  let json = collect_run program in
   List.iter
     (fun (name, expected) ->
-      Alcotest.(check (option int))
-        name (Some expected)
-        (Option.bind (Json.member name json) Json.to_int))
+      Alcotest.(check int) name expected (member name Json.to_int json))
     [
       ("iterations", 22); ("n_nodes", 22); ("n_edges", 13); ("n_ctxs", 4);
       ("n_hctxs", 2); ("n_hobjs", 5); ("sensitive_vpt_size", 15);
@@ -311,7 +311,7 @@ let driver_sampler_scoped_test () =
   | Ok r ->
     Alcotest.(check int)
       "installed callback fired on every tick"
-      (Option.get r.Driver.stats).Run_stats.iterations !ticks
+      r.Driver.iterations !ticks
   | Error e -> Alcotest.failf "driver error: %a" Driver.pp_error e);
   let fresh = Budget.unlimited () in
   Budget.on_tick fresh count;
