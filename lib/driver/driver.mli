@@ -95,13 +95,9 @@ val stats_json :
   phases:(string * float) list ->
   load_minor_words:float ->
   Pta_obs.Json.t
-(** The [--stats-json] document of one run, read off the solver, the
-    run record and [phases] (seconds per phase, in the order given):
-    ["analysis"], ["wall_time_s"], ["iterations"], the final sizes
-    ([n_nodes], [n_edges], [n_ctxs], [n_hctxs], [n_hobjs]), the paper's
-    platform-independent [sensitive_vpt_size], the work counters
-    ([triggers], [delta_total], [max_delta], [sccs_collapsed],
-    [nodes_unified], [stale_skipped]), ["phases"] and, when the run
-    collected stats, ["memory"]: [load_minor_words] followed by the
-    solve's {!Pta_obs.Memstats.to_json}.  Every key but
-    ["wall_time_s"], ["phases"] and ["memory"] is deterministic. *)
+(** The [--stats-json] document of one run: [analysis], the run's wall time
+    and iterations, the solver's sizes and work counters, [phases]
+    (seconds, in the order given) and, when the run collected stats,
+    ["memory"]: [load_minor_words], then the solve's
+    {!Pta_obs.Memstats.to_json}.  Every key but ["wall_time_s"],
+    ["phases"] and ["memory"] is deterministic. *)
