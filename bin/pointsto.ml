@@ -63,10 +63,12 @@ let analysis_arg =
     & info [ "a"; "analysis"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
 (* The flag sets of the analysing subcommands (see [Session]). *)
-let observed_flags =
+let observed files =
   Session.(
-    flags files_arg ~stats_json:stats_json_arg ~trace:trace_arg
+    flags files ~stats_json:stats_json_arg ~trace:trace_arg
       ~progress:progress_arg)
+
+let observed_flags = observed Session.files_arg
 
 let traced_flags =
   Session.(flags files_arg ~stats_json:absent ~trace:trace_arg ~progress:off)
@@ -351,6 +353,16 @@ let check_cmd =
       Printf.eprintf "pointsto: check: no MJ source files given\n";
       exit 124
     end;
+    (* The report is not rerouted: a JSON document may not share stdout
+       with it. *)
+    (let on_stdout = function Some "-" -> true | _ -> false in
+     if
+       String.equal output "-"
+       && (on_stdout flags.Session.stats_json || on_stdout flags.Session.trace_file)
+     then
+       fail_usage
+         "check: the report goes to stdout; send --stats-json and --trace to a \
+          file, or the report there with -o FILE");
     let entries = load_taint_spec taint_spec in
     let has_errors =
       Session.run Native flags ~analysis (fun s budget r ->
@@ -426,7 +438,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc ~man ~exits:check_exits)
     Term.(
-      const run $ plain_flags files_opt_arg $ analysis_arg $ checkers_arg
+      const run $ observed files_opt_arg $ analysis_arg $ checkers_arg
       $ taint_spec_arg $ format_arg $ output_arg $ include_stdlib_arg)
 
 let taint_cmd =

@@ -59,6 +59,24 @@ type node_kind =
 (* Keyed by set identity: consing makes it extensional. *)
 module Set_tbl = Hashtbl.Make (Intset)
 
+(* The call-graph projections of a finished solve, built on first use
+   by counting sorts of the [call_edges] and [reachable] tables.  Each
+   bucket keeps the tables' slot order, the order of [iter_call_edges]
+   and [iter_reachable]: bucket [k] of a projection spans
+   [start.(k) .. start.(k + 1) - 1] of its entry arrays. *)
+type cg_index = {
+  invo_start : int array;  (* invo -> its edges *)
+  invo_cctx : int array;  (* caller ctx *)
+  invo_target : int array;  (* [Inttbl.pack callee callee_ctx] *)
+  callee_start : int array;  (* callee -> the edges into it *)
+  callee_site : int array;  (* [Inttbl.pack invo caller_ctx] *)
+  callee_ectx : int array;  (* callee ctx *)
+  meth_start : int array;  (* meth -> its reachable contexts *)
+  meth_ctx : int array;
+  meths : Meth_id.Set.t;  (* methods reachable under some context *)
+  n_ci_edges : int;  (* distinct (invo, callee) pairs *)
+}
+
 type t = {
   program : Program.t;
   strategy : Strategy.t;
@@ -130,7 +148,7 @@ type t = {
   mutable var_node_list : int array;
       (* var -> its nodes: [var_node_list.(var_node_start.(v) ..
          var_node_start.(v+1) - 1)], ascending; empty until built *)
-  mutable ci_targets : Meth_id.Set.t Invo_id.Tbl.t option;
+  mutable cg_index : cg_index option;  (* built by [cg_index] *)
   mutable node_kinds : node_kind array option;  (* introspection memo *)
   heap_sets : Intset.t Set_tbl.t;
       (* hobj set -> its heap set, one entry per distinct set queried *)
@@ -910,7 +928,7 @@ let census st =
       ( "memos",
         [
           Obj.repr st.var_node_start; Obj.repr st.var_node_list;
-          Obj.repr st.ci_targets; Obj.repr st.node_kinds;
+          Obj.repr st.cg_index; Obj.repr st.node_kinds;
           Obj.repr st.heap_sets; Obj.repr st.heap_stamps;
         ] );
     ]
@@ -981,7 +999,7 @@ let solve_outcome ?(config = Config.default) program strategy =
       call_edges = Inttbl.create_set ();
       var_node_start = [||];
       var_node_list = [||];
-      ci_targets = None;
+      cg_index = None;
       node_kinds = None;
       heap_sets = Set_tbl.create 64;
       heap_stamps = [||];
@@ -1293,29 +1311,121 @@ let ci_var_points_to st var =
   done;
   !acc
 
-let reachable_meths st =
-  Inttbl.fold
-    (fun meth _ acc -> Meth_id.Set.add (Meth_id.of_int meth) acc)
-    st.reachable Meth_id.Set.empty
+(* Counting sort in place: a start array of [n + 2] zeros gets
+   [bump_count] once per entry of key [k < n], then [prefix_sums]; then
+   [next_slot] once per entry, in order, gives its position in the
+   sorted arrays.  That leaves [start.(k)] at the first position of
+   bucket [k] for every [k <= n], with no cursor array. *)
+let bump_count start k = start.(k + 2) <- start.(k + 2) + 1
 
-let invo_targets_table st =
-  match st.ci_targets with
-  | Some t -> t
+let prefix_sums start =
+  for k = 2 to Array.length start - 1 do
+    start.(k) <- start.(k) + start.(k - 1)
+  done
+
+let next_slot start k =
+  let pos = start.(k + 1) in
+  start.(k + 1) <- pos + 1;
+  pos
+
+let build_cg_index st =
+  let n_invos = Program.n_invos st.program
+  and n_meths = Program.n_meths st.program in
+  let n_edges = Inttbl.length st.call_edges in
+  let invo_start = Array.make (n_invos + 2) 0
+  and invo_cctx = Array.make n_edges 0
+  and invo_target = Array.make n_edges 0
+  and callee_start = Array.make (n_meths + 2) 0
+  and callee_site = Array.make n_edges 0
+  and callee_ectx = Array.make n_edges 0
+  and meth_start = Array.make (n_meths + 2) 0
+  and meth_ctx = Array.make (Inttbl.length st.reachable) 0 in
+  Inttbl.iter
+    (fun site target ->
+      bump_count invo_start (Inttbl.high site);
+      bump_count callee_start (Inttbl.high target))
+    st.call_edges;
+  prefix_sums invo_start;
+  prefix_sums callee_start;
+  Inttbl.iter
+    (fun site target ->
+      let e = next_slot invo_start (Inttbl.high site) in
+      invo_cctx.(e) <- Inttbl.low site;
+      invo_target.(e) <- target;
+      let e = next_slot callee_start (Inttbl.high target) in
+      callee_site.(e) <- site;
+      callee_ectx.(e) <- Inttbl.low target)
+    st.call_edges;
+  Inttbl.iter (fun m _ -> bump_count meth_start m) st.reachable;
+  prefix_sums meth_start;
+  Inttbl.iter (fun m c -> meth_ctx.(next_slot meth_start m) <- c) st.reachable;
+  let meths = ref [] in
+  for m = n_meths - 1 downto 0 do
+    if meth_start.(m) < meth_start.(m + 1) then meths := Meth_id.of_int m :: !meths
+  done;
+  (* A callee counts once per invocation: [seen.(m)] holds the last
+     invocation that reached [m]. *)
+  let seen = Array.make n_meths (-1) and n_ci = ref 0 in
+  for i = 0 to n_invos - 1 do
+    for e = invo_start.(i) to invo_start.(i + 1) - 1 do
+      let m = Inttbl.high invo_target.(e) in
+      if seen.(m) <> i then begin
+        seen.(m) <- i;
+        incr n_ci
+      end
+    done
+  done;
+  {
+    invo_start; invo_cctx; invo_target; callee_start; callee_site;
+    callee_ectx; meth_start; meth_ctx; meths = Meth_id.Set.of_list !meths;
+    n_ci_edges = !n_ci;
+  }
+
+let cg_index st =
+  match st.cg_index with
+  | Some ix -> ix
   | None ->
-    let t = Invo_id.Tbl.create 1024 in
-    iter_call_edges st (fun invo _ meth _ ->
-        let existing =
-          Option.value ~default:Meth_id.Set.empty (Invo_id.Tbl.find_opt t invo)
-        in
-        Invo_id.Tbl.replace t invo (Meth_id.Set.add meth existing));
-    st.ci_targets <- Some t;
-    t
+    let ix = build_cg_index st in
+    st.cg_index <- Some ix;
+    ix
+
+(* Positions [lo .. hi - 1] in order, or backwards under [rev]. *)
+let iter_range ~rev lo hi f =
+  if rev then
+    for j = hi - 1 downto lo do
+      f j
+    done
+  else
+    for j = lo to hi - 1 do
+      f j
+    done
+
+let iter_invo_edges ?(rev = false) st invo f =
+  let ix = cg_index st in
+  let i = Invo_id.to_int invo in
+  iter_range ~rev ix.invo_start.(i) ix.invo_start.(i + 1) (fun e ->
+      let target = ix.invo_target.(e) in
+      f ix.invo_cctx.(e) (Meth_id.of_int (Inttbl.high target)) (Inttbl.low target))
+
+let iter_callee_edges ?(rev = false) st meth f =
+  let ix = cg_index st in
+  let m = Meth_id.to_int meth in
+  iter_range ~rev ix.callee_start.(m) ix.callee_start.(m + 1) (fun e ->
+      let site = ix.callee_site.(e) in
+      f (Invo_id.of_int (Inttbl.high site)) (Inttbl.low site) ix.callee_ectx.(e))
+
+let iter_meth_ctxs ?(rev = false) st meth f =
+  let ix = cg_index st in
+  let m = Meth_id.to_int meth in
+  iter_range ~rev ix.meth_start.(m) ix.meth_start.(m + 1) (fun e ->
+      f ix.meth_ctx.(e))
+
+let reachable_meths st = (cg_index st).meths
 
 let invo_targets st invo =
-  Option.value ~default:Meth_id.Set.empty
-    (Invo_id.Tbl.find_opt (invo_targets_table st) invo)
+  let targets = ref Meth_id.Set.empty in
+  iter_invo_edges st invo (fun _ meth _ ->
+      targets := Meth_id.Set.add meth !targets);
+  !targets
 
-let n_call_edges_ci st =
-  Invo_id.Tbl.fold
-    (fun _ targets acc -> acc + Meth_id.Set.cardinal targets)
-    (invo_targets_table st) 0
+let n_call_edges_ci st = (cg_index st).n_ci_edges

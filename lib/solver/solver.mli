@@ -223,11 +223,50 @@ val vpt_counts : t -> vpt_counts
     as the variable's previous node costs nothing).  Builds the
     variable index of {!var_node_ids}. *)
 
+(** {1 Call-graph index}
+
+    The call edges bucketed by invocation and by callee, and the
+    reachable contexts bucketed by method: one counting sort of each
+    solver table, built on the first call of any function below (after
+    the solve returns) and kept with the state.  It holds four [int]s
+    per context-sensitive call edge, one per reachable (method,
+    context) pair, one per invocation and two per method, counted
+    under the census's ["memos"].  Every bucket lists its entries in the
+    order {!iter_call_edges} and {!iter_reachable} give them;
+    [~rev:true] lists them backwards. *)
+
+val iter_invo_edges :
+  ?rev:bool ->
+  t ->
+  Pta_ir.Ir.Invo_id.t ->
+  (Pta_context.Ctx.id -> Pta_ir.Ir.Meth_id.t -> Pta_context.Ctx.id -> unit) ->
+  unit
+(** [iter_invo_edges t invo f] calls [f caller_ctx callee callee_ctx] on
+    each call edge of [invo]. *)
+
+val iter_callee_edges :
+  ?rev:bool ->
+  t ->
+  Pta_ir.Ir.Meth_id.t ->
+  (Pta_ir.Ir.Invo_id.t -> Pta_context.Ctx.id -> Pta_context.Ctx.id -> unit) ->
+  unit
+(** [iter_callee_edges t meth f] calls [f invo caller_ctx callee_ctx] on
+    each call edge into [meth]. *)
+
+val iter_meth_ctxs :
+  ?rev:bool -> t -> Pta_ir.Ir.Meth_id.t -> (Pta_context.Ctx.id -> unit) -> unit
+(** The contexts [meth] is reachable under. *)
+
 val reachable_meths : t -> Pta_ir.Ir.Meth_id.Set.t
+(** Methods reachable under some context; built with the index, so
+    every call returns the same set. *)
+
 val invo_targets : t -> Pta_ir.Ir.Invo_id.t -> Pta_ir.Ir.Meth_id.Set.t
-(** Resolved callee set of an invocation site (empty if unreachable). *)
+(** Resolved callee set of an invocation site (empty if unreachable),
+    built from its bucket. *)
 
 val n_call_edges_ci : t -> int
+(** Distinct (invocation, callee) pairs, counted with the index. *)
 
 (** {1 Supergraph introspection}
 
@@ -296,7 +335,8 @@ val census : t -> Pta_obs.Census.t
     hobj attribute vectors), ["unification-forest"] (the canonical-id
     array),
     ["call-graph-facts"] (the reachable (meth, ctx) and call-edge sets),
-    ["worklists"], ["memos"].  Every id-keyed table is a flat
+    ["worklists"], ["memos"] (the lazily built indexes and projections,
+    the call-graph index included).  Every id-keyed table is a flat
     {!Pta_ir.Inttbl.t}, so its retained words are its slot array.  The
     census's set
     histogram is the points-to population distribution over canonical

@@ -31,4 +31,37 @@ type t = {
 }
 
 val extract : Pta_ir.Ir.Program.t -> plan:Pta_context.Shortcut.t option -> t
-(** Lists are in program iteration order (deterministic). *)
+(** Lists are in program iteration order (deterministic): {!iter_meth}
+    over every method, in method id order. *)
+
+(** {1 One method at a time} *)
+
+(** What {!iter_meth} calls on each flow, with the arguments of the
+    matching {!t} tuple ([sload] without the owner method, which is the
+    method walked). *)
+type handler = {
+  copy : int -> int -> unit;  (** dst, src *)
+  load : int -> int -> int -> unit;  (** dst, base, field *)
+  store : int -> int -> int -> unit;  (** base, field, src *)
+  sload : int -> int -> unit;  (** dst, field *)
+  sstore : int -> int -> unit;  (** field, src *)
+  arg : int -> int -> int -> unit;  (** invo, pos, actual *)
+  this_arg : int -> int -> unit;  (** invo, receiver *)
+  ret : int -> int -> unit;  (** invo, ret target *)
+  sink_arg : int -> int -> int -> unit;  (** invo, pos, actual *)
+}
+
+val nothing : handler
+(** Ignores every flow; override the fields a walk needs. *)
+
+val iter_meth :
+  Pta_ir.Ir.Program.t ->
+  plan:Pta_context.Shortcut.t option ->
+  handler ->
+  Pta_ir.Ir.Meth_id.t ->
+  unit
+(** The flows of one method's body, in instruction order.  Every
+    variable and invocation a flow names belongs to that method (a cut
+    site's items read the caller's base, arguments and return target),
+    so the flows keyed by one variable or invocation all come from the
+    walk of its owner. *)

@@ -5,6 +5,7 @@ module Solver = Pta_solver.Solver
 module Intset = Pta_solver.Intset
 module Pqueue = Pta_solver.Pqueue
 module Budget = Pta_obs.Budget
+module Inttbl = Pta_ir.Inttbl
 open Ir
 
 (* ------------------------------------------------------------------ *)
@@ -23,10 +24,22 @@ let kvar v c = (0, v, c)
 let kfld o f = (1, o, f)
 let kstatic f = (2, f, 0)
 
+(* The edge a label first crossed into a node.  Its words are built
+   only when a chain is explained ([step_desc]). *)
+type step =
+  | Move
+  | Store of int  (* field *)
+  | Static_store of int
+  | Arg of int * int  (* position, invo *)
+  | Receiver of int  (* invo *)
+  | Return of int  (* callee *)
+  | Load of int
+  | Static_load of int
+
 (* First-arrival provenance: how a label first reached a node. *)
 type origin =
   | Seed
-  | From of int * string (* predecessor node, edge description *)
+  | From of int * step (* predecessor node, edge *)
 
 type hit = {
   h_invo : Invo_id.t;
@@ -44,8 +57,9 @@ type t = {
   keys : node_key array;  (** node id -> key *)
   all : Intset.t array;  (** node id -> settled labels *)
   origins : (int * int, origin) Hashtbl.t;  (** (node, label) -> origin *)
-  sink_arg_vars : (int * int, int list) Hashtbl.t;
-      (** (invo, pos) -> argument variables *)
+  sink_args : Inttbl.t;
+      (** [Inttbl.pack invo pos] -> argument variable, for the
+          invocations of extracted methods *)
   hits : hit list;
   flows : flow list;
 }
@@ -98,136 +112,163 @@ let node_id ns key =
     Hashtbl.replace ns.tbl key id;
     id
 
-(* Hashtbl-of-lists index helpers (values kept in insertion order). *)
+(* Keyed by the dense ids of the IR and the solver. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (i : int) = i land max_int
+end)
+
+(* The flows out of one variable, each list latest instruction first. *)
+type var_flows = {
+  mutable copies : int list;  (* dst *)
+  mutable stores : (int * int) list;  (* base, field *)
+  mutable sstores : int list;  (* field *)
+  mutable args : (int * int) list;  (* invo, pos *)
+  mutable receivers : int list;  (* invo *)
+  mutable loads : (int * int) list;  (* dst, field: loads off this base *)
+}
+
+(* Prepend [v] to [tbl]'s list at [k]. *)
 let index_add tbl k v =
-  Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  Itbl.replace tbl k (v :: Option.value ~default:[] (Itbl.find_opt tbl k))
 
-let index_find tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
-
-(* Stable counting sort of the indices of [keys] (each in [0, n)) by
-   key: the indices holding key [k] are [order.(start.(k))] up to
-   [order.(start.(k + 1) - 1)], ascending. *)
-type buckets = { start : int array; order : int array }
-
-let bucket n keys =
-  let start = Array.make (n + 1) 0 in
-  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) keys;
-  for k = 1 to n do
-    start.(k) <- start.(k) + start.(k - 1)
-  done;
-  let next = Array.sub start 0 n in
-  let order = Array.make (Array.length keys) 0 in
-  Array.iteri
-    (fun i k ->
-      order.(next.(k)) <- i;
-      next.(k) <- next.(k) + 1)
-    keys;
-  { start; order }
-
-(* The indices of key [k], last first. *)
-let iter_bucket_rev b k f =
-  for j = b.start.(k + 1) - 1 downto b.start.(k) do
-    f b.order.(j)
-  done
+let index_find tbl k = Option.value ~default:[] (Itbl.find_opt tbl k)
 
 let analyze ?(budget = Budget.unlimited ()) solver spec =
   if not (Solver.is_complete solver) then
     invalid_arg "Taint.analyze: aborted solver state (incomplete points-to)";
   let program = Solver.program solver in
   let plan = (Solver.strategy solver).Strategy.shortcut in
-  let fl = Flows.extract program ~plan in
-  (* ---------------- static flow indexes ------------------------- *)
-  let copy_out = Hashtbl.create 256 (* src var -> dst var list *)
-  and store_out = Hashtbl.create 64 (* src var -> (base, field) list *)
-  and load_by_base = Hashtbl.create 64 (* base var -> (dst, field) list *)
-  and sstore_out = Hashtbl.create 16 (* src var -> field list *)
-  and sload_by_field = Hashtbl.create 16 (* field -> (dst, meth) list *)
-  and arg_out = Hashtbl.create 64 (* actual var -> (invo, pos) list *)
-  and this_out = Hashtbl.create 64 (* receiver var -> invo list *)
-  and ret_of_invo = Hashtbl.create 64 (* invo -> ret target var *)
-  and ret_meth = Hashtbl.create 64 (* ret var -> meth int *) in
-  List.iter (fun (d, s) -> index_add copy_out s d) fl.Flows.copies;
-  List.iter (fun (b, f, s) -> index_add store_out s (b, f)) fl.Flows.stores;
-  List.iter (fun (d, b, f) -> index_add load_by_base b (d, f)) fl.Flows.loads;
-  List.iter (fun (f, s) -> index_add sstore_out s f) fl.Flows.sstores;
-  List.iter (fun (d, f, m) -> index_add sload_by_field f (d, m)) fl.Flows.sloads;
-  List.iter (fun (i, p, a) -> index_add arg_out a (i, p)) fl.Flows.args;
-  List.iter (fun (i, b) -> index_add this_out b i) fl.Flows.this_args;
-  List.iter (fun (i, r) -> Hashtbl.replace ret_of_invo i r) fl.Flows.rets;
-  Program.iter_meths program (fun m mi ->
-      Option.iter
-        (fun rv -> Hashtbl.replace ret_meth (Var_id.to_int rv) (Meth_id.to_int m))
-        mi.ret_var);
+  let meth_info m = Program.meth_info program (Meth_id.of_int m) in
+  let sanitizer m = Spec.is_sanitizer spec (Meth_id.of_int m) in
+  (* ---------------- flows, one method at a time ----------------- *)
+  (* A method's flows are extracted the first time propagation reaches
+     one of its variables or invocations.  Every flow keyed by a
+     variable or invocation comes from its owner's body, so each list
+     below holds, latest first, exactly what a whole-program extraction
+     would give it. *)
+  let var_flows = Itbl.create 256 in
+  let ret_of_invo = Inttbl.create_map () (* invo -> ret target *)
+  and sink_args = Inttbl.create_map () (* (invo, pos) -> actual *)
+  and extracted = Itbl.create 64 in
+  let flows_of v =
+    match Itbl.find_opt var_flows v with
+    | Some vf -> vf
+    | None ->
+      let vf =
+        { copies = []; stores = []; sstores = []; args = []; receivers = []; loads = [] }
+      in
+      Itbl.replace var_flows v vf;
+      vf
+  in
+  let extract_handler =
+    {
+      Flows.copy = (fun d s -> let vf = flows_of s in vf.copies <- d :: vf.copies);
+      load = (fun d b f -> let vf = flows_of b in vf.loads <- (d, f) :: vf.loads);
+      store = (fun b f s -> let vf = flows_of s in vf.stores <- (b, f) :: vf.stores);
+      sload = (fun _ _ -> ());
+      sstore = (fun f s -> let vf = flows_of s in vf.sstores <- f :: vf.sstores);
+      arg = (fun i p a -> let vf = flows_of a in vf.args <- (i, p) :: vf.args);
+      this_arg =
+        (fun i b -> let vf = flows_of b in vf.receivers <- i :: vf.receivers);
+      ret = (fun i r -> Inttbl.add ret_of_invo i r);
+      sink_arg = (fun i p a -> Inttbl.add sink_args (Inttbl.pack i p) a);
+    }
+  in
+  let extract m =
+    if not (Itbl.mem extracted m) then begin
+      Itbl.replace extracted m ();
+      Flows.iter_meth program ~plan extract_handler (Meth_id.of_int m)
+    end
+  in
+  let var_owner v =
+    Meth_id.to_int (Program.var_info program (Var_id.of_int v)).var_owner
+  and invo_owner i =
+    Meth_id.to_int (Program.invo_info program (Invo_id.of_int i)).invo_owner
+  in
+  let var_flows_of v =
+    extract (var_owner v);
+    Itbl.find_opt var_flows v
+  in
+  (* Loads of heap fields and of static fields, over every reachable
+     method (a variable of any other has no node): each built by one
+     walk the first time a cell of its kind is tainted. *)
+  let walk_reachable handler =
+    Meth_id.Set.iter
+      (fun m -> Flows.iter_meth program ~plan (handler (Meth_id.to_int m)) m)
+      (Solver.reachable_meths solver)
+  in
+  let load_bases =
+    lazy
+      (let bases = Itbl.create 64 (* field -> base set *) in
+       let add_base _ b f =
+         match Itbl.find_opt bases f with
+         | Some set -> Itbl.replace set b ()
+         | None ->
+           let set = Itbl.create 8 in
+           Itbl.replace set b ();
+           Itbl.replace bases f set
+       in
+       walk_reachable (fun _ -> { Flows.nothing with load = add_base });
+       bases)
+  and sload_by_field =
+    lazy
+      (let tbl = Itbl.create 16 (* field -> (dst, meth) list *) in
+       walk_reachable (fun m ->
+           { Flows.nothing with sload = (fun d f -> index_add tbl f (d, m)) });
+       tbl)
+  in
   (* ---------------- solved-state lookups ------------------------ *)
   (* No index over every var node: a store reads its base's set with
-     [Solver.var_points_to], and the inverse lookup of loads is built
-     per field, on demand (below).  The call edges are copied once into
-     four int arrays and bucketed by invocation and by callee.  Buckets
-     are read backwards, latest [iter_call_edges] edge first: node ids
-     and first-arrival origins depend on that order, and the pinned
+     [Solver.var_points_to].  Call edges and reachable contexts come
+     from the solver's buckets, read backwards, latest edge first: node
+     ids and first-arrival origins depend on that order, and the pinned
      digests in the taint tests hold it. *)
-  let n_ce = Solver.n_call_edges_cs solver in
-  let ce_invo = Array.make n_ce 0
-  and ce_cctx = Array.make n_ce 0
-  and ce_meth = Array.make n_ce 0
-  and ce_ectx = Array.make n_ce 0 in
-  let n = ref 0 in
-  Solver.iter_call_edges solver (fun invo cc m ec ->
-      let e = !n in
-      ce_invo.(e) <- Invo_id.to_int invo;
-      ce_cctx.(e) <- cc;
-      ce_meth.(e) <- Meth_id.to_int m;
-      ce_ectx.(e) <- ec;
-      n := e + 1);
-  let by_invo = bucket (Program.n_invos program) ce_invo
-  and by_callee = bucket (Program.n_meths program) ce_meth in
   (* Callees [(meth, ectx)] of [invo] under caller context [c]. *)
   let iter_callees invo c f =
-    iter_bucket_rev by_invo invo (fun e ->
-        if ce_cctx.(e) = c then f ce_meth.(e) ce_ectx.(e))
+    Solver.iter_invo_edges ~rev:true solver (Invo_id.of_int invo)
+      (fun cc m ec -> if cc = c then f (Meth_id.to_int m) ec)
   (* Call sites [(invo, cctx)] of [m] entered under context [c]. *)
   and iter_callers m c f =
-    iter_bucket_rev by_callee m (fun e ->
-        if ce_ectx.(e) = c then f ce_invo.(e) ce_cctx.(e))
-  in
+    Solver.iter_callee_edges ~rev:true solver (Meth_id.of_int m)
+      (fun invo cc ec -> if ec = c then f (Invo_id.to_int invo) cc)
+  and iter_ctxs m f = Solver.iter_meth_ctxs ~rev:true solver (Meth_id.of_int m) f in
   (* Inverse var-points-to of one field: hobj -> the (base, ctx) nodes
      pointing to it, over the bases of loads of that field only.  Made
      the first time a cell of the field is tainted, by one scan of the
      var nodes that reads just those bases' sets. *)
-  let inv_by_field = Hashtbl.create 16 (* field -> (hobj -> node list) *) in
+  let inv_by_field = Itbl.create 16 (* field -> (hobj -> node list) *) in
   let vpt_inv f =
-    match Hashtbl.find_opt inv_by_field f with
+    match Itbl.find_opt inv_by_field f with
     | Some inv -> inv
     | None ->
-      let bases = Hashtbl.create 8 and inv = Hashtbl.create 64 in
-      List.iter
-        (fun (_, b, f') -> if f' = f then Hashtbl.replace bases b ())
-        fl.Flows.loads;
-      if Hashtbl.length bases > 0 then
-        Solver.iter_var_points_to solver (fun v c objs ->
-            let vi = Var_id.to_int v in
-            if Hashtbl.mem bases vi then
-              Intset.iter (fun o -> index_add inv o (vi, c)) objs);
-      Hashtbl.replace inv_by_field f inv;
+      let inv = Itbl.create 64 in
+      Option.iter
+        (fun bases ->
+          Solver.iter_var_points_to solver (fun v c objs ->
+              let vi = Var_id.to_int v in
+              if Itbl.mem bases vi then
+                Intset.iter (fun o -> index_add inv o (vi, c)) objs))
+        (Itbl.find_opt (Lazy.force load_bases) f);
+      Itbl.replace inv_by_field f inv;
       inv
   in
-  let reach_ctxs = Hashtbl.create 256 (* meth -> ctx list *) in
-  Solver.iter_reachable solver (fun m c ->
-      index_add reach_ctxs (Meth_id.to_int m) c);
-  let meth_info m = Program.meth_info program (Meth_id.of_int m) in
-  let sanitizer m = Spec.is_sanitizer spec (Meth_id.of_int m) in
   (* ---------------- difference propagation ---------------------- *)
   let ns = nodes_create () in
   let wl = Pqueue.create () in
   let origins = Hashtbl.create 256 in
-  let push key labels origin_of =
+  (* [pred] is the node the labels come from, [-1] for a seed. *)
+  let push key labels pred step =
     let id = node_id ns key in
     let fresh = Intset.diff2 labels ns.all.(id) ns.pending.(id) in
     if not (Intset.is_empty fresh) then begin
       Intset.iter
         (fun l ->
           if not (Hashtbl.mem origins (id, l)) then
-            Hashtbl.replace origins (id, l) (origin_of l))
+            Hashtbl.replace origins (id, l)
+              (if pred < 0 then Seed else From (pred, step)))
         fresh;
       ns.pending.(id) <- Intset.union ns.pending.(id) fresh;
       if not ns.queued.(id) then begin
@@ -235,9 +276,6 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
         Pqueue.push wl ~prio:id id
       end
     end
-  in
-  let push_from pred key labels desc =
-    push key labels (fun _ -> From (pred, desc))
   in
   (* Seeds: each source position taints its variable under every
      context its method is analyzed in. *)
@@ -247,82 +285,68 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
       | None -> ()
       | Some v ->
         let labels = Intset.singleton s.Spec.src_label in
-        List.iter
-          (fun c -> push (kvar (Var_id.to_int v) c) labels (fun _ -> Seed))
-          (index_find reach_ctxs (Meth_id.to_int s.Spec.src_meth)))
+        iter_ctxs (Meth_id.to_int s.Spec.src_meth) (fun c ->
+            push (kvar (Var_id.to_int v) c) labels (-1) Move))
     (Spec.sources spec);
   let propagate_var id v c d =
-    List.iter
-      (fun dst -> push_from id (kvar dst c) d "move")
-      (index_find copy_out v);
-    List.iter
-      (fun (b, f) ->
-        let fname = (Program.field_info program (Field_id.of_int f)).field_name in
-        Intset.iter
-          (fun o -> push_from id (kfld o f) d ("store ." ^ fname))
-          (Solver.var_points_to solver (Var_id.of_int b) c))
-      (index_find store_out v);
-    List.iter
-      (fun f ->
-        let fname = (Program.field_info program (Field_id.of_int f)).field_name in
-        push_from id (kstatic f) d ("static store " ^ fname))
-      (index_find sstore_out v);
-    List.iter
-      (fun (invo, pos) ->
-        iter_callees invo c (fun m ec ->
-            if not (sanitizer m) then begin
-              let formals = (meth_info m).formals in
-              if pos < Array.length formals then
-                push_from id
-                  (kvar (Var_id.to_int formals.(pos)) ec)
-                  d
-                  (Printf.sprintf "arg %d at %s" pos
-                     (Program.invo_name program (Invo_id.of_int invo)))
-            end))
-      (index_find arg_out v);
-    List.iter
-      (fun invo ->
-        iter_callees invo c (fun m ec ->
-            if not (sanitizer m) then
-              match (meth_info m).this_var with
-              | Some tv ->
-                push_from id
-                  (kvar (Var_id.to_int tv) ec)
-                  d
-                  ("receiver at " ^ Program.invo_name program (Invo_id.of_int invo))
-              | None -> ()))
-      (index_find this_out v);
-    match Hashtbl.find_opt ret_meth v with
-    | Some m when not (sanitizer m) ->
+    Option.iter
+      (fun vf ->
+        List.iter (fun dst -> push (kvar dst c) d id Move) vf.copies;
+        List.iter
+          (fun (b, f) ->
+            let step = Store f in
+            Intset.iter
+              (fun o -> push (kfld o f) d id step)
+              (Solver.var_points_to solver (Var_id.of_int b) c))
+          vf.stores;
+        List.iter (fun f -> push (kstatic f) d id (Static_store f)) vf.sstores;
+        List.iter
+          (fun (invo, pos) ->
+            let step = Arg (pos, invo) in
+            iter_callees invo c (fun m ec ->
+                if not (sanitizer m) then begin
+                  let formals = (meth_info m).formals in
+                  if pos < Array.length formals then
+                    push (kvar (Var_id.to_int formals.(pos)) ec) d id step
+                end))
+          vf.args;
+        List.iter
+          (fun invo ->
+            let step = Receiver invo in
+            iter_callees invo c (fun m ec ->
+                if not (sanitizer m) then
+                  match (meth_info m).this_var with
+                  | Some tv -> push (kvar (Var_id.to_int tv) ec) d id step
+                  | None -> ()))
+          vf.receivers)
+      (var_flows_of v);
+    let m = var_owner v in
+    match (meth_info m).ret_var with
+    | Some rv when Var_id.to_int rv = v && not (sanitizer m) ->
+      let step = Return m in
       iter_callers m c (fun invo cc ->
-          match Hashtbl.find_opt ret_of_invo invo with
-          | Some rt ->
-            push_from id (kvar rt cc) d
-              ("return from " ^ Program.meth_qualified_name program (Meth_id.of_int m))
-          | None -> ())
+          extract (invo_owner invo);
+          let rt = Inttbl.find ret_of_invo invo in
+          if rt <> Inttbl.absent then push (kvar rt cc) d id step)
     | _ -> ()
   in
   let propagate_fld id o f d =
+    let step = Load f in
     List.iter
       (fun (bv, c) ->
-        List.iter
-          (fun (dst, f') ->
-            if f' = f then
-              let fname =
-                (Program.field_info program (Field_id.of_int f)).field_name
-              in
-              push_from id (kvar dst c) d ("load ." ^ fname))
-          (index_find load_by_base bv))
+        Option.iter
+          (fun vf ->
+            List.iter
+              (fun (dst, f') -> if f' = f then push (kvar dst c) d id step)
+              vf.loads)
+          (var_flows_of bv))
       (index_find (vpt_inv f) o)
   in
   let propagate_static id f d =
-    let fname = (Program.field_info program (Field_id.of_int f)).field_name in
+    let step = Static_load f in
     List.iter
-      (fun (dst, m) ->
-        List.iter
-          (fun c -> push_from id (kvar dst c) d ("static load " ^ fname))
-          (index_find reach_ctxs m))
-      (index_find sload_by_field f)
+      (fun (dst, m) -> iter_ctxs m (fun c -> push (kvar dst c) d id step))
+      (index_find (Lazy.force sload_by_field) f)
   in
   while not (Pqueue.is_empty wl) do
     Budget.tick budget;
@@ -338,30 +362,29 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
       | _, f, _ -> propagate_static id f d
   done;
   (* ---------------- sink verdicts ------------------------------- *)
-  let sink_pos = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace sink_pos (Meth_id.to_int m)
-        (Spec.sink_positions spec m))
-    (Spec.sink_meths spec);
+  (* Only the call edges into sink methods can carry a hit. *)
   let hit_tbl = Hashtbl.create 64 in
   List.iter
-    (fun (invo, pos, av) ->
-      iter_bucket_rev by_invo invo (fun e ->
-          let cc = ce_cctx.(e) in
-          match Hashtbl.find_opt sink_pos ce_meth.(e) with
-          | Some positions when List.mem pos positions -> (
-            match Hashtbl.find_opt ns.tbl (kvar av cc) with
-            | Some id when not (Intset.is_empty ns.all.(id)) ->
-              let key = (invo, pos, cc) in
-              let prev =
-                Option.value ~default:Intset.empty
-                  (Hashtbl.find_opt hit_tbl key)
-              in
-              Hashtbl.replace hit_tbl key (Intset.union prev ns.all.(id))
-            | _ -> ())
-          | _ -> ()))
-    fl.Flows.sink_args;
+    (fun m ->
+      let positions = Spec.sink_positions spec m in
+      Solver.iter_callee_edges solver m (fun invo cc _ ->
+          let invo = Invo_id.to_int invo in
+          extract (invo_owner invo);
+          List.iter
+            (fun pos ->
+              let av = Inttbl.find sink_args (Inttbl.pack invo pos) in
+              if av <> Inttbl.absent then
+                match Hashtbl.find_opt ns.tbl (kvar av cc) with
+                | Some id when not (Intset.is_empty ns.all.(id)) ->
+                  let key = (invo, pos, cc) in
+                  let prev =
+                    Option.value ~default:Intset.empty
+                      (Hashtbl.find_opt hit_tbl key)
+                  in
+                  Hashtbl.replace hit_tbl key (Intset.union prev ns.all.(id))
+                | _ -> ())
+            positions))
+    (Spec.sink_meths spec);
   let hits =
     Hashtbl.fold (fun (i, p, c) labels acc -> (i, p, c, labels) :: acc) hit_tbl []
     |> List.sort compare
@@ -387,10 +410,6 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
     |> List.map (fun (l, i, p) ->
            { f_label = l; f_invo = Invo_id.of_int i; f_pos = p })
   in
-  let sink_arg_vars = Hashtbl.create 64 in
-  List.iter
-    (fun (invo, pos, av) -> index_add sink_arg_vars (invo, pos) av)
-    fl.Flows.sink_args;
   {
     solver;
     spec;
@@ -398,7 +417,7 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
     keys = Array.sub ns.keys 0 ns.n;
     all = Array.sub ns.all 0 ns.n;
     origins;
-    sink_arg_vars;
+    sink_args;
     hits;
     flows;
   }
@@ -437,6 +456,20 @@ let node_str (t : t) id =
   | _, f, _ ->
     "static " ^ (Program.field_info program (Field_id.of_int f)).field_name
 
+let step_desc (t : t) step =
+  let program = Solver.program t.solver in
+  let fname f = (Program.field_info program (Field_id.of_int f)).field_name in
+  let invo_name i = Program.invo_name program (Invo_id.of_int i) in
+  match step with
+  | Move -> "move"
+  | Store f -> "store ." ^ fname f
+  | Static_store f -> "static store " ^ fname f
+  | Arg (pos, invo) -> Printf.sprintf "arg %d at %s" pos (invo_name invo)
+  | Receiver invo -> "receiver at " ^ invo_name invo
+  | Return m -> "return from " ^ Program.meth_qualified_name program (Meth_id.of_int m)
+  | Load f -> "load ." ^ fname f
+  | Static_load f -> "static load " ^ fname f
+
 let explain_chain (t : t) id label =
   (* Walk first-arrival origins back to the seed; the origin graph is
      acyclic by construction, but cap the walk defensively. *)
@@ -449,8 +482,10 @@ let explain_chain (t : t) id label =
           (Spec.label_name t.spec label)
           (node_str t id)
         :: acc
-      | Some (From (pred, desc)) ->
-        walk pred (Printf.sprintf "%s -> %s" desc (node_str t id) :: acc) (budget - 1)
+      | Some (From (pred, step)) ->
+        walk pred
+          (Printf.sprintf "%s -> %s" (step_desc t step) (node_str t id) :: acc)
+          (budget - 1)
   in
   walk id [] 1000
 
@@ -462,12 +497,10 @@ let explain_flow (t : t) { f_label; f_invo; f_pos } =
     if not (Invo_id.equal h.h_invo f_invo) || h.h_pos <> f_pos then None
     else if not (Intset.mem f_label h.h_labels) then None
     else
-      List.find_map
-        (fun av ->
-          match Hashtbl.find_opt t.node_tbl (kvar av h.h_ctx) with
-          | Some id when Intset.mem f_label t.all.(id) -> Some id
-          | _ -> None)
-        (index_find t.sink_arg_vars (Invo_id.to_int f_invo, f_pos))
+      let av = Inttbl.find t.sink_args (Inttbl.pack (Invo_id.to_int f_invo) f_pos) in
+      match Hashtbl.find_opt t.node_tbl (kvar av h.h_ctx) with
+      | Some id when Intset.mem f_label t.all.(id) -> Some id
+      | _ -> None
   in
   match List.find_map node_of_hit t.hits with
   | None -> []

@@ -21,14 +21,20 @@
     [throw]/[catch]); the limitation is shared by both engines, so
     parity holds.
 
-    Cost: one pass over the solved call edges (copied into four [int]
-    arrays and counting-sorted by invocation and by callee), one pass
-    over the reachable (method, context) pairs, plus what propagation
-    touches.  No index over every var node is built: a store reads its
-    base's set with {!Pta_solver.Solver.var_points_to}, and a field's
-    inverse load lookup is built by one scan of the var nodes the first
-    time a cell of that field is tainted, reading only the sets of that
-    field's load bases. *)
+    Cost: what propagation reaches.  A method's flows
+    ({!Flows.iter_meth}) are extracted the first time propagation
+    reaches one of its variables or invocations; call edges and
+    reachable contexts are read from the solver's call-graph index
+    ({!Pta_solver.Solver.iter_invo_edges} and its siblings).  No index
+    over every var node is built: a store reads its base's set with
+    {!Pta_solver.Solver.var_points_to}.  The loads of the reachable
+    methods are walked once, the first time a heap cell is tainted, and
+    a field's inverse load lookup is built by one scan of the var nodes
+    the first time a cell of that field is tainted, reading only the
+    sets of that field's load bases; the static loads of the reachable
+    methods are walked once, the first time a static cell is tainted.
+    Sink verdicts read only the call edges into sink methods.  An
+    unreachable method costs the pass nothing. *)
 
 module Ir = Pta_ir.Ir
 module Ctx = Pta_context.Ctx

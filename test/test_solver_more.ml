@@ -351,6 +351,75 @@ let pop_order_test (workload, analysis, expected) () =
     Alcotest.failf "%s/%s: pinned %s, got %s" workload analysis (p expected)
       (p actual)
 
+(* The call-graph index: each invocation's, callee's and method's
+   bucket lists exactly the matching [iter_call_edges] or
+   [iter_reachable] entries, in that order ([~rev:true]: reversed), and
+   the projections read off it agree with the tables. *)
+let cg_index_test (workload, analysis) () =
+  let program =
+    Pta_workloads.Workloads.program
+      (Option.get (Pta_workloads.Profile.by_name workload))
+  in
+  let factory = Option.get (Pta_context.Strategies.by_name analysis) in
+  let st = Solver.solve program (factory program) in
+  let n_invos = Ir.Program.n_invos program
+  and n_meths = Ir.Program.n_meths program in
+  let by_invo = Array.make n_invos []
+  and by_callee = Array.make n_meths []
+  and by_meth = Array.make n_meths [] in
+  Solver.iter_call_edges st (fun i cc m ec ->
+      let i' = Ir.Invo_id.to_int i and m' = Ir.Meth_id.to_int m in
+      by_invo.(i') <- (cc, m', ec) :: by_invo.(i');
+      by_callee.(m') <- (i', cc, ec) :: by_callee.(m'));
+  Solver.iter_reachable st (fun m c ->
+      let m' = Ir.Meth_id.to_int m in
+      by_meth.(m') <- c :: by_meth.(m'));
+  let collect iter =
+    let acc = ref [] in
+    iter (fun x -> acc := x :: !acc);
+    List.rev !acc
+  in
+  let check what k expected iter =
+    let expected = List.rev expected in
+    if collect (iter ~rev:false) <> expected then
+      Alcotest.failf "%s/%s: %s bucket %d differs" workload analysis what k;
+    if collect (iter ~rev:true) <> List.rev expected then
+      Alcotest.failf "%s/%s: reversed %s bucket %d differs" workload analysis
+        what k
+  in
+  let pairs = Hashtbl.create 64 in
+  for i = 0 to n_invos - 1 do
+    let invo = Ir.Invo_id.of_int i in
+    check "invocation" i by_invo.(i) (fun ~rev f ->
+        Solver.iter_invo_edges ~rev st invo (fun cc m ec ->
+            f (cc, Ir.Meth_id.to_int m, ec)));
+    let targets =
+      List.fold_left
+        (fun acc (_, m, _) ->
+          Hashtbl.replace pairs (i, m) ();
+          Ir.Meth_id.Set.add (Ir.Meth_id.of_int m) acc)
+        Ir.Meth_id.Set.empty by_invo.(i)
+    in
+    if not (Ir.Meth_id.Set.equal targets (Solver.invo_targets st invo)) then
+      Alcotest.failf "%s/%s: targets of invocation %d differ" workload analysis i
+  done;
+  let reachable = ref Ir.Meth_id.Set.empty in
+  for m = 0 to n_meths - 1 do
+    let meth = Ir.Meth_id.of_int m in
+    check "callee" m by_callee.(m) (fun ~rev f ->
+        Solver.iter_callee_edges ~rev st meth (fun i cc ec ->
+            f (Ir.Invo_id.to_int i, cc, ec)));
+    check "method" m by_meth.(m) (fun ~rev f ->
+        Solver.iter_meth_ctxs ~rev st meth f);
+    if by_meth.(m) <> [] then reachable := Ir.Meth_id.Set.add meth !reachable
+  done;
+  Alcotest.(check int) "ci call edges" (Hashtbl.length pairs)
+    (Solver.n_call_edges_ci st);
+  Alcotest.(check bool) "reachable methods" true
+    (Ir.Meth_id.Set.equal !reachable (Solver.reachable_meths st));
+  Alcotest.(check bool) "one reachable set per solve" true
+    (Solver.reachable_meths st == Solver.reachable_meths st)
+
 let tests =
   [
     Alcotest.test_case "determinism" `Quick determinism_test;
@@ -383,6 +452,15 @@ let tests =
           (Printf.sprintf "var_points_to = iteration: %s" w)
           `Quick (var_points_to_test w))
       [ "tiny"; "antlr" ]
+  @ List.map
+      (fun ((w, a) as cell) ->
+        Alcotest.test_case
+          (Printf.sprintf "call-graph buckets = tables: %s/%s" w a)
+          `Quick (cg_index_test cell))
+      [
+        ("tiny", "S-2obj+H"); ("tiny", "1call+H"); ("cyclic", "S-2obj+H");
+        ("cyclic", "1call+H");
+      ]
   @ List.map
       (fun ((w, a, _) as pin) ->
         Alcotest.test_case

@@ -706,6 +706,71 @@ let pinned_tests =
              [ "1obj"; "S-2obj+H" ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Cost: the pass reads only what propagation reaches                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Taint through a heap cell, a static cell, a virtual call and a
+   return; [dead n] appends a class of [n] methods nothing calls. *)
+let program_reach =
+  program_heap
+  ^ {|
+  class Relay {
+    static field hold;
+    static method pass(x) { Relay::hold = x; var y = Relay::hold; return y; }
+  }
+  class Main2 {
+    static method main() {
+      var t = Sink::fetch();
+      var r = Relay::pass(t);
+      Sink::leak(r);
+    }
+  }
+  |}
+
+let dead n =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "class Dead {\n  field f;\n  static field g;\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b
+      "  method m%d(x) { this.f = x; var y = this.f; Dead::g = y; var z = \
+       Dead::g; var d = new Dead; var w = d.m%d(z); Sink::leak(w); return \
+       w; }\n"
+      i i
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+(* Minor words [Taint.analyze] allocates, after the solver's call-graph
+   index is built, and its flow count. *)
+let taint_words src =
+  let program = Pta_frontend.Frontend.program_of_string ~file:"reach" src in
+  let solver =
+    Solver.solve program ((Option.get (Strategies.by_name "S-2obj+H")) program)
+  in
+  let spec = Spec.compile program Spec.default in
+  ignore (Solver.n_call_edges_ci solver : int);
+  let before = Gc.minor_words () in
+  let taint = Taint.analyze solver spec in
+  let words = Gc.minor_words () -. before in
+  (words, Taint.n_flows taint)
+
+let cost_tests =
+  [
+    Alcotest.test_case "unreachable methods cost the pass nothing" `Quick
+      (fun () ->
+        let words, flows = taint_words program_reach in
+        Alcotest.(check bool) "some flow" true (flows > 0);
+        List.iter
+          (fun n ->
+            let words', flows' = taint_words (program_reach ^ dead n) in
+            Alcotest.(check int) (Printf.sprintf "flows, %d dead" n) flows flows';
+            Alcotest.(check (float 0.))
+              (Printf.sprintf "minor words, %d dead methods" n)
+              words words')
+          [ 10; 200 ]);
+  ]
+
 let tests =
   parse_tests @ differential_tests @ precision_tests @ misc_tests
-  @ soundness_tests @ pinned_tests
+  @ soundness_tests @ pinned_tests @ cost_tests
