@@ -63,14 +63,15 @@ module Set_tbl = Hashtbl.Make (Intset)
    by counting sorts of the [call_edges] and [reachable] tables.  Each
    bucket keeps the tables' slot order, the order of [iter_call_edges]
    and [iter_reachable]: bucket [k] of a projection spans
-   [start.(k) .. start.(k + 1) - 1] of its entry arrays. *)
+   [start.(k) .. start.(k + 1) - 1] of its entry arrays.  An edge's
+   fields are stored once, in its invocation's bucket; a callee's
+   bucket points there. *)
 type cg_index = {
   invo_start : int array;  (* invo -> its edges *)
   invo_cctx : int array;  (* caller ctx *)
   invo_target : int array;  (* [Inttbl.pack callee callee_ctx] *)
   callee_start : int array;  (* callee -> the edges into it *)
-  callee_site : int array;  (* [Inttbl.pack invo caller_ctx] *)
-  callee_ectx : int array;  (* callee ctx *)
+  callee_edge : int array;  (* [Inttbl.pack invo e], [e] in [invo_*] *)
   meth_start : int array;  (* meth -> its reachable contexts *)
   meth_ctx : int array;
   meths : Meth_id.Set.t;  (* methods reachable under some context *)
@@ -1184,28 +1185,35 @@ let node_succs_passing st nid hobj =
       if edge_passes st e hobj then acc := dst :: !acc);
   List.rev !acc
 
+(* Counting sort in place: a start array of [n + 2] zeros gets
+   [bump_count] once per entry of key [k < n], then [prefix_sums]; then
+   [next_slot] once per entry, in order, gives its position in the
+   sorted arrays.  That leaves [start.(k)] at the first position of
+   bucket [k] for every [k <= n], with no cursor array. *)
+let bump_count start k = start.(k + 2) <- start.(k + 2) + 1
+
+let prefix_sums start =
+  for k = 2 to Array.length start - 1 do
+    start.(k) <- start.(k) + start.(k - 1)
+  done
+
+let next_slot start k =
+  let pos = start.(k + 1) in
+  start.(k + 1) <- pos + 1;
+  pos
+
 (* A counting sort by variable over the node ids, ascending, so each
    variable's nodes come out in ascending id order. *)
 let var_node_index st =
   if Array.length st.var_node_start = 0 then begin
-    let n_vars = Program.n_vars st.program in
     let owner = Array.make st.n_nodes (-1) in
     Inttbl.iter (fun key nid -> owner.(nid) <- Inttbl.high key) st.var_nodes;
-    let start = Array.make (n_vars + 1) 0 in
-    Array.iter
-      (fun v -> if v >= 0 then start.(v + 1) <- start.(v + 1) + 1)
-      owner;
-    for v = 1 to n_vars do
-      start.(v) <- start.(v) + start.(v - 1)
-    done;
-    let list = Array.make start.(n_vars) 0 in
-    let fill = Array.sub start 0 (max n_vars 1) in
+    let start = Array.make (Program.n_vars st.program + 2) 0 in
+    Array.iter (fun v -> if v >= 0 then bump_count start v) owner;
+    prefix_sums start;
+    let list = Array.make start.(Array.length start - 1) 0 in
     Array.iteri
-      (fun nid v ->
-        if v >= 0 then begin
-          list.(fill.(v)) <- nid;
-          fill.(v) <- fill.(v) + 1
-        end)
+      (fun nid v -> if v >= 0 then list.(next_slot start v) <- nid)
       owner;
     st.var_node_start <- start;
     st.var_node_list <- list
@@ -1311,23 +1319,6 @@ let ci_var_points_to st var =
   done;
   !acc
 
-(* Counting sort in place: a start array of [n + 2] zeros gets
-   [bump_count] once per entry of key [k < n], then [prefix_sums]; then
-   [next_slot] once per entry, in order, gives its position in the
-   sorted arrays.  That leaves [start.(k)] at the first position of
-   bucket [k] for every [k <= n], with no cursor array. *)
-let bump_count start k = start.(k + 2) <- start.(k + 2) + 1
-
-let prefix_sums start =
-  for k = 2 to Array.length start - 1 do
-    start.(k) <- start.(k) + start.(k - 1)
-  done
-
-let next_slot start k =
-  let pos = start.(k + 1) in
-  start.(k + 1) <- pos + 1;
-  pos
-
 let build_cg_index st =
   let n_invos = Program.n_invos st.program
   and n_meths = Program.n_meths st.program in
@@ -1336,8 +1327,7 @@ let build_cg_index st =
   and invo_cctx = Array.make n_edges 0
   and invo_target = Array.make n_edges 0
   and callee_start = Array.make (n_meths + 2) 0
-  and callee_site = Array.make n_edges 0
-  and callee_ectx = Array.make n_edges 0
+  and callee_edge = Array.make n_edges 0
   and meth_start = Array.make (n_meths + 2) 0
   and meth_ctx = Array.make (Inttbl.length st.reachable) 0 in
   Inttbl.iter
@@ -1349,12 +1339,12 @@ let build_cg_index st =
   prefix_sums callee_start;
   Inttbl.iter
     (fun site target ->
-      let e = next_slot invo_start (Inttbl.high site) in
+      let invo = Inttbl.high site in
+      let e = next_slot invo_start invo in
       invo_cctx.(e) <- Inttbl.low site;
       invo_target.(e) <- target;
-      let e = next_slot callee_start (Inttbl.high target) in
-      callee_site.(e) <- site;
-      callee_ectx.(e) <- Inttbl.low target)
+      callee_edge.(next_slot callee_start (Inttbl.high target)) <-
+        Inttbl.pack invo e)
     st.call_edges;
   Inttbl.iter (fun m _ -> bump_count meth_start m) st.reachable;
   prefix_sums meth_start;
@@ -1376,8 +1366,8 @@ let build_cg_index st =
     done
   done;
   {
-    invo_start; invo_cctx; invo_target; callee_start; callee_site;
-    callee_ectx; meth_start; meth_ctx; meths = Meth_id.Set.of_list !meths;
+    invo_start; invo_cctx; invo_target; callee_start; callee_edge;
+    meth_start; meth_ctx; meths = Meth_id.Set.of_list !meths;
     n_ci_edges = !n_ci;
   }
 
@@ -1389,36 +1379,31 @@ let cg_index st =
     st.cg_index <- Some ix;
     ix
 
-(* Positions [lo .. hi - 1] in order, or backwards under [rev]. *)
-let iter_range ~rev lo hi f =
-  if rev then
-    for j = hi - 1 downto lo do
-      f j
-    done
-  else
-    for j = lo to hi - 1 do
-      f j
-    done
-
-let iter_invo_edges ?(rev = false) st invo f =
+(* Every bucket is walked latest slot first. *)
+let iter_invo_edges st invo f =
   let ix = cg_index st in
   let i = Invo_id.to_int invo in
-  iter_range ~rev ix.invo_start.(i) ix.invo_start.(i + 1) (fun e ->
-      let target = ix.invo_target.(e) in
-      f ix.invo_cctx.(e) (Meth_id.of_int (Inttbl.high target)) (Inttbl.low target))
+  for e = ix.invo_start.(i + 1) - 1 downto ix.invo_start.(i) do
+    let target = ix.invo_target.(e) in
+    f ix.invo_cctx.(e) (Meth_id.of_int (Inttbl.high target)) (Inttbl.low target)
+  done
 
-let iter_callee_edges ?(rev = false) st meth f =
+let iter_callee_edges st meth f =
   let ix = cg_index st in
   let m = Meth_id.to_int meth in
-  iter_range ~rev ix.callee_start.(m) ix.callee_start.(m + 1) (fun e ->
-      let site = ix.callee_site.(e) in
-      f (Invo_id.of_int (Inttbl.high site)) (Inttbl.low site) ix.callee_ectx.(e))
+  for j = ix.callee_start.(m + 1) - 1 downto ix.callee_start.(m) do
+    let edge = ix.callee_edge.(j) in
+    let e = Inttbl.low edge in
+    f (Invo_id.of_int (Inttbl.high edge)) ix.invo_cctx.(e)
+      (Inttbl.low ix.invo_target.(e))
+  done
 
-let iter_meth_ctxs ?(rev = false) st meth f =
+let iter_meth_ctxs st meth f =
   let ix = cg_index st in
   let m = Meth_id.to_int meth in
-  iter_range ~rev ix.meth_start.(m) ix.meth_start.(m + 1) (fun e ->
-      f ix.meth_ctx.(e))
+  for j = ix.meth_start.(m + 1) - 1 downto ix.meth_start.(m) do
+    f ix.meth_ctx.(j)
+  done
 
 let reachable_meths st = (cg_index st).meths
 

@@ -228,15 +228,14 @@ val vpt_counts : t -> vpt_counts
     The call edges bucketed by invocation and by callee, and the
     reachable contexts bucketed by method: one counting sort of each
     solver table, built on the first call of any function below (after
-    the solve returns) and kept with the state.  It holds four [int]s
+    the solve returns) and kept with the state.  It holds three [int]s
     per context-sensitive call edge, one per reachable (method,
     context) pair, one per invocation and two per method, counted
-    under the census's ["memos"].  Every bucket lists its entries in the
-    order {!iter_call_edges} and {!iter_reachable} give them;
-    [~rev:true] lists them backwards. *)
+    under the census's ["memos"].  Every bucket lists its entries
+    latest first: backwards from the order {!iter_call_edges} and
+    {!iter_reachable} give them. *)
 
 val iter_invo_edges :
-  ?rev:bool ->
   t ->
   Pta_ir.Ir.Invo_id.t ->
   (Pta_context.Ctx.id -> Pta_ir.Ir.Meth_id.t -> Pta_context.Ctx.id -> unit) ->
@@ -245,7 +244,6 @@ val iter_invo_edges :
     each call edge of [invo]. *)
 
 val iter_callee_edges :
-  ?rev:bool ->
   t ->
   Pta_ir.Ir.Meth_id.t ->
   (Pta_ir.Ir.Invo_id.t -> Pta_context.Ctx.id -> Pta_context.Ctx.id -> unit) ->
@@ -254,7 +252,7 @@ val iter_callee_edges :
     each call edge into [meth]. *)
 
 val iter_meth_ctxs :
-  ?rev:bool -> t -> Pta_ir.Ir.Meth_id.t -> (Pta_context.Ctx.id -> unit) -> unit
+  t -> Pta_ir.Ir.Meth_id.t -> (Pta_context.Ctx.id -> unit) -> unit
 (** The contexts [meth] is reachable under. *)
 
 val reachable_meths : t -> Pta_ir.Ir.Meth_id.Set.t

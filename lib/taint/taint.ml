@@ -223,18 +223,18 @@ let analyze ?(budget = Budget.unlimited ()) solver spec =
   (* ---------------- solved-state lookups ------------------------ *)
   (* No index over every var node: a store reads its base's set with
      [Solver.var_points_to].  Call edges and reachable contexts come
-     from the solver's buckets, read backwards, latest edge first: node
-     ids and first-arrival origins depend on that order, and the pinned
-     digests in the taint tests hold it. *)
+     from the solver's buckets, latest edge first: node ids and
+     first-arrival origins depend on that order, and the pinned digests
+     in the taint tests hold it. *)
   (* Callees [(meth, ectx)] of [invo] under caller context [c]. *)
   let iter_callees invo c f =
-    Solver.iter_invo_edges ~rev:true solver (Invo_id.of_int invo)
+    Solver.iter_invo_edges solver (Invo_id.of_int invo)
       (fun cc m ec -> if cc = c then f (Meth_id.to_int m) ec)
   (* Call sites [(invo, cctx)] of [m] entered under context [c]. *)
   and iter_callers m c f =
-    Solver.iter_callee_edges ~rev:true solver (Meth_id.of_int m)
+    Solver.iter_callee_edges solver (Meth_id.of_int m)
       (fun invo cc ec -> if ec = c then f (Invo_id.to_int invo) cc)
-  and iter_ctxs m f = Solver.iter_meth_ctxs ~rev:true solver (Meth_id.of_int m) f in
+  and iter_ctxs m f = Solver.iter_meth_ctxs solver (Meth_id.of_int m) f in
   (* Inverse var-points-to of one field: hobj -> the (base, ctx) nodes
      pointing to it, over the bases of loads of that field only.  Made
      the first time a cell of the field is tainted, by one scan of the

@@ -353,8 +353,8 @@ let pop_order_test (workload, analysis, expected) () =
 
 (* The call-graph index: each invocation's, callee's and method's
    bucket lists exactly the matching [iter_call_edges] or
-   [iter_reachable] entries, in that order ([~rev:true]: reversed), and
-   the projections read off it agree with the tables. *)
+   [iter_reachable] entries, latest first, and the projections read off
+   it agree with the tables. *)
 let cg_index_test (workload, analysis) () =
   let program =
     Pta_workloads.Workloads.program
@@ -379,19 +379,17 @@ let cg_index_test (workload, analysis) () =
     iter (fun x -> acc := x :: !acc);
     List.rev !acc
   in
+  (* [expected] was consed in table order, so it is already latest
+     first. *)
   let check what k expected iter =
-    let expected = List.rev expected in
-    if collect (iter ~rev:false) <> expected then
-      Alcotest.failf "%s/%s: %s bucket %d differs" workload analysis what k;
-    if collect (iter ~rev:true) <> List.rev expected then
-      Alcotest.failf "%s/%s: reversed %s bucket %d differs" workload analysis
-        what k
+    if collect iter <> expected then
+      Alcotest.failf "%s/%s: %s bucket %d differs" workload analysis what k
   in
   let pairs = Hashtbl.create 64 in
   for i = 0 to n_invos - 1 do
     let invo = Ir.Invo_id.of_int i in
-    check "invocation" i by_invo.(i) (fun ~rev f ->
-        Solver.iter_invo_edges ~rev st invo (fun cc m ec ->
+    check "invocation" i by_invo.(i) (fun f ->
+        Solver.iter_invo_edges st invo (fun cc m ec ->
             f (cc, Ir.Meth_id.to_int m, ec)));
     let targets =
       List.fold_left
@@ -406,11 +404,10 @@ let cg_index_test (workload, analysis) () =
   let reachable = ref Ir.Meth_id.Set.empty in
   for m = 0 to n_meths - 1 do
     let meth = Ir.Meth_id.of_int m in
-    check "callee" m by_callee.(m) (fun ~rev f ->
-        Solver.iter_callee_edges ~rev st meth (fun i cc ec ->
+    check "callee" m by_callee.(m) (fun f ->
+        Solver.iter_callee_edges st meth (fun i cc ec ->
             f (Ir.Invo_id.to_int i, cc, ec)));
-    check "method" m by_meth.(m) (fun ~rev f ->
-        Solver.iter_meth_ctxs ~rev st meth f);
+    check "method" m by_meth.(m) (fun f -> Solver.iter_meth_ctxs st meth f);
     if by_meth.(m) <> [] then reachable := Ir.Meth_id.Set.add meth !reachable
   done;
   Alcotest.(check int) "ci call edges" (Hashtbl.length pairs)
