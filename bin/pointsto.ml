@@ -1,6 +1,6 @@
 (* The pointsto command-line driver.
 
-   Subcommands:
+   Subcommands (17):
      analyze    — run one analysis on MJ sources, print metrics
      compare    — run several analyses, print a metric table
      check      — run the points-to-powered checkers, report diagnostics
@@ -8,7 +8,6 @@
      profile    — one analysis under the tracer: its hot-spot table
      query      — points-to set of one variable
      why        — provenance chains of one variable's points-to set
-     casts      — may-fail casts with witness allocation sites
      exceptions — exceptions that may escape each method
      callgraph  — context-insensitive call graph
      stats      — where the context-sensitive facts come from
@@ -242,37 +241,6 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc ~exits:common_exits)
     Term.(const run $ traced_flags $ analysis_arg $ meth_arg $ var_arg)
-
-let casts_cmd =
-  let run flags analysis =
-    Session.run Native flags ~analysis (fun s _ r ->
-        let program = s.Session.program in
-        let sites = Pta_clients.Casts.analyze r.Driver.solver in
-        fun ppf ->
-          List.iter
-            (fun (site : Pta_clients.Casts.site) ->
-              match site.verdict with
-              | Pta_clients.Casts.Safe -> ()
-              | Pta_clients.Casts.May_fail witnesses ->
-                Format.fprintf ppf "MAY FAIL: (%s) cast of %s in %s@."
-                  (Ir.Program.type_name program site.cast_type)
-                  (Ir.Program.var_info program site.source).Ir.var_name
-                  (Ir.Program.meth_qualified_name program site.in_meth);
-                List.iteri
-                  (fun i h ->
-                    if i < 3 then
-                      Format.fprintf ppf "    witness: %s@."
-                        (Ir.Program.heap_name program h))
-                  witnesses)
-            sites;
-          Format.fprintf ppf "%d of %d casts may fail under %s@."
-            (Pta_clients.Casts.may_fail_count sites)
-            (List.length sites) analysis)
-  in
-  let doc = "List casts the analysis cannot prove safe." in
-  Cmd.v
-    (Cmd.info "casts" ~doc ~exits:common_exits)
-    Term.(const run $ traced_flags $ analysis_arg)
 
 (* Shared by check and taint: load a spec file, exiting with the CLI
    usage code on parse errors so scripts can distinguish a bad spec from
@@ -1102,7 +1070,7 @@ let main_cmd =
   Cmd.group info
     [
       analyze_cmd; compare_cmd; check_cmd; taint_cmd; profile_cmd; query_cmd;
-      why_cmd; casts_cmd; exceptions_cmd; callgraph_cmd; stats_cmd;
+      why_cmd; exceptions_cmd; callgraph_cmd; stats_cmd;
       dump_ir_cmd; decompile_cmd; gen_cmd; strategies_cmd; heapmap_cmd;
       bench_cmd; version_cmd;
     ]

@@ -2,15 +2,12 @@
 
    A container-heavy program in which every downcast is actually safe —
    but only a sufficiently context-sensitive analysis can prove it.
-   Shows, per analysis, which casts remain "may fail", first through the
+   Shows, per analysis, which casts remain "may fail", through the
    diagnostics subsystem (pta_checkers — the API behind `pointsto
-   check`) and then through the lower-level casts client, whose verdicts
-   the checker is defined to agree with.
+   check`).
 
      dune exec examples/cast_safety.exe *)
 
-module Ir = Pta_ir.Ir
-module Casts = Pta_clients.Casts
 module Driver = Pta_driver.Driver
 module Diagnostic = Pta_checkers.Diagnostic
 module Results = Pta_checkers.Results
@@ -76,19 +73,9 @@ let () =
       Printf.printf "== %s: %d cast(s) in the user program may fail\n" name
         (List.length diags);
       List.iter (fun d -> Format.printf "%a@." Diagnostic.pp d) diags;
-      (* Compat: the lower-level casts client is still available, and the
-         checker's verdicts are defined to match it site for site. *)
-      let legacy =
-        List.filter
-          (fun (s : Casts.site) ->
-            (match s.verdict with Casts.May_fail _ -> true | Casts.Safe -> false)
-            && String.equal
-                 (Ir.Program.type_name program
-                    (Ir.Program.meth_info program s.in_meth).Ir.meth_owner)
-                 "Main")
-          (Casts.analyze solver)
-      in
-      assert (List.length legacy = List.length diags))
+      (* The closing note relies on this: receiver-object contexts keep
+         the two lists apart, so every user cast is proven safe. *)
+      if List.mem name [ "1obj"; "2obj+H"; "S-2obj+H" ] then assert (diags = []))
     [ "insens"; "1call"; "1obj"; "2type+H"; "2obj+H"; "S-2obj+H" ];
   print_newline ();
   print_endline

@@ -1,18 +1,26 @@
 (* Devirtualization: how much context-sensitivity buys a compiler.
 
-   Runs the devirtualization client over the pmd-profile synthetic
-   benchmark (an AST-visitor-style workload) under increasingly precise
-   analyses and reports how many virtual call sites become direct calls.
+   Solves the pmd-profile synthetic benchmark (an AST-visitor-style
+   workload) under increasingly precise analyses and reports how many
+   virtual call sites become direct calls: the metric bundle gives the
+   site totals, the monomorphic-call-site checker the sites with exactly
+   one target.
 
      dune exec examples/devirtualization.exe *)
 
-module Devirt = Pta_clients.Devirt
 module Driver = Pta_driver.Driver
+module Metrics = Pta_clients.Metrics
+module Checkers = Pta_checkers.Checkers
+module Diagnostic = Pta_checkers.Diagnostic
+module Results = Pta_checkers.Results
 
 let solve_named program name =
   match Driver.run program ~analysis:name with
   | Ok r -> r.Driver.solver
   | Error e -> Driver.report_and_exit e
+
+let monomorphic solver =
+  Checkers.run ~only:[ "monomorphic-call-site" ] (Results.of_solver solver)
 
 let () =
   let profile = Option.get (Pta_workloads.Profile.by_name "pmd") in
@@ -27,10 +35,10 @@ let () =
   List.iter
     (fun name ->
       let solver = solve_named program name in
-      let sites = Devirt.analyze solver in
-      let mono = Devirt.mono_count sites in
-      let poly = Devirt.poly_count sites in
-      let total = List.length sites in
+      let m = Metrics.compute solver in
+      let mono = List.length (monomorphic solver) in
+      let poly = m.Metrics.poly_vcalls in
+      let total = m.Metrics.total_vcalls in
       Pta_report.Table.add_row table
         [
           name;
@@ -44,24 +52,19 @@ let () =
   print_string (Pta_report.Table.render table);
   print_newline ();
   (* Show a few calls that only the hybrid can devirtualize. *)
-  let run name = Devirt.analyze (solve_named program name) in
+  let run name = monomorphic (solve_named program name) in
   let base = run "2obj+H" and hybrid = run "S-2obj+H" in
-  let program_invo_mono sites =
-    List.filter_map
-      (fun (s : Devirt.site) ->
-        match s.classification with
-        | Devirt.Monomorphic _ -> Some s.invo
-        | Devirt.Polymorphic _ | Devirt.Unresolved -> None)
-      sites
-  in
-  let base_mono = program_invo_mono base in
+  let base_spans = List.map (fun (d : Diagnostic.t) -> d.span) base in
   let newly =
-    List.filter (fun i -> not (List.mem i base_mono)) (program_invo_mono hybrid)
+    List.filter (fun (d : Diagnostic.t) -> not (List.mem d.span base_spans)) hybrid
   in
   Printf.printf "%d call sites devirtualized by S-2obj+H but not by 2obj+H" (List.length newly);
   List.iteri
-    (fun i invo ->
+    (fun i (d : Diagnostic.t) ->
       if i < 5 then
-        Printf.printf "\n    %s" (Pta_ir.Ir.Program.invo_name program invo))
+        match d.span with
+        | Some { left; _ } ->
+          Printf.printf "\n    %s:%d:%d: %s" left.file left.line left.col d.message
+        | None -> Printf.printf "\n    %s" d.message)
     newly;
   print_newline ()

@@ -27,11 +27,11 @@ exception
 
 val may_fail_cast : ?budget:Pta_obs.Budget.t -> Results.t -> Diagnostic.t list
 (** A cast whose operand may point to an object of an incompatible type
-    — the points-to-powered upgrade of {!Pta_clients.Casts}: same
-    verdicts, but located at the cast's source span with each offending
-    allocation site as a witness (plus its provenance chain when the
-    native solver produced the result).  [budget] (unlimited by default)
-    is checked once per witness.
+    ({!Pta_clients.Casts.incompatible}, the same test behind
+    {!Pta_clients.Metrics.t.may_fail_casts}), located at the cast's
+    source span with each offending allocation site as a witness (plus
+    its provenance chain when the native solver produced the result).
+    [budget] (unlimited by default) is checked once per witness.
     @raise Pta_obs.Budget.Exhausted when it runs out. *)
 
 val run :

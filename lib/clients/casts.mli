@@ -1,19 +1,7 @@
-(** Cast-safety client: a cast [(T) x] in a reachable method {e may fail}
-    when the analysis cannot prove every object [x] points to is
-    compatible with [T] — the paper's headline precision metric. *)
-
-type verdict =
-  | Safe
-  | May_fail of Pta_ir.Ir.Heap_id.t list
-      (** witnesses: incompatible allocation sites that may reach the
-          operand *)
-
-type site = {
-  in_meth : Pta_ir.Ir.Meth_id.t;
-  cast_type : Pta_ir.Ir.Type_id.t;
-  source : Pta_ir.Ir.Var_id.t;
-  verdict : verdict;
-}
+(** Cast safety, the paper's headline precision metric: a cast [(T) x]
+    in a reachable method {e may fail} when the analysis cannot prove
+    every object [x] points to is compatible with [T].  {!Metrics}
+    counts such casts and the [may-fail-cast] checker reports them. *)
 
 val incompatible :
   Pta_ir.Ir.Program.t ->
@@ -25,9 +13,3 @@ val incompatible :
     [heaps] whose allocated type is not a subtype of [cast_type], in
     ascending order — the witnesses that a cast to [cast_type] of an
     operand pointing to [heaps] may fail. *)
-
-val analyze : Pta_solver.Solver.t -> site list
-(** All casts in context-insensitively reachable methods, deterministic
-    order. *)
-
-val may_fail_count : site list -> int

@@ -22,11 +22,41 @@ type t = {
   n_reachable_cs : int;
 }
 
+(* The paper's two headline precision metrics in one walk over the
+   reachable methods' instructions: (total, polymorphic) virtual call
+   sites and (total, may-fail) casts. *)
+let count_sites solver =
+  let program = Solver.program solver in
+  let hierarchy = Solver.hierarchy solver in
+  let vcalls = ref 0 and poly = ref 0 and casts = ref 0 and may_fail = ref 0 in
+  Ir.Meth_id.Set.iter
+    (fun meth ->
+      Ir.iter_instrs
+        (fun instr ->
+          match instr with
+          | Ir.Virtual_call { invo; _ } ->
+            incr vcalls;
+            if Ir.Meth_id.Set.cardinal (Solver.invo_targets solver invo) > 1
+            then incr poly
+          | Ir.Cast { source; cast_type; _ } ->
+            incr casts;
+            if
+              Casts.incompatible program hierarchy ~cast_type
+                (Solver.ci_var_points_to solver source)
+              <> []
+            then incr may_fail
+          | Alloc _ | Move _ | Load _ | Store _ | Static_call _
+          | Static_load _ | Static_store _ | Throw _ -> ())
+        (Ir.Program.meth_info program meth).body)
+    (Solver.reachable_meths solver);
+  (!vcalls, !poly, !casts, !may_fail)
+
 let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
   let program = Solver.program solver in
   let vpt = Solver.vpt_counts solver in
-  let vcall_sites = Devirt.analyze solver in
-  let cast_sites = Casts.analyze solver in
+  let total_vcalls, poly_vcalls, total_casts, may_fail_casts =
+    count_sites solver
+  in
   let escapes = Exceptions.escapes solver in
   let taint_flows =
     let spec = Pta_taint.Spec.compile program Pta_taint.Spec.default in
@@ -40,10 +70,10 @@ let compute ?(budget = Pta_obs.Budget.unlimited ()) solver =
     vars_with_objs = vpt.vars_with_objs;
     call_graph_edges = Solver.n_call_edges_ci solver;
     reachable_methods = Ir.Meth_id.Set.cardinal (Solver.reachable_meths solver);
-    poly_vcalls = Devirt.poly_count vcall_sites;
-    total_vcalls = List.length vcall_sites;
-    may_fail_casts = Casts.may_fail_count cast_sites;
-    total_casts = List.length cast_sites;
+    poly_vcalls;
+    total_vcalls;
+    may_fail_casts;
+    total_casts;
     throwing_methods = List.length escapes;
     uncaught_exceptions =
       List.length (Exceptions.uncaught_at_entries solver escapes);

@@ -165,14 +165,14 @@ let levenshtein a b =
   done;
   prev.(lb)
 
-let suggest name =
+let suggest ~cutoff candidates name =
   let target = String.lowercase_ascii name in
   let scored =
     List.filter_map
       (fun candidate ->
         let d = levenshtein target (String.lowercase_ascii candidate) in
-        if d <= 3 then Some (d, candidate) else None)
-      names
+        if d <= cutoff then Some (d, candidate) else None)
+      candidates
   in
   let sorted = List.sort compare scored in
   List.filteri (fun i _ -> i < 3) (List.map snd sorted)
@@ -195,4 +195,7 @@ let resolve input =
           A.to_strategy_exn ~name:(A.to_string term) program term)
     | Error msg ->
       if looks_like_expression then Error (Bad_expression { expr = input; msg })
-      else Error (Unknown_name { name = input; suggestions = suggest input }))
+      else
+        Error
+          (Unknown_name
+             { name = input; suggestions = suggest ~cutoff:3 names input }))

@@ -34,9 +34,10 @@ val get : string -> factory
 (** @raise Invalid_argument on an unknown preset name.  For tests and
     benchmarks where the name is a literal. *)
 
-val suggest : string -> string list
-(** Up to three preset names within edit distance 3 of the (case-folded)
-    input, closest first — for "unknown analysis" error messages. *)
+val suggest : cutoff:int -> string list -> string -> string list
+(** [suggest ~cutoff candidates input]: up to three of [candidates]
+    within edit distance [cutoff] of [input] (both case-folded), closest
+    first, ties in string order — for "unknown name" error messages. *)
 
 type resolve_error =
   | Unknown_name of { name : string; suggestions : string list }

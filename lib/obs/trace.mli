@@ -137,6 +137,6 @@ val dropped : t -> int
 val to_chrome_json : t -> Json.t
 (** The retained events as a Chrome trace-event JSON array (oldest
     first): objects with ["name"], ["cat"], ["ph"] (["B"]/["E"]/["X"]/
-    ["i"]/["C"]), ["ts"]/["dur"] in microseconds, ["pid"]/["tid"], and
+    ["C"]), ["ts"]/["dur"] in microseconds, ["pid"]/["tid"], and
     ["args"] carrying [delta] or counter values.  Load the serialized
     form in Perfetto or [chrome://tracing]. *)

@@ -1,11 +1,10 @@
 (** Tests for the diagnostics subsystem: source spans through lowering,
-    the four checkers, the cast-count parity with the casts client, and
+    the four checkers, the cast-count parity with the metric bundle, and
     the SARIF export. *)
 
 module Ir = Pta_ir.Ir
 module Srcloc = Pta_ir.Srcloc
 module Solver = Pta_solver.Solver
-module Casts = Pta_clients.Casts
 module Diagnostic = Pta_checkers.Diagnostic
 module Results = Pta_checkers.Results
 module Checkers = Pta_checkers.Checkers
@@ -222,8 +221,9 @@ let checker_tests =
           (List.sort Diagnostic.compare diags = diags));
   ]
 
-(* The may-fail-cast checker must agree with the casts client on every
-   strategy: same sites, same verdicts. *)
+(* The may-fail-cast checker and the metric bundle share one cast
+   verdict: under every strategy the checker reports exactly as many
+   sites as [Metrics.may_fail_casts] counts. *)
 let parity_src =
   {|
   class Animal { }
@@ -248,17 +248,16 @@ let parity_src =
 
 let parity_tests =
   [
-    Alcotest.test_case "cast counts match the casts client" `Quick (fun () ->
+    Alcotest.test_case "cast counts match the metric bundle" `Quick (fun () ->
         List.iter
           (fun (strategy, _) ->
             let solver = Helpers.run ~strategy parity_src in
-            let sites = Casts.analyze solver in
             let diags =
               Checkers.may_fail_cast (Results.of_solver solver)
             in
             Alcotest.(check int)
               (Printf.sprintf "under %s" strategy)
-              (Casts.may_fail_count sites)
+              (Pta_clients.Metrics.compute solver).may_fail_casts
               (List.length diags))
           Pta_context.Strategies.all);
   ]

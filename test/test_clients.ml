@@ -1,12 +1,12 @@
 (** Client analyses on a hand-computed program: devirtualization
-    classifications, cast verdicts with witnesses, and the metric
-    bundle. *)
+    classifications and cast verdicts with witnesses (read through the
+    checkers), and the metric bundle. *)
 
 module Ir = Pta_ir.Ir
 module Solver = Pta_solver.Solver
-module Devirt = Pta_clients.Devirt
-module Casts = Pta_clients.Casts
 module Metrics = Pta_clients.Metrics
+module Checkers = Pta_checkers.Checkers
+module Diagnostic = Pta_checkers.Diagnostic
 
 let source =
   {|
@@ -35,49 +35,46 @@ let solver =
     (let program = Pta_frontend.Frontend.program_of_string ~file:"<t>" source in
      Solver.solve program (Pta_context.Strategies.get "1obj" program))
 
+let checker code solver =
+  Checkers.run ~only:[ code ] (Pta_checkers.Results.of_solver solver)
+
 let devirt_test () =
   let solver = Lazy.force solver in
-  let sites = Devirt.analyze solver in
   let program = Solver.program solver in
-  Alcotest.(check int) "two virtual call sites" 2 (List.length sites);
-  Alcotest.(check int) "one polymorphic" 1 (Devirt.poly_count sites);
-  Alcotest.(check int) "one monomorphic" 1 (Devirt.mono_count sites);
-  List.iter
-    (fun (s : Devirt.site) ->
-      match s.classification with
-      | Devirt.Monomorphic m ->
-        Alcotest.(check string) "mono target" "Circle.area/0"
-          (Ir.Program.meth_qualified_name program m)
-      | Devirt.Polymorphic targets ->
-        Alcotest.(check (list string))
-          "poly targets"
-          [ "Circle.area/0"; "Square.area/0" ]
-          (Ir.Meth_id.Set.elements targets
-          |> List.map (Ir.Program.meth_qualified_name program)
-          |> List.sort compare)
-      | Devirt.Unresolved -> Alcotest.fail "unexpected unresolved site")
-    sites
+  (match checker "monomorphic-call-site" solver with
+  | [ d ] ->
+    Alcotest.(check string) "mono target"
+      "virtual call resolves to the single target Circle.area/0"
+      d.Diagnostic.message
+  | ds -> Alcotest.failf "%d monomorphic sites, expected 1" (List.length ds));
+  let main = Option.get (Ir.Program.find_meth program "Main" "main" 0) in
+  let targets =
+    List.filter_map
+      (function
+        | Ir.Virtual_call { invo; _ } ->
+          Some
+            (Ir.Meth_id.Set.elements (Solver.invo_targets solver invo)
+            |> List.map (Ir.Program.meth_qualified_name program))
+        | _ -> None)
+      (Ir.instr_list (Ir.Program.meth_info program main).Ir.body)
+  in
+  Alcotest.(check (list (list string)))
+    "targets per virtual call site"
+    [ [ "Circle.area/0" ]; [ "Circle.area/0"; "Square.area/0" ] ]
+    (List.sort compare (List.map (List.sort compare) targets))
 
 let casts_test () =
   let solver = Lazy.force solver in
-  let program = Solver.program solver in
-  let sites = Casts.analyze solver in
-  Alcotest.(check int) "two casts" 2 (List.length sites);
-  Alcotest.(check int) "one may fail" 1 (Casts.may_fail_count sites);
-  List.iter
-    (fun (s : Casts.site) ->
-      let target = Ir.Program.type_name program s.cast_type in
-      match (target, s.verdict) with
-      | "Square", Casts.May_fail [ witness ] ->
-        let wt = (Ir.Program.heap_info program witness).Ir.heap_type in
-        Alcotest.(check string) "witness is the Circle" "Circle"
-          (Ir.Program.type_name program wt)
-      | "Circle", Casts.Safe -> ()
-      | t, Casts.Safe -> Alcotest.failf "unexpected safe cast to %s" t
-      | t, Casts.May_fail ws ->
-        Alcotest.failf "unexpected may-fail cast to %s (%d witnesses)" t
-          (List.length ws))
-    sites
+  match checker "may-fail-cast" solver with
+  | [ d ] ->
+    Alcotest.(check string) "the Square cast" "cast of s to Square may fail"
+      d.Diagnostic.message;
+    Alcotest.(check (list string))
+      "the only witness is the Circle"
+      [ "may point to Main.main/0[new Circle@h0@8:15] of type Circle, \
+         allocated here" ]
+      (List.map (fun (w : Diagnostic.witness) -> w.w_message) d.witnesses)
+  | ds -> Alcotest.failf "%d may-fail casts, expected 1" (List.length ds)
 
 let metrics_test () =
   let solver = Lazy.force solver in
