@@ -1,4 +1,4 @@
-(* Devirtualization: how much context-sensitivity buys a compiler.
+(* Direct calls for virtual ones: how much context-sensitivity buys a compiler.
 
    Solves the pmd-profile synthetic benchmark (an AST-visitor-style
    workload) under increasingly precise analyses and reports how many
